@@ -41,7 +41,7 @@ from .forms import (
     green_identity_residual,
     q_decorated,
 )
-from .functions import BumpFn, ExprFunction, polynomial
+from .functions import BumpFn, ExprFunction, GaussianPoly, polynomial
 from .problem import load_problem, validate
 from .solutions import construct_basis
 from .triplets import (
@@ -396,10 +396,16 @@ def cmd_triplet(spec, ext_doc, args):
 def _cross_path_samples(spec, args):
     a, b = spec.interval.endpoints()
     mid = spec.interval.interior_point()
-    f = polynomial(spec, [1.0, 0.25])
-    g = polynomial(spec, [0.5, -0.5])
-    width = 1.0 if not (math.isfinite(a) and math.isfinite(b)) \
-        else 0.4 * (b - a)
+    finite = math.isfinite(a) and math.isfinite(b)
+    # Polynomials are not square integrable toward an infinite endpoint;
+    # the Gaussian factor keeps the same coefficients in L^2 there.
+    if finite:
+        f = polynomial(spec, [1.0, 0.25])
+        g = polynomial(spec, [0.5, -0.5])
+    else:
+        f = GaussianPoly(spec, [1.0, 0.25])
+        g = GaussianPoly(spec, [0.5, -0.5])
+    width = 0.4 * (b - a) if finite else 1.0
     h = BumpFn(spec, center=mid, width=width)
     return [(f, g), (f, h), (h, h)]
 

@@ -91,12 +91,6 @@ class NOperator:
         return (fu1 * wu - fu * wu1) / (math.sqrt(self.spec.p(x)) * wu)
 
 
-def n_operator_apply(spec, basis_fn, f, xs):
-    """Sample N_w f on a grid (w = the basis function of the side window)."""
-    op = NOperator(spec, basis_fn)
-    return np.array([op(x, f) for x in np.atleast_1d(xs)])
-
-
 def _coverage(w):
     """Evaluable x-range of a solution-like object; analytic functions are
     unrestricted."""

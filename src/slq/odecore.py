@@ -1,4 +1,4 @@
-"""ODE core: quasi-derivative system integration, Wronskians, tau.
+"""ODE core: trajectories of the quasi-derivative system, Wronskians, tau.
 
 The second-order expression tau u = (1/r)[-(p u')' + q u] = lambda u is
 integrated as the first-order system
@@ -13,9 +13,8 @@ degenerates.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,68 +26,80 @@ from .errors import (
     StepSizeUnderflow,
 )
 
-FROM_LEFT = "from_left_anchor"
-FROM_RIGHT = "from_right_anchor"
 
+class ScaledSolution:
+    """Dense-output trajectory of the quasi-derivative system with a
+    log-scale ledger.
 
-@dataclass(frozen=True)
-class QuasiState:
-    x: float
-    u: complex
-    u1: complex
+    A trajectory is one or more integrator segments, each carrying a log
+    scale L: the true solution on the segment is exp(L) times the stored
+    unit-size values.  Marching toward a singular endpoint renormalizes
+    whenever the working state leaves [1/cap, cap], so the stored numbers
+    stay well conditioned while the ledger tracks growth that can exceed
+    floating-point range.
 
-
-class SolutionFn:
-    """Dense-output trajectory of the quasi-derivative system.
-
-    Supports evaluation of u and u^[1] anywhere in the covered range; made of
-    one or more contiguous integrator segments (marching toward a singular
-    endpoint appends segments).
+    Segments may meet only at their edges.  Their edges are kept sorted by
+    left edge, so a lookup is a bisection; where x lies on a shared edge
+    the segment inserted first is used.
     """
 
-    def __init__(self, lam, segments, orientation):
+    def __init__(self, lam):
         self.lam = lam
-        self.orientation = orientation
-        # Keep segments sorted by their left edge regardless of the
-        # direction they were integrated in.
-        self._segments = sorted(
-            segments, key=lambda s: min(s.t[0], s.t[-1])
-        )
-        los = [min(s.t[0], s.t[-1]) for s in self._segments]
-        his = [max(s.t[0], s.t[-1]) for s in self._segments]
-        self.x_min = min(los)
-        self.x_max = max(his)
+        self._segments = []  # (sol, logscale), in insertion order
+        # Edges in (lo, hi) order with the insertion index of each segment.
+        # Disjoint interiors make the right edges nondecreasing too.
+        self._los = []
+        self._his = []
+        self._order = []
 
-    @property
-    def breakpoints(self):
-        pts = []
-        for seg in self._segments:
-            ts = seg.t if seg.t[0] <= seg.t[-1] else seg.t[::-1]
-            for t in ts:
-                if not pts or t > pts[-1]:
-                    pts.append(float(t))
-        return pts
+    def add_segment(self, sol, logscale):
+        """Append a dense-output segment; its interior must not overlap
+        another segment's."""
+        t0, t1 = float(sol.t[0]), float(sol.t[-1])
+        lo, hi = min(t0, t1), max(t0, t1)
+        los, his = self._los, self._his
+        # Entries from bisect_right(his, lo) on end past lo; entries before
+        # bisect_left(los, hi) start before hi.  Any entry in both overlaps.
+        if bisect_right(his, lo) < bisect_left(los, hi):
+            raise ValueError(
+                f"segment [{lo}, {hi}] overlaps the interior of another"
+            )
+        k = bisect_right(his, hi, bisect_left(los, lo), bisect_right(los, lo))
+        los.insert(k, lo)
+        his.insert(k, hi)
+        self._order.insert(k, len(self._segments))
+        self._segments.append((sol, logscale))
+        self.x_min, self.x_max = los[0], his[-1]
 
-    def _segment_for(self, x):
+    def _locate(self, x):
         if not (self.x_min <= x <= self.x_max):
             raise EvaluationOutsideSupport(
                 f"x={x} outside [{self.x_min}, {self.x_max}]"
             )
-        for seg in self._segments:
-            lo, hi = min(seg.t[0], seg.t[-1]), max(seg.t[0], seg.t[-1])
-            if lo <= x <= hi:
-                return seg
-        # x between segment edges (floating-point gap): nearest segment.
-        return min(
-            self._segments,
-            key=lambda s: min(abs(x - s.t[0]), abs(x - s.t[-1])),
-        )
+        # Entries j..i-1 are the segments whose closed range holds x.
+        i = bisect_right(self._los, x)
+        j = bisect_left(self._his, x, 0, i)
+        if i - j == 1:
+            return self._segments[self._order[j]]
+        if j < i:
+            return self._segments[min(self._order[j:i])]
+        # x in a floating-point gap between segments (marched legs always
+        # meet exactly): the nearest segment, the first inserted on a tie.
+        _, k = min((min(abs(x - lo), abs(x - hi)), k)
+                   for lo, hi, k in zip(self._los, self._his, self._order))
+        return self._segments[k]
+
+    def log_pair(self, x):
+        """(u_unit, u1_unit, L): true values are unit * exp(L)."""
+        sol, L = self._locate(x)
+        u, u1 = sol.sol(x)
+        return u, u1, L
 
     def pair(self, x):
         """(u(x), u^[1](x))."""
-        seg = self._segment_for(x)
-        u, u1 = seg.sol(x)
-        return u, u1
+        u, u1, L = self.log_pair(x)
+        s = math.exp(L)
+        return u * s, u1 * s
 
     def __call__(self, x):
         return self.pair(x)[0]
@@ -96,22 +107,21 @@ class SolutionFn:
     def qd(self, x):
         return self.pair(x)[1]
 
-    def state(self, x):
-        u, u1 = self.pair(x)
-        return QuasiState(float(x), u, u1)
+    @property
+    def segments(self):
+        """(sol, logscale) pairs in insertion order."""
+        return list(self._segments)
 
-    def dump_csv(self, path):
-        """Trajectory at the dense-output breakpoints as CSV."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re_u", "im_u", "re_u1", "im_u1"])
-            for x in self.breakpoints:
-                u, u1 = self.pair(x)
-                writer.writerow([
-                    repr(float(x)),
-                    repr(float(np.real(u))), repr(float(np.imag(u))),
-                    repr(float(np.real(u1))), repr(float(np.imag(u1))),
-                ])
+    @property
+    def breakpoints(self):
+        """Integrator step points of all segments, ascending."""
+        pts = []
+        for k in self._order:
+            t = self._segments[k][0].t
+            for x in (t if t[0] <= t[-1] else t[::-1]):
+                if not pts or x > pts[-1]:
+                    pts.append(float(x))
+        return pts
 
 
 def _rhs(spec, lam):
@@ -128,7 +138,8 @@ def integrate_tau(spec, lam, anchor, init, target, tol=1e-10,
     """Solve tau u = lambda u from `anchor` to `target`.
 
     init is the pair (u, u^[1]) at the anchor.  Direction follows
-    sign(target - anchor).  Returns a SolutionFn with dense output.
+    sign(target - anchor).  Returns a one-segment ScaledSolution with log
+    scale 0.
     """
     if target == anchor:
         raise ValueError("target must differ from anchor")
@@ -144,8 +155,9 @@ def integrate_tau(spec, lam, anchor, init, target, tol=1e-10,
         )
     if not np.all(np.isfinite(np.ascontiguousarray(sol.y).view(float))):
         raise NonFiniteState("trajectory overflowed; rescale and retry")
-    orientation = FROM_LEFT if target > anchor else FROM_RIGHT
-    return SolutionFn(lam, [sol], orientation)
+    traj = ScaledSolution(lam)
+    traj.add_segment(sol, 0.0)
+    return traj
 
 
 def _quasi_pair(f, x):

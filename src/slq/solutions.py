@@ -24,79 +24,12 @@ from .errors import (
     OscillatoryAtLambda0,
     StepSizeUnderflow,
 )
-from .odecore import _rhs
+from .odecore import ScaledSolution, _rhs
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
 SCALE_CAP = 1e8
 LOGSCALE_MAX = 300.0
-
-
-class ScaledSolution:
-    """Marched trajectory with a log-scale ledger.
-
-    Each dense-output segment carries a log scale L; the true solution on the
-    segment is exp(L) times the stored unit-size values.  Renormalization
-    happens whenever the working state leaves [1/cap, cap], so the stored
-    numbers stay well conditioned while the ledger tracks growth that can
-    exceed floating-point range.
-    """
-
-    def __init__(self, lam):
-        self.lam = lam
-        self._segments = []  # (sol, logscale)
-
-    def add_segment(self, sol, logscale):
-        # Insertion order is meaningful to callers slicing off the segments
-        # of the current window; _locate scans, so no sorting is needed.
-        self._segments.append((sol, logscale))
-        lo = min(sol.t[0], sol.t[-1])
-        hi = max(sol.t[0], sol.t[-1])
-        if len(self._segments) == 1:
-            self.x_min, self.x_max = lo, hi
-        else:
-            self.x_min = min(self.x_min, lo)
-            self.x_max = max(self.x_max, hi)
-
-    def _locate(self, x):
-        if not (self.x_min <= x <= self.x_max):
-            raise EvaluationOutsideSupport(
-                f"x={x} outside [{self.x_min}, {self.x_max}]"
-            )
-        best = None
-        best_gap = math.inf
-        for sol, L in self._segments:
-            lo, hi = min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
-            if lo <= x <= hi:
-                return sol, L
-            gap = min(abs(x - lo), abs(x - hi))
-            if gap < best_gap:
-                best, best_gap = (sol, L), gap
-        return best
-
-    def log_pair(self, x):
-        """(u_unit, u1_unit, L): true values are unit * exp(L)."""
-        sol, L = self._locate(x)
-        u, u1 = sol.sol(x)
-        return u, u1, L
-
-    def pair(self, x):
-        u, u1, L = self.log_pair(x)
-        s = math.exp(L)
-        return u * s, u1 * s
-
-    def __call__(self, x):
-        return self.pair(x)[0]
-
-    def qd(self, x):
-        return self.pair(x)[1]
-
-    def max_logscale(self):
-        return max(L for _, L in self._segments)
-
-    @property
-    def segments(self):
-        return list(self._segments)
 
 
 def _march_leg(spec, lam, scaled, x0, y0, L0, x1, tol, cap):

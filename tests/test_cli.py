@@ -116,6 +116,20 @@ def test_triplet_command_with_extension(specfile, capsys):
     assert deviations and max(deviations) < 1e-8
 
 
+def test_triplet_cross_path_on_half_line(specfile, capsys):
+    # Every sample must be square integrable on (0, inf).
+    path = specfile({
+        "coefficients": {"catalog": "free_halfline"},
+        "extension": {"kind": "one_lc", "alpha": 0.8, "endpoint": "a"},
+    })
+    code, report = _run(capsys, ["triplet", path])
+    assert code == EXIT_OK
+    samples = report["triplet"]["cross_path"]
+    assert len(samples) == 3
+    assert not [s for s in samples if "error" in s]
+    assert max(s["deviation"] for s in samples) < 1e-8
+
+
 def test_basis_command_with_csv(specfile, capsys, tmp_path):
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
     prefix = str(tmp_path / "dump")
