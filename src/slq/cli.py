@@ -287,7 +287,7 @@ def cmd_form(spec, ext_doc, args):
     kinds, regime, lc_side = _regime_info(classification)
     if lc_side is not None:
         for basis in bases:
-            basis.diagnostics["lc_side"] = lc_side
+            basis.diagnostics["lc_side"] = basis.endpoint == lc_side
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
@@ -311,7 +311,7 @@ def cmd_green_check(spec, ext_doc, args):
     kinds, regime, lc_side = _regime_info(classification)
     if lc_side is not None:
         for basis in bases:
-            basis.diagnostics["lc_side"] = lc_side
+            basis.diagnostics["lc_side"] = basis.endpoint == lc_side
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None

@@ -255,3 +255,35 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self.text!r})"
+
+
+_RHS_SOURCE = """\
+def factory(lam):
+    def rhs(x, y):
+        try:
+            return [y[1] / ({p}), (({q}) - lam * ({r})) * y[0]]
+        except ValueError:
+            _undefined(x)
+            raise
+    return rhs
+"""
+
+
+def quasi_rhs(p: Expr, q: Expr, r: Expr):
+    """Factory lam -> f(x, y) for u' = u1 / p, u1' = (q - lam r) u.
+
+    The three coefficients are compiled into one function, with the same
+    arithmetic as ``[y[1] / p(x), (q(x) - lam * r(x)) * y[0]]``, so values
+    are bit-identical while a call costs one Python frame instead of four.
+    A domain error re-evaluates the coefficients one by one, so the
+    SpecFileError names the expression at fault.
+    """
+    def undefined(x):
+        for e in (p, q, r):
+            e(x)
+
+    ns = dict(_SCALAR_NS, _undefined=undefined)
+    src = _RHS_SOURCE.format(p=p.root.emit(), q=q.root.emit(),
+                             r=r.root.emit())
+    exec(compile(src, "<rhs>", "exec"), ns)  # noqa: S102
+    return ns["factory"]

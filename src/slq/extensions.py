@@ -24,7 +24,7 @@ from .errors import (
     SpecFileError,
     VariantMismatch,
 )
-from .odecore import integrate_tau, wronskian
+from .odecore import end_state, integrate_tau
 from .problem import endpoint_regular
 from .solutions import construct_basis
 
@@ -277,14 +277,23 @@ def _side_solution(spec, ext, basis_map, side, lam, tol):
     return x0, init
 
 
-def _shoot_det(spec, ext, basis_map, lam, mid, tol):
-    """Normalized Wronskian of the two one-sided solutions at the midpoint."""
+def _shoot_det(spec, ext, basis_map, lam, mid, tol, dense=False):
+    """Normalized Wronskian of the two one-sided solutions at the midpoint.
+
+    Returns (det, (left, right)).  The one-sided trajectories are built only
+    when `dense` is set; otherwise each side is one end-state solve and
+    left and right are None.
+    """
     xa, ia = _side_solution(spec, ext, basis_map, "a", lam, tol)
     xb, ib = _side_solution(spec, ext, basis_map, "b", lam, tol)
-    left = integrate_tau(spec, lam, xa, ia, mid, tol=tol)
-    right = integrate_tau(spec, lam, xb, ib, mid, tol=tol)
-    lu, lu1 = left.pair(mid)
-    ru, ru1 = right.pair(mid)
+    if dense:
+        left = integrate_tau(spec, lam, xa, ia, mid, tol=tol)
+        right = integrate_tau(spec, lam, xb, ib, mid, tol=tol)
+        (lu, lu1), (ru, ru1) = left.pair(mid), right.pair(mid)
+    else:
+        left = right = None
+        lu, lu1 = end_state(spec, lam, xa, ia, mid, tol=tol)
+        ru, ru1 = end_state(spec, lam, xb, ib, mid, tol=tol)
     wr = lu * ru1 - lu1 * ru
     norm = math.sqrt((abs(lu) ** 2 + abs(lu1) ** 2)
                      * (abs(ru) ** 2 + abs(ru1) ** 2))
@@ -295,22 +304,23 @@ def _shoot_det(spec, ext, basis_map, lam, mid, tol):
 
 def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
     """2x2 matrix M(lam) sending GBV data at a to GBV data at b."""
+    end_b = basis_b.endpoint_value
+    if basis_b.regular:
+        xb = end_b
+    else:
+        off = max(BOUNDARY_DELTA,
+                  1e-6 * abs(end_b - basis_b.nonvanish_bound)
+                  * BOUNDARY_DELTA)
+        xb = end_b - off
+    uu, uu1 = basis_b.u.pair(xb)
+    hu, hu1 = basis_b.u_hat.pair(xb)
     cols = []
     for coef_u, coef_uhat in ((0.0, 1.0), (1.0, 0.0)):
         # (g~(a), g~'(a)) = (1, 0) for the u_hat-like start, (0, 1) for u.
         xa, init = _lc_init(spec, basis_a, coef_u, coef_uhat)
-        end_b = basis_b.endpoint_value
-        if basis_b.regular:
-            xb = end_b
-        else:
-            off = max(BOUNDARY_DELTA,
-                      1e-6 * abs(end_b - basis_b.nonvanish_bound)
-                      * BOUNDARY_DELTA)
-            xb = end_b - off
-        sol = integrate_tau(spec, lam, xa, init, xb, tol=tol)
-        tilde = -wronskian(basis_b.u, sol, xb)
-        tilde_p = wronskian(basis_b.u_hat, sol, xb)
-        cols.append((tilde, tilde_p))
+        su, su1 = end_state(spec, lam, xa, init, xb, tol=tol)
+        # g~ = -W(u, sol), g~' = W(u_hat, sol) at xb.
+        cols.append((-(uu * su1 - uu1 * su), hu * su1 - hu1 * su))
     # cols[0] started as u_hat (GBV data (1, 0) at a), cols[1] as u ((0, 1)),
     # so cols[0] is the first column of M and cols[1] the second.
     return np.array([[cols[0][0], cols[1][0]],
@@ -352,12 +362,21 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                 bases[e] = None
 
     mid = spec.interval.interior_point()
+    # One determinant per distinct lam: Brent starts from the grid values at
+    # its bracket ends, and the residual at a root is Brent's last value.
+    memo = {}
     if ext.variant == "coupled":
-        def det_fn(lam):
+        def det_value(lam):
             return _coupled_det(spec, bases, ext, lam, tol=1e-10)
     else:
-        def det_fn(lam):
+        def det_value(lam):
             return _shoot_det(spec, ext, bases, lam, mid, tol=1e-10)[0]
+
+    def det_fn(lam):
+        key = float(lam)
+        if key not in memo:
+            memo[key] = det_value(key)
+        return memo[key]
 
     n = max(8, int(math.ceil((lam_max - lam_min) * grid_per_unit)))
     grid = np.linspace(lam_min, lam_max, n + 1)
@@ -378,7 +397,7 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                          condition_residual=resid)
         if ext.variant != "coupled":
             _, (left, right) = _shoot_det(spec, ext, bases, root, mid,
-                                          tol=1e-10)
+                                          tol=1e-10, dense=True)
             eig.left, eig.right = left, right
         results.append(eig)
     if not results:

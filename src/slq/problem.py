@@ -15,6 +15,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     SpecFileError,
     UnknownCatalogEntry,
 )
-from .expressions import Expr
+from .expressions import Expr, quasi_rhs
 from .quadrature import improper_integral
 
 REGULAR = "regular"
@@ -70,6 +71,11 @@ class CoefficientSet:
     @classmethod
     def from_strings(cls, p, q, r):
         return cls(Expr.parse(str(p)), Expr.parse(str(q)), Expr.parse(str(r)))
+
+    @cached_property
+    def rhs(self):
+        """lam -> f(x, y), the quasi-derivative system, compiled once."""
+        return quasi_rhs(self.p, self.q, self.r)
 
 
 @dataclass

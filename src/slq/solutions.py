@@ -24,7 +24,7 @@ from .errors import (
     OscillatoryAtLambda0,
     StepSizeUnderflow,
 )
-from .odecore import ScaledSolution, _rhs
+from .odecore import ScaledSolution
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
@@ -34,7 +34,7 @@ LOGSCALE_MAX = 300.0
 
 def _march_leg(spec, lam, scaled, x0, y0, L0, x1, tol, cap):
     """Advance one window, renormalizing when the state leaves the cap."""
-    rhs = _rhs(spec, lam)
+    rhs = spec.coeffs.rhs(lam)
     cap_hi = math.log(cap)
 
     def too_big(x, y):

@@ -58,6 +58,15 @@ def test_count_zeros_sine(dirichlet):
     assert n == 2
 
 
+def test_count_zeros_resolves_every_zero_per_step(dirichlet):
+    # u = sin(20(x - 0.1))/20 has zeros at 0.1 + k pi/20, k = 1, 2, ...;
+    # 8 samples per DOP853 step must see each of them.
+    x1, x2 = 0.1, math.pi - 0.1
+    want = math.floor((x2 - x1) * 20.0 / math.pi)
+    assert want == 18
+    assert count_zeros(dirichlet, 400.0, (x1, x2), init=(0.0, 1.0)) == want
+
+
 def test_certify_nonoscillatory_at_lambda0(legendre, dirichlet):
     assert certify_nonoscillatory(legendre, 0.0)["a"] != "refuted"
     assert certify_nonoscillatory(dirichlet, 0.0)["b"] != "refuted"

@@ -130,6 +130,23 @@ def test_triplet_cross_path_on_half_line(specfile, capsys):
     assert max(s["deviation"] for s in samples) < 1e-8
 
 
+def test_form_one_lc_keeps_the_lp_end_lp(specfile, capsys):
+    # The LP end b must not take the LC branch (w = u_hat, lead-term
+    # subtraction): its N-integral and boundary correction are 0.
+    path = specfile({
+        "coefficients": {"catalog": "free_halfline"},
+        "extension": {"kind": "one_lc", "alpha": 0.8, "endpoint": "a"},
+    })
+    code, report = _run(capsys, ["form", path, "--f", "poly:1",
+                                 "--g", "poly:1"])
+    assert code == EXIT_OK
+    form = report["form"]
+    assert form["regime"] == "lc_lp"
+    assert form["pieces"]["right_N_integral"] == 0
+    assert form["pieces"]["boundary_correction_d"] == 0
+    assert form["value"] == pytest.approx(-1.0 / math.tan(0.8), abs=1e-8)
+
+
 def test_basis_command_with_csv(specfile, capsys, tmp_path):
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
     prefix = str(tmp_path / "dump")

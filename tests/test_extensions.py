@@ -22,6 +22,7 @@ from slq.extensions import (
     extension_from_dict,
     friedrichs_spec,
 )
+from slq import extensions
 from slq.classify import classify_both
 from slq.functions import ExprFunction
 
@@ -101,6 +102,42 @@ def test_eigenvalues_coupled_quasi_periodic(dirichlet, dirichlet_bases):
                              bases=dirichlet_bases)
     lams = [e.lam for e in eigs]
     assert np.allclose(lams, [0.25, 2.25, 6.25], atol=1e-7)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(extensions, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extensions, name, counted)
+    return calls
+
+
+def test_shooting_one_determinant_per_lambda(dirichlet, dirichlet_bases,
+                                             monkeypatch):
+    calls = _count_calls(monkeypatch, "_shoot_det")
+    eigs = eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (0.5, 5.0),
+                             bases=dirichlet_bases)
+    assert np.allclose([e.lam for e in eigs], [1.0, 4.0], atol=1e-7)
+    lams = [args[3] for args, kw in calls if not kw.get("dense")]
+    dense = [args[3] for args, kw in calls if kw.get("dense")]
+    assert len(lams) == len(set(map(float, lams)))
+    assert dense == [e.lam for e in eigs]
+    assert all(e.left is not None and e.right is not None for e in eigs)
+
+
+def test_coupled_one_determinant_per_lambda(dirichlet, dirichlet_bases,
+                                            monkeypatch):
+    calls = _count_calls(monkeypatch, "_coupled_det")
+    ext = Coupled(math.pi / 2, ((1.0, 0.0), (0.0, 1.0)))
+    eigs = eigenvalues_shoot(dirichlet, ext, (0.0, 3.0),
+                             bases=dirichlet_bases)
+    assert np.allclose([e.lam for e in eigs], [0.25, 2.25], atol=1e-7)
+    lams = [float(args[3]) for args, _ in calls]
+    assert len(lams) == len(set(lams))
 
 
 def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):

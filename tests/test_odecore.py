@@ -1,12 +1,15 @@
 """ODE core: quasi-derivative marching, Wronskians, tau application."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from slq.errors import SpecFileError
 from slq.functions import polynomial
-from slq.odecore import integrate_tau, tau_apply, wronskian
+from slq.odecore import end_state, integrate_tau, tau_apply, wronskian
+from slq.problem import CoefficientSet, catalog
 
 
 def test_integrate_tau_matches_sine(dirichlet):
@@ -23,6 +26,48 @@ def test_integrate_tau_complex_energy(dirichlet):
     k = np.sqrt(complex(z))
     u, _ = sol.pair(1.0)
     assert u == pytest.approx(np.cos(k * 1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("problem, xs", [
+    ("legendre", (-0.9, -0.3, 0.2, 0.7)),
+    ("bessel(0.3)", (1e-6, 0.05, 0.4, 0.9)),
+    ("free_halfline", (0.3, 2.0, 10.0)),
+    ("oscillator", (-3.0, 0.5, 2.5)),
+])
+def test_fused_rhs_equals_coefficient_evaluation(problem, xs, request):
+    spec = (catalog(problem) if problem == "bessel(0.3)"
+            else request.getfixturevalue(problem))
+    p, q, r = spec.p, spec.q, spec.r
+    for lam, y in ((2.5, np.array([0.7, -1.3])),
+                   (2.5 + 1.0j, np.array([0.7 - 0.2j, -1.3 + 0.4j]))):
+        rhs = spec.coeffs.rhs(lam)
+        for x in xs:
+            assert rhs(x, y) == [y[1] / p(x), (q(x) - lam * r(x)) * y[0]]
+
+
+@pytest.mark.parametrize("coeffs, bad", [
+    (("sqrt(x)", "0", "1"), "sqrt(x)"),
+    (("1", "log(x)", "1"), "log(x)"),
+    (("1", "0", "sqrt(x)"), "sqrt(x)"),
+])
+def test_fused_rhs_domain_error_names_the_coefficient(coeffs, bad):
+    rhs = CoefficientSet.from_strings(*coeffs).rhs(1.0)
+    with pytest.raises(SpecFileError, match=re.escape(repr(bad))):
+        rhs(-1.0, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("problem, lam, anchor, init, target", [
+    ("oscillator", 3.0, -6.0, (1.0, 5.0), 0.0),
+    ("oscillator", 5.5, 6.0, (1.0, -5.0), 0.0),
+    ("oscillator", 1.0 + 0.5j, -4.0, (1.0, 2.0), 1.0),
+    ("dirichlet", 4.0, 0.0, (0.0, 1.0), math.pi / 2),
+    ("dirichlet", 9.3, math.pi, (0.0, 1.0), 1.0),
+])
+def test_end_state_equals_trajectory_at_target(problem, lam, anchor, init,
+                                               target, request):
+    spec = request.getfixturevalue(problem)
+    want = integrate_tau(spec, lam, anchor, init, target).pair(target)
+    assert end_state(spec, lam, anchor, init, target) == want
 
 
 def test_wronskian_constant_along_solutions(dirichlet):
