@@ -105,11 +105,27 @@ def gbv(spec, basis, g, endpoint=None, tol=1e-9):
     cross-check g/u_hat; g~' from W(u_hat, g).  At a regular endpoint with
     the classical basis the limits are evaluated at the endpoint itself,
     reproducing the classical boundary data.
+
+    The values depend only on (basis, g, tol), so they are memoized on the
+    basis; a repeat request returns the same object.  The memo keeps g
+    alive, so its id cannot be reused by another function while the basis
+    lives.
     """
     if endpoint is not None and endpoint != basis.endpoint:
         raise ValueError(
             f"basis is for endpoint {basis.endpoint!r}, not {endpoint!r}"
         )
+    key = (id(g), tol)
+    hit = basis._gbv_memo.get(key)
+    if hit is not None and hit[0] is g:
+        return hit[1]
+    values = _boundary_values(basis, g, tol)
+    basis._gbv_memo[key] = (g, values)
+    return values
+
+
+def _boundary_values(basis, g, tol):
+    """Uncached gbv: Wronskian limits with the ratio-route cross-check."""
     endpoint = basis.endpoint
     end = basis.endpoint_value
     if basis.regular:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bvalues import gbv, patched_pair
-from .classify import LIMIT_CIRCLE, classify_endpoint
+from .classify import classify_endpoint
 from .errors import (
     Inconclusive,
     RangeContainsNoBracket,
@@ -35,8 +35,10 @@ from .extensions import (
     eigenvalues_shoot,
     extension_from_dict,
     friedrichs_spec,
+    lc_ends,
 )
 from .forms import (
+    LC_ENDS,
     FormWindow,
     green_identity_residual,
     q_decorated,
@@ -178,15 +180,10 @@ def _resolve_function(token, spec, bases):
     raise SpecFileError(f"unknown function specifier {token!r}")
 
 
-def _regime_info(classification):
-    kinds = {e: c.kind for e, c in classification.items()}
-    n_lc = sum(1 for k in kinds.values() if k == LIMIT_CIRCLE)
-    from .forms import REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LP
-    regime = {2: REGIME_LC_LC, 1: REGIME_LC_LP, 0: REGIME_LP_LP}[n_lc]
-    lc_side = None
-    if n_lc == 1:
-        lc_side = "a" if kinds["a"] == LIMIT_CIRCLE else "b"
-    return kinds, regime, lc_side
+def _regime(classification):
+    """The form regime whose limit-circle ends the classification names."""
+    ends = lc_ends(classification)
+    return next(r for r, lc in LC_ENDS.items() if lc == ends)
 
 
 def _extension_of(spec, ext_doc, classification):
@@ -284,10 +281,7 @@ def cmd_form(spec, ext_doc, args):
     classification = _classify(spec, _parse_probe(args.probe))
     ext = _extension_of(spec, ext_doc, classification)
     bases = _build_bases(spec)
-    kinds, regime, lc_side = _regime_info(classification)
-    if lc_side is not None:
-        for basis in bases:
-            basis.diagnostics["lc_side"] = basis.endpoint == lc_side
+    regime = _regime(classification)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
@@ -308,10 +302,7 @@ def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
     classification = _classify(spec, _parse_probe(args.probe))
     bases = _build_bases(spec)
-    kinds, regime, lc_side = _regime_info(classification)
-    if lc_side is not None:
-        for basis in bases:
-            basis.diagnostics["lc_side"] = basis.endpoint == lc_side
+    regime = _regime(classification)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
@@ -371,16 +362,12 @@ def cmd_triplet(spec, ext_doc, args):
         section["diagnostics"] = pair.diagnostics
         # Cross-path equality: relation route vs decorated form on samples.
         bases = _build_bases(spec)
-        kinds, regime, lc_side = _regime_info(classification)
         samples = _cross_path_samples(spec, args)
         checks = []
         for f, g in samples:
-            cache = {}
             try:
-                q1 = q_decorated(spec, bases, None, ext, f, g,
-                                 gbv_cache=cache).value
-                q2 = form_from_relation(spec, bases, None, ext, f, g,
-                                        lc_side=lc_side, gbv_cache=cache)
+                q1 = q_decorated(spec, bases, None, ext, f, g).value
+                q2 = form_from_relation(spec, bases, None, ext, f, g)
                 checks.append({
                     "q_decorated": q1, "form_from_relation": q2,
                     "deviation": abs(q1 - q2),

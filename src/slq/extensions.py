@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .classify import LIMIT_CIRCLE, LIMIT_POINT
+from .classify import LIMIT_CIRCLE
 from .errors import (
     RangeContainsNoBracket,
     ShootingOverflow,
@@ -127,27 +127,34 @@ def _kinds(classification):
     return out
 
 
+def lc_ends(classification):
+    """The limit-circle endpoints of a classification, in order: a subset
+    of ("a", "b")."""
+    kinds = _kinds(classification)
+    return tuple(e for e in ("a", "b") if kinds[e] == LIMIT_CIRCLE)
+
+
 def check_variant(ext, classification):
     """Raise VariantMismatch unless the variant fits the LC/LP pattern."""
     kinds = _kinds(classification)
-    n_lc = sum(1 for k in kinds.values() if k == LIMIT_CIRCLE)
+    ends = lc_ends(kinds)
     if ext.variant in ("separated", "coupled"):
-        if n_lc != 2:
+        if len(ends) != 2:
             raise VariantMismatch(
                 f"{ext.variant} requires LC-LC, classification is {kinds}"
             )
     elif ext.variant == "one_lc":
-        if n_lc != 1:
+        if len(ends) != 1:
             raise VariantMismatch(
                 f"one_lc requires exactly one LC endpoint, got {kinds}"
             )
-        lc_end = "a" if kinds["a"] == LIMIT_CIRCLE else "b"
-        if ext.lc_endpoint != lc_end:
+        if ext.lc_endpoint != ends[0]:
             raise VariantMismatch(
-                f"LC endpoint is {lc_end!r}, extension says {ext.lc_endpoint!r}"
+                f"LC endpoint is {ends[0]!r}, extension says "
+                f"{ext.lc_endpoint!r}"
             )
     elif ext.variant == "lp_lp":
-        if n_lc != 0:
+        if ends:
             raise VariantMismatch(
                 f"lp_lp requires LP-LP, classification is {kinds}"
             )
@@ -158,12 +165,11 @@ def check_variant(ext, classification):
 
 def friedrichs_spec(classification):
     """The Friedrichs extension for the given classification pair."""
-    kinds = _kinds(classification)
-    n_lc = sum(1 for k in kinds.values() if k == LIMIT_CIRCLE)
-    if n_lc == 2:
+    ends = lc_ends(classification)
+    if len(ends) == 2:
         return Separated(0.0, 0.0)
-    if n_lc == 1:
-        return OneLC(0.0, "a" if kinds["a"] == LIMIT_CIRCLE else "b")
+    if len(ends) == 1:
+        return OneLC(0.0, ends[0])
     return LpLp()
 
 
@@ -350,16 +356,12 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     if classification is None:
         from .classify import classify_both
         classification = classify_both(spec)
-    kinds = check_variant(ext, classification)
+    ends = lc_ends(check_variant(ext, classification))
     if isinstance(bases, (tuple, list)):
         bases = {"a": bases[0], "b": bases[1]}
     if bases is None:
-        bases = {}
-        for e in ("a", "b"):
-            if kinds[e] == LIMIT_CIRCLE:
-                bases[e] = construct_basis(spec, e)
-            else:
-                bases[e] = None
+        bases = {e: construct_basis(spec, e) if e in ends else None
+                 for e in ("a", "b")}
 
     mid = spec.interval.interior_point()
     # One determinant per distinct lam: Brent starts from the grid values at

@@ -36,8 +36,14 @@ from .quadrature import improper_integral, panel
 from .solutions import ReductionSolution
 
 REGIME_LC_LC = "lc_lc"
-REGIME_LC_LP = "lc_lp"
+REGIME_LC_LP = "lc_lp"   # LC at a, LP at b
+REGIME_LP_LC = "lp_lc"   # LP at a, LC at b
 REGIME_LP_LP = "lp_lp"
+
+# The limit-circle endpoints of each regime: the one place that says which
+# ends take the nonprincipal reference solution and carry boundary values.
+LC_ENDS = {REGIME_LC_LC: ("a", "b"), REGIME_LC_LP: ("a",),
+           REGIME_LP_LC: ("b",), REGIME_LP_LP: ()}
 
 
 @dataclass(frozen=True)
@@ -217,30 +223,34 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
     return lead + sign * val, e + lead_err
 
 
+def _lc_flags(regime):
+    """{"a": bool, "b": bool}: which endpoints the regime makes LC."""
+    try:
+        ends = LC_ENDS[regime]
+    except KeyError:
+        raise ValueError(f"unknown regime {regime!r}") from None
+    return {"a": "a" in ends, "b": "b" in ends}
+
+
+def _references(bases, lc):
+    """Reference solutions (w_a, w_b): u_hat at an LC end, u at an LP end."""
+    return tuple(basis.u_hat if lc[end] else basis.u
+                 for end, basis in zip("ab", bases))
+
+
 def q_base(spec, bases, window, regime, f, g):
     """Base form Q_{c,d}(f, g) for the given endpoint regime.
 
     bases is the pair (basis_a, basis_b); regime selects the reference
     solution on each side: u_hat at a limit-circle end, u at a limit-point
-    end.
+    end (see LC_ENDS).
     """
     basis_a, basis_b = bases
     if window is None:
         window = default_window(spec, basis_a, basis_b)
     window.validate(spec, basis_a, basis_b)
-    if regime == REGIME_LC_LC:
-        lc = {"a": True, "b": True}
-    elif regime == REGIME_LP_LP:
-        lc = {"a": False, "b": False}
-    elif regime == REGIME_LC_LP:
-        # The LC side is the one whose endpoint classification the caller
-        # encoded in the bases' diagnostics; default: a is the LC side.
-        lc = {"a": bases[0].diagnostics.get("lc_side", True),
-              "b": bases[1].diagnostics.get("lc_side", False)}
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    w_a = basis_a.u_hat if lc["a"] else basis_a.u
-    w_b = basis_b.u_hat if lc["b"] else basis_b.u
+    lc = _lc_flags(regime)
+    w_a, w_b = _references(bases, lc)
     a, b = spec.interval.endpoints()
     c, d = window.c, window.d
     lam0 = spec.lambda0
@@ -315,42 +325,29 @@ def q_base(spec, bases, window, regime, f, g):
     return FormValue(value=value, pieces=pieces, error=err, window=window)
 
 
-def _regime_of(ext, bases):
+def _regime_of(ext):
+    """Form regime of a catalog extension."""
     if ext.variant in ("separated", "coupled"):
         return REGIME_LC_LC
     if ext.variant == "one_lc":
-        return REGIME_LC_LP
+        return REGIME_LC_LP if ext.lc_endpoint == "a" else REGIME_LP_LC
     return REGIME_LP_LP
 
 
-def q_decorated(spec, bases, window, ext, f, g, tol=1e-6,
-                gbv_cache=None):
+def q_decorated(spec, bases, window, ext, f, g, tol=1e-6):
     """Decorated form of the extension `ext` applied to (f, g).
 
     Adds the boundary decoration of the extension to the base form and
     enforces the extension's domain constraints on the generalized boundary
     values of f and g.
     """
-    regime = _regime_of(ext, bases)
-    basis_a, basis_b = bases
-    if regime == REGIME_LC_LP and ext.lc_endpoint == "b":
-        basis_a.diagnostics["lc_side"] = False
-        basis_b.diagnostics["lc_side"] = True
+    regime = _regime_of(ext)
     base = q_base(spec, bases, window, regime, f, g)
+    lc_ends = LC_ENDS[regime]
 
     def bvals(fn):
-        if gbv_cache is not None and id(fn) in gbv_cache:
-            return gbv_cache[id(fn)]
-        out = {}
-        if regime in (REGIME_LC_LC,):
-            out["a"] = gbv(spec, basis_a, fn)
-            out["b"] = gbv(spec, basis_b, fn)
-        elif regime == REGIME_LC_LP:
-            side = ext.lc_endpoint
-            out[side] = gbv(spec, basis_a if side == "a" else basis_b, fn)
-        if gbv_cache is not None:
-            gbv_cache[id(fn)] = out
-        return out
+        return {end: gbv(spec, basis, fn)
+                for end, basis in zip("ab", bases) if end in lc_ends}
 
     deco = 0.0
     if ext.variant == "separated":
@@ -461,8 +458,8 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
     """Residual of the Green-type identity for the base form.
 
     Two-LC: (f, T_max g) - Q_{c,d}(f,g) - conj(f~(a)) g~'(a)
-            + conj(f~(b)) g~'(b); one-LC keeps only the LC endpoint's term;
-    LP-LP has no boundary terms.
+            + conj(f~(b)) g~'(b); one-LC (REGIME_LC_LP or REGIME_LP_LC)
+    keeps only the LC endpoint's term; LP-LP has no boundary terms.
     """
     basis_a, basis_b = bases
     if window is None:
@@ -475,15 +472,8 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
     else:
         g_tau_fn = g_tau
 
-    if regime == REGIME_LC_LC:
-        lc = {"a": True, "b": True}
-    elif regime == REGIME_LP_LP:
-        lc = {"a": False, "b": False}
-    else:
-        lc = {"a": bases[0].diagnostics.get("lc_side", True),
-              "b": bases[1].diagnostics.get("lc_side", False)}
-    w_a = basis_a.u_hat if lc["a"] else basis_a.u
-    w_b = basis_b.u_hat if lc["b"] else basis_b.u
+    lc = _lc_flags(regime)
+    w_a, w_b = _references(bases, lc)
     cut_a = _side_cutoff(basis_a, w_a)
     cut_b = _side_cutoff(basis_b, w_b)
     pairing, perr = _pairing(spec, f, g_tau_fn, window, cut_a, cut_b)

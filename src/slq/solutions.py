@@ -185,6 +185,9 @@ class SolutionBasis:
     principal_integral: object = None
     trust_interval: tuple = None  # where W(u_hat, u) is well conditioned
     diagnostics: dict = field(default_factory=dict)
+    # bvalues.gbv's memo: (id(g), tol) -> (g, values).
+    _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def toward(self):
         """Direction of travel from the interior toward the endpoint."""

@@ -28,7 +28,7 @@ from .errors import (
     NotSelfAdjointPair,
     RankDeficient,
 )
-from .forms import REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LP, q_base
+from .forms import LC_ENDS, REGIME_LC_LC, REGIME_LP_LP, _regime_of, q_base
 
 KERNEL_TOL = 1e-10  # relative SVD threshold for ker A detection
 
@@ -197,34 +197,17 @@ def pair_from_extension(ext):
     raise ValueError(f"unknown extension variant {ext.variant!r}")
 
 
-def _basis_pair(bases):
-    if isinstance(bases, dict):
-        return (bases["a"], bases["b"])
-    return (bases[0], bases[1])
-
-
-def _gbv_at(spec, bases, end, g, gbv_cache):
-    basis = _basis_pair(bases)[0 if end == "a" else 1]
-    if gbv_cache is None:
-        return gbv(spec, basis, g)
-    key = (id(g), end)
-    if key not in gbv_cache:
-        gbv_cache[key] = gbv(spec, basis, g)
-    return gbv_cache[key]
-
-
-def boundary_maps(spec, bases, g, ends=("a", "b"), gbv_cache=None):
+def boundary_maps(spec, bases, g, ends=("a", "b")):
     """(Gamma0 g, Gamma1 g) restricted to the limit-circle components."""
     g0, g1 = [], []
     for end in ends:
-        v = _gbv_at(spec, bases, end, g, gbv_cache)
+        v = gbv(spec, bases[0 if end == "a" else 1], g)
         g0.append(v.tilde)
         g1.append(v.tilde_prime if end == "a" else -v.tilde_prime)
     return (np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex))
 
 
-def triplet_green_residual(spec, bases, f, g,
-                           f_tau=None, g_tau=None, gbv_cache=None):
+def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):
     """Residual of the abstract Green identity in boundary coordinates.
 
     (f, T_max g) - (T_max f, g) - [(Gamma0 f, Gamma1 g) - (Gamma1 f, Gamma0 g)]
@@ -234,8 +217,8 @@ def triplet_green_residual(spec, bases, f, g,
     fg = _weighted_pairing(spec, bases, f, g, g_tau)
     gf = _weighted_pairing(spec, bases, g, f, f_tau)
     lhs = fg - np.conj(gf)
-    f0, f1 = boundary_maps(spec, bases, f, gbv_cache=gbv_cache)
-    g0, g1 = boundary_maps(spec, bases, g, gbv_cache=gbv_cache)
+    f0, f1 = boundary_maps(spec, bases, f)
+    g0, g1 = boundary_maps(spec, bases, g)
     rhs = np.vdot(f0, g1) - np.vdot(f1, g0)
     return lhs - rhs
 
@@ -244,7 +227,7 @@ def _weighted_pairing(spec, bases, f, g, g_tau):
     """(f, T_max g) over the whole interval with endpoint-aware cutoffs."""
     from .forms import _pairing, _side_cutoff, _tau_of, default_window
 
-    basis_a, basis_b = _basis_pair(bases)
+    basis_a, basis_b = bases
     window = default_window(spec, basis_a, basis_b)
     if g_tau is None:
         def g_tau_fn(x):
@@ -257,46 +240,38 @@ def _weighted_pairing(spec, bases, f, g, g_tau):
     return value
 
 
-def _ends_and_regime(pair, bases, lc_side):
-    """LC endpoint tuple and form regime from the relation dimension."""
-    if pair.n == 2:
-        return ("a", "b"), REGIME_LC_LC
-    if pair.n == 0:
-        return (), REGIME_LP_LP
-    ba, bb = _basis_pair(bases)
-    if lc_side is None:
-        lc_side = ba.diagnostics.get("lc_side") \
-            or bb.diagnostics.get("lc_side") or "a"
-        if lc_side is True:
-            lc_side = "a"
-    for basis in (ba, bb):
-        basis.diagnostics["lc_side"] = lc_side
-    return (lc_side,), REGIME_LC_LP
+# Relation dimension -> regime, where the dimension alone fixes it.
+_REGIME_OF_DIM = {0: REGIME_LP_LP, 2: REGIME_LC_LC}
 
 
-def form_from_relation(spec, bases, window, pair, f, g,
-                       lc_side=None, gbv_cache=None, tol=1e-10):
+def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10):
     """Sesquilinear form of an extension through its boundary relation.
 
     q(f, g) = q_base(f, g) + (Lambda f, theta_op Lambda g) where Lambda g
     is the Gamma0 vector of g restricted to the limit-circle components.
     Both arguments must have Lambda vectors inside the operator domain of
     the relation (no component along the multivalued part).  `pair` may be
-    an SAPair or an ExtensionSpec, which is converted first (and supplies
-    the LC endpoint for a one-dimensional relation).
+    an ExtensionSpec, which is converted first and names the regime, or an
+    SAPair of dimension 0 or 2.  A one-dimensional SAPair does not say
+    which endpoint is limit circle, so it is refused.
     """
-    if not isinstance(pair, SAPair):
-        if lc_side is None and pair.variant == "one_lc":
-            lc_side = pair.lc_endpoint
+    if isinstance(pair, SAPair):
+        if pair.n not in _REGIME_OF_DIM:
+            raise ValueError(
+                f"a {pair.n}-dimensional relation does not name its "
+                f"limit-circle endpoint; pass the OneLC extension instead"
+            )
+        regime = _REGIME_OF_DIM[pair.n]
+    else:
+        regime = _regime_of(pair)
         pair = pair_from_extension(pair)
-    bp = _basis_pair(bases)
-    ends, regime = _ends_and_regime(pair, bp, lc_side)
-    base = q_base(spec, bp, window, regime, f, g)
+    ends = LC_ENDS[regime]
+    base = q_base(spec, bases, window, regime, f, g)
     if pair.n == 0:
         return base.value
     rel = decompose(pair)
-    f0, _ = boundary_maps(spec, bp, f, ends=ends, gbv_cache=gbv_cache)
-    g0, _ = boundary_maps(spec, bp, g, ends=ends, gbv_cache=gbv_cache)
+    f0, _ = boundary_maps(spec, bases, f, ends=ends)
+    g0, _ = boundary_maps(spec, bases, g, ends=ends)
     for label, vec in (("f", f0), ("g", g0)):
         if not rel.in_domain(vec, tol=max(tol, 1e-6)):
             raise DomainConstraintViolated(
@@ -311,24 +286,24 @@ def form_from_relation(spec, bases, window, pair, f, g,
 
 
 def boundary_pair_check(spec, bases, window, eps_values=(1.0, 0.1),
-                        samples=(), regime=REGIME_LC_LC, ends=("a", "b"),
-                        gbv_cache=None):
+                        samples=(), regime=REGIME_LC_LC):
     """Diagnostics of the boundary pair (Lambda, q_base) on sample functions.
 
     Checks that (i) Lambda agrees with the Gamma0 route used throughout,
     (ii) members with vanishing boundary values stay in the kernel of
     Lambda, and (iii) each epsilon in eps_values admits a finite fitted
     constant C with |Lambda f|^2 <= eps q_base(f, f) + C |f|^2 over the
-    samples.  Returns a report dict; counterexamples are listed, not raised.
+    samples.  Lambda takes the limit-circle components of the regime.
+    Returns a report dict; counterexamples are listed, not raised.
     """
-    bp = _basis_pair(bases)
+    ends = LC_ENDS[regime]
     rows, counterexamples = [], []
     for i, f in enumerate(samples):
-        f0, _ = boundary_maps(spec, bp, f, ends=ends, gbv_cache=gbv_cache)
-        qv = float(np.real(q_base(spec, bp, window, regime, f, f).value))
+        f0, _ = boundary_maps(spec, bases, f, ends=ends)
+        qv = float(np.real(q_base(spec, bases, window, regime, f, f).value))
         # (f, f) in the weighted space, reusing the pairing quadrature.
         nrm = float(np.real(
-            _weighted_pairing(spec, bp, f, f, g_tau=lambda x: f(x))
+            _weighted_pairing(spec, bases, f, f, g_tau=lambda x: f(x))
         ))
         if not all(math.isfinite(x) for x in
                    (np.linalg.norm(f0), qv, nrm)):

@@ -295,16 +295,13 @@ def test_cross_path_two_lc(regime, dirichlet, dirichlet_bases):
     spec, bases = dirichlet, dirichlet_bases
     rng = np.random.default_rng(3 if regime == "separated" else 4)
     pool = [polynomial(spec, rng.uniform(-1, 1, 3)) for _ in range(6)]
-    cache = {}
     for trial in range(50):
         ext = _random_separated(rng) if regime == "separated" \
             else _random_coupled(rng)
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        q1 = q_decorated(spec, bases, None, ext, f, g,
-                         gbv_cache=cache).value
-        q2 = form_from_relation(spec, bases, None, ext, f, g,
-                                gbv_cache=cache)
+        q1 = q_decorated(spec, bases, None, ext, f, g).value
+        q2 = form_from_relation(spec, bases, None, ext, f, g)
         assert abs(q1 - q2) <= 1e-6 * (1 + abs(q1)), (trial, q1, q2)
 
 
@@ -313,16 +310,13 @@ def test_cross_path_one_lc(free_halfline, free_halfline_bases):
     rng = np.random.default_rng(5)
     pool = [ExpDecay(spec, rng.uniform(-1, 1, 2), k=k)
             for k in (1.0, 1.5, 2.0, 2.5)]
-    cache = {}
     for trial in range(50):
         ext = OneLC(alpha=rng.uniform(0.05, math.pi - 0.05),
                     lc_endpoint="a")
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        q1 = q_decorated(spec, bases, None, ext, f, g,
-                         gbv_cache=cache).value
-        q2 = form_from_relation(spec, bases, None, ext, f, g,
-                                gbv_cache=cache)
+        q1 = q_decorated(spec, bases, None, ext, f, g).value
+        q2 = form_from_relation(spec, bases, None, ext, f, g)
         assert abs(q1 - q2) <= 1e-6 * (1 + abs(q1)), (trial, q1, q2)
 
 
@@ -348,11 +342,10 @@ def test_triplet_green_identity(problem, request):
     spec = request.getfixturevalue(problem)
     bases = request.getfixturevalue(f"{problem}_bases")
     pool = _two_lc_pool(spec, bases)
-    cache = {}
     n_pairs = 0
     for f in pool:
         for g in pool:
-            res = triplet_green_residual(spec, bases, f, g, gbv_cache=cache)
+            res = triplet_green_residual(spec, bases, f, g)
             assert abs(res) <= 1e-6, (f, g, res)
             n_pairs += 1
     assert n_pairs >= 20

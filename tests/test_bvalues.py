@@ -55,6 +55,54 @@ def test_gbv_endpoint_mismatch_rejected(legendre, legendre_bases):
         gbv(legendre, legendre_bases[0], g, endpoint="b")
 
 
+def test_gbv_memo_returns_the_same_object(legendre, legendre_bases):
+    basis = legendre_bases[1]
+    g = polynomial(legendre, [0.0, 1.0])
+    first = gbv(legendre, basis, g)
+    assert gbv(legendre, basis, g) is first
+    assert gbv(legendre, basis, g, endpoint="b") is first
+
+
+def test_gbv_memo_is_keyed_by_tol(dirichlet, dirichlet_bases):
+    basis = dirichlet_bases[0]
+    g = polynomial(dirichlet, [2.0, 3.0])
+    first = gbv(dirichlet, basis, g)
+    other = gbv(dirichlet, basis, g, tol=1e-8)
+    assert other is not first
+    assert gbv(dirichlet, basis, g, tol=1e-8) is other
+    assert gbv(dirichlet, basis, g) is first
+
+
+def test_gbv_memo_never_shares_between_functions(dirichlet, dirichlet_bases):
+    basis = dirichlet_bases[1]
+    g1 = polynomial(dirichlet, [2.0, 3.0])
+    g2 = polynomial(dirichlet, [2.0, 3.0])
+    v1 = gbv(dirichlet, basis, g1)
+    v2 = gbv(dirichlet, basis, g2)
+    assert v2 is not v1
+    assert (v2.tilde, v2.tilde_prime) == (v1.tilde, v1.tilde_prime)
+
+
+def test_gbv_memo_entry_for_another_object_is_a_miss(dirichlet,
+                                                     dirichlet_bases):
+    # An entry under g's id that holds a different function is not g's.
+    basis = dirichlet_bases[0]
+    g = polynomial(dirichlet, [2.0, 3.0])
+    stale = object()
+    basis._gbv_memo[(id(g), 1e-9)] = (polynomial(dirichlet, [0.0]), stale)
+    v = gbv(dirichlet, basis, g)
+    assert v is not stale
+    assert v.tilde == pytest.approx(2.0, abs=1e-12)
+    assert gbv(dirichlet, basis, g) is v
+
+
+def test_gbv_memo_hit_still_checks_the_endpoint(legendre, legendre_bases):
+    g = polynomial(legendre, [1.0])
+    gbv(legendre, legendre_bases[0], g)
+    with pytest.raises(ValueError):
+        gbv(legendre, legendre_bases[0], g, endpoint="b")
+
+
 def test_patched_pair_boundary_data(dirichlet, dirichlet_bases):
     pp = patched_pair(dirichlet, dirichlet_bases[0], dirichlet_bases[1])
     for basis in dirichlet_bases:

@@ -143,11 +143,8 @@ def test_cross_path_equality_separated(dirichlet, dirichlet_bases):
     ext = Separated(0.9, 2.1)
     f = polynomial(dirichlet, [1.0, -0.3])
     g = polynomial(dirichlet, [0.4, 0.4, -0.1])
-    cache = {}
-    q1 = q_decorated(dirichlet, dirichlet_bases, None, ext, f, g,
-                     gbv_cache=cache).value
-    q2 = form_from_relation(dirichlet, dirichlet_bases, None, ext, f, g,
-                            gbv_cache=cache)
+    q1 = q_decorated(dirichlet, dirichlet_bases, None, ext, f, g).value
+    q2 = form_from_relation(dirichlet, dirichlet_bases, None, ext, f, g)
     assert q1 == pytest.approx(q2, abs=1e-12)
 
 
