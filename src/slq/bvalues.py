@@ -23,7 +23,8 @@ from .errors import (
     NoConvergence,
     WindowsOverlap,
 )
-from .odecore import _quasi_pair, wronskian
+from .functions import QuasiFn
+from .odecore import wronskian
 from .quadrature import _aitken_limit, accelerated_limit
 
 ROUTE_WRONSKIAN = "wronskian_limit"
@@ -145,9 +146,9 @@ def _boundary_values(basis, g, tol):
     xs, w_tilde, w_prime, ratios = [], [], [], []
     for x in pts:
         try:
-            gu, gu1 = _quasi_pair(g, x)
-            uu, uu1 = _quasi_pair(basis.u, x)
-            hu, hu1 = _quasi_pair(basis.u_hat, x)
+            gu, gu1 = g.pair(x)
+            uu, uu1 = basis.u.pair(x)
+            hu, hu1 = basis.u_hat.pair(x)
         except (EvaluationOutsideSupport, ZeroDivisionError, OverflowError):
             continue
         xs.append(x)
@@ -210,7 +211,7 @@ def _smoothstep(t):
     return phi, dphi
 
 
-class BlendedFn:
+class BlendedFn(QuasiFn):
     """Left piece near a, right piece near b, C^1-blended in a window.
 
     The blend acts on values and classical derivatives; the quasi-derivative
@@ -233,22 +234,16 @@ class BlendedFn:
     def pair(self, x):
         a0, b0 = self.window
         if x <= a0:
-            return _quasi_pair(self.left, x)
+            return self.left.pair(x)
         if x >= b0:
-            return _quasi_pair(self.right, x)
+            return self.right.pair(x)
         phi, dphi = self._phi(x)
-        lu, lu1 = _quasi_pair(self.left, x)
-        ru, ru1 = _quasi_pair(self.right, x)
+        lu, lu1 = self.left.pair(x)
+        ru, ru1 = self.right.pair(x)
         u = (1.0 - phi) * lu + phi * ru
         u1 = (1.0 - phi) * lu1 + phi * ru1 \
             + self.spec.p(x) * dphi / (b0 - a0) * (ru - lu)
         return u, u1
-
-    def __call__(self, x):
-        return self.pair(x)[0]
-
-    def qd(self, x):
-        return self.pair(x)[1]
 
     def tau(self, x):
         """Exact tau of the blend when both pieces solve tau v = lam0 v.
@@ -261,16 +256,16 @@ class BlendedFn:
         a0, b0 = self.window
         lam0 = self.lam0
         if x <= a0:
-            return lam0 * _quasi_pair(self.left, x)[0]
+            return lam0 * self.left(x)
         if x >= b0:
-            return lam0 * _quasi_pair(self.right, x)[0]
+            return lam0 * self.right(x)
         h = b0 - a0
         t = (x - a0) / h
         phi = t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
         dphi = 30.0 * t * t * (1.0 - t) * (1.0 - t) / h
         d2phi = 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / (h * h)
-        lu, lu1 = _quasi_pair(self.left, x)
-        ru, ru1 = _quasi_pair(self.right, x)
+        lu, lu1 = self.left.pair(x)
+        ru, ru1 = self.right.pair(x)
         p = self.spec.p(x)
         q = self.spec.q(x)
         r = self.spec.r(x)

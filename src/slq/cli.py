@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bvalues import gbv, patched_pair
-from .classify import classify_endpoint
+from .classify import classify_both, classify_endpoint
 from .errors import (
     Inconclusive,
     RangeContainsNoBracket,
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .extensions import (
     boundary_residual,
+    check_variant,
     eigenvalues_shoot,
     extension_from_dict,
     friedrichs_spec,
@@ -135,13 +136,6 @@ def _parse_window(text):
         raise SpecFileError(f"bad window {text!r}")
 
 
-def _classify(spec, probe):
-    out = {}
-    for e in ("a", "b"):
-        out[e] = classify_endpoint(spec, e, probe_z=probe)
-    return out
-
-
 def _build_bases(spec):
     """Bases at both endpoints (classical at regular, reduction otherwise)."""
     return (construct_basis(spec, "a"), construct_basis(spec, "b"))
@@ -186,10 +180,14 @@ def _regime(classification):
     return next(r for r, lc in LC_ENDS.items() if lc == ends)
 
 
-def _extension_of(spec, ext_doc, classification):
-    if ext_doc is not None:
-        return extension_from_dict(ext_doc)
-    return friedrichs_spec(classification)
+def _extension_of(ext_doc, classification):
+    """The spec file's extension, checked against the classification, else
+    the Friedrichs extension."""
+    if ext_doc is None:
+        return friedrichs_spec(classification)
+    ext = extension_from_dict(ext_doc)
+    check_variant(ext, classification)
+    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +276,8 @@ def cmd_gbv(spec, ext_doc, args):
 
 def cmd_form(spec, ext_doc, args):
     report = _base_report("form", spec, args)
-    classification = _classify(spec, _parse_probe(args.probe))
-    ext = _extension_of(spec, ext_doc, classification)
+    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    ext = _extension_of(ext_doc, classification)
     bases = _build_bases(spec)
     regime = _regime(classification)
     f = _resolve_function(args.f, spec, bases)
@@ -300,7 +298,7 @@ def cmd_form(spec, ext_doc, args):
 
 def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
-    classification = _classify(spec, _parse_probe(args.probe))
+    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     bases = _build_bases(spec)
     regime = _regime(classification)
     f = _resolve_function(args.f, spec, bases)
@@ -321,8 +319,8 @@ def cmd_green_check(spec, ext_doc, args):
 
 def cmd_eig(spec, ext_doc, args):
     report = _base_report("eig", spec, args)
-    classification = _classify(spec, _parse_probe(args.probe))
-    ext = _extension_of(spec, ext_doc, classification)
+    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    ext = _extension_of(ext_doc, classification)
     try:
         eigs = eigenvalues_shoot(
             spec, ext, (args.lmin, args.lmax), tol=args.tol,
@@ -345,8 +343,8 @@ def cmd_eig(spec, ext_doc, args):
 
 def cmd_triplet(spec, ext_doc, args):
     report = _base_report("triplet", spec, args)
-    classification = _classify(spec, _parse_probe(args.probe))
-    ext = _extension_of(spec, ext_doc, classification)
+    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    ext = _extension_of(ext_doc, classification)
     pair = pair_from_extension(ext)
     section = {
         "extension": ext.variant,

@@ -31,7 +31,7 @@ from .errors import (
     NoConvergence,
     WindowInvalid,
 )
-from .odecore import _quasi_pair, tau_apply
+from .odecore import tau_apply
 from .quadrature import improper_integral, panel
 from .solutions import ReductionSolution
 
@@ -90,21 +90,11 @@ class NOperator:
         self.w = w
 
     def __call__(self, x, f):
-        fu, fu1 = _quasi_pair(f, x)
-        wu, wu1 = _quasi_pair(self.w, x)
+        fu, fu1 = f.pair(x)
+        wu, wu1 = self.w.pair(x)
         if wu == 0.0:
             raise BasisVanishes(f"reference solution vanishes at x={x}")
         return (fu1 * wu - fu * wu1) / (math.sqrt(self.spec.p(x)) * wu)
-
-
-def _coverage(w):
-    """Evaluable x-range of a solution-like object; analytic functions are
-    unrestricted."""
-    if hasattr(w, "x_min") and hasattr(w, "x_max"):
-        return float(w.x_min), float(w.x_max)
-    if hasattr(w, "fn"):
-        return _coverage(w.fn)
-    return -math.inf, math.inf
 
 
 def _side_cutoff(basis, w):
@@ -126,10 +116,9 @@ def _side_cutoff(basis, w):
             else:
                 x_out = mid
         return x_in
-    x_min, x_max = _coverage(w)
     if toward_b:
-        return x_max if x_max < end else None
-    return x_min if x_min > end else None
+        return w.x_max if w.x_max < end else None
+    return w.x_min if w.x_min > end else None
 
 
 def _complex_improper(fn, start, endpoint, cutoff=None):
@@ -182,7 +171,7 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             # extrapolation error of the generalized boundary values, which
             # would leave a spurious log-divergent residue.
             def m_at(x):
-                h = _quasi_pair(basis.u_hat, x)[0]
+                h = basis.u_hat(x)
                 return np.conj(op(x, f)) * op(x, g) * spec.p(x) * h * h
 
             coeff = m_at(cutoff)
@@ -195,8 +184,8 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             if vf is not None:
                 coeff = np.conj(vf.tilde_prime) * vg.tilde_prime
         if coeff is not None:
-            uu = _quasi_pair(basis.u, cut)[0]
-            hu = _quasi_pair(basis.u_hat, cut)[0]
+            uu = basis.u(cut)
+            hu = basis.u_hat(cut)
             # J = integral of 1/(p u_hat^2) from the endpoint to the cut.
             # The split is an identity for any constant, so the only error
             # in the lead term is the basis accuracy at the cut itself.
@@ -205,7 +194,7 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             lead_err = 1e-12 * (1.0 + abs(lead))
 
             def subtract(x):
-                h = _quasi_pair(basis.u_hat, x)[0]
+                h = basis.u_hat(x)
                 return coeff / (spec.p(x) * h * h)
 
     def integrand(x):
@@ -277,15 +266,15 @@ def q_base(spec, bases, window, regime, f, g):
 
     if lam0 != 0.0:
         val, e, ok, div = _complex_improper(
-            lambda x: lam0 * spec.r(x) * conj(_quasi_pair(f, x)[0])
-            * _quasi_pair(g, x)[0], c, a, cutoff=cut_a)
+            lambda x: lam0 * spec.r(x) * conj(f(x)) * g(x), c, a,
+            cutoff=cut_a)
         if div or not ok:
             raise FormIntegralDiverges("left mass integral does not converge")
         pieces["left_lambda0_mass"] = -val
         err += e
         val, e, ok, div = _complex_improper(
-            lambda x: lam0 * spec.r(x) * conj(_quasi_pair(f, x)[0])
-            * _quasi_pair(g, x)[0], d, b, cutoff=cut_b)
+            lambda x: lam0 * spec.r(x) * conj(f(x)) * g(x), d, b,
+            cutoff=cut_b)
         if div or not ok:
             raise FormIntegralDiverges("right mass integral does not converge")
         pieces["right_lambda0_mass"] = val
@@ -295,8 +284,8 @@ def q_base(spec, bases, window, regime, f, g):
         pieces["right_lambda0_mass"] = 0.0
 
     def middle(x):
-        fu, fu1 = _quasi_pair(f, x)
-        gu, gu1 = _quasi_pair(g, x)
+        fu, fu1 = f.pair(x)
+        gu, gu1 = g.pair(x)
         return conj(fu1) * gu1 / spec.p(x) + spec.q(x) * conj(fu) * gu
 
     val, e = _complex_panel(middle, c, d)
@@ -304,18 +293,18 @@ def q_base(spec, bases, window, regime, f, g):
     err += e
 
     # Boundary corrections at the cut points.
-    wu_c, wu1_c = _quasi_pair(w_a, c)
+    wu_c, wu1_c = w_a.pair(c)
     if wu_c == 0.0:
         raise BasisVanishes(f"reference solution vanishes at cut c={c}")
-    fu_c = _quasi_pair(f, c)[0]
-    gu_c = _quasi_pair(g, c)[0]
+    fu_c = f(c)
+    gu_c = g(c)
     pieces["boundary_correction_c"] = (wu1_c / wu_c) * conj(fu_c) * gu_c
 
-    wu_d, wu1_d = _quasi_pair(w_b, d)
+    wu_d, wu1_d = w_b.pair(d)
     if wu_d == 0.0:
         raise BasisVanishes(f"reference solution vanishes at cut d={d}")
-    fu_d = _quasi_pair(f, d)[0]
-    gu_d = _quasi_pair(g, d)[0]
+    fu_d = f(d)
+    gu_d = g(d)
     pieces["boundary_correction_d"] = -(wu1_d / wu_d) * conj(fu_d) * gu_d
 
     pieces["decoration_terms"] = 0.0
@@ -418,11 +407,9 @@ def _cot(angle):
     return math.cos(angle) / math.sin(angle)
 
 
-def _tau_of(spec, g, xs):
-    """tau g on sample points, preferring exact structure when available."""
-    if hasattr(g, "tau"):
-        return np.array([g.tau(x) for x in np.atleast_1d(xs)])
-    return np.atleast_1d(tau_apply(spec, g, xs))
+def _pointwise_tau(spec, g):
+    """x -> (tau g)(x), through tau_apply."""
+    return lambda x: tau_apply(spec, g, [x])[0]
 
 
 def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
@@ -431,7 +418,7 @@ def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
     c, d = window.c, window.d
 
     def integrand(x):
-        return spec.r(x) * np.conj(_quasi_pair(f, x)[0]) * g_tau_fn(x)
+        return spec.r(x) * np.conj(f(x)) * g_tau_fn(x)
 
     total = 0.0 + 0.0j
     err = 0.0
@@ -466,11 +453,7 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
         window = default_window(spec, basis_a, basis_b)
     form = q_base(spec, bases, window, regime, f, g)
 
-    if g_tau is None:
-        def g_tau_fn(x):
-            return _tau_of(spec, g, [x])[0]
-    else:
-        g_tau_fn = g_tau
+    g_tau_fn = g_tau or _pointwise_tau(spec, g)
 
     lc = _lc_flags(regime)
     w_a, w_b = _references(bases, lc)

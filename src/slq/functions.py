@@ -1,9 +1,13 @@
-"""Test functions with exact derivatives and quasi-derivatives.
+"""Quasi-functions and test functions with exact derivatives.
 
-Forms, boundary values and Green identities all consume functions through a
-small informal protocol: value via __call__, first/second derivatives via
-d1/d2, and the quasi-derivative f^[1] = p f' via qd.  Everything here keeps
-derivatives analytic so no accuracy is lost to finite differencing.
+Forms, boundary values and Green identities all consume a function g through
+its pair (g, g^[1]), where g^[1] = p g' is the first quasi-derivative.
+`QuasiFn` is that protocol: a subclass defines `pair(x)`, and the value
+`g(x)` and the quasi-derivative `g.qd(x)` are read off it.  `x_min`/`x_max`
+bound where g can be evaluated.  Solution trajectories and their blends and
+combinations are QuasiFns; `AnalyticFn` adds exact first and second
+derivatives d1/d2, so the test functions here lose no accuracy to finite
+differencing.
 """
 
 from __future__ import annotations
@@ -15,7 +19,37 @@ import numpy as np
 from .expressions import Expr
 
 
-class ExprFunction:
+class QuasiFn:
+    """A function g known through its quasi-pair (g(x), g^[1](x)).
+
+    Subclasses define pair(x); x_min/x_max bound the evaluable range.
+    """
+
+    x_min = -math.inf
+    x_max = math.inf
+
+    def pair(self, x):
+        raise NotImplementedError
+
+    def __call__(self, x):
+        return self.pair(x)[0]
+
+    def qd(self, x):
+        return self.pair(x)[1]
+
+
+class AnalyticFn(QuasiFn):
+    """A QuasiFn with exact derivatives: subclasses define __call__, d1 and
+    d2, and carry the problem spec for g^[1] = p g'."""
+
+    def qd(self, x):
+        return self.spec.p(x) * self.d1(x)
+
+    def pair(self, x):
+        return self(x), self.qd(x)
+
+
+class ExprFunction(AnalyticFn):
     """Function given by a coefficient-language expression."""
 
     def __init__(self, spec, expr):
@@ -34,12 +68,6 @@ class ExprFunction:
 
     def d2(self, x):
         return self._d2(x)
-
-    def qd(self, x):
-        return self.spec.p(x) * self._d1(x)
-
-    def pair(self, x):
-        return self(x), self.qd(x)
 
     def __repr__(self):
         return f"ExprFunction({self.expr.text!r})"
@@ -62,7 +90,7 @@ def polynomial(spec, coeffs):
     return ExprFunction(spec, text)
 
 
-class BumpFn:
+class BumpFn(AnalyticFn):
     """Smooth compactly supported bump exp(-1/(1 - t^2)), t = (x-c)/w.
 
     Identically zero outside |x - center| < width, so all its generalized
@@ -99,17 +127,11 @@ class BumpFn:
         spp = -(2.0 + 6.0 * t * t) / (s * s * s)
         return self(x) * (sp * sp + spp) / (self.width * self.width)
 
-    def qd(self, x):
-        return self.spec.p(x) * self.d1(x)
-
-    def pair(self, x):
-        return self(x), self.qd(x)
-
     def __repr__(self):
         return f"BumpFn(center={self.center}, width={self.width})"
 
 
-class GaussianPoly:
+class GaussianPoly(AnalyticFn):
     """P(x) * exp(-x^2/2) with polynomial P; closed under differentiation.
 
     Hermite functions H_n(x) exp(-x^2/2) are the n-th instances; used as
@@ -140,17 +162,11 @@ class GaussianPoly:
     def d2(self, x):
         return self._p2(x) * math.exp(-0.5 * x * x)
 
-    def qd(self, x):
-        return self.spec.p(x) * self.d1(x)
-
-    def pair(self, x):
-        return self(x), self.qd(x)
-
     def __repr__(self):
         return f"GaussianPoly({list(self.poly.coef)})"
 
 
-class ExpDecay:
+class ExpDecay(AnalyticFn):
     """P(x) * exp(-k x): decaying test functions for half-line problems."""
 
     def __init__(self, spec, poly, k=1.0):
@@ -170,15 +186,9 @@ class ExpDecay:
     def d2(self, x):
         return self._p2(x) * math.exp(-self.k * x)
 
-    def qd(self, x):
-        return self.spec.p(x) * self.d1(x)
 
-    def pair(self, x):
-        return self(x), self.qd(x)
-
-
-class LinearCombination:
-    """sum_i c_i f_i over functions exposing the quasi-pair protocol."""
+class LinearCombination(QuasiFn):
+    """sum_i c_i f_i over quasi-functions f_i."""
 
     def __init__(self, coeffs, fns):
         assert len(coeffs) == len(fns)
@@ -186,23 +196,10 @@ class LinearCombination:
                        for c in coeffs]
         self.fns = list(fns)
 
-    def __call__(self, x):
-        return sum(c * f(x) for c, f in zip(self.coeffs, self.fns))
-
-    def qd(self, x):
-        total = 0.0
-        for c, f in zip(self.coeffs, self.fns):
-            if hasattr(f, "qd"):
-                total += c * f.qd(x)
-            else:
-                total += c * f.pair(x)[1]
-        return total
-
     def pair(self, x):
-        return self(x), self.qd(x)
-
-    def d1(self, x):
-        return sum(c * f.d1(x) for c, f in zip(self.coeffs, self.fns))
-
-    def d2(self, x):
-        return sum(c * f.d2(x) for c, f in zip(self.coeffs, self.fns))
+        u = u1 = 0.0
+        for c, f in zip(self.coeffs, self.fns):
+            fu, fu1 = f.pair(x)
+            u += c * fu
+            u1 += c * fu1
+        return u, u1

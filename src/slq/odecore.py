@@ -27,9 +27,10 @@ from .errors import (
     NonFiniteState,
     StepSizeUnderflow,
 )
+from .functions import AnalyticFn, QuasiFn
 
 
-class ScaledSolution:
+class ScaledSolution(QuasiFn):
     """Dense-output trajectory of the quasi-derivative system with a
     log-scale ledger.
 
@@ -42,8 +43,12 @@ class ScaledSolution:
 
     Segments may meet only at their edges.  Their edges are kept sorted by
     left edge, so a lookup is a bisection; where x lies on a shared edge
-    the segment inserted first is used.
+    the segment inserted first is used.  A trajectory without segments
+    covers nothing: every evaluation raises EvaluationOutsideSupport.
     """
+
+    x_min = math.inf
+    x_max = -math.inf
 
     def __init__(self, lam):
         self.lam = lam
@@ -103,12 +108,6 @@ class ScaledSolution:
         s = math.exp(L)
         return u * s, u1 * s
 
-    def __call__(self, x):
-        return self.pair(x)[0]
-
-    def qd(self, x):
-        return self.pair(x)[1]
-
     @property
     def segments(self):
         """(sol, logscale) pairs in insertion order."""
@@ -167,34 +166,27 @@ def end_state(spec, lam, anchor, init, target, tol=1e-10):
     return sol.y[0, -1], sol.y[1, -1]
 
 
-def _quasi_pair(f, x):
-    """Extract (f(x), f^[1](x)) from anything that can supply them."""
-    if hasattr(f, "pair"):
-        return f.pair(x)
-    if hasattr(f, "qd"):
-        return f(x), f.qd(x)
-    raise TypeError(f"{f!r} does not expose a quasi-derivative")
-
-
 def wronskian(f, g, x):
     """Modified Wronskian W(f, g)(x) = f g^[1] - f^[1] g at x."""
-    fu, fu1 = _quasi_pair(f, x)
-    gu, gu1 = _quasi_pair(g, x)
+    fu, fu1 = f.pair(x)
+    gu, gu1 = g.pair(x)
     return fu * gu1 - fu1 * gu
 
 
 def tau_apply(spec, g, x_grid, tol=1e-7):
     """Apply tau to g on a grid.
 
-    When g exposes analytic derivatives (attributes d1 and d2), the exact
-    path (p u')' = p' u' + p u'' is used with the exact coefficient
-    derivative.  Otherwise (g^[1])' comes from 4th-order central differences
-    with a Richardson cross-check.
+    A g with its own `tau` method (a blend of lambda0 solutions) supplies
+    tau exactly.  An AnalyticFn takes the exact path (p u')' = p' u' + p u''
+    with the exact coefficient derivative.  Otherwise (g^[1])' comes from
+    4th-order central differences on g.qd with a Richardson cross-check.
     """
-    p, q, r = spec.p, spec.q, spec.r
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if hasattr(g, "tau"):
+        return np.array([g.tau(x) for x in xs])
+    p, q, r = spec.p, spec.q, spec.r
     out = np.empty(len(xs), dtype=complex)
-    exact = hasattr(g, "d1") and hasattr(g, "d2")
+    exact = isinstance(g, AnalyticFn)
     dp = p.deriv() if exact else None
     for i, x in enumerate(xs):
         gv = g(x)
@@ -209,9 +201,7 @@ def tau_apply(spec, g, x_grid, tol=1e-7):
 
 
 def _qd_derivative(g, x, xs, tol):
-    def qd(t):
-        return _quasi_pair(g, t)[1]
-
+    qd = g.qd
     span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
     h = max(1e-4 * max(abs(x), 1.0), 1e-3 * span / max(len(xs), 1))
 

@@ -104,7 +104,6 @@ class ValidationReport:
     n_samples: int
     violations: list = field(default_factory=list)
     regular_flag: str = UNDETERMINED
-    endpoint_integrable: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -141,9 +140,8 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
     """Check Hypothesis-style positivity/finiteness on a sample grid.
 
     p and r must be positive, and all three coefficients finite, at every
-    interior sample.  When decidable, the regular/singular flag is set: the
-    problem is regular iff both endpoints are finite and |1/p|, |q|, |r| have
-    convergent integrals up to both endpoints.
+    interior sample.  The regular/singular flag is then set: the problem is
+    regular iff both endpoints are (see endpoint_regular).
     """
     report = ValidationReport(n_samples=n_samples)
     grid = _sample_grid(spec.interval, n_samples)
@@ -163,7 +161,12 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
                 raise NonPositiveCoefficient(
                     f"coefficient {label} must be positive, got {v} at x={x}"
                 )
-    report.regular_flag = _regularity(spec, report)
+    # An infinite endpoint is singular; testing that first spares the other
+    # endpoint's improper integrals.
+    regular = (all(map(math.isfinite, spec.interval.endpoints()))
+               and endpoint_regular(spec, "a")
+               and endpoint_regular(spec, "b"))
+    report.regular_flag = REGULAR if regular else SINGULAR
     spec.regular_flag = report.regular_flag
     return report
 
@@ -179,23 +182,6 @@ def endpoint_regular(spec, which):
         if not res.converged:
             return False
     return True
-
-
-def _regularity(spec, report):
-    a, b = spec.interval.endpoints()
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return SINGULAR
-    c = spec.interval.interior_point()
-    regular = True
-    for end in (a, b):
-        for label, fn in (("1/p", lambda x: 1.0 / spec.p(x)),
-                          ("q", spec.q), ("r", spec.r)):
-            res = improper_integral(lambda x: abs(fn(x)), c, end)
-            key = (end, label)
-            report.endpoint_integrable[key] = res.converged
-            if not res.converged:
-                regular = False
-    return REGULAR if regular else SINGULAR
 
 
 _CATALOG_BUILDERS = {}

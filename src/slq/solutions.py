@@ -24,6 +24,7 @@ from .errors import (
     OscillatoryAtLambda0,
     StepSizeUnderflow,
 )
+from .functions import QuasiFn
 from .odecore import ScaledSolution
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
@@ -100,25 +101,28 @@ def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
     return scaled
 
 
-class ScalarMultiple:
-    """c times a quasi-pair function."""
+class ScalarMultiple(QuasiFn):
+    """c times a quasi-function; it covers what its member covers, which
+    grows as segments are added to the member."""
 
     def __init__(self, fn, c):
         self.fn = fn
         self.c = c
 
+    @property
+    def x_min(self):
+        return self.fn.x_min
+
+    @property
+    def x_max(self):
+        return self.fn.x_max
+
     def pair(self, x):
         u, u1 = self.fn.pair(x)
         return self.c * u, self.c * u1
 
-    def __call__(self, x):
-        return self.pair(x)[0]
 
-    def qd(self, x):
-        return self.pair(x)[1]
-
-
-class ReductionSolution:
+class ReductionSolution(QuasiFn):
     """Principal solution w(x) * T(x) built by reduction of order.
 
     w is the marched (nonprincipal) solution and T(x) the tail integral of
@@ -164,12 +168,6 @@ class ReductionSolution:
         # 1/w true = exp(-L)/wu; folded into the common factor s = e^L:
         # u1 = scale * (e^L wu1 T - e^{-L}/wu) = s*(wu1 T - 1/(wu e^{2L}))
         return u, u1
-
-    def __call__(self, x):
-        return self.pair(x)[0]
-
-    def qd(self, x):
-        return self.pair(x)[1]
 
 
 @dataclass
@@ -378,8 +376,8 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
         u_hat = ScalarMultiple(w, -w_c0 * S)
         principal_res = res
 
-    cov_lo = max(w.x_min, getattr(u, "x_min", -math.inf))
-    cov_hi = min(w.x_max, getattr(u, "x_max", math.inf))
+    cov_lo = max(w.x_min, u.x_min)
+    cov_hi = min(w.x_max, u.x_max)
     trust = _trust_interval(u, u_hat, c0, cov_lo, cov_hi)
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,

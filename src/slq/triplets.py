@@ -225,15 +225,12 @@ def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):
 
 def _weighted_pairing(spec, bases, f, g, g_tau):
     """(f, T_max g) over the whole interval with endpoint-aware cutoffs."""
-    from .forms import _pairing, _side_cutoff, _tau_of, default_window
+    from .forms import (_pairing, _pointwise_tau, _side_cutoff,
+                        default_window)
 
     basis_a, basis_b = bases
     window = default_window(spec, basis_a, basis_b)
-    if g_tau is None:
-        def g_tau_fn(x):
-            return _tau_of(spec, g, [x])[0]
-    else:
-        g_tau_fn = g_tau
+    g_tau_fn = g_tau or _pointwise_tau(spec, g)
     cut_a = _side_cutoff(basis_a, basis_a.u_hat)
     cut_b = _side_cutoff(basis_b, basis_b.u_hat)
     value, _err = _pairing(spec, f, g_tau_fn, window, cut_a, cut_b)

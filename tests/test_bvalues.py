@@ -8,7 +8,6 @@ import pytest
 from slq.bvalues import BlendedFn, gbv, patched_pair
 from slq.errors import WindowsOverlap
 from slq.functions import LinearCombination, polynomial
-from slq.odecore import _quasi_pair
 
 
 def test_gbv_regular_classical_values(dirichlet, dirichlet_bases):
@@ -129,8 +128,8 @@ def test_blend_continuity(dirichlet, dirichlet_bases):
     pp = patched_pair(dirichlet, dirichlet_bases[0], dirichlet_bases[1])
     a0, b0 = pp.blend_window
     for x0 in (a0, b0):
-        left = _quasi_pair(pp.v2, x0 - 1e-9)
-        right = _quasi_pair(pp.v2, x0 + 1e-9)
+        left = pp.v2.pair(x0 - 1e-9)
+        right = pp.v2.pair(x0 + 1e-9)
         assert left[0] == pytest.approx(right[0], abs=1e-7)
         assert left[1] == pytest.approx(right[1], abs=1e-6)
 

@@ -173,3 +173,22 @@ def test_out_flag_writes_file(specfile, capsys, tmp_path):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert report["schema"] == "slq-report/1"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("form", ["--f", "bump:1.0,0.5", "--g", "bump:1.5,0.8"]),
+    ("triplet", []),
+])
+def test_extension_checked_against_classification(specfile, capsys,
+                                                  command, flags):
+    # free_halfline is LC at a only; an extension naming b is refused, as
+    # `slq eig` refuses it.
+    path = specfile({
+        "coefficients": {"catalog": "free_halfline"},
+        "extension": {"kind": "one_lc", "alpha": 0.8, "endpoint": "b"},
+    })
+    code = main([command, path] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert "VariantMismatch" in captured.err
+    assert captured.out == ""

@@ -1,0 +1,127 @@
+"""The quasi-function protocol: one `pair`, with value, qd and range."""
+
+import math
+
+import numpy as np
+import pytest
+
+from slq.bvalues import BlendedFn, patched_pair
+from slq.errors import EvaluationOutsideSupport
+from slq.functions import (
+    AnalyticFn,
+    BumpFn,
+    ExpDecay,
+    ExprFunction,
+    GaussianPoly,
+    LinearCombination,
+    QuasiFn,
+    polynomial,
+)
+from slq.odecore import ScaledSolution, tau_apply
+from slq.problem import catalog, validate
+from slq.solutions import ReductionSolution, ScalarMultiple, construct_basis
+
+
+@pytest.fixture(scope="module")
+def bessel_a_basis():
+    spec = catalog("bessel(0.3)")
+    validate(spec)
+    return construct_basis(spec, "a")
+
+
+def _edges(sol):
+    return min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
+
+
+def _coverage(fn):
+    """Evaluable range, read off the stored integrator data: a trajectory
+    spans its segments, a reduction solution its tail solution, a multiple
+    its member; everything else is unrestricted."""
+    if isinstance(fn, ScaledSolution):
+        edges = [_edges(sol) for sol, _ in fn.segments]
+        return min(lo for lo, _ in edges), max(hi for _, hi in edges)
+    if isinstance(fn, ReductionSolution):
+        return _edges(fn._tail)
+    if isinstance(fn, ScalarMultiple):
+        return _coverage(fn.fn)
+    return -math.inf, math.inf
+
+
+def _instances(legendre, legendre_bases, bessel_a_basis):
+    spec = legendre
+    pp = patched_pair(spec, *legendre_bases)
+    fns = {
+        ReductionSolution: bessel_a_basis.u,
+        ScalarMultiple: bessel_a_basis.u_hat,
+        ScaledSolution: legendre_bases[0].u_hat,
+        BlendedFn: pp.v1,
+        ExprFunction: ExprFunction(spec, "sin(x) + x**2"),
+        BumpFn: BumpFn(spec, 0.1, 0.5),
+        GaussianPoly: GaussianPoly(spec, [1.0, -0.5, 0.25]),
+        ExpDecay: ExpDecay(spec, [0.5, 1.0], k=1.5),
+        LinearCombination: LinearCombination(
+            [2.0, -0.5], [polynomial(spec, [1.0, 2.0]),
+                          legendre_bases[1].u]),
+    }
+    for cls, fn in fns.items():
+        assert type(fn) is cls
+    return fns
+
+
+def _points(fn, blend_window):
+    lo, hi = _coverage(fn)
+    lo, hi = max(lo, -0.9), min(hi, 0.9)
+    xs = list(np.linspace(lo, hi, 7)[1:-1])
+    if isinstance(fn, BlendedFn):
+        a0, b0 = blend_window
+        xs += [a0 - 0.05, 0.5 * (a0 + b0), b0 + 0.05]
+    return xs
+
+
+def test_every_function_class_is_one_quasi_function(
+        legendre, legendre_bases, bessel_a_basis):
+    window = patched_pair(legendre, *legendre_bases).blend_window
+    fns = _instances(legendre, legendre_bases, bessel_a_basis)
+    assert len(fns) == 9
+    for cls, fn in fns.items():
+        assert isinstance(fn, QuasiFn), cls
+        assert (fn.x_min, fn.x_max) == _coverage(fn), cls
+        for x in _points(fn, window):
+            u, u1 = fn.pair(x)
+            assert fn(x) == u, (cls, x)
+            assert fn.qd(x) == u1, (cls, x)
+
+
+def test_only_the_two_base_classes_define_qd(
+        legendre, legendre_bases, bessel_a_basis):
+    fns = _instances(legendre, legendre_bases, bessel_a_basis)
+    for cls in fns:
+        owner = next(c for c in cls.__mro__ if "qd" in vars(c))
+        assert owner in (QuasiFn, AnalyticFn), cls
+
+
+def test_empty_trajectory_covers_nothing():
+    traj = ScaledSolution(0.0)
+    assert traj.x_min > traj.x_max
+    for evaluate in (traj, traj.qd, traj.pair, traj.log_pair):
+        with pytest.raises(EvaluationOutsideSupport):
+            evaluate(0.5)
+
+
+def test_scalar_multiple_follows_its_member_as_it_grows(legendre_bases):
+    traj = ScaledSolution(0.0)
+    multiple = ScalarMultiple(traj, 2.0)
+    for sol, L in legendre_bases[0].u_hat.segments:
+        traj.add_segment(sol, L)
+        assert (multiple.x_min, multiple.x_max) == (traj.x_min, traj.x_max)
+
+
+def test_tau_of_a_combination_without_derivatives(dirichlet,
+                                                  dirichlet_bases):
+    # x and u_hat both solve tau v = 0 here; u_hat has no d1/d2, so the
+    # combination goes through the stencil on its quasi-derivative.
+    combo = LinearCombination(
+        [1.0, 0.5], [polynomial(dirichlet, [0, 1]), dirichlet_bases[0].u_hat])
+    vals = tau_apply(dirichlet, combo, [1.0])
+    assert vals.shape == (1,)
+    assert abs(vals[0]) <= 1e-5

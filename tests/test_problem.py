@@ -66,6 +66,23 @@ def test_validate_flags_singular():
     assert endpoint_regular(spec, "b")
 
 
+@pytest.mark.parametrize("name, flag", [
+    ("legendre", SINGULAR),
+    ("regular_dirichlet_pi", REGULAR),
+    ("free_halfline", SINGULAR),
+    ("bessel(0)", SINGULAR),
+    ("bessel(0.3)", SINGULAR),
+    ("bessel(0.5)", REGULAR),
+    ("bessel(2)", SINGULAR),
+])
+def test_regular_flag_iff_both_endpoints_regular(name, flag):
+    spec = catalog(name)
+    assert validate(spec).regular_flag == flag
+    assert spec.regular_flag == flag
+    both = endpoint_regular(spec, "a") and endpoint_regular(spec, "b")
+    assert both == (flag == REGULAR)
+
+
 def test_validate_rejects_negative_p():
     spec, _ = problem_from_dict({
         "interval": {"a": 0.0, "b": 1.0},
