@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     EvaluationOutsideSupport,
     NoConvergence,

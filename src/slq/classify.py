@@ -44,12 +44,12 @@ def _window_points(spec, anchor, end, n_windows):
                             ratio=WINDOW_RATIO)
 
 
-def _segment_l2(spec, sol, L):
-    """True integral of r |u|^2 over one dense-output segment."""
-    lo, hi = sorted((sol.t[0], sol.t[-1]))
+def _segment_l2(spec, table, L):
+    """True integral of r |u|^2 over one trajectory segment."""
+    lo, hi = sorted((table.t[0], table.t[-1]))
     if lo == hi:
         return 0.0
-    val, _ = quad(lambda x: spec.r(x) * abs(sol.sol(x)[0]) ** 2, lo, hi,
+    val, _ = quad(lambda x: spec.r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
                   epsabs=1e-14, epsrel=1e-10, limit=100)
     log_c = 2.0 * L + (math.log(val) if val > 0 else -math.inf)
     if log_c > 700.0:
@@ -70,8 +70,8 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor, n_windows, tol):
         n_before = len(scaled.segments)
         x, y, L = _march_leg(spec, z, scaled, x, y, L, x1, 1e-9, 1e8)
         window_sum = sum(
-            _segment_l2(spec, sol, Ls)
-            for sol, Ls in scaled.segments[n_before:]
+            _segment_l2(spec, table, Ls)
+            for table, Ls in scaled.segments[n_before:]
         )
         contribs.append(window_sum)
         total += window_sum
@@ -172,10 +172,10 @@ def count_zeros(spec, lam, window, init=(0.0, 1.0), solution=None,
 
 def _segment_sign_changes(scaled, segments):
     changes = 0
-    for sol, _ in segments:
-        lo, hi = sorted((sol.t[0], sol.t[-1]))
-        ts = np.linspace(lo, hi, 60)
-        vals = np.real(sol.sol(ts)[0])
+    for table, _ in segments:
+        lo, hi = sorted((table.t[0], table.t[-1]))
+        ts = np.linspace(lo, hi, 60).tolist()
+        vals = np.real([table.at(t)[0] for t in ts])
         signs = np.sign(vals)
         nz = signs != 0
         s = signs[nz]

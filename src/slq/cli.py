@@ -31,7 +31,6 @@ from .errors import (
     SpecFileError,
 )
 from .extensions import (
-    boundary_residual,
     check_variant,
     eigenvalues_shoot,
     extension_from_dict,
@@ -51,7 +50,6 @@ from .triplets import (
     decompose,
     form_from_relation,
     pair_from_extension,
-    triplet_green_residual,
 )
 
 EXIT_OK = 0

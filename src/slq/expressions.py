@@ -250,9 +250,6 @@ class Expr:
             self._deriv = Expr(self.root.diff())
         return self._deriv
 
-    def is_constant(self) -> bool:
-        return isinstance(self.root, Const)
-
     def __repr__(self):
         return f"Expr({self.text!r})"
 

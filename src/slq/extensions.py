@@ -25,7 +25,6 @@ from .errors import (
     VariantMismatch,
 )
 from .odecore import end_state, integrate_tau
-from .problem import endpoint_regular
 from .solutions import construct_basis
 
 

@@ -26,7 +26,6 @@ from .bvalues import gbv
 from .errors import (
     BasisVanishes,
     DomainConstraintViolated,
-    EvaluationOutsideSupport,
     FormIntegralDiverges,
     NoConvergence,
     WindowInvalid,
@@ -77,9 +76,6 @@ class FormValue:
     pieces: dict = field(default_factory=dict)
     error: float = 0.0
     window: FormWindow = None
-
-    def total_from_pieces(self):
-        return sum(self.pieces.values())
 
 
 class NOperator:

@@ -10,7 +10,8 @@ in the variables (u, u^[1]) with u^[1] = p u' the first quasi-derivative.
 Working in u^[1] instead of u' keeps the system well behaved where p
 degenerates.  `integrate_tau` and `end_state` use scipy's DOP853
 (Dormand-Prince 8(5,3)), whose eighth order suits the tolerances of 1e-10
-to 1e-11 that shooting asks for.
+to 1e-11 that shooting asks for.  A trajectory keeps each integrator
+segment as a StepTable, evaluated without calling scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,129 @@ from .errors import (
 from .functions import AnalyticFn, QuasiFn
 
 
+def _rk45_1(rows, i, x):
+    t_old, h, y, q0, q1, q2, q3 = rows[i:i + 7]
+    s = (x - t_old) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (h * ((q0 * s + q2 * s3) + (q1 * s2 + q3 * (s3 * s))) + y,)
+
+
+def _rk45_2(rows, i, x):
+    t_old, h, y, a0, a1, a2, a3, z, b0, b1, b2, b3 = rows[i:i + 12]
+    s = (x - t_old) / h
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    return (h * ((a0 * s + a2 * s3) + (a1 * s2 + a3 * s4)) + y,
+            h * ((b0 * s + b2 * s3) + (b1 * s2 + b3 * s4)) + z)
+
+
+def _rk45_2_complex(rows, i, x):
+    # The complex gemv kernel behind scipy's np.dot(Q, p) may fuse
+    # multiply-adds (OpenBLAS's does on AVX-512), which Python arithmetic
+    # cannot repeat: evaluate through the same call.
+    t_old, h, y, a0, a1, a2, a3, z, b0, b1, b2, b3 = rows[i:i + 12]
+    s = (x - t_old) / h
+    s2 = s * s
+    s3 = s2 * s
+    v = h * np.dot(np.array(((a0, a1, a2, a3), (b0, b1, b2, b3))),
+                   np.array((s, s2, s3, s3 * s)))
+    v += (y, z)
+    return tuple(v.tolist())
+
+
+def _dop853_2(rows, i, x):
+    t_old, h, y, a0, a1, a2, a3, a4, a5, a6, \
+        z, b0, b1, b2, b3, b4, b5, b6 = rows[i:i + 18]
+    s = (x - t_old) / h
+    c = 1 - s
+    return (
+        ((((((a6 * s + a5) * c + a4) * s + a3) * c + a2) * s + a1) * c + a0)
+        * s + y,
+        ((((((b6 * s + b5) * c + b4) * s + b3) * c + b2) * s + b1) * c + b0)
+        * s + z)
+
+
+# Step kernels by (coefficients per component, components, complex): the
+# systems here are the quasi-derivative pair and the real one-component
+# reduction tail.
+_KERNELS = {(4, 1, False): _rk45_1, (4, 2, False): _rk45_2,
+            (4, 2, True): _rk45_2_complex, (7, 2, False): _dop853_2,
+            (7, 2, True): _dop853_2}
+
+
+class StepTable:
+    """One integrator segment, read into a flat table of its steps.
+
+    scipy evaluates the continuous extension of a step through numpy on
+    every call.  A table keeps the same numbers in one flat list: per step
+    t_old and h, then for each component its value at t_old and the
+    interpolant's coefficients (RK45: the row of Q; DOP853: the column of
+    F).  A lookup bisects the step points and evaluates the step in Python
+    floats, or complex numbers for complex lambda, with the operations of
+    scipy's RkDenseOutput and Dop853DenseOutput in the same order (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6); complex RK45 steps make
+    scipy's own np.dot call instead.  At a step point it takes the
+    step scipy's OdeSolution takes, the earlier one in integration order;
+    beyond the ends it extends the end step.
+    """
+
+    __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel")
+
+    def __init__(self, sol):
+        dense = sol.sol
+        steps = list(dense.interpolants)
+        ts = dense.ts.tolist()
+        # Rows run in ascending x, so a bisection index is a row index.
+        self._right = not dense.ascending
+        if self._right:
+            steps.reverse()
+            ts.reverse()
+        # RK45 steps carry Q, DOP853 steps F; a zero-length solve has one
+        # constant step with neither.
+        n_coef = 7 if any(hasattr(s, "F") for s in steps) else 4
+        rows = []
+        for s in steps:
+            if not hasattr(s, "h"):
+                # Zero coefficients keep the constant value.
+                rows += (float(s.t_old), 1.0)
+                for y in s.value.tolist():
+                    rows.append(y)
+                    rows += (0.0,) * n_coef
+                continue
+            rows += (float(s.t_old), float(s.h))
+            coef = s.Q if n_coef == 4 else s.F.T
+            for y, c in zip(s.y_old.tolist(), coef.tolist()):
+                rows.append(y)
+                rows += c
+        self._ts = ts
+        self._rows = rows
+        self._width = 2 + len(sol.y) * (1 + n_coef)
+        self._last = len(steps) - 1
+        self._kernel = _KERNELS[n_coef, len(sol.y), np.iscomplexobj(sol.y)]
+
+    @property
+    def t(self):
+        """Step points in integration order, as in the solve_ivp result."""
+        return self._ts[::-1] if self._right else list(self._ts)
+
+    def at(self, x):
+        """The state at x, one entry per component."""
+        if self._right:
+            j = bisect_right(self._ts, x) - 1
+        else:
+            j = bisect_left(self._ts, x) - 1
+        if j < 0:
+            j = 0
+        elif j > self._last:
+            j = self._last
+        return self._kernel(self._rows, j * self._width, x)
+
+    # A table answers `t` and `sol(x)` as the solve_ivp result it replaces.
+    sol = at
+
+
 class ScaledSolution(QuasiFn):
     """Dense-output trajectory of the quasi-derivative system with a
     log-scale ledger.
@@ -41,10 +165,11 @@ class ScaledSolution(QuasiFn):
     stay well conditioned while the ledger tracks growth that can exceed
     floating-point range.
 
-    Segments may meet only at their edges.  Their edges are kept sorted by
-    left edge, so a lookup is a bisection; where x lies on a shared edge
-    the segment inserted first is used.  A trajectory without segments
-    covers nothing: every evaluation raises EvaluationOutsideSupport.
+    Segments are StepTables and may meet only at their edges.  Their edges
+    are kept sorted by left edge, so a lookup is a bisection; where x lies
+    on a shared edge the segment inserted first is used.  A trajectory
+    without segments covers nothing: every evaluation raises
+    EvaluationOutsideSupport.
     """
 
     x_min = math.inf
@@ -52,7 +177,7 @@ class ScaledSolution(QuasiFn):
 
     def __init__(self, lam):
         self.lam = lam
-        self._segments = []  # (sol, logscale), in insertion order
+        self._segments = []  # (table, logscale), in insertion order
         # Edges in (lo, hi) order with the insertion index of each segment.
         # Disjoint interiors make the right edges nondecreasing too.
         self._los = []
@@ -60,10 +185,10 @@ class ScaledSolution(QuasiFn):
         self._order = []
 
     def add_segment(self, sol, logscale):
-        """Append a dense-output segment; its interior must not overlap
-        another segment's."""
-        t0, t1 = float(sol.t[0]), float(sol.t[-1])
-        lo, hi = min(t0, t1), max(t0, t1)
+        """Append a segment, a solve_ivp result with dense output or a
+        StepTable; its interior must not overlap another segment's."""
+        table = sol if isinstance(sol, StepTable) else StepTable(sol)
+        lo, hi = table._ts[0], table._ts[-1]
         los, his = self._los, self._his
         # Entries from bisect_right(his, lo) on end past lo; entries before
         # bisect_left(los, hi) start before hi.  Any entry in both overlaps.
@@ -75,7 +200,7 @@ class ScaledSolution(QuasiFn):
         los.insert(k, lo)
         his.insert(k, hi)
         self._order.insert(k, len(self._segments))
-        self._segments.append((sol, logscale))
+        self._segments.append((table, logscale))
         self.x_min, self.x_max = los[0], his[-1]
 
     def _locate(self, x):
@@ -98,8 +223,8 @@ class ScaledSolution(QuasiFn):
 
     def log_pair(self, x):
         """(u_unit, u1_unit, L): true values are unit * exp(L)."""
-        sol, L = self._locate(x)
-        u, u1 = sol.sol(x)
+        table, L = self._locate(x)
+        u, u1 = table.at(x)
         return u, u1, L
 
     def pair(self, x):
@@ -110,7 +235,7 @@ class ScaledSolution(QuasiFn):
 
     @property
     def segments(self):
-        """(sol, logscale) pairs in insertion order."""
+        """(table, logscale) pairs in insertion order."""
         return list(self._segments)
 
     @property
@@ -118,10 +243,9 @@ class ScaledSolution(QuasiFn):
         """Integrator step points of all segments, ascending."""
         pts = []
         for k in self._order:
-            t = self._segments[k][0].t
-            for x in (t if t[0] <= t[-1] else t[::-1]):
+            for x in self._segments[k][0]._ts:
                 if not pts or x > pts[-1]:
-                    pts.append(float(x))
+                    pts.append(x)
         return pts
 
 

@@ -47,9 +47,6 @@ class Interval:
     def endpoints(self):
         return (self.a, self.b)
 
-    def contains(self, x):
-        return self.a < x < self.b
-
     def interior_point(self):
         """A convenient reference point in the open interval."""
         a, b = self.a, self.b
@@ -171,8 +168,23 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
     return report
 
 
+# endpoint_regular's verdicts by value: (a, b, p, q, r texts, endpoint).
+# The verdict depends on nothing else, and every CLI command and basis
+# construction asks again for the same problem.
+_REGULAR_MEMO = {}
+
+
 def endpoint_regular(spec, which):
     """True when the endpoint is finite with integrable |1/p|, |q|, |r|."""
+    iv = spec.interval
+    key = (iv.a, iv.b, spec.p.text, spec.q.text, spec.r.text, which)
+    verdict = _REGULAR_MEMO.get(key)
+    if verdict is None:
+        verdict = _REGULAR_MEMO[key] = _endpoint_regular(spec, which)
+    return verdict
+
+
+def _endpoint_regular(spec, which):
     end = spec.interval.a if which == "a" else spec.interval.b
     if not math.isfinite(end):
         return False

@@ -25,7 +25,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .functions import QuasiFn
-from .odecore import ScaledSolution
+from .odecore import ScaledSolution, StepTable
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
@@ -134,24 +134,23 @@ class ReductionSolution(QuasiFn):
     quasi-derivative is exact: (wT)^[1] = w^[1] T - 1/w.
     """
 
-    def __init__(self, spec, w, c0, total, tail_sol, scale=1.0,
-                 t_floor=0.0):
+    def __init__(self, spec, w, c0, total, tail, scale=1.0, t_floor=0.0):
         self.spec = spec
         self.w = w
         self.c0 = c0
         self.total = total
-        self._tail = tail_sol
+        self._tail = tail  # StepTable of T
         self.scale = scale
         self.t_floor = t_floor
-        self.x_min = min(tail_sol.t[0], tail_sol.t[-1])
-        self.x_max = max(tail_sol.t[0], tail_sol.t[-1])
+        self.x_min = min(tail.t[0], tail.t[-1])
+        self.x_max = max(tail.t[0], tail.t[-1])
 
     def T(self, x):
         if not (self.x_min <= x <= self.x_max):
             raise EvaluationOutsideSupport(
                 f"x={x} outside [{self.x_min}, {self.x_max}]"
             )
-        t = float(self._tail.sol(x)[0])
+        t = float(self._tail.at(x)[0])
         # Below the integrator noise floor the interpolated tail is pure
         # noise; clamping to zero keeps the w-amplified products finite.
         if abs(t) < self.t_floor:
@@ -251,7 +250,8 @@ def _principal_integrand(spec, w):
 
 
 def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
-    """Dense T(x) with T' = -1/(p w^2), anchored at the far tail value.
+    """StepTable of T(x) with T' = -1/(p w^2), anchored at the far tail
+    value.
 
     Integrating away from the endpoint keeps T accurate relative to its own
     (possibly astronomically small) local size; an absolute tail error would
@@ -267,7 +267,7 @@ def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
         raise StepSizeUnderflow(
             f"reduction tail integral stalled at x={sol.t[-1]}"
         )
-    return sol
+    return StepTable(sol)
 
 
 def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
@@ -323,8 +323,8 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
     # Extend w back into the interior for patching and forms.
     w_back = rescaled_march(spec, lam0, anchor, w.log_pair(anchor)[:2],
                             back_to, tol=tol, n_windows=1)
-    for sol, L in w_back.segments:
-        w.add_segment(sol, L)
+    for table, L in w_back.segments:
+        w.add_segment(table, L)
 
     # Principal test: does the reduction integral diverge toward the end?
     res = improper_integral(_principal_integrand(spec, w), c0, end,
@@ -346,8 +346,8 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
         uh = rescaled_march(spec, lam0, c0, (0.0, -1.0), end, tol=tol)
         uh_back = rescaled_march(spec, lam0, c0, (0.0, -1.0), back_to,
                                  tol=tol, n_windows=1)
-        for sol, L in uh_back.segments:
-            uh.add_segment(sol, L)
+        for table, L in uh_back.segments:
+            uh.add_segment(table, L)
         u_hat = uh
         principal_res = res
     else:
@@ -366,11 +366,11 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
                 tail0 = 0.0
         else:
             tail0 = 0.0
-        tail_sol = _tail_ode(spec, w, x_far, tail0, back_to,
-                             scale_hint=res.value)
-        S = float(tail_sol.sol(c0)[0])
+        tail = _tail_ode(spec, w, x_far, tail0, back_to,
+                         scale_hint=res.value)
+        S = float(tail.at(c0)[0])
         w_c0 = w.pair(c0)[0]
-        u = ReductionSolution(spec, w, c0, S, tail_sol,
+        u = ReductionSolution(spec, w, c0, S, tail,
                               scale=1.0 / (w_c0 * S),
                               t_floor=1e-38 * (1.0 + abs(res.value)))
         u_hat = ScalarMultiple(w, -w_c0 * S)

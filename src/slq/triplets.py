@@ -73,10 +73,6 @@ class SelfAdjointRelation:
         resid = np.linalg.norm(self.mul_basis.conj().T @ x)
         return resid <= tol * (1.0 + np.linalg.norm(x))
 
-    def apply_theta(self, x):
-        """Theta x for x in the operator domain, expressed back in C^n."""
-        return self.dom_basis @ (self.theta_op @ self.project(x))
-
 
 def validate_pair(A, B, tol=1e-12):
     """Check the self-adjointness conditions of an (A, B) pair.

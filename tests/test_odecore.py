@@ -5,10 +5,17 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from slq.errors import SpecFileError
 from slq.functions import polynomial
-from slq.odecore import end_state, integrate_tau, tau_apply, wronskian
+from slq.odecore import (
+    StepTable,
+    end_state,
+    integrate_tau,
+    tau_apply,
+    wronskian,
+)
 from slq.problem import CoefficientSet, catalog
 
 
@@ -68,6 +75,37 @@ def test_end_state_equals_trajectory_at_target(problem, lam, anchor, init,
     spec = request.getfixturevalue(problem)
     want = integrate_tau(spec, lam, anchor, init, target).pair(target)
     assert end_state(spec, lam, anchor, init, target) == want
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("lam", [2.5, 2.5 + 1.0j])
+@pytest.mark.parametrize("span", [(-3.0, 2.0), (2.0, -3.0)])
+def test_step_table_equals_scipy_dense_output(oscillator, method, lam,
+                                              span):
+    y0 = np.array([1.0, -0.5], dtype=type(lam))
+    sol = solve_ivp(oscillator.coeffs.rhs(lam), span, y0, method=method,
+                    rtol=1e-9, atol=1e-12, dense_output=True)
+    table = StepTable(sol)
+    ts = sol.t.tolist()
+    assert table.t == ts
+    # Every step point, interior points of every step, and points past
+    # both ends, where the end steps extend.
+    xs = ts + [lo + f * (hi - lo) for lo, hi in zip(ts, ts[1:])
+               for f in (0.1, 0.37, 0.5, 0.81, 0.99)]
+    xs += [min(span) - 0.1, max(span) + 0.1]
+    # scipy evaluates a real RK45 step with BLAS dgemv.  The table sums in
+    # the order of an unfused dgemv kernel; a kernel with fused
+    # multiply-adds rounds differently, hence 2 ulp.  DOP853 steps are
+    # elementwise numpy, and complex RK45 steps make scipy's own np.dot
+    # call: exact with any BLAS.
+    ulps = 2 if method == "RK45" and isinstance(lam, float) else 0
+    for x in xs:
+        want = sol.sol(x).tolist()
+        got = table.at(x)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
+                assert abs(gp - wp) <= ulps * np.spacing(abs(wp)), (x, g, w)
 
 
 def test_wronskian_constant_along_solutions(dirichlet):

@@ -10,10 +10,13 @@ from slq.errors import (
     SpecFileError,
     UnknownCatalogEntry,
 )
+from slq import problem
 from slq.problem import (
     REGULAR,
     SINGULAR,
+    CoefficientSet,
     Interval,
+    ProblemSpec,
     catalog,
     endpoint_regular,
     problem_from_dict,
@@ -81,6 +84,33 @@ def test_regular_flag_iff_both_endpoints_regular(name, flag):
     assert spec.regular_flag == flag
     both = endpoint_regular(spec, "a") and endpoint_regular(spec, "b")
     assert both == (flag == REGULAR)
+
+
+def test_endpoint_regular_is_memoized_by_value(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(problem, "_REGULAR_MEMO", memo)
+    calls = []
+    integral = problem.improper_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "improper_integral", counting)
+
+    def spec(q):
+        coeffs = CoefficientSet.from_strings("1", q, "1")
+        return ProblemSpec(Interval(0.0, 1.0), coeffs)
+
+    assert endpoint_regular(spec("x"), "a")
+    n = len(calls)
+    assert n == 3 and len(memo) == 1
+    # Equal coefficients in a separately built spec share the entry.
+    assert endpoint_regular(spec("x"), "a")
+    assert len(calls) == n and len(memo) == 1
+    # A different coefficient text misses it, even for the same function.
+    assert endpoint_regular(spec("x*1"), "a")
+    assert len(calls) == 2 * n and len(memo) == 2
 
 
 def test_validate_rejects_negative_p():

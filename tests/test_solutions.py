@@ -3,10 +3,10 @@ singular ones, Wronskian normalization, principal/nonprincipal ordering;
 segment lookup of marched trajectories."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from slq.errors import EvaluationOutsideSupport
 from slq.odecore import wronskian
@@ -89,9 +89,10 @@ def test_trust_interval_brackets_anchor(oscillator_bases):
 
 
 def _segment(t0, t1):
-    """A straight-line stand-in for a dense-output segment from t0 to t1."""
-    return SimpleNamespace(t=np.array([t0, t1]),
-                           sol=lambda x: np.array([x, 1.0]))
+    """A one-step RK45 segment from t0 to t1 of u' = u^[1], u^[1]' = 0 with
+    u(t0) = t0, u^[1] = 1, so u(x) = x; a zero-length one is constant."""
+    return solve_ivp(lambda x, y: [y[1], 0.0], (t0, t1), [t0, 1.0],
+                     first_step=abs(t1 - t0) or None, dense_output=True)
 
 
 def _trajectory(*edges):
@@ -121,7 +122,11 @@ def test_lookup_back_march_after_forward_march():
                        (0.5, 0.2), (0.2, 0.0))
     xs = [0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.95, 1.0]
     assert [_which(traj, x) for x in xs] == [4, 4, 3, 3, 0, 0, 0, 2, 2]
-    assert traj.log_pair(0.3)[0] == 0.3
+    # u(x) = x up to the rounding of one RK45 step; the table returns
+    # scipy's own dense-output value.
+    want = _segment(0.5, 0.2).sol(0.3)[0]
+    assert want == pytest.approx(0.3, rel=1e-15)
+    assert traj.log_pair(0.3)[0] == want
     assert (traj.x_min, traj.x_max) == (0.0, 1.0)
     assert traj.breakpoints == [0.0, 0.2, 0.5, 0.7, 0.9, 1.0]
 
