@@ -183,42 +183,39 @@ def _segment_sign_changes(scaled, segments):
     return changes
 
 
-def certify_nonoscillatory(spec, lam, n_windows=24):
-    """Per-endpoint nonoscillation verdict for the energy lam.
+def certify_endpoint(spec, lam, endpoint, n_windows=24):
+    """Nonoscillation verdict for the energy lam at one endpoint.
 
     certified: a real solution shows no sign change over the last 20
     geometric windows approaching the endpoint.  refuted: zero counts keep
     appearing window after window.  Regular endpoints are always certified.
     """
-    out = {}
-    for endpoint in ("a", "b"):
-        if endpoint_regular(spec, endpoint):
-            out[endpoint] = "certified"
-            continue
-        end = _endpoint_of(spec, endpoint)
-        anchor = spec.interval.interior_point()
-        pts = _window_points(spec, anchor, end, n_windows)
-        scaled = ScaledSolution(lam)
-        x, y, L = anchor, np.array([1.0, 0.0]), 0.0
-        window_changes = []
-        refuted = False
-        for x1 in pts[1:]:
-            n_before = len(scaled.segments)
-            x, y, L = _march_leg(spec, lam, scaled, x, y, L, x1, 1e-9, 1e8)
-            window_changes.append(
-                _segment_sign_changes(scaled, scaled.segments[n_before:])
-            )
-            if len(window_changes) >= 4 and all(
-                    c > 0 for c in window_changes[-4:]):
-                refuted = True
-                break
-            if L > LOGSCALE_MAX:
-                break
-        if refuted:
-            out[endpoint] = "refuted"
-        elif len(window_changes) >= 5 and all(
-                c == 0 for c in window_changes[-min(20, len(window_changes)):]):
-            out[endpoint] = "certified"
-        else:
-            out[endpoint] = "inconclusive"
-    return out
+    if endpoint_regular(spec, endpoint):
+        return "certified"
+    end = _endpoint_of(spec, endpoint)
+    anchor = spec.interval.interior_point()
+    pts = _window_points(spec, anchor, end, n_windows)
+    scaled = ScaledSolution(lam)
+    x, y, L = anchor, (1.0, 0.0), 0.0
+    window_changes = []
+    for x1 in pts[1:]:
+        n_before = len(scaled.segments)
+        x, y, L = _march_leg(spec, lam, scaled, x, y, L, x1, 1e-9, 1e8)
+        window_changes.append(
+            _segment_sign_changes(scaled, scaled.segments[n_before:])
+        )
+        if len(window_changes) >= 4 and all(
+                c > 0 for c in window_changes[-4:]):
+            return "refuted"
+        if L > LOGSCALE_MAX:
+            break
+    if len(window_changes) >= 5 and all(
+            c == 0 for c in window_changes[-min(20, len(window_changes)):]):
+        return "certified"
+    return "inconclusive"
+
+
+def certify_nonoscillatory(spec, lam, n_windows=24):
+    """certify_endpoint at both endpoints, keyed by endpoint."""
+    return {e: certify_endpoint(spec, lam, e, n_windows=n_windows)
+            for e in ("a", "b")}

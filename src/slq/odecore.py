@@ -8,19 +8,30 @@ integrated as the first-order system
 
 in the variables (u, u^[1]) with u^[1] = p u' the first quasi-derivative.
 Working in u^[1] instead of u' keeps the system well behaved where p
-degenerates.  `integrate_tau` and `end_state` use scipy's DOP853
-(Dormand-Prince 8(5,3)), whose eighth order suits the tolerances of 1e-10
-to 1e-11 that shooting asks for.  A trajectory keeps each integrator
-segment as a StepTable, evaluated without calling scipy.
+degenerates.
+
+`rk_solve` integrates the pair with an explicit Runge-Kutta pair in Python
+floats (complex numbers for complex lambda), calling the compiled
+CoefficientSet.rhs directly.  Its tableaux are read from scipy.integrate's
+RK45 and DOP853 classes and its step-size controller is theirs (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4-II.6), so it takes scipy's steps
+without scipy's per-step array overhead.  `integrate_tau` and `end_state`
+use DOP853 (Dormand-Prince 8(5,3)), whose eighth order suits the tolerances
+of 1e-10 to 1e-11 that shooting asks for; the renormalizing march in
+`solutions` uses RK45.  A trajectory keeps each integrator segment as a
+StepTable, evaluated without calling scipy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from bisect import bisect_left, bisect_right
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy.integrate
+from scipy.optimize import brentq
 
 from .errors import (
     EvaluationOutsideSupport,
@@ -83,59 +94,314 @@ _KERNELS = {(4, 1, False): _rk45_1, (4, 2, False): _rk45_2,
             (7, 2, True): _dop853_2}
 
 
+def _constant_step(t, ys, n_coef):
+    """Row of a zero-length solve: zero coefficients keep the value."""
+    row = [t, 1.0]
+    for y in ys:
+        row.append(y)
+        row += (0.0,) * n_coef
+    return row
+
+
+# scipy's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.4): the factors of scipy.integrate's RungeKutta solvers.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+EPS = sys.float_info.epsilon
+_SQRT2 = 2 ** 0.5
+
+
+def _terms(weights):
+    """(index, weight) of the nonzero weights.  A zero term adds nothing to
+    a sum, so skipping it leaves every value unchanged."""
+    return [(j, float(w)) for j, w in enumerate(weights) if w]
+
+
+def _dot(terms, k):
+    acc = 0.0
+    for j, w in terms:
+        acc += k[j] * w
+    return acc
+
+
+def _norm(a, b):
+    """numpy's 2-norm of the pair; for complex entries it sums the squared
+    real parts, then the squared imaginary parts."""
+    if isinstance(a, complex) or isinstance(b, complex):
+        return math.sqrt((a.real * a.real + b.real * b.real)
+                         + (a.imag * a.imag + b.imag * b.imag))
+    return math.sqrt(a * a + b * b)
+
+
+def _stages(a_rows, c_values, first):
+    return [(float(c), _terms(a[:s]))
+            for s, (a, c) in enumerate(zip(a_rows, c_values), start=first)]
+
+
+class _RungeKutta:
+    """An explicit Runge-Kutta pair for the state (u, u^[1]), with the
+    tableau of scipy's solver class of the same name."""
+
+    def __init__(self, cls):
+        self.n_stages = cls.n_stages
+        self.stages = _stages(cls.A[1:], cls.C[1:], 1)
+        self.b = _terms(cls.B)
+        self.order = cls.error_estimator_order
+        self.exponent = -1 / (cls.error_estimator_order + 1)
+
+    def step(self, rhs, t, h, u, v, fu, fv):
+        """scipy's rk_step: the new state and the stages, the derivative at
+        the new state last."""
+        ku, kv = [fu], [fv]
+        for c, a in self.stages:
+            du = dv = 0.0
+            for j, w in a:
+                du += ku[j] * w
+                dv += kv[j] * w
+            fu, fv = rhs(t + c * h, (u + du * h, v + dv * h))
+            ku.append(fu)
+            kv.append(fv)
+        un = u + h * _dot(self.b, ku)
+        vn = v + h * _dot(self.b, kv)
+        fu, fv = rhs(t + h, (un, vn))
+        ku.append(fu)
+        kv.append(fv)
+        return un, vn, ku, kv
+
+
+class _RK45(_RungeKutta):
+    n_coef = 4
+
+    def __init__(self, cls):
+        super().__init__(cls)
+        self.e = _terms(cls.E)
+        self.p = [_terms(col) for col in cls.P.T]
+
+    def error_norm(self, ku, kv, h, su, sv):
+        return _norm(_dot(self.e, ku) * h / su,
+                     _dot(self.e, kv) * h / sv) / _SQRT2
+
+    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
+        """The step's table row, with Q = K^T P."""
+        return [t, h, u, *[_dot(p, ku) for p in self.p],
+                v, *[_dot(p, kv) for p in self.p]]
+
+
+class _DOP853(_RungeKutta):
+    n_coef = 7
+
+    def __init__(self, cls):
+        super().__init__(cls)
+        self.e5 = _terms(cls.E5)
+        self.e3 = _terms(cls.E3)
+        self.extra = _stages(cls.A_EXTRA, cls.C_EXTRA, cls.n_stages + 1)
+        self.d = [_terms(row) for row in cls.D]
+
+    def error_norm(self, ku, kv, h, su, sv):
+        n5 = _norm(_dot(self.e5, ku) / su, _dot(self.e5, kv) / sv)
+        n3 = _norm(_dot(self.e3, ku) / su, _dot(self.e3, kv) / sv)
+        e5, e3 = n5 * n5, n3 * n3
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+
+    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
+        """The step's table row: F from the three extra stages of the
+        interpolant."""
+        for c, a in self.extra:
+            fu, fv = rhs(t + c * h,
+                         (u + _dot(a, ku) * h, v + _dot(a, kv) * h))
+            ku.append(fu)
+            kv.append(fv)
+        out = [t, h]
+        for y, yn, k in ((u, un, ku), (v, vn, kv)):
+            dy = yn - y
+            out += (y, dy, h * k[0] - dy,
+                    2 * dy - h * (k[self.n_stages] + k[0]),
+                    *[h * _dot(d, k) for d in self.d])
+        return out
+
+
+RK45 = _RK45(scipy.integrate.RK45)
+DOP853 = _DOP853(scipy.integrate.DOP853)
+
+
+def _plain(c):
+    return complex(c) if isinstance(c, complex) else float(c)
+
+
+def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
+             cap=None):
+    """Integrate the pair (u, u^[1]) = init from anchor toward target.
+
+    method is RK45 or DOP853; rhs(x, (u, u1)) is a CoefficientSet.rhs(lam).
+    The arithmetic is that of scipy.integrate's solver of that name with
+    the same rtol and atol, in Python numbers: the initial-step rule,
+    min_step, the SAFETY, MIN and MAX factors, the error norms, and a
+    factor capped at 1 after a rejection.  The sums run in a fixed order
+    where numpy's BLAS may fuse or reorder, so states agree with scipy's
+    to rounding, not bit for bit.  With `cap`, integration stops where
+    max(|u|, |u^[1]|) first reaches cap, located as scipy locates a
+    terminal event: brentq on the step's interpolant, xtol = rtol = 4 eps.
+
+    Returns (x, (u, u^[1]), table): where integration stopped, the state
+    there, and the StepTable of the steps when `dense` (else None).  A
+    step cut by the cap keeps its whole row, and the table ends at the
+    event point.  Each state adds to the one before it, so a non-finite
+    state stays non-finite: checking the returned state checks them all.
+    """
+    t, t_bound = float(anchor), float(target)
+    u, v = (_plain(c) for c in init)
+    rtol = max(rtol, 100 * EPS)
+    if t == t_bound:
+        # scipy's zero-length solve: one constant step.
+        table = StepTable.from_steps(
+            [t, t], [_constant_step(t, (u, v), method.n_coef)], method.n_coef,
+            isinstance(u, complex) or isinstance(v, complex))
+        return t, (u, v), table if dense else None
+    direction = 1.0 if t_bound > t else -1.0
+    fu, fv = rhs(t, (u, v))
+    is_complex = any(isinstance(c, complex) for c in (u, v, fu, fv))
+
+    # Initial step (select_initial_step).
+    length = abs(t_bound - t)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0 = _norm(u / su, v / sv) / _SQRT2
+    d1 = _norm(fu / su, fv / sv) / _SQRT2
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    gu, gv = rhs(t + h0 * direction, (u + h0 * direction * fu,
+                                      v + h0 * direction * fv))
+    d2 = _norm((gu - fu) / su, (gv - fv) / sv) / _SQRT2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (method.order + 1))
+    h_abs = min(100 * h0, h1, length)
+
+    if cap is not None:
+        log_cap = math.log(cap)
+
+        def level(u, v):
+            m = max(abs(u), abs(v))
+            return (math.log(m) if m > 0 else -math.inf) - log_cap
+
+        g = level(u, v)
+    ts, rows = [t], []
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    f"integrator stalled at x={t}: required step size is "
+                    "less than spacing between numbers"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            un, vn, ku, kv = method.step(rhs, t, h, u, v, fu, fv)
+            err = method.error_norm(
+                ku, kv, h, atol + max(abs(u), abs(un)) * rtol,
+                atol + max(abs(v), abs(vn)) * rtol)
+            if err < 1:
+                factor = MAX_FACTOR if err == 0 else min(
+                    MAX_FACTOR, SAFETY * err ** method.exponent)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** method.exponent)
+            rejected = True
+        if dense or cap is not None:
+            row = method.row(rhs, t, h, u, v, un, vn, ku, kv)
+        stop = direction * (t_new - t_bound) >= 0
+        if cap is not None:
+            g_old, g = g, level(un, vn)
+            if g_old <= 0 <= g or g <= 0 <= g_old:
+                at = _KERNELS[method.n_coef, 2, is_complex]
+                t_new = brentq(lambda x: level(*at(row, 0, x)), t, t_new,
+                               xtol=4 * EPS, rtol=4 * EPS)
+                un, vn = at(row, 0, t_new)
+                stop = True
+        if dense:
+            rows.append(row)
+        ts.append(t_new)
+        t, u, v = t_new, un, vn
+        if stop:
+            break
+        fu, fv = ku[method.n_stages], kv[method.n_stages]
+    table = StepTable.from_steps(ts, rows, method.n_coef, is_complex) \
+        if dense else None
+    return t, (u, v), table
+
+
 class StepTable:
     """One integrator segment, read into a flat table of its steps.
 
-    scipy evaluates the continuous extension of a step through numpy on
-    every call.  A table keeps the same numbers in one flat list: per step
-    t_old and h, then for each component its value at t_old and the
-    interpolant's coefficients (RK45: the row of Q; DOP853: the column of
-    F).  A lookup bisects the step points and evaluates the step in Python
-    floats, or complex numbers for complex lambda, with the operations of
-    scipy's RkDenseOutput and Dop853DenseOutput in the same order (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6); complex RK45 steps make
-    scipy's own np.dot call instead.  At a step point it takes the
-    step scipy's OdeSolution takes, the earlier one in integration order;
-    beyond the ends it extends the end step.
+    A table keeps per step t_old and h, then for each component its value
+    at t_old and the interpolant's coefficients (RK45: the row of
+    Q = K^T P; DOP853: the column of F).  A lookup bisects the step points
+    and evaluates the step in Python floats, or complex numbers for complex
+    lambda, with the operations of scipy's RkDenseOutput and
+    Dop853DenseOutput in the same order (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6); complex RK45 steps make scipy's own np.dot call instead.
+    At a step point it takes the step scipy's OdeSolution takes, the
+    earlier one in integration order; beyond the ends it extends the end
+    step.  `rk_solve` writes tables directly; StepTable(sol) reads a
+    scipy integrator result with dense output.
     """
 
     __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel")
 
     def __init__(self, sol):
-        dense = sol.sol
-        steps = list(dense.interpolants)
-        ts = dense.ts.tolist()
-        # Rows run in ascending x, so a bisection index is a row index.
-        self._right = not dense.ascending
-        if self._right:
-            steps.reverse()
-            ts.reverse()
+        steps = sol.sol.interpolants
         # RK45 steps carry Q, DOP853 steps F; a zero-length solve has one
         # constant step with neither.
         n_coef = 7 if any(hasattr(s, "F") for s in steps) else 4
         rows = []
         for s in steps:
             if not hasattr(s, "h"):
-                # Zero coefficients keep the constant value.
-                rows += (float(s.t_old), 1.0)
-                for y in s.value.tolist():
-                    rows.append(y)
-                    rows += (0.0,) * n_coef
+                rows.append(_constant_step(float(s.t_old), s.value.tolist(),
+                                           n_coef))
                 continue
-            rows += (float(s.t_old), float(s.h))
+            row = [float(s.t_old), float(s.h)]
             coef = s.Q if n_coef == 4 else s.F.T
             for y, c in zip(s.y_old.tolist(), coef.tolist()):
-                rows.append(y)
-                rows += c
+                row.append(y)
+                row += c
+            rows.append(row)
+        self._fill(sol.sol.ts.tolist(), rows, n_coef,
+                   np.iscomplexobj(sol.y))
+
+    @classmethod
+    def from_steps(cls, ts, rows, n_coef, is_complex):
+        """A table of steps in integration order: ts the step points, one
+        row per step laid out as above."""
+        table = cls.__new__(cls)
+        table._fill(ts, rows, n_coef, is_complex)
+        return table
+
+    def _fill(self, ts, rows, n_coef, is_complex):
+        # Rows run in ascending x, so a bisection index is a row index.
+        self._right = ts[-1] < ts[0]
+        if self._right:
+            ts = ts[::-1]
+            rows = rows[::-1]
         self._ts = ts
-        self._rows = rows
-        self._width = 2 + len(sol.y) * (1 + n_coef)
-        self._last = len(steps) - 1
-        self._kernel = _KERNELS[n_coef, len(sol.y), np.iscomplexobj(sol.y)]
+        self._rows = [v for row in rows for v in row]
+        self._width = len(rows[0])
+        self._last = len(rows) - 1
+        self._kernel = _KERNELS[n_coef, (self._width - 2) // (1 + n_coef),
+                                is_complex]
 
     @property
     def t(self):
-        """Step points in integration order, as in the solve_ivp result."""
+        """Step points in integration order, as a scipy result lists them."""
         return self._ts[::-1] if self._right else list(self._ts)
 
     def at(self, x):
@@ -150,7 +416,7 @@ class StepTable:
             j = self._last
         return self._kernel(self._rows, j * self._width, x)
 
-    # A table answers `t` and `sol(x)` as the solve_ivp result it replaces.
+    # A table answers `t` and `sol(x)` as the scipy result it replaces.
     sol = at
 
 
@@ -185,8 +451,8 @@ class ScaledSolution(QuasiFn):
         self._order = []
 
     def add_segment(self, sol, logscale):
-        """Append a segment, a solve_ivp result with dense output or a
-        StepTable; its interior must not overlap another segment's."""
+        """Append a segment, a StepTable or a scipy integrator result with
+        dense output; its interior must not overlap another segment's."""
         table = sol if isinstance(sol, StepTable) else StepTable(sol)
         lo, hi = table._ts[0], table._ts[-1]
         los, his = self._los, self._his
@@ -250,22 +516,15 @@ class ScaledSolution(QuasiFn):
 
 
 def _solve(spec, lam, anchor, init, target, tol, dense):
-    """One DOP853 solve of the quasi-derivative system, checked."""
+    """One DOP853 solve of the quasi-derivative system, checked: the state
+    at target and, when dense, the StepTable."""
     if target == anchor:
         raise ValueError("target must differ from anchor")
-    is_complex = any(isinstance(v, complex) for v in (lam, *init))
-    y0 = np.array(init, dtype=complex if is_complex else float)
-    sol = solve_ivp(
-        spec.coeffs.rhs(lam), (anchor, target), y0, method="DOP853",
-        rtol=tol, atol=tol * 1e-3, dense_output=dense,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(
-            f"integrator stalled at x={sol.t[-1]}: {sol.message}"
-        )
-    if not np.all(np.isfinite(np.ascontiguousarray(sol.y).view(float))):
+    _, y, table = rk_solve(DOP853, spec.coeffs.rhs(_plain(lam)), anchor,
+                           init, target, tol, tol * 1e-3, dense)
+    if not all(map(cmath.isfinite, y)):
         raise NonFiniteState("trajectory overflowed; rescale and retry")
-    return sol
+    return y, table
 
 
 def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
@@ -276,18 +535,18 @@ def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
     scale 0.
     """
     traj = ScaledSolution(lam)
-    traj.add_segment(_solve(spec, lam, anchor, init, target, tol, True), 0.0)
+    traj.add_segment(_solve(spec, lam, anchor, init, target, tol, True)[1],
+                     0.0)
     return traj
 
 
 def end_state(spec, lam, anchor, init, target, tol=1e-10):
     """(u, u^[1]) at `target` of the solution integrate_tau would return.
 
-    The same steps, without the dense interpolant that only a trajectory
-    needs (DOP853 spends three extra RHS calls per step on it).
+    The same steps, without the table that only a trajectory needs (DOP853
+    spends three extra RHS calls per step on its interpolant).
     """
-    sol = _solve(spec, lam, anchor, init, target, tol, False)
-    return sol.y[0, -1], sol.y[1, -1]
+    return _solve(spec, lam, anchor, init, target, tol, False)[0]
 
 
 def wronskian(f, g, x):

@@ -7,10 +7,17 @@ u_hat.  This module marches solutions toward endpoints with overflow-safe
 rescaling, decides principal vs nonprincipal by window convergence tests,
 builds the companion by reduction of order, and normalizes so that
 W(u_hat, u) = 1 holds exactly.
+
+The march is odecore.rk_solve with RK45 and a cap: a leg stops where
+max(|u|, |u^[1]|) reaches the cap, and the next one starts from the state
+divided by that size, its logarithm added to the segment's log scale.
+Only the scalar reduction tail T' = -1/(p w^2) (`_tail_ode`) still runs
+through scipy's integrator.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +32,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .functions import QuasiFn
-from .odecore import ScaledSolution, StepTable
+from .odecore import RK45, ScaledSolution, StepTable, _plain, rk_solve
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
@@ -34,36 +41,21 @@ LOGSCALE_MAX = 300.0
 
 
 def _march_leg(spec, lam, scaled, x0, y0, L0, x1, tol, cap):
-    """Advance one window, renormalizing when the state leaves the cap."""
-    rhs = spec.coeffs.rhs(lam)
-    cap_hi = math.log(cap)
-
-    def too_big(x, y):
-        m = float(np.max(np.abs(y)))
-        return (math.log(m) if m > 0 else -math.inf) - cap_hi
-
-    too_big.terminal = True
-    x, y, L = x0, np.asarray(y0, dtype=complex if np.iscomplexobj(y0)
-                             or isinstance(lam, complex) else float), L0
+    """Advance one window, renormalizing when the state reaches the cap."""
+    rhs = spec.coeffs.rhs(_plain(lam))
+    x, y, L = x0, y0, L0
     for _ in range(200):
-        sol = solve_ivp(rhs, (x, x1), y, method="RK45", rtol=tol,
-                        atol=tol * 1e-3, dense_output=True,
-                        events=too_big)
-        if not sol.success and sol.status != 1:
-            raise StepSizeUnderflow(
-                f"integrator stalled at x={sol.t[-1]}: {sol.message}"
-            )
-        if not np.all(np.isfinite(np.ascontiguousarray(sol.y).view(float))):
+        x, y, table = rk_solve(RK45, rhs, x, y, x1, tol, tol * 1e-3,
+                               dense=True, cap=cap)
+        if not all(map(cmath.isfinite, y)):
             raise NonFiniteState("state overflowed despite rescaling cap")
-        scaled.add_segment(sol, L)
-        x = float(sol.t[-1])
-        y = sol.y[:, -1].copy()
-        if sol.status != 1 or x == x1:
+        scaled.add_segment(table, L)
+        if x == x1:
             break
         # Renormalize and continue from the event point.
-        m = float(np.max(np.abs(y)))
+        m = max(abs(y[0]), abs(y[1]))
         L += math.log(m)
-        y = y / m
+        y = (y[0] / m, y[1] / m)
         if L > LOGSCALE_MAX:
             break
     return x, y, L
@@ -86,14 +78,10 @@ def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
                                ratio=ratio, cutoff=cutoff)
     else:
         pts = [anchor, target]
-    scaled = ScaledSolution(lam)
-    is_complex = isinstance(lam, complex) or any(
-        isinstance(v, complex) for v in init)
-    x, y, L = anchor, np.asarray(init, dtype=complex if is_complex
-                                 else float), 0.0
-    m = float(np.max(np.abs(y)))
-    if m == 0.0:
+    if max(abs(init[0]), abs(init[1])) == 0.0:
         raise ValueError("zero initial state")
+    scaled = ScaledSolution(lam)
+    x, y, L = anchor, init, 0.0
     for x1 in pts[1:]:
         x, y, L = _march_leg(spec, lam, scaled, x, y, L, x1, tol, cap)
         if L > LOGSCALE_MAX:
@@ -280,15 +268,14 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
     of order for the missing family member; normalization W(u_hat, u) = 1
     holds exactly by construction.
     """
-    from .classify import certify_nonoscillatory
+    from .classify import certify_endpoint
 
     a, b = spec.interval.endpoints()
     end = a if endpoint == "a" else b
     interior = spec.interval.interior_point()
     lam0 = spec.lambda0
 
-    verdicts = certify_nonoscillatory(spec, lam0)
-    if verdicts[endpoint] == "refuted":
+    if certify_endpoint(spec, lam0, endpoint) == "refuted":
         raise OscillatoryAtLambda0(
             f"lambda0={lam0} is oscillatory at endpoint {endpoint}"
         )

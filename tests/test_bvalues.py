@@ -143,3 +143,19 @@ def test_blend_tau_matches_finite_differences(dirichlet, dirichlet_bases):
     vm, v0, vp = pp.v2(x - h), pp.v2(x), pp.v2(x + h)
     fd = -(vm - 2 * v0 + vp) / (h * h)
     assert pp.v2.tau(x) == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.85, -0.85, 1.1, -0.9013])
+def test_gbv_tilde_prime_of_monomials_on_legendre(legendre, legendre_bases,
+                                                  k, s):
+    # At lambda0 = 0 the principal solution is u = 1 at both ends, so
+    # W(u_hat, u) = 1 makes u_hat^[1] = -1, and W(u_hat, g) = u_hat g^[1] + g.
+    # g^[1] = p g' vanishes like 1 - x^2 while u_hat grows like a log, so
+    # g~' = g(+-1) = s (+-1)^k exactly.  Tolerance: the benchmark's form
+    # tolerance, 1e-6 (1 + |want|).
+    g = polynomial(legendre, [0.0] * k + [s])
+    for basis, end in zip(legendre_bases, (-1.0, 1.0)):
+        want = s * end ** k
+        got = gbv(legendre, basis, g).tilde_prime
+        assert abs(got - want) <= 1e-6 * (1 + abs(want)), (end, got, want)

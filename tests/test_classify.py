@@ -7,12 +7,15 @@ import pytest
 from slq.classify import (
     LIMIT_CIRCLE,
     LIMIT_POINT,
+    certify_endpoint,
     certify_nonoscillatory,
     classify_both,
     classify_endpoint,
     count_zeros,
 )
+from slq import classify
 from slq.problem import catalog, validate
+from slq.solutions import construct_basis
 
 
 def test_legendre_both_limit_circle(legendre):
@@ -70,3 +73,30 @@ def test_count_zeros_resolves_every_zero_per_step(dirichlet):
 def test_certify_nonoscillatory_at_lambda0(legendre, dirichlet):
     assert certify_nonoscillatory(legendre, 0.0)["a"] != "refuted"
     assert certify_nonoscillatory(dirichlet, 0.0)["b"] != "refuted"
+
+
+@pytest.mark.parametrize("problem, lam, want", [
+    ("legendre", 0.0, ("certified", "certified")),
+    ("legendre", 30.0, ("inconclusive", "inconclusive")),
+    ("free_halfline", 4.0, ("certified", "refuted")),
+    ("bessel(0.3)", 0.0, ("certified", "certified")),
+    ("regular_dirichlet_pi", 0.0, ("certified", "certified")),
+])
+def test_certify_endpoint_gives_the_per_endpoint_verdicts(problem, lam,
+                                                          want):
+    spec = catalog(problem)
+    assert tuple(certify_endpoint(spec, lam, e) for e in "ab") == want
+    assert certify_nonoscillatory(spec, lam) == dict(zip("ab", want))
+
+
+def test_construct_basis_certifies_only_its_endpoint(legendre, monkeypatch):
+    asked = []
+    real = classify.certify_endpoint
+
+    def recorded(spec, lam, endpoint, **kw):
+        asked.append(endpoint)
+        return real(spec, lam, endpoint, **kw)
+
+    monkeypatch.setattr(classify, "certify_endpoint", recorded)
+    construct_basis(legendre, "b")
+    assert asked == ["b"]

@@ -104,6 +104,32 @@ def test_eigenvalues_coupled_quasi_periodic(dirichlet, dirichlet_bases):
     assert np.allclose(lams, [0.25, 2.25, 6.25], atol=1e-7)
 
 
+_PERIODIC_RANGE = (0.5, 17.5)
+
+
+@pytest.mark.xfail(strict=True, raises=RangeContainsNoBracket, reason=(
+    "periodic conditions: 4 and 16 are double eigenvalues, so "
+    "tr(R^-1 M) - 2 cos(phi) touches zero without a sign change and the "
+    "sign scan finds no bracket"))
+def test_eigenvalues_periodic_double(dirichlet, dirichlet_bases):
+    ext = Coupled(0.0, ((1.0, 0.0), (0.0, 1.0)))
+    eigs = eigenvalues_shoot(dirichlet, ext, _PERIODIC_RANGE,
+                             bases=dirichlet_bases)
+    # Periodic on (0, pi): lambda = 4 n^2, double for n >= 1.
+    for want in (4.0, 16.0):
+        assert any(abs(e.lam - want) <= 1e-6 for e in eigs)
+
+
+def test_eigenvalues_coupled_phi_one(dirichlet, dirichlet_bases):
+    # R = I and phi = 1 on (0, pi): lambda = (2n +- 1/pi)^2, simple.
+    ext = Coupled(1.0, ((1.0, 0.0), (0.0, 1.0)))
+    eigs = eigenvalues_shoot(dirichlet, ext, _PERIODIC_RANGE,
+                             bases=dirichlet_bases)
+    want = [(2 * n + s / math.pi) ** 2 for n, s in ((1, -1), (1, 1), (2, -1))]
+    assert np.allclose([e.lam for e in eigs], want, rtol=0, atol=1e-6)
+    assert want == pytest.approx([2.828, 5.375, 13.555], abs=1e-3)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(extensions, name)

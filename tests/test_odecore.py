@@ -10,9 +10,12 @@ from scipy.integrate import solve_ivp
 from slq.errors import SpecFileError
 from slq.functions import polynomial
 from slq.odecore import (
+    DOP853,
+    RK45,
     StepTable,
     end_state,
     integrate_tau,
+    rk_solve,
     tau_apply,
     wronskian,
 )
@@ -106,6 +109,62 @@ def test_step_table_equals_scipy_dense_output(oscillator, method, lam,
         for g, w in zip(got, want):
             for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
                 assert abs(gp - wp) <= ulps * np.spacing(abs(wp)), (x, g, w)
+
+
+# (span, real lambda) per problem, inside the interval; the tolerances are
+# those of the march (RK45) and of shooting (DOP853).
+_KERNEL_CASES = {"oscillator": ((-3.0, 2.0), 2.5),
+                 "dirichlet": ((0.2, 3.0), 4.0),
+                 "legendre": ((-0.9, 0.95), 2.0)}
+_KERNEL_METHODS = {"RK45": (RK45, 1e-11), "DOP853": (DOP853, 1e-10)}
+
+
+def _close(got, want, rel=1e-12):
+    """States agree within rel, relative to the size of the state."""
+    size = max(abs(w) for w in want)
+    return all(abs(g - w) <= rel * size for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("problem", ["oscillator", "dirichlet", "legendre"])
+@pytest.mark.parametrize("complex_lam", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
+                                  request):
+    spec = request.getfixturevalue(problem)
+    span, lam = _KERNEL_CASES[problem]
+    if complex_lam:
+        lam += 1.0j
+    if backward:
+        span = span[::-1]
+    stepper, tol = _KERNEL_METHODS[method]
+    rhs = spec.coeffs.rhs(lam)
+    init = (1.0, -0.5)
+    sol = solve_ivp(rhs, span, np.array(init, dtype=type(lam)),
+                    method=method, rtol=tol, atol=tol * 1e-3,
+                    dense_output=True)
+    x, y, table = rk_solve(stepper, rhs, span[0], init, span[1], tol,
+                           tol * 1e-3, dense=True)
+    assert x == span[1]
+    # scipy's controller, so scipy's number of steps.
+    assert len(table.t) == len(sol.t)
+    assert _close(y, sol.y[:, -1])
+    ts = sol.t.tolist()
+    for k, t in enumerate(ts):
+        assert _close(table.at(t), sol.y[:, k]), t
+    for lo, hi in zip(ts, ts[1:]):
+        for f in (0.1, 0.37, 0.5, 0.81, 0.99):
+            t = lo + f * (hi - lo)
+            assert _close(table.at(t), sol.sol(t)), t
+
+
+def test_kernel_zero_length_solve_is_one_constant_step(dirichlet):
+    rhs = dirichlet.coeffs.rhs(1.0)
+    x, y, table = rk_solve(RK45, rhs, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12,
+                           dense=True)
+    assert (x, y) == (0.5, (0.3, -0.2))
+    assert table.t == [0.5, 0.5]
+    assert table.at(0.7) == (0.3, -0.2)
 
 
 def test_wronskian_constant_along_solutions(dirichlet):

@@ -10,7 +10,8 @@ from scipy.integrate import solve_ivp
 
 from slq.errors import EvaluationOutsideSupport
 from slq.odecore import wronskian
-from slq.solutions import ScaledSolution
+from slq.quadrature import geometric_points
+from slq.solutions import ScaledSolution, rescaled_march
 
 
 def _wronskian_samples(basis, n=50):
@@ -192,3 +193,61 @@ def test_lookup_matches_insertion_order_scan(legendre_bases):
             sol, L = _scan(traj, x)
             u, u1 = sol.sol(x)
             assert traj.log_pair(x) == (u, u1, L)
+
+
+# -- the march against scipy's terminal event ------------------------------
+
+
+def _scipy_march(spec, lam, pts, init, tol, cap):
+    """The renormalizing march on solve_ivp: a terminal event where
+    log max(|u|, |u^[1]|) reaches log cap.  Returns the (end, log scale)
+    of every segment."""
+    rhs = spec.coeffs.rhs(lam)
+
+    def too_big(x, y):
+        return math.log(float(np.max(np.abs(y)))) - math.log(cap)
+
+    too_big.terminal = True
+    x, y, L = pts[0], np.array(init), 0.0
+    ends = []
+    for x1 in pts[1:]:
+        while True:
+            sol = solve_ivp(rhs, (x, x1), y, method="RK45", rtol=tol,
+                            atol=tol * 1e-3, events=too_big)
+            ends.append((sol.t[-1], L))
+            x, y = sol.t[-1], sol.y[:, -1]
+            if sol.status != 1 or x == x1:
+                break
+            m = float(np.max(np.abs(y)))
+            L += math.log(m)
+            y = y / m
+    return ends
+
+
+@pytest.mark.parametrize("target", [1.0, -1.0])
+def test_march_events_follow_scipy(legendre, target):
+    # lambda = -50 grows by about e^3.5 toward either end; cap 4 forces a
+    # renormalization every doubling or two.
+    lam, anchor, tol, cap = -50.0, 0.0, 1e-11, 4.0
+    pts = geometric_points(anchor, target, n_windows=48, ratio=0.5)
+    want = _scipy_march(legendre, lam, pts, (1.0, 0.0), tol, cap)
+    traj = rescaled_march(legendre, lam, anchor, (1.0, 0.0), target,
+                          tol=tol, cap=cap)
+    got = [(table.t[-1], L) for table, L in traj.segments]
+    assert len(got) == len(want)
+    assert sum(x not in pts for x, _ in want) >= 5
+    for (x, L), (x_want, L_want) in zip(got, want):
+        assert abs(x - x_want) <= 1e-12
+        assert L == pytest.approx(L_want, rel=1e-12, abs=1e-12)
+    # Stored unit states stay below the cap, up to where brentq stops: an
+    # event point is within 4 eps (1 + |x|) of the crossing, which moves
+    # log max(|u|, |u^[1]|) by that times its slope (near an endpoint the
+    # slope is large: about 2e4 at the last event here).
+    rhs = legendre.coeffs.rhs(lam)
+    for table, _ in traj.segments:
+        for x in table.t:
+            state = table.at(x)
+            k = 0 if abs(state[0]) >= abs(state[1]) else 1
+            slope = abs(rhs(x, state)[k] / state[k])
+            slack = slope * 4 * np.finfo(float).eps * (1 + abs(x))
+            assert math.log(abs(state[k]) / cap) <= 1e-12 + slack, x
