@@ -26,7 +26,6 @@ from .odecore import wronskian
 from .quadrature import _aitken_limit, accelerated_limit
 
 ROUTE_WRONSKIAN = "wronskian_limit"
-ROUTE_RATIO = "ratio_limit"
 
 N_LEVELS = 26  # levels of the geometric approach sequence
 
@@ -159,22 +158,23 @@ def _boundary_values(basis, g, tol):
         )
     us = [-math.log(abs(end - x)) for x in xs] if math.isfinite(end) \
         else [math.log(abs(x) + 1.0) for x in xs]
-    tilde, t_err, t_cert = _sequence_limit(w_tilde, us, tol)
-    tilde_prime, p_err, p_cert = _sequence_limit(w_prime, us, tol)
+    tilde, t_err, _ = _sequence_limit(w_tilde, us, tol)
+    tilde_prime, p_err, _ = _sequence_limit(w_prime, us, tol)
 
     if not math.isfinite(t_err) or not math.isfinite(p_err):
         raise NoConvergence(
             f"extrapolation deltas not decreasing at endpoint {endpoint}"
         )
 
-    # Ratio route for g~: g(x)/u_hat(x) -> g~ since u_hat dominates u.
+    # Ratio route for g~: g(x)/u_hat(x) -> g~ since u_hat dominates u.  It
+    # converges only like 1/log toward a singular endpoint, so it checks the
+    # Wronskian value and never replaces it.
     diagnostics = {"wronskian_error": t_err, "prime_error": p_err}
-    route = ROUTE_WRONSKIAN
     keep = [(u, r) for u, r in zip(us, ratios) if r is not None]
     if len(keep) >= 4:
         r_us = [u for u, _ in keep]
         r_vals = [r for _, r in keep]
-        r_val, r_err, r_cert = _sequence_limit(r_vals, r_us, tol)
+        r_val, r_err, _ = _sequence_limit(r_vals, r_us, tol)
         diagnostics["ratio_value"] = r_val
         diagnostics["ratio_error"] = r_err
         if math.isfinite(r_err):
@@ -186,12 +186,10 @@ def _boundary_values(basis, g, tol):
                     f"ratio and Wronskian routes disagree at endpoint "
                     f"{endpoint}: |{r_val} - {tilde}| > {budget}"
                 )
-            if r_cert and not t_cert:
-                tilde, t_err, route = r_val, r_err, ROUTE_RATIO
 
     return GeneralizedBoundaryValues(
         endpoint=endpoint, tilde=tilde, tilde_prime=tilde_prime,
-        route=route,
+        route=ROUTE_WRONSKIAN,
         extrapolation_table=list(zip(xs, w_tilde)),
         tilde_error=t_err, tilde_prime_error=p_err,
         diagnostics=diagnostics,

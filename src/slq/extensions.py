@@ -5,7 +5,9 @@ value coordinates: separated conditions sin(angle) g~' + cos(angle) g~ = 0
 at each limit-circle endpoint, coupled conditions (g~(b), g~'(b)) =
 exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R), a single condition when
 only one endpoint is limit circle, and no condition at all in the
-limit-point/limit-point case.
+limit-point/limit-point case.  `triplets.pair_from_extension` writes each
+condition as one boundary relation B Gamma0 g = A Gamma1 g; residuals and
+shooting read that pair.
 """
 
 from __future__ import annotations
@@ -24,14 +26,21 @@ from .errors import (
     SpecFileError,
     VariantMismatch,
 )
-from .odecore import end_state, integrate_tau
+from .odecore import end_state
 from .solutions import construct_basis
+from .triplets import SIGMA, boundary_vectors, pair_from_extension
 
 
 class ExtensionSpec:
-    """Base class for extension descriptions."""
+    """Base class for extension descriptions.
+
+    `lc_ends` names the limit-circle endpoints whose generalized boundary
+    values the condition constrains; `triplets.pair_from_extension` writes
+    the condition itself as a boundary relation over them.
+    """
 
     variant = None
+    lc_ends = ()
 
 
 def _check_angle(name, value):
@@ -46,6 +55,7 @@ class Separated(ExtensionSpec):
     alpha: float
     beta: float
     variant = "separated"
+    lc_ends = ("a", "b")
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
@@ -57,6 +67,7 @@ class Coupled(ExtensionSpec):
     phi: float
     R: tuple
     variant = "coupled"
+    lc_ends = ("a", "b")
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _check_angle("phi", self.phi))
@@ -82,6 +93,10 @@ class OneLC(ExtensionSpec):
         object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
         if self.lc_endpoint not in ("a", "b"):
             raise SpecFileError("lc_endpoint must be 'a' or 'b'")
+
+    @property
+    def lc_ends(self):
+        return (self.lc_endpoint,)
 
 
 @dataclass(frozen=True)
@@ -134,31 +149,14 @@ def lc_ends(classification):
 
 
 def check_variant(ext, classification):
-    """Raise VariantMismatch unless the variant fits the LC/LP pattern."""
+    """Raise VariantMismatch unless the extension's limit-circle ends are
+    the classification's."""
     kinds = _kinds(classification)
-    ends = lc_ends(kinds)
-    if ext.variant in ("separated", "coupled"):
-        if len(ends) != 2:
-            raise VariantMismatch(
-                f"{ext.variant} requires LC-LC, classification is {kinds}"
-            )
-    elif ext.variant == "one_lc":
-        if len(ends) != 1:
-            raise VariantMismatch(
-                f"one_lc requires exactly one LC endpoint, got {kinds}"
-            )
-        if ext.lc_endpoint != ends[0]:
-            raise VariantMismatch(
-                f"LC endpoint is {ends[0]!r}, extension says "
-                f"{ext.lc_endpoint!r}"
-            )
-    elif ext.variant == "lp_lp":
-        if ends:
-            raise VariantMismatch(
-                f"lp_lp requires LP-LP, classification is {kinds}"
-            )
-    else:
-        raise VariantMismatch(f"unknown variant {ext.variant!r}")
+    if ext.lc_ends != lc_ends(kinds):
+        raise VariantMismatch(
+            f"{ext.variant} needs limit-circle ends {ext.lc_ends}, "
+            f"classification is {kinds}"
+        )
     return kinds
 
 
@@ -173,26 +171,11 @@ def friedrichs_spec(classification):
 
 
 def boundary_residual(ext, gbv_a, gbv_b):
-    """Residual vector of the boundary conditions for given GBV data."""
-    if ext.variant == "separated":
-        return np.array([
-            math.sin(ext.alpha) * gbv_a.tilde_prime
-            + math.cos(ext.alpha) * gbv_a.tilde,
-            math.sin(ext.beta) * gbv_b.tilde_prime
-            + math.cos(ext.beta) * gbv_b.tilde,
-        ])
-    if ext.variant == "coupled":
-        R = ext.matrix()
-        va = np.array([gbv_a.tilde, gbv_a.tilde_prime])
-        vb = np.array([gbv_b.tilde, gbv_b.tilde_prime])
-        return vb - cmath.exp(1j * ext.phi) * (R @ va)
-    if ext.variant == "one_lc":
-        g = gbv_a if ext.lc_endpoint == "a" else gbv_b
-        return np.array([
-            math.sin(ext.alpha) * g.tilde_prime
-            + math.cos(ext.alpha) * g.tilde,
-        ])
-    return np.array([])
+    """Residual B Gamma0 g - A Gamma1 g of the extension's boundary relation
+    for the given GBV data."""
+    pair = pair_from_extension(ext)
+    g0, g1 = boundary_vectors({"a": gbv_a, "b": gbv_b}, ext.lc_ends)
+    return pair.B @ g0 - pair.A @ g1
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +190,30 @@ class Eigenvalue:
     lam: float
     bracket: tuple
     condition_residual: float
-    left: object = None           # solution satisfying the a-side condition
-    right: object = None
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lc_init(spec, basis, coef_u, coef_uhat):
-    """(x0, (value, qd)) for coef_u * u + coef_uhat * u_hat near the endpoint.
+def _lc_point(basis):
+    """Where shooting meets a limit-circle endpoint.
 
-    At a regular endpoint the data sit at the endpoint itself (exact); at a
-    singular LC endpoint they are taken a tiny offset inside, which
-    contaminates the boundary condition only at O(offset^2 (lam - lam0)).
+    A regular endpoint itself (exact); a tiny offset inside a singular LC
+    endpoint, which contaminates the boundary condition only at
+    O(offset^2 (lam - lam0)); at an infinite LC endpoint, the far edge of
+    the region where the basis is trustworthy.
     """
     end = basis.endpoint_value
     if basis.regular:
-        x0 = end
-    elif math.isfinite(end):
-        x0 = end - BOUNDARY_DELTA if basis.endpoint == "b" \
+        return end
+    if math.isfinite(end):
+        return end - BOUNDARY_DELTA if basis.endpoint == "b" \
             else end + BOUNDARY_DELTA
-    else:
-        # LC at an infinite endpoint: start at the far edge of the region
-        # where the basis is trustworthy.
-        x0 = basis.trust_interval[1] if basis.endpoint == "b" \
-            else basis.trust_interval[0]
+    return basis.trust_interval[1] if basis.endpoint == "b" \
+        else basis.trust_interval[0]
+
+
+def _lc_init(basis, coef_u, coef_uhat):
+    """(x0, (value, qd)) for coef_u * u + coef_uhat * u_hat at _lc_point."""
+    x0 = _lc_point(basis)
     uu, uu1 = basis.u.pair(x0)
     hu, hu1 = basis.u_hat.pair(x0)
     return x0, (coef_u * uu + coef_uhat * hu,
@@ -265,89 +249,93 @@ def _lp_init(spec, endpoint, lam):
     return x0, (1.0, -sign * kappa)
 
 
-def _side_solution(spec, ext, basis_map, side, lam, tol):
-    """Solution satisfying the boundary condition on one side, plus anchor."""
-    basis = basis_map.get(side)
-    if basis is not None:
-        if ext.variant == "separated":
-            angle = ext.alpha if side == "a" else ext.beta
-        elif ext.variant == "one_lc" and side == ext.lc_endpoint:
-            angle = ext.alpha
-        else:
-            angle = 0.0
-        x0, init = _lc_init(spec, basis,
-                            math.cos(angle), -math.sin(angle))
-    else:
-        x0, init = _lp_init(spec, side, lam)
-    return x0, init
+def _local_rows(pair, ends):
+    """{end: (B_kk, A_kk)} when every row of the pair touches its own end
+    only (A and B diagonal), else None.  The catalog's diagonal pairs are
+    real."""
+    if any(np.any(m - np.diag(np.diag(m))) for m in (pair.A, pair.B)):
+        return None
+    return {e: (pair.B[k, k].real, pair.A[k, k].real)
+            for k, e in enumerate(ends)}
 
 
-def _shoot_det(spec, ext, basis_map, lam, mid, tol, dense=False):
-    """Normalized Wronskian of the two one-sided solutions at the midpoint.
+def _side_start(spec, rows, bases, side, lam):
+    """Initial data of the solution that meets the condition at one side.
 
-    Returns (det, (left, right)).  The one-sided trajectories are built only
-    when `dense` is set; otherwise each side is one end-state solve and
-    left and right are None.
+    u_hat has GBV data (1, 0) and u has (0, 1), so y = -B_kk u - sigma A_kk
+    u_hat meets the row B_kk g~ = A_kk Gamma1 g at a limit-circle end.  At a
+    limit-point end the solution is the decaying branch.
     """
-    xa, ia = _side_solution(spec, ext, basis_map, "a", lam, tol)
-    xb, ib = _side_solution(spec, ext, basis_map, "b", lam, tol)
-    if dense:
-        left = integrate_tau(spec, lam, xa, ia, mid, tol=tol)
-        right = integrate_tau(spec, lam, xb, ib, mid, tol=tol)
-        (lu, lu1), (ru, ru1) = left.pair(mid), right.pair(mid)
-    else:
-        left = right = None
-        lu, lu1 = end_state(spec, lam, xa, ia, mid, tol=tol)
-        ru, ru1 = end_state(spec, lam, xb, ib, mid, tol=tol)
+    if side not in rows:
+        return _lp_init(spec, side, lam)
+    b, a = rows[side]
+    return _lc_init(bases[side], -b, -SIGMA[side] * a)
+
+
+def _shoot_det(spec, rows, bases, lam, mid, tol):
+    """Normalized Wronskian at `mid` of the two one-sided solutions, for a
+    pair whose rows each touch one end (see _local_rows)."""
+    (lu, lu1), (ru, ru1) = (
+        end_state(spec, lam, *_side_start(spec, rows, bases, side, lam), mid,
+                  tol=tol)
+        for side in ("a", "b")
+    )
     wr = lu * ru1 - lu1 * ru
     norm = math.sqrt((abs(lu) ** 2 + abs(lu1) ** 2)
                      * (abs(ru) ** 2 + abs(ru1) ** 2))
     if norm == 0.0 or not math.isfinite(norm):
         raise ShootingOverflow(f"shooting state degenerate at lambda={lam}")
-    return float(np.real(wr)) / norm, (left, right)
+    return float(np.real(wr)) / norm
 
 
 def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
     """2x2 matrix M(lam) sending GBV data at a to GBV data at b."""
-    end_b = basis_b.endpoint_value
-    if basis_b.regular:
-        xb = end_b
-    else:
-        off = max(BOUNDARY_DELTA,
-                  1e-6 * abs(end_b - basis_b.nonvanish_bound)
-                  * BOUNDARY_DELTA)
-        xb = end_b - off
+    xb = _lc_point(basis_b)
     uu, uu1 = basis_b.u.pair(xb)
     hu, hu1 = basis_b.u_hat.pair(xb)
     cols = []
     for coef_u, coef_uhat in ((0.0, 1.0), (1.0, 0.0)):
         # (g~(a), g~'(a)) = (1, 0) for the u_hat-like start, (0, 1) for u.
-        xa, init = _lc_init(spec, basis_a, coef_u, coef_uhat)
+        xa, init = _lc_init(basis_a, coef_u, coef_uhat)
         su, su1 = end_state(spec, lam, xa, init, xb, tol=tol)
         # g~ = -W(u, sol), g~' = W(u_hat, sol) at xb.
         cols.append((-(uu * su1 - uu1 * su), hu * su1 - hu1 * su))
     # cols[0] started as u_hat (GBV data (1, 0) at a), cols[1] as u ((0, 1)),
     # so cols[0] is the first column of M and cols[1] the second.
-    return np.array([[cols[0][0], cols[1][0]],
-                     [cols[0][1], cols[1][1]]], dtype=float)
+    return np.array(cols, dtype=float).T
 
 
-def _coupled_det(spec, basis_map, ext, lam, tol):
-    M = _coupled_transfer(spec, basis_map["a"], basis_map["b"], lam, tol)
-    R = ext.matrix()
-    Rinv = np.array([[R[1, 1], -R[0, 1]], [-R[1, 0], R[0, 0]]])  # det R = 1
-    return float(np.trace(Rinv @ M)) - 2.0 * math.cos(ext.phi)
+def _coupled_det(spec, pair, bases, lam, tol):
+    """det(B Gamma0 Phi - A Gamma1 Phi) through the GBV transfer, made real.
+
+    Phi's columns are the solutions with GBV data (1, 0) and (0, 1) at a, so
+    Gamma0 Phi = [[1, 0], M[0]] and Gamma1 Phi = [[0, 1], -M[1]].  On the
+    real axis the determinant has the constant phase
+    theta = arg(det(B + iA) det(B - iA)) / 2; for the catalog's coupled pair
+    it is e^{i phi} (2 cos phi - tr(R^-1 M)) with theta = phi mod pi.
+    """
+    M = _coupled_transfer(spec, bases["a"], bases["b"], lam, tol)
+    A, B = pair.A, pair.B
+    gamma0 = np.array([[1.0, 0.0], M[0]])
+    gamma1 = np.array([[0.0, 1.0], -M[1]])
+    theta = 0.5 * cmath.phase(np.linalg.det(B + 1j * A)
+                              * np.linalg.det(B - 1j * A))
+    det = np.linalg.det(B @ gamma0 - A @ gamma1)
+    return float((cmath.exp(-1j * theta) * det).real)
 
 
 def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                       classification=None, bases=None):
     """Eigenvalues of the extension in [lam_min, lam_max] by shooting.
 
-    Separated/OneLC: one-sided solutions satisfying each boundary condition
-    are marched to the interior midpoint; lam is an eigenvalue iff their
-    Wronskian vanishes.  Coupled: the GBV transfer matrix M(lam) satisfies
-    tr(R^{-1} M) = 2 cos(phi) at eigenvalues.  Brackets come from a sign
-    scan on a uniform lam grid and are refined by Brent's method.
+    lam is an eigenvalue iff det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam))
+    vanishes, where (A, B) is the extension's boundary pair and Phi spans
+    the solutions that meet the limit-point conditions.  When every row of
+    the pair touches one end, one-sided solutions meeting each row are
+    marched to the interior midpoint and their Wronskian is the
+    determinant; otherwise it comes from the GBV transfer matrix M(lam).
+    Brackets come from a sign scan on a uniform lam grid and are refined by
+    Brent's method.
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
     if not lam_min < lam_max:
@@ -363,15 +351,17 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                  for e in ("a", "b")}
 
     mid = spec.interval.interior_point()
+    pair = pair_from_extension(ext)
+    rows = _local_rows(pair, ends)
     # One determinant per distinct lam: Brent starts from the grid values at
     # its bracket ends, and the residual at a root is Brent's last value.
     memo = {}
-    if ext.variant == "coupled":
+    if rows is None:
         def det_value(lam):
-            return _coupled_det(spec, bases, ext, lam, tol=1e-10)
+            return _coupled_det(spec, pair, bases, lam, tol=1e-10)
     else:
         def det_value(lam):
-            return _shoot_det(spec, ext, bases, lam, mid, tol=1e-10)[0]
+            return _shoot_det(spec, rows, bases, lam, mid, tol=1e-10)
 
     def det_fn(lam):
         key = float(lam)
@@ -392,15 +382,11 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                           xtol=tol, rtol=4.0 * np.finfo(float).eps)
         else:
             continue
-        resid = abs(det_fn(root))
-        eig = Eigenvalue(lam=float(root),
-                         bracket=(float(grid[i]), float(grid[i + 1])),
-                         condition_residual=resid)
-        if ext.variant != "coupled":
-            _, (left, right) = _shoot_det(spec, ext, bases, root, mid,
-                                          tol=1e-10, dense=True)
-            eig.left, eig.right = left, right
-        results.append(eig)
+        results.append(Eigenvalue(
+            lam=float(root),
+            bracket=(float(grid[i]), float(grid[i + 1])),
+            condition_residual=abs(det_fn(root)),
+        ))
     if not results:
         raise RangeContainsNoBracket(
             f"no sign change of the shooting determinant in "

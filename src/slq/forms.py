@@ -311,12 +311,8 @@ def q_base(spec, bases, window, regime, f, g):
 
 
 def _regime_of(ext):
-    """Form regime of a catalog extension."""
-    if ext.variant in ("separated", "coupled"):
-        return REGIME_LC_LC
-    if ext.variant == "one_lc":
-        return REGIME_LC_LP if ext.lc_endpoint == "a" else REGIME_LP_LC
-    return REGIME_LP_LP
+    """Form regime of a catalog extension: the one with its LC ends."""
+    return next(r for r, ends in LC_ENDS.items() if ends == ext.lc_ends)
 
 
 def q_decorated(spec, bases, window, ext, f, g, tol=1e-6):

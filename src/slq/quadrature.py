@@ -35,13 +35,17 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
 
 
 def _aitken(seq):
-    """One pass of the Aitken delta-squared transform."""
+    """One pass of the Aitken delta-squared transform.
+
+    Written as s2 - (s2 - s1)^2 / (s2 - 2 s1 + s0): the textbook quotient
+    (s2 s0 - s1^2) / (s2 - 2 s1 + s0) cancels near a nonzero limit.
+    """
     s = np.asarray(seq, dtype=float)
-    num = s[2:] * s[:-2] - s[1:-1] ** 2
+    step = s[2:] - s[1:-1]
     den = s[2:] - 2.0 * s[1:-1] + s[:-2]
     out = []
-    for n, d, fallback in zip(num, den, s[2:]):
-        out.append(n / d if abs(d) > 1e-300 else fallback)
+    for last, h, d in zip(s[2:], step, den):
+        out.append(last - h * h / d if abs(d) > 1e-300 else last)
     return out
 
 

@@ -193,14 +193,22 @@ def pair_from_extension(ext):
     raise ValueError(f"unknown extension variant {ext.variant!r}")
 
 
+# Gamma1 g = SIGMA[end] g~'(end): the boundary maps flip its sign at b.
+SIGMA = {"a": 1.0, "b": -1.0}
+
+
+def boundary_vectors(values, ends):
+    """(Gamma0, Gamma1) over `ends` from the GBVs of one function per end."""
+    g0 = [values[end].tilde for end in ends]
+    g1 = [SIGMA[end] * values[end].tilde_prime for end in ends]
+    return (np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex))
+
+
 def boundary_maps(spec, bases, g, ends=("a", "b")):
     """(Gamma0 g, Gamma1 g) restricted to the limit-circle components."""
-    g0, g1 = [], []
-    for end in ends:
-        v = gbv(spec, bases[0 if end == "a" else 1], g)
-        g0.append(v.tilde)
-        g1.append(v.tilde_prime if end == "a" else -v.tilde_prime)
-    return (np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex))
+    values = {end: gbv(spec, bases[0 if end == "a" else 1], g)
+              for end in ends}
+    return boundary_vectors(values, ends)
 
 
 def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):

@@ -152,10 +152,21 @@ def test_gbv_tilde_prime_of_monomials_on_legendre(legendre, legendre_bases,
     # At lambda0 = 0 the principal solution is u = 1 at both ends, so
     # W(u_hat, u) = 1 makes u_hat^[1] = -1, and W(u_hat, g) = u_hat g^[1] + g.
     # g^[1] = p g' vanishes like 1 - x^2 while u_hat grows like a log, so
-    # g~' = g(+-1) = s (+-1)^k exactly.  Tolerance: the benchmark's form
-    # tolerance, 1e-6 (1 + |want|).
+    # g~' = g(+-1) = s (+-1)^k exactly.  The Aitken transform in the
+    # cancellation-free form leaves about 1e-11; the bound is 1e-10.
     g = polynomial(legendre, [0.0] * k + [s])
     for basis, end in zip(legendre_bases, (-1.0, 1.0)):
         want = s * end ** k
         got = gbv(legendre, basis, g).tilde_prime
-        assert abs(got - want) <= 1e-6 * (1 + abs(want)), (end, got, want)
+        assert abs(got - want) <= 1e-10 * (1 + abs(want)), (end, got, want)
+
+
+def test_gbv_tilde_of_a_cubic_keeps_the_wronskian_route(legendre,
+                                                       legendre_bases):
+    # The ratio route g/u_hat converges like 1/log and once gave
+    # g~(1) = -2.47e-5 for this cubic; it only cross-checks the Wronskian
+    # route, whose value is the exact 0 of a polynomial at a Legendre end.
+    g = polynomial(legendre, [-0.3288239, -0.7921468, 0.4549581, -0.0991981])
+    v = gbv(legendre, legendre_bases[1], g)
+    assert v.route == "wronskian_limit"
+    assert abs(v.tilde) <= 1e-9

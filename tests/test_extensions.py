@@ -25,6 +25,7 @@ from slq.extensions import (
 from slq import extensions
 from slq.classify import classify_both
 from slq.functions import ExprFunction
+from slq.triplets import pair_from_extension
 
 
 def test_angle_range_enforced():
@@ -88,6 +89,31 @@ def test_boundary_residual_sine(dirichlet, dirichlet_bases):
     assert np.max(np.abs(res)) > 0.5
 
 
+_PERIODIC = Coupled(0.0, ((1.0, 0.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("ext, expr, want", [
+    # cos 2x is periodic on (0, pi) with its derivative; sin x is not.
+    (_PERIODIC, "cos(2*x)", 0.0),
+    (_PERIODIC, "sin(x)", 2.0),
+    # exp(-x) has g~(0) = 1, g~'(0) = -1 and exp(x - pi) has
+    # g~(pi) = g~'(pi) = 1, so sin(alpha) g~' + cos(alpha) g~ vanishes at
+    # alpha = pi/4 on a and at alpha = 3 pi/4 on b.
+    (OneLC(math.pi / 4, "a"), "exp(-x)", 0.0),
+    (OneLC(3 * math.pi / 4, "a"), "exp(-x)", math.sqrt(2.0)),
+    (OneLC(3 * math.pi / 4, "b"), "exp(x - pi)", 0.0),
+    (OneLC(math.pi / 4, "b"), "exp(x - pi)", math.sqrt(2.0)),
+])
+def test_boundary_residual_of_the_pair(dirichlet, dirichlet_bases, ext, expr,
+                                       want):
+    g = ExprFunction(dirichlet, expr)
+    va = gbv(dirichlet, dirichlet_bases[0], g)
+    vb = gbv(dirichlet, dirichlet_bases[1], g)
+    res = boundary_residual(ext, va, vb)
+    assert res.shape == (len(ext.lc_ends),)
+    assert np.max(np.abs(res)) == pytest.approx(want, abs=1e-12)
+
+
 def test_eigenvalues_dirichlet(dirichlet, dirichlet_bases):
     eigs = eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (0.5, 10.0),
                              bases=dirichlet_bases)
@@ -142,28 +168,46 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_shooting_one_determinant_per_lambda(dirichlet, dirichlet_bases,
-                                             monkeypatch):
-    calls = _count_calls(monkeypatch, "_shoot_det")
-    eigs = eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (0.5, 5.0),
-                             bases=dirichlet_bases)
-    assert np.allclose([e.lam for e in eigs], [1.0, 4.0], atol=1e-7)
-    lams = [args[3] for args, kw in calls if not kw.get("dense")]
-    dense = [args[3] for args, kw in calls if kw.get("dense")]
-    assert len(lams) == len(set(map(float, lams)))
-    assert dense == [e.lam for e in eigs]
-    assert all(e.left is not None and e.right is not None for e in eigs)
-
-
-def test_coupled_one_determinant_per_lambda(dirichlet, dirichlet_bases,
-                                            monkeypatch):
-    calls = _count_calls(monkeypatch, "_coupled_det")
-    ext = Coupled(math.pi / 2, ((1.0, 0.0), (0.0, 1.0)))
-    eigs = eigenvalues_shoot(dirichlet, ext, (0.0, 3.0),
-                             bases=dirichlet_bases)
-    assert np.allclose([e.lam for e in eigs], [0.25, 2.25], atol=1e-7)
+@pytest.mark.parametrize("name, ext, lam_range, want", [
+    ("_shoot_det", Separated(0.0, 0.0), (0.5, 5.0), [1.0, 4.0]),
+    ("_coupled_det", Coupled(math.pi / 2, ((1.0, 0.0), (0.0, 1.0))),
+     (0.0, 3.0), [0.25, 2.25]),
+], ids=["_shoot_det", "_coupled_det"])
+def test_one_determinant_per_lambda(dirichlet, dirichlet_bases, monkeypatch,
+                                    name, ext, lam_range, want):
+    # A diagonal pair shoots from both ends; a coupled one takes the GBV
+    # transfer.  Either way each distinct lambda costs one determinant.
+    calls = _count_calls(monkeypatch, name)
+    eigs = eigenvalues_shoot(dirichlet, ext, lam_range, bases=dirichlet_bases)
+    assert np.allclose([e.lam for e in eigs], want, atol=1e-7)
     lams = [float(args[3]) for args, _ in calls]
-    assert len(lams) == len(set(lams))
+    assert lams and len(lams) == len(set(lams))
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, math.pi / 2])
+def test_coupled_det_is_the_trace_condition(legendre, legendre_bases, phi):
+    # On two singular LC ends the pair's determinant, made real by its
+    # constant phase, is tr(R^-1 M) - 2 cos(phi) up to one sign per pair.
+    # Exactly it is tr(R^-1 M) - (1 + det M) cos(phi), and det M = 1 (the
+    # transfer keeps the Wronskian) holds to the shooting tolerance.
+    R = ((2.0, 3.0), (1.0, 2.0))
+    ext = Coupled(phi, R)
+    pair = pair_from_extension(ext)
+    bases = {"a": legendre_bases[0], "b": legendre_bases[1]}
+    Rinv = np.array([[2.0, -3.0], [-1.0, 2.0]])
+    signs = set()
+    for lam in (0.5, 3.0, 7.0):
+        M = extensions._coupled_transfer(legendre, bases["a"], bases["b"],
+                                         lam, tol=1e-10)
+        want = float(np.trace(Rinv @ M)) - 2.0 * math.cos(phi)
+        drift = abs(np.linalg.det(M) - 1.0)
+        assert drift < 1e-6
+        got = extensions._coupled_det(legendre, pair, bases, lam, tol=1e-10)
+        assert abs(abs(got) - abs(want)) \
+            <= drift * abs(math.cos(phi)) + 1e-12 * (1.0 + abs(want))
+        assert abs(want) > 1e-3
+        signs.add(got * want > 0.0)
+    assert len(signs) == 1
 
 
 def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
