@@ -289,20 +289,23 @@ def _shoot_det(spec, rows, bases, lam, mid, tol):
 
 
 def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
-    """2x2 matrix M(lam) sending GBV data at a to GBV data at b."""
-    xb = _lc_point(basis_b)
-    uu, uu1 = basis_b.u.pair(xb)
-    hu, hu1 = basis_b.u_hat.pair(xb)
-    cols = []
-    for coef_u, coef_uhat in ((0.0, 1.0), (1.0, 0.0)):
-        # (g~(a), g~'(a)) = (1, 0) for the u_hat-like start, (0, 1) for u.
-        xa, init = _lc_init(basis_a, coef_u, coef_uhat)
-        su, su1 = end_state(spec, lam, xa, init, xb, tol=tol)
-        # g~ = -W(u, sol), g~' = W(u_hat, sol) at xb.
-        cols.append((-(uu * su1 - uu1 * su), hu * su1 - hu1 * su))
-    # cols[0] started as u_hat (GBV data (1, 0) at a), cols[1] as u ((0, 1)),
-    # so cols[0] is the first column of M and cols[1] the second.
-    return np.array(cols, dtype=float).T
+    """2x2 matrix M(lam) sending GBV data at a to GBV data at b.
+
+    From each LC end the solutions with GBV data (1, 0) (started as u_hat)
+    and (0, 1) (started as u) are marched to the interior point, where
+    their states are the columns of Phi_a and Phi_b.  A solution with data
+    v_a at a and v_b at b has the state Phi_a v_a = Phi_b v_b there, so
+    M = Phi_b^-1 Phi_a.  No march approaches a singular end, next to which
+    the step size can underflow.
+    """
+    mid = spec.interval.interior_point()
+    phi_a, phi_b = (
+        np.array([end_state(spec, lam, *_lc_init(basis, coef_u, coef_uhat),
+                            mid, tol=tol)
+                  for coef_u, coef_uhat in ((0.0, 1.0), (1.0, 0.0))],
+                 dtype=float).T
+        for basis in (basis_a, basis_b))
+    return np.linalg.solve(phi_b, phi_a)
 
 
 def _coupled_det(spec, pair, bases, lam, tol):

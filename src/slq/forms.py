@@ -223,12 +223,30 @@ def _references(bases, lc):
                  for end, basis in zip("ab", bases))
 
 
+def _check_square_integrable(spec, lc, cuts, fns):
+    """Raise FormIntegralDiverges unless each function is in L^2(r) toward
+    every limit-point end; cuts holds (cut, cutoff) per end."""
+    for end, endpoint, (cut, cutoff) in zip(
+            "ab", spec.interval.endpoints(), cuts):
+        if lc[end]:
+            continue
+        for fn in fns:
+            res = improper_integral(lambda x: spec.r(x) * abs(fn(x)) ** 2,
+                                    cut, endpoint, cutoff=cutoff)
+            if not res.converged:
+                raise FormIntegralDiverges(
+                    f"function is not in L^2(r) toward the limit-point "
+                    f"endpoint {end}"
+                )
+
+
 def q_base(spec, bases, window, regime, f, g):
     """Base form Q_{c,d}(f, g) for the given endpoint regime.
 
     bases is the pair (basis_a, basis_b); regime selects the reference
     solution on each side: u_hat at a limit-circle end, u at a limit-point
-    end (see LC_ENDS).
+    end (see LC_ENDS).  f and g must lie in L^2(r) toward each limit-point
+    end, else FormIntegralDiverges.
     """
     basis_a, basis_b = bases
     if window is None:
@@ -244,6 +262,8 @@ def q_base(spec, bases, window, regime, f, g):
 
     cut_a = _side_cutoff(basis_a, w_a)
     cut_b = _side_cutoff(basis_b, w_b)
+    _check_square_integrable(spec, lc, ((c, cut_a), (d, cut_b)),
+                             (f,) if f is g else (f, g))
 
     pieces = {}
     err = 0.0

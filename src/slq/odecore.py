@@ -10,16 +10,18 @@ in the variables (u, u^[1]) with u^[1] = p u' the first quasi-derivative.
 Working in u^[1] instead of u' keeps the system well behaved where p
 degenerates.
 
-`rk_solve` integrates the pair with an explicit Runge-Kutta pair in Python
-floats (complex numbers for complex lambda), calling the compiled
-CoefficientSet.rhs directly.  Its tableaux are read from scipy.integrate's
-RK45 and DOP853 classes and its step-size controller is theirs (Hairer,
-Norsett & Wanner, Solving ODEs I, II.4-II.6), so it takes scipy's steps
-without scipy's per-step array overhead.  `integrate_tau` and `end_state`
-use DOP853 (Dormand-Prince 8(5,3)), whose eighth order suits the tolerances
-of 1e-10 to 1e-11 that shooting asks for; the renormalizing march in
-`solutions` uses RK45.  A trajectory keeps each integrator segment as a
-StepTable, evaluated without calling scipy.
+`rk_solve` is the one ODE integrator of the package.  It integrates a pair
+with an explicit Runge-Kutta pair in Python floats (complex numbers for
+complex lambda), calling the compiled CoefficientSet.rhs directly.  Its
+tableaux are read from scipy.integrate's RK45 and DOP853 classes and its
+step-size controller is theirs (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6), so it takes scipy's steps without scipy's per-step array
+overhead.  `integrate_tau` and `end_state` use DOP853 (Dormand-Prince
+8(5,3)), whose eighth order suits the tolerances of 1e-10 to 1e-11 that
+shooting asks for; the renormalizing march in `solutions` and its
+reduction-of-order tail, the pair (T, 0), use RK45.  Each integrator
+segment is a StepTable, one kernel per method, evaluated without calling
+scipy.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ from .errors import (
 from .functions import AnalyticFn, QuasiFn
 
 
-def _rk45_1(rows, i, x):
-    t_old, h, y, q0, q1, q2, q3 = rows[i:i + 7]
-    s = (x - t_old) / h
-    s2 = s * s
-    s3 = s2 * s
-    return (h * ((q0 * s + q2 * s3) + (q1 * s2 + q3 * (s3 * s))) + y,)
-
-
 def _rk45_2(rows, i, x):
     t_old, h, y, a0, a1, a2, a3, z, b0, b1, b2, b3 = rows[i:i + 12]
     s = (x - t_old) / h
@@ -58,20 +52,6 @@ def _rk45_2(rows, i, x):
     s4 = s3 * s
     return (h * ((a0 * s + a2 * s3) + (a1 * s2 + a3 * s4)) + y,
             h * ((b0 * s + b2 * s3) + (b1 * s2 + b3 * s4)) + z)
-
-
-def _rk45_2_complex(rows, i, x):
-    # The complex gemv kernel behind scipy's np.dot(Q, p) may fuse
-    # multiply-adds (OpenBLAS's does on AVX-512), which Python arithmetic
-    # cannot repeat: evaluate through the same call.
-    t_old, h, y, a0, a1, a2, a3, z, b0, b1, b2, b3 = rows[i:i + 12]
-    s = (x - t_old) / h
-    s2 = s * s
-    s3 = s2 * s
-    v = h * np.dot(np.array(((a0, a1, a2, a3), (b0, b1, b2, b3))),
-                   np.array((s, s2, s3, s3 * s)))
-    v += (y, z)
-    return tuple(v.tolist())
 
 
 def _dop853_2(rows, i, x):
@@ -86,12 +66,8 @@ def _dop853_2(rows, i, x):
         * s + z)
 
 
-# Step kernels by (coefficients per component, components, complex): the
-# systems here are the quasi-derivative pair and the real one-component
-# reduction tail.
-_KERNELS = {(4, 1, False): _rk45_1, (4, 2, False): _rk45_2,
-            (4, 2, True): _rk45_2_complex, (7, 2, False): _dop853_2,
-            (7, 2, True): _dop853_2}
+# Step kernels of the pair by coefficients per component.
+_KERNELS = {4: _rk45_2, 7: _dop853_2}
 
 
 def _constant_step(t, ys, n_coef):
@@ -235,7 +211,8 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
              cap=None):
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
-    method is RK45 or DOP853; rhs(x, (u, u1)) is a CoefficientSet.rhs(lam).
+    method is RK45 or DOP853; rhs(x, (u, u1)) returns the derivative pair,
+    a CoefficientSet.rhs(lam) for the quasi-derivative system.
     The arithmetic is that of scipy.integrate's solver of that name with
     the same rtol and atol, in Python numbers: the initial-step rule,
     min_step, the SAFETY, MIN and MAX factors, the error norms, and a
@@ -256,13 +233,11 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     rtol = max(rtol, 100 * EPS)
     if t == t_bound:
         # scipy's zero-length solve: one constant step.
-        table = StepTable.from_steps(
-            [t, t], [_constant_step(t, (u, v), method.n_coef)], method.n_coef,
-            isinstance(u, complex) or isinstance(v, complex))
+        table = StepTable([t, t], [_constant_step(t, (u, v), method.n_coef)],
+                          method.n_coef)
         return t, (u, v), table if dense else None
     direction = 1.0 if t_bound > t else -1.0
     fu, fv = rhs(t, (u, v))
-    is_complex = any(isinstance(c, complex) for c in (u, v, fu, fv))
 
     # Initial step (select_initial_step).
     length = abs(t_bound - t)
@@ -323,7 +298,7 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
         if cap is not None:
             g_old, g = g, level(un, vn)
             if g_old <= 0 <= g or g <= 0 <= g_old:
-                at = _KERNELS[method.n_coef, 2, is_complex]
+                at = _KERNELS[method.n_coef]
                 t_new = brentq(lambda x: level(*at(row, 0, x)), t, t_new,
                                xtol=4 * EPS, rtol=4 * EPS)
                 un, vn = at(row, 0, t_new)
@@ -335,58 +310,28 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
         if stop:
             break
         fu, fv = ku[method.n_stages], kv[method.n_stages]
-    table = StepTable.from_steps(ts, rows, method.n_coef, is_complex) \
-        if dense else None
+    table = StepTable(ts, rows, method.n_coef) if dense else None
     return t, (u, v), table
 
 
 class StepTable:
-    """One integrator segment, read into a flat table of its steps.
+    """One integrator segment of a pair, as a flat table of its steps.
 
-    A table keeps per step t_old and h, then for each component its value
-    at t_old and the interpolant's coefficients (RK45: the row of
-    Q = K^T P; DOP853: the column of F).  A lookup bisects the step points
-    and evaluates the step in Python floats, or complex numbers for complex
-    lambda, with the operations of scipy's RkDenseOutput and
-    Dop853DenseOutput in the same order (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.6); complex RK45 steps make scipy's own np.dot call instead.
-    At a step point it takes the step scipy's OdeSolution takes, the
-    earlier one in integration order; beyond the ends it extends the end
-    step.  `rk_solve` writes tables directly; StepTable(sol) reads a
-    scipy integrator result with dense output.
+    StepTable(ts, rows, n_coef) takes the step points in integration order
+    and one row per step: t_old and h, then for each of the two components
+    its value at t_old and the interpolant's n_coef coefficients (RK45, 4:
+    the row of Q = K^T P; DOP853, 7: the column of F).  `rk_solve` writes
+    the rows.  A lookup bisects the step points and evaluates the step in
+    Python floats, or complex numbers for complex lambda, with the
+    operations of scipy's RkDenseOutput and Dop853DenseOutput (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6).  At a step point it takes the
+    step scipy's OdeSolution takes, the earlier one in integration order;
+    beyond the ends it extends the end step.
     """
 
     __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel")
 
-    def __init__(self, sol):
-        steps = sol.sol.interpolants
-        # RK45 steps carry Q, DOP853 steps F; a zero-length solve has one
-        # constant step with neither.
-        n_coef = 7 if any(hasattr(s, "F") for s in steps) else 4
-        rows = []
-        for s in steps:
-            if not hasattr(s, "h"):
-                rows.append(_constant_step(float(s.t_old), s.value.tolist(),
-                                           n_coef))
-                continue
-            row = [float(s.t_old), float(s.h)]
-            coef = s.Q if n_coef == 4 else s.F.T
-            for y, c in zip(s.y_old.tolist(), coef.tolist()):
-                row.append(y)
-                row += c
-            rows.append(row)
-        self._fill(sol.sol.ts.tolist(), rows, n_coef,
-                   np.iscomplexobj(sol.y))
-
-    @classmethod
-    def from_steps(cls, ts, rows, n_coef, is_complex):
-        """A table of steps in integration order: ts the step points, one
-        row per step laid out as above."""
-        table = cls.__new__(cls)
-        table._fill(ts, rows, n_coef, is_complex)
-        return table
-
-    def _fill(self, ts, rows, n_coef, is_complex):
+    def __init__(self, ts, rows, n_coef):
         # Rows run in ascending x, so a bisection index is a row index.
         self._right = ts[-1] < ts[0]
         if self._right:
@@ -396,16 +341,15 @@ class StepTable:
         self._rows = [v for row in rows for v in row]
         self._width = len(rows[0])
         self._last = len(rows) - 1
-        self._kernel = _KERNELS[n_coef, (self._width - 2) // (1 + n_coef),
-                                is_complex]
+        self._kernel = _KERNELS[n_coef]
 
     @property
     def t(self):
-        """Step points in integration order, as a scipy result lists them."""
+        """Step points in integration order."""
         return self._ts[::-1] if self._right else list(self._ts)
 
     def at(self, x):
-        """The state at x, one entry per component."""
+        """The pair at x."""
         if self._right:
             j = bisect_right(self._ts, x) - 1
         else:
@@ -415,9 +359,6 @@ class StepTable:
         elif j > self._last:
             j = self._last
         return self._kernel(self._rows, j * self._width, x)
-
-    # A table answers `t` and `sol(x)` as the scipy result it replaces.
-    sol = at
 
 
 class ScaledSolution(QuasiFn):
@@ -450,10 +391,9 @@ class ScaledSolution(QuasiFn):
         self._his = []
         self._order = []
 
-    def add_segment(self, sol, logscale):
-        """Append a segment, a StepTable or a scipy integrator result with
-        dense output; its interior must not overlap another segment's."""
-        table = sol if isinstance(sol, StepTable) else StepTable(sol)
+    def add_segment(self, table, logscale):
+        """Append a segment, a StepTable; its interior must not overlap
+        another segment's."""
         lo, hi = table._ts[0], table._ts[-1]
         los, his = self._los, self._his
         # Entries from bisect_right(his, lo) on end past lo; entries before

@@ -11,8 +11,8 @@ W(u_hat, u) = 1 holds exactly.
 The march is odecore.rk_solve with RK45 and a cap: a leg stops where
 max(|u|, |u^[1]|) reaches the cap, and the next one starts from the state
 divided by that size, its logarithm added to the segment's log scale.
-Only the scalar reduction tail T' = -1/(p w^2) (`_tail_ode`) still runs
-through scipy's integrator.
+The reduction tail T' = -1/(p w^2) (`_tail_ode`) runs on the same
+integrator as the pair (T, 0).
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
     NonFiniteState,
     OscillatoryAtLambda0,
-    StepSizeUnderflow,
 )
 from .functions import QuasiFn
-from .odecore import RK45, ScaledSolution, StepTable, _plain, rk_solve
+from .odecore import RK45, ScaledSolution, _plain, rk_solve
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
@@ -127,7 +125,7 @@ class ReductionSolution(QuasiFn):
         self.w = w
         self.c0 = c0
         self.total = total
-        self._tail = tail  # StepTable of T
+        self._tail = tail  # StepTable of (T, 0)
         self.scale = scale
         self.t_floor = t_floor
         self.x_min = min(tail.t[0], tail.t[-1])
@@ -244,18 +242,13 @@ def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
     Integrating away from the endpoint keeps T accurate relative to its own
     (possibly astronomically small) local size; an absolute tail error would
     be amplified by the dominant w factor of the reduction product and
-    destroy the Wronskian cancellation far out.
+    destroy the Wronskian cancellation far out.  The table is of the pair
+    (T, 0), whose second component stays zero.
     """
     f = _principal_integrand(spec, w)
-    sol = solve_ivp(lambda x, y: [-f(x)], (x_far, x_to), [tail0],
-                    method="RK45", rtol=tol,
-                    atol=1e-40 * (1.0 + abs(scale_hint)),
-                    dense_output=True)
-    if not sol.success:
-        raise StepSizeUnderflow(
-            f"reduction tail integral stalled at x={sol.t[-1]}"
-        )
-    return StepTable(sol)
+    return rk_solve(RK45, lambda x, y: (-f(x), 0.0), x_far, (tail0, 0.0),
+                    x_to, tol, 1e-40 * (1.0 + abs(scale_hint)),
+                    dense=True)[2]
 
 
 def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):

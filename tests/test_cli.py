@@ -11,6 +11,9 @@ from slq.cli import (
     EXIT_PARSE,
     main,
 )
+from slq.extensions import OneLC
+from slq.forms import q_decorated
+from slq.functions import ExpDecay
 
 
 @pytest.fixture
@@ -130,21 +133,30 @@ def test_triplet_cross_path_on_half_line(specfile, capsys):
     assert max(s["deviation"] for s in samples) < 1e-8
 
 
-def test_form_one_lc_keeps_the_lp_end_lp(specfile, capsys):
+def test_form_one_lc_keeps_the_lp_end_lp(free_halfline, free_halfline_bases):
     # The LP end b must not take the LC branch (w = u_hat, lead-term
-    # subtraction): its N-integral and boundary correction are 0.
+    # subtraction): with w = u = 1 there its boundary correction is 0.  For
+    # f = exp(-k x) the form is k/2 from the Dirichlet integral plus the
+    # decoration -cot(alpha) |f(0)|^2.
+    ext = OneLC(0.8, "a")
+    for k in (1.0, 1.5):
+        f = ExpDecay(free_halfline, [1.0], k)
+        form = q_decorated(free_halfline, free_halfline_bases, None, ext, f,
+                           f)
+        assert form.pieces["boundary_correction_d"] == 0
+        assert form.value == pytest.approx(k / 2 - 1.0 / math.tan(0.8),
+                                           abs=1e-12)
+
+
+def test_form_refuses_a_function_outside_l2(specfile, capsys):
+    # poly:1 is not in L^2(0, inf): its form has no value.
     path = specfile({
         "coefficients": {"catalog": "free_halfline"},
         "extension": {"kind": "one_lc", "alpha": 0.8, "endpoint": "a"},
     })
-    code, report = _run(capsys, ["form", path, "--f", "poly:1",
-                                 "--g", "poly:1"])
-    assert code == EXIT_OK
-    form = report["form"]
-    assert form["regime"] == "lc_lp"
-    assert form["pieces"]["right_N_integral"] == 0
-    assert form["pieces"]["boundary_correction_d"] == 0
-    assert form["value"] == pytest.approx(-1.0 / math.tan(0.8), abs=1e-8)
+    code = main(["form", path, "--f", "poly:1", "--g", "poly:1"])
+    assert code == EXIT_NUMERICAL
+    assert "FormIntegralDiverges" in capsys.readouterr().err
 
 
 def test_basis_command_with_csv(specfile, capsys, tmp_path):

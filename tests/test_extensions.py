@@ -210,6 +210,28 @@ def test_coupled_det_is_the_trace_condition(legendre, legendre_bases, phi):
     assert len(signs) == 1
 
 
+@pytest.mark.parametrize("lam", [0.8964735516372796, 4.597732997481108,
+                                 10.376070528967254])
+def test_coupled_det_leaves_the_singular_ends(legendre, legendre_bases, lam):
+    # Marching toward a singular LC end, the step size underflows next to
+    # it at these lambda; the transfer only marches away from the ends.
+    ext = Coupled(1.0, ((2.0, 3.0), (1.0, 2.0)))
+    bases = {"a": legendre_bases[0], "b": legendre_bases[1]}
+    got = extensions._coupled_det(legendre, pair_from_extension(ext), bases,
+                                  lam, tol=1e-10)
+    assert math.isfinite(got) and got != 0.0
+
+
+def test_eigenvalues_coupled_legendre(legendre, legendre_bases):
+    # Even P_n have g~ = 0 and g~' = P_n(+-1) = 1 at both ends, so they meet
+    # the coupled condition with phi = 0 and R = I.
+    ext = Coupled(0.0, ((1.0, 0.0), (0.0, 1.0)))
+    eigs = eigenvalues_shoot(legendre, ext, (0.5, 21.0), grid_per_unit=4,
+                             bases=legendre_bases)
+    for want in (6.0, 20.0):
+        assert any(abs(e.lam - want) <= 1e-7 for e in eigs)
+
+
 def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
     with pytest.raises(RangeContainsNoBracket):
         eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (1.5, 3.5),

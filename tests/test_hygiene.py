@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in slq is used."""
+"""Source hygiene: every module-level import in slq is used, and slq has
+one ODE integrator."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,11 @@ def test_scan_flags_unused_and_keeps_used_or_exported():
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_ode_integrator(path):
+    # odecore.rk_solve integrates every system; scipy's solve_ivp is not
+    # a second path.
+    assert "solve_ivp" not in path.read_text()

@@ -9,9 +9,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from slq.errors import EvaluationOutsideSupport
-from slq.odecore import wronskian
+from slq.odecore import StepTable, wronskian
+from slq.problem import catalog
 from slq.quadrature import geometric_points
-from slq.solutions import ScaledSolution, rescaled_march
+from slq.solutions import (
+    ReductionSolution,
+    ScaledSolution,
+    construct_basis,
+    rescaled_march,
+)
 
 
 def _wronskian_samples(basis, n=50):
@@ -86,14 +92,27 @@ def test_trust_interval_brackets_anchor(oscillator_bases):
         assert lo <= basis.anchor <= hi
 
 
+def test_reduction_tail_gives_the_principal_power():
+    # bessel(0.3) at lambda0 = 0 has the solutions x^0.8 (principal at 0)
+    # and x^0.2.  The march gives the nonprincipal one, so u is w T with T
+    # from the reduction tail: u x^-0.8 and u^[1] x^0.2 / 0.8 are constant.
+    basis = construct_basis(catalog("bessel(0.3)"), "a")
+    assert isinstance(basis.u, ReductionSolution)
+    xs = np.geomspace(1e-9, 0.9 * basis.anchor, 200)
+    for scaled in ([basis.u.pair(x)[0] * x ** -0.8 for x in xs],
+                   [basis.u.pair(x)[1] * x ** 0.2 / 0.8 for x in xs]):
+        assert max(abs(v / scaled[-1] - 1.0) for v in scaled) < 1e-9
+
+
 # -- segment lookup -----------------------------------------------------------
 
 
 def _segment(t0, t1):
-    """A one-step RK45 segment from t0 to t1 of u' = u^[1], u^[1]' = 0 with
-    u(t0) = t0, u^[1] = 1, so u(x) = x; a zero-length one is constant."""
-    return solve_ivp(lambda x, y: [y[1], 0.0], (t0, t1), [t0, 1.0],
-                     first_step=abs(t1 - t0) or None, dense_output=True)
+    """A one-step RK45 table from t0 to t1 of u = x, u^[1] = 1: the RK45
+    interpolant of u' = u^[1], u^[1]' = 0 from u(t0) = t0."""
+    h = t1 - t0
+    return StepTable([t0, t1], [[t0, h, t0, 1.0, 0.0, 0.0, 0.0,
+                                 1.0, 0.0, 0.0, 0.0, 0.0]], 4)
 
 
 def _trajectory(*edges):
@@ -123,9 +142,8 @@ def test_lookup_back_march_after_forward_march():
                        (0.5, 0.2), (0.2, 0.0))
     xs = [0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.95, 1.0]
     assert [_which(traj, x) for x in xs] == [4, 4, 3, 3, 0, 0, 0, 2, 2]
-    # u(x) = x up to the rounding of one RK45 step; the table returns
-    # scipy's own dense-output value.
-    want = _segment(0.5, 0.2).sol(0.3)[0]
+    # u(x) = x up to the rounding of one RK45 step.
+    want = _segment(0.5, 0.2).at(0.3)[0]
     assert want == pytest.approx(0.3, rel=1e-15)
     assert traj.log_pair(0.3)[0] == want
     assert (traj.x_min, traj.x_max) == (0.0, 1.0)
@@ -172,13 +190,13 @@ def _scan(traj, x):
     """Reference lookup: the first segment, in insertion order, whose range
     holds x, else the first one nearest to x."""
     best, best_gap = None, math.inf
-    for sol, L in traj.segments:
-        lo, hi = min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
+    for table, L in traj.segments:
+        lo, hi = min(table.t[0], table.t[-1]), max(table.t[0], table.t[-1])
         if lo <= x <= hi:
-            return sol, L
+            return table, L
         gap = min(abs(x - lo), abs(x - hi))
         if gap < best_gap:
-            best, best_gap = (sol, L), gap
+            best, best_gap = (table, L), gap
     return best
 
 
@@ -187,11 +205,11 @@ def test_lookup_matches_insertion_order_scan(legendre_bases):
              for fn in (basis.u, basis.u_hat) for t in _marched(fn)]
     assert trajs
     for traj in trajs:
-        edges = {float(sol.t[k]) for sol, _ in traj.segments for k in (0, -1)}
+        edges = {table.t[k] for table, _ in traj.segments for k in (0, -1)}
         xs = sorted(set(np.linspace(traj.x_min, traj.x_max, 300)) | edges)
         for x in xs:
-            sol, L = _scan(traj, x)
-            u, u1 = sol.sol(x)
+            table, L = _scan(traj, x)
+            u, u1 = table.at(x)
             assert traj.log_pair(x) == (u, u1, L)
 
 
