@@ -11,6 +11,12 @@ integral between the cut points, and boundary corrections at the cuts:
                  + (w^[1]/w)(c) conj(f(c)) g(c)
                  - (w^[1]/w)(d) conj(f(d)) g(d).
 
+The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
+inside each side integrand, not an object: a quadrature node looks w up
+once and evaluates p once for both N_w f and N_w g.  Every per-node
+callback works in plain Python numbers (`.real`, `.conjugate()`), not
+numpy scalars.
+
 Boundary decorations then produce the form of every self-adjoint extension.
 """
 
@@ -30,7 +36,7 @@ from .errors import (
     NoConvergence,
     WindowInvalid,
 )
-from .odecore import tau_apply
+from .odecore import tau_at
 from .quadrature import improper_integral, panel
 from .solutions import ReductionSolution
 
@@ -78,21 +84,6 @@ class FormValue:
     window: FormWindow = None
 
 
-class NOperator:
-    """N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) on a side window."""
-
-    def __init__(self, spec, w):
-        self.spec = spec
-        self.w = w
-
-    def __call__(self, x, f):
-        fu, fu1 = f.pair(x)
-        wu, wu1 = self.w.pair(x)
-        if wu == 0.0:
-            raise BasisVanishes(f"reference solution vanishes at x={x}")
-        return (fu1 * wu - fu * wu1) / (math.sqrt(self.spec.p(x)) * wu)
-
-
 def _side_cutoff(basis, w):
     """Farthest trustworthy point toward the endpoint for side integrals."""
     end = basis.endpoint_value
@@ -118,47 +109,75 @@ def _side_cutoff(basis, w):
 
 
 def _complex_improper(fn, start, endpoint, cutoff=None):
-    """Signed improper integral of a possibly complex integrand."""
-    probe = fn(0.5 * (start + (endpoint if math.isfinite(endpoint)
-                               else start + 1.0)))
+    """Signed improper integral of a possibly complex integrand.
+
+    The integrand is probed once, between start and the endpoint (half a
+    unit from start toward an infinite endpoint), to choose between one
+    real integral and a real and an imaginary one.
+    """
+    if math.isfinite(endpoint):
+        mid = 0.5 * (start + endpoint)
+    else:
+        mid = start + 0.5 if endpoint > start else start - 0.5
+    probe = fn(mid)
     if isinstance(probe, complex) or getattr(probe, "imag", 0.0) != 0.0:
-        re = improper_integral(lambda x: float(np.real(fn(x))), start,
-                               endpoint, cutoff=cutoff)
-        im = improper_integral(lambda x: float(np.imag(fn(x))), start,
-                               endpoint, cutoff=cutoff)
+        re = improper_integral(lambda x: fn(x).real, start, endpoint,
+                               cutoff=cutoff)
+        im = improper_integral(lambda x: fn(x).imag, start, endpoint,
+                               cutoff=cutoff)
         ok = re.converged and im.converged
         div = re.diverged or im.diverged
         return complex(re.value, im.value), re.error + im.error, ok, div
-    res = improper_integral(lambda x: float(np.real(fn(x))), start,
-                            endpoint, cutoff=cutoff)
+    res = improper_integral(lambda x: fn(x).real, start, endpoint,
+                            cutoff=cutoff)
     return res.value, res.error, res.converged, res.diverged
 
 
 def _complex_panel(fn, lo, hi):
     probe = fn(0.5 * (lo + hi))
     if isinstance(probe, complex) or getattr(probe, "imag", 0.0) != 0.0:
-        vr, er = panel(lambda x: float(np.real(fn(x))), lo, hi)
-        vi, ei = panel(lambda x: float(np.imag(fn(x))), lo, hi)
+        vr, er = panel(lambda x: fn(x).real, lo, hi)
+        vi, ei = panel(lambda x: fn(x).imag, lo, hi)
         return complex(vr, vi), er + ei
-    return panel(lambda x: float(np.real(fn(x))), lo, hi)
+    return panel(lambda x: fn(x).real, lo, hi)
 
 
-def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
+def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
     """One side's N-integral as the true integral from the endpoint to cut.
 
-    At a limit-circle side the slowly decaying part of the integrand,
-    conj(f~') g~' / (p u_hat^2), is split off and summed in closed form:
-    (u/u_hat)' = -1/(p u_hat^2) by the Wronskian normalization, so its
-    integral telescopes to a boundary evaluation at the cut.  The remainder
-    decays fast enough for the window extrapolation to reach ~1e-12.
+    The integrand is conj(N_w f) N_w g with the N-operator of the reference
+    solution w, N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w); each node looks
+    up w and evaluates p once.  At a limit-circle side (w = u_hat) the
+    slowly decaying part of the integrand, conj(f~') g~' / (p u_hat^2), is
+    split off and summed in closed form: (u/u_hat)' = -1/(p u_hat^2) by
+    the Wronskian normalization, so its integral telescopes to a boundary
+    evaluation at the cut.  The remainder decays fast enough for the window
+    extrapolation to reach ~1e-12.
     """
     end = basis.endpoint_value
     sign = 1.0 if basis.endpoint == "b" else -1.0
+    p = spec.p
+    w_pair = w.pair
+    f_pair = f.pair
+    g_pair = g.pair
+
+    def n_pair(x):
+        """(N_w f, N_w g, p, w) at x."""
+        wu, wu1 = w_pair(x)
+        if wu == 0.0:
+            raise BasisVanishes(f"reference solution vanishes at x={x}")
+        px = p(x)
+        fu, fu1 = f_pair(x)
+        nf = (fu1 * wu - fu * wu1) / (math.sqrt(px) * wu)
+        if g is f:
+            return nf, nf, px, wu
+        gu, gu1 = g_pair(x)
+        return nf, (gu1 * wu - gu * wu1) / (math.sqrt(px) * wu), px, wu
+
     lead = 0.0
     lead_err = 0.0
-    subtract = None
+    coeff = None
     if is_lc:
-        coeff = None
         if not basis.regular and cutoff is not None:
             # The split integral(endpoint, cut) of c/(p u_hat^2) = c*J is an
             # exact identity for ANY constant c, so pick the constant that
@@ -166,11 +185,8 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             # the farthest trustworthy point.  This avoids inheriting the
             # extrapolation error of the generalized boundary values, which
             # would leave a spurious log-divergent residue.
-            def m_at(x):
-                h = basis.u_hat(x)
-                return np.conj(op(x, f)) * op(x, g) * spec.p(x) * h * h
-
-            coeff = m_at(cutoff)
+            nf, ng, px, wu = n_pair(cutoff)
+            coeff = nf.conjugate() * ng * px * wu * wu
         else:
             try:
                 vf = gbv(spec, basis, f)
@@ -178,7 +194,7 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             except NoConvergence:
                 vf = vg = None
             if vf is not None:
-                coeff = np.conj(vf.tilde_prime) * vg.tilde_prime
+                coeff = vf.tilde_prime.conjugate() * vg.tilde_prime
         if coeff is not None:
             uu = basis.u(cut)
             hu = basis.u_hat(cut)
@@ -189,15 +205,16 @@ def _side_n_integral(spec, basis, op, is_lc, f, g, cut, cutoff):
             lead = coeff * J
             lead_err = 1e-12 * (1.0 + abs(lead))
 
-            def subtract(x):
-                h = basis.u_hat(x)
-                return coeff / (spec.p(x) * h * h)
-
-    def integrand(x):
-        v = np.conj(op(x, f)) * op(x, g)
-        if subtract is not None:
-            v = v - subtract(x)
-        return v
+    if coeff is None:
+        def integrand(x):
+            nf, ng, _, _ = n_pair(x)
+            return nf.conjugate() * ng
+    else:
+        # w is u_hat here, so the subtracted c/(p u_hat^2) reuses the
+        # node's lookup of w.
+        def integrand(x):
+            nf, ng, px, wu = n_pair(x)
+            return nf.conjugate() * ng - coeff / (px * wu * wu)
 
     val, e, ok, div = _complex_improper(integrand, cut, end, cutoff=cutoff)
     if div or not ok:
@@ -257,8 +274,6 @@ def q_base(spec, bases, window, regime, f, g):
     a, b = spec.interval.endpoints()
     c, d = window.c, window.d
     lam0 = spec.lambda0
-    op_a = NOperator(spec, w_a)
-    op_b = NOperator(spec, w_b)
 
     cut_a = _side_cutoff(basis_a, w_a)
     cut_b = _side_cutoff(basis_b, w_b)
@@ -268,29 +283,25 @@ def q_base(spec, bases, window, regime, f, g):
     pieces = {}
     err = 0.0
 
-    def conj(v):
-        return np.conj(v)
-
     # Side N-integrals (improper toward the endpoints; improper_integral is
     # orientation-signed from the cut toward the endpoint).
-    val, e = _side_n_integral(spec, basis_a, op_a, lc["a"], f, g, c, cut_a)
+    val, e = _side_n_integral(spec, basis_a, w_a, lc["a"], f, g, c, cut_a)
     pieces["left_N_integral"] = val
     err += e
-    val, e = _side_n_integral(spec, basis_b, op_b, lc["b"], f, g, d, cut_b)
+    val, e = _side_n_integral(spec, basis_b, w_b, lc["b"], f, g, d, cut_b)
     pieces["right_N_integral"] = val
     err += e
 
     if lam0 != 0.0:
-        val, e, ok, div = _complex_improper(
-            lambda x: lam0 * spec.r(x) * conj(f(x)) * g(x), c, a,
-            cutoff=cut_a)
+        def mass(x):
+            return lam0 * spec.r(x) * f(x).conjugate() * g(x)
+
+        val, e, ok, div = _complex_improper(mass, c, a, cutoff=cut_a)
         if div or not ok:
             raise FormIntegralDiverges("left mass integral does not converge")
         pieces["left_lambda0_mass"] = -val
         err += e
-        val, e, ok, div = _complex_improper(
-            lambda x: lam0 * spec.r(x) * conj(f(x)) * g(x), d, b,
-            cutoff=cut_b)
+        val, e, ok, div = _complex_improper(mass, d, b, cutoff=cut_b)
         if div or not ok:
             raise FormIntegralDiverges("right mass integral does not converge")
         pieces["right_lambda0_mass"] = val
@@ -302,7 +313,8 @@ def q_base(spec, bases, window, regime, f, g):
     def middle(x):
         fu, fu1 = f.pair(x)
         gu, gu1 = g.pair(x)
-        return conj(fu1) * gu1 / spec.p(x) + spec.q(x) * conj(fu) * gu
+        return (fu1.conjugate() * gu1 / spec.p(x)
+                + spec.q(x) * fu.conjugate() * gu)
 
     val, e = _complex_panel(middle, c, d)
     pieces["middle_dirichlet_integral"] = val
@@ -314,14 +326,14 @@ def q_base(spec, bases, window, regime, f, g):
         raise BasisVanishes(f"reference solution vanishes at cut c={c}")
     fu_c = f(c)
     gu_c = g(c)
-    pieces["boundary_correction_c"] = (wu1_c / wu_c) * conj(fu_c) * gu_c
+    pieces["boundary_correction_c"] = (wu1_c / wu_c) * fu_c.conjugate() * gu_c
 
     wu_d, wu1_d = w_b.pair(d)
     if wu_d == 0.0:
         raise BasisVanishes(f"reference solution vanishes at cut d={d}")
     fu_d = f(d)
     gu_d = g(d)
-    pieces["boundary_correction_d"] = -(wu1_d / wu_d) * conj(fu_d) * gu_d
+    pieces["boundary_correction_d"] = -(wu1_d / wu_d) * fu_d.conjugate() * gu_d
 
     pieces["decoration_terms"] = 0.0
     value = sum(pieces.values())
@@ -420,8 +432,8 @@ def _cot(angle):
 
 
 def _pointwise_tau(spec, g):
-    """x -> (tau g)(x), through tau_apply."""
-    return lambda x: tau_apply(spec, g, [x])[0]
+    """x -> (tau g)(x), through tau_at."""
+    return lambda x: tau_at(spec, g, x)
 
 
 def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
@@ -430,7 +442,7 @@ def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
     c, d = window.c, window.d
 
     def integrand(x):
-        return spec.r(x) * np.conj(f(x)) * g_tau_fn(x)
+        return spec.r(x) * f(x).conjugate() * g_tau_fn(x)
 
     total = 0.0 + 0.0j
     err = 0.0

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .expressions import Expr
+from .expressions import Expr, quasi_pair
 
 
 class QuasiFn:
@@ -50,7 +50,12 @@ class AnalyticFn(QuasiFn):
 
 
 class ExprFunction(AnalyticFn):
-    """Function given by a coefficient-language expression."""
+    """Function given by a coefficient-language expression.
+
+    `pair` is compiled once per function (`expressions.quasi_pair`) into
+    one scalar function of x with the arithmetic of `(f(x), p(x) f'(x))`;
+    it takes scalars only.
+    """
 
     def __init__(self, spec, expr):
         if isinstance(expr, str):
@@ -59,6 +64,7 @@ class ExprFunction(AnalyticFn):
         self.expr = expr
         self._d1 = expr.deriv()
         self._d2 = self._d1.deriv()
+        self.pair = quasi_pair(expr, spec.p)
 
     def __call__(self, x):
         return self.expr(x)

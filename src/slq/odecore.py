@@ -497,36 +497,45 @@ def wronskian(f, g, x):
 
 
 def tau_apply(spec, g, x_grid, tol=1e-7):
-    """Apply tau to g on a grid.
+    """Apply tau to g on a grid: `tau_at` at each grid point.
+
+    The grid sets the finite-difference spacing of the stencil path (see
+    `tau_at`).  The result is real unless some value has a nonzero
+    imaginary part.
+    """
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
+    spacing = 1e-3 * span / max(len(xs), 1)
+    return np.array([tau_at(spec, g, x, tol, spacing) for x in xs])
+
+
+def tau_at(spec, g, x, tol=1e-7, spacing=1e-3):
+    """(tau g)(x) at one point.
 
     A g with its own `tau` method (a blend of lambda0 solutions) supplies
     tau exactly.  An AnalyticFn takes the exact path (p u')' = p' u' + p u''
     with the exact coefficient derivative.  Otherwise (g^[1])' comes from
-    4th-order central differences on g.qd with a Richardson cross-check.
+    4th-order central differences on g.qd with a Richardson cross-check,
+    at a step of at least `spacing`.  A complex value with zero imaginary
+    part is returned as a real number.
     """
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if hasattr(g, "tau"):
-        return np.array([g.tau(x) for x in xs])
-    p, q, r = spec.p, spec.q, spec.r
-    out = np.empty(len(xs), dtype=complex)
-    exact = isinstance(g, AnalyticFn)
-    dp = p.deriv() if exact else None
-    for i, x in enumerate(xs):
-        gv = g(x)
-        if exact:
-            d_qd = dp(x) * g.d1(x) + p(x) * g.d2(x)
-        else:
-            d_qd = _qd_derivative(g, x, xs, tol)
-        out[i] = (-d_qd + q(x) * gv) / r(x)
-    if np.all(np.abs(out.imag) == 0.0):
-        out = out.real
-    return out
+        return g.tau(x)
+    p = spec.p
+    gv = g(x)
+    if isinstance(g, AnalyticFn):
+        d_qd = p.deriv()(x) * g.d1(x) + p(x) * g.d2(x)
+    else:
+        d_qd = _qd_derivative(g, x, spacing, tol)
+    v = (-d_qd + spec.q(x) * gv) / spec.r(x)
+    if isinstance(v, complex) and v.imag == 0.0:
+        return v.real
+    return v
 
 
-def _qd_derivative(g, x, xs, tol):
+def _qd_derivative(g, x, spacing, tol):
     qd = g.qd
-    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
-    h = max(1e-4 * max(abs(x), 1.0), 1e-3 * span / max(len(xs), 1))
+    h = max(1e-4 * max(abs(x), 1.0), spacing)
 
     def stencil(h):
         return (-qd(x + 2 * h) + 8 * qd(x + h)

@@ -5,18 +5,33 @@ import math
 import numpy as np
 import pytest
 
-from slq.errors import DomainConstraintViolated, WindowInvalid
+from slq import quadrature
+from slq.bvalues import patched_pair
+from slq.errors import (
+    DomainConstraintViolated,
+    EvaluationOutsideSupport,
+    WindowInvalid,
+)
 from slq.extensions import Coupled, OneLC, Separated
 from slq.forms import (
     REGIME_LC_LC,
     REGIME_LC_LP,
     REGIME_LP_LP,
     FormWindow,
+    _complex_improper,
+    _pointwise_tau,
     green_identity_residual,
     q_base,
     q_decorated,
 )
-from slq.functions import ExprFunction, ExpDecay, GaussianPoly, polynomial
+from slq.functions import (
+    ExprFunction,
+    ExpDecay,
+    GaussianPoly,
+    LinearCombination,
+    polynomial,
+)
+from slq.odecore import ScaledSolution, tau_apply
 
 
 def test_q_base_sine_dirichlet(dirichlet, dirichlet_bases):
@@ -156,3 +171,87 @@ def test_lp_lp_oscillator_identity(oscillator, oscillator_bases):
     res = green_identity_residual(oscillator, oscillator_bases, None,
                                   h0, h1, regime=REGIME_LP_LP)
     assert abs(res) < 1e-9
+
+
+def test_complex_improper_probes_inside_the_range():
+    # The integrand is defined only on the integration range; the probe
+    # that picks the real or complex path must stay inside it, toward
+    # either infinite endpoint.
+    def left(x):
+        if x > -1.0:
+            raise EvaluationOutsideSupport(f"outside support at {x}")
+        return math.exp(x)
+
+    def right(x):
+        if x < 1.0:
+            raise EvaluationOutsideSupport(f"outside support at {x}")
+        return math.exp(-x)
+
+    val, _, ok, div = _complex_improper(left, -1.0, -math.inf)
+    assert ok and not div
+    assert val == pytest.approx(-math.exp(-1.0), rel=1e-12)
+    val, _, ok, div = _complex_improper(right, 1.0, math.inf)
+    assert ok and not div
+    assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["v1", "polynomial", "combination"])
+def test_pointwise_tau_equals_tau_apply(legendre, legendre_bases, kind):
+    # One tau: the Green pairing's pointwise tau is tau_apply at a
+    # one-point grid, bit for bit.  v1 supplies its own exact tau, the
+    # polynomial takes the exact path and the combination the stencil.
+    g = {
+        "v1": lambda: patched_pair(legendre, *legendre_bases).v1,
+        "polynomial": lambda: polynomial(legendre, [0.3, -1.0, 0.0, 2.5]),
+        "combination": lambda: LinearCombination(
+            [1.0, -0.5], [polynomial(legendre, [0.0, 1.0, 1.0]),
+                          ExprFunction(legendre, "sin(x)")]),
+    }[kind]()
+    tau = _pointwise_tau(legendre, g)
+    for x in (-0.95, -0.6, -0.1, 0.0, 0.35, 0.8, 0.97):
+        assert tau(x) == tau_apply(legendre, g, [x])[0]
+
+
+def test_q_base_looks_up_the_reference_once_per_node(legendre,
+                                                     legendre_bases,
+                                                     monkeypatch):
+    # Each node of a side integral looks the reference solution up once,
+    # so trajectory lookups cannot outnumber QUADPACK's integrand calls.
+    counts = {"lookups": 0, "evals": 0}
+    real_quad = quadrature.quad
+    real_log_pair = ScaledSolution.log_pair
+
+    def counting_quad(f, a, b, **kw):
+        out = real_quad(f, a, b, full_output=1, **kw)
+        counts["evals"] += out[2]["neval"]
+        return out[0], out[1]
+
+    def counting_log_pair(self, x):
+        counts["lookups"] += 1
+        return real_log_pair(self, x)
+
+    monkeypatch.setattr(quadrature, "quad", counting_quad)
+    monkeypatch.setattr(ScaledSolution, "log_pair", counting_log_pair)
+    f = polynomial(legendre, [0.0, 1.0])
+    g = polynomial(legendre, [0.0, 0.0, 1.0])
+    q_base(legendre, legendre_bases, None, REGIME_LC_LC, f, g)
+    assert 0 < counts["lookups"] <= counts["evals"]
+
+
+def test_q_base_is_sesquilinear_in_complex_multiples(legendre,
+                                                     legendre_bases):
+    # Antilinear in f, linear in g: q(i f, g) = -i q(f, g) and
+    # q(f, i g) = i q(f, g), through the complex path of every integral.
+    f = polynomial(legendre, [0.0, 1.0])
+    g = polynomial(legendre, [0.5, 1.0, 0.3])
+
+    def q(u, v):
+        return q_base(legendre, legendre_bases, None, REGIME_LC_LC,
+                      u, v).value
+
+    base = q(f, g)
+    assert base == pytest.approx(4.0 / 3.0, abs=1e-8)
+    i_f = LinearCombination([1j], [f])
+    i_g = LinearCombination([1j], [g])
+    assert abs(q(i_f, g) - (-1j) * base) <= 1e-12
+    assert abs(q(f, i_g) - 1j * base) <= 1e-12

@@ -1,12 +1,13 @@
 """The quasi-function protocol: one `pair`, with value, qd and range."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from slq.bvalues import BlendedFn, patched_pair
-from slq.errors import EvaluationOutsideSupport
+from slq.errors import EvaluationOutsideSupport, SpecFileError
 from slq.functions import (
     AnalyticFn,
     BumpFn,
@@ -125,3 +126,27 @@ def test_tau_of_a_combination_without_derivatives(dirichlet,
     vals = tau_apply(dirichlet, combo, [1.0])
     assert vals.shape == (1,)
     assert abs(vals[0]) <= 1e-5
+
+
+@pytest.mark.parametrize("problem, texts", [
+    ("legendre", ("1", "x", "1.5*x**2 - 0.5", "2.5*x**3 - 1.5*x")),
+    ("dirichlet", ("sin(2*x)*exp(-0.3*x) + x",)),
+])
+def test_compiled_pair_equals_term_by_term(problem, texts, request):
+    # The compiled pair has the arithmetic of (f(x), p(x) f'(x)): equal
+    # bit for bit, not just close.
+    spec = request.getfixturevalue(problem)
+    a, b = spec.interval.endpoints()
+    xs = [float(x) for x in np.linspace(a, b, 41)[1:-1]]
+    for text in texts:
+        f = ExprFunction(spec, text)
+        for x in xs:
+            assert f.pair(x) == (f(x), spec.p(x) * f.d1(x))
+
+
+def test_compiled_pair_domain_error_names_the_expression(dirichlet):
+    # The pair evaluates f first, so its error names f as f(x) does.
+    f = ExprFunction(dirichlet, "sqrt(x)")
+    for evaluate in (f, f.pair):
+        with pytest.raises(SpecFileError, match=re.escape("'sqrt(x)'")):
+            evaluate(-1.0)
