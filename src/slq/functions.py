@@ -23,6 +23,9 @@ class QuasiFn:
     """A function g known through its quasi-pair (g(x), g^[1](x)).
 
     Subclasses define pair(x); x_min/x_max bound the evaluable range.
+    `pair`, `__call__` and `qd` take a scalar x in every subclass.  Only
+    an ExprFunction evaluates arrays, through `__call__`, `d1`, `d2` and
+    `qd`, never through its compiled `pair`.
     """
 
     x_min = -math.inf
@@ -54,7 +57,9 @@ class ExprFunction(AnalyticFn):
 
     `pair` is compiled once per function (`expressions.quasi_pair`) into
     one scalar function of x with the arithmetic of `(f(x), p(x) f'(x))`;
-    it takes scalars only.
+    it takes scalars only.  It is bound per instance, so it takes
+    precedence over `AnalyticFn.pair` and over any `pair` a subclass
+    defines.
     """
 
     def __init__(self, spec, expr):

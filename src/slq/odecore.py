@@ -499,25 +499,20 @@ def wronskian(f, g, x):
 def tau_apply(spec, g, x_grid, tol=1e-7):
     """Apply tau to g on a grid: `tau_at` at each grid point.
 
-    The grid sets the finite-difference spacing of the stencil path (see
-    `tau_at`).  The result is real unless some value has a nonzero
-    imaginary part.
+    The result is real unless some value has a nonzero imaginary part.
     """
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
-    spacing = 1e-3 * span / max(len(xs), 1)
-    return np.array([tau_at(spec, g, x, tol, spacing) for x in xs])
+    return np.array([tau_at(spec, g, x, tol)
+                     for x in np.atleast_1d(np.asarray(x_grid, dtype=float))])
 
 
-def tau_at(spec, g, x, tol=1e-7, spacing=1e-3):
+def tau_at(spec, g, x, tol=1e-7):
     """(tau g)(x) at one point.
 
     A g with its own `tau` method (a blend of lambda0 solutions) supplies
     tau exactly.  An AnalyticFn takes the exact path (p u')' = p' u' + p u''
     with the exact coefficient derivative.  Otherwise (g^[1])' comes from
-    4th-order central differences on g.qd with a Richardson cross-check,
-    at a step of at least `spacing`.  A complex value with zero imaginary
-    part is returned as a real number.
+    4th-order central differences on g.qd with a Richardson cross-check.
+    A complex value with zero imaginary part is returned as a real number.
     """
     if hasattr(g, "tau"):
         return g.tau(x)
@@ -526,16 +521,16 @@ def tau_at(spec, g, x, tol=1e-7, spacing=1e-3):
     if isinstance(g, AnalyticFn):
         d_qd = p.deriv()(x) * g.d1(x) + p(x) * g.d2(x)
     else:
-        d_qd = _qd_derivative(g, x, spacing, tol)
+        d_qd = _qd_derivative(g, x, tol)
     v = (-d_qd + spec.q(x) * gv) / spec.r(x)
     if isinstance(v, complex) and v.imag == 0.0:
         return v.real
     return v
 
 
-def _qd_derivative(g, x, spacing, tol):
+def _qd_derivative(g, x, tol):
     qd = g.qd
-    h = max(1e-4 * max(abs(x), 1.0), spacing)
+    h = max(1e-4 * max(abs(x), 1.0), 1e-3)
 
     def stencil(h):
         return (-qd(x + 2 * h) + 8 * qd(x + h)

@@ -150,3 +150,16 @@ def test_compiled_pair_domain_error_names_the_expression(dirichlet):
     for evaluate in (f, f.pair):
         with pytest.raises(SpecFileError, match=re.escape("'sqrt(x)'")):
             evaluate(-1.0)
+
+
+def test_expression_arrays_go_through_the_value_not_the_pair(dirichlet):
+    # pair is scalar-only; arrays are evaluated through __call__ and qd,
+    # which agree with the scalar pair point by point (numpy's and math's
+    # sin and exp may differ in the last bit).
+    f = ExprFunction(dirichlet, "sin(2*x)*exp(-0.3*x) + x")
+    xs = np.linspace(0.1, 3.0, 13)
+    pairs = np.array([f.pair(float(x)) for x in xs])
+    assert np.allclose(f(xs), pairs[:, 0], rtol=1e-14, atol=0.0)
+    assert np.allclose(f.qd(xs), pairs[:, 1], rtol=1e-14, atol=0.0)
+    with pytest.raises(TypeError):
+        f.pair(xs)
