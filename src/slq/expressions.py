@@ -37,7 +37,10 @@ class Const(Node):
         return Const(0.0)
 
     def emit(self):
-        return repr(float(self.value))
+        # A negative constant is parenthesised: as the base of a power,
+        # -2.0 ** x would read as -(2.0 ** x).
+        v = float(self.value)
+        return f"({v!r})" if math.copysign(1.0, v) < 0 else repr(v)
 
 
 @dataclass(frozen=True)
@@ -254,17 +257,17 @@ class Expr:
         return f"Expr({self.text!r})"
 
 
-def _fused(source, name, **exprs):
-    """Compile `source`, which defines `name` over the scalar namespace
-    with each keyword's expression in place of its field.  The source
-    calls `_undefined(x)` on a domain error: that re-evaluates the
+def _fused(source, name, env=None, **exprs):
+    """Compile `source`, which defines `name` over the scalar namespace and
+    `env`, with each keyword's expression in place of its field.  The
+    source calls `_undefined(x)` on a domain error: that re-evaluates the
     expressions one by one, in keyword order, so the SpecFileError names
     the expression at fault."""
     def undefined(x):
         for e in exprs.values():
             e(x)
 
-    ns = dict(_SCALAR_NS, _undefined=undefined)
+    ns = dict(_SCALAR_NS, **(env or {}), _undefined=undefined)
     src = source.format(**{k: e.root.emit() for k, e in exprs.items()})
     exec(compile(src, f"<{name}>", "exec"), ns)  # noqa: S102
     return ns[name]

@@ -12,16 +12,23 @@ degenerates.
 
 `rk_solve` is the one ODE integrator of the package.  It integrates a pair
 with an explicit Runge-Kutta pair in Python floats (complex numbers for
-complex lambda), calling the compiled CoefficientSet.rhs directly.  Its
-tableaux are read from scipy.integrate's RK45 and DOP853 classes and its
-step-size controller is theirs (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6), so it takes scipy's steps without scipy's per-step array
-overhead.  `integrate_tau` and `end_state` use DOP853 (Dormand-Prince
-8(5,3)), whose eighth order suits the tolerances of 1e-10 to 1e-11 that
-shooting asks for; the renormalizing march in `solutions` and its
-reduction-of-order tail, the pair (T, 0), use RK45.  Each integrator
-segment is a StepTable, one kernel per method, evaluated without calling
-scipy.
+complex lambda).  Its tableaux are read from scipy.integrate's RK45 and
+DOP853 classes and its step-size controller is theirs (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.6), so it takes scipy's steps without
+scipy's per-step array overhead.  Each method's step, with its error norm
+and its table row, is straight-line Python that one generator writes from
+the tableau, compiled on first use in one of two forms: for a
+CoefficientSet, once per method, with the emitted p, q and r inlined in
+every stage (`CoefficientSet.steps`); for any other right-hand side, such
+as the reduction tail, with a call to rhs(x, (u, v)) in each stage.  The
+weighted sums keep the tableau's order, so the arithmetic is that of a
+loop over the tableau, bit for bit.
+
+`integrate_tau` and `end_state` use DOP853 (Dormand-Prince 8(5,3)), whose
+eighth order suits the tolerances of 1e-10 to 1e-11 that shooting asks
+for; the renormalizing march in `solutions` and its reduction-of-order
+tail, the pair (T, 0), use RK45.  Each integrator segment is a StepTable,
+one kernel per method, evaluated without calling scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import cmath
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -41,6 +49,7 @@ from .errors import (
     NonFiniteState,
     StepSizeUnderflow,
 )
+from .expressions import _fused
 from .functions import AnalyticFn, QuasiFn
 
 
@@ -88,19 +97,6 @@ EPS = sys.float_info.epsilon
 _SQRT2 = 2 ** 0.5
 
 
-def _terms(weights):
-    """(index, weight) of the nonzero weights.  A zero term adds nothing to
-    a sum, so skipping it leaves every value unchanged."""
-    return [(j, float(w)) for j, w in enumerate(weights) if w]
-
-
-def _dot(terms, k):
-    acc = 0.0
-    for j, w in terms:
-        acc += k[j] * w
-    return acc
-
-
 def _norm(a, b):
     """numpy's 2-norm of the pair; for complex entries it sums the squared
     real parts, then the squared imaginary parts."""
@@ -110,93 +106,167 @@ def _norm(a, b):
     return math.sqrt(a * a + b * b)
 
 
-def _stages(a_rows, c_values, first):
-    return [(float(c), _terms(a[:s]))
-            for s, (a, c) in enumerate(zip(a_rows, c_values), start=first)]
+def _sum(weights, k):
+    """Source of the weighted sum of the stages k0, k1, ... in tableau
+    order, (0.0 + k0*w0) + k1*w1 + ..., with each weight as its exact repr.
+    A zero weight adds nothing, so its term is left out."""
+    return "0.0" + "".join(f" + {k}{j} * {float(w)!r}"
+                           for j, w in enumerate(weights) if w)
+
+
+def _stage(s, c, a, evaluate):
+    """Source lines of stage s at t + c*h, its state weighted by row a."""
+    return [f"x = t + {float(c)!r} * h",
+            f"yu = u + ({_sum(a[:s], 'ku')}) * h",
+            f"yv = v + ({_sum(a[:s], 'kv')}) * h",
+            *evaluate.format(s=s).splitlines()]
+
+
+def _guarded(lines):
+    """The stage lines inside a try whose domain error goes through
+    `_undefined(x)`, x the stage point of the failing stage.  In the call
+    form no expression is compiled in, so the error propagates as raised."""
+    return ["try:", *["    " + line for line in lines],
+            "except ValueError:", "    _undefined(x)", "    raise"]
+
+
+def _function(head, body):
+    return [head, *["    " + line for line in body]]
+
+
+def _names(k, n):
+    return ", ".join(f"{k}{j}" for j in range(n))
+
+
+# The two forms of a step: the factory's argument, and how a stage
+# evaluates the system at (x, (yu, yv)) into (ku{s}, kv{s}), by calling rhs
+# or with a CoefficientSet's p, q and r inlined, in the arithmetic of
+# expressions.quasi_rhs.
+_CALL = ("rhs", "ku{s}, kv{s} = rhs(x, (yu, yv))")
+_INLINE = ("lam",
+           "ku{s} = yv / ({{p}})\nkv{s} = (({{q}}) - lam * ({{r}})) * yu")
+
+
+class Steps(NamedTuple):
+    """A right-hand side rhs(x, (u, u1)) with a method's compiled step and
+    table row for it (see `_RungeKutta`)."""
+    rhs: object
+    step: object
+    row: object
 
 
 class _RungeKutta:
     """An explicit Runge-Kutta pair for the state (u, u^[1]), with the
-    tableau of scipy's solver class of the same name."""
+    tableau of scipy's solver class of the same name.
+
+    Its step and table row are straight-line Python source generated from
+    the tableau and compiled on first use, in one of two forms: `steps(rhs)`
+    calls rhs at each stage, `inline(coeffs)` writes a CoefficientSet's p,
+    q and r into each stage.  The step,
+
+        step(t, h, u, v, ku0, kv0, rtol, atol) -> (un, vn, err, ku, kv),
+
+    is scipy's rk_step and error norm: the new state, the error norm, and
+    the stages, the derivative at the new state last.  The row,
+    row(t, h, u, v, un, vn, ku, kv), is the step's StepTable row.
+    """
 
     def __init__(self, cls):
         self.n_stages = cls.n_stages
-        self.stages = _stages(cls.A[1:], cls.C[1:], 1)
-        self.b = _terms(cls.B)
         self.order = cls.error_estimator_order
         self.exponent = -1 / (cls.error_estimator_order + 1)
+        self._tableau = cls
+        self._call = None
 
-    def step(self, rhs, t, h, u, v, fu, fv):
-        """scipy's rk_step: the new state and the stages, the derivative at
-        the new state last."""
-        ku, kv = [fu], [fv]
-        for c, a in self.stages:
-            du = dv = 0.0
-            for j, w in a:
-                du += ku[j] * w
-                dv += kv[j] * w
-            fu, fv = rhs(t + c * h, (u + du * h, v + dv * h))
-            ku.append(fu)
-            kv.append(fv)
-        un = u + h * _dot(self.b, ku)
-        vn = v + h * _dot(self.b, kv)
-        fu, fv = rhs(t + h, (un, vn))
-        ku.append(fu)
-        kv.append(fv)
-        return un, vn, ku, kv
+    def _source(self, form):
+        """Source of `factory(arg)`, which returns the step and the row."""
+        arg, evaluate = form
+        cls, n = self._tableau, self.n_stages
+        stages = [line for s in range(1, n)
+                  for line in _stage(s, cls.C[s], cls.A[s], evaluate)]
+        stages += ["x = t + h",
+                   f"yu = un = u + h * ({_sum(cls.B, 'ku')})",
+                   f"yv = vn = v + h * ({_sum(cls.B, 'kv')})",
+                   *evaluate.format(s=n).splitlines()]
+        step = _function("def step(t, h, u, v, ku0, kv0, rtol, atol):", [
+            *_guarded(stages),
+            "su = atol + max(abs(u), abs(un)) * rtol",
+            "sv = atol + max(abs(v), abs(vn)) * rtol",
+            *self._error(),
+            f"return un, vn, err, ({_names('ku', n + 1)}), "
+            f"({_names('kv', n + 1)})"])
+        row = _function("def row(t, h, u, v, un, vn, ku, kv):", [
+            f"{_names('ku', n + 1)} = ku",
+            f"{_names('kv', n + 1)} = kv",
+            *self._row(evaluate)])
+        return "\n".join(_function(f"def factory({arg}):",
+                                   [*step, *row, "return step, row"])) + "\n"
+
+    def _compile(self, source, **coeffs):
+        return _fused(source, "factory", dict(_norm=_norm, _SQRT2=_SQRT2),
+                      **coeffs)
+
+    def steps(self, rhs):
+        """Steps of a plain rhs: each stage calls rhs(x, (u, v))."""
+        if self._call is None:
+            self._call = self._compile(self._source(_CALL))
+        return Steps(rhs, *self._call(rhs))
+
+    def inline(self, coeffs):
+        """lam -> Steps of a CoefficientSet's quasi-derivative system, with
+        p, q and r inlined in every stage.  A domain error in a stage
+        raises the SpecFileError naming the coefficient at fault."""
+        factory = self._compile(self._source(_INLINE),
+                                p=coeffs.p, q=coeffs.q, r=coeffs.r)
+        rhs = coeffs.rhs
+        return lambda lam: Steps(rhs(lam), *factory(lam))
 
 
 class _RK45(_RungeKutta):
     n_coef = 4
 
-    def __init__(self, cls):
-        super().__init__(cls)
-        self.e = _terms(cls.E)
-        self.p = [_terms(col) for col in cls.P.T]
+    def _error(self):
+        e = self._tableau.E
+        return [f"err = _norm(({_sum(e, 'ku')}) * h / su, "
+                f"({_sum(e, 'kv')}) * h / sv) / _SQRT2"]
 
-    def error_norm(self, ku, kv, h, su, sv):
-        return _norm(_dot(self.e, ku) * h / su,
-                     _dot(self.e, kv) * h / sv) / _SQRT2
-
-    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
-        """The step's table row, with Q = K^T P."""
-        return [t, h, u, *[_dot(p, ku) for p in self.p],
-                v, *[_dot(p, kv) for p in self.p]]
+    def _row(self, evaluate):
+        """The row, with Q = K^T P."""
+        p = self._tableau.P.T
+        return [f"return [t, h, u, {', '.join(_sum(c, 'ku') for c in p)}, "
+                f"v, {', '.join(_sum(c, 'kv') for c in p)}]"]
 
 
 class _DOP853(_RungeKutta):
     n_coef = 7
 
-    def __init__(self, cls):
-        super().__init__(cls)
-        self.e5 = _terms(cls.E5)
-        self.e3 = _terms(cls.E3)
-        self.extra = _stages(cls.A_EXTRA, cls.C_EXTRA, cls.n_stages + 1)
-        self.d = [_terms(row) for row in cls.D]
+    def _error(self):
+        cls = self._tableau
+        return [f"n5 = _norm(({_sum(cls.E5, 'ku')}) / su, "
+                f"({_sum(cls.E5, 'kv')}) / sv)",
+                f"n3 = _norm(({_sum(cls.E3, 'ku')}) / su, "
+                f"({_sum(cls.E3, 'kv')}) / sv)",
+                "e5, e3 = n5 * n5, n3 * n3",
+                "if e5 == 0 and e3 == 0:",
+                "    err = 0.0",
+                "else:",
+                "    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2)"]
 
-    def error_norm(self, ku, kv, h, su, sv):
-        n5 = _norm(_dot(self.e5, ku) / su, _dot(self.e5, kv) / sv)
-        n3 = _norm(_dot(self.e3, ku) / su, _dot(self.e3, kv) / sv)
-        e5, e3 = n5 * n5, n3 * n3
-        if e5 == 0 and e3 == 0:
-            return 0.0
-        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
-
-    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
-        """The step's table row: F from the three extra stages of the
-        interpolant."""
-        for c, a in self.extra:
-            fu, fv = rhs(t + c * h,
-                         (u + _dot(a, ku) * h, v + _dot(a, kv) * h))
-            ku.append(fu)
-            kv.append(fv)
-        out = [t, h]
-        for y, yn, k in ((u, un, ku), (v, vn, kv)):
-            dy = yn - y
-            out += (y, dy, h * k[0] - dy,
-                    2 * dy - h * (k[self.n_stages] + k[0]),
-                    *[h * _dot(d, k) for d in self.d])
-        return out
+    def _row(self, evaluate):
+        """The row: F from the three extra stages of the interpolant."""
+        cls, n = self._tableau, self.n_stages
+        extra = [line for s, (c, a) in enumerate(
+                     zip(cls.C_EXTRA, cls.A_EXTRA), start=n + 1)
+                 for line in _stage(s, c, a, evaluate)]
+        out = ["t", "h"]
+        for y, k in (("u", "ku"), ("v", "kv")):
+            out += [y, f"d{y}", f"h * {k}0 - d{y}",
+                    f"2 * d{y} - h * ({k}{n} + {k}0)",
+                    *[f"h * ({_sum(d, k)})" for d in cls.D]]
+        return [*_guarded(extra),
+                "du = un - u",
+                "dv = vn - v",
+                f"return [{', '.join(out)}]"]
 
 
 RK45 = _RK45(scipy.integrate.RK45)
@@ -211,8 +281,10 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
              cap=None):
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
-    method is RK45 or DOP853; rhs(x, (u, u1)) returns the derivative pair,
-    a CoefficientSet.rhs(lam) for the quasi-derivative system.
+    method is RK45 or DOP853.  rhs(x, (u, u1)) returns the derivative pair,
+    and every stage of the method's generated step calls it; or rhs is the
+    method's Steps for a CoefficientSet at one lambda,
+    `coeffs.steps(method)(lam)`, whose stages have p, q and r inlined.
     The arithmetic is that of scipy.integrate's solver of that name with
     the same rtol and atol, in Python numbers: the initial-step rule,
     min_step, the SAFETY, MIN and MAX factors, the error norms, and a
@@ -228,6 +300,8 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     event point.  Each state adds to the one before it, so a non-finite
     state stays non-finite: checking the returned state checks them all.
     """
+    steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
+    rhs, step = steps.rhs, steps.step
     t, t_bound = float(anchor), float(target)
     u, v = (_plain(c) for c in init)
     rtol = max(rtol, 100 * EPS)
@@ -279,10 +353,7 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            un, vn, ku, kv = method.step(rhs, t, h, u, v, fu, fv)
-            err = method.error_norm(
-                ku, kv, h, atol + max(abs(u), abs(un)) * rtol,
-                atol + max(abs(v), abs(vn)) * rtol)
+            un, vn, err, ku, kv = step(t, h, u, v, fu, fv, rtol, atol)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(
                     MAX_FACTOR, SAFETY * err ** method.exponent)
@@ -293,7 +364,7 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** method.exponent)
             rejected = True
         if dense or cap is not None:
-            row = method.row(rhs, t, h, u, v, un, vn, ku, kv)
+            row = steps.row(t, h, u, v, un, vn, ku, kv)
         stop = direction * (t_new - t_bound) >= 0
         if cap is not None:
             g_old, g = g, level(un, vn)
@@ -460,8 +531,8 @@ def _solve(spec, lam, anchor, init, target, tol, dense):
     at target and, when dense, the StepTable."""
     if target == anchor:
         raise ValueError("target must differ from anchor")
-    _, y, table = rk_solve(DOP853, spec.coeffs.rhs(_plain(lam)), anchor,
-                           init, target, tol, tol * 1e-3, dense)
+    _, y, table = rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)),
+                           anchor, init, target, tol, tol * 1e-3, dense)
     if not all(map(cmath.isfinite, y)):
         raise NonFiniteState("trajectory overflowed; rescale and retry")
     return y, table

@@ -74,6 +74,18 @@ class CoefficientSet:
         """lam -> f(x, y), the quasi-derivative system, compiled once."""
         return quasi_rhs(self.p, self.q, self.r)
 
+    @cached_property
+    def _steps(self):
+        return {}
+
+    def steps(self, method):
+        """lam -> the Runge-Kutta `method`'s odecore.Steps for the system,
+        with p, q and r inlined in every stage; compiled once per method."""
+        factory = self._steps.get(method)
+        if factory is None:
+            factory = self._steps[method] = method.inline(self)
+        return factory
+
 
 @dataclass
 class ProblemSpec:

@@ -40,10 +40,10 @@ LOGSCALE_MAX = 300.0
 
 def _march_leg(spec, lam, scaled, x0, y0, L0, x1, tol, cap):
     """Advance one window, renormalizing when the state reaches the cap."""
-    rhs = spec.coeffs.rhs(_plain(lam))
+    steps = spec.coeffs.steps(RK45)(_plain(lam))
     x, y, L = x0, y0, L0
     for _ in range(200):
-        x, y, table = rk_solve(RK45, rhs, x, y, x1, tol, tol * 1e-3,
+        x, y, table = rk_solve(RK45, steps, x, y, x1, tol, tol * 1e-3,
                                dense=True, cap=cap)
         if not all(map(cmath.isfinite, y)):
             raise NonFiniteState("state overflowed despite rescaling cap")

@@ -1,11 +1,16 @@
 """Expression language: parsing, evaluation, exact differentiation."""
 
 import math
+import operator
+import random
 
+import numpy as np
 import pytest
 
 from slq.errors import SpecFileError
-from slq.expressions import Expr
+from slq.expressions import BinOp, Const, Expr, Fun, Var, quasi_rhs
+from slq.odecore import RK45
+from slq.problem import CoefficientSet
 
 
 def test_polynomial_evaluation():
@@ -63,3 +68,102 @@ def test_unknown_function_rejected():
 def test_malformed_expression_rejected():
     with pytest.raises(SpecFileError):
         Expr.parse("1 +* 2")
+
+
+def test_negative_constant_base_binds_as_the_base():
+    e = Expr.parse("(-2)**x")
+    assert e(2.0) == 4.0
+    assert e(3.0) == -8.0
+    assert list(e(np.array([2.0, 3.0]))) == [4.0, -8.0]
+
+
+def test_emitter_fix_reaches_the_compiled_steps():
+    # (-2)**(0*x + 2) is 4 exactly, so both systems take the same steps.
+    lam, t, h, u, v = 1.5, 0.2, 0.1, 1.0, -0.5
+    got, want = (CoefficientSet.from_strings("1", q, "1").steps(RK45)(lam)
+                 for q in ("(-2)**(0*x + 2)", "4"))
+    fu, fv = want.rhs(t, (u, v))
+    assert got.rhs(t, (u, v)) == [fu, fv]
+    assert got.step(t, h, u, v, fu, fv, 1e-10, 1e-13) \
+        == want.step(t, h, u, v, fu, fv, 1e-10, 1e-13)
+
+
+# Differential check of the emitted source against a tree-walking
+# evaluator that follows the tree, not the text.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "**": operator.pow}
+_FUNCS = ("exp", "log", "sin", "cos", "sqrt")
+_MATH = {f: getattr(math, f) for f in _FUNCS}
+_NUMPY = {f: getattr(np, f) for f in _FUNCS}
+_CONSTANTS = (-3.0, -2.0, -1.5, -1.0, -0.5, -0.0, 0.5, 1.0, 2.0, 2.5, 3.0)
+_POINTS = (-2.5, -2.0, -1.0, -0.5, -0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Var() if rng.random() < 0.5 else Const(rng.choice(_CONSTANTS))
+    if rng.random() < 0.2:
+        return Fun(rng.choice(_FUNCS), _random_tree(rng, depth - 1))
+    return BinOp(rng.choice(list(_OPS)), _random_tree(rng, depth - 1),
+                 _random_tree(rng, depth - 1))
+
+
+def _walk(node, x, ns):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Fun):
+        return ns[node.name](_walk(node.arg, x, ns))
+    return _OPS[node.op](_walk(node.left, x, ns), _walk(node.right, x, ns))
+
+
+def _inside(root, x):
+    """The tree is defined at x: a finite real value, no domain error."""
+    try:
+        v = _walk(root, x, _MATH)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        return False
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _trees(seed, n, depth=4):
+    rng = random.Random(seed)
+    return [_random_tree(rng, depth) for _ in range(n)]
+
+
+def test_emitted_source_follows_the_tree():
+    checked = 0
+    for root in _trees(11, 400):
+        e = Expr(root)
+        xs = [x for x in _POINTS if _inside(root, x)]
+        for x in xs:
+            assert e(x).hex() == _walk(root, x, _MATH).hex(), \
+                (root.emit(), x)
+        if not xs:
+            continue
+        grid = np.array(xs)
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(_walk(root, grid, _NUMPY), grid.shape)
+            got = e(grid)
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), \
+            root.emit()
+        checked += len(xs)
+    assert checked > 1000
+
+
+def test_fused_rhs_follows_the_trees():
+    trees = _trees(12, 300)
+    checked = 0
+    for p, q, r in zip(trees[0::3], trees[1::3], trees[2::3]):
+        factory = quasi_rhs(Expr(p), Expr(q), Expr(r))
+        for x in _POINTS:
+            if not all(_inside(root, x) for root in (p, q, r)) \
+                    or _walk(p, x, _MATH) == 0.0:
+                continue
+            pv, qv, rv = (_walk(root, x, _MATH) for root in (p, q, r))
+            for lam, y in ((2.5, (0.7, -1.3)), (2.5 + 1j, (0.7 - 0.2j, 1j))):
+                assert factory(lam)(x, y) == [y[1] / pv,
+                                              (qv - lam * rv) * y[0]]
+            checked += 1
+    assert checked > 50

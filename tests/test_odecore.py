@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 from slq.errors import SpecFileError
@@ -12,13 +13,15 @@ from slq.functions import polynomial
 from slq.odecore import (
     DOP853,
     RK45,
+    _norm,
     end_state,
     integrate_tau,
     rk_solve,
     tau_apply,
     wronskian,
 )
-from slq.problem import CoefficientSet, catalog
+from slq.problem import CoefficientSet, Interval, ProblemSpec, catalog
+from slq.solutions import rescaled_march
 
 
 def test_integrate_tau_matches_sine(dirichlet):
@@ -128,6 +131,139 @@ def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
     xs += [ts[0] - 0.1 * (ts[1] - ts[0]), ts[-1] + 0.1 * (ts[-1] - ts[-2])]
     for t in xs:
         assert _close(table.at(t), sol.sol(t)), t
+
+
+# The Runge-Kutta step, error norm and table row as loops over scipy's
+# tableau: the reference the generated steps must match bit for bit.
+def _terms(weights):
+    return [(j, float(w)) for j, w in enumerate(weights) if w]
+
+
+def _dot(terms, k):
+    acc = 0.0
+    for j, w in terms:
+        acc += k[j] * w
+    return acc
+
+
+def _stages(a_rows, c_values, first):
+    return [(float(c), _terms(a[:s]))
+            for s, (a, c) in enumerate(zip(a_rows, c_values), start=first)]
+
+
+class _TableauLoop:
+    def __init__(self, cls):
+        self.cls = cls
+        self.n_stages = cls.n_stages
+        self.stages = _stages(cls.A[1:], cls.C[1:], 1)
+        self.b = _terms(cls.B)
+
+    def step(self, rhs, t, h, u, v, fu, fv):
+        ku, kv = [fu], [fv]
+        for c, a in self.stages:
+            du = dv = 0.0
+            for j, w in a:
+                du += ku[j] * w
+                dv += kv[j] * w
+            fu, fv = rhs(t + c * h, (u + du * h, v + dv * h))
+            ku.append(fu)
+            kv.append(fv)
+        un = u + h * _dot(self.b, ku)
+        vn = v + h * _dot(self.b, kv)
+        fu, fv = rhs(t + h, (un, vn))
+        ku.append(fu)
+        kv.append(fv)
+        return un, vn, ku, kv
+
+    def error_norm(self, ku, kv, h, su, sv):
+        if self.cls is scipy.integrate.RK45:
+            e = _terms(self.cls.E)
+            return _norm(_dot(e, ku) * h / su,
+                         _dot(e, kv) * h / sv) / 2 ** 0.5
+        e5, e3 = _terms(self.cls.E5), _terms(self.cls.E3)
+        n5 = _norm(_dot(e5, ku) / su, _dot(e5, kv) / sv)
+        n3 = _norm(_dot(e3, ku) / su, _dot(e3, kv) / sv)
+        e5, e3 = n5 * n5, n3 * n3
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+
+    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
+        if self.cls is scipy.integrate.RK45:
+            p = [_terms(col) for col in self.cls.P.T]
+            return [t, h, u, *[_dot(c, ku) for c in p],
+                    v, *[_dot(c, kv) for c in p]]
+        ku, kv = list(ku), list(kv)
+        for c, a in _stages(self.cls.A_EXTRA, self.cls.C_EXTRA,
+                            self.n_stages + 1):
+            fu, fv = rhs(t + c * h,
+                         (u + _dot(a, ku) * h, v + _dot(a, kv) * h))
+            ku.append(fu)
+            kv.append(fv)
+        out = [t, h]
+        for y, yn, k in ((u, un, ku), (v, vn, kv)):
+            dy = yn - y
+            out += (y, dy, h * k[0] - dy,
+                    2 * dy - h * (k[self.n_stages] + k[0]),
+                    *[h * _dot(_terms(d), k) for d in self.cls.D])
+        return out
+
+
+_LOOPS = {"RK45": (RK45, _TableauLoop(scipy.integrate.RK45)),
+          "DOP853": (DOP853, _TableauLoop(scipy.integrate.DOP853))}
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("form", ["inline", "call"])
+@pytest.mark.parametrize("problem", ["oscillator", "legendre"])
+@pytest.mark.parametrize("complex_lam", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+def test_generated_step_equals_tableau_loop(method, form, problem,
+                                            complex_lam, backward, request):
+    spec = request.getfixturevalue(problem)
+    stepper, loop = _LOOPS[method]
+    lam = 2.5 + 1.0j if complex_lam else 2.5
+    rhs = spec.coeffs.rhs(lam)
+    steps = (spec.coeffs.steps(stepper)(lam) if form == "inline"
+             else stepper.steps(rhs))
+    rtol, atol = 1e-10, 1e-13
+    for t, h, (u, v) in ((0.3, 0.05, (1.0, -0.5)), (-0.6, 0.21, (0.0, 1.0)),
+                         (0.1, 0.7, (-2.3, 0.4)), (0.5, 1e-6, (1e-3, 7.0))):
+        if backward:
+            h = -h
+        if complex_lam:
+            u, v = complex(u, 0.3), complex(v, -0.8)
+        fu, fv = rhs(t, (u, v))
+        un, vn, ku, kv = loop.step(rhs, t, h, u, v, fu, fv)
+        got = steps.step(t, h, u, v, fu, fv, rtol, atol)
+        assert got == (un, vn, got[2], tuple(ku), tuple(kv))
+        assert got[2] == loop.error_norm(
+            ku, kv, h, atol + max(abs(u), abs(un)) * rtol,
+            atol + max(abs(v), abs(vn)) * rtol)
+        assert steps.row(t, h, u, v, un, vn, got[3], got[4]) \
+            == loop.row(rhs, t, h, u, v, un, vn, ku, kv)
+
+
+def test_coefficient_steps_compile_once_per_method(legendre):
+    coeffs = legendre.coeffs
+    assert coeffs.steps(RK45) is coeffs.steps(RK45)
+    assert coeffs.steps(DOP853) is not coeffs.steps(RK45)
+
+
+@pytest.mark.parametrize("coeffs, bad", [
+    (("sqrt(x)", "0", "1"), "sqrt(x)"),
+    (("1", "log(x)", "1"), "log(x)"),
+    (("1", "0", "sqrt(x)"), "sqrt(x)"),
+])
+@pytest.mark.parametrize("solve", [end_state, rescaled_march])
+def test_compiled_step_domain_error_names_the_coefficient(coeffs, bad, solve):
+    # Defined at the anchor, undefined past 0: a stage of some step lands
+    # there.  end_state steps with DOP853, rescaled_march with RK45.
+    spec = ProblemSpec(Interval(-2.0, 3.0),
+                       CoefficientSet.from_strings(*coeffs))
+    with pytest.raises(SpecFileError, match=re.escape(repr(bad))) as info:
+        solve(spec, 1.0, 2.0, (1.0, 0.0), -1.0)
+    assert "step" in [entry.name for entry in info.traceback]
 
 
 def test_kernel_zero_length_solve_is_one_constant_step(dirichlet):
