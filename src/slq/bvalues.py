@@ -221,7 +221,8 @@ class BlendedFn(QuasiFn):
         self.right = right
         self.window = (float(window[0]), float(window[1]))
         self.lam0 = lam0
-        self._dp = spec.p.deriv()
+        self._p = spec.p.scalar
+        self._dp = spec.p.deriv().scalar
 
     def _phi(self, x):
         a0, b0 = self.window
@@ -238,7 +239,7 @@ class BlendedFn(QuasiFn):
         ru, ru1 = self.right.pair(x)
         u = (1.0 - phi) * lu + phi * ru
         u1 = (1.0 - phi) * lu1 + phi * ru1 \
-            + self.spec.p(x) * dphi / (b0 - a0) * (ru - lu)
+            + self._p(x) * dphi / (b0 - a0) * (ru - lu)
         return u, u1
 
     def tau(self, x):
@@ -262,9 +263,9 @@ class BlendedFn(QuasiFn):
         d2phi = 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / (h * h)
         lu, lu1 = self.left.pair(x)
         ru, ru1 = self.right.pair(x)
-        p = self.spec.p(x)
-        q = self.spec.q(x)
-        r = self.spec.r(x)
+        p = self._p(x)
+        q = self.spec.q.scalar(x)
+        r = self.spec.r.scalar(x)
         v = (1.0 - phi) * lu + phi * ru
         d_pv = ((1.0 - phi) * (q - lam0 * r) * lu
                 + phi * (q - lam0 * r) * ru

@@ -49,7 +49,8 @@ def _segment_l2(spec, table, L):
     lo, hi = sorted((table.t[0], table.t[-1]))
     if lo == hi:
         return 0.0
-    val, _ = quad(lambda x: spec.r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
+    r = spec.r.scalar
+    val, _ = quad(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
                   epsabs=1e-14, epsrel=1e-10, limit=100)
     log_c = 2.0 * L + (math.log(val) if val > 0 else -math.inf)
     if log_c > 700.0:

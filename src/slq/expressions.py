@@ -206,19 +206,61 @@ def _convert(node: ast.AST) -> Node:
 _SCALAR_NS = {f: getattr(math, f) for f in _ALLOWED_FUNCS}
 _ARRAY_NS = {f: getattr(np, f) for f in _ALLOWED_FUNCS}
 
+# Longest expression text kept in the label of a compiled code object.
+_LABEL_TEXT = 24
+
+
+def _short(text):
+    return text if len(text) <= _LABEL_TEXT \
+        else text[:_LABEL_TEXT - 3] + "..."
+
+
+def _label(kind, **exprs):
+    """Code-object label `<kind name=text ...>`, so that profiles tell
+    apart the code compiled for different expressions."""
+    return "<" + " ".join(
+        [kind, *(f"{k}={_short(e.text)}" for k, e in exprs.items())]) + ">"
+
+
+def _compiled(source, name, label, ns):
+    """The function `name` that `source` defines in the namespace ns."""
+    exec(compile(source, label, "exec"), ns)  # noqa: S102
+    return ns[name]
+
+
+_SCALAR_SOURCE = """\
+def scalar(x):
+    try:
+        return {f}
+    except ValueError as exc:
+        raise _undefined(x, exc) from exc
+"""
+
 
 class Expr:
-    """A compiled coefficient expression with exact derivatives."""
+    """A compiled coefficient expression with exact derivatives.
+
+    `scalar(x)` is the compiled evaluator at one number x, for callbacks
+    that know their argument is a number; a domain error raises a
+    SpecFileError naming the expression.  Calling the Expr takes a number
+    or an ndarray.
+    """
 
     def __init__(self, root: Node, text: str | None = None):
         self.root = root
         self.text = text if text is not None else root.emit()
         src = root.emit()
-        self._scalar = eval(  # noqa: S307
-            compile(f"lambda x: {src}", "<expr>", "eval"), dict(_SCALAR_NS)
-        )
+        text = self.text
+        label = f"<expr {_short(text)}>"
+
+        def undefined(x, exc):
+            return SpecFileError(
+                f"expression {text!r} undefined at x={x}: {exc}")
+
+        self.scalar = _compiled(_SCALAR_SOURCE.format(f=src), "scalar",
+                                label, dict(_SCALAR_NS, _undefined=undefined))
         self._array = eval(  # noqa: S307
-            compile(f"lambda x: {src}", "<expr>", "eval"), dict(_ARRAY_NS)
+            compile(f"lambda x: {src}", label, "eval"), dict(_ARRAY_NS)
         )
         self._deriv: Expr | None = None
 
@@ -241,12 +283,7 @@ class Expr:
             if np.isscalar(out) or getattr(out, "shape", None) == ():
                 out = np.full_like(x, float(out), dtype=float)
             return out
-        try:
-            return self._scalar(x)
-        except ValueError as exc:  # math domain error -> NaN for diagnostics
-            raise SpecFileError(
-                f"expression {self.text!r} undefined at x={x}: {exc}"
-            ) from exc
+        return self.scalar(x)
 
     def deriv(self) -> "Expr":
         if self._deriv is None:
@@ -257,20 +294,20 @@ class Expr:
         return f"Expr({self.text!r})"
 
 
-def _fused(source, name, env=None, **exprs):
+def _fused(source, name, env=None, kind=None, **exprs):
     """Compile `source`, which defines `name` over the scalar namespace and
     `env`, with each keyword's expression in place of its field.  The
     source calls `_undefined(x)` on a domain error: that re-evaluates the
-    expressions one by one, in keyword order, so the SpecFileError names
-    the expression at fault."""
+    expressions one by one, in keyword order, with their own scalar
+    evaluators, so the SpecFileError names the expression at fault.  The
+    code is labelled with `kind` (default: `name`) and the expressions."""
     def undefined(x):
         for e in exprs.values():
-            e(x)
+            e.scalar(x)
 
     ns = dict(_SCALAR_NS, **(env or {}), _undefined=undefined)
     src = source.format(**{k: e.root.emit() for k, e in exprs.items()})
-    exec(compile(src, f"<{name}>", "exec"), ns)  # noqa: S102
-    return ns[name]
+    return _compiled(src, name, _label(kind or name, **exprs), ns)
 
 
 _RHS_SOURCE = """\
@@ -294,7 +331,7 @@ def quasi_rhs(p: Expr, q: Expr, r: Expr):
     A domain error re-evaluates the coefficients one by one, so the
     SpecFileError names the expression at fault.
     """
-    return _fused(_RHS_SOURCE, "factory", p=p, q=q, r=r)
+    return _fused(_RHS_SOURCE, "factory", kind="rhs", p=p, q=q, r=r)
 
 
 _PAIR_SOURCE = """\

@@ -156,7 +156,7 @@ def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
     """
     end = basis.endpoint_value
     sign = 1.0 if basis.endpoint == "b" else -1.0
-    p = spec.p
+    p = spec.p.scalar
     w_pair = w.pair
     f_pair = f.pair
     g_pair = g.pair
@@ -243,12 +243,13 @@ def _references(bases, lc):
 def _check_square_integrable(spec, lc, cuts, fns):
     """Raise FormIntegralDiverges unless each function is in L^2(r) toward
     every limit-point end; cuts holds (cut, cutoff) per end."""
+    r = spec.r.scalar
     for end, endpoint, (cut, cutoff) in zip(
             "ab", spec.interval.endpoints(), cuts):
         if lc[end]:
             continue
         for fn in fns:
-            res = improper_integral(lambda x: spec.r(x) * abs(fn(x)) ** 2,
+            res = improper_integral(lambda x: r(x) * abs(fn(x)) ** 2,
                                     cut, endpoint, cutoff=cutoff)
             if not res.converged:
                 raise FormIntegralDiverges(
@@ -274,6 +275,7 @@ def q_base(spec, bases, window, regime, f, g):
     a, b = spec.interval.endpoints()
     c, d = window.c, window.d
     lam0 = spec.lambda0
+    p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
 
     cut_a = _side_cutoff(basis_a, w_a)
     cut_b = _side_cutoff(basis_b, w_b)
@@ -294,7 +296,7 @@ def q_base(spec, bases, window, regime, f, g):
 
     if lam0 != 0.0:
         def mass(x):
-            return lam0 * spec.r(x) * f(x).conjugate() * g(x)
+            return lam0 * r(x) * f(x).conjugate() * g(x)
 
         val, e, ok, div = _complex_improper(mass, c, a, cutoff=cut_a)
         if div or not ok:
@@ -313,8 +315,8 @@ def q_base(spec, bases, window, regime, f, g):
     def middle(x):
         fu, fu1 = f.pair(x)
         gu, gu1 = g.pair(x)
-        return (fu1.conjugate() * gu1 / spec.p(x)
-                + spec.q(x) * fu.conjugate() * gu)
+        return (fu1.conjugate() * gu1 / p(x)
+                + q(x) * fu.conjugate() * gu)
 
     val, e = _complex_panel(middle, c, d)
     pieces["middle_dirichlet_integral"] = val
@@ -440,9 +442,10 @@ def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
     """(f, tau g) = int r conj(f) tau(g) over the whole interval."""
     a, b = spec.interval.endpoints()
     c, d = window.c, window.d
+    r = spec.r.scalar
 
     def integrand(x):
-        return spec.r(x) * f(x).conjugate() * g_tau_fn(x)
+        return r(x) * f(x).conjugate() * g_tau_fn(x)
 
     total = 0.0 + 0.0j
     err = 0.0

@@ -41,12 +41,46 @@ class QuasiFn:
         return self.pair(x)[1]
 
 
+# Entries a MemoizedQuasiFn keeps before it starts over.
+PAIR_MEMO_SIZE = 2 ** 14
+
+
+class MemoizedQuasiFn(QuasiFn):
+    """A QuasiFn whose pair is computed once per point.
+
+    `pair(x)` keeps a dict, `_memo`, from x to the pair it returned, on the
+    object itself; a subclass sets `_memo = {}` in __init__ and computes a
+    missing pair in `_pair(float(x))`.  Computing at float(x) makes a hit
+    return what a miss returns, bit for bit and in type, whether the first
+    caller passed a float or a numpy float.  The dict is cleared when it
+    holds PAIR_MEMO_SIZE entries; a subclass whose values can change must
+    clear it when they do.
+    """
+
+    def pair(self, x):
+        try:
+            return self._memo[x]
+        except KeyError:
+            pass
+        memo = self._memo
+        if len(memo) >= PAIR_MEMO_SIZE:
+            memo.clear()
+        out = memo[x] = self._pair(float(x))
+        return out
+
+    def _pair(self, x):
+        raise NotImplementedError
+
+
 class AnalyticFn(QuasiFn):
     """A QuasiFn with exact derivatives: subclasses define __call__, d1 and
-    d2, and carry the problem spec for g^[1] = p g'."""
+    d2, and carry the problem spec for g^[1] = p g'.  They take a scalar x;
+    an ExprFunction also takes an ndarray."""
 
     def qd(self, x):
-        return self.spec.p(x) * self.d1(x)
+        if isinstance(x, np.ndarray):
+            return self.spec.p(x) * self.d1(x)
+        return self.spec.p.scalar(x) * self.d1(x)
 
     def pair(self, x):
         return self(x), self.qd(x)
@@ -59,7 +93,8 @@ class ExprFunction(AnalyticFn):
     one scalar function of x with the arithmetic of `(f(x), p(x) f'(x))`;
     it takes scalars only.  It is bound per instance, so it takes
     precedence over `AnalyticFn.pair` and over any `pair` a subclass
-    defines.
+    defines.  `__call__`, `d1` and `d2` take a number, through the
+    expressions' compiled scalar evaluators, or an ndarray.
     """
 
     def __init__(self, spec, expr):
@@ -72,13 +107,19 @@ class ExprFunction(AnalyticFn):
         self.pair = quasi_pair(expr, spec.p)
 
     def __call__(self, x):
-        return self.expr(x)
+        if isinstance(x, np.ndarray):
+            return self.expr(x)
+        return self.expr.scalar(x)
 
     def d1(self, x):
-        return self._d1(x)
+        if isinstance(x, np.ndarray):
+            return self._d1(x)
+        return self._d1.scalar(x)
 
     def d2(self, x):
-        return self._d2(x)
+        if isinstance(x, np.ndarray):
+            return self._d2(x)
+        return self._d2.scalar(x)
 
     def __repr__(self):
         return f"ExprFunction({self.expr.text!r})"

@@ -50,7 +50,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .expressions import _fused
-from .functions import AnalyticFn, QuasiFn
+from .functions import AnalyticFn, MemoizedQuasiFn
 
 
 def _rk45_2(rows, i, x):
@@ -204,7 +204,7 @@ class _RungeKutta:
 
     def _compile(self, source, **coeffs):
         return _fused(source, "factory", dict(_norm=_norm, _SQRT2=_SQRT2),
-                      **coeffs)
+                      kind=self._tableau.__name__, **coeffs)
 
     def steps(self, rhs):
         """Steps of a plain rhs: each stage calls rhs(x, (u, v))."""
@@ -432,7 +432,7 @@ class StepTable:
         return self._kernel(self._rows, j * self._width, x)
 
 
-class ScaledSolution(QuasiFn):
+class ScaledSolution(MemoizedQuasiFn):
     """Dense-output trajectory of the quasi-derivative system with a
     log-scale ledger.
 
@@ -448,6 +448,10 @@ class ScaledSolution(QuasiFn):
     on a shared edge the segment inserted first is used.  A trajectory
     without segments covers nothing: every evaluation raises
     EvaluationOutsideSupport.
+
+    `pair` computes each point once (see MemoizedQuasiFn): a miss goes
+    through `log_pair`, and `add_segment` clears the memo, since a new
+    segment can answer a point that no segment or a farther one answered.
     """
 
     x_min = math.inf
@@ -461,6 +465,7 @@ class ScaledSolution(QuasiFn):
         self._los = []
         self._his = []
         self._order = []
+        self._memo = {}  # x -> pair(x)
 
     def add_segment(self, table, logscale):
         """Append a segment, a StepTable; its interior must not overlap
@@ -479,6 +484,7 @@ class ScaledSolution(QuasiFn):
         self._order.insert(k, len(self._segments))
         self._segments.append((table, logscale))
         self.x_min, self.x_max = los[0], his[-1]
+        self._memo.clear()
 
     def _locate(self, x):
         if not (self.x_min <= x <= self.x_max):
@@ -504,7 +510,7 @@ class ScaledSolution(QuasiFn):
         u, u1 = table.at(x)
         return u, u1, L
 
-    def pair(self, x):
+    def _pair(self, x):
         """(u(x), u^[1](x))."""
         u, u1, L = self.log_pair(x)
         s = math.exp(L)
@@ -590,10 +596,10 @@ def tau_at(spec, g, x, tol=1e-7):
     p = spec.p
     gv = g(x)
     if isinstance(g, AnalyticFn):
-        d_qd = p.deriv()(x) * g.d1(x) + p(x) * g.d2(x)
+        d_qd = p.deriv().scalar(x) * g.d1(x) + p.scalar(x) * g.d2(x)
     else:
         d_qd = _qd_derivative(g, x, tol)
-    v = (-d_qd + spec.q(x) * gv) / spec.r(x)
+    v = (-d_qd + spec.q.scalar(x) * gv) / spec.r.scalar(x)
     if isinstance(v, complex) and v.imag == 0.0:
         return v.real
     return v

@@ -201,7 +201,8 @@ def _endpoint_regular(spec, which):
     if not math.isfinite(end):
         return False
     c = spec.interval.interior_point()
-    for fn in (lambda x: 1.0 / spec.p(x), spec.q, spec.r):
+    p = spec.p.scalar
+    for fn in (lambda x: 1.0 / p(x), spec.q.scalar, spec.r.scalar):
         res = improper_integral(lambda x: abs(fn(x)), c, end)
         if not res.converged:
             return False

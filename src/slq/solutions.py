@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteState,
     OscillatoryAtLambda0,
 )
-from .functions import QuasiFn
+from .functions import MemoizedQuasiFn, QuasiFn
 from .odecore import RK45, ScaledSolution, _plain, rk_solve
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
@@ -108,7 +108,7 @@ class ScalarMultiple(QuasiFn):
         return self.c * u, self.c * u1
 
 
-class ReductionSolution(QuasiFn):
+class ReductionSolution(MemoizedQuasiFn):
     """Principal solution w(x) * T(x) built by reduction of order.
 
     w is the marched (nonprincipal) solution and T(x) the tail integral of
@@ -117,7 +117,9 @@ class ReductionSolution(QuasiFn):
     at the extrapolated tail value, so its tiny far-field values keep full
     relative accuracy (T decays like the square of the principal solution
     and any absolute error would be amplified by the w factor).  The
-    quasi-derivative is exact: (wT)^[1] = w^[1] T - 1/w.
+    quasi-derivative is exact: (wT)^[1] = w^[1] T - 1/w.  Neither it nor
+    w changes after __init__ (`construct_basis` adds w's segments first),
+    so `pair` computes each point once (see MemoizedQuasiFn).
     """
 
     def __init__(self, spec, w, c0, total, tail, scale=1.0, t_floor=0.0):
@@ -130,6 +132,7 @@ class ReductionSolution(QuasiFn):
         self.t_floor = t_floor
         self.x_min = min(tail.t[0], tail.t[-1])
         self.x_max = max(tail.t[0], tail.t[-1])
+        self._memo = {}  # x -> pair(x)
 
     def T(self, x):
         if not (self.x_min <= x <= self.x_max):
@@ -143,7 +146,7 @@ class ReductionSolution(QuasiFn):
             return 0.0
         return t
 
-    def pair(self, x):
+    def _pair(self, x):
         wu, wu1, L = self.w.log_pair(x)
         T = self.T(x)
         s = math.exp(L) * self.scale
@@ -229,9 +232,11 @@ def _trust_interval(u, u_hat, c0, lo, hi, cap=1e7, n=201):
 
 
 def _principal_integrand(spec, w):
+    p = spec.p.scalar
+
     def f(x):
         wu, _, L = w.log_pair(x)
-        return math.exp(-2.0 * L) / (spec.p(x) * wu * wu)
+        return math.exp(-2.0 * L) / (p(x) * wu * wu)
     return f
 
 

@@ -3,13 +3,22 @@
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
 
 from slq.errors import SpecFileError
-from slq.expressions import BinOp, Const, Expr, Fun, Var, quasi_rhs
-from slq.odecore import RK45
+from slq.expressions import (
+    BinOp,
+    Const,
+    Expr,
+    Fun,
+    Var,
+    quasi_pair,
+    quasi_rhs,
+)
+from slq.odecore import DOP853, RK45
 from slq.problem import CoefficientSet
 
 
@@ -167,3 +176,56 @@ def test_fused_rhs_follows_the_trees():
                                               (qv - lam * rv) * y[0]]
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("text, x", [("sqrt(x)", -1.0), ("log(x - 1)", 0.5),
+                                     ("(1 + x**2)*log(x)", 0.0)])
+def test_scalar_evaluator_names_the_expression(text, x):
+    e = Expr.parse(text)
+    for evaluate in (e, e.scalar):
+        with pytest.raises(SpecFileError, match=re.escape(repr(text))):
+            evaluate(x)
+        with pytest.raises(SpecFileError, match=re.escape(repr(text))):
+            evaluate(np.float64(x))
+
+
+def test_compiled_step_error_goes_through_the_scalar_evaluators():
+    # The steps' `_undefined` re-evaluates each coefficient with its scalar
+    # evaluator, which raises itself: a SpecFileError naming q, with no
+    # recursion back into the step.
+    coeffs = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
+    step = coeffs.steps(RK45)(1.0).step
+    with pytest.raises(SpecFileError, match=re.escape("'log(x)'")) as info:
+        step(-0.5, 0.1, 1.0, 0.0, 0.0, 0.0, 1e-8, 1e-10)
+    assert info.type is SpecFileError
+    assert [entry.name for entry in info.traceback].count("step") == 1
+
+
+def _filename(fn):
+    return fn.__code__.co_filename
+
+
+def test_compiled_code_is_labelled_by_its_expressions():
+    legendre = CoefficientSet.from_strings("(1-x)*(1+x)", "0", "1")
+    oscillator = CoefficientSet.from_strings("1", "x**2", "1")
+    labels = {}
+    for name, coeffs in (("legendre", legendre), ("oscillator", oscillator)):
+        for method in (RK45, DOP853):
+            steps = coeffs.steps(method)(2.0)
+            labels[name, method] = _filename(steps.step)
+            assert _filename(steps.row) == labels[name, method]
+        labels[name, "rhs"] = _filename(coeffs.rhs(2.0))
+    assert len(set(labels.values())) == len(labels)
+    assert labels["legendre", "rhs"] == "<rhs p=(1-x)*(1+x) q=0 r=1>"
+    assert labels["oscillator", DOP853] == "<DOP853 p=1 q=x**2 r=1>"
+    assert _filename(oscillator.q.scalar) == "<expr x**2>"
+    assert _filename(quasi_pair(Expr.parse("sin(x)"), legendre.p)) == \
+        "<pair f=sin(x) p=(1-x)*(1+x) d1=cos(x)>"
+    long = Expr.parse("1 + x + x**2 + x**3 + x**4 + x**5")
+    assert _filename(long.scalar) == "<expr 1 + x + x**2 + x**3 +...>"
+    # Labels name code objects only: values are those of the coefficients.
+    for coeffs in (legendre, oscillator):
+        rhs = coeffs.rhs(2.0)
+        for x in (-0.5, 0.25, 0.75):
+            assert rhs(x, (0.3, -1.1)) == [
+                -1.1 / coeffs.p(x), (coeffs.q(x) - 2.0 * coeffs.r(x)) * 0.3]

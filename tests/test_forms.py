@@ -12,6 +12,7 @@ from slq.errors import (
     EvaluationOutsideSupport,
     WindowInvalid,
 )
+from slq.expressions import Expr
 from slq.extensions import Coupled, OneLC, Separated
 from slq.forms import (
     REGIME_LC_LC,
@@ -32,6 +33,7 @@ from slq.functions import (
     polynomial,
 )
 from slq.odecore import ScaledSolution, tau_apply
+from slq.solutions import construct_basis
 
 
 def test_q_base_sine_dirichlet(dirichlet, dirichlet_bases):
@@ -212,30 +214,112 @@ def test_pointwise_tau_equals_tau_apply(legendre, legendre_bases, kind):
         assert tau(x) == tau_apply(legendre, g, [x])[0]
 
 
-def test_q_base_looks_up_the_reference_once_per_node(legendre,
-                                                     legendre_bases,
-                                                     monkeypatch):
-    # Each node of a side integral looks the reference solution up once,
-    # so trajectory lookups cannot outnumber QUADPACK's integrand calls.
-    counts = {"lookups": 0, "evals": 0}
-    real_quad = quadrature.quad
+def _fresh_bases(spec):
+    """Bases of their own, so that no trajectory memo is warm."""
+    return (construct_basis(spec, "a"), construct_basis(spec, "b"))
+
+
+def _count_lookups(monkeypatch, counts, points=None):
+    """Count ScaledSolution.log_pair calls into counts["lookups"]; with
+    `points`, also collect the (trajectory, x) pairs looked up."""
     real_log_pair = ScaledSolution.log_pair
+
+    def counting_log_pair(self, x):
+        counts["lookups"] += 1
+        if points is not None:
+            points.add((id(self), float(x)))
+        return real_log_pair(self, x)
+
+    monkeypatch.setattr(ScaledSolution, "log_pair", counting_log_pair)
+
+
+def _count_quad_evals(monkeypatch, counts):
+    real_quad = quadrature.quad
 
     def counting_quad(f, a, b, **kw):
         out = real_quad(f, a, b, full_output=1, **kw)
         counts["evals"] += out[2]["neval"]
         return out[0], out[1]
 
-    def counting_log_pair(self, x):
-        counts["lookups"] += 1
-        return real_log_pair(self, x)
-
     monkeypatch.setattr(quadrature, "quad", counting_quad)
-    monkeypatch.setattr(ScaledSolution, "log_pair", counting_log_pair)
+
+
+def test_q_base_looks_up_the_reference_once_per_node(legendre, monkeypatch):
+    # Each node of a side integral looks the reference solution up once,
+    # so trajectory lookups cannot outnumber QUADPACK's integrand calls.
+    bases = _fresh_bases(legendre)
+    counts = {"lookups": 0, "evals": 0}
+    _count_quad_evals(monkeypatch, counts)
+    _count_lookups(monkeypatch, counts)
     f = polynomial(legendre, [0.0, 1.0])
     g = polynomial(legendre, [0.0, 0.0, 1.0])
-    q_base(legendre, legendre_bases, None, REGIME_LC_LC, f, g)
+    q_base(legendre, bases, None, REGIME_LC_LC, f, g)
     assert 0 < counts["lookups"] <= counts["evals"]
+
+
+def test_gram_computes_each_trajectory_point_once(legendre, monkeypatch):
+    # A Friedrichs Gram reuses the bases and the window, so QUADPACK asks
+    # for the same nodes again and again; each (trajectory, x) is computed
+    # once.
+    bases = _fresh_bases(legendre)
+    counts = {"lookups": 0}
+    points = set()
+    _count_lookups(monkeypatch, counts, points)
+    monomials = [polynomial(legendre, [0.0] * k + [1.0]) for k in range(4)]
+    gram = [[q_decorated(legendre, bases, None, Separated(0.0, 0.0),
+                         f, g).value for g in monomials] for f in monomials]
+    assert counts["lookups"] == len(points) > 0
+    # int_{-1}^{1} (1 - x^2) (x^i)' (x^j)' dx.
+    for i in range(4):
+        for j in range(4):
+            n = i + j - 2
+            want = 0.0 if i * j == 0 or n % 2 else \
+                i * j * (2.0 / (n + 1) - 2.0 / (n + 3))
+            assert gram[i][j] == pytest.approx(want, abs=1e-8)
+
+
+def test_q_decorated_on_warm_bases_equals_fresh_bases(legendre,
+                                                      legendre_bases):
+    # The trajectory memos return what a computation returns, so a form
+    # does not depend on what was evaluated on the bases before it.
+    f = polynomial(legendre, [0.3, 0.2, 1.0, 0.7])
+
+    def forms(bases):
+        v1 = patched_pair(legendre, *bases).v1
+        return [q_decorated(legendre, bases, None, Separated(0.7, 1.9),
+                            a, b) for a, b in ((f, f), (v1, f))]
+
+    forms(legendre_bases)
+    warm = forms(legendre_bases)
+    fresh = forms(_fresh_bases(legendre))
+    for w, c in zip(warm, fresh):
+        assert w.value == c.value
+        assert w.pieces == c.pieces
+        assert w.error == c.error
+
+
+def test_q_base_coefficient_calls_do_not_grow_with_nodes(legendre,
+                                                         legendre_bases,
+                                                         monkeypatch):
+    # Per-node callbacks evaluate p, q and r through their compiled scalar
+    # evaluators, not through Expr.__call__'s array-or-scalar dispatch.
+    counts = {"calls": 0, "evals": 0}
+    real_call = Expr.__call__
+
+    def counting_call(self, x):
+        counts["calls"] += 1
+        return real_call(self, x)
+
+    _count_quad_evals(monkeypatch, counts)
+    monkeypatch.setattr(Expr, "__call__", counting_call)
+    seen = []
+    for coeffs in ([0.0, 1.0], [0.3, 0.2, 1.0, 0.7]):
+        counts.update(calls=0, evals=0)
+        f = polynomial(legendre, coeffs)
+        q_base(legendre, legendre_bases, None, REGIME_LC_LC, f, f)
+        seen.append(dict(counts))
+    assert seen[0]["evals"] != seen[1]["evals"]
+    assert seen[0]["calls"] == seen[1]["calls"]
 
 
 def test_q_base_is_sesquilinear_in_complex_multiples(legendre,

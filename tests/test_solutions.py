@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from slq.errors import EvaluationOutsideSupport
-from slq.odecore import StepTable, wronskian
-from slq.problem import catalog
+from slq.functions import PAIR_MEMO_SIZE
+from slq.odecore import StepTable, integrate_tau, wronskian
+from slq.problem import catalog, validate
 from slq.quadrature import geometric_points
 from slq.solutions import (
     ReductionSolution,
@@ -211,6 +212,87 @@ def test_lookup_matches_insertion_order_scan(legendre_bases):
             table, L = _scan(traj, x)
             u, u1 = table.at(x)
             assert traj.log_pair(x) == (u, u1, L)
+
+
+# -- the pair memo ---------------------------------------------------------
+
+
+def _count_log_pair(monkeypatch):
+    """The x of every ScaledSolution.log_pair call, appended as it comes."""
+    calls = []
+    real_log_pair = ScaledSolution.log_pair
+
+    def counting_log_pair(self, x):
+        calls.append(x)
+        return real_log_pair(self, x)
+
+    monkeypatch.setattr(ScaledSolution, "log_pair", counting_log_pair)
+    return calls
+
+
+def _bits(pair):
+    """Type and exact repr of each component."""
+    return [(type(v), repr(v)) for v in pair]
+
+
+def _memo_cases(lam):
+    """Fresh functions with a pair memo, and points they cover."""
+    xs = [0.1, 0.35, 0.6, 0.85]
+    yield integrate_tau(catalog("legendre"), lam, 0.0, (1.0, 0.5), 0.95), xs
+    if isinstance(lam, float):
+        bessel = catalog("bessel(0.3)")
+        validate(bessel)
+        u = construct_basis(bessel, "a").u
+        assert isinstance(u, ReductionSolution)
+        yield u, [x for x in xs if u.x_min < x < u.x_max]
+
+
+@pytest.mark.parametrize("lam", [2.5, 2.5 + 1.0j])
+def test_pair_memo_hit_equals_miss(lam, monkeypatch):
+    calls = _count_log_pair(monkeypatch)
+    # The same functions built twice: one memo first filled from floats,
+    # the other from numpy floats.
+    for (fn, xs), (other, _) in zip(_memo_cases(lam), _memo_cases(lam)):
+        del calls[:]
+        misses = [_bits(fn.pair(x)) for x in xs]
+        misses_np = [_bits(other.pair(np.float64(x))) for x in xs]
+        assert len(calls) == 2 * len(xs)
+        assert misses_np == misses
+        for memo in (fn, other):
+            for convert in (float, np.float64):
+                assert [_bits(memo.pair(convert(x))) for x in xs] == misses
+        assert len(calls) == 2 * len(xs)
+
+
+def test_add_segment_clears_the_pair_memo():
+    # Segment k carries log scale k, so a pair says which segment answered.
+    ulp = np.spacing(1.0)
+    traj = _trajectory((0.0, 1.0), (1.0 + 4 * ulp, 2.0))
+    x_gap, x_out = 1.0 + ulp, 2.5
+    u, u1 = _segment(0.0, 1.0).at(x_gap)
+    assert traj.pair(x_gap) == (u, u1)          # the nearest segment, 0
+    with pytest.raises(EvaluationOutsideSupport):
+        traj.pair(x_out)
+    traj.add_segment(_segment(1.0, 1.0 + 4 * ulp), 2.0)
+    traj.add_segment(_segment(2.0, 3.0), 3.0)
+    for x, k, (t0, t1) in ((x_gap, 2, (1.0, 1.0 + 4 * ulp)),
+                           (x_out, 3, (2.0, 3.0))):
+        u, u1 = _segment(t0, t1).at(x)
+        s = math.exp(k)
+        assert traj.pair(x) == (u * s, u1 * s)
+
+
+def test_pair_memo_is_bounded():
+    traj = _trajectory((0.0, 1.0))
+    xs = np.linspace(0.0, 1.0, PAIR_MEMO_SIZE + 1)
+    first = traj.pair(xs[0])
+    sizes = [len(traj._memo)]
+    for x in xs[1:]:
+        traj.pair(x)
+        sizes.append(len(traj._memo))
+    assert max(sizes) == PAIR_MEMO_SIZE
+    assert sizes[-1] == 1
+    assert traj.pair(xs[0]) == first
 
 
 # -- the march against scipy's terminal event ------------------------------
