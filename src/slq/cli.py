@@ -40,7 +40,9 @@ from .extensions import (
 from .forms import (
     LC_ENDS,
     FormWindow,
+    _regime_of,
     green_identity_residual,
+    q_base,
     q_decorated,
 )
 from .functions import BumpFn, ExprFunction, GaussianPoly, polynomial
@@ -357,13 +359,20 @@ def cmd_triplet(spec, ext_doc, args):
         section["c_theta"] = rel.c_theta
         section["diagnostics"] = pair.diagnostics
         # Cross-path equality: relation route vs decorated form on samples.
+        # Both routes are q_base plus a decoration, so the base form is
+        # computed once per sample and handed to each; only the two
+        # decorations are compared.
         bases = _build_bases(spec)
+        regime = _regime_of(ext)
         samples = _cross_path_samples(spec, args)
         checks = []
         for f, g in samples:
             try:
-                q1 = q_decorated(spec, bases, None, ext, f, g).value
-                q2 = form_from_relation(spec, bases, None, ext, f, g)
+                base = q_base(spec, bases, None, regime, f, g)
+                q1 = q_decorated(spec, bases, None, ext, f, g,
+                                 base=base).value
+                q2 = form_from_relation(spec, bases, None, ext, f, g,
+                                        base=base)
                 checks.append({
                     "q_decorated": q1, "form_from_relation": q2,
                     "deviation": abs(q1 - q2),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,12 @@ class BinOp(Node):
     right: Node
 
     def emit(self):
+        if self.op == "**" and not (_is_const(self.right)
+                                    and float(self.right.value).is_integer()):
+            # On numbers `_pow` is math.pow, which raises ValueError for a
+            # negative base where float ** returns a complex.  An integer
+            # constant exponent cannot meet that case and keeps **.
+            return f"_pow({self.left.emit()}, {self.right.emit()})"
         return f"({self.left.emit()} {self.op} {self.right.emit()})"
 
     def diff(self):
@@ -153,6 +160,11 @@ def neg(a: Node) -> Node:
     return mul(Const(-1.0), a)
 
 
+# Constant folding at parse time, with the scalar evaluators' arithmetic.
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv, "**": math.pow}
+
+
 def _convert(node: ast.AST) -> Node:
     if isinstance(node, ast.Expression):
         return _convert(node.body)
@@ -187,9 +199,11 @@ def _convert(node: ast.AST) -> Node:
             raise SpecFileError("unsupported binary operator")
         left, right = _convert(node.left), _convert(node.right)
         if _is_const(left) and _is_const(right):
-            return Const(
-                eval(f"{left.value!r} {op} {right.value!r}")  # noqa: S307
-            )
+            try:
+                return Const(_FOLD[op](left.value, right.value))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise SpecFileError(
+                    f"constant {ast.unparse(node)!r} undefined: {exc}")
         return BinOp(op, left, right)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.keywords:
@@ -204,7 +218,9 @@ def _convert(node: ast.AST) -> Node:
 
 
 _SCALAR_NS = {f: getattr(math, f) for f in _ALLOWED_FUNCS}
+_SCALAR_NS["_pow"] = math.pow
 _ARRAY_NS = {f: getattr(np, f) for f in _ALLOWED_FUNCS}
+_ARRAY_NS["_pow"] = operator.pow
 
 # Longest expression text kept in the label of a compiled code object.
 _LABEL_TEXT = 24
@@ -242,8 +258,11 @@ class Expr:
 
     `scalar(x)` is the compiled evaluator at one number x, for callbacks
     that know their argument is a number; a domain error raises a
-    SpecFileError naming the expression.  Calling the Expr takes a number
-    or an ndarray.
+    SpecFileError naming the expression.  That includes a negative base
+    under a power whose exponent is not an integer constant (`x**0.5` at
+    x = -1, `(-2)**x` at x = 0.5), as for `sqrt(x)` at x = -1.  Calling the
+    Expr takes a number or an ndarray; on an ndarray such points give
+    numpy's nan, as `sqrt` does there.
     """
 
     def __init__(self, root: Node, text: str | None = None):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -349,15 +349,19 @@ def _regime_of(ext):
     return next(r for r, ends in LC_ENDS.items() if ends == ext.lc_ends)
 
 
-def q_decorated(spec, bases, window, ext, f, g, tol=1e-6):
+def q_decorated(spec, bases, window, ext, f, g, tol=1e-6, base=None):
     """Decorated form of the extension `ext` applied to (f, g).
 
     Adds the boundary decoration of the extension to the base form and
     enforces the extension's domain constraints on the generalized boundary
-    values of f and g.
+    values of f and g.  `base`, if given, is the FormValue that
+    `q_base(spec, bases, window, regime, f, g)` returns for the extension's
+    regime; it is read, not written, so a caller may hand the same base to
+    other routes.
     """
     regime = _regime_of(ext)
-    base = q_base(spec, bases, window, regime, f, g)
+    if base is None:
+        base = q_base(spec, bases, window, regime, f, g)
     lc_ends = LC_ENDS[regime]
 
     def bvals(fn):
@@ -421,12 +425,11 @@ def q_decorated(spec, bases, window, ext, f, g, tol=1e-6):
             deco += sgn * _cot(ext.alpha) * np.conj(fl) * gl
     # lp_lp: no decoration.
 
-    base.pieces["decoration_terms"] = deco
     value = base.value + deco
     if abs(np.imag(value)) == 0.0:
         value = float(np.real(value))
-    base.value = value
-    return base
+    return replace(base, value=value,
+                   pieces={**base.pieces, "decoration_terms": deco})
 
 
 def _cot(angle):

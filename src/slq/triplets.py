@@ -245,7 +245,8 @@ def _weighted_pairing(spec, bases, f, g, g_tau):
 _REGIME_OF_DIM = {0: REGIME_LP_LP, 2: REGIME_LC_LC}
 
 
-def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10):
+def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10,
+                       base=None):
     """Sesquilinear form of an extension through its boundary relation.
 
     q(f, g) = q_base(f, g) + (Lambda f, theta_op Lambda g) where Lambda g
@@ -254,7 +255,9 @@ def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10):
     the relation (no component along the multivalued part).  `pair` may be
     an ExtensionSpec, which is converted first and names the regime, or an
     SAPair of dimension 0 or 2.  A one-dimensional SAPair does not say
-    which endpoint is limit circle, so it is refused.
+    which endpoint is limit circle, so it is refused.  `base`, if given, is
+    the FormValue of `q_base(spec, bases, window, regime, f, g)`; only its
+    value is read.
     """
     if isinstance(pair, SAPair):
         if pair.n not in _REGIME_OF_DIM:
@@ -267,7 +270,8 @@ def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10):
         regime = _regime_of(pair)
         pair = pair_from_extension(pair)
     ends = LC_ENDS[regime]
-    base = q_base(spec, bases, window, regime, f, g)
+    if base is None:
+        base = q_base(spec, bases, window, regime, f, g)
     if pair.n == 0:
         return base.value
     rel = decompose(pair)

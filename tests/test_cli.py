@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from slq import cli, forms, triplets
 from slq.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -131,6 +132,34 @@ def test_triplet_cross_path_on_half_line(specfile, capsys):
     assert len(samples) == 3
     assert not [s for s in samples if "error" in s]
     assert max(s["deviation"] for s in samples) < 1e-8
+
+
+def test_triplet_computes_one_base_form_per_sample(specfile, capsys,
+                                                  monkeypatch):
+    # Both cross-path routes are q_base plus a decoration, so each sample
+    # needs one base form, not one per route.
+    path = specfile({
+        "coefficients": {"catalog": "free_halfline"},
+        "extension": {"kind": "one_lc", "alpha": 0.8, "endpoint": "a"},
+    })
+    original = forms.q_base
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (cli, forms, triplets):
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, counted)
+    code, report = _run(capsys, ["triplet", path])
+    assert code == EXIT_OK
+    samples = report["triplet"]["cross_path"]
+    assert len(samples) == 3
+    assert len(calls) == 3
+    assert not [s for s in samples if "error" in s]
+    assert max(s["deviation"] for s in samples) <= 1e-10
 
 
 def test_form_one_lc_keeps_the_lp_end_lp(free_halfline, free_halfline_bases):

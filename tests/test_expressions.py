@@ -86,6 +86,57 @@ def test_negative_constant_base_binds_as_the_base():
     assert list(e(np.array([2.0, 3.0]))) == [4.0, -8.0]
 
 
+@pytest.mark.parametrize("text, x", [("x**0.5", -1.0), ("(-2)**x", 0.5),
+                                     ("(1 + x)**(x/4)", -3.0),
+                                     ("x**(-0.5)", 0.0)])
+def test_negative_base_power_is_a_domain_error(text, x):
+    # Float ** would return a complex number (or raise ZeroDivisionError);
+    # the scalar path raises the SpecFileError that names the expression,
+    # as sqrt(x) does at x = -1.
+    e = Expr.parse(text)
+    for evaluate in (e, e.scalar):
+        for point in (x, np.float64(x)):
+            with pytest.raises(SpecFileError, match=re.escape(repr(text))):
+                evaluate(point)
+
+
+def test_powers_keep_their_values_where_defined():
+    assert Expr.parse("x**0.5")(4.0) == 2.0
+    assert Expr.parse("(-2)**x")(2.0) == 4.0
+    assert Expr.parse("x**2")(-3.0) == 9.0
+    assert Expr.parse("x**(-3)")(-2.0) == -0.125
+    assert Expr.parse("(-2)**2")(0.0) == 4.0
+    assert Expr.parse("(-2)**(-1)")(0.0) == -0.5
+    # The array path keeps numpy's nan, as sqrt does there.
+    with np.errstate(invalid="ignore"):
+        got = Expr.parse("x**0.5")(np.array([-1.0, 4.0]))
+    assert math.isnan(got[0]) and got[1] == 2.0
+
+
+def test_integer_constant_exponents_keep_the_operator():
+    # The catalog's powers, x**2 and (c)/x**2, and polynomial's x**k stay
+    # plain ** in the emitted source; other exponents go through _pow.
+    for text in ("x**2", "(-0.16)/x**2", "(0.5)*x**3", "x**(-1)"):
+        assert "_pow" not in Expr.parse(text).root.emit(), text
+    for text in ("x**0.5", "(-2)**x", "x**x"):
+        assert Expr.parse(text).root.emit().startswith("_pow("), text
+    assert "_pow" not in Expr.parse("(-0.16)/x**2").deriv().root.emit()
+
+
+def test_constant_power_with_negative_base_is_folded_as_written():
+    assert Expr.parse("(-2)**2 + x")(1.0) == 5.0
+    with pytest.raises(SpecFileError, match="undefined"):
+        Expr.parse("(-8)**(1/3) + x")
+
+
+def test_compiled_rhs_power_error_names_the_coefficient():
+    factory = quasi_rhs(Expr.parse("1"), Expr.parse("x**0.5"),
+                        Expr.parse("1"))
+    with pytest.raises(SpecFileError, match=re.escape("'x**0.5'")):
+        factory(2.0)(-1.0, (1.0, 0.0))
+    assert factory(2.0)(4.0, (1.0, 0.0)) == [0.0, 0.0]
+
+
 def test_emitter_fix_reaches_the_compiled_steps():
     # (-2)**(0*x + 2) is 4 exactly, so both systems take the same steps.
     lam, t, h, u, v = 1.5, 0.2, 0.1, 1.0, -0.5

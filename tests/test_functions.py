@@ -163,3 +163,53 @@ def test_expression_arrays_go_through_the_value_not_the_pair(dirichlet):
     assert np.allclose(f.qd(xs), pairs[:, 1], rtol=1e-14, atol=0.0)
     with pytest.raises(TypeError):
         f.pair(xs)
+
+
+def _numpy_reference(coeffs, shift):
+    """Old evaluation: numpy Polynomials P, P1 = P' - shift P and
+    P2 = P1' - shift P1, where shift is x (Gaussian) or k (exp decay)."""
+    p0 = np.polynomial.Polynomial(coeffs)
+    p1 = p0.deriv() - shift * p0
+    p2 = p1.deriv() - shift * p1
+    return p0, p1, p2
+
+
+@pytest.mark.parametrize("kind", ["hermite0", "hermite1", "hermite2",
+                                  "hermite3", "hermite4", "linear",
+                                  "exp_decay", "exp_decay_const"])
+def test_plain_float_polynomials_equal_numpy(free_halfline, kind):
+    x_poly = np.polynomial.Polynomial([0.0, 1.0])
+    if kind.startswith("hermite"):
+        n = int(kind[-1])
+        coeffs = np.polynomial.hermite.herm2poly([0.0] * n + [1.0])
+        fn = GaussianPoly.hermite(free_halfline, n)
+        polys = _numpy_reference(coeffs, x_poly)
+    elif kind == "linear":
+        fn = GaussianPoly(free_halfline, [1.0, 0.25])
+        polys = _numpy_reference([1.0, 0.25], x_poly)
+    else:
+        coeffs = [0.5, -1.0, 0.25] if kind == "exp_decay" else [2.0]
+        fn = ExpDecay(free_halfline, coeffs, k=1.5)
+        polys = _numpy_reference(coeffs, 1.5)
+
+    def weight(x):
+        if isinstance(fn, GaussianPoly):
+            return math.exp(-0.5 * x * x)
+        return math.exp(-1.5 * x)
+
+    grid = [-30.0, -17.25, -3.0, -1.0, -0.3, -0.0, 0.0, 1e-3, 0.7, 2.5,
+            11.0, 30.0] + [float(x) for x in np.linspace(-29.5, 29.5, 37)]
+    for x in grid:
+        for method, poly in zip((fn.__call__, fn.d1, fn.d2), polys):
+            got = method(x)
+            assert got == poly(x) * weight(x), (kind, method.__name__, x)
+            assert type(got) is float
+
+
+def test_gaussian_and_exp_decay_reprs_show_plain_floats(free_halfline):
+    assert repr(GaussianPoly(free_halfline, [1.0, 0.25])) \
+        == "GaussianPoly([1.0, 0.25])"
+    assert repr(GaussianPoly(free_halfline, np.array([1, 2]))) \
+        == "GaussianPoly([1.0, 2.0])"
+    assert repr(ExpDecay(free_halfline, [0.5, -1.0], k=2)) \
+        == "ExpDecay([0.5, -1.0], k=2.0)"
