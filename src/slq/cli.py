@@ -444,7 +444,14 @@ def build_parser():
     add("eig", cmd_eig,
         lmin={"type": float, "default": 0.0},
         lmax={"type": float, "default": 10.0},
-        grid={"type": int, "default": 64})
+        grid={"type": int, "default": 64, "help": (
+            "lambda grid cells per unit of the range; each bracket is a grid "
+            "cell or a piece of one.  Separated, one-LC and LP-LP conditions "
+            "evaluate only the grid points that a bisection on the "
+            "eigenvalue index needs, and split a cell holding several "
+            "eigenvalues.  Coupled conditions evaluate every grid point and "
+            "find a root where the determinant changes sign across a cell, "
+            "so two eigenvalues in one cell escape them (default: 64)")})
     add("triplet", cmd_triplet)
     return parser
 

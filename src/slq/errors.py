@@ -21,6 +21,11 @@ class SpecFileError(SlqError):
     """Problem-spec file failed to parse or contained unknown fields."""
 
 
+class ExpressionPole(SpecFileError, ZeroDivisionError):
+    """An expression divided by zero at a point.  It names the expression,
+    and is still a ZeroDivisionError to callers that skip such points."""
+
+
 class StepSizeUnderflow(SlqError):
     """The ODE integrator could not advance (coefficient singularity)."""
 

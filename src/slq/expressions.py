@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecFileError
+from .errors import ExpressionPole, SpecFileError
 
 _ALLOWED_FUNCS = ("exp", "log", "sin", "cos", "sqrt")
 _ALLOWED_NAMES = {"x", "pi", "e"}
@@ -165,13 +165,22 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv, "**": math.pow}
 
 
+def _finite(const: Const, node: ast.AST) -> Const:
+    """The constant, unless it is infinite or nan: the evaluators have no
+    name for those."""
+    if not math.isfinite(const.value):
+        raise SpecFileError(
+            f"constant {ast.unparse(node)!r} overflows to {const.value}")
+    return const
+
+
 def _convert(node: ast.AST) -> Node:
     if isinstance(node, ast.Expression):
         return _convert(node.body)
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise SpecFileError(f"non-numeric constant {node.value!r}")
-        return Const(float(node.value))
+        return _finite(Const(float(node.value)), node)
     if isinstance(node, ast.Name):
         if node.id == "x":
             return Var()
@@ -200,10 +209,11 @@ def _convert(node: ast.AST) -> Node:
         left, right = _convert(node.left), _convert(node.right)
         if _is_const(left) and _is_const(right):
             try:
-                return Const(_FOLD[op](left.value, right.value))
+                folded = Const(_FOLD[op](left.value, right.value))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise SpecFileError(
                     f"constant {ast.unparse(node)!r} undefined: {exc}")
+            return _finite(folded, node)
         return BinOp(op, left, right)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.keywords:
@@ -248,7 +258,7 @@ _SCALAR_SOURCE = """\
 def scalar(x):
     try:
         return {f}
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _undefined(x, exc) from exc
 """
 
@@ -262,7 +272,9 @@ class Expr:
     under a power whose exponent is not an integer constant (`x**0.5` at
     x = -1, `(-2)**x` at x = 0.5), as for `sqrt(x)` at x = -1.  Calling the
     Expr takes a number or an ndarray; on an ndarray such points give
-    numpy's nan, as `sqrt` does there.
+    numpy's nan, as `sqrt` does there.  A pole at a float (`1/x` at 0.0)
+    raises the ExpressionPole, a SpecFileError that is also a
+    ZeroDivisionError; numpy numbers give numpy's inf.
     """
 
     def __init__(self, root: Node, text: str | None = None):
@@ -273,8 +285,9 @@ class Expr:
         label = f"<expr {_short(text)}>"
 
         def undefined(x, exc):
-            return SpecFileError(
-                f"expression {text!r} undefined at x={x}: {exc}")
+            error = ExpressionPole if isinstance(exc, ZeroDivisionError) \
+                else SpecFileError
+            return error(f"expression {text!r} undefined at x={x}: {exc}")
 
         self.scalar = _compiled(_SCALAR_SOURCE.format(f=src), "scalar",
                                 label, dict(_SCALAR_NS, _undefined=undefined))
@@ -316,10 +329,12 @@ class Expr:
 def _fused(source, name, env=None, kind=None, **exprs):
     """Compile `source`, which defines `name` over the scalar namespace and
     `env`, with each keyword's expression in place of its field.  The
-    source calls `_undefined(x)` on a domain error: that re-evaluates the
-    expressions one by one, in keyword order, with their own scalar
-    evaluators, so the SpecFileError names the expression at fault.  The
-    code is labelled with `kind` (default: `name`) and the expressions."""
+    source calls `_undefined(x)` on a domain error or a division by zero:
+    that re-evaluates the expressions one by one, in keyword order, with
+    their own scalar evaluators, so the SpecFileError names the expression
+    at fault.  When none fails (a zero of p in y[1] / p), the source
+    re-raises the original error.  The code is labelled with `kind`
+    (default: `name`) and the expressions."""
     def undefined(x):
         for e in exprs.values():
             e.scalar(x)
@@ -334,7 +349,7 @@ def factory(lam):
     def rhs(x, y):
         try:
             return [y[1] / ({p}), (({q}) - lam * ({r})) * y[0]]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             _undefined(x)
             raise
     return rhs
@@ -357,7 +372,7 @@ _PAIR_SOURCE = """\
 def pair(x):
     try:
         return ({f}), ({p}) * ({d1})
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         _undefined(x)
         raise
 """

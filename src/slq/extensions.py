@@ -26,7 +26,7 @@ from .errors import (
     SpecFileError,
     VariantMismatch,
 )
-from .odecore import end_state
+from .odecore import end_state, end_state_zeros
 from .solutions import construct_basis
 from .triplets import SIGMA, boundary_vectors, pair_from_extension
 
@@ -272,20 +272,42 @@ def _side_start(spec, rows, bases, side, lam):
     return _lc_init(bases[side], -b, -SIGMA[side] * a)
 
 
+def _orientation(side, init):
+    """o = +-1 of a one-sided solution's initial data (u0, u0^[1]), so that
+    o u > 0 just inside the interval: the sign of u0, or where u0 = 0 that
+    of u0^[1], negated at b."""
+    u0, u1 = init
+    if u0:
+        return math.copysign(1.0, u0)
+    return math.copysign(1.0, u1 if side == "a" else -u1)
+
+
 def _shoot_det(spec, rows, bases, lam, mid, tol):
-    """Normalized Wronskian at `mid` of the two one-sided solutions, for a
-    pair whose rows each touch one end (see _local_rows)."""
-    (lu, lu1), (ru, ru1) = (
-        end_state(spec, lam, *_side_start(spec, rows, bases, side, lam), mid,
-                  tol=tol)
-        for side in ("a", "b")
-    )
+    """(det, N): the normalized Wronskian at `mid` of the two one-sided
+    solutions, for a pair whose rows each touch one end (see _local_rows),
+    and the eigenvalue index N(lam), the number of eigenvalues below lam.
+
+    With m the zeros the two solutions pass on the way to `mid` and o_a,
+    o_b their orientations, N = m + [(-1)^m o_a o_b W > 0] (Pryce,
+    Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).  So N
+    is odd exactly where o_a o_b det > 0, and a jump of N by one across a
+    cell is a sign change of det.
+    """
+    states, m, o = [], 0, 1.0
+    for side in ("a", "b"):
+        x0, init = _side_start(spec, rows, bases, side, lam)
+        y, zeros = end_state_zeros(spec, lam, x0, init, mid, tol=tol)
+        states.append(y)
+        m += zeros
+        o *= _orientation(side, init)
+    (lu, lu1), (ru, ru1) = states
     wr = lu * ru1 - lu1 * ru
     norm = math.sqrt((abs(lu) ** 2 + abs(lu1) ** 2)
                      * (abs(ru) ** 2 + abs(ru1) ** 2))
     if norm == 0.0 or not math.isfinite(norm):
         raise ShootingOverflow(f"shooting state degenerate at lambda={lam}")
-    return float(np.real(wr)) / norm
+    w = float(np.real(wr))
+    return w / norm, m + ((-1) ** m * o * w > 0.0)
 
 
 def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
@@ -327,6 +349,42 @@ def _coupled_det(spec, pair, bases, lam, tol):
     return float((cmath.exp(-1j * theta) * det).real)
 
 
+def _brackets(grid, point):
+    """The pieces of the grid, ascending, that may hold a root.
+
+    point(lam) is (det, N) with N the eigenvalue index, or None where
+    there is none.  With an index, a piece across which N does not jump is
+    dropped; the rest are bisected, on grid indices down to single cells,
+    then inside a cell where N jumps by two or more until each piece holds
+    one root.  Without one, nothing is dropped: every cell is a piece, and
+    every grid point is evaluated.
+    """
+    def jump(lo, hi):
+        n_lo = point(lo)[1]
+        return None if n_lo is None else point(hi)[1] - n_lo
+
+    def split(lo, hi, i, j, step):
+        # i, j: the grid indices of lo and hi, None inside a cell.
+        if i is not None and j - i > 1:
+            k = (i + j) // 2
+            halves = ((lo, grid[k], i, k), (grid[k], hi, k, j))
+        else:
+            mid = 0.5 * (lo + hi)
+            if step is None or step < 2 or not lo < mid < hi:
+                yield lo, hi
+                return
+            halves = ((lo, mid, None, None), (mid, hi, None, None))
+        for a, b, i, j in halves:
+            step = jump(a, b)
+            if step != 0:
+                yield from split(a, b, i, j, step)
+
+    n = len(grid) - 1
+    step = jump(grid[0], grid[n])
+    if step != 0:
+        yield from split(grid[0], grid[n], 0, n, step)
+
+
 def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                       classification=None, bases=None):
     """Eigenvalues of the extension in [lam_min, lam_max] by shooting.
@@ -337,8 +395,17 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     the pair touches one end, one-sided solutions meeting each row are
     marched to the interior midpoint and their Wronskian is the
     determinant; otherwise it comes from the GBV transfer matrix M(lam).
-    Brackets come from a sign scan on a uniform lam grid and are refined by
-    Brent's method.
+
+    Roots are bracketed on a uniform lam grid of about grid_per_unit cells
+    per unit.  For a pair whose rows each touch one end, each determinant
+    also gives the eigenvalue index N(lam), the number of eigenvalues below
+    lam, from the zeros of the one-sided solutions: the grid is bisected
+    on N into the cells where it jumps, a cell holding several roots is
+    bisected on N inside it, and only those points are evaluated.  A
+    coupled pair has no index yet: every grid point is evaluated and a
+    cell brackets a root where the determinant changes sign, so two roots
+    in one cell escape it.  Each bracket is refined by Brent's method; a
+    determinant of exactly zero at a bracket's left end is a root itself.
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
     if not lam_min < lam_max:
@@ -356,43 +423,45 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     mid = spec.interval.interior_point()
     pair = pair_from_extension(ext)
     rows = _local_rows(pair, ends)
-    # One determinant per distinct lam: Brent starts from the grid values at
-    # its bracket ends, and the residual at a root is Brent's last value.
+    # One determinant per distinct lam: Brent starts from the values at its
+    # bracket ends, and the residual at a root is Brent's last value.
     memo = {}
     if rows is None:
-        def det_value(lam):
-            return _coupled_det(spec, pair, bases, lam, tol=1e-10)
+        def point_value(lam):
+            return _coupled_det(spec, pair, bases, lam, tol=1e-10), None
     else:
-        def det_value(lam):
+        def point_value(lam):
             return _shoot_det(spec, rows, bases, lam, mid, tol=1e-10)
 
-    def det_fn(lam):
+    def point(lam):
         key = float(lam)
         if key not in memo:
-            memo[key] = det_value(key)
+            memo[key] = point_value(key)
         return memo[key]
+
+    def det_fn(lam):
+        return point(lam)[0]
 
     n = max(8, int(math.ceil((lam_max - lam_min) * grid_per_unit)))
     grid = np.linspace(lam_min, lam_max, n + 1)
-    vals = [det_fn(lam) for lam in grid]
     results = []
-    for i in range(n):
-        v1, v2 = vals[i], vals[i + 1]
+    for lo, hi in _brackets(grid, point):
+        v1, v2 = det_fn(lo), det_fn(hi)
         if v1 == 0.0:
-            root = float(grid[i])
+            root = float(lo)
         elif v1 * v2 < 0.0:
-            root = brentq(det_fn, grid[i], grid[i + 1],
+            root = brentq(det_fn, lo, hi,
                           xtol=tol, rtol=4.0 * np.finfo(float).eps)
         else:
             continue
         results.append(Eigenvalue(
             lam=float(root),
-            bracket=(float(grid[i]), float(grid[i + 1])),
+            bracket=(float(lo), float(hi)),
             condition_residual=abs(det_fn(root)),
         ))
     if not results:
         raise RangeContainsNoBracket(
-            f"no sign change of the shooting determinant in "
+            f"no eigenvalue bracket for the shooting determinant in "
             f"[{lam_min}, {lam_max}]"
         )
     return results

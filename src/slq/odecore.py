@@ -123,11 +123,13 @@ def _stage(s, c, a, evaluate):
 
 
 def _guarded(lines):
-    """The stage lines inside a try whose domain error goes through
-    `_undefined(x)`, x the stage point of the failing stage.  In the call
-    form no expression is compiled in, so the error propagates as raised."""
+    """The stage lines inside a try whose domain error or division by zero
+    goes through `_undefined(x)`, x the stage point of the failing stage.
+    In the call form no expression is compiled in, so the error propagates
+    as raised."""
     return ["try:", *["    " + line for line in lines],
-            "except ValueError:", "    _undefined(x)", "    raise"]
+            "except (ValueError, ZeroDivisionError):", "    _undefined(x)",
+            "    raise"]
 
 
 def _function(head, body):
@@ -278,7 +280,7 @@ def _plain(c):
 
 
 def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
-             cap=None):
+             cap=None, zeros=False):
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
     method is RK45 or DOP853.  rhs(x, (u, u1)) returns the derivative pair,
@@ -299,17 +301,26 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     step cut by the cap keeps its whole row, and the table ends at the
     event point.  Each state adds to the one before it, so a non-finite
     state stays non-finite: checking the returned state checks them all.
+    With `zeros`, for a real state, a fourth item counts the sign changes
+    of u over the accepted steps: the zeros of u passed, a zero at the
+    anchor not among them.  Counting reads the accepted states only, so
+    every step, state and row is the same without it.
     """
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
     rhs, step = steps.rhs, steps.step
     t, t_bound = float(anchor), float(target)
     u, v = (_plain(c) for c in init)
     rtol = max(rtol, 100 * EPS)
+    # With `zeros`: the sign of the last nonzero u, 0.0 before one.
+    count, sign = 0, 0.0
+    if zeros and u:
+        sign = math.copysign(1.0, u)
     if t == t_bound:
         # scipy's zero-length solve: one constant step.
         table = StepTable([t, t], [_constant_step(t, (u, v), method.n_coef)],
                           method.n_coef)
-        return t, (u, v), table if dense else None
+        out = t, (u, v), table if dense else None
+        return out + (count,) if zeros else out
     direction = 1.0 if t_bound > t else -1.0
     fu, fv = rhs(t, (u, v))
 
@@ -376,13 +387,20 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
                 stop = True
         if dense:
             rows.append(row)
+        if zeros and un * sign <= 0.0:
+            # u changed sign, reached zero, or leaves a zero start.
+            if un * sign < 0.0:
+                count += 1
+            if un:
+                sign = math.copysign(1.0, un)
         ts.append(t_new)
         t, u, v = t_new, un, vn
         if stop:
             break
         fu, fv = ku[method.n_stages], kv[method.n_stages]
     table = StepTable(ts, rows, method.n_coef) if dense else None
-    return t, (u, v), table
+    out = t, (u, v), table
+    return out + (count,) if zeros else out
 
 
 class StepTable:
@@ -532,16 +550,17 @@ class ScaledSolution(MemoizedQuasiFn):
         return pts
 
 
-def _solve(spec, lam, anchor, init, target, tol, dense):
+def _solve(spec, lam, anchor, init, target, tol, dense=False, zeros=False):
     """One DOP853 solve of the quasi-derivative system, checked: the state
-    at target and, when dense, the StepTable."""
+    at target, the StepTable when dense (else None), and with `zeros` the
+    count of sign changes of u (see rk_solve)."""
     if target == anchor:
         raise ValueError("target must differ from anchor")
-    _, y, table = rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)),
-                           anchor, init, target, tol, tol * 1e-3, dense)
-    if not all(map(cmath.isfinite, y)):
+    out = rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)), anchor,
+                   init, target, tol, tol * 1e-3, dense, zeros=zeros)
+    if not all(map(cmath.isfinite, out[1])):
         raise NonFiniteState("trajectory overflowed; rescale and retry")
-    return y, table
+    return out[1:]
 
 
 def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
@@ -563,7 +582,16 @@ def end_state(spec, lam, anchor, init, target, tol=1e-10):
     The same steps, without the table that only a trajectory needs (DOP853
     spends three extra RHS calls per step on its interpolant).
     """
-    return _solve(spec, lam, anchor, init, target, tol, False)[0]
+    return _solve(spec, lam, anchor, init, target, tol)[0]
+
+
+def end_state_zeros(spec, lam, anchor, init, target, tol=1e-10):
+    """(end_state, zeros) for real lam and init: zeros counts the sign
+    changes of u over the accepted steps of the same solve, the zeros of u
+    in (anchor, target] it passed.  The shooting determinant reads its
+    eigenvalue index from them."""
+    y, _, zeros = _solve(spec, lam, anchor, init, target, tol, zeros=True)
+    return y, zeros
 
 
 def wronskian(f, g, x):

@@ -39,6 +39,22 @@ def test_gbv_linearity(legendre, legendre_bases):
     assert v.tilde_prime == pytest.approx(-0.5, abs=1e-7)
 
 
+def test_gbv_skips_an_approach_point_at_a_pole(legendre, legendre_bases):
+    # g = x off one approach point, where its expression divides by zero:
+    # that point is skipped and the limit is x's.
+    from slq.bvalues import _approach_points
+    from slq.functions import ExprFunction
+    basis = legendre_bases[1]
+    pole = _approach_points(basis)[3]
+    g = ExprFunction(legendre, f"x + 0*(1/(x - {pole!r}))")
+    with pytest.raises(ZeroDivisionError):
+        g.pair(pole)
+    v = gbv(legendre, basis, g)
+    want = gbv(legendre, basis, polynomial(legendre, [0.0, 1.0]))
+    assert v.tilde == pytest.approx(want.tilde, abs=1e-7)
+    assert v.tilde_prime == pytest.approx(want.tilde_prime, abs=1e-6)
+
+
 def test_gbv_polynomial_at_singular_endpoint(legendre, legendre_bases):
     # P1 = x has generalized boundary values (0, 1) at x = 1: it is a
     # multiple of the principal solution there up to higher order.

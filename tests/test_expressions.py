@@ -18,7 +18,7 @@ from slq.expressions import (
     quasi_pair,
     quasi_rhs,
 )
-from slq.odecore import DOP853, RK45
+from slq.odecore import DOP853, RK45, rk_solve
 from slq.problem import CoefficientSet
 
 
@@ -60,8 +60,55 @@ def test_factored_product():
 
 def test_division_by_zero_raises():
     e = Expr.parse("1/x")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
         e(0.0)
+
+
+@pytest.mark.parametrize("text, pole", [
+    ("1/x", 0.0), ("x**(-1)", 0.0), ("x**(-2) + 3", 0.0),
+    ("sin(x)/(x - 1.5)", 1.5),
+])
+def test_pole_names_the_expression(text, pole):
+    # A pole is a SpecFileError naming the expression on both scalar paths;
+    # it is still a ZeroDivisionError to callers that skip such points.
+    e = Expr.parse(text)
+    for evaluate in (e, e.scalar):
+        with pytest.raises(SpecFileError, match=re.escape(repr(text))) as info:
+            evaluate(pole)
+        assert isinstance(info.value, ZeroDivisionError)
+
+
+def test_compiled_pole_names_the_expression():
+    coeffs = [Expr.parse(t) for t in ("1", "1/x", "1")]
+    with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
+        quasi_rhs(*coeffs)(2.0)(0.0, (1.0, 0.5))
+    with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
+        quasi_pair(Expr.parse("1/x"), Expr.parse("1"))(0.0)
+    # A zero of p in y[1] / p is no expression's pole: the original error.
+    coeffs = [Expr.parse(t) for t in ("x", "0", "1")]
+    with pytest.raises(ZeroDivisionError) as info:
+        quasi_rhs(*coeffs)(2.0)(0.0, (1.0, 0.5))
+    assert not isinstance(info.value, SpecFileError)
+
+
+@pytest.mark.parametrize("method", [RK45, DOP853], ids=["RK45", "DOP853"])
+def test_compiled_step_pole_names_the_coefficient(method):
+    # q vanishes but at its pole 0, where the last step toward 0 ends
+    # exactly (t + (0 - t) == 0): its final stage evaluates q there.
+    coeffs = CoefficientSet.from_strings("1", "0*(1/x)", "1")
+    steps = coeffs.steps(method)(1.0)
+    with pytest.raises(SpecFileError, match=re.escape("'0*(1/x)'")) as info:
+        rk_solve(method, steps, 1.0, (1.0, 0.0), 0.0, 1e-8, 1e-11)
+    assert "step" in [entry.name for entry in info.traceback]
+
+
+@pytest.mark.parametrize("text", [
+    "1e999 + x", "1e308*10 + x", "-1e999", "x * (1e200 * 1e200)",
+    "1e308 + 1e308 - x",
+])
+def test_non_finite_constant_rejected_at_parse(text):
+    with pytest.raises(SpecFileError, match="overflows"):
+        Expr.parse(text)
 
 
 def test_unknown_name_rejected():

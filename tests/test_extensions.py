@@ -236,3 +236,112 @@ def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
     with pytest.raises(RangeContainsNoBracket):
         eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (1.5, 3.5),
                           bases=dirichlet_bases)
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue index N(lam) of a diagonal pair
+# ---------------------------------------------------------------------------
+
+def _index(spec, ext, bases, lam):
+    """N(lam) as the shooting determinant of ext's diagonal pair gives it."""
+    rows = extensions._local_rows(pair_from_extension(ext), ext.lc_ends)
+    assert rows is not None
+    bases = dict(zip("ab", bases)) if bases else {"a": None, "b": None}
+    _, n = extensions._shoot_det(spec, rows, bases, lam,
+                                 spec.interval.interior_point(), 1e-10)
+    return n
+
+
+def _probes(eigenvalues, below):
+    """Points between consecutive eigenvalues, one below the first, and
+    1e-4 either side of each eigenvalue."""
+    points = [below]
+    for lo, hi in zip(eigenvalues, eigenvalues[1:]):
+        points.append(0.5 * (lo + hi))
+    for lam in eigenvalues:
+        points += [lam - 1e-4, lam + 1e-4]
+    return points
+
+
+def _assert_index(spec, ext, bases, eigenvalues, points):
+    for lam in points:
+        want = sum(e < lam for e in eigenvalues)
+        assert _index(spec, ext, bases, lam) == want, lam
+
+
+@pytest.fixture(scope="module", params=[0.3, 0.7])
+def bessel_problem(request):
+    from slq.problem import catalog, validate
+    from slq.solutions import construct_basis
+    spec = catalog(f"bessel({request.param})")
+    validate(spec)
+    return request.param, spec, (construct_basis(spec, "a"),
+                                 construct_basis(spec, "b"))
+
+
+def test_index_oscillator(oscillator):
+    # LP-LP: eigenvalues 2n + 1.
+    eigs = [2.0 * n + 1.0 for n in range(6)]
+    _assert_index(oscillator, LpLp(), None, eigs, _probes(eigs, 0.3))
+
+
+def test_index_bessel(bessel_problem):
+    # Friedrichs conditions at the singular LC end 0: j_{gamma,n}^2.
+    import mpmath
+    gamma, spec, bases = bessel_problem
+    eigs = [float(mpmath.besseljzero(mpmath.mpf(gamma), n)) ** 2
+            for n in range(1, 5)]
+    _assert_index(spec, Separated(0.0, 0.0), bases, eigs,
+                  _probes(eigs, 1.0))
+
+
+def test_index_legendre(legendre, legendre_bases):
+    # Friedrichs conditions at two singular LC ends: n (n + 1).
+    eigs = [float(n * (n + 1)) for n in range(6)]
+    _assert_index(legendre, Separated(0.0, 0.0), legendre_bases, eigs,
+                  _probes(eigs, -0.5))
+
+
+def test_index_dirichlet_up_to_ten_thousand(dirichlet, dirichlet_bases):
+    # Dirichlet on (0, pi): n^2, counted up to lambda = 10^4.
+    eigs = [float(n * n) for n in range(1, 102)]
+    points = _probes(eigs[:5], 0.5) + [
+        p for n in (10, 31, 70, 99, 100) for p in _probes([n * n], n * n - n)]
+    _assert_index(dirichlet, Separated(0.0, 0.0), dirichlet_bases, eigs,
+                  points)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.8, 1.2])
+def test_index_halfline(free_halfline, free_halfline_bases, alpha):
+    # One regular LC end and LP at infinity: the only eigenvalue is
+    # -cot(alpha)^2, below the essential spectrum [0, inf).
+    lam = -1.0 / math.tan(alpha) ** 2
+    _assert_index(free_halfline, OneLC(alpha, "a"), free_halfline_bases,
+                  [lam], _probes([lam], lam - 1.0) + [0.5 * lam])
+
+
+def test_eigenvalues_two_roots_in_one_cell(dirichlet, dirichlet_bases):
+    # 8 cells of width 4.94: 1 and 4 share the first, which the
+    # determinant crosses twice; the index sees both.
+    eigs = eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (0.5, 40.0),
+                             grid_per_unit=0.2, bases=dirichlet_bases)
+    lams = [e.lam for e in eigs]
+    assert np.allclose(lams, [1.0, 4.0, 9.0, 16.0, 25.0, 36.0], rtol=0,
+                       atol=1e-7)
+    for e in eigs:
+        assert e.bracket[0] <= e.lam <= e.bracket[1]
+    assert eigs[1].bracket[0] >= eigs[0].bracket[1]
+    assert eigs[1].bracket[1] <= 0.5 + 39.5 / 8
+
+
+def test_index_bisection_evaluates_few_grid_points(dirichlet,
+                                                   dirichlet_bases,
+                                                   monkeypatch):
+    # The default grid over (0.5, 10) has 609 points; a scan evaluated all
+    # of them.  Bisection on N evaluates the ends and about log2(608)
+    # points per root, plus Brent's.
+    calls = _count_calls(monkeypatch, "_shoot_det")
+    eigs = eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (0.5, 10.0),
+                             bases=dirichlet_bases)
+    assert np.allclose([e.lam for e in eigs], [1.0, 4.0, 9.0], atol=1e-7)
+    assert len(calls) < 60

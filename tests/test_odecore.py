@@ -15,6 +15,7 @@ from slq.odecore import (
     RK45,
     _norm,
     end_state,
+    end_state_zeros,
     integrate_tau,
     rk_solve,
     tau_apply,
@@ -264,6 +265,41 @@ def test_compiled_step_domain_error_names_the_coefficient(coeffs, bad, solve):
     with pytest.raises(SpecFileError, match=re.escape(repr(bad))) as info:
         solve(spec, 1.0, 2.0, (1.0, 0.0), -1.0)
     assert "step" in [entry.name for entry in info.traceback]
+
+
+def _sine_zeros(lam, anchor, init, target):
+    """Zeros of u in (anchor, target] for -u'' = lam u, lam > 0: u is
+    R sin(theta) with theta = k (x - anchor) + phi."""
+    k = math.sqrt(lam)
+    phi = math.atan2(init[0], init[1] / k)
+    span = k * abs(target - anchor)
+    if target > anchor:
+        return math.floor((phi + span) / math.pi) - math.floor(phi / math.pi)
+    return math.ceil(phi / math.pi) - math.ceil((phi - span) / math.pi)
+
+
+@pytest.mark.parametrize("method", [RK45, DOP853], ids=["RK45", "DOP853"])
+@pytest.mark.parametrize("anchor, init, target", [
+    (0.0, (0.0, 1.0), 20.0),
+    (20.0, (0.0, 1.0), 0.0),
+    (0.0, (1.0, 0.3), 20.0),
+    (3.0, (-0.5, 1.0), -17.0),
+])
+def test_zero_count_reads_the_solve(dirichlet, method, anchor, init, target):
+    # The count is the closed form's, a zero at the anchor not among them,
+    # and every step, state and row is that of the solve without it.
+    lam = 4.0
+    steps = dirichlet.coeffs.steps(method)(lam)
+    x, y, table = rk_solve(method, steps, anchor, init, target, 1e-10,
+                           1e-13, dense=True)
+    x2, y2, table2, zeros = rk_solve(method, steps, anchor, init, target,
+                                     1e-10, 1e-13, dense=True, zeros=True)
+    assert (x2, y2) == (x, y)
+    assert (table2._ts, table2._rows) == (table._ts, table._rows)
+    assert zeros == _sine_zeros(lam, anchor, init, target) > 10
+    if method is DOP853:
+        assert end_state_zeros(dirichlet, lam, anchor, init, target) \
+            == (end_state(dirichlet, lam, anchor, init, target), zeros)
 
 
 def test_kernel_zero_length_solve_is_one_constant_step(dirichlet):

@@ -132,6 +132,18 @@ def test_validate_rejects_nonfinite_q():
         validate(spec)
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_validate_flags_a_pole_of_q():
+    # The pole sits on a sample point: validate flags the coefficient.
+    interval = Interval(0.0, 1.0)
+    pole = float(problem._sample_grid(interval, 64)[17])
+    spec = ProblemSpec(interval,
+                       CoefficientSet.from_strings("1", f"1/(x - {pole!r})",
+                                                   "1"))
+    with pytest.raises(NonFiniteValue, match="coefficient q"):
+        validate(spec)
+
+
 def test_problem_from_dict_catalog_reference():
     spec, ext = problem_from_dict({
         "coefficients": {"catalog": "legendre"},
