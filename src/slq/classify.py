@@ -3,7 +3,9 @@
 An endpoint is limit circle when every solution of tau u = z u is square
 integrable (weight r) near it, limit point otherwise.  The dichotomy is
 probed at a nonreal energy by marching two independent solutions toward the
-endpoint and watching the tail integrals window by window.
+endpoint and watching the tail integrals window by window.  Nonoscillation
+is probed at a real energy on the same march (`solutions.march_windows`),
+from the zeros of one solution window by window.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import Inconclusive, ResolutionExceeded
-from .odecore import integrate_tau
+from .errors import Inconclusive
+from .odecore import end_state_zeros
 from .problem import endpoint_regular
 from .quadrature import DIVERGE_THRESHOLD, geometric_points
-from .solutions import LOGSCALE_MAX, ScaledSolution, _march_leg
+from .solutions import LOGSCALE_MAX, march_windows
 
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
@@ -35,13 +36,11 @@ class EndpointClassification:
     evidence: list = field(default_factory=list)
 
 
-def _endpoint_of(spec, endpoint):
-    return spec.interval.a if endpoint == "a" else spec.interval.b
-
-
-def _window_points(spec, anchor, end, n_windows):
-    return geometric_points(anchor, end, n_windows=n_windows,
-                            ratio=WINDOW_RATIO)
+def _window_points(spec, endpoint, anchor, n_windows):
+    """Geometric window points from anchor toward the endpoint."""
+    a, b = spec.interval.endpoints()
+    return geometric_points(anchor, a if endpoint == "a" else b,
+                            n_windows=n_windows, ratio=WINDOW_RATIO)
 
 
 def _segment_l2(spec, table, L):
@@ -60,19 +59,14 @@ def _segment_l2(spec, table, L):
 
 def _tail_integral_verdict(spec, endpoint, z, init, anchor, n_windows, tol):
     """March one solution toward the endpoint, watching its L^2 tail."""
-    end = _endpoint_of(spec, endpoint)
-    pts = _window_points(spec, anchor, end, n_windows)
-    scaled = ScaledSolution(z)
+    pts = _window_points(spec, endpoint, anchor, n_windows)
     y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
-    x, L = anchor, 0.0
     contribs = []
     total = 0.0
-    for x1 in pts[1:]:
-        n_before = len(scaled.segments)
-        x, y, L = _march_leg(spec, z, scaled, x, y, L, x1, 1e-9, 1e8)
+    for scaled, first, _, L in march_windows(spec, z, y, pts, 1e-9):
         window_sum = sum(
             _segment_l2(spec, table, Ls)
-            for table, Ls in scaled.segments[n_before:]
+            for table, Ls in scaled.segments[first:]
         )
         contribs.append(window_sum)
         total += window_sum
@@ -132,84 +126,35 @@ def classify_both(spec, probe_z=1j, tol=1e-10):
             for e in ("a", "b")}
 
 
-def count_zeros(spec, lam, window, init=(0.0, 1.0), solution=None,
-                tol=1e-11):
+def count_zeros(spec, lam, window, init=(0.0, 1.0), tol=1e-11):
     """Sign changes of a real solution on [window[0], window[1]].
 
-    The solution defaults to the trajectory with data `init` at the left
-    edge of the window.  Zeros are refined by bisection on the dense output;
-    two candidates closer than the resolvable spacing raise.
+    The solution has data `init` at the left edge of the window.  Its
+    zeros in (window[0], window[1]] are counted by odecore.rk_solve over
+    the accepted steps of one DOP853 solve (`end_state_zeros`).
     """
-    x1, x2 = window
-    if solution is None:
-        solution = integrate_tau(spec, lam, x1, init, x2, tol=tol)
-    xs = []
-    for t in np.asarray(solution.breakpoints, dtype=float):
-        if x1 <= t <= x2:
-            xs.append(t)
-    if not xs or xs[0] > x1:
-        xs.insert(0, x1)
-    if xs[-1] < x2:
-        xs.append(x2)
-    fine = []
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        fine.extend(np.linspace(lo, hi, 8, endpoint=False))
-    fine.append(x2)
-    vals = [float(np.real(solution(t))) for t in fine]
-    zeros = []
-    for i in range(len(fine) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            z = brentq(lambda t: float(np.real(solution(t))),
-                       fine[i], fine[i + 1], xtol=1e-13, rtol=1e-12)
-            zeros.append(z)
-    span = x2 - x1
-    for z1, z2 in zip(zeros, zeros[1:]):
-        if z2 - z1 < 1e-9 * span:
-            raise ResolutionExceeded(
-                f"zeros at {z1} and {z2} below resolvable spacing"
-            )
-    return len(zeros)
-
-
-def _segment_sign_changes(scaled, segments):
-    changes = 0
-    for table, _ in segments:
-        lo, hi = sorted((table.t[0], table.t[-1]))
-        ts = np.linspace(lo, hi, 60).tolist()
-        vals = np.real([table.at(t)[0] for t in ts])
-        signs = np.sign(vals)
-        nz = signs != 0
-        s = signs[nz]
-        changes += int(np.sum(s[:-1] != s[1:]))
-    return changes
+    return end_state_zeros(spec, lam, window[0], init, window[1], tol)[1]
 
 
 def certify_endpoint(spec, lam, endpoint, n_windows=24):
-    """Nonoscillation verdict for the energy lam at one endpoint.
+    """Nonoscillation verdict for the real energy lam at one endpoint.
 
-    certified: a real solution shows no sign change over the last 20
-    geometric windows approaching the endpoint.  refuted: zero counts keep
-    appearing window after window.  Regular endpoints are always certified.
+    A real solution is marched toward the endpoint through geometric
+    windows (`solutions.march_windows`), which counts its sign changes in
+    each window.  certified: no sign change over the last 20 windows.
+    refuted: sign changes in each of 4 windows in a row.  Regular
+    endpoints are always certified.
     """
     if endpoint_regular(spec, endpoint):
         return "certified"
-    end = _endpoint_of(spec, endpoint)
-    anchor = spec.interval.interior_point()
-    pts = _window_points(spec, anchor, end, n_windows)
-    scaled = ScaledSolution(lam)
-    x, y, L = anchor, (1.0, 0.0), 0.0
+    pts = _window_points(spec, endpoint, spec.interval.interior_point(),
+                         n_windows)
     window_changes = []
-    for x1 in pts[1:]:
-        n_before = len(scaled.segments)
-        x, y, L = _march_leg(spec, lam, scaled, x, y, L, x1, 1e-9, 1e8)
-        window_changes.append(
-            _segment_sign_changes(scaled, scaled.segments[n_before:])
-        )
+    for _, _, zeros, _ in march_windows(spec, lam, (1.0, 0.0), pts, 1e-9):
+        window_changes.append(zeros)
         if len(window_changes) >= 4 and all(
                 c > 0 for c in window_changes[-4:]):
             return "refuted"
-        if L > LOGSCALE_MAX:
-            break
     if len(window_changes) >= 5 and all(
             c == 0 for c in window_changes[-min(20, len(window_changes)):]):
         return "certified"

@@ -46,10 +46,6 @@ class Inconclusive(SlqError):
     """Endpoint classification could not be certified within budget."""
 
 
-class ResolutionExceeded(SlqError):
-    """Two candidate zeros are closer than the resolvable spacing."""
-
-
 class OscillatoryAtLambda0(SlqError):
     """Basis construction requires a nonoscillatory reference energy."""
 

@@ -272,9 +272,11 @@ class Expr:
     under a power whose exponent is not an integer constant (`x**0.5` at
     x = -1, `(-2)**x` at x = 0.5), as for `sqrt(x)` at x = -1.  Calling the
     Expr takes a number or an ndarray; on an ndarray such points give
-    numpy's nan, as `sqrt` does there.  A pole at a float (`1/x` at 0.0)
+    numpy's nan, as `sqrt` does there.  A pole at a number (`1/x` at 0.0)
     raises the ExpressionPole, a SpecFileError that is also a
-    ZeroDivisionError; numpy numbers give numpy's inf.
+    ZeroDivisionError.  Calling it with a numpy float evaluates the float
+    it holds, so a pole there raises too; `scalar` takes the number as
+    given.
     """
 
     def __init__(self, root: Node, text: str | None = None):
@@ -315,6 +317,10 @@ class Expr:
             if np.isscalar(out) or getattr(out, "shape", None) == ():
                 out = np.full_like(x, float(out), dtype=float)
             return out
+        if isinstance(x, np.floating):
+            # numpy division returns inf at a pole where float division
+            # raises.
+            x = float(x)
         return self.scalar(x)
 
     def deriv(self) -> "Expr":

@@ -539,16 +539,6 @@ class ScaledSolution(MemoizedQuasiFn):
         """(table, logscale) pairs in insertion order."""
         return list(self._segments)
 
-    @property
-    def breakpoints(self):
-        """Integrator step points of all segments, ascending."""
-        pts = []
-        for k in self._order:
-            for x in self._segments[k][0]._ts:
-                if not pts or x > pts[-1]:
-                    pts.append(x)
-        return pts
-
 
 def _solve(spec, lam, anchor, init, target, tol, dense=False, zeros=False):
     """One DOP853 solve of the quasi-derivative system, checked: the state

@@ -158,8 +158,11 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
         for label, fn in (("p", spec.p), ("q", spec.q), ("r", spec.r)):
             try:
                 v = fn(x)
-            except (ZeroDivisionError, OverflowError, SpecFileError):
-                v = math.inf
+            except (ZeroDivisionError, OverflowError, SpecFileError) as exc:
+                report.violations.append((label, x, math.inf))
+                raise NonFiniteValue(
+                    f"coefficient {label} is not finite at x={x}: {exc}"
+                ) from exc
             if not math.isfinite(v):
                 report.violations.append((label, x, v))
                 raise NonFiniteValue(

@@ -8,9 +8,10 @@ rescaling, decides principal vs nonprincipal by window convergence tests,
 builds the companion by reduction of order, and normalizes so that
 W(u_hat, u) = 1 holds exactly.
 
-The march is odecore.rk_solve with RK45 and a cap: a leg stops where
-max(|u|, |u^[1]|) reaches the cap, and the next one starts from the state
-divided by that size, its logarithm added to the segment's log scale.
+The march (`march_windows`) is odecore.rk_solve with RK45 and a cap: a
+leg stops where max(|u|, |u^[1]|) reaches the cap, and the next one
+starts from the state divided by that size, its logarithm added to the
+segment's log scale.  It also serves the endpoint probes in `classify`.
 The reduction tail T' = -1/(p w^2) (`_tail_ode`) runs on the same
 integrator as the pair (T, 0).
 """
@@ -38,36 +39,52 @@ SCALE_CAP = 1e8
 LOGSCALE_MAX = 300.0
 
 
-def _march_leg(spec, lam, scaled, x0, y0, L0, x1, tol, cap):
-    """Advance one window, renormalizing when the state reaches the cap."""
+def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
+    """March from pts[0] through the window points pts[1:].
+
+    The state is renormalized whenever it reaches `cap` (see the module
+    docstring), so a window can take several legs.  After each window it
+    yields (trajectory, first, zeros, L): the ScaledSolution so far, the
+    index in its `segments` of the window's first segment, the sign
+    changes of u in the window, counted by rk_solve over the accepted
+    steps of its legs (None for complex lam), and the log scale reached.
+    It stops after the window where L passes LOGSCALE_MAX (the trajectory
+    is then astronomically large and certainly nonprincipal).
+    """
     steps = spec.coeffs.steps(RK45)(_plain(lam))
-    x, y, L = x0, y0, L0
-    for _ in range(200):
-        x, y, table = rk_solve(RK45, steps, x, y, x1, tol, tol * 1e-3,
-                               dense=True, cap=cap)
-        if not all(map(cmath.isfinite, y)):
-            raise NonFiniteState("state overflowed despite rescaling cap")
-        scaled.add_segment(table, L)
-        if x == x1:
-            break
-        # Renormalize and continue from the event point.
-        m = max(abs(y[0]), abs(y[1]))
-        L += math.log(m)
-        y = (y[0] / m, y[1] / m)
+    count = not isinstance(lam, complex)
+    scaled = ScaledSolution(lam)
+    x, y, L = pts[0], init, 0.0
+    for x1 in pts[1:]:
+        first, zeros = len(scaled.segments), 0
+        for _ in range(200):
+            x, y, table, *n = rk_solve(RK45, steps, x, y, x1, tol,
+                                       tol * 1e-3, dense=True, cap=cap,
+                                       zeros=count)
+            if not all(map(cmath.isfinite, y)):
+                raise NonFiniteState("state overflowed despite rescaling cap")
+            scaled.add_segment(table, L)
+            zeros += sum(n)  # n is [count] for real lam, else empty
+            if x == x1:
+                break
+            # Renormalize and continue from the event point.
+            m = max(abs(y[0]), abs(y[1]))
+            L += math.log(m)
+            y = (y[0] / m, y[1] / m)
+            if L > LOGSCALE_MAX:
+                break
+        yield scaled, first, zeros if count else None, L
         if L > LOGSCALE_MAX:
-            break
-    return x, y, L
+            return
 
 
 def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
                    n_windows=48, ratio=0.5, cap=SCALE_CAP, cutoff=None):
     """March from anchor toward target (possibly a singular endpoint).
 
-    The path is split into geometric windows approaching the target and the
-    state is renormalized whenever it grows past `cap`; the returned
-    ScaledSolution carries the cumulative log-scale ledger.  Marching stops
-    early if the ledger passes LOGSCALE_MAX (the trajectory is then
-    astronomically large and certainly nonprincipal).
+    The path is split into geometric windows approaching a singular
+    endpoint (one window otherwise) and marched by `march_windows`; the
+    returned ScaledSolution carries the cumulative log-scale ledger.
     """
     a, b = spec.interval.endpoints()
     if target in (a, b) and not endpoint_regular(
@@ -78,12 +95,9 @@ def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
         pts = [anchor, target]
     if max(abs(init[0]), abs(init[1])) == 0.0:
         raise ValueError("zero initial state")
-    scaled = ScaledSolution(lam)
-    x, y, L = anchor, init, 0.0
-    for x1 in pts[1:]:
-        x, y, L = _march_leg(spec, lam, scaled, x, y, L, x1, tol, cap)
-        if L > LOGSCALE_MAX:
-            break
+    scaled = ScaledSolution(lam)  # what a march without windows returns
+    for scaled, _, _, _ in march_windows(spec, lam, init, pts, tol, cap):
+        pass
     return scaled
 
 

@@ -63,7 +63,7 @@ def test_count_zeros_sine(dirichlet):
 
 def test_count_zeros_resolves_every_zero_per_step(dirichlet):
     # u = sin(20(x - 0.1))/20 has zeros at 0.1 + k pi/20, k = 1, 2, ...;
-    # 8 samples per DOP853 step must see each of them.
+    # the count over the accepted DOP853 steps must see each of them.
     x1, x2 = 0.1, math.pi - 0.1
     want = math.floor((x2 - x1) * 20.0 / math.pi)
     assert want == 18

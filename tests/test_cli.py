@@ -188,6 +188,16 @@ def test_form_refuses_a_function_outside_l2(specfile, capsys):
     assert "FormIntegralDiverges" in capsys.readouterr().err
 
 
+def test_basis_refuses_an_oscillatory_lambda0(specfile, capsys):
+    path = specfile({"coefficients": {"catalog": "free_halfline"},
+                     "lambda0": 4})
+    code = main(["basis", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert "OscillatoryAtLambda0" in captured.err
+    assert captured.out == ""
+
+
 def test_basis_command_with_csv(specfile, capsys, tmp_path):
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
     prefix = str(tmp_path / "dump")

@@ -68,13 +68,16 @@ def test_division_by_zero_raises():
     ("1/x", 0.0), ("x**(-1)", 0.0), ("x**(-2) + 3", 0.0),
     ("sin(x)/(x - 1.5)", 1.5),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pole_names_the_expression(text, pole):
-    # A pole is a SpecFileError naming the expression on both scalar paths;
-    # it is still a ZeroDivisionError to callers that skip such points.
+    # A pole is a SpecFileError naming the expression on both scalar paths,
+    # and calling the Expr at a numpy float raises it too (numpy division
+    # alone returns inf); it is still a ZeroDivisionError to callers that
+    # skip such points.
     e = Expr.parse(text)
-    for evaluate in (e, e.scalar):
+    for evaluate, x in ((e, pole), (e.scalar, pole), (e, np.float64(pole))):
         with pytest.raises(SpecFileError, match=re.escape(repr(text))) as info:
-            evaluate(pole)
+            evaluate(x)
         assert isinstance(info.value, ZeroDivisionError)
 
 

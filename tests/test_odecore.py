@@ -22,7 +22,7 @@ from slq.odecore import (
     wronskian,
 )
 from slq.problem import CoefficientSet, Interval, ProblemSpec, catalog
-from slq.solutions import rescaled_march
+from slq.solutions import march_windows, rescaled_march
 
 
 def test_integrate_tau_matches_sine(dirichlet):
@@ -300,6 +300,29 @@ def test_zero_count_reads_the_solve(dirichlet, method, anchor, init, target):
     if method is DOP853:
         assert end_state_zeros(dirichlet, lam, anchor, init, target) \
             == (end_state(dirichlet, lam, anchor, init, target), zeros)
+
+
+def test_zero_count_adds_up_over_renormalized_legs():
+    # u = e^{ax} s solves -(e^{-2ax} u')' = (a^2 + k^2) e^{-2ax} u exactly
+    # when -s'' = k^2 s: u has the zeros of a sine, and its growth makes
+    # the cap split every window into legs.  (A bounded sine is
+    # renormalized only until its scale settles, within the first window.)
+    a, k = 2.0, 10.0
+    spec = ProblemSpec(Interval(0.0, 20.0), CoefficientSet.from_strings(
+        "exp(-4*x)", "0", "exp(-4*x)"))
+    init = (0.3, -1.0)
+    # At the anchor 0, p = 1: s = u and s' = u^[1] - a u.
+    sine_init = (init[0], init[1] - a * init[0])
+    pts = [2.0 * i for i in range(8)]
+    counts = []
+    for scaled, first, zeros, _ in march_windows(spec, a * a + k * k, init,
+                                                 pts, 1e-10, cap=4.0):
+        assert len(scaled.segments) - first >= 2
+        counts.append(zeros)
+    assert counts == [_sine_zeros(k * k, 0.0, sine_init, x1)
+                      - _sine_zeros(k * k, 0.0, sine_init, x0)
+                      for x0, x1 in zip(pts, pts[1:])]
+    assert min(counts) >= 6
 
 
 def test_kernel_zero_length_solve_is_one_constant_step(dirichlet):

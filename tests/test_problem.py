@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slq.errors import (
+    ExpressionPole,
     NonFiniteValue,
     NonPositiveCoefficient,
     SpecFileError,
@@ -132,16 +134,20 @@ def test_validate_rejects_nonfinite_q():
         validate(spec)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_flags_a_pole_of_q():
-    # The pole sits on a sample point: validate flags the coefficient.
+    # The pole sits on a sample point, a numpy float: validate flags the
+    # coefficient, naming the expression, from the ExpressionPole.
     interval = Interval(0.0, 1.0)
-    pole = float(problem._sample_grid(interval, 64)[17])
-    spec = ProblemSpec(interval,
-                       CoefficientSet.from_strings("1", f"1/(x - {pole!r})",
-                                                   "1"))
-    with pytest.raises(NonFiniteValue, match="coefficient q"):
+    grid = problem._sample_grid(interval, 64)
+    assert isinstance(grid[17], np.floating)
+    pole = float(grid[17])
+    text = f"1/(x - {pole!r})"
+    spec = ProblemSpec(interval, CoefficientSet.from_strings("1", text, "1"))
+    with pytest.raises(NonFiniteValue, match="coefficient q") as info:
         validate(spec)
+    assert repr(text) in str(info.value)
+    assert isinstance(info.value.__cause__, ExpressionPole)
 
 
 def test_problem_from_dict_catalog_reference():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from slq.errors import EvaluationOutsideSupport
+from slq.errors import EvaluationOutsideSupport, OscillatoryAtLambda0
 from slq.functions import PAIR_MEMO_SIZE
 from slq.odecore import StepTable, integrate_tau, wronskian
-from slq.problem import catalog, validate
+from slq.problem import catalog, problem_from_dict, validate
 from slq.quadrature import geometric_points
 from slq.solutions import (
     ReductionSolution,
@@ -93,6 +93,15 @@ def test_trust_interval_brackets_anchor(oscillator_bases):
         assert lo <= basis.anchor <= hi
 
 
+def test_oscillatory_lambda0_is_refused():
+    # -u'' = 4u oscillates toward b = inf: the zero count in each window
+    # refutes nonoscillation and no basis is built there.
+    spec, _ = problem_from_dict({"coefficients": {"catalog": "free_halfline"},
+                                 "lambda0": 4})
+    with pytest.raises(OscillatoryAtLambda0, match="endpoint b"):
+        construct_basis(spec, "b")
+
+
 def test_reduction_tail_gives_the_principal_power():
     # bessel(0.3) at lambda0 = 0 has the solutions x^0.8 (principal at 0)
     # and x^0.2.  The march gives the nonprincipal one, so u is w T with T
@@ -148,7 +157,6 @@ def test_lookup_back_march_after_forward_march():
     assert want == pytest.approx(0.3, rel=1e-15)
     assert traj.log_pair(0.3)[0] == want
     assert (traj.x_min, traj.x_max) == (0.0, 1.0)
-    assert traj.breakpoints == [0.0, 0.2, 0.5, 0.7, 0.9, 1.0]
 
 
 def test_lookup_gap_takes_nearest_segment():
