@@ -23,7 +23,7 @@ from .errors import (
 )
 from .functions import QuasiFn
 from .odecore import wronskian
-from .quadrature import _aitken_limit, accelerated_limit
+from .quadrature import accelerated_limit, geometric_points
 
 ROUTE_WRONSKIAN = "wronskian_limit"
 
@@ -42,37 +42,24 @@ class GeneralizedBoundaryValues:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _approach_points(basis, n_levels=N_LEVELS):
-    """Geometric sequence from the nonvanishing bound toward the endpoint."""
+def _approach_points(basis):
+    """Geometric sequence from the nonvanishing bound toward the endpoint,
+    up to the edge of the trust interval toward an infinite endpoint."""
     end = basis.endpoint_value
-    x0 = basis.nonvanish_bound
-    lo, hi = basis.trust_interval if basis.trust_interval else (None, None)
-    pts = []
-    if math.isfinite(end):
-        d0 = end - x0
-        for k in range(n_levels):
-            pts.append(end - d0 * 0.5**k)
-    else:
-        sign = 1.0 if basis.endpoint == "b" else -1.0
-        cap = (hi if sign > 0 else lo)
-        x = x0
-        step = max(abs(x0), 1.0)
-        pts.append(x)
-        for _ in range(n_levels - 1):
-            x = x + sign * step
-            step *= 2.0
-            if cap is not None and (x - cap) * sign > 0:
-                break
-            pts.append(x)
-    return pts
+    cutoff = None
+    if not math.isfinite(end) and basis.trust_interval:
+        cutoff = basis.trust_interval[1 if basis.endpoint == "b" else 0]
+    return geometric_points(basis.nonvanish_bound, end,
+                            n_windows=N_LEVELS - 1, cutoff=cutoff)
 
 
 def _sequence_limit(vals, us, tol):
     """Limit of the approach-sequence values with an error estimate.
 
     Returns (value, err, certified).  Stabilized sequences short-circuit;
-    otherwise the window-acceleration models are tried, falling back to
-    Aitken with a delta-based error.
+    otherwise the window-acceleration models are tried, and an uncertified
+    result (accelerated_limit's Aitken fallback with a delta-based error)
+    stands only while the deltas head to zero.
     """
     vals = [complex(v) if isinstance(v, complex) else float(v) for v in vals]
     if any(isinstance(v, complex) for v in vals):
@@ -91,9 +78,7 @@ def _sequence_limit(vals, us, tol):
     if not all(d2 <= d1 + 1e-13 * scale for d1, d2 in zip(tail, tail[1:])) \
             and tail[-1] > tol * scale:
         return vals[-1], math.inf, False
-    value = _aitken_limit(vals)
-    err = abs(value - vals[-1]) + deltas[-1]
-    return value, err, certified
+    return value, err, False
 
 
 def gbv(spec, basis, g, endpoint=None, tol=1e-9):

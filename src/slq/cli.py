@@ -364,7 +364,7 @@ def cmd_triplet(spec, ext_doc, args):
         # decorations are compared.
         bases = _build_bases(spec)
         regime = _regime_of(ext)
-        samples = _cross_path_samples(spec, args)
+        samples = _cross_path_samples(spec)
         checks = []
         for f, g in samples:
             try:
@@ -385,7 +385,7 @@ def cmd_triplet(spec, ext_doc, args):
     return EXIT_OK
 
 
-def _cross_path_samples(spec, args):
+def _cross_path_samples(spec):
     a, b = spec.interval.endpoints()
     mid = spec.interval.interior_point()
     finite = math.isfinite(a) and math.isfinite(b)
@@ -413,35 +413,39 @@ class _Parser(argparse.ArgumentParser):
         raise SpecFileError(message)
 
 
+# Options that several subcommands read.
+TOL = {"type": float, "default": 1e-6}
+PROBE = {"default": "1j"}
+WINDOW = {"default": None}
+REQUIRED = {"required": True}
+
+
 def build_parser():
     parser = _Parser(prog="slq", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"slq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn, **options):
+        """Subcommand `name` with --out, --strict and the options it reads."""
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("specfile")
-        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=None)
-        p.add_argument("--csv", default=None)
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--probe", default="1j")
-        p.add_argument("--window", default=None)
-        for flag, kw in extra.items():
+        for flag, kw in options.items():
             p.add_argument(f"--{flag}", **kw)
         return p
 
-    add("classify", cmd_classify)
-    add("basis", cmd_basis)
-    add("gbv", cmd_gbv,
-        g={"required": True}, endpoint={"choices": ["a", "b"],
-                                        "default": None})
-    add("form", cmd_form, f={"required": True}, g={"required": True})
-    add("green-check", cmd_green_check,
-        f={"required": True}, g={"required": True})
-    add("eig", cmd_eig,
+    add("classify", cmd_classify, probe=PROBE)
+    add("basis", cmd_basis, csv={"default": None})
+    add("gbv", cmd_gbv, tol=TOL, g=REQUIRED,
+        endpoint={"choices": ["a", "b"], "default": None})
+    add("form", cmd_form, tol=TOL, probe=PROBE, window=WINDOW,
+        f=REQUIRED, g=REQUIRED)
+    add("green-check", cmd_green_check, tol=TOL, probe=PROBE, window=WINDOW,
+        f=REQUIRED, g=REQUIRED)
+    add("eig", cmd_eig, tol=TOL, probe=PROBE,
         lmin={"type": float, "default": 0.0},
         lmax={"type": float, "default": 10.0},
         grid={"type": int, "default": 64, "help": (
@@ -452,7 +456,7 @@ def build_parser():
             "eigenvalues.  Coupled conditions evaluate every grid point and "
             "find a root where the determinant changes sign across a cell, "
             "so two eigenvalues in one cell escape them (default: 64)")})
-    add("triplet", cmd_triplet)
+    add("triplet", cmd_triplet, probe=PROBE)
     return parser
 
 

@@ -1,13 +1,15 @@
 """Self-adjoint extensions: catalog, boundary residuals, eigenvalue shooting.
 
 Extensions are parametrized by boundary conditions in generalized boundary
-value coordinates: separated conditions sin(angle) g~' + cos(angle) g~ = 0
-at each limit-circle endpoint, coupled conditions (g~(b), g~'(b)) =
-exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R), a single condition when
-only one endpoint is limit circle, and no condition at all in the
-limit-point/limit-point case.  `triplets.pair_from_extension` writes each
-condition as one boundary relation B Gamma0 g = A Gamma1 g; residuals and
-shooting read that pair.
+value coordinates.  A separated extension imposes one angle t at each of
+its limit-circle ends, sin(t) g~' + cos(t) g~ = 0 there (`Separated` at
+both ends, `OneLC` at one, `LpLp` at none); a coupled one imposes
+(g~(b), g~'(b)) = exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R).
+`ExtensionSpec.angles` says which: {end: t} for a separated extension,
+None for a coupled one.  `triplets.pair_from_extension` writes each
+condition as one boundary relation B Gamma0 g = A Gamma1 g, which
+residuals read.  Shooting starts from each end's angle; it reads the pair
+only for a coupled condition.
 """
 
 from __future__ import annotations
@@ -28,19 +30,26 @@ from .errors import (
 )
 from .odecore import end_state, end_state_zeros
 from .solutions import construct_basis
-from .triplets import SIGMA, boundary_vectors, pair_from_extension
+from .triplets import boundary_vectors, pair_from_extension
 
 
 class ExtensionSpec:
     """Base class for extension descriptions.
 
-    `lc_ends` names the limit-circle endpoints whose generalized boundary
-    values the condition constrains; `triplets.pair_from_extension` writes
-    the condition itself as a boundary relation over them.
+    `angles` is {end: angle} with one angle per limit-circle end for a
+    separated condition, and None for a coupled one.  `lc_ends` names the
+    limit-circle endpoints whose generalized boundary values the condition
+    constrains, in a separated condition the ends of its angles;
+    `triplets.pair_from_extension` writes the condition itself as a
+    boundary relation over them.
     """
 
     variant = None
-    lc_ends = ()
+    angles = None
+
+    @property
+    def lc_ends(self):
+        return tuple(self.angles)
 
 
 def _check_angle(name, value):
@@ -55,11 +64,14 @@ class Separated(ExtensionSpec):
     alpha: float
     beta: float
     variant = "separated"
-    lc_ends = ("a", "b")
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
         object.__setattr__(self, "beta", _check_angle("beta", self.beta))
+
+    @property
+    def angles(self):
+        return {"a": self.alpha, "b": self.beta}
 
 
 @dataclass(frozen=True)
@@ -95,13 +107,17 @@ class OneLC(ExtensionSpec):
             raise SpecFileError("lc_endpoint must be 'a' or 'b'")
 
     @property
-    def lc_ends(self):
-        return (self.lc_endpoint,)
+    def angles(self):
+        return {self.lc_endpoint: self.alpha}
 
 
 @dataclass(frozen=True)
 class LpLp(ExtensionSpec):
     variant = "lp_lp"
+
+    @property
+    def angles(self):
+        return {}
 
 
 def extension_from_dict(doc):
@@ -249,27 +265,17 @@ def _lp_init(spec, endpoint, lam):
     return x0, (1.0, -sign * kappa)
 
 
-def _local_rows(pair, ends):
-    """{end: (B_kk, A_kk)} when every row of the pair touches its own end
-    only (A and B diagonal), else None.  The catalog's diagonal pairs are
-    real."""
-    if any(np.any(m - np.diag(np.diag(m))) for m in (pair.A, pair.B)):
-        return None
-    return {e: (pair.B[k, k].real, pair.A[k, k].real)
-            for k, e in enumerate(ends)}
-
-
-def _side_start(spec, rows, bases, side, lam):
+def _side_start(spec, angles, bases, side, lam):
     """Initial data of the solution that meets the condition at one side.
 
-    u_hat has GBV data (1, 0) and u has (0, 1), so y = -B_kk u - sigma A_kk
-    u_hat meets the row B_kk g~ = A_kk Gamma1 g at a limit-circle end.  At a
-    limit-point end the solution is the decaying branch.
+    u_hat has GBV data (1, 0) and u has (0, 1), so y = sin(t) u_hat -
+    cos(t) u meets sin(t) g~' + cos(t) g~ = 0 at a limit-circle end with
+    angle t.  At a limit-point end the solution is the decaying branch.
     """
-    if side not in rows:
+    if side not in angles:
         return _lp_init(spec, side, lam)
-    b, a = rows[side]
-    return _lc_init(bases[side], -b, -SIGMA[side] * a)
+    t = angles[side]
+    return _lc_init(bases[side], -math.cos(t), math.sin(t))
 
 
 def _orientation(side, init):
@@ -282,10 +288,11 @@ def _orientation(side, init):
     return math.copysign(1.0, u1 if side == "a" else -u1)
 
 
-def _shoot_det(spec, rows, bases, lam, mid, tol):
+def _shoot_det(spec, angles, bases, lam, mid, tol):
     """(det, N): the normalized Wronskian at `mid` of the two one-sided
-    solutions, for a pair whose rows each touch one end (see _local_rows),
-    and the eigenvalue index N(lam), the number of eigenvalues below lam.
+    solutions of a separated condition with `angles` ({end: angle} at its
+    limit-circle ends, see ExtensionSpec.angles), and the eigenvalue index
+    N(lam), the number of eigenvalues below lam.
 
     With m the zeros the two solutions pass on the way to `mid` and o_a,
     o_b their orientations, N = m + [(-1)^m o_a o_b W > 0] (Pryce,
@@ -295,7 +302,7 @@ def _shoot_det(spec, rows, bases, lam, mid, tol):
     """
     states, m, o = [], 0, 1.0
     for side in ("a", "b"):
-        x0, init = _side_start(spec, rows, bases, side, lam)
+        x0, init = _side_start(spec, angles, bases, side, lam)
         y, zeros = end_state_zeros(spec, lam, x0, init, mid, tol=tol)
         states.append(y)
         m += zeros
@@ -389,23 +396,24 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                       classification=None, bases=None):
     """Eigenvalues of the extension in [lam_min, lam_max] by shooting.
 
-    lam is an eigenvalue iff det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam))
-    vanishes, where (A, B) is the extension's boundary pair and Phi spans
-    the solutions that meet the limit-point conditions.  When every row of
-    the pair touches one end, one-sided solutions meeting each row are
-    marched to the interior midpoint and their Wronskian is the
-    determinant; otherwise it comes from the GBV transfer matrix M(lam).
+    lam is an eigenvalue iff some solution meets the extension's
+    conditions at both ends.  For a separated extension, the one-sided
+    solutions meeting each end's angle (the decaying branch at a
+    limit-point end) are marched to the interior midpoint, and their
+    Wronskian is the determinant.  For a coupled one it is
+    det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam)) with (A, B) the extension's
+    boundary pair, through the GBV transfer matrix M(lam).
 
     Roots are bracketed on a uniform lam grid of about grid_per_unit cells
-    per unit.  For a pair whose rows each touch one end, each determinant
-    also gives the eigenvalue index N(lam), the number of eigenvalues below
-    lam, from the zeros of the one-sided solutions: the grid is bisected
-    on N into the cells where it jumps, a cell holding several roots is
-    bisected on N inside it, and only those points are evaluated.  A
-    coupled pair has no index yet: every grid point is evaluated and a
-    cell brackets a root where the determinant changes sign, so two roots
-    in one cell escape it.  Each bracket is refined by Brent's method; a
-    determinant of exactly zero at a bracket's left end is a root itself.
+    per unit.  For a separated extension each determinant also gives the
+    eigenvalue index N(lam), the number of eigenvalues below lam, from the
+    zeros of the one-sided solutions: the grid is bisected on N into the
+    cells where it jumps, a cell holding several roots is bisected on N
+    inside it, and only those points are evaluated.  A coupled condition
+    has no index yet: every grid point is evaluated and a cell brackets a
+    root where the determinant changes sign, so two roots in one cell
+    escape it.  Each bracket is refined by Brent's method; a determinant
+    of exactly zero at a bracket's left end is a root itself.
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
     if not lam_min < lam_max:
@@ -421,17 +429,18 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                  for e in ("a", "b")}
 
     mid = spec.interval.interior_point()
-    pair = pair_from_extension(ext)
-    rows = _local_rows(pair, ends)
+    angles = ext.angles
     # One determinant per distinct lam: Brent starts from the values at its
     # bracket ends, and the residual at a root is Brent's last value.
     memo = {}
-    if rows is None:
+    if angles is None:
+        pair = pair_from_extension(ext)
+
         def point_value(lam):
             return _coupled_det(spec, pair, bases, lam, tol=1e-10), None
     else:
         def point_value(lam):
-            return _shoot_det(spec, rows, bases, lam, mid, tol=1e-10)
+            return _shoot_det(spec, angles, bases, lam, mid, tol=1e-10)
 
     def point(lam):
         key = float(lam)

@@ -50,6 +50,9 @@ REGIME_LP_LP = "lp_lp"
 LC_ENDS = {REGIME_LC_LC: ("a", "b"), REGIME_LC_LP: ("a",),
            REGIME_LP_LC: ("b",), REGIME_LP_LP: ()}
 
+# Gamma1 g = SIGMA[end] g~'(end): the boundary maps flip its sign at b.
+SIGMA = {"a": 1.0, "b": -1.0}
+
 
 @dataclass(frozen=True)
 class FormWindow:
@@ -368,28 +371,9 @@ def q_decorated(spec, bases, window, ext, f, g, tol=1e-6, base=None):
         return {end: gbv(spec, basis, fn)
                 for end, basis in zip("ab", bases) if end in lc_ends}
 
+    vf, vg = bvals(f), bvals(g)
     deco = 0.0
-    if ext.variant == "separated":
-        vf, vg = bvals(f), bvals(g)
-        fa, fb = vf["a"].tilde, vf["b"].tilde
-        ga, gb = vg["a"].tilde, vg["b"].tilde
-        scale = 1.0 + max(abs(v) for v in (fa, fb, ga, gb))
-        if ext.alpha == 0.0:
-            if abs(ga) > tol * scale or abs(fa) > tol * scale:
-                raise DomainConstraintViolated(
-                    f"alpha=0 requires g~(a)=0, got {fa}, {ga}"
-                )
-        else:
-            deco += -_cot(ext.alpha) * np.conj(fa) * ga
-        if ext.beta == 0.0:
-            if abs(gb) > tol * scale or abs(fb) > tol * scale:
-                raise DomainConstraintViolated(
-                    f"beta=0 requires g~(b)=0, got {fb}, {gb}"
-                )
-        else:
-            deco += _cot(ext.beta) * np.conj(fb) * gb
-    elif ext.variant == "coupled":
-        vf, vg = bvals(f), bvals(g)
+    if ext.angles is None:
         fa, fb = vf["a"].tilde, vf["b"].tilde
         ga, gb = vg["a"].tilde, vg["b"].tilde
         R = ext.matrix()
@@ -410,20 +394,21 @@ def q_decorated(spec, bases, window, ext, f, g, tol=1e-6, base=None):
                         f", got {va} -> {vb}"
                     )
             deco = -R[0, 0] * R[1, 0] * np.conj(fa) * ga
-    elif ext.variant == "one_lc":
-        side = ext.lc_endpoint
-        vf, vg = bvals(f), bvals(g)
-        fl, gl = vf[side].tilde, vg[side].tilde
-        scale = 1.0 + max(abs(fl), abs(gl))
-        if ext.alpha == 0.0:
-            if abs(gl) > tol * scale or abs(fl) > tol * scale:
-                raise DomainConstraintViolated(
-                    f"alpha=0 requires g~({side})=0, got {fl}, {gl}"
-                )
-        else:
-            sgn = -1.0 if side == "a" else 1.0
-            deco += sgn * _cot(ext.alpha) * np.conj(fl) * gl
-    # lp_lp: no decoration.
+    else:
+        # Angle 0 at an end is the Dirichlet-type condition g~ = 0 there;
+        # any other angle t adds -SIGMA[end] cot(t) conj(f~) g~.
+        tildes = [abs(v.tilde) for v in (*vf.values(), *vg.values())]
+        scale = 1.0 + max(tildes, default=0.0)
+        for end, t in ext.angles.items():
+            fe, ge = vf[end].tilde, vg[end].tilde
+            if t == 0.0:
+                if abs(ge) > tol * scale or abs(fe) > tol * scale:
+                    raise DomainConstraintViolated(
+                        f"angle 0 at {end} requires g~({end})=0, "
+                        f"got {fe}, {ge}"
+                    )
+            else:
+                deco += -SIGMA[end] * _cot(t) * np.conj(fe) * ge
 
     value = base.value + deco
     if abs(np.imag(value)) == 0.0:

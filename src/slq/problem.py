@@ -92,7 +92,6 @@ class ProblemSpec:
     interval: Interval
     coeffs: CoefficientSet
     lambda0: float = 0.0
-    regular_flag: str = UNDETERMINED
     name: str | None = None
 
     @property
@@ -149,8 +148,9 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
     """Check Hypothesis-style positivity/finiteness on a sample grid.
 
     p and r must be positive, and all three coefficients finite, at every
-    interior sample.  The regular/singular flag is then set: the problem is
-    regular iff both endpoints are (see endpoint_regular).
+    interior sample.  The report's regular/singular flag is then set: the
+    problem is regular iff both endpoints are (see endpoint_regular).  The
+    spec is read, not written.
     """
     report = ValidationReport(n_samples=n_samples)
     grid = _sample_grid(spec.interval, n_samples)
@@ -179,7 +179,6 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
                and endpoint_regular(spec, "a")
                and endpoint_regular(spec, "b"))
     report.regular_flag = REGULAR if regular else SINGULAR
-    spec.regular_flag = report.regular_flag
     return report
 
 

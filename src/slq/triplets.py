@@ -28,7 +28,14 @@ from .errors import (
     NotSelfAdjointPair,
     RankDeficient,
 )
-from .forms import LC_ENDS, REGIME_LC_LC, REGIME_LP_LP, _regime_of, q_base
+from .forms import (
+    LC_ENDS,
+    REGIME_LC_LC,
+    REGIME_LP_LP,
+    SIGMA,
+    _regime_of,
+    q_base,
+)
 
 KERNEL_TOL = 1e-10  # relative SVD threshold for ker A detection
 
@@ -93,11 +100,13 @@ def validate_pair(A, B, tol=1e-12):
         )
     stacked = np.hstack([B, A])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= tol * max(sv[0], 1.0):
+    # n = 0 (no limit-circle end) leaves no singular value: full rank.
+    smallest = sv.min(initial=math.inf)
+    if smallest <= tol * sv.max(initial=1.0):
         raise RankDeficient(f"(B A) is rank deficient: singular values {sv}")
     return SAPair(A=A, B=B,
                   diagnostics={"hermiticity_defect": herm,
-                               "smallest_singular_value": float(sv[-1])})
+                               "smallest_singular_value": float(smallest)})
 
 
 def decompose(pair, tol=KERNEL_TOL):
@@ -164,15 +173,13 @@ def pair_from_extension(ext):
     """Boundary-relation pair (A, B) of a catalog extension.
 
     Coordinates are Gamma0 g = (g~(a), g~(b)), Gamma1 g = (g~'(a), -g~'(b))
-    in the two-limit-circle case; with a single limit-circle endpoint the
-    scalar pair encodes sin(alpha) g~' + cos(alpha) g~ = 0 in the local
-    Gamma coordinates; the limit-point/limit-point case has n = 0.
+    over the extension's limit-circle ends.  A separated extension gives
+    the diagonal pair A = diag(-SIGMA[end] sin t), B = diag(cos t) over its
+    angles, one row sin(t) g~' + cos(t) g~ = 0 per end; the
+    limit-point/limit-point case is n = 0.  A coupled one gives a 2x2 pair
+    whose rows mix the ends.
     """
-    if ext.variant == "separated":
-        A = np.diag([-math.sin(ext.alpha), math.sin(ext.beta)]).astype(complex)
-        B = np.diag([math.cos(ext.alpha), math.cos(ext.beta)]).astype(complex)
-        return validate_pair(A, B)
-    if ext.variant == "coupled":
+    if ext.angles is None:
         R = ext.matrix()
         e = cmath.exp(1j * ext.phi)
         A = -np.array([[e * R[0, 1], 0.0],
@@ -180,21 +187,10 @@ def pair_from_extension(ext):
         B = np.array([[e * R[0, 0], -1.0],
                       [e * R[1, 0], 0.0]], dtype=complex)
         return validate_pair(A, B)
-    if ext.variant == "one_lc":
-        # Gamma1 flips sign at b, so the graph slope Theta = -cot(alpha)
-        # at a becomes +cot(alpha) at b.
-        sign = 1.0 if ext.lc_endpoint == "b" else -1.0
-        A = np.array([[sign * math.sin(ext.alpha)]], dtype=complex)
-        B = np.array([[math.cos(ext.alpha)]], dtype=complex)
-        return validate_pair(A, B)
-    if ext.variant == "lp_lp":
-        Z = np.zeros((0, 0), dtype=complex)
-        return SAPair(A=Z, B=Z)
-    raise ValueError(f"unknown extension variant {ext.variant!r}")
-
-
-# Gamma1 g = SIGMA[end] g~'(end): the boundary maps flip its sign at b.
-SIGMA = {"a": 1.0, "b": -1.0}
+    angles = ext.angles
+    A = np.diag([-SIGMA[end] * math.sin(t) for end, t in angles.items()])
+    B = np.diag([math.cos(t) for t in angles.values()])
+    return validate_pair(A, B)
 
 
 def boundary_vectors(values, ends):

@@ -227,6 +227,24 @@ def test_out_flag_writes_file(specfile, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, flags", [
+    ("classify", ["--tol", "1e-3"]),
+    ("basis", ["--probe", "2i"]),
+    ("gbv", ["--g", "sin", "--window", "0.5,2.5"]),
+    ("form", ["--f", "sin", "--g", "sin", "--csv", "dump"]),
+    ("green-check", ["--f", "sin", "--g", "sin", "--csv", "dump"]),
+    ("eig", ["--lmin", "0.5", "--lmax", "1.5", "--csv", "dump"]),
+    ("triplet", ["--tol", "1e-3"]),
+])
+def test_command_refuses_an_option_it_does_not_read(specfile, capsys,
+                                                    command, flags):
+    # Each command takes only the options it reads; one that would be
+    # ignored is a usage error.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    assert main([command, path, *flags]) == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, flags", [
     ("form", ["--f", "bump:1.0,0.5", "--g", "bump:1.5,0.8"]),
     ("triplet", []),
 ])

@@ -239,15 +239,14 @@ def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue index N(lam) of a diagonal pair
+# Eigenvalue index N(lam) of a separated condition
 # ---------------------------------------------------------------------------
 
 def _index(spec, ext, bases, lam):
-    """N(lam) as the shooting determinant of ext's diagonal pair gives it."""
-    rows = extensions._local_rows(pair_from_extension(ext), ext.lc_ends)
-    assert rows is not None
+    """N(lam) as the shooting determinant of ext's angles gives it."""
+    assert ext.angles is not None
     bases = dict(zip("ab", bases)) if bases else {"a": None, "b": None}
-    _, n = extensions._shoot_det(spec, rows, bases, lam,
+    _, n = extensions._shoot_det(spec, ext.angles, bases, lam,
                                  spec.interval.interior_point(), 1e-10)
     return n
 

@@ -2,8 +2,9 @@
 
 The regime names its limit-circle (LC) ends (forms.LC_ENDS); nothing reads
 or writes that fact through the bases.  Covers the right-end one-LC regime
-on the mirrored half-line (-inf, 0), and checks that no form, triplet or CLI
-call changes the shared bases.
+on the mirrored half-line (-inf, 0), checks that no form, triplet or CLI
+call changes the shared bases, and that a separated extension decorates
+the form with one term per LC end.
 """
 
 import contextlib
@@ -11,18 +12,21 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from slq import cli
+from slq.bvalues import gbv, patched_pair
 from slq.classify import classify_both
-from slq.errors import SlqError
-from slq.extensions import OneLC, Separated, friedrichs_spec, lc_ends
+from slq.errors import DomainConstraintViolated, SlqError
+from slq.extensions import LpLp, OneLC, Separated, friedrichs_spec, lc_ends
 from slq.forms import (
     LC_ENDS,
     REGIME_LC_LC,
     REGIME_LC_LP,
     REGIME_LP_LC,
     REGIME_LP_LP,
+    SIGMA,
     green_identity_residual,
     q_base,
     q_decorated,
@@ -243,3 +247,59 @@ def test_cli_reports_lp_lc(tmp_path, capsys):
         assert code == cli.EXIT_OK
         section = report["form" if command == "form" else "green_check"]
         assert section["regime"] == "lp_lc"
+
+
+# -------------------------------------------------------------------------
+# One rule per end: a separated extension's angle t at an LC end adds
+# -SIGMA[end] cot(t) conj(f~) g~, or demands g~ = 0 there when t = 0
+# -------------------------------------------------------------------------
+
+
+def _decoration_case(request, name):
+    """(spec, bases, ext, f, g) with f~ and g~ nonzero at ext's LC ends."""
+    if name == "legendre":
+        spec = request.getfixturevalue("legendre")
+        bases = request.getfixturevalue("legendre_bases")
+        return (spec, bases, Separated(0.7, 1.9),
+                patched_pair(spec, *bases).v1,
+                polynomial(spec, [0.3, 0.2, 1.0, 0.7]))
+    if name == "halfline":
+        spec = request.getfixturevalue("free_halfline")
+        return (spec, request.getfixturevalue("free_halfline_bases"),
+                OneLC(0.8, "a"), *_decaying_pair(spec))
+    if name == "mirrored":
+        spec = request.getfixturevalue("mirrored")
+        return (spec, request.getfixturevalue("mirrored_bases"),
+                OneLC(0.8, "b"), GaussianPoly(spec, [1.0, -0.25]),
+                GaussianPoly(spec, [0.5, 0.5]))
+    spec = request.getfixturevalue("oscillator")
+    return (spec, request.getfixturevalue("oscillator_bases"), LpLp(),
+            GaussianPoly.hermite(spec, 0), GaussianPoly.hermite(spec, 1))
+
+
+@pytest.mark.parametrize("name",
+                         ["legendre", "halfline", "mirrored", "oscillator"])
+def test_decoration_is_one_term_per_angle(request, name):
+    spec, bases, ext, f, g = _decoration_case(request, name)
+    want = 0.0
+    for end, t in ext.angles.items():
+        basis = bases["ab".index(end)]
+        ft, gt = gbv(spec, basis, f).tilde, gbv(spec, basis, g).tilde
+        want += -SIGMA[end] * (math.cos(t) / math.sin(t)) * np.conj(ft) * gt
+    deco = q_decorated(spec, bases, None, ext, f, g).pieces[
+        "decoration_terms"]
+    assert deco == want
+    assert (want != 0.0) == bool(ext.angles)
+
+
+@pytest.mark.parametrize("name, ext, end", [
+    ("legendre", Separated(0.0, 1.9), "a"),
+    ("legendre", Separated(0.7, 0.0), "b"),
+    ("halfline", OneLC(0.0, "a"), "a"),
+    ("mirrored", OneLC(0.0, "b"), "b"),
+])
+def test_angle_zero_refuses_a_nonzero_tilde_at_its_end(request, name, ext,
+                                                       end):
+    spec, bases, _, f, g = _decoration_case(request, name)
+    with pytest.raises(DomainConstraintViolated, match=rf"g~\({end}\)"):
+        q_decorated(spec, bases, None, ext, f, g)

@@ -82,8 +82,9 @@ def test_validate_flags_singular():
 ])
 def test_regular_flag_iff_both_endpoints_regular(name, flag):
     spec = catalog(name)
+    before = dict(vars(spec))
     assert validate(spec).regular_flag == flag
-    assert spec.regular_flag == flag
+    assert vars(spec) == before
     both = endpoint_regular(spec, "a") and endpoint_regular(spec, "b")
     assert both == (flag == REGULAR)
 

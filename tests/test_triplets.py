@@ -10,7 +10,7 @@ from slq.errors import (
     NotSelfAdjointPair,
     RankDeficient,
 )
-from slq.extensions import Coupled, OneLC, Separated
+from slq.extensions import Coupled, LpLp, OneLC, Separated
 from slq.triplets import (
     boundary_maps,
     boundary_pair_check,
@@ -77,6 +77,22 @@ def test_one_dimensional_relation():
                                                abs=1e-12)
     rel0 = decompose(pair_from_extension(OneLC(alpha=0.0, lc_endpoint="a")))
     assert rel0.multivalued_dim == 1
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize("t", [0.0, 0.8, 2.0])
+def test_one_lc_pair_is_the_separated_pair_at_its_end(t, end):
+    k = "ab".index(end)
+    angles = {"a": 1.1, "b": 1.1, end: t}
+    sep = pair_from_extension(Separated(angles["a"], angles["b"]))
+    one = pair_from_extension(OneLC(t, end))
+    assert np.array_equal(one.A, sep.A[k:k + 1, k:k + 1])
+    assert np.array_equal(one.B, sep.B[k:k + 1, k:k + 1])
+
+
+def test_lp_lp_pair_is_empty():
+    pair = pair_from_extension(LpLp())
+    assert pair.n == 0 and pair.B.shape == (0, 0)
 
 
 def test_relation_membership_examples():
