@@ -20,7 +20,7 @@ from .errors import Inconclusive
 from .odecore import end_state_zeros
 from .problem import endpoint_regular
 from .quadrature import DIVERGE_THRESHOLD, geometric_points
-from .solutions import LOGSCALE_MAX, march_windows
+from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
 
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
@@ -142,8 +142,9 @@ def certify_endpoint(spec, lam, endpoint, n_windows=24):
     A real solution is marched toward the endpoint through geometric
     windows (`solutions.march_windows`), which counts its sign changes in
     each window.  certified: no sign change over the last 20 windows.
-    refuted: sign changes in each of 4 windows in a row.  Regular
-    endpoints are always certified.
+    refuted: sign changes in each of 4 windows in a row, the rule
+    (`solutions.oscillation_refuted`) `construct_basis` applies to its own
+    march.  Regular endpoints are always certified.
     """
     if endpoint_regular(spec, endpoint):
         return "certified"
@@ -152,8 +153,7 @@ def certify_endpoint(spec, lam, endpoint, n_windows=24):
     window_changes = []
     for _, _, zeros, _ in march_windows(spec, lam, (1.0, 0.0), pts, 1e-9):
         window_changes.append(zeros)
-        if len(window_changes) >= 4 and all(
-                c > 0 for c in window_changes[-4:]):
+        if oscillation_refuted(window_changes):
             return "refuted"
     if len(window_changes) >= 5 and all(
             c == 0 for c in window_changes[-min(20, len(window_changes)):]):

@@ -78,8 +78,13 @@ def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
             return
 
 
-def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
-                   n_windows=48, ratio=0.5, cap=SCALE_CAP, cutoff=None):
+def oscillation_refuted(zeros):
+    """Whether u changed sign in each of the last 4 windows marched, from
+    the windows' zero counts in march order: oscillation at the end."""
+    return len(zeros) >= 4 and all(c > 0 for c in zeros[-4:])
+
+
+def rescaled_march(spec, lam, anchor, init, target, tol=1e-11, cap=SCALE_CAP):
     """March from anchor toward target (possibly a singular endpoint).
 
     The path is split into geometric windows approaching a singular
@@ -89,8 +94,7 @@ def rescaled_march(spec, lam, anchor, init, target, tol=1e-11,
     a, b = spec.interval.endpoints()
     if target in (a, b) and not endpoint_regular(
             spec, "a" if target == a else "b"):
-        pts = geometric_points(anchor, target, n_windows=n_windows,
-                               ratio=ratio, cutoff=cutoff)
+        pts = geometric_points(anchor, target)
     else:
         pts = [anchor, target]
     if max(abs(init[0]), abs(init[1])) == 0.0:
@@ -194,27 +198,35 @@ class SolutionBasis:
         return -1.0 if self.endpoint == "a" else 1.0
 
 
-def _find_last_zero(scaled, x_from, x_to, n_scan=400):
-    """Zero of the (real) trajectory closest to x_to on [x_from, x_to]."""
-    xs = np.linspace(x_from, x_to, n_scan)
-    vals = [scaled.log_pair(x)[0] for x in xs]
-    last = None
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            last = xs[i]
-        elif vals[i] * vals[i + 1] < 0.0:
-            lo, hi = xs[i], xs[i + 1]
+def _find_last_zero(w, segments, x_from, x_to):
+    """Zero of the real trajectory w closest to x_to on [x_from, x_to], or
+    None.  `segments` are w's segments from the march windows that counted
+    zeros.  The first sign change of w at their step points, walking from
+    x_to back toward x_from, brackets it; 80 bisection steps locate it."""
+    d = x_to - x_from
+    xs = sorted({t for table, _ in segments for t in table.t
+                 if (t - x_from) * d >= 0.0 and (t - x_to) * d < 0.0},
+                reverse=d > 0.0)
+    if not xs:
+        return None
+    hi, v_hi = x_to, w.log_pair(x_to)[0]
+    for lo in xs:
+        v_lo = w.log_pair(lo)[0]
+        if v_lo == 0.0:
+            return lo
+        if v_lo * v_hi < 0.0:
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                vm = scaled.log_pair(mid)[0]
+                vm = w.log_pair(mid)[0]
                 if vm == 0.0:
                     break
-                if vals[i] * vm < 0.0:
+                if v_lo * vm < 0.0:
                     hi = mid
                 else:
                     lo = mid
-            last = 0.5 * (lo + hi)
-    return last
+            return 0.5 * (lo + hi)
+        hi, v_hi = lo, v_lo
+    return None
 
 
 def _trust_interval(u, u_hat, c0, lo, hi, cap=1e7, n=201):
@@ -276,21 +288,15 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
     Regular endpoints get the classical basis anchored at the endpoint
     itself (u vanishing there, u_hat = 1 there), which makes generalized
     boundary values coincide with classical ones.  Singular endpoints use a
-    marched solution, a window convergence test on 1/(p w^2), and reduction
-    of order for the missing family member; normalization W(u_hat, u) = 1
-    holds exactly by construction.
+    marched solution w, whose window zero counts refute nonoscillation
+    (`oscillation_refuted`) and lead the search for its last zero, a window
+    convergence test on 1/(p w^2), and reduction of order for the missing
+    family member; normalization W(u_hat, u) = 1 holds exactly.
     """
-    from .classify import certify_endpoint
-
     a, b = spec.interval.endpoints()
     end = a if endpoint == "a" else b
     interior = spec.interval.interior_point()
     lam0 = spec.lambda0
-
-    if certify_endpoint(spec, lam0, endpoint) == "refuted":
-        raise OscillatoryAtLambda0(
-            f"lambda0={lam0} is oscillatory at endpoint {endpoint}"
-        )
 
     if anchor is None:
         if math.isfinite(end):
@@ -308,12 +314,21 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
         return _regular_basis(spec, endpoint, end, back_to, tol)
 
     # Singular endpoint: march a real solution toward it.
-    w = rescaled_march(spec, lam0, anchor, (1.0, 0.0), end, tol=tol)
+    counts, zeroed = [], []  # zeros per window; segments of windows with any
+    pts = geometric_points(anchor, end)
+    for w, first, zeros, _ in march_windows(spec, lam0, (1.0, 0.0), pts,
+                                            tol):
+        counts.append(zeros)
+        if oscillation_refuted(counts):
+            raise OscillatoryAtLambda0(
+                f"lambda0={lam0} is oscillatory at endpoint {endpoint}"
+            )
+        if zeros:
+            zeroed += w.segments[first:]
     cutoff = w.x_max if endpoint == "b" else w.x_min
 
-    last_zero = _find_last_zero(
-        w, anchor, cutoff - 1e-3 * abs(cutoff - anchor)
-        if endpoint == "b" else cutoff + 1e-3 * abs(cutoff - anchor))
+    last_zero = _find_last_zero(w, zeroed, anchor,
+                                cutoff - 1e-3 * (cutoff - anchor))
     if last_zero is None:
         c0 = anchor
     else:
@@ -321,7 +336,7 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
 
     # Extend w back into the interior for patching and forms.
     w_back = rescaled_march(spec, lam0, anchor, w.log_pair(anchor)[:2],
-                            back_to, tol=tol, n_windows=1)
+                            back_to, tol=tol)
     for table, L in w_back.segments:
         w.add_segment(table, L)
 
@@ -342,13 +357,11 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
         u = ScalarMultiple(w, 1.0 / s0)
         # Companion with W(u_hat, u) = 1 exactly at c0: u_hat(c0) = 0,
         # u_hat^[1](c0) = -1.
-        uh = rescaled_march(spec, lam0, c0, (0.0, -1.0), end, tol=tol)
+        u_hat = rescaled_march(spec, lam0, c0, (0.0, -1.0), end, tol=tol)
         uh_back = rescaled_march(spec, lam0, c0, (0.0, -1.0), back_to,
-                                 tol=tol, n_windows=1)
+                                 tol=tol)
         for table, L in uh_back.segments:
-            uh.add_segment(table, L)
-        u_hat = uh
-        principal_res = res
+            u_hat.add_segment(table, L)
     else:
         # w is dominant; the principal companion is w(x) T(x) with T the
         # tail of the reduction integral.  u_hat = -w(c0) S w makes
@@ -373,7 +386,6 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
                               scale=1.0 / (w_c0 * S),
                               t_floor=1e-38 * (1.0 + abs(res.value)))
         u_hat = ScalarMultiple(w, -w_c0 * S)
-        principal_res = res
 
     cov_lo = max(w.x_min, u.x_min)
     cov_hi = min(w.x_max, u.x_max)
@@ -381,7 +393,7 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,
         nonvanish_bound=c0, anchor=c0, endpoint_value=end, regular=False,
-        principal_integral=principal_res, trust_interval=trust,
+        principal_integral=res, trust_interval=trust,
         diagnostics={"marched_kind": kind, "last_zero": last_zero,
                      "coverage": (cov_lo, cov_hi)},
     )
@@ -393,14 +405,16 @@ def _regular_basis(spec, endpoint, end, back_to, tol):
     u has (u, u^[1]) = (0, 1) at the endpoint (principal: it vanishes
     there), u_hat has (1, 0).  Then W(u_hat, u) = 1 identically.
     """
-    u = rescaled_march(spec, spec.lambda0, end, (0.0, 1.0), back_to,
-                       tol=tol, n_windows=1)
-    u_hat = rescaled_march(spec, spec.lambda0, end, (1.0, 0.0), back_to,
-                           tol=tol, n_windows=1)
+    [(u, _, n_u, _)] = march_windows(spec, spec.lambda0, (0.0, 1.0),
+                                     [end, back_to], tol)
+    [(u_hat, _, n_h, _)] = march_windows(spec, spec.lambda0, (1.0, 0.0),
+                                         [end, back_to], tol)
     interior = spec.interval.interior_point()
     bound_guess = interior + 0.5 * (end - interior)
-    lz_u = _find_last_zero(u, back_to, bound_guess)
-    lz_h = _find_last_zero(u_hat, back_to, bound_guess)
+    lz_u = _find_last_zero(u, u.segments if n_u else [], back_to,
+                           bound_guess)
+    lz_h = _find_last_zero(u_hat, u_hat.segments if n_h else [], back_to,
+                           bound_guess)
     zs = [z for z in (lz_u, lz_h) if z is not None]
     if zs:
         z = max(zs, key=lambda t: -abs(end - t))

@@ -13,7 +13,7 @@ from slq.classify import (
     classify_endpoint,
     count_zeros,
 )
-from slq import classify
+from slq import classify, solutions
 from slq.problem import catalog, validate
 from slq.solutions import construct_basis
 
@@ -90,13 +90,21 @@ def test_certify_endpoint_gives_the_per_endpoint_verdicts(problem, lam,
 
 
 def test_construct_basis_certifies_only_its_endpoint(legendre, monkeypatch):
-    asked = []
-    real = classify.certify_endpoint
+    # Nonoscillation is judged on the basis march's own window zero counts.
+    # Every march with windows heads for b, and no march comes nearer a
+    # than back_to = -0.9, where the basis is patched into the interior.
+    given = []
+    real = solutions.march_windows
 
-    def recorded(spec, lam, endpoint, **kw):
-        asked.append(endpoint)
-        return real(spec, lam, endpoint, **kw)
+    def recorded(spec, lam, init, pts, *args, **kw):
+        given.append(list(pts))
+        return real(spec, lam, init, pts, *args, **kw)
 
-    monkeypatch.setattr(classify, "certify_endpoint", recorded)
+    for module in (solutions, classify):
+        monkeypatch.setattr(module, "march_windows", recorded)
     construct_basis(legendre, "b")
-    assert asked == ["b"]
+    windowed = [pts for pts in given if len(pts) > 2]
+    assert windowed
+    for pts in windowed:
+        assert pts == sorted(pts) and pts[-1] > 1.0 - 1e-6
+    assert min(x for pts in given for x in pts) >= -0.9 - 1e-12

@@ -102,6 +102,51 @@ def test_oscillatory_lambda0_is_refused():
         construct_basis(spec, "b")
 
 
+@pytest.mark.parametrize("lam", [0.5, 4.0, 30.0])
+def test_oscillation_is_refuted_toward_infinity_only(lam):
+    # -u'' = lam u oscillates toward b = inf for every lam > 0: the basis
+    # march's own window zero counts refute it.  At the regular end a, and
+    # at lam = 0 toward b, the basis builds.
+    spec, _ = problem_from_dict({"coefficients": {"catalog": "free_halfline"},
+                                 "lambda0": lam})
+    with pytest.raises(OscillatoryAtLambda0, match="endpoint b"):
+        construct_basis(spec, "b")
+    assert construct_basis(spec, "a").regular
+    spec, _ = problem_from_dict({"coefficients": {"catalog": "free_halfline"},
+                                 "lambda0": 0.0})
+    assert not construct_basis(spec, "b").regular
+
+
+@pytest.mark.parametrize("name, lam, end, multiples", [
+    # u's first zero, pi / sqrt(0.5) = 4.44, lies beyond back_to = 0.95 pi.
+    ("regular_dirichlet_pi", 0.5, "a", [0.5]),
+    ("regular_dirichlet_pi", 0.5, "b", [0.5]),
+    ("regular_dirichlet_pi", 2.0, "a", [1.0, 0.5]),
+    ("regular_dirichlet_pi", 2.0, "b", [1.0, 0.5]),
+    # u_hat's zero at pi/4 sits on the near edge of the search, the point
+    # pi/4 halfway to the end, and is not among those found.
+    ("regular_dirichlet_pi", 4.0, "a", [1.0, 1.5]),
+    ("regular_dirichlet_pi", 4.0, "b", [1.0, 1.5]),
+    ("free_halfline", 0.5, "a", [1.0, 0.5]),
+    ("free_halfline", 2.0, "a", [1.0, 0.5]),
+    ("free_halfline", 4.0, "a", [1.0, 0.5]),
+])
+def test_last_zeros_are_the_closed_form_zeros(name, lam, end, multiples):
+    # -u'' = lam u from a regular end e: u = sin(k (x - e)) / k and u_hat =
+    # cos(k (x - e)), k = sqrt(lam), vanish at distances n pi / k and
+    # (n + 1/2) pi / k from e.  The last zeros found lie between the point
+    # halfway from the interior point to e and back_to, u's first, then
+    # u_hat's.
+    spec, _ = problem_from_dict({"coefficients": {"catalog": name},
+                                 "lambda0": lam})
+    basis = construct_basis(spec, end)
+    found = basis.diagnostics["last_zero"]
+    assert [type(z) for z in found] == [float] * len(multiples)
+    k = math.sqrt(lam)
+    for z, m in zip(found, multiples):
+        assert abs(abs(z - basis.endpoint_value) - m * math.pi / k) <= 1e-12
+
+
 def test_reduction_tail_gives_the_principal_power():
     # bessel(0.3) at lambda0 = 0 has the solutions x^0.8 (principal at 0)
     # and x^0.2.  The march gives the nonprincipal one, so u is w T with T
