@@ -6,6 +6,12 @@ error models cover the behaviours that occur in practice: geometric decay of
 window contributions (power-type endpoints) and harmonic-square decay
 (logarithmic nonprincipal growth), for which the tail of a sequence
 S_k = S - C/(A + k) is summed in closed form from the last few terms.
+
+Toward a finite nonzero endpoint the windows shrink until a node x fixes
+the distance to the endpoint only to ulp(endpoint)/|endpoint - x| relative.
+Refining a window past that resolution chases the rounding of its own
+nodes, so each window's relative tolerance is floored at
+NODE_RESOLUTION_FACTOR times it (see `improper_integral`).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from scipy.integrate import IntegrationWarning, quad
 DIVERGE_THRESHOLD = 1e12
 MAX_WINDOWS = 48
 WINDOW_RATIO = 0.5
+NODE_RESOLUTION_FACTOR = 10.0
 
 
 def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
@@ -215,6 +222,14 @@ def improper_integral(f, start, endpoint, *, n_windows=MAX_WINDOWS,
     The result is signed in the usual orientation (negative if endpoint lies
     left of start).  Convergence is decided from the window contributions;
     the unresolved tail is added by `accelerated_limit`.
+
+    Each window's relative tolerance is max(epsrel, K ulp(endpoint) / d),
+    with K = NODE_RESOLUTION_FACTOR and d the distance from the endpoint to
+    the window's nearer edge: no node there resolves its distance to the
+    endpoint better than ulp(endpoint) / d, so a tighter tolerance only
+    subdivides on rounding noise.  The floor is zero at an infinite
+    endpoint and negligible at endpoint 0.  A window that met epsrel on its
+    first Gauss-Kronrod pass is unaffected.
     """
     pts = geometric_points(start, endpoint, n_windows=n_windows, ratio=ratio,
                            cutoff=cutoff)
@@ -224,8 +239,11 @@ def improper_integral(f, start, endpoint, *, n_windows=MAX_WINDOWS,
     quad_err = 0.0
     diverged = False
     truncated_early = False
+    resolution = (NODE_RESOLUTION_FACTOR * math.ulp(endpoint)
+                  if math.isfinite(endpoint) else 0.0)
     for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = panel(f, lo, hi, epsabs=epsabs, epsrel=epsrel)
+        val, err = panel(f, lo, hi, epsabs=epsabs,
+                         epsrel=max(epsrel, resolution / abs(endpoint - hi)))
         total += val
         quad_err += err
         contribs.append(val)

@@ -274,12 +274,15 @@ def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
     (possibly astronomically small) local size; an absolute tail error would
     be amplified by the dominant w factor of the reduction product and
     destroy the Wronskian cancellation far out.  The table is of the pair
-    (T, 0), whose second component stays zero.
+    (T, 0), whose second component stays zero.  The integrand's x is
+    clamped into w's support: a stage at t + h can round one ulp past
+    x_to, the edge of w's march.
     """
     f = _principal_integrand(spec, w)
-    return rk_solve(RK45, lambda x, y: (-f(x), 0.0), x_far, (tail0, 0.0),
-                    x_to, tol, 1e-40 * (1.0 + abs(scale_hint)),
-                    dense=True)[2]
+    lo, hi = w.x_min, w.x_max
+    return rk_solve(RK45, lambda x, y: (-f(min(max(x, lo), hi)), 0.0),
+                    x_far, (tail0, 0.0), x_to, tol,
+                    1e-40 * (1.0 + abs(scale_hint)), dense=True)[2]
 
 
 def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from slq.problem import catalog
 from slq.quadrature import (
+    MAX_WINDOWS,
     accelerated_limit,
     geometric_points,
     improper_integral,
@@ -37,6 +39,57 @@ def test_improper_log_singularity():
 def test_improper_divergent_detected():
     res = improper_integral(lambda x: 1 / x, 1.0, 0.0)
     assert res.diverged
+
+
+# One 21-point Gauss-Kronrod pass per window: toward a finite nonzero
+# endpoint no window refines below the resolution of its nodes.
+ONE_PASS_PER_WINDOW = 21 * MAX_WINDOWS
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+    return g, calls
+
+
+def test_improper_inverse_sqrt_at_endpoint_one():
+    # int_0^1 (1 - x)^{-1/2} dx = 2; near 1 a node fixes 1 - x only to
+    # ulp(1) / (1 - x) relative, so the value is good to rounding level.
+    f, calls = _counted(lambda x: 1 / math.sqrt(1 - x))
+    res = improper_integral(f, 0.0, 1.0)
+    assert res.converged and not res.diverged
+    assert abs(res.value - 2.0) <= res.error
+    assert calls[0] <= ONE_PASS_PER_WINDOW
+
+
+def test_improper_log_singularity_at_endpoint_one():
+    # int_0^1 log(1 - x) dx = -1.
+    f, calls = _counted(lambda x: math.log(1 - x))
+    res = improper_integral(f, 0.0, 1.0)
+    assert not res.diverged
+    assert abs(res.value + 1.0) <= res.error
+    assert calls[0] <= ONE_PASS_PER_WINDOW
+
+
+def test_improper_divergent_detected_at_endpoint_one():
+    f, calls = _counted(lambda x: 1 / (1 - x))
+    res = improper_integral(f, 0.0, 1.0)
+    assert res.diverged
+    assert calls[0] <= ONE_PASS_PER_WINDOW
+
+
+@pytest.mark.parametrize("end", [-1.0, 1.0])
+def test_legendre_inverse_p_diverges_in_one_pass_per_window(end):
+    # Legendre's ends are singular: int |1/p| = int 1/(1 - x^2) diverges
+    # logarithmically toward both.
+    p = catalog("legendre").p.scalar
+    f, calls = _counted(lambda x: abs(1.0 / p(x)))
+    res = improper_integral(f, 0.0, end)
+    assert res.diverged
+    assert calls[0] <= ONE_PASS_PER_WINDOW
 
 
 def test_improper_infinite_endpoint():

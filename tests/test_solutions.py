@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from slq.errors import EvaluationOutsideSupport, OscillatoryAtLambda0
-from slq.functions import PAIR_MEMO_SIZE
+from slq import solutions
+from slq.errors import (
+    EvaluationOutsideSupport,
+    IntegralClassificationInconclusive,
+    OscillatoryAtLambda0,
+)
+from slq.extensions import OneLC
+from slq.forms import q_decorated
+from slq.functions import PAIR_MEMO_SIZE, BumpFn
 from slq.odecore import StepTable, integrate_tau, wronskian
 from slq.problem import catalog, problem_from_dict, validate
 from slq.quadrature import geometric_points
@@ -157,6 +164,81 @@ def test_reduction_tail_gives_the_principal_power():
     for scaled in ([basis.u.pair(x)[0] * x ** -0.8 for x in xs],
                    [basis.u.pair(x)[1] * x ** 0.2 / 0.8 for x in xs]):
         assert max(abs(v / scaled[-1] - 1.0) for v in scaled) < 1e-9
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_legendre_principal_test_stays_above_node_resolution(end,
+                                                              monkeypatch):
+    # The principal test on 1/(p w^2), w = 1, diverges logarithmically at
+    # both ends.  Near x = +-1 no window refines below the resolution of
+    # its nodes, so the test takes about one Gauss-Kronrod pass per window
+    # (27,279 integrand calls when the windows chased rounding noise).
+    calls = [0]
+    real = solutions._principal_integrand
+
+    def counted(spec, w):
+        f = real(spec, w)
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+        return g
+    monkeypatch.setattr(solutions, "_principal_integrand", counted)
+    basis = construct_basis(catalog("legendre"), end)
+    assert basis.diagnostics["marched_kind"] == "principal"
+    assert basis.principal_integral.diverged
+    assert calls[0] <= 1500
+
+
+HALFLINE_NEGATIVE = [-1.0, -1e-2, -1e-4, -1e-6, -1e-8, -1e-10]
+
+
+def _halfline_at(lam):
+    spec, _ = problem_from_dict({"coefficients": {"catalog": "free_halfline"},
+                                 "lambda0": lam})
+    return spec
+
+
+@pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
+def test_halfline_basis_below_zero_decays(lam):
+    # -u'' = lam u with lam < 0: the principal solution toward inf is
+    # exp(-k x), k = sqrt(-lam), so u^[1] / u = -k.  The reduction tail
+    # runs back to the edge of w's march, where its last stage used to
+    # round outside w's support.
+    basis = construct_basis(_halfline_at(lam), "b")
+    assert not basis.regular
+    k = math.sqrt(-lam)
+    for x in np.linspace(basis.u.x_min, 5.0, 50):
+        u, u1 = basis.u.pair(x)
+        assert abs(u1 / u + k) <= 1e-10 * k
+    ws = _wronskian_samples(basis)
+    assert max(abs(w - 1.0) for w in ws) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
+def test_halfline_one_lc_form_does_not_depend_on_lambda0(lam):
+    # OneLC at the regular end a: the decorated form is that of one
+    # self-adjoint extension, whichever lambda0 the bases are built at.
+    def form(spec):
+        bases = (construct_basis(spec, "a"), construct_basis(spec, "b"))
+        f, g = BumpFn(spec, 0.0, 0.5), BumpFn(spec, 0.2, 0.8)
+        return q_decorated(spec, bases, None, OneLC(0.8, "a"), f, g)
+    ref, got = form(_halfline_at(0.0)), form(_halfline_at(lam))
+    assert abs(got.value - ref.value) <= got.error + ref.error
+
+
+@pytest.mark.xfail(strict=True, raises=IntegralClassificationInconclusive,
+                   reason=(
+    "q = -4/x^2 oscillates at 0, but the window zero counts never run four "
+    "zero-free windows in a row nor refute nonoscillation, and the "
+    "principal test on 1/(p w^2) is left unresolved"))
+def test_inverse_square_below_critical_is_oscillatory():
+    # -4 < -1/4: every solution of -u'' - 4 u / x^2 = 0 oscillates at 0.
+    spec, _ = problem_from_dict({"interval": {"a": 0, "b": 1},
+                                 "coefficients": {"p": "1", "q": "-4/x**2",
+                                                  "r": "1"}})
+    with pytest.raises(OscillatoryAtLambda0, match="endpoint a"):
+        construct_basis(spec, "a")
 
 
 # -- segment lookup -----------------------------------------------------------
