@@ -11,11 +11,19 @@ integral between the cut points, and boundary corrections at the cuts:
                  + (w^[1]/w)(c) conj(f(c)) g(c)
                  - (w^[1]/w)(d) conj(f(d)) g(d).
 
+Each end is one `Side` record (`_sides`): its reference solution w, its
+cut point (c at a, d at b) and the cutoff where w's support ends toward
+the endpoint.  The form, the L^2 check, the Green pairing and the triplet
+pairing all read their per-end data from it, and every per-end sign from
+SIGMA.
+
 The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
 inside each side integrand, not an object: a quadrature node looks w up
 once and evaluates p once for both N_w f and N_w g.  Every per-node
-callback works in plain Python numbers (`.real`, `.conjugate()`), not
-numpy scalars.
+callback works in plain Python numbers (`.conjugate()`), not numpy
+scalars.  Whether an integrand is complex is decided by its quadrature
+nodes (`_complex`): it is integrated as a real function, and as a real
+and an imaginary part once any node returns a complex number.
 
 Boundary decorations then produce the form of every self-adjoint extension.
 """
@@ -27,6 +35,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .bvalues import gbv
 from .errors import (
@@ -37,8 +46,7 @@ from .errors import (
     WindowInvalid,
 )
 from .odecore import tau_at
-from .quadrature import improper_integral, panel
-from .solutions import ReductionSolution
+from .quadrature import ImproperResult, improper_integral, panel
 
 REGIME_LC_LC = "lc_lc"
 REGIME_LC_LP = "lc_lp"   # LC at a, LP at b
@@ -87,65 +95,73 @@ class FormValue:
     window: FormWindow = None
 
 
-def _side_cutoff(basis, w):
-    """Farthest trustworthy point toward the endpoint for side integrals."""
-    end = basis.endpoint_value
-    toward_b = basis.endpoint == "b"
-    if isinstance(w, ReductionSolution):
-        # Keep inside the region where the reduction tail is above its
-        # noise floor (w vanishes identically beyond it and the N-operator
-        # quotient would blow up).
-        x_in = basis.anchor
-        x_out = w.x_max if toward_b else w.x_min
-        if abs(w.T(x_out)) > 10.0 * w.t_floor:
-            return x_out
-        for _ in range(80):
-            mid = 0.5 * (x_in + x_out)
-            if abs(w.T(mid)) > 10.0 * w.t_floor:
-                x_in = mid
-            else:
-                x_out = mid
-        return x_in
-    if toward_b:
-        return w.x_max if w.x_max < end else None
-    return w.x_min if w.x_min > end else None
+@dataclass(frozen=True)
+class Side:
+    """One end's share of a form (see `_sides`)."""
+
+    end: str            # "a" or "b"
+    endpoint: float
+    basis: object
+    lc: bool            # limit-circle end of the regime
+    w: object           # reference solution: u_hat at an LC end, u at LP
+    cut: float          # c at a, d at b
+    cutoff: float | None  # farthest trustworthy point; None: the endpoint
+
+    def integral(self, fn):
+        """(value, error, converged, diverged) of the integral of fn over
+        the side, oriented along x (from a to c, from d to b)."""
+        val, e, ok, div = _complex(improper_integral, fn, self.cut,
+                                   self.endpoint, cutoff=self.cutoff)
+        return -SIGMA[self.end] * val, e, ok, div
 
 
-def _complex_improper(fn, start, endpoint, cutoff=None):
-    """Signed improper integral of a possibly complex integrand.
+def _sides(spec, bases, window, regime):
+    """(side_a, side_b) of `regime` on `window`.
 
-    The integrand is probed once, between start and the endpoint (half a
-    unit from start toward an infinite endpoint), to choose between one
-    real integral and a real and an imaginary one.
+    The cutoff is the edge of w's support toward the endpoint, or None
+    where that support reaches the endpoint.
     """
-    if math.isfinite(endpoint):
-        mid = 0.5 * (start + endpoint)
-    else:
-        mid = start + 0.5 if endpoint > start else start - 0.5
-    probe = fn(mid)
-    if isinstance(probe, complex) or getattr(probe, "imag", 0.0) != 0.0:
-        re = improper_integral(lambda x: fn(x).real, start, endpoint,
-                               cutoff=cutoff)
-        im = improper_integral(lambda x: fn(x).imag, start, endpoint,
-                               cutoff=cutoff)
-        ok = re.converged and im.converged
-        div = re.diverged or im.diverged
-        return complex(re.value, im.value), re.error + im.error, ok, div
-    res = improper_integral(lambda x: fn(x).real, start, endpoint,
-                            cutoff=cutoff)
-    return res.value, res.error, res.converged, res.diverged
+    try:
+        lc_ends = LC_ENDS[regime]
+    except KeyError:
+        raise ValueError(f"unknown regime {regime!r}") from None
+    sides = []
+    for end, endpoint, basis, cut in zip(
+            "ab", spec.interval.endpoints(), bases, (window.c, window.d)):
+        lc = end in lc_ends
+        w = basis.u_hat if lc else basis.u
+        edge = w.x_min if end == "a" else w.x_max
+        cutoff = edge if SIGMA[end] * (edge - endpoint) > 0.0 else None
+        sides.append(Side(end, endpoint, basis, lc, w, cut, cutoff))
+    return tuple(sides)
 
 
-def _complex_panel(fn, lo, hi):
-    probe = fn(0.5 * (lo + hi))
-    if isinstance(probe, complex) or getattr(probe, "imag", 0.0) != 0.0:
-        vr, er = panel(lambda x: fn(x).real, lo, hi)
-        vi, ei = panel(lambda x: fn(x).imag, lo, hi)
-        return complex(vr, vi), er + ei
-    return panel(lambda x: fn(x).real, lo, hi)
+def _complex(integrate, fn, *args, **kw):
+    """(value, error, converged, diverged) of integrate(fn, *args, **kw),
+    where integrate is `panel` or `improper_integral` and fn may be complex.
+
+    fn is integrated as a real function.  quad refuses a node that returns
+    a complex number (a TypeError for a Python complex; `panel` turns
+    numpy's ComplexWarning into an error), and then the real and imaginary
+    parts are integrated on the same terms.
+    """
+    try:
+        parts = [integrate(fn, *args, **kw)]
+    except (TypeError, ComplexWarning):
+        parts = [integrate(lambda x: fn(x).real, *args, **kw),
+                 integrate(lambda x: fn(x).imag, *args, **kw)]
+    # panel returns (value, error): certified and finite by construction.
+    parts = [res if isinstance(res, ImproperResult)
+             else ImproperResult(*res, True, False) for res in parts]
+    if len(parts) == 1:
+        [res] = parts
+        return res.value, res.error, res.converged, res.diverged
+    re, im = parts
+    return (complex(re.value, im.value), re.error + im.error,
+            re.converged and im.converged, re.diverged or im.diverged)
 
 
-def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
+def _side_n_integral(spec, side, f, g):
     """One side's N-integral as the true integral from the endpoint to cut.
 
     The integrand is conj(N_w f) N_w g with the N-operator of the reference
@@ -157,10 +173,9 @@ def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
     evaluation at the cut.  The remainder decays fast enough for the window
     extrapolation to reach ~1e-12.
     """
-    end = basis.endpoint_value
-    sign = 1.0 if basis.endpoint == "b" else -1.0
+    basis, cut, cutoff = side.basis, side.cut, side.cutoff
     p = spec.p.scalar
-    w_pair = w.pair
+    w_pair = side.w.pair
     f_pair = f.pair
     g_pair = g.pair
 
@@ -180,7 +195,7 @@ def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
     lead = 0.0
     lead_err = 0.0
     coeff = None
-    if is_lc:
+    if side.lc:
         if not basis.regular and cutoff is not None:
             # The split integral(endpoint, cut) of c/(p u_hat^2) = c*J is an
             # exact identity for ANY constant c, so pick the constant that
@@ -204,7 +219,7 @@ def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
             # J = integral of 1/(p u_hat^2) from the endpoint to the cut.
             # The split is an identity for any constant, so the only error
             # in the lead term is the basis accuracy at the cut itself.
-            J = -sign * uu / hu
+            J = SIGMA[side.end] * uu / hu
             lead = coeff * J
             lead_err = 1e-12 * (1.0 + abs(lead))
 
@@ -219,46 +234,31 @@ def _side_n_integral(spec, basis, w, is_lc, f, g, cut, cutoff):
             nf, ng, px, wu = n_pair(x)
             return nf.conjugate() * ng - coeff / (px * wu * wu)
 
-    val, e, ok, div = _complex_improper(integrand, cut, end, cutoff=cutoff)
+    val, e, ok, div = side.integral(integrand)
     if div or not ok:
         raise FormIntegralDiverges(
-            f"N-integral toward endpoint {basis.endpoint} does not converge"
+            f"N-integral toward endpoint {side.end} does not converge"
         )
-    # improper_integral ran cut -> endpoint; the form wants endpoint -> cut.
-    return lead + sign * val, e + lead_err
+    return lead + val, e + lead_err
 
 
-def _lc_flags(regime):
-    """{"a": bool, "b": bool}: which endpoints the regime makes LC."""
-    try:
-        ends = LC_ENDS[regime]
-    except KeyError:
-        raise ValueError(f"unknown regime {regime!r}") from None
-    return {"a": "a" in ends, "b": "b" in ends}
-
-
-def _references(bases, lc):
-    """Reference solutions (w_a, w_b): u_hat at an LC end, u at an LP end."""
-    return tuple(basis.u_hat if lc[end] else basis.u
-                 for end, basis in zip("ab", bases))
-
-
-def _check_square_integrable(spec, lc, cuts, fns):
+def _check_square_integrable(spec, sides, fns):
     """Raise FormIntegralDiverges unless each function is in L^2(r) toward
-    every limit-point end; cuts holds (cut, cutoff) per end."""
+    every limit-point end."""
     r = spec.r.scalar
-    for end, endpoint, (cut, cutoff) in zip(
-            "ab", spec.interval.endpoints(), cuts):
-        if lc[end]:
+    for side in sides:
+        if side.lc:
             continue
         for fn in fns:
-            res = improper_integral(lambda x: r(x) * abs(fn(x)) ** 2,
-                                    cut, endpoint, cutoff=cutoff)
-            if not res.converged:
+            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2)[2]:
                 raise FormIntegralDiverges(
                     f"function is not in L^2(r) toward the limit-point "
-                    f"endpoint {end}"
+                    f"endpoint {side.end}"
                 )
+
+
+# Names of each end's pieces in FormValue.pieces: (side, cut point).
+_PIECE_NAMES = {"a": ("left", "c"), "b": ("right", "d")}
 
 
 def q_base(spec, bases, window, regime, f, g):
@@ -269,51 +269,36 @@ def q_base(spec, bases, window, regime, f, g):
     end (see LC_ENDS).  f and g must lie in L^2(r) toward each limit-point
     end, else FormIntegralDiverges.
     """
-    basis_a, basis_b = bases
     if window is None:
-        window = default_window(spec, basis_a, basis_b)
-    window.validate(spec, basis_a, basis_b)
-    lc = _lc_flags(regime)
-    w_a, w_b = _references(bases, lc)
-    a, b = spec.interval.endpoints()
-    c, d = window.c, window.d
+        window = default_window(spec, *bases)
+    window.validate(spec, *bases)
+    sides = _sides(spec, bases, window, regime)
     lam0 = spec.lambda0
     p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
-
-    cut_a = _side_cutoff(basis_a, w_a)
-    cut_b = _side_cutoff(basis_b, w_b)
-    _check_square_integrable(spec, lc, ((c, cut_a), (d, cut_b)),
-                             (f,) if f is g else (f, g))
+    _check_square_integrable(spec, sides, (f,) if f is g else (f, g))
 
     pieces = {}
     err = 0.0
 
-    # Side N-integrals (improper toward the endpoints; improper_integral is
-    # orientation-signed from the cut toward the endpoint).
-    val, e = _side_n_integral(spec, basis_a, w_a, lc["a"], f, g, c, cut_a)
-    pieces["left_N_integral"] = val
-    err += e
-    val, e = _side_n_integral(spec, basis_b, w_b, lc["b"], f, g, d, cut_b)
-    pieces["right_N_integral"] = val
-    err += e
-
-    if lam0 != 0.0:
-        def mass(x):
-            return lam0 * r(x) * f(x).conjugate() * g(x)
-
-        val, e, ok, div = _complex_improper(mass, c, a, cutoff=cut_a)
-        if div or not ok:
-            raise FormIntegralDiverges("left mass integral does not converge")
-        pieces["left_lambda0_mass"] = -val
+    # Side N-integrals (improper toward the endpoints).
+    for side in sides:
+        val, e = _side_n_integral(spec, side, f, g)
+        pieces[f"{_PIECE_NAMES[side.end][0]}_N_integral"] = val
         err += e
-        val, e, ok, div = _complex_improper(mass, d, b, cutoff=cut_b)
-        if div or not ok:
-            raise FormIntegralDiverges("right mass integral does not converge")
-        pieces["right_lambda0_mass"] = val
-        err += e
-    else:
-        pieces["left_lambda0_mass"] = 0.0
-        pieces["right_lambda0_mass"] = 0.0
+
+    def mass(x):
+        return lam0 * r(x) * f(x).conjugate() * g(x)
+
+    for side in sides:
+        name = _PIECE_NAMES[side.end][0]
+        val = 0.0
+        if lam0 != 0.0:
+            val, e, ok, div = side.integral(mass)
+            if div or not ok:
+                raise FormIntegralDiverges(
+                    f"{name} mass integral does not converge")
+            err += e
+        pieces[f"{name}_lambda0_mass"] = val
 
     def middle(x):
         fu, fu1 = f.pair(x)
@@ -321,24 +306,20 @@ def q_base(spec, bases, window, regime, f, g):
         return (fu1.conjugate() * gu1 / p(x)
                 + q(x) * fu.conjugate() * gu)
 
-    val, e = _complex_panel(middle, c, d)
+    val, e, _, _ = _complex(panel, middle, window.c, window.d)
     pieces["middle_dirichlet_integral"] = val
     err += e
 
-    # Boundary corrections at the cut points.
-    wu_c, wu1_c = w_a.pair(c)
-    if wu_c == 0.0:
-        raise BasisVanishes(f"reference solution vanishes at cut c={c}")
-    fu_c = f(c)
-    gu_c = g(c)
-    pieces["boundary_correction_c"] = (wu1_c / wu_c) * fu_c.conjugate() * gu_c
-
-    wu_d, wu1_d = w_b.pair(d)
-    if wu_d == 0.0:
-        raise BasisVanishes(f"reference solution vanishes at cut d={d}")
-    fu_d = f(d)
-    gu_d = g(d)
-    pieces["boundary_correction_d"] = -(wu1_d / wu_d) * fu_d.conjugate() * gu_d
+    # Boundary corrections SIGMA[end] (w^[1]/w) conj(f) g at the cut points.
+    for side in sides:
+        cut = _PIECE_NAMES[side.end][1]
+        wu, wu1 = side.w.pair(side.cut)
+        if wu == 0.0:
+            raise BasisVanishes(
+                f"reference solution vanishes at cut {cut}={side.cut}")
+        pieces[f"boundary_correction_{cut}"] = (
+            SIGMA[side.end] * (wu1 / wu) * f(side.cut).conjugate()
+            * g(side.cut))
 
     pieces["decoration_terms"] = 0.0
     value = sum(pieces.values())
@@ -426,33 +407,26 @@ def _pointwise_tau(spec, g):
     return lambda x: tau_at(spec, g, x)
 
 
-def _pairing(spec, f, g_tau_fn, window, cut_a, cut_b):
+def _pairing(spec, sides, f, g_tau_fn):
     """(f, tau g) = int r conj(f) tau(g) over the whole interval."""
-    a, b = spec.interval.endpoints()
-    c, d = window.c, window.d
     r = spec.r.scalar
 
     def integrand(x):
         return r(x) * f(x).conjugate() * g_tau_fn(x)
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    val, e, ok, div = _complex_improper(integrand, c, a, cutoff=cut_a)
-    if div:
-        raise FormIntegralDiverges("pairing diverges toward a")
-    total += -val
-    err += e
-    v, e = _complex_panel(integrand, c, d)
-    total += v
-    err += e
-    val, e, ok, div = _complex_improper(integrand, d, b, cutoff=cut_b)
-    if div:
-        raise FormIntegralDiverges("pairing diverges toward b")
-    total += val
-    err += e
+    def part(side):
+        val, _, _, div = side.integral(integrand)
+        if div:
+            raise FormIntegralDiverges(f"pairing diverges toward {side.end}")
+        return val
+
+    side_a, side_b = sides
+    total = sum((part(side_a),
+                 _complex(panel, integrand, side_a.cut, side_b.cut)[0],
+                 part(side_b)), 0j)
     if abs(total.imag) == 0.0:
-        return total.real, err
-    return total, err
+        return total.real
+    return total
 
 
 def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
@@ -463,27 +437,17 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
             + conj(f~(b)) g~'(b); one-LC (REGIME_LC_LP or REGIME_LP_LC)
     keeps only the LC endpoint's term; LP-LP has no boundary terms.
     """
-    basis_a, basis_b = bases
     if window is None:
-        window = default_window(spec, basis_a, basis_b)
+        window = default_window(spec, *bases)
     form = q_base(spec, bases, window, regime, f, g)
-
-    g_tau_fn = g_tau or _pointwise_tau(spec, g)
-
-    lc = _lc_flags(regime)
-    w_a, w_b = _references(bases, lc)
-    cut_a = _side_cutoff(basis_a, w_a)
-    cut_b = _side_cutoff(basis_b, w_b)
-    pairing, perr = _pairing(spec, f, g_tau_fn, window, cut_a, cut_b)
+    sides = _sides(spec, bases, window, regime)
+    pairing = _pairing(spec, sides, f, g_tau or _pointwise_tau(spec, g))
 
     boundary = 0.0
-    if lc["a"]:
-        vf = gbv(spec, basis_a, f)
-        vg = gbv(spec, basis_a, g)
-        boundary += -np.conj(vf.tilde) * vg.tilde_prime
-    if lc["b"]:
-        vf = gbv(spec, basis_b, f)
-        vg = gbv(spec, basis_b, g)
-        boundary += np.conj(vf.tilde) * vg.tilde_prime
+    for side in sides:
+        if side.lc:
+            vf = gbv(spec, side.basis, f)
+            vg = gbv(spec, side.basis, g)
+            boundary -= SIGMA[side.end] * np.conj(vf.tilde) * vg.tilde_prime
 
     return pairing - form.value + boundary

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 from scipy.integrate import IntegrationWarning, quad
 
 DIVERGE_THRESHOLD = 1e12
@@ -33,10 +34,14 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
     """Integral of f over the finite panel [a, b] (orientation-signed).
 
     Convergence warnings are silenced: the returned error estimate is what
-    callers act on, and near-singular panels routinely trip them.
+    callers act on, and near-singular panels routinely trip them.  f must
+    be real: quad raises TypeError on a Python complex, and numpy's
+    ComplexWarning is raised as an error here rather than letting quad
+    drop the imaginary part of a numpy complex.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.simplefilter("error", ComplexWarning)
         val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val, err
 

@@ -138,6 +138,10 @@ class ReductionSolution(MemoizedQuasiFn):
     quasi-derivative is exact: (wT)^[1] = w^[1] T - 1/w.  Neither it nor
     w changes after __init__ (`construct_basis` adds w's segments first),
     so `pair` computes each point once (see MemoizedQuasiFn).
+
+    The support ends, toward the endpoint, where T falls to its noise floor
+    `t_floor`: beyond that edge the interpolated tail is noise, so it is
+    outside the support rather than read as a value.
     """
 
     def __init__(self, spec, w, c0, total, tail, scale=1.0, t_floor=0.0):
@@ -145,24 +149,32 @@ class ReductionSolution(MemoizedQuasiFn):
         self.w = w
         self.c0 = c0
         self.total = total
-        self._tail = tail  # StepTable of (T, 0)
+        self._tail = tail  # StepTable of (T, 0), from the far edge back
         self.scale = scale
         self.t_floor = t_floor
         self.x_min = min(tail.t[0], tail.t[-1])
         self.x_max = max(tail.t[0], tail.t[-1])
         self._memo = {}  # x -> pair(x)
+        # Far edge: 80 bisection steps from c0 keep where |T| > 10 t_floor.
+        x_in, x_out = c0, tail.t[0]
+        if abs(self.T(x_out)) <= 10.0 * t_floor:
+            for _ in range(80):
+                mid = 0.5 * (x_in + x_out)
+                if abs(self.T(mid)) > 10.0 * t_floor:
+                    x_in = mid
+                else:
+                    x_out = mid
+            if tail.t[0] > c0:
+                self.x_max = x_in
+            else:
+                self.x_min = x_in
 
     def T(self, x):
         if not (self.x_min <= x <= self.x_max):
             raise EvaluationOutsideSupport(
                 f"x={x} outside [{self.x_min}, {self.x_max}]"
             )
-        t = float(self._tail.at(x)[0])
-        # Below the integrator noise floor the interpolated tail is pure
-        # noise; clamping to zero keeps the w-amplified products finite.
-        if abs(t) < self.t_floor:
-            return 0.0
-        return t
+        return float(self._tail.at(x)[0])
 
     def _pair(self, x):
         wu, wu1, L = self.w.log_pair(x)

@@ -33,7 +33,11 @@ from .forms import (
     REGIME_LC_LC,
     REGIME_LP_LP,
     SIGMA,
+    _pairing,
+    _pointwise_tau,
     _regime_of,
+    _sides,
+    default_window,
     q_base,
 )
 
@@ -224,17 +228,10 @@ def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):
 
 
 def _weighted_pairing(spec, bases, f, g, g_tau):
-    """(f, T_max g) over the whole interval with endpoint-aware cutoffs."""
-    from .forms import (_pairing, _pointwise_tau, _side_cutoff,
-                        default_window)
-
-    basis_a, basis_b = bases
-    window = default_window(spec, basis_a, basis_b)
-    g_tau_fn = g_tau or _pointwise_tau(spec, g)
-    cut_a = _side_cutoff(basis_a, basis_a.u_hat)
-    cut_b = _side_cutoff(basis_b, basis_b.u_hat)
-    value, _err = _pairing(spec, f, g_tau_fn, window, cut_a, cut_b)
-    return value
+    """(f, T_max g) over the whole interval, cut off toward each end where
+    u_hat stops being trustworthy (the two-LC sides)."""
+    sides = _sides(spec, bases, default_window(spec, *bases), REGIME_LC_LC)
+    return _pairing(spec, sides, f, g_tau or _pointwise_tau(spec, g))
 
 
 # Relation dimension -> regime, where the dimension alone fixes it.

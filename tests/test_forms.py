@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.exceptions import ComplexWarning
 
 from slq import quadrature
 from slq.bvalues import patched_pair
@@ -19,7 +20,7 @@ from slq.forms import (
     REGIME_LC_LP,
     REGIME_LP_LP,
     FormWindow,
-    _complex_improper,
+    _complex,
     _pointwise_tau,
     green_identity_residual,
     q_base,
@@ -33,7 +34,9 @@ from slq.functions import (
     polynomial,
 )
 from slq.odecore import ScaledSolution, tau_apply
+from slq.quadrature import improper_integral, panel
 from slq.solutions import construct_basis
+from slq.triplets import triplet_green_residual
 
 
 def test_q_base_sine_dirichlet(dirichlet, dirichlet_bases):
@@ -176,9 +179,9 @@ def test_lp_lp_oscillator_identity(oscillator, oscillator_bases):
 
 
 def test_complex_improper_probes_inside_the_range():
-    # The integrand is defined only on the integration range; the probe
-    # that picks the real or complex path must stay inside it, toward
-    # either infinite endpoint.
+    # The integrand is defined only on the integration range; deciding
+    # between the real and the complex path must evaluate it nowhere else,
+    # toward either infinite endpoint.
     def left(x):
         if x > -1.0:
             raise EvaluationOutsideSupport(f"outside support at {x}")
@@ -189,12 +192,50 @@ def test_complex_improper_probes_inside_the_range():
             raise EvaluationOutsideSupport(f"outside support at {x}")
         return math.exp(-x)
 
-    val, _, ok, div = _complex_improper(left, -1.0, -math.inf)
+    val, _, ok, div = _complex(improper_integral, left, -1.0, -math.inf)
     assert ok and not div
     assert val == pytest.approx(-math.exp(-1.0), rel=1e-12)
-    val, _, ok, div = _complex_improper(right, 1.0, math.inf)
+    val, _, ok, div = _complex(improper_integral, right, 1.0, math.inf)
     assert ok and not div
     assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def test_complex_keeps_a_numpy_imaginary_part():
+    # A numpy complex converts to float with only a ComplexWarning, so quad
+    # would integrate its real part alone.
+    def fn(x):
+        return np.complex128(complex(x, x * x))
+
+    val, _, ok, div = _complex(panel, fn, 0.0, 1.0)
+    assert ok and not div
+    assert val == pytest.approx(complex(0.5, 1.0 / 3.0), rel=1e-12)
+
+    def decaying(x):
+        return np.complex128(complex(math.exp(-x), 2.0 * math.exp(-x)))
+
+    val, _, ok, div = _complex(improper_integral, decaying, 0.0, math.inf)
+    assert ok and not div
+    assert val == pytest.approx(complex(1.0, 2.0), rel=1e-10)
+
+
+def test_panel_refuses_a_numpy_complex_integrand():
+    with pytest.raises(ComplexWarning):
+        panel(lambda x: np.complex128(complex(x, 1.0)), 0.0, 1.0)
+
+
+def test_green_keeps_an_imaginary_part_that_vanishes_at_a_node(
+        legendre, legendre_bases):
+    # tau(x^3) = 12x^3 - 6x on Legendre vanishes at x = 0, the midpoint of
+    # the middle panel, so there g = x^2 + i x^3 gives a real tau g.  The
+    # pairing must still integrate the imaginary part, whose middle panel
+    # alone contributes int x tau(x^3) = -0.5484375 over (-3/4, 3/4).
+    f = polynomial(legendre, [0.0, 1.0])
+    g = LinearCombination([1.0, 1j], [polynomial(legendre, [0.0, 0.0, 1.0]),
+                                      polynomial(legendre,
+                                                 [0.0, 0.0, 0.0, 1.0])])
+    res = green_identity_residual(legendre, legendre_bases, None, f, g)
+    assert abs(res) <= 1e-9
+    assert abs(triplet_green_residual(legendre, legendre_bases, f, g)) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["v1", "polynomial", "combination"])

@@ -216,6 +216,19 @@ def test_halfline_basis_below_zero_decays(lam):
 
 
 @pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
+def test_halfline_principal_support_ends_at_the_tail_floor(lam):
+    # Where the reduction tail T falls to its noise floor, u = w T would
+    # read 0 while u^[1] keeps its size.  The support of u ends there, so
+    # no point of the trust interval reads u = 0, and beyond the edge u
+    # is not evaluable.
+    basis = construct_basis(_halfline_at(lam), "b")
+    u, (lo, hi) = basis.u, basis.trust_interval
+    assert all(u.pair(x)[0] != 0.0 for x in np.linspace(lo, hi, 2001))
+    with pytest.raises(EvaluationOutsideSupport):
+        u.pair(u.x_max + 1e-9 * (1.0 + abs(u.x_max)))
+
+
+@pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
 def test_halfline_one_lc_form_does_not_depend_on_lambda0(lam):
     # OneLC at the regular end a: the decorated form is that of one
     # self-adjoint extension, whichever lambda0 the bases are built at.
