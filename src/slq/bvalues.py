@@ -200,7 +200,7 @@ class BlendedFn(QuasiFn):
     f^[1] continuous across the window edges.
     """
 
-    def __init__(self, spec, left, right, window, lam0=None):
+    def __init__(self, spec, left, right, window, lam0):
         self.spec = spec
         self.left = left
         self.right = right
@@ -228,13 +228,11 @@ class BlendedFn(QuasiFn):
         return u, u1
 
     def tau(self, x):
-        """Exact tau of the blend when both pieces solve tau v = lam0 v.
+        """Exact tau of the blend; both pieces solve tau v = lam0 v.
 
         Outside the window tau acts as lam0; inside, the product rule on
         (p v')' picks up first- and second-derivative terms of the ramp.
         """
-        if self.lam0 is None:
-            raise AttributeError("blend pieces are not lambda0 solutions")
         a0, b0 = self.window
         lam0 = self.lam0
         if x <= a0:
@@ -243,8 +241,8 @@ class BlendedFn(QuasiFn):
             return lam0 * self.right(x)
         h = b0 - a0
         t = (x - a0) / h
-        phi = t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-        dphi = 30.0 * t * t * (1.0 - t) * (1.0 - t) / h
+        phi, dphi = _smoothstep(t)
+        dphi /= h
         d2phi = 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / (h * h)
         lu, lu1 = self.left.pair(x)
         ru, ru1 = self.right.pair(x)

@@ -14,19 +14,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import Inconclusive
 from .odecore import end_state_zeros
 from .problem import endpoint_regular
-from .quadrature import DIVERGE_THRESHOLD, geometric_points
+from .quadrature import DIVERGE_THRESHOLD, geometric_points, panel
 from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
 
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
 
 CLASSIFY_WINDOWS = 40
-WINDOW_RATIO = 0.5
+CLASSIFY_TOL = 1e-10  # relative size of the window L^2 tails deemed converged
 
 
 @dataclass
@@ -36,11 +35,10 @@ class EndpointClassification:
     evidence: list = field(default_factory=list)
 
 
-def _window_points(spec, endpoint, anchor, n_windows):
-    """Geometric window points from anchor toward the endpoint."""
+def _end(spec, endpoint):
+    """Value of the endpoint named "a" or "b"."""
     a, b = spec.interval.endpoints()
-    return geometric_points(anchor, a if endpoint == "a" else b,
-                            n_windows=n_windows, ratio=WINDOW_RATIO)
+    return a if endpoint == "a" else b
 
 
 def _segment_l2(spec, table, L):
@@ -49,17 +47,18 @@ def _segment_l2(spec, table, L):
     if lo == hi:
         return 0.0
     r = spec.r.scalar
-    val, _ = quad(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
-                  epsabs=1e-14, epsrel=1e-10, limit=100)
+    val, _ = panel(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
+                   epsabs=1e-14, epsrel=1e-10)
     log_c = 2.0 * L + (math.log(val) if val > 0 else -math.inf)
     if log_c > 700.0:
         return math.inf
     return val * math.exp(2.0 * L)
 
 
-def _tail_integral_verdict(spec, endpoint, z, init, anchor, n_windows, tol):
+def _tail_integral_verdict(spec, endpoint, z, init, anchor):
     """March one solution toward the endpoint, watching its L^2 tail."""
-    pts = _window_points(spec, endpoint, anchor, n_windows)
+    pts = geometric_points(anchor, _end(spec, endpoint),
+                           n_windows=CLASSIFY_WINDOWS)
     y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
     contribs = []
     total = 0.0
@@ -75,10 +74,10 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor, n_windows, tol):
         if L > LOGSCALE_MAX:
             return "diverges", math.inf, contribs
         if len(contribs) >= 3 and all(
-                c <= tol * (1.0 + total) for c in contribs[-2:]):
+                c <= CLASSIFY_TOL * (1.0 + total) for c in contribs[-2:]):
             return "converges", total, contribs
     tail = contribs[-8:]
-    decaying = all(t2 <= 0.9 * t1 + tol * (1.0 + total)
+    decaying = all(t2 <= 0.9 * t1 + CLASSIFY_TOL * (1.0 + total)
                    for t1, t2 in zip(tail, tail[1:]))
     if decaying:
         return "converges", total, contribs
@@ -87,8 +86,7 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor, n_windows, tol):
     return "inconclusive", total, contribs
 
 
-def classify_endpoint(spec, endpoint, probe_z=1j, tol=1e-10, anchor=None,
-                      n_windows=CLASSIFY_WINDOWS):
+def classify_endpoint(spec, endpoint, probe_z=1j, anchor=None):
     """Weyl alternative at one endpoint.
 
     limit_circle iff both probe solutions have convergent tail integrals of
@@ -106,7 +104,7 @@ def classify_endpoint(spec, endpoint, probe_z=1j, tol=1e-10, anchor=None,
     verdicts = []
     for init in ((1.0, 0.0), (0.0, 1.0)):
         verdict, total, contribs = _tail_integral_verdict(
-            spec, endpoint, probe_z, init, anchor, n_windows, tol)
+            spec, endpoint, probe_z, init, anchor)
         evidence.append({
             "init": init, "verdict": verdict, "total": total,
             "n_windows": len(contribs), "last_contributions": contribs[-4:],
@@ -121,35 +119,37 @@ def classify_endpoint(spec, endpoint, probe_z=1j, tol=1e-10, anchor=None,
     )
 
 
-def classify_both(spec, probe_z=1j, tol=1e-10):
-    return {e: classify_endpoint(spec, e, probe_z=probe_z, tol=tol)
+def classify_both(spec, probe_z=1j):
+    return {e: classify_endpoint(spec, e, probe_z=probe_z)
             for e in ("a", "b")}
 
 
-def count_zeros(spec, lam, window, init=(0.0, 1.0), tol=1e-11):
+def count_zeros(spec, lam, window, init=(0.0, 1.0)):
     """Sign changes of a real solution on [window[0], window[1]].
 
     The solution has data `init` at the left edge of the window.  Its
     zeros in (window[0], window[1]] are counted by odecore.rk_solve over
     the accepted steps of one DOP853 solve (`end_state_zeros`).
     """
-    return end_state_zeros(spec, lam, window[0], init, window[1], tol)[1]
+    return end_state_zeros(spec, lam, window[0], init, window[1], 1e-11)[1]
 
 
-def certify_endpoint(spec, lam, endpoint, n_windows=24):
+def certify_endpoint(spec, lam, endpoint):
     """Nonoscillation verdict for the real energy lam at one endpoint.
 
-    A real solution is marched toward the endpoint through geometric
-    windows (`solutions.march_windows`), which counts its sign changes in
-    each window.  certified: no sign change over the last 20 windows.
+    A real solution is marched from the interior point toward the endpoint
+    through the default `geometric_points` windows, the sequence
+    `construct_basis` marches (`solutions.march_windows`), which counts its
+    sign changes in each window.  certified: no sign change over the last
+    20 windows (over all of them when fewer than 20 were marched).
     refuted: sign changes in each of 4 windows in a row, the rule
     (`solutions.oscillation_refuted`) `construct_basis` applies to its own
     march.  Regular endpoints are always certified.
     """
     if endpoint_regular(spec, endpoint):
         return "certified"
-    pts = _window_points(spec, endpoint, spec.interval.interior_point(),
-                         n_windows)
+    pts = geometric_points(spec.interval.interior_point(),
+                           _end(spec, endpoint))
     window_changes = []
     for _, _, zeros, _ in march_windows(spec, lam, (1.0, 0.0), pts, 1e-9):
         window_changes.append(zeros)
@@ -161,7 +161,6 @@ def certify_endpoint(spec, lam, endpoint, n_windows=24):
     return "inconclusive"
 
 
-def certify_nonoscillatory(spec, lam, n_windows=24):
+def certify_nonoscillatory(spec, lam):
     """certify_endpoint at both endpoints, keyed by endpoint."""
-    return {e: certify_endpoint(spec, lam, e, n_windows=n_windows)
-            for e in ("a", "b")}
+    return {e: certify_endpoint(spec, lam, e) for e in ("a", "b")}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -199,6 +199,7 @@ def boundary_residual(ext, gbv_a, gbv_b):
 # ---------------------------------------------------------------------------
 
 BOUNDARY_DELTA = 1e-10  # offset from a singular LC endpoint for initial data
+WKB_ACTION = 25.0  # decay action of the shooting start at an LP end
 
 
 @dataclass
@@ -206,7 +207,6 @@ class Eigenvalue:
     lam: float
     bracket: tuple
     condition_residual: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _lc_point(basis):
@@ -236,8 +236,8 @@ def _lc_init(basis, coef_u, coef_uhat):
                 coef_u * uu1 + coef_uhat * hu1)
 
 
-def _wkb_far_point(spec, endpoint, lam, target_action=25.0):
-    """Point beyond the turning region with enough decay action."""
+def _wkb_far_point(spec, endpoint, lam):
+    """Point beyond the turning region with a decay action of WKB_ACTION."""
     sign = 1.0 if endpoint == "b" else -1.0
     interior = spec.interval.interior_point()
     x = interior + sign * 1.0
@@ -248,7 +248,7 @@ def _wkb_far_point(spec, endpoint, lam, target_action=25.0):
         k2p = (spec.q(x) - lam * spec.r(x)) / spec.p(x)
         if k2p > 0.0:
             action += math.sqrt(k2p) * step
-            if action >= target_action:
+            if action >= WKB_ACTION:
                 return x
         x += sign * step
     raise ShootingOverflow(

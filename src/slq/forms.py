@@ -429,8 +429,7 @@ def _pairing(spec, sides, f, g_tau_fn):
     return total
 
 
-def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
-                            g_tau=None):
+def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):
     """Residual of the Green-type identity for the base form.
 
     Two-LC: (f, T_max g) - Q_{c,d}(f,g) - conj(f~(a)) g~'(a)
@@ -441,7 +440,7 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC,
         window = default_window(spec, *bases)
     form = q_base(spec, bases, window, regime, f, g)
     sides = _sides(spec, bases, window, regime)
-    pairing = _pairing(spec, sides, f, g_tau or _pointwise_tau(spec, g))
+    pairing = _pairing(spec, sides, f, _pointwise_tau(spec, g))
 
     boundary = 0.0
     for side in sides:

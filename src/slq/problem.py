@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,7 @@ from .quadrature import improper_integral
 
 REGULAR = "regular"
 SINGULAR = "singular"
-UNDETERMINED = "undetermined"
+VALIDATION_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,7 @@ class ProblemSpec:
 
 @dataclass
 class ValidationReport:
-    n_samples: int
-    violations: list = field(default_factory=list)
-    regular_flag: str = UNDETERMINED
-
-    @property
-    def ok(self):
-        return not self.violations
+    regular_flag: str
 
 
 def _sample_grid(interval, n_samples):
@@ -144,32 +138,29 @@ def _sample_grid(interval, n_samples):
     return sorted(pts)
 
 
-def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
+def validate(spec: ProblemSpec) -> ValidationReport:
     """Check Hypothesis-style positivity/finiteness on a sample grid.
 
     p and r must be positive, and all three coefficients finite, at every
-    interior sample.  The report's regular/singular flag is then set: the
-    problem is regular iff both endpoints are (see endpoint_regular).  The
-    spec is read, not written.
+    one of the VALIDATION_SAMPLES interior samples; the first violation
+    raises.  The report's regular/singular flag says whether the problem is
+    regular, i.e. both endpoints are (see endpoint_regular).  The spec is
+    read, not written.
     """
-    report = ValidationReport(n_samples=n_samples)
-    grid = _sample_grid(spec.interval, n_samples)
+    grid = _sample_grid(spec.interval, VALIDATION_SAMPLES)
     for x in grid:
         for label, fn in (("p", spec.p), ("q", spec.q), ("r", spec.r)):
             try:
                 v = fn(x)
             except (ZeroDivisionError, OverflowError, SpecFileError) as exc:
-                report.violations.append((label, x, math.inf))
                 raise NonFiniteValue(
                     f"coefficient {label} is not finite at x={x}: {exc}"
                 ) from exc
             if not math.isfinite(v):
-                report.violations.append((label, x, v))
                 raise NonFiniteValue(
                     f"coefficient {label} is not finite at x={x}: {v}"
                 )
             if label in ("p", "r") and v <= 0.0:
-                report.violations.append((label, x, v))
                 raise NonPositiveCoefficient(
                     f"coefficient {label} must be positive, got {v} at x={x}"
                 )
@@ -178,8 +169,7 @@ def validate(spec: ProblemSpec, n_samples: int = 64) -> ValidationReport:
     regular = (all(map(math.isfinite, spec.interval.endpoints()))
                and endpoint_regular(spec, "a")
                and endpoint_regular(spec, "b"))
-    report.regular_flag = REGULAR if regular else SINGULAR
-    return report
+    return ValidationReport(REGULAR if regular else SINGULAR)
 
 
 # endpoint_regular's verdicts by value: (a, b, p, q, r texts, endpoint).

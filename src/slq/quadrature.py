@@ -28,6 +28,7 @@ DIVERGE_THRESHOLD = 1e12
 MAX_WINDOWS = 48
 WINDOW_RATIO = 0.5
 NODE_RESOLUTION_FACTOR = 10.0
+TRUNCATION_TOL = 1e-14  # relative size of two last windows that ends a sweep
 
 
 def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
@@ -166,14 +167,13 @@ def accelerated_limit(sums, us=None):
     return value, max(err, 1e-16 * (1.0 + abs(value))), True
 
 
-def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, ratio=WINDOW_RATIO,
-                     cutoff=None):
+def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, cutoff=None):
     """Window boundary points from `start` toward `endpoint`.
 
-    For a finite endpoint the distances shrink geometrically; for an infinite
-    endpoint the distances from `start` double each window.  `cutoff` bounds
-    the closest approach (finite endpoints) or the farthest excursion
-    (infinite endpoints).
+    For a finite endpoint the distances shrink by WINDOW_RATIO each window;
+    for an infinite endpoint the distances from `start` double each window.
+    `cutoff` bounds the closest approach (finite endpoints) or the farthest
+    excursion (infinite endpoints).
     """
     pts = [float(start)]
     if math.isfinite(endpoint):
@@ -183,7 +183,7 @@ def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, ratio=WINDOW_RATIO,
         # quadrature noise would pollute the tail extrapolation.
         min_delta = 1e4 * math.ulp(abs(endpoint))
         for k in range(1, n_windows + 1):
-            x = endpoint - d * ratio**k
+            x = endpoint - d * WINDOW_RATIO**k
             if x == endpoint or x == pts[-1]:
                 break
             if abs(endpoint - x) < min_delta:
@@ -213,31 +213,25 @@ class ImproperResult:
     contributions: list = field(default_factory=list)
     partial_sums: list = field(default_factory=list)
 
-    @property
-    def n_windows(self):
-        return len(self.contributions)
 
-
-def improper_integral(f, start, endpoint, *, n_windows=MAX_WINDOWS,
-                      ratio=WINDOW_RATIO, cutoff=None, rel_tol=1e-14,
-                      diverge_threshold=DIVERGE_THRESHOLD,
-                      epsabs=1e-14, epsrel=1e-12):
+def improper_integral(f, start, endpoint, *, cutoff=None):
     """Integrate f from `start` toward a (possibly singular) `endpoint`.
 
     The result is signed in the usual orientation (negative if endpoint lies
     left of start).  Convergence is decided from the window contributions;
     the unresolved tail is added by `accelerated_limit`.
 
-    Each window's relative tolerance is max(epsrel, K ulp(endpoint) / d),
-    with K = NODE_RESOLUTION_FACTOR and d the distance from the endpoint to
-    the window's nearer edge: no node there resolves its distance to the
-    endpoint better than ulp(endpoint) / d, so a tighter tolerance only
-    subdivides on rounding noise.  The floor is zero at an infinite
-    endpoint and negligible at endpoint 0.  A window that met epsrel on its
+    The windows are `geometric_points(start, endpoint, cutoff=cutoff)`, each
+    a panel at absolute tolerance 1e-14 and relative tolerance
+    max(1e-12, K ulp(endpoint) / d), with K = NODE_RESOLUTION_FACTOR and d
+    the distance from the endpoint to the window's nearer edge: no node
+    there resolves its distance to the endpoint better than
+    ulp(endpoint) / d, so a tighter tolerance only subdivides on rounding
+    noise.  The floor is zero at an infinite
+    endpoint and negligible at endpoint 0.  A window that met 1e-12 on its
     first Gauss-Kronrod pass is unaffected.
     """
-    pts = geometric_points(start, endpoint, n_windows=n_windows, ratio=ratio,
-                           cutoff=cutoff)
+    pts = geometric_points(start, endpoint, cutoff=cutoff)
     contribs = []
     sums = []
     total = 0.0
@@ -247,23 +241,24 @@ def improper_integral(f, start, endpoint, *, n_windows=MAX_WINDOWS,
     resolution = (NODE_RESOLUTION_FACTOR * math.ulp(endpoint)
                   if math.isfinite(endpoint) else 0.0)
     for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = panel(f, lo, hi, epsabs=epsabs,
-                         epsrel=max(epsrel, resolution / abs(endpoint - hi)))
+        val, err = panel(f, lo, hi, epsabs=1e-14,
+                         epsrel=max(1e-12, resolution / abs(endpoint - hi)))
         total += val
         quad_err += err
         contribs.append(val)
         sums.append(total)
-        if abs(total) > diverge_threshold:
+        if abs(total) > DIVERGE_THRESHOLD:
             diverged = True
             break
-        if len(contribs) >= 3 and abs(val) < rel_tol * (1.0 + abs(total)) \
-                and abs(contribs[-2]) < rel_tol * (1.0 + abs(total)):
+        if len(contribs) >= 3 \
+                and abs(val) < TRUNCATION_TOL * (1.0 + abs(total)) \
+                and abs(contribs[-2]) < TRUNCATION_TOL * (1.0 + abs(total)):
             truncated_early = True
             break
     if diverged:
         return ImproperResult(total, quad_err, False, True, contribs, sums)
     if truncated_early or len(sums) < 4:
-        return ImproperResult(total, quad_err + rel_tol * abs(total),
+        return ImproperResult(total, quad_err + TRUNCATION_TOL * abs(total),
                               True, False, contribs, sums)
     # Rapid decay with a small last contribution: the tail is negligible
     # even if the window budget ran out (common when the budget is cut off
@@ -292,15 +287,14 @@ def improper_integral(f, start, endpoint, *, n_windows=MAX_WINDOWS,
 
 
 def interval_integral(f, a, b, *, singular_a=False, singular_b=False,
-                      split=None, **kw):
+                      split=None):
     """Integral over (a, b) with optional singular/infinite endpoints.
 
     The interval is split at interior points and each singular side handled
     by `improper_integral`; the middle by panel quadrature.
     """
     if not singular_a and not singular_b:
-        v, e = panel(f, a, b, epsabs=kw.get("epsabs", 1e-14),
-                     epsrel=kw.get("epsrel", 1e-12))
+        v, e = panel(f, a, b, epsabs=1e-14, epsrel=1e-12)
         return v, e
     if split is None:
         if math.isfinite(a) and math.isfinite(b):
@@ -314,7 +308,7 @@ def interval_integral(f, a, b, *, singular_a=False, singular_b=False,
     lo, hi = split[0], split[-1]
     total, err = 0.0, 0.0
     if singular_a:
-        res = improper_integral(f, lo, a, **kw)
+        res = improper_integral(f, lo, a)
         total -= res.value
         err += res.error
     else:
@@ -326,7 +320,7 @@ def interval_integral(f, a, b, *, singular_a=False, singular_b=False,
         total += v
         err += e
     if singular_b:
-        res = improper_integral(f, hi, b, **kw)
+        res = improper_integral(f, hi, b)
         total += res.value
         err += res.error
     else:

@@ -37,6 +37,10 @@ from .quadrature import geometric_points, improper_integral
 
 SCALE_CAP = 1e8
 LOGSCALE_MAX = 300.0
+TAIL_RTOL = 1e-12
+TAIL_ATOL = 1e-40  # per unit of 1 + |reduction integral|
+TRUST_CAP = 1e7
+TRUST_POINTS = 201
 
 
 def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
@@ -139,12 +143,13 @@ class ReductionSolution(MemoizedQuasiFn):
     w changes after __init__ (`construct_basis` adds w's segments first),
     so `pair` computes each point once (see MemoizedQuasiFn).
 
-    The support ends, toward the endpoint, where T falls to its noise floor
-    `t_floor`: beyond that edge the interpolated tail is noise, so it is
-    outside the support rather than read as a value.
+    The support ends, toward the endpoint, where |T| falls below `t_floor`,
+    the tail solve's absolute tolerance over its relative one: beyond that
+    edge the absolute tolerance dominates and T has lost its relative
+    accuracy, so it is outside the support rather than read as a value.
     """
 
-    def __init__(self, spec, w, c0, total, tail, scale=1.0, t_floor=0.0):
+    def __init__(self, spec, w, c0, total, tail, scale, t_floor):
         self.spec = spec
         self.w = w
         self.c0 = c0
@@ -155,12 +160,12 @@ class ReductionSolution(MemoizedQuasiFn):
         self.x_min = min(tail.t[0], tail.t[-1])
         self.x_max = max(tail.t[0], tail.t[-1])
         self._memo = {}  # x -> pair(x)
-        # Far edge: 80 bisection steps from c0 keep where |T| > 10 t_floor.
+        # Far edge: 80 bisection steps from c0 keep where |T| >= t_floor.
         x_in, x_out = c0, tail.t[0]
-        if abs(self.T(x_out)) <= 10.0 * t_floor:
+        if abs(self.T(x_out)) < t_floor:
             for _ in range(80):
                 mid = 0.5 * (x_in + x_out)
-                if abs(self.T(mid)) > 10.0 * t_floor:
+                if abs(self.T(mid)) >= t_floor:
                     x_in = mid
                 else:
                     x_out = mid
@@ -241,12 +246,13 @@ def _find_last_zero(w, segments, x_from, x_to):
     return None
 
 
-def _trust_interval(u, u_hat, c0, lo, hi, cap=1e7, n=201):
-    """Largest grid interval around c0 where the Wronskian products of the
-    pair stay below `cap` (so W(u_hat, u) = 1 is verifiable to ~cap * eps).
-    Both family members grow toward the interior, so far from the endpoint
-    the products overwhelm the floating-point cancellation."""
-    xs = np.linspace(lo, hi, n)
+def _trust_interval(u, u_hat, c0, lo, hi):
+    """Largest interval of a TRUST_POINTS grid on [lo, hi] around c0 where
+    the Wronskian products of the pair stay below TRUST_CAP (so
+    W(u_hat, u) = 1 is verifiable to ~TRUST_CAP * eps).  Both family members
+    grow toward the interior, so far from the endpoint the products
+    overwhelm the floating-point cancellation."""
+    xs = np.linspace(lo, hi, TRUST_POINTS)
 
     def ok(x):
         try:
@@ -255,7 +261,7 @@ def _trust_interval(u, u_hat, c0, lo, hi, cap=1e7, n=201):
         except EvaluationOutsideSupport:
             return False
         vals = (abs(hu * uu1), abs(hu1 * uu))
-        return all(math.isfinite(v) and v <= cap for v in vals)
+        return all(math.isfinite(v) and v <= TRUST_CAP for v in vals)
 
     i0 = int(np.argmin(np.abs(xs - c0)))
     if not ok(xs[i0]):
@@ -264,7 +270,7 @@ def _trust_interval(u, u_hat, c0, lo, hi, cap=1e7, n=201):
     while i_lo > 0 and ok(xs[i_lo - 1]):
         i_lo -= 1
     i_hi = i0
-    while i_hi < n - 1 and ok(xs[i_hi + 1]):
+    while i_hi < TRUST_POINTS - 1 and ok(xs[i_hi + 1]):
         i_hi += 1
     return (float(xs[i_lo]), float(xs[i_hi]))
 
@@ -278,9 +284,9 @@ def _principal_integrand(spec, w):
     return f
 
 
-def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
+def _tail_ode(spec, w, x_far, tail0, x_to, atol):
     """StepTable of T(x) with T' = -1/(p w^2), anchored at the far tail
-    value.
+    value, solved at rtol TAIL_RTOL and absolute tolerance `atol`.
 
     Integrating away from the endpoint keeps T accurate relative to its own
     (possibly astronomically small) local size; an absolute tail error would
@@ -293,11 +299,10 @@ def _tail_ode(spec, w, x_far, tail0, x_to, scale_hint=1.0, tol=1e-12):
     f = _principal_integrand(spec, w)
     lo, hi = w.x_min, w.x_max
     return rk_solve(RK45, lambda x, y: (-f(min(max(x, lo), hi)), 0.0),
-                    x_far, (tail0, 0.0), x_to, tol,
-                    1e-40 * (1.0 + abs(scale_hint)), dense=True)[2]
+                    x_far, (tail0, 0.0), x_to, TAIL_RTOL, atol, dense=True)[2]
 
 
-def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
+def construct_basis(spec, endpoint, tol=1e-11):
     """Principal/nonprincipal pair at lambda0 near one endpoint.
 
     Regular endpoints get the classical basis anchored at the endpoint
@@ -313,17 +318,15 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
     interior = spec.interval.interior_point()
     lam0 = spec.lambda0
 
-    if anchor is None:
-        if math.isfinite(end):
-            anchor = interior + 0.5 * (end - interior)
-        else:
-            anchor = interior + (1.0 if endpoint == "b" else -1.0)
-    if back_to is None:
-        other = b if endpoint == "a" else a
-        if math.isfinite(other):
-            back_to = other + 0.1 * (interior - other)
-        else:
-            back_to = interior - 6.0 * (1.0 if endpoint == "b" else -1.0)
+    if math.isfinite(end):
+        anchor = interior + 0.5 * (end - interior)
+    else:
+        anchor = interior + (1.0 if endpoint == "b" else -1.0)
+    other = b if endpoint == "a" else a
+    if math.isfinite(other):
+        back_to = other + 0.1 * (interior - other)
+    else:
+        back_to = interior - 6.0 * (1.0 if endpoint == "b" else -1.0)
 
     if endpoint_regular(spec, endpoint):
         return _regular_basis(spec, endpoint, end, back_to, tol)
@@ -393,13 +396,12 @@ def construct_basis(spec, endpoint, tol=1e-11, anchor=None, back_to=None):
                 tail0 = 0.0
         else:
             tail0 = 0.0
-        tail = _tail_ode(spec, w, x_far, tail0, back_to,
-                         scale_hint=res.value)
+        atol = TAIL_ATOL * (1.0 + abs(res.value))
+        tail = _tail_ode(spec, w, x_far, tail0, back_to, atol)
         S = float(tail.at(c0)[0])
         w_c0 = w.pair(c0)[0]
-        u = ReductionSolution(spec, w, c0, S, tail,
-                              scale=1.0 / (w_c0 * S),
-                              t_floor=1e-38 * (1.0 + abs(res.value)))
+        u = ReductionSolution(spec, w, c0, S, tail, scale=1.0 / (w_c0 * S),
+                              t_floor=atol / TAIL_RTOL)
         u_hat = ScalarMultiple(w, -w_c0 * S)
 
     cov_lo = max(w.x_min, u.x_min)

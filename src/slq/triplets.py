@@ -42,6 +42,10 @@ from .forms import (
 )
 
 KERNEL_TOL = 1e-10  # relative SVD threshold for ker A detection
+PAIR_TOL = 1e-12  # relative defect of A B* = B A* and rank (B A) = n
+MEMBERSHIP_TOL = 1e-10  # relative residual of B u = A v
+DOMAIN_TOL = 1e-6  # relative component of Lambda f along ker A
+EPS_VALUES = (1.0, 0.1)  # boundary_pair_check's epsilons
 
 
 @dataclass
@@ -76,20 +80,21 @@ class SelfAdjointRelation:
         """Coordinates of x in dom_basis (component in (ker A)^perp)."""
         return self.dom_basis.conj().T @ np.asarray(x, dtype=complex)
 
-    def in_domain(self, x, tol=1e-10):
-        """True when x has no component along the multivalued part."""
+    def in_domain(self, x):
+        """True when x has no component along the multivalued part (up to
+        DOMAIN_TOL relative)."""
         x = np.asarray(x, dtype=complex)
         if self.multivalued_dim == 0:
             return True
         resid = np.linalg.norm(self.mul_basis.conj().T @ x)
-        return resid <= tol * (1.0 + np.linalg.norm(x))
+        return resid <= DOMAIN_TOL * (1.0 + np.linalg.norm(x))
 
 
-def validate_pair(A, B, tol=1e-12):
+def validate_pair(A, B):
     """Check the self-adjointness conditions of an (A, B) pair.
 
     A B* must equal B A* and the stacked block (B A) must have full row
-    rank n.  Returns an SAPair on success.
+    rank n, both up to PAIR_TOL relative.  Returns an SAPair on success.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -97,23 +102,23 @@ def validate_pair(A, B, tol=1e-12):
         raise ValueError("A and B must be square matrices of the same size")
     scale = max(np.linalg.norm(A), np.linalg.norm(B), 1.0)
     herm = float(np.linalg.norm(A @ B.conj().T - B @ A.conj().T))
-    if herm > tol * scale * scale:
+    if herm > PAIR_TOL * scale * scale:
         raise NotSelfAdjointPair(
             f"A B* - B A* has norm {herm:.3e} "
-            f"(tolerance {tol * scale * scale:.3e})"
+            f"(tolerance {PAIR_TOL * scale * scale:.3e})"
         )
     stacked = np.hstack([B, A])
     sv = np.linalg.svd(stacked, compute_uv=False)
     # n = 0 (no limit-circle end) leaves no singular value: full rank.
     smallest = sv.min(initial=math.inf)
-    if smallest <= tol * sv.max(initial=1.0):
+    if smallest <= PAIR_TOL * sv.max(initial=1.0):
         raise RankDeficient(f"(B A) is rank deficient: singular values {sv}")
     return SAPair(A=A, B=B,
                   diagnostics={"hermiticity_defect": herm,
                                "smallest_singular_value": float(smallest)})
 
 
-def decompose(pair, tol=KERNEL_TOL):
+def decompose(pair):
     """Split the relation {(u, v) : B u = A v} into Theta plus kernel.
 
     The multivalued part is ker A, detected by SVD with a relative
@@ -128,14 +133,14 @@ def decompose(pair, tol=KERNEL_TOL):
     n = pair.n
     scale = max(np.linalg.norm(A), 1.0)
     U, sv, Vh = np.linalg.svd(A) if n else (None, np.array([]), None)
-    rank = int(np.sum(sv > tol * scale))
+    rank = int(np.sum(sv > KERNEL_TOL * scale))
     V = Vh.conj().T if n else np.zeros((0, 0), dtype=complex)
     dom_basis = V[:, :rank]
     mul_basis = V[:, rank:]
     if rank == 0:
         theta_op = np.zeros((0, 0), dtype=complex)
     else:
-        theta_full = np.linalg.pinv(A, rcond=tol) @ B
+        theta_full = np.linalg.pinv(A, rcond=KERNEL_TOL) @ B
         theta_op = dom_basis.conj().T @ theta_full @ dom_basis
         defect = np.linalg.norm(theta_op - theta_op.conj().T)
         if defect > 1e-10 * max(np.linalg.norm(theta_op), 1.0):
@@ -158,12 +163,13 @@ def decompose(pair, tol=KERNEL_TOL):
     )
 
 
-def relation_membership(pair, u, v, tol=1e-10):
-    """True when (u, v) belongs to the relation, i.e. B u = A v."""
+def relation_membership(pair, u, v):
+    """True when (u, v) belongs to the relation, i.e. B u = A v up to
+    MEMBERSHIP_TOL relative."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     resid = np.linalg.norm(pair.B @ u - pair.A @ v)
-    bound = tol * (np.linalg.norm(pair.B) * np.linalg.norm(u)
+    bound = MEMBERSHIP_TOL * (np.linalg.norm(pair.B) * np.linalg.norm(u)
                    + np.linalg.norm(pair.A) * np.linalg.norm(v) + 1.0)
     return bool(resid <= bound)
 
@@ -211,15 +217,15 @@ def boundary_maps(spec, bases, g, ends=("a", "b")):
     return boundary_vectors(values, ends)
 
 
-def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):
+def triplet_green_residual(spec, bases, f, g):
     """Residual of the abstract Green identity in boundary coordinates.
 
     (f, T_max g) - (T_max f, g) - [(Gamma0 f, Gamma1 g) - (Gamma1 f, Gamma0 g)]
     with the weighted pairing on the left and the C^n inner product
     (antilinear in the first slot) on the right.
     """
-    fg = _weighted_pairing(spec, bases, f, g, g_tau)
-    gf = _weighted_pairing(spec, bases, g, f, f_tau)
+    fg = _weighted_pairing(spec, bases, f, _pointwise_tau(spec, g))
+    gf = _weighted_pairing(spec, bases, g, _pointwise_tau(spec, f))
     lhs = fg - np.conj(gf)
     f0, f1 = boundary_maps(spec, bases, f)
     g0, g1 = boundary_maps(spec, bases, g)
@@ -227,19 +233,19 @@ def triplet_green_residual(spec, bases, f, g, f_tau=None, g_tau=None):
     return lhs - rhs
 
 
-def _weighted_pairing(spec, bases, f, g, g_tau):
-    """(f, T_max g) over the whole interval, cut off toward each end where
-    u_hat stops being trustworthy (the two-LC sides)."""
+def _weighted_pairing(spec, bases, f, g_tau):
+    """int r conj(f) g_tau over the whole interval, cut off toward each end
+    where u_hat stops being trustworthy (the two-LC sides); with
+    g_tau = tau g it is (f, T_max g)."""
     sides = _sides(spec, bases, default_window(spec, *bases), REGIME_LC_LC)
-    return _pairing(spec, sides, f, g_tau or _pointwise_tau(spec, g))
+    return _pairing(spec, sides, f, g_tau)
 
 
 # Relation dimension -> regime, where the dimension alone fixes it.
 _REGIME_OF_DIM = {0: REGIME_LP_LP, 2: REGIME_LC_LC}
 
 
-def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10,
-                       base=None):
+def form_from_relation(spec, bases, window, pair, f, g, base=None):
     """Sesquilinear form of an extension through its boundary relation.
 
     q(f, g) = q_base(f, g) + (Lambda f, theta_op Lambda g) where Lambda g
@@ -271,7 +277,7 @@ def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10,
     f0, _ = boundary_maps(spec, bases, f, ends=ends)
     g0, _ = boundary_maps(spec, bases, g, ends=ends)
     for label, vec in (("f", f0), ("g", g0)):
-        if not rel.in_domain(vec, tol=max(tol, 1e-6)):
+        if not rel.in_domain(vec):
             raise DomainConstraintViolated(
                 f"Lambda {label} = {vec} has a component along the "
                 f"multivalued part of the boundary relation"
@@ -283,13 +289,12 @@ def form_from_relation(spec, bases, window, pair, f, g, tol=1e-10,
     return value
 
 
-def boundary_pair_check(spec, bases, window, eps_values=(1.0, 0.1),
-                        samples=(), regime=REGIME_LC_LC):
+def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):
     """Diagnostics of the boundary pair (Lambda, q_base) on sample functions.
 
     Checks that (i) Lambda agrees with the Gamma0 route used throughout,
     (ii) members with vanishing boundary values stay in the kernel of
-    Lambda, and (iii) each epsilon in eps_values admits a finite fitted
+    Lambda, and (iii) each epsilon in EPS_VALUES admits a finite fitted
     constant C with |Lambda f|^2 <= eps q_base(f, f) + C |f|^2 over the
     samples.  Lambda takes the limit-circle components of the regime.
     Returns a report dict; counterexamples are listed, not raised.
@@ -301,7 +306,7 @@ def boundary_pair_check(spec, bases, window, eps_values=(1.0, 0.1),
         qv = float(np.real(q_base(spec, bases, window, regime, f, f).value))
         # (f, f) in the weighted space, reusing the pairing quadrature.
         nrm = float(np.real(
-            _weighted_pairing(spec, bases, f, f, g_tau=lambda x: f(x))
+            _weighted_pairing(spec, bases, f, f)
         ))
         if not all(math.isfinite(x) for x in
                    (np.linalg.norm(f0), qv, nrm)):
@@ -311,7 +316,7 @@ def boundary_pair_check(spec, bases, window, eps_values=(1.0, 0.1),
                      "lambda_sq": float(np.linalg.norm(f0) ** 2),
                      "form": qv, "norm_sq": nrm})
     fitted = {}
-    for eps in eps_values:
+    for eps in EPS_VALUES:
         c_needed = 0.0
         for row in rows:
             if row["norm_sq"] <= 0.0:

@@ -75,12 +75,17 @@ def test_certify_nonoscillatory_at_lambda0(legendre, dirichlet):
     assert certify_nonoscillatory(dirichlet, 0.0)["b"] != "refuted"
 
 
+# Legendre's ends are limit circle, so nonoscillatory at every real lambda;
+# its last zero lies about log2(lambda) windows into the march.
 @pytest.mark.parametrize("problem, lam, want", [
     ("legendre", 0.0, ("certified", "certified")),
-    ("legendre", 30.0, ("inconclusive", "inconclusive")),
+    ("legendre", 30.0, ("certified", "certified")),
     ("free_halfline", 4.0, ("certified", "refuted")),
     ("bessel(0.3)", 0.0, ("certified", "certified")),
     ("regular_dirichlet_pi", 0.0, ("certified", "certified")),
+    ("legendre", 12.0, ("certified", "certified")),
+    ("legendre", 56.0, ("certified", "certified")),
+    ("legendre", 100.0, ("certified", "certified")),
 ])
 def test_certify_endpoint_gives_the_per_endpoint_verdicts(problem, lam,
                                                           want):

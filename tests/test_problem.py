@@ -58,9 +58,7 @@ def test_interval_requires_order():
 
 def test_validate_flags_regular():
     spec = catalog("regular_dirichlet_pi")
-    report = validate(spec)
-    assert report.ok
-    assert report.regular_flag == REGULAR
+    assert validate(spec).regular_flag == REGULAR
 
 
 def test_validate_flags_singular():

@@ -109,6 +109,19 @@ def test_interval_integral_matches_panel():
     assert v1 == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("f, a, b, ends, want", [
+    (lambda x: 1 / math.sqrt(x), 0.0, 1.0, {"singular_a": True}, 2.0),
+    (lambda x: math.exp(-x), 0.0, math.inf, {"singular_b": True}, 1.0),
+    (lambda x: 1 / math.sqrt(x * (1 - x)), 0.0, 1.0,
+     {"singular_a": True, "singular_b": True, "split": (0.25, 0.75)},
+     math.pi),
+])
+def test_interval_integral_improper_ends(f, a, b, ends, want):
+    # Each singular side goes to improper_integral, the rest to panels.
+    v, err = interval_integral(f, a, b, **ends)
+    assert v == pytest.approx(want, abs=1e-8)
+
+
 def test_geometric_points_monotone_toward_finite_endpoint():
     pts = geometric_points(0.5, 1.0)
     assert pts[0] == 0.5

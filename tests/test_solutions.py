@@ -229,6 +229,20 @@ def test_halfline_principal_support_ends_at_the_tail_floor(lam):
 
 
 @pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
+def test_halfline_principal_ratio_holds_on_the_trust_interval(lam):
+    # u = exp(-k x) up to a constant, so u^[1] / u = -k wherever u is
+    # trusted.  Below |T| = atol / rtol of the tail solve its absolute
+    # tolerance dominates and T loses relative accuracy, so the support of
+    # u, and with it the trust interval, must end there.
+    basis = construct_basis(_halfline_at(lam), "b")
+    k = math.sqrt(-lam)
+    lo, hi = basis.trust_interval
+    for x in np.linspace(lo, hi, 2001):
+        u, u1 = basis.u.pair(x)
+        assert abs(u1 / u + k) <= 1e-9 * k
+
+
+@pytest.mark.parametrize("lam", HALFLINE_NEGATIVE)
 def test_halfline_one_lc_form_does_not_depend_on_lambda0(lam):
     # OneLC at the regular end a: the decorated form is that of one
     # self-adjoint extension, whichever lambda0 the bases are built at.
@@ -477,7 +491,7 @@ def test_march_events_follow_scipy(legendre, target):
     # lambda = -50 grows by about e^3.5 toward either end; cap 4 forces a
     # renormalization every doubling or two.
     lam, anchor, tol, cap = -50.0, 0.0, 1e-11, 4.0
-    pts = geometric_points(anchor, target, n_windows=48, ratio=0.5)
+    pts = geometric_points(anchor, target, n_windows=48)
     want = _scipy_march(legendre, lam, pts, (1.0, 0.0), tol, cap)
     traj = rescaled_march(legendre, lam, anchor, (1.0, 0.0), target,
                           tol=tol, cap=cap)
