@@ -38,7 +38,6 @@ from .extensions import (
     lc_ends,
 )
 from .forms import (
-    LC_ENDS,
     FormWindow,
     _regime_of,
     green_identity_residual,
@@ -48,11 +47,7 @@ from .forms import (
 from .functions import BumpFn, ExprFunction, GaussianPoly, polynomial
 from .problem import load_problem, validate
 from .solutions import construct_basis
-from .triplets import (
-    decompose,
-    form_from_relation,
-    pair_from_extension,
-)
+from .triplets import form_from_relation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -174,12 +169,6 @@ def _resolve_function(token, spec, bases):
     raise SpecFileError(f"unknown function specifier {token!r}")
 
 
-def _regime(classification):
-    """The form regime whose limit-circle ends the classification names."""
-    ends = lc_ends(classification)
-    return next(r for r, lc in LC_ENDS.items() if lc == ends)
-
-
 def _extension_of(ext_doc, classification):
     """The spec file's extension, checked against the classification, else
     the Friedrichs extension."""
@@ -279,7 +268,7 @@ def cmd_form(spec, ext_doc, args):
     classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     ext = _extension_of(ext_doc, classification)
     bases = _build_bases(spec)
-    regime = _regime(classification)
+    regime = _regime_of(lc_ends(classification))
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
@@ -300,7 +289,7 @@ def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
     classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     bases = _build_bases(spec)
-    regime = _regime(classification)
+    regime = _regime_of(lc_ends(classification))
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
@@ -345,7 +334,8 @@ def cmd_triplet(spec, ext_doc, args):
     report = _base_report("triplet", spec, args)
     classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     ext = _extension_of(ext_doc, classification)
-    pair = pair_from_extension(ext)
+    rel = ext.relation
+    pair = rel.pair
     section = {
         "extension": ext.variant,
         "n": pair.n,
@@ -353,17 +343,20 @@ def cmd_triplet(spec, ext_doc, args):
         "B": pair.B,
     }
     if pair.n > 0:
-        rel = decompose(pair)
         section["multivalued_dim"] = rel.multivalued_dim
         section["theta_op"] = rel.theta_op
         section["c_theta"] = rel.c_theta
         section["diagnostics"] = pair.diagnostics
-        # Cross-path equality: relation route vs decorated form on samples.
-        # Both routes are q_base plus a decoration, so the base form is
-        # computed once per sample and handed to each; only the two
-        # decorations are compared.
+        # Cross-path samples: the decorated form and the relation route on
+        # one base form per sample.  Both decorate through the same core
+        # from ext.relation, so the deviation is 0 by construction; the
+        # keys and the three samples stay because report readers
+        # (perfbench's one_lc_cli check among them) read them.  Until an
+        # eigenfunction check q_Theta(y_n, y_n) = lambda_n exists, the
+        # independent check of the decoration is the hand-written oracle
+        # in tests/test_acceptance.py.
         bases = _build_bases(spec)
-        regime = _regime_of(ext)
+        regime = _regime_of(ext.lc_ends)
         samples = _cross_path_samples(spec)
         checks = []
         for f, g in samples:

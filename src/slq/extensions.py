@@ -8,8 +8,10 @@ both ends, `OneLC` at one, `LpLp` at none); a coupled one imposes
 `ExtensionSpec.angles` says which: {end: t} for a separated extension,
 None for a coupled one.  `triplets.pair_from_extension` writes each
 condition as one boundary relation B Gamma0 g = A Gamma1 g, which
-residuals read.  Shooting starts from each end's angle; it reads the pair
-only for a coupled condition.
+residuals read; `ExtensionSpec.relation` is that relation decomposed, from
+which `forms.q_decorated` takes the decoration of every extension's form.
+Shooting starts from each end's angle; it reads the pair only for a
+coupled condition.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .odecore import end_state, end_state_zeros
 from .solutions import construct_basis
-from .triplets import boundary_vectors, pair_from_extension
+from .triplets import boundary_vectors, decompose, pair_from_extension
 
 
 class ExtensionSpec:
@@ -50,6 +53,12 @@ class ExtensionSpec:
     @property
     def lc_ends(self):
         return tuple(self.angles)
+
+    @cached_property
+    def relation(self):
+        """The condition's boundary relation, decomposed into its operator
+        part Theta and multivalued part; computed once per extension."""
+        return decompose(pair_from_extension(self))
 
 
 def _check_angle(name, value):

@@ -25,12 +25,13 @@ scalars.  Whether an integrand is complex is decided by its quadrature
 nodes (`_complex`): it is integrated as a real function, and as a real
 and an imaginary part once any node returns a complex number.
 
-Boundary decorations then produce the form of every self-adjoint extension.
+The form of every self-adjoint extension is the base form plus one boundary
+term, (Theta Gamma0 f, Gamma0 g) on dom Theta = (mul Theta)^perp, read off
+the extension's decomposed boundary relation (`ExtensionSpec.relation`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +61,10 @@ LC_ENDS = {REGIME_LC_LC: ("a", "b"), REGIME_LC_LP: ("a",),
 
 # Gamma1 g = SIGMA[end] g~'(end): the boundary maps flip its sign at b.
 SIGMA = {"a": 1.0, "b": -1.0}
+
+# Relative size of a Gamma0 component along mul Theta that puts a function
+# outside the domain of an extension's form.
+CONSTRAINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -328,78 +333,59 @@ def q_base(spec, bases, window, regime, f, g):
     return FormValue(value=value, pieces=pieces, error=err, window=window)
 
 
-def _regime_of(ext):
-    """Form regime of a catalog extension: the one with its LC ends."""
-    return next(r for r, ends in LC_ENDS.items() if ends == ext.lc_ends)
+def _regime_of(lc_ends):
+    """The form regime whose limit-circle ends are `lc_ends`."""
+    return next(r for r, ends in LC_ENDS.items() if ends == lc_ends)
 
 
-def q_decorated(spec, bases, window, ext, f, g, tol=1e-6, base=None):
-    """Decorated form of the extension `ext` applied to (f, g).
+def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
+                base=None):
+    """Form of the extension `ext` applied to (f, g): `_decorated` on its
+    boundary relation `ext.relation`.
 
-    Adds the boundary decoration of the extension to the base form and
-    enforces the extension's domain constraints on the generalized boundary
-    values of f and g.  `base`, if given, is the FormValue that
+    `base`, if given, is the FormValue that
     `q_base(spec, bases, window, regime, f, g)` returns for the extension's
     regime; it is read, not written, so a caller may hand the same base to
     other routes.
     """
-    regime = _regime_of(ext)
+    return _decorated(spec, bases, window, _regime_of(ext.lc_ends),
+                      ext.relation, f, g, tol, base)
+
+
+def _decorated(spec, bases, window, regime, rel, f, g, tol, base):
+    """q_base(f, g) + (Theta Gamma0 f, Gamma0 g) for the decomposed boundary
+    relation `rel` over the LC ends of `regime`.
+
+    The form lives on dom Theta = (mul Theta)^perp, so f and g are refused
+    (DomainConstraintViolated) when Gamma0 of either has a component along
+    mul Theta above tol (1 + max |g~|), over the g~ of both.  A separated
+    angle 0 at an end puts that end in mul Theta (g~ = 0 there); any other
+    angle t contributes -SIGMA[end] cot t to Theta.
+    """
     if base is None:
         base = q_base(spec, bases, window, regime, f, g)
-    lc_ends = LC_ENDS[regime]
+    ends = LC_ENDS[regime]
 
-    def bvals(fn):
-        return {end: gbv(spec, basis, fn)
-                for end, basis in zip("ab", bases) if end in lc_ends}
+    def gamma0(fn):
+        return np.array([gbv(spec, bases["ab".index(end)], fn).tilde
+                         for end in ends], dtype=complex)
 
-    vf, vg = bvals(f), bvals(g)
-    deco = 0.0
-    if ext.angles is None:
-        fa, fb = vf["a"].tilde, vf["b"].tilde
-        ga, gb = vg["a"].tilde, vg["b"].tilde
-        R = ext.matrix()
-        eip = cmath.exp(1j * ext.phi)
-        if abs(R[0, 1]) > 0.0:
-            deco = -(1.0 / R[0, 1]) * (
-                R[0, 0] * np.conj(fa) * ga
-                - np.conj(eip) * np.conj(fa) * gb
-                - eip * np.conj(fb) * ga
-                + R[1, 1] * np.conj(fb) * gb
-            )
-        else:
-            scale = 1.0 + max(abs(v) for v in (fa, fb, ga, gb))
-            for va, vb in ((fa, fb), (ga, gb)):
-                if abs(vb - eip * R[0, 0] * va) > tol * scale:
-                    raise DomainConstraintViolated(
-                        f"coupled R12=0 requires g~(b) = e^(i phi) R11 g~(a)"
-                        f", got {va} -> {vb}"
-                    )
-            deco = -R[0, 0] * R[1, 0] * np.conj(fa) * ga
-    else:
-        # Angle 0 at an end is the Dirichlet-type condition g~ = 0 there;
-        # any other angle t adds -SIGMA[end] cot(t) conj(f~) g~.
-        tildes = [abs(v.tilde) for v in (*vf.values(), *vg.values())]
-        scale = 1.0 + max(tildes, default=0.0)
-        for end, t in ext.angles.items():
-            fe, ge = vf[end].tilde, vg[end].tilde
-            if t == 0.0:
-                if abs(ge) > tol * scale or abs(fe) > tol * scale:
-                    raise DomainConstraintViolated(
-                        f"angle 0 at {end} requires g~({end})=0, "
-                        f"got {fe}, {ge}"
-                    )
-            else:
-                deco += -SIGMA[end] * _cot(t) * np.conj(fe) * ge
-
+    f0, g0 = gamma0(f), gamma0(g)
+    scale = 1.0 + max(np.abs(np.concatenate((f0, g0))), default=0.0)
+    for label, vec in (("f", f0), ("g", g0)):
+        if np.linalg.norm(rel.mul_basis.conj().T @ vec) > tol * scale:
+            touched = [end for end, row in zip(ends, rel.mul_basis)
+                       if np.abs(row).max() > tol]
+            raise DomainConstraintViolated(
+                f"the extension constrains "
+                f"{', '.join(f'g~({end})' for end in touched)}: Gamma0 "
+                f"{label} = {vec} has a component along mul Theta")
+    deco = np.vdot(rel.project(f0), rel.theta_op @ rel.project(g0))
     value = base.value + deco
     if abs(np.imag(value)) == 0.0:
         value = float(np.real(value))
     return replace(base, value=value,
                    pieces={**base.pieces, "decoration_terms": deco})
-
-
-def _cot(angle):
-    return math.cos(angle) / math.sin(angle)
 
 
 def _pointwise_tau(spec, g):

@@ -23,28 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvalues import gbv
-from .errors import (
-    DomainConstraintViolated,
-    NotSelfAdjointPair,
-    RankDeficient,
-)
+from .errors import NotSelfAdjointPair, RankDeficient
 from .forms import (
+    CONSTRAINT_TOL,
     LC_ENDS,
     REGIME_LC_LC,
-    REGIME_LP_LP,
     SIGMA,
+    _decorated,
     _pairing,
     _pointwise_tau,
     _regime_of,
     _sides,
     default_window,
     q_base,
+    q_decorated,
 )
 
 KERNEL_TOL = 1e-10  # relative SVD threshold for ker A detection
 PAIR_TOL = 1e-12  # relative defect of A B* = B A* and rank (B A) = n
 MEMBERSHIP_TOL = 1e-10  # relative residual of B u = A v
-DOMAIN_TOL = 1e-6  # relative component of Lambda f along ker A
 EPS_VALUES = (1.0, 0.1)  # boundary_pair_check's epsilons
 
 
@@ -69,7 +66,7 @@ class SelfAdjointRelation:
     mul_basis: np.ndarray           # orthonormal basis of ker A (columns)
     dom_basis: np.ndarray           # orthonormal basis of (ker A)^perp
     theta_op: np.ndarray            # Hermitian operator part on dom_basis
-    c_theta: float | None = None    # scalar Theta when dom is 1-dimensional
+    c_theta: float | None = None    # Theta itself when dom is 1-dimensional
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -79,15 +76,6 @@ class SelfAdjointRelation:
     def project(self, x):
         """Coordinates of x in dom_basis (component in (ker A)^perp)."""
         return self.dom_basis.conj().T @ np.asarray(x, dtype=complex)
-
-    def in_domain(self, x):
-        """True when x has no component along the multivalued part (up to
-        DOMAIN_TOL relative)."""
-        x = np.asarray(x, dtype=complex)
-        if self.multivalued_dim == 0:
-            return True
-        resid = np.linalg.norm(self.mul_basis.conj().T @ x)
-        return resid <= DOMAIN_TOL * (1.0 + np.linalg.norm(x))
 
 
 def validate_pair(A, B):
@@ -124,8 +112,8 @@ def decompose(pair):
     The multivalued part is ker A, detected by SVD with a relative
     threshold; on its orthogonal complement the relation acts as the
     Hermitian operator theta_op = pinv(A) B expressed in an orthonormal
-    basis of (ker A)^perp.  When that domain is one-dimensional the scalar
-    c_theta is recovered by least squares from B u = c A u.
+    basis of (ker A)^perp.  When that domain is one-dimensional, c_theta is
+    that 1x1 operator as a real number.
     """
     if not isinstance(pair, SAPair):
         pair = validate_pair(pair[0], pair[1])
@@ -148,17 +136,10 @@ def decompose(pair):
                 f"operator part is not Hermitian: defect {defect:.3e}"
             )
         theta_op = 0.5 * (theta_op + theta_op.conj().T)
-    c_theta = None
-    if rank == 1:
-        # Least squares for c in B u = c A u on the one-dimensional domain.
-        u = dom_basis[:, 0]
-        au, bu = A @ u, B @ u
-        denom = np.vdot(au, au)
-        if denom.real > 0.0:
-            c_theta = float(np.real(np.vdot(au, bu) / denom))
     return SelfAdjointRelation(
         pair=pair, mul_basis=mul_basis, dom_basis=dom_basis,
-        theta_op=theta_op, c_theta=c_theta,
+        theta_op=theta_op,
+        c_theta=float(theta_op[0, 0].real) if rank == 1 else None,
         diagnostics={"singular_values": sv.tolist(), "rank": rank},
     )
 
@@ -241,10 +222,6 @@ def _weighted_pairing(spec, bases, f, g_tau):
     return _pairing(spec, sides, f, g_tau)
 
 
-# Relation dimension -> regime, where the dimension alone fixes it.
-_REGIME_OF_DIM = {0: REGIME_LP_LP, 2: REGIME_LC_LC}
-
-
 def form_from_relation(spec, bases, window, pair, f, g, base=None):
     """Sesquilinear form of an extension through its boundary relation.
 
@@ -252,41 +229,23 @@ def form_from_relation(spec, bases, window, pair, f, g, base=None):
     is the Gamma0 vector of g restricted to the limit-circle components.
     Both arguments must have Lambda vectors inside the operator domain of
     the relation (no component along the multivalued part).  `pair` may be
-    an ExtensionSpec, which is converted first and names the regime, or an
-    SAPair of dimension 0 or 2.  A one-dimensional SAPair does not say
+    an ExtensionSpec, whose form is `forms.q_decorated`'s, or an SAPair of
+    dimension 0 or 2, decorated by the same core; the dimension names its
+    limit-circle ends, none or both.  A one-dimensional SAPair does not say
     which endpoint is limit circle, so it is refused.  `base`, if given, is
     the FormValue of `q_base(spec, bases, window, regime, f, g)`; only its
     value is read.
     """
-    if isinstance(pair, SAPair):
-        if pair.n not in _REGIME_OF_DIM:
-            raise ValueError(
-                f"a {pair.n}-dimensional relation does not name its "
-                f"limit-circle endpoint; pass the OneLC extension instead"
-            )
-        regime = _REGIME_OF_DIM[pair.n]
-    else:
-        regime = _regime_of(pair)
-        pair = pair_from_extension(pair)
-    ends = LC_ENDS[regime]
-    if base is None:
-        base = q_base(spec, bases, window, regime, f, g)
-    if pair.n == 0:
-        return base.value
-    rel = decompose(pair)
-    f0, _ = boundary_maps(spec, bases, f, ends=ends)
-    g0, _ = boundary_maps(spec, bases, g, ends=ends)
-    for label, vec in (("f", f0), ("g", g0)):
-        if not rel.in_domain(vec):
-            raise DomainConstraintViolated(
-                f"Lambda {label} = {vec} has a component along the "
-                f"multivalued part of the boundary relation"
-            )
-    deco = np.vdot(rel.project(f0), rel.theta_op @ rel.project(g0))
-    value = base.value + deco
-    if getattr(value, "imag", None) == 0.0:
-        value = float(np.real(value))
-    return value
+    if not isinstance(pair, SAPair):
+        return q_decorated(spec, bases, window, pair, f, g, base=base).value
+    if pair.n not in (0, 2):
+        raise ValueError(
+            f"a {pair.n}-dimensional relation does not name its "
+            f"limit-circle endpoint; pass the OneLC extension instead"
+        )
+    regime = _regime_of(("a", "b")[:pair.n])
+    return _decorated(spec, bases, window, regime, decompose(pair), f, g,
+                      CONSTRAINT_TOL, base).value
 
 
 def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):

@@ -4,9 +4,10 @@ Each test freezes one top-level correctness claim of the toolkit: Green-type
 identities in all three endpoint regimes, spectral regression against
 classical oracles, cut-point independence of the regularized form, Wronskian
 normalization, the boundary-triplet algebra, and the cross-path equality
-between the decorated forms and the relation route.
+between the forms of the relation route and hand-written decorations.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -14,18 +15,26 @@ import pytest
 
 from slq.bvalues import gbv, patched_pair
 from slq.classify import LIMIT_CIRCLE, LIMIT_POINT, classify_endpoint
+from slq.errors import DomainConstraintViolated
 from slq.extensions import Coupled, LpLp, OneLC, Separated, eigenvalues_shoot
 from slq.forms import (
     REGIME_LC_LC,
     REGIME_LC_LP,
     REGIME_LP_LP,
+    SIGMA,
     FormWindow,
     _pointwise_tau,
     green_identity_residual,
     q_base,
     q_decorated,
 )
-from slq.functions import BumpFn, ExpDecay, GaussianPoly, polynomial
+from slq.functions import (
+    BumpFn,
+    ExpDecay,
+    GaussianPoly,
+    LinearCombination,
+    polynomial,
+)
 from slq.odecore import wronskian
 from slq.problem import catalog, validate
 from slq.triplets import (
@@ -278,8 +287,63 @@ def test_triplet_algebra_random_draws():
 
 
 # -------------------------------------------------------------------------
-# 8. Cross-path equality: decorated form vs boundary relation
+# 8. Cross-path equality: the relation's decoration vs hand-written ones
 # -------------------------------------------------------------------------
+
+
+def _oracle_decoration(spec, bases, ext, f, g):
+    """The extension's boundary term written out per variant, as the
+    reference for the decoration the form takes from its boundary relation.
+
+    Separated: angle 0 at an end demands g~ = 0 there, any other angle t
+    adds -SIGMA[end] cot t conj(f~) g~.  Coupled with R12 != 0:
+    -(R11 conj(f~a) g~a - e^{-i phi} conj(f~a) g~b - e^{i phi} conj(f~b) g~a
+    + R22 conj(f~b) g~b) / R12.  Coupled with R12 = 0: the domain is
+    g~(b) = e^{i phi} R11 g~(a), and the term is -R11 R21 conj(f~a) g~a.
+    """
+    vf = {end: gbv(spec, bases["ab".index(end)], f).tilde
+          for end in ext.lc_ends}
+    vg = {end: gbv(spec, bases["ab".index(end)], g).tilde
+          for end in ext.lc_ends}
+    # The form's default domain tolerance, relative to 1 + max |g~|.
+    tol = 1e-6 * (1.0 + max(map(abs, (*vf.values(), *vg.values())),
+                            default=0.0))
+    if ext.angles is not None:
+        deco = 0.0
+        for end, t in ext.angles.items():
+            fe, ge = vf[end], vg[end]
+            if t == 0.0:
+                if max(abs(fe), abs(ge)) > tol:
+                    raise DomainConstraintViolated(f"g~({end}) != 0")
+            else:
+                deco += -SIGMA[end] * math.cos(t) / math.sin(t) \
+                    * np.conj(fe) * ge
+        return deco
+    fa, fb, ga, gb = vf["a"], vf["b"], vg["a"], vg["b"]
+    R = ext.matrix()
+    eip = cmath.exp(1j * ext.phi)
+    if R[0, 1] != 0.0:
+        return -(R[0, 0] * np.conj(fa) * ga
+                 - np.conj(eip) * np.conj(fa) * gb
+                 - eip * np.conj(fb) * ga
+                 + R[1, 1] * np.conj(fb) * gb) / R[0, 1]
+    for va, vb in ((fa, fb), (ga, gb)):
+        if abs(vb - eip * R[0, 0] * va) > tol:
+            raise DomainConstraintViolated("g~(b) != e^{i phi} R11 g~(a)")
+    return -R[0, 0] * R[1, 0] * np.conj(fa) * ga
+
+
+def _check_against_oracle(spec, bases, regime, ext, f, g, pair=None):
+    """q_decorated, and form_from_relation on `pair` if given, against
+    q_base + the oracle, at 1e-6 (1 + |q|)."""
+    base = q_base(spec, bases, None, regime, f, g)
+    want = base.value + _oracle_decoration(spec, bases, ext, f, g)
+    got = [q_decorated(spec, bases, None, ext, f, g, base=base).value]
+    if pair is not None:
+        got.append(form_from_relation(spec, bases, None, pair, f, g,
+                                      base=base))
+    for q in got:
+        assert abs(q - want) <= 1e-6 * (1 + abs(want)), (ext, q, want)
 
 
 def _random_separated(rng):
@@ -294,6 +358,26 @@ def _random_coupled(rng):
                    ((r11, r12), (r21, (1.0 + r12 * r21) / r11)))
 
 
+def _random_coupled_r12_zero(rng):
+    r11, r21 = rng.uniform(0.3, 1.8, 2) * rng.choice([-1.0, 1.0], 2)
+    return Coupled(rng.uniform(0.05, math.pi - 0.05),
+                   ((r11, 0.0), (r21, 1.0 / r11)))
+
+
+def _admissible_r12_zero(spec, ext, rng):
+    """A complex combination with g~(a) = c and g~(b) = e^{i phi} R11 c on
+    (0, pi), where g~ is the value at the regular end: c (1 - x/pi) +
+    e^{i phi} R11 c x/pi plus a polynomial vanishing at both ends."""
+    c = complex(*rng.uniform(-1, 1, 2))
+    d = complex(*rng.uniform(-1, 1, 2))
+    cb = cmath.exp(1j * ext.phi) * ext.R[0][0] * c
+    return LinearCombination(
+        [c, cb, d],
+        [polynomial(spec, [1.0, -1.0 / math.pi]),
+         polynomial(spec, [0.0, 1.0 / math.pi]),
+         polynomial(spec, [0.0, math.pi, -1.0])])
+
+
 @pytest.mark.parametrize("regime", ["separated", "coupled"])
 def test_cross_path_two_lc(regime, dirichlet, dirichlet_bases):
     spec, bases = dirichlet, dirichlet_bases
@@ -304,9 +388,26 @@ def test_cross_path_two_lc(regime, dirichlet, dirichlet_bases):
             else _random_coupled(rng)
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        q1 = q_decorated(spec, bases, None, ext, f, g).value
-        q2 = form_from_relation(spec, bases, None, ext, f, g)
-        assert abs(q1 - q2) <= 1e-6 * (1 + abs(q1)), (trial, q1, q2)
+        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, f, g,
+                              pair=pair_from_extension(ext))
+
+
+def test_cross_path_coupled_r12_zero(dirichlet, dirichlet_bases):
+    # R12 = 0: the domain constraint holds and g~ != 0, so the term
+    # -R11 R21 conj(f~(a)) g~(a) enters the form.
+    spec, bases = dirichlet, dirichlet_bases
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        ext = _random_coupled_r12_zero(rng)
+        f = _admissible_r12_zero(spec, ext, rng)
+        g = _admissible_r12_zero(spec, ext, rng)
+        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, f, g,
+                              pair=pair_from_extension(ext))
+        # Moving g~(b) alone leaves the domain.
+        off = LinearCombination([1.0, 1.0],
+                                [g, polynomial(spec, [0.0, 1.0 / math.pi])])
+        with pytest.raises(DomainConstraintViolated, match=r"g~\(b\)"):
+            q_decorated(spec, bases, None, ext, f, off)
 
 
 def test_cross_path_one_lc(free_halfline, free_halfline_bases):
@@ -319,9 +420,7 @@ def test_cross_path_one_lc(free_halfline, free_halfline_bases):
                     lc_endpoint="a")
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        q1 = q_decorated(spec, bases, None, ext, f, g).value
-        q2 = form_from_relation(spec, bases, None, ext, f, g)
-        assert abs(q1 - q2) <= 1e-6 * (1 + abs(q1)), (trial, q1, q2)
+        _check_against_oracle(spec, bases, REGIME_LC_LP, ext, f, g)
 
 
 def test_cross_path_lp_lp(oscillator, oscillator_bases):
@@ -331,9 +430,23 @@ def test_cross_path_lp_lp(oscillator, oscillator_bases):
     for trial in range(50):
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        q1 = q_decorated(spec, bases, None, LpLp(), f, g).value
-        q2 = form_from_relation(spec, bases, None, LpLp(), f, g)
-        assert abs(q1 - q2) <= 1e-6 * (1 + abs(q1)), (trial, q1, q2)
+        _check_against_oracle(spec, bases, REGIME_LP_LP, LpLp(), f, g,
+                              pair=pair_from_extension(LpLp()))
+
+
+def test_krein_form_closed_form(dirichlet, dirichlet_bases):
+    # Coupled(0, [[1, pi], [0, 1]]) carries ker T_max = span{1, x} on
+    # (0, pi) from a to b, so it is the Krein-von Neumann extension of
+    # T_min >= 1, and q_K[f + h] = q_F[f] for h in ker T_max (Alonso &
+    # Simon, J. Operator Theory 4, 1980).  With f = x (pi - x) and
+    # h = 1 + x / 2 both values are q_F[f] = int (pi - 2x)^2 = pi^3 / 3.
+    spec, bases = dirichlet, dirichlet_bases
+    ext = Coupled(0.0, ((1.0, math.pi), (0.0, 1.0)))
+    f = polynomial(spec, [0.0, math.pi, -1.0])
+    F = polynomial(spec, [1.0, math.pi + 0.5, -1.0])
+    for fn in (F, f):
+        value = q_decorated(spec, bases, None, ext, fn, fn).value
+        assert abs(value - math.pi ** 3 / 3) <= 1e-12, value
 
 
 # -------------------------------------------------------------------------

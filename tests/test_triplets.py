@@ -10,6 +10,7 @@ from slq.errors import (
     NotSelfAdjointPair,
     RankDeficient,
 )
+from slq import extensions
 from slq.extensions import Coupled, LpLp, OneLC, Separated
 from slq.triplets import (
     boundary_maps,
@@ -60,6 +61,22 @@ def test_dirichlet_purely_multivalued():
     rel = decompose(pair_from_extension(Separated(0.0, 0.0)))
     assert rel.multivalued_dim == 2
     assert rel.theta_op.shape == (0, 0)
+
+
+def test_relation_is_decomposed_once_per_extension(monkeypatch):
+    calls = []
+    real = extensions.decompose
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(extensions, "decompose", counting)
+    ext = Coupled(0.3, ((2.0, 1.0), (1.0, 1.0)))
+    rel = ext.relation
+    assert ext.relation is rel and len(calls) == 1
+    assert np.array_equal(_theta_full(rel),
+                          _theta_full(decompose(pair_from_extension(ext))))
 
 
 def test_coupled_c_theta_closed_form():
