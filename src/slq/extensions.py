@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classify import LIMIT_CIRCLE
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     SpecFileError,
     VariantMismatch,
 )
-from .odecore import end_state, end_state_zeros
+from .odecore import brentq, end_state, end_state_zeros
 from .solutions import construct_basis
 from .triplets import boundary_vectors, decompose, pair_from_extension
 

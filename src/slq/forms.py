@@ -145,10 +145,10 @@ def _complex(integrate, fn, *args, **kw):
     """(value, error, converged, diverged) of integrate(fn, *args, **kw),
     where integrate is `panel` or `improper_integral` and fn may be complex.
 
-    fn is integrated as a real function.  quad refuses a node that returns
-    a complex number (a TypeError for a Python complex; `panel` turns
-    numpy's ComplexWarning into an error), and then the real and imaginary
-    parts are integrated on the same terms.
+    fn is integrated as a real function.  `quadrature.quad` refuses a node
+    that returns a complex number (float() raises TypeError on a Python
+    complex; `panel` turns numpy's ComplexWarning into an error), and then
+    the real and imaginary parts are integrated on the same terms.
     """
     try:
         parts = [integrate(fn, *args, **kw)]

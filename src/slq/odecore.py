@@ -12,17 +12,18 @@ degenerates.
 
 `rk_solve` is the one ODE integrator of the package.  It integrates a pair
 with an explicit Runge-Kutta pair in Python floats (complex numbers for
-complex lambda).  Its tableaux are read from scipy.integrate's RK45 and
-DOP853 classes and its step-size controller is theirs (Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6), so it takes scipy's steps without
-scipy's per-step array overhead.  Each method's step, with its error norm
-and its table row, is straight-line Python that one generator writes from
-the tableau, compiled on first use in one of two forms: for a
-CoefficientSet, once per method, with the emitted p, q and r inlined in
-every stage (`CoefficientSet.steps`); for any other right-hand side, such
-as the reduction tail, with a call to rhs(x, (u, v)) in each stage.  The
-weighted sums keep the tableau's order, so the arithmetic is that of a
-loop over the tableau, bit for bit.
+complex lambda).  Its tableaux (`tableaux`) and its step-size controller
+are those of scipy.integrate's RK45 and DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-II.6), so it takes scipy's steps without scipy's
+per-step array overhead; scipy itself is not imported.  Each method's
+step, with its error norm and its table row, is straight-line Python that
+one generator writes from the tableau, compiled on first use in one of two
+forms: for a CoefficientSet, once per method, with the emitted p, q and r
+inlined in every stage (`CoefficientSet.steps`); for any other right-hand
+side, such as the reduction tail, with a call to rhs(x, (u, v)) in each
+stage.  The weighted sums keep the tableau's order, so the arithmetic is
+that of a loop over the tableau, bit for bit.  A cap crossing is located
+by `brentq`, a port of scipy's Brent loop that the tests pin against it.
 
 `integrate_tau` and `end_state` use DOP853 (Dormand-Prince 8(5,3)), whose
 eighth order suits the tolerances of 1e-10 to 1e-11 that shooting asks
@@ -40,9 +41,8 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
-from scipy.optimize import brentq
 
+from . import tableaux
 from .errors import (
     EvaluationOutsideSupport,
     GridTooCoarse,
@@ -159,7 +159,7 @@ class Steps(NamedTuple):
 
 class _RungeKutta:
     """An explicit Runge-Kutta pair for the state (u, u^[1]), with the
-    tableau of scipy's solver class of the same name.
+    tableau of the `tableaux` class of the same name.
 
     Its step and table row are straight-line Python source generated from
     the tableau and compiled on first use, in one of two forms: `steps(rhs)`
@@ -234,7 +234,7 @@ class _RK45(_RungeKutta):
 
     def _row(self, evaluate):
         """The row, with Q = K^T P."""
-        p = self._tableau.P.T
+        p = list(zip(*self._tableau.P))
         return [f"return [t, h, u, {', '.join(_sum(c, 'ku') for c in p)}, "
                 f"v, {', '.join(_sum(c, 'kv') for c in p)}]"]
 
@@ -271,8 +271,74 @@ class _DOP853(_RungeKutta):
                 f"return [{', '.join(out)}]"]
 
 
-RK45 = _RK45(scipy.integrate.RK45)
-DOP853 = _DOP853(scipy.integrate.DOP853)
+RK45 = _RK45(tableaux.RK45)
+DOP853 = _DOP853(tableaux.DOP853)
+
+BRENTQ_MAXITER = 100
+
+
+def _root_value(f, x):
+    """f(x) as a float; a NaN raises scipy.optimize.brentq's ValueError."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
+
+
+def brentq(f, a, b, xtol, rtol):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4).
+
+    This is scipy.optimize.brentq's C loop step for step, so roots agree
+    bit for bit, and it raises scipy's errors: ValueError when f(a) and
+    f(b) have the same sign or f returns NaN, RuntimeError when
+    BRENTQ_MAXITER iterations do not converge to xtol + rtol |x|.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _root_value(f, xpre), _root_value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        # Bisect unless interpolation (secant, or inverse quadratic through
+        # the third point) takes a short enough step.
+        stry = math.nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # C's inf or nan: never a short step
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _root_value(f, xcur)
+    raise RuntimeError(
+        f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
 def _plain(c):
@@ -294,7 +360,8 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     where numpy's BLAS may fuse or reorder, so states agree with scipy's
     to rounding, not bit for bit.  With `cap`, integration stops where
     max(|u|, |u^[1]|) first reaches cap, located as scipy locates a
-    terminal event: brentq on the step's interpolant, xtol = rtol = 4 eps.
+    terminal event: `brentq` (scipy's, ported) on the step's interpolant,
+    xtol = rtol = 4 eps.
 
     Returns (x, (u, u^[1]), table): where integration stopped, the state
     there, and the StepTable of the steps when `dense` (else None).  A

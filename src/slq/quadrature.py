@@ -12,17 +12,27 @@ the distance to the endpoint only to ulp(endpoint)/|endpoint - x| relative.
 Refining a window past that resolution chases the rounding of its own
 nodes, so each window's relative tolerance is floored at
 NODE_RESOLUTION_FACTOR times it (see `improper_integral`).
+
+Every panel goes through `quad`, a port of QUADPACK's dqagse (Piessens, de
+Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983): the
+21-point Gauss-Kronrod rule dqk21, bisection of the subinterval of largest
+error in dqpsrt's ordering, and Wynn's epsilon algorithm dqelg.  Its
+operations are QUADPACK's in QUADPACK's order, so value, error estimate
+and evaluation count are those of scipy.integrate.quad on a finite
+interval, bit for bit; the tests pin them against it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
-from scipy.integrate import IntegrationWarning, quad
+
+from .expressions import _compiled
 
 DIVERGE_THRESHOLD = 1e12
 MAX_WINDOWS = 48
@@ -30,18 +40,375 @@ WINDOW_RATIO = 0.5
 NODE_RESOLUTION_FACTOR = 10.0
 TRUNCATION_TOL = 1e-14  # relative size of two last windows that ends a sweep
 
+# dqk21's abscissae XGK besides the midpoint (the odd ones are the 10-point
+# Gauss nodes), its weights WGK (the midpoint's last) and the Gauss weights
+# WG, as QUADPACK lists them.
+XGK = (0.995657163025808080735527280689003,
+       0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508,
+       0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042,
+       0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694,
+       0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866,
+       0.148874338981631210884826001129720)
+WGK = (0.011694638867371874278064396062192,
+       0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580,
+       0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366,
+       0.109387158802297641899210590325805,
+       0.123491976262065851077958109831074,
+       0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717,
+       0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+WG = (0.066671344308688137593568809893332,
+      0.149451349150580593145776339657697,
+      0.219086362515982043995534934228163,
+      0.269266719309996355091226921569469,
+      0.295524224714752870173892994651338)
+
+EPMACH = sys.float_info.epsilon
+UFLOW = sys.float_info.min
+OFLOW = sys.float_info.max
+
+
+def _qk21_source():
+    """Source of dqk21 unrolled: qk21(f, a, b) -> (result, abserr, resabs,
+    resasc), the node pairs in QUADPACK's order (Gauss nodes first) and
+    every sum in its order.  Each value f returns passes through float(),
+    which refuses a Python complex and warns on a numpy one."""
+    lines = ["centr = 0.5 * (a + b)",
+             "hlgth = 0.5 * (b - a)",
+             "fc = float(f(centr))",
+             f"resk = {WGK[10]!r} * fc",
+             "resabs = abs(resk)",
+             "resg = 0.0"]
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        lines += [f"absc = hlgth * {XGK[j]!r}",
+                  f"l{j} = float(f(centr - absc))",
+                  f"r{j} = float(f(centr + absc))",
+                  f"fsum = l{j} + r{j}"]
+        if j % 2:
+            lines.append(f"resg = resg + {WG[j // 2]!r} * fsum")
+        lines += [f"resk = resk + {WGK[j]!r} * fsum",
+                  f"resabs = resabs + {WGK[j]!r} * (abs(l{j}) + abs(r{j}))"]
+    lines += ["reskh = resk * 0.5",
+              f"resasc = {WGK[10]!r} * abs(fc - reskh)"]
+    lines += [f"resasc = resasc + {WGK[j]!r} * "
+              f"(abs(l{j} - reskh) + abs(r{j} - reskh))" for j in range(10)]
+    lines += ["dhlgth = abs(hlgth)",
+              "abserr = abs((resk - resg) * hlgth)",
+              "resabs = resabs * dhlgth",
+              "resasc = resasc * dhlgth",
+              # min(1, t**1.5) without the OverflowError of a huge t.
+              "if resasc != 0.0 and abserr != 0.0:",
+              "    t = 200.0 * abserr / resasc",
+              "    abserr = resasc * (t ** 1.5 if t < 1.0 else 1.0)",
+              f"if resabs > {UFLOW / (50.0 * EPMACH)!r}:",
+              f"    abserr = max({EPMACH * 50.0!r} * resabs, abserr)",
+              "return resk * hlgth, abserr, resabs, resasc"]
+    return "\n".join(["def qk21(f, a, b):", *["    " + ln for ln in lines]])
+
+
+_qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {})
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """dqpsrt: keep iord[1:] descending in elist after the bisection that
+    made intervals maxerr and last; return the next (maxerr, errmax,
+    nrmax).  Lists are 1-based, as in QUADPACK."""
+    if last <= 2:
+        iord[1], iord[2] = 1, 2
+        maxerr = iord[nrmax]
+        return maxerr, elist[maxerr], nrmax
+    errmax = elist[maxerr]
+    # A subdivision that increased the error moves maxerr up first.
+    for _ in range(nrmax - 1):
+        isucc = iord[nrmax - 1]
+        if errmax <= elist[isucc]:
+            break
+        iord[nrmax] = isucc
+        nrmax -= 1
+    jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+    errmin = elist[last]
+    jbnd = jupbn - 1
+    for i in range(nrmax + 1, jbnd + 1):
+        isucc = iord[i]
+        if errmax >= elist[isucc]:
+            # Insert errmax top-down at i - 1, then errmin bottom-up.
+            iord[i - 1] = maxerr
+            k = jbnd
+            for _ in range(i, jbnd + 1):
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last
+                    break
+                iord[k + 1] = isucc
+                k -= 1
+            else:
+                iord[i] = last
+            break
+        iord[i - 1] = isucc
+    else:
+        iord[jbnd] = maxerr
+        iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """dqelg: Wynn's epsilon algorithm on epstab[1:n + 1] (1-based), in
+    place.  Returns (n, result, abserr, nres), n the new table length."""
+    nres += 1
+    abserr = OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+    limexp = 50
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = OFLOW
+    num = k1 = n
+    for i in range(1, newelm + 1):
+        k2, k3 = k1 - 1, k1 - 2
+        res = epstab[k1 + 2]
+        e0, e1, e2 = epstab[k3], epstab[k2], res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * EPMACH
+        if not (err2 > tol2 or err3 > tol3):
+            # e0, e1 and e2 agree to machine accuracy: converged.
+            result = res
+            abserr = err2 + err3
+            return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * EPMACH
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        if not abs(ss * e1) > 1e-4:
+            # Irregular behaviour: omit part of the table.
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 -= 2
+        error = err2 + abs(res - e2) + err3
+        if error > abserr:
+            continue
+        abserr = error
+        result = res
+    # Shift the table.
+    if n == limexp:
+        n = 2 * (limexp // 2) - 1
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib += 2
+    if num != n:
+        epstab[1:n + 1] = epstab[num - n + 1:num + 1]
+    if nres < 4:
+        res3la[nres] = result
+        abserr = OFLOW
+    else:
+        abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                  + abs(result - res3la[1]))
+        res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
+    return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+
+
+def _qagse(f, a, b, epsabs, epsrel, limit):
+    """dqagse on [a, b], a < b: (result, abserr, last), last the number of
+    subintervals used."""
+    # dqagse's names for dqk21's resabs and resasc: defabs, resabs (and
+    # defab1, defab2 for the resasc of the halves).
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    errbnd = max(epsabs, epsrel * abs(result))
+    if (abserr <= 100.0 * EPMACH * defabs and abserr > errbnd) \
+            or limit == 1 or (abserr <= errbnd and abserr != resabs) \
+            or abserr == 0.0:
+        return result, abserr, 1
+    # The first pass failed (the rare case): lists 1-based, as in QUADPACK.
+    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
+    rlist, elist = [0.0] * (limit + 1), [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
+    rlist2, res3la = [0.0] * 53, [0.0] * 4
+    rlist2[1] = result
+    errmax, maxerr, area, errsum, abserr = abserr, 1, result, abserr, OFLOW
+    nrmax, nres, numrl2, ktmin = 1, 0, 2, 0
+    extrap = noext = False
+    iroff1 = iroff2 = iroff3 = ier = ierro = 0
+    small = erlarg = ertest = correc = 0.0
+    for last in range(2, limit + 1):
+        # Bisect the subinterval with the nrmax-th largest error estimate.
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        # Roundoff, the subdivision limit, or a bad point of the integrand.
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (
+                abs(a2) + 1000.0 * UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last], blist[last] = a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last] = a2
+            blist[maxerr], blist[last] = b1, b2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
+                                       nrmax)
+        if errsum <= errbnd:
+            return _sum(rlist, last), errsum, last
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # Extrapolate only once the smallest interval is to be bisected.
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # Bisect the larger intervals first while they hold errors.
+            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            large = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    large = True
+                    break
+                nrmax += 1
+            if large:
+                continue
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if not abseps >= abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+    # Choose between the extrapolated result and the sum of the intervals.
+    if abserr == OFLOW:
+        return _sum(rlist, last), errsum, last
+    if ier + ierro != 0:
+        if ierro == 3:
+            abserr = abserr + correc
+        if result != 0.0 and area != 0.0:
+            if abserr / abs(result) > errsum / abs(area):
+                return _sum(rlist, last), errsum, last
+        elif abserr > errsum:
+            return _sum(rlist, last), errsum, last
+    return result, abserr, last
+
+
+def _sum(rlist, last):
+    """rlist[1] + ... + rlist[last], in order from 0.0."""
+    total = 0.0
+    for k in range(1, last + 1):
+        total += rlist[k]
+    return total
+
+
+def quad(f, a, b, epsabs, epsrel, limit, full_output=0):
+    """(value, error) of the integral of f over the finite interval from a
+    to b, by dqagse with at most `limit` subintervals; with `full_output`,
+    (value, error, {"neval": evaluations of f}).
+
+    As scipy.integrate.quad does, it integrates over [min(a, b), max(a, b)]
+    and negates the value when b < a, and returns zeros when a == b.
+    """
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"quad integrates over finite limits, not ({a}, {b})")
+    if a == b:
+        val, err, neval = 0.0, 0.0, 0
+    else:
+        val, err, last = _qagse(f, min(a, b), max(a, b), epsabs, epsrel,
+                                limit)
+        neval = 42 * last - 21
+        if b < a:
+            val = -val
+    return (val, err, {"neval": neval}) if full_output else (val, err)
+
 
 def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
     """Integral of f over the finite panel [a, b] (orientation-signed).
 
-    Convergence warnings are silenced: the returned error estimate is what
-    callers act on, and near-singular panels routinely trip them.  f must
-    be real: quad raises TypeError on a Python complex, and numpy's
-    ComplexWarning is raised as an error here rather than letting quad
-    drop the imaginary part of a numpy complex.
+    The returned error estimate is what callers act on; a panel that
+    reaches the subdivision limit or QUADPACK's roundoff exits warns
+    nothing.  f must be real: `quad` raises TypeError on a Python complex,
+    and numpy's ComplexWarning is raised as an error here rather than
+    letting float() drop the imaginary part of a numpy complex.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
         warnings.simplefilter("error", ComplexWarning)
         val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val, err

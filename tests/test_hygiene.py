@@ -1,7 +1,10 @@
-"""Source hygiene: every module-level import in slq is used, and slq has
-one ODE integrator."""
+"""Source hygiene: every module-level import in slq is used, slq has one
+ODE integrator, and importing the CLI loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,29 @@ def test_one_ode_integrator(path):
     # odecore.rk_solve integrates every system; scipy's solve_ivp is not
     # a second path.
     assert "solve_ivp" not in path.read_text()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # slq's own QUADPACK, Brent and tableaux stand in for scipy's; scipy is
+    # a test dependency only.
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter: this test session has imported scipy itself.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, slq.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -6,14 +6,19 @@ import re
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from scipy.integrate import solve_ivp
+
+from slq import tableaux
 
 from slq.errors import SpecFileError
 from slq.functions import polynomial
 from slq.odecore import (
     DOP853,
+    EPS,
     RK45,
     _norm,
+    brentq,
     end_state,
     end_state_zeros,
     integrate_tau,
@@ -383,3 +388,63 @@ def test_tau_apply_finite_difference_path(legendre):
     x = 0.25
     want = 2 * x * math.cos(x) + (1 - x * x) * math.sin(x)
     assert vals[0] == pytest.approx(want, rel=1e-7)
+
+
+# -- the tableau literals and Brent's method against scipy -----------------
+
+@pytest.mark.parametrize("name, attr", [
+    *[("RK45", a) for a in ("n_stages", "error_estimator_order", "C", "A",
+                            "B", "E", "P")],
+    *[("DOP853", a) for a in ("n_stages", "error_estimator_order", "C", "A",
+                              "B", "E3", "E5", "D", "C_EXTRA", "A_EXTRA")]])
+def test_tableau_literals_equal_scipy(name, attr):
+    want = getattr(getattr(scipy.integrate, name), attr)
+    got = getattr(getattr(tableaux, name), attr)
+    assert np.array_equal(np.asarray(got), want)
+    assert np.asarray(got).shape == np.shape(want)
+
+
+def _brent_problem(rng, i):
+    """A bracketing problem: smooth, flat, steep, or a step (bisection
+    only), with ends in either order and sometimes np.float64."""
+    c, p = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 20.0)
+    f = [lambda x: math.tanh(p * (x - c)),
+         lambda x: (x - c) ** 3 + p * (x - c),
+         lambda x: math.exp(p * x) - math.exp(p * c),
+         lambda x: math.atan(x - c) ** 3,
+         lambda x: -1.0 if x < c else 1.0,
+         lambda x: math.sin(p * x + c)][i % 6]
+    a, b = rng.uniform(-5.0, c), rng.uniform(c, 5.0)
+    if i % 2:
+        a, b = b, a
+    if i % 3 == 0:
+        return f, np.float64(a), np.float64(b)
+    return f, float(a), float(b)
+
+
+def _root_or_error(solver, f, a, b, xtol):
+    try:
+        return float(solver(f, a, b, xtol=xtol, rtol=4 * EPS)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 4 * EPS])
+def test_brentq_reproduces_scipy(xtol):
+    rng = np.random.default_rng(11)
+    for i in range(600):
+        f, a, b = _brent_problem(rng, i)
+        want = _root_or_error(scipy.optimize.brentq, f, a, b, xtol)
+        assert _root_or_error(brentq, f, a, b, xtol) == want, (i, a, b)
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+    (lambda x: x - 0.5 if x < 0.9 else math.nan, 0.0, 1.0, ValueError),
+    # A step far from the middle of a huge bracket: only bisection, which
+    # needs about 1,700 halvings.
+    (lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 1e300, RuntimeError)])
+def test_brentq_raises_scipys_errors(f, a, b, error):
+    for solver in (scipy.optimize.brentq, brentq):
+        with pytest.raises(error):
+            solver(f, a, b, xtol=4 * EPS, rtol=4 * EPS)

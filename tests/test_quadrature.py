@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.integrate
 
 from slq.problem import catalog
 from slq.quadrature import (
@@ -12,6 +14,7 @@ from slq.quadrature import (
     improper_integral,
     interval_integral,
     panel,
+    quad,
 )
 
 
@@ -150,3 +153,67 @@ def test_accelerated_limit_harmonic_decay():
     us = list(range(1, 20))
     value, err, certified = accelerated_limit(sums, us)
     assert value == pytest.approx(1.0, abs=1e-8)
+
+
+# -- quad: the QUADPACK port against scipy.integrate.quad ------------------
+
+def _pin_integrand(kind, c, p):
+    """Integrands that exercise every exit of dqagse: one Gauss-Kronrod
+    pass, bisection, Wynn's epsilon algorithm (cusp, 1/sqrt and log
+    singularities) and the roundoff and subdivision-limit exits."""
+    return {
+        "smooth": lambda x: math.sin(p * x) * math.exp(-c * x),
+        "cusp": lambda x: abs(x - c) ** p,
+        "inverse_sqrt": lambda x: 1.0 / math.sqrt(abs(x - c) + 1e-300),
+        "log": lambda x: math.log(abs(x - c) + 1e-300),
+        "peak": lambda x: 1.0 / (1e-6 + (x - c) ** 2),
+        "oscillating": lambda x: math.sin(1.0 / (abs(x - c) + 0.02)),
+        "noisy": lambda x: math.exp(x) + 10.0 ** (-4 * p) * math.sin(1e10 * x),
+    }[kind]
+
+
+def test_quad_reproduces_scipy_quad():
+    rng = np.random.default_rng(2024)
+    kinds = ["smooth", "cusp", "inverse_sqrt", "log", "peak", "oscillating",
+             "noisy"]
+    subdivided = at_limit = extrapolated = roundoff = 0
+    for i in range(2000):
+        kind = kinds[i % len(kinds)]
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.choice([1.0, -1.0]) * rng.uniform(1e-6, 4.0)
+        c = rng.uniform(min(a, b), max(a, b))
+        f = _pin_integrand(kind, c, rng.uniform(0.1, 3.0))
+        epsabs = float(rng.choice([1e-14, 1e-13, 1e-10]))
+        epsrel = float(rng.choice([1e-12, 1e-10, 1e-6]))
+        limit = int(rng.choice([100, 30, 10, 3]))
+        if i % 3 == 0:
+            a, b = np.float64(a), np.float64(b)
+        else:
+            a, b = float(a), float(b)
+        want = scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+                                    limit=limit, full_output=1)
+        got = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                   full_output=1)
+        case = (kind, a, b, c, epsabs, epsrel, limit)
+        assert float(got[0]).hex() == float(want[0]).hex(), case
+        assert got[1].hex() == want[1].hex(), case
+        assert got[2]["neval"] == want[2]["neval"], case
+        subdivided += want[2]["neval"] > 21
+        at_limit += want[2]["last"] == limit
+        # A value other than the sum over the subintervals is extrapolated.
+        parts = want[2]["rlist"][:want[2]["last"]]
+        extrapolated += not math.isclose(abs(want[0]), abs(parts.sum()),
+                                         rel_tol=1e-14)
+        roundoff += len(want) > 3 and "roundoff" in want[3]
+    assert subdivided >= 1000 and at_limit >= 100
+    assert extrapolated >= 100 and roundoff >= 10
+
+
+def test_quad_empty_interval_is_zero_evaluations():
+    assert quad(math.exp, 1.5, 1.5, epsabs=1e-13, epsrel=1e-12, limit=200,
+                full_output=1) == (0.0, 0.0, {"neval": 0})
+
+
+def test_quad_refuses_infinite_limits():
+    with pytest.raises(ValueError):
+        quad(math.exp, -math.inf, 0.0, epsabs=1e-13, epsrel=1e-12, limit=200)
