@@ -467,8 +467,7 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
         if v1 == 0.0:
             root = float(lo)
         elif v1 * v2 < 0.0:
-            root = brentq(det_fn, lo, hi,
-                          xtol=tol, rtol=4.0 * np.finfo(float).eps)
+            root = brentq(det_fn, lo, hi, xtol=tol)
         else:
             continue
         results.append(Eigenvalue(

@@ -275,6 +275,7 @@ RK45 = _RK45(tableaux.RK45)
 DOP853 = _DOP853(tableaux.DOP853)
 
 BRENTQ_MAXITER = 100
+BRENTQ_RTOL = 4 * EPS
 
 
 def _root_value(f, x):
@@ -286,7 +287,7 @@ def _root_value(f, x):
     return fx
 
 
-def brentq(f, a, b, xtol, rtol):
+def brentq(f, a, b, xtol):
     """A root of f in [a, b], where f(a) and f(b) differ in sign, by
     Brent's method (Brent, Algorithms for Minimization without Derivatives,
     1973, ch. 4).
@@ -294,7 +295,7 @@ def brentq(f, a, b, xtol, rtol):
     This is scipy.optimize.brentq's C loop step for step, so roots agree
     bit for bit, and it raises scipy's errors: ValueError when f(a) and
     f(b) have the same sign or f returns NaN, RuntimeError when
-    BRENTQ_MAXITER iterations do not converge to xtol + rtol |x|.
+    BRENTQ_MAXITER iterations do not converge to xtol + BRENTQ_RTOL |x|.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -312,7 +313,7 @@ def brentq(f, a, b, xtol, rtol):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + BRENTQ_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -449,7 +450,7 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
             if g_old <= 0 <= g or g <= 0 <= g_old:
                 at = _KERNELS[method.n_coef]
                 t_new = brentq(lambda x: level(*at(row, 0, x)), t, t_new,
-                               xtol=4 * EPS, rtol=4 * EPS)
+                               xtol=4 * EPS)
                 un, vn = at(row, 0, t_new)
                 stop = True
         if dense:

@@ -33,6 +33,7 @@ import numpy as np
 from numpy.exceptions import ComplexWarning
 
 from .expressions import _compiled
+from .odecore import EPS
 
 DIVERGE_THRESHOLD = 1e12
 MAX_WINDOWS = 48
@@ -70,7 +71,6 @@ WG = (0.066671344308688137593568809893332,
       0.269266719309996355091226921569469,
       0.295524224714752870173892994651338)
 
-EPMACH = sys.float_info.epsilon
 UFLOW = sys.float_info.min
 OFLOW = sys.float_info.max
 
@@ -107,8 +107,8 @@ def _qk21_source():
               "if resasc != 0.0 and abserr != 0.0:",
               "    t = 200.0 * abserr / resasc",
               "    abserr = resasc * (t ** 1.5 if t < 1.0 else 1.0)",
-              f"if resabs > {UFLOW / (50.0 * EPMACH)!r}:",
-              f"    abserr = max({EPMACH * 50.0!r} * resabs, abserr)",
+              f"if resabs > {UFLOW / (50.0 * EPS)!r}:",
+              f"    abserr = max({EPS * 50.0!r} * resabs, abserr)",
               "return resk * hlgth, abserr, resabs, resasc"]
     return "\n".join(["def qk21(f, a, b):", *["    " + ln for ln in lines]])
 
@@ -166,7 +166,7 @@ def _qelg(n, epstab, res3la, nres):
     abserr = OFLOW
     result = epstab[n]
     if n < 3:
-        return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+        return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
     limexp = 50
     epstab[n + 2] = epstab[n]
     newelm = (n - 1) // 2
@@ -179,20 +179,20 @@ def _qelg(n, epstab, res3la, nres):
         e1abs = abs(e1)
         delta2 = e2 - e1
         err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * EPMACH
+        tol2 = max(abs(e2), e1abs) * EPS
         delta3 = e1 - e0
         err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * EPMACH
+        tol3 = max(e1abs, abs(e0)) * EPS
         if not (err2 > tol2 or err3 > tol3):
             # e0, e1 and e2 agree to machine accuracy: converged.
             result = res
             abserr = err2 + err3
-            return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+            return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
         e3 = epstab[k1]
         epstab[k1] = e1
         delta1 = e1 - e3
         err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * EPMACH
+        tol1 = max(e1abs, abs(e3)) * EPS
         if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
             n = i + i - 1
             break
@@ -225,7 +225,7 @@ def _qelg(n, epstab, res3la, nres):
         abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
                   + abs(result - res3la[1]))
         res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
-    return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
+    return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
 
 
 def _qagse(f, a, b, epsabs, epsrel, limit):
@@ -235,7 +235,7 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     # defab1, defab2 for the resasc of the halves).
     result, abserr, defabs, resabs = _qk21(f, a, b)
     errbnd = max(epsabs, epsrel * abs(result))
-    if (abserr <= 100.0 * EPMACH * defabs and abserr > errbnd) \
+    if (abserr <= 100.0 * EPS * defabs and abserr > errbnd) \
             or limit == 1 or (abserr <= errbnd and abserr != resabs) \
             or abserr == 0.0:
         return result, abserr, 1
@@ -283,7 +283,7 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             ierro = 3
         if last == limit:
             ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPS) * (
                 abs(a2) + 1000.0 * UFLOW):
             ier = 4
         if error2 > error1:
