@@ -146,9 +146,9 @@ def _complex(integrate, fn, *args, **kw):
     where integrate is `panel` or `improper_integral` and fn may be complex.
 
     fn is integrated as a real function.  `quadrature.quad` refuses a node
-    that returns a complex number (float() raises TypeError on a Python
-    complex; `panel` turns numpy's ComplexWarning into an error), and then
-    the real and imaginary parts are integrated on the same terms.
+    that returns a complex number (TypeError on a Python complex, numpy's
+    ComplexWarning on a numpy one), and then the real and imaginary parts
+    are integrated on the same terms.
     """
     try:
         parts = [integrate(fn, *args, **kw)]

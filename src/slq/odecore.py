@@ -347,7 +347,7 @@ def _plain(c):
 
 
 def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
-             cap=None, zeros=False):
+             cap=None, zeros=False, first_step=None):
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
     method is RK45 or DOP853.  rhs(x, (u, u1)) returns the derivative pair,
@@ -357,22 +357,26 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     The arithmetic is that of scipy.integrate's solver of that name with
     the same rtol and atol, in Python numbers: the initial-step rule,
     min_step, the SAFETY, MIN and MAX factors, the error norms, and a
-    factor capped at 1 after a rejection.  The sums run in a fixed order
-    where numpy's BLAS may fuse or reorder, so states agree with scipy's
-    to rounding, not bit for bit.  With `cap`, integration stops where
-    max(|u|, |u^[1]|) first reaches cap, located as scipy locates a
-    terminal event: `brentq` (scipy's, ported) on the step's interpolant,
-    xtol = rtol = 4 eps.
+    factor capped at 1 after a rejection.  A given `first_step` replaces
+    the initial-step rule and its RHS call, as scipy's first_step does; a
+    first step past target is cut there, as every step is.  The sums run
+    in a fixed order where numpy's BLAS may fuse or reorder, so states
+    agree with scipy's to rounding, not bit for bit.  With `cap`,
+    integration stops where max(|u|, |u^[1]|) first reaches cap, located
+    as scipy locates a terminal event: `brentq` (scipy's, ported) on the
+    step's interpolant, xtol = rtol = 4 eps.
 
     Returns (x, (u, u^[1]), table): where integration stopped, the state
     there, and the StepTable of the steps when `dense` (else None).  A
     step cut by the cap keeps its whole row, and the table ends at the
-    event point.  Each state adds to the one before it, so a non-finite
-    state stays non-finite: checking the returned state checks them all.
-    With `zeros`, for a real state, a fourth item counts the sign changes
-    of u over the accepted steps: the zeros of u passed, a zero at the
-    anchor not among them.  Counting reads the accepted states only, so
-    every step, state and row is the same without it.
+    event point.  The table's `h_next` is the step the controller proposed
+    after the last step, the `first_step` of a solve that goes on from
+    where this one stopped.  Each state adds to the one before it, so a
+    non-finite state stays non-finite: checking the returned state checks
+    them all.  With `zeros`, for a real state, a fourth item counts the
+    sign changes of u over the accepted steps: the zeros of u passed, a
+    zero at the anchor not among them.  Counting reads the accepted states
+    only, so every step, state and row is the same without it.
     """
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
     rhs, step = steps.rhs, steps.step
@@ -386,27 +390,28 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     if t == t_bound:
         # scipy's zero-length solve: one constant step.
         table = StepTable([t, t], [_constant_step(t, (u, v), method.n_coef)],
-                          method.n_coef)
+                          method.n_coef, first_step)
         out = t, (u, v), table if dense else None
         return out + (count,) if zeros else out
     direction = 1.0 if t_bound > t else -1.0
     fu, fv = rhs(t, (u, v))
-
-    # Initial step (select_initial_step).
-    length = abs(t_bound - t)
-    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0 = _norm(u / su, v / sv) / _SQRT2
-    d1 = _norm(fu / su, fv / sv) / _SQRT2
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    gu, gv = rhs(t + h0 * direction, (u + h0 * direction * fu,
-                                      v + h0 * direction * fv))
-    d2 = _norm((gu - fu) / su, (gv - fv) / sv) / _SQRT2 / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (method.order + 1))
-    h_abs = min(100 * h0, h1, length)
+    h_abs = first_step
+    if h_abs is None:
+        # Initial step (select_initial_step).
+        length = abs(t_bound - t)
+        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+        d0 = _norm(u / su, v / sv) / _SQRT2
+        d1 = _norm(fu / su, fv / sv) / _SQRT2
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, length)
+        gu, gv = rhs(t + h0 * direction, (u + h0 * direction * fu,
+                                          v + h0 * direction * fv))
+        d2 = _norm((gu - fu) / su, (gv - fv) / sv) / _SQRT2 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (method.order + 1))
+        h_abs = min(100 * h0, h1, length)
 
     if cap is not None:
         log_cap = math.log(cap)
@@ -466,7 +471,7 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
         if stop:
             break
         fu, fv = ku[method.n_stages], kv[method.n_stages]
-    table = StepTable(ts, rows, method.n_coef) if dense else None
+    table = StepTable(ts, rows, method.n_coef, h_abs) if dense else None
     out = t, (u, v), table
     return out + (count,) if zeros else out
 
@@ -483,12 +488,14 @@ class StepTable:
     operations of scipy's RkDenseOutput and Dop853DenseOutput (Hairer,
     Norsett & Wanner, Solving ODEs I, II.6).  At a step point it takes the
     step scipy's OdeSolution takes, the earlier one in integration order;
-    beyond the ends it extends the end step.
+    beyond the ends it extends the end step.  `h_next`, None unless
+    given, is the step the controller proposed after the last one.
     """
 
-    __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel")
+    __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel",
+                 "h_next")
 
-    def __init__(self, ts, rows, n_coef):
+    def __init__(self, ts, rows, n_coef, h_next=None):
         # Rows run in ascending x, so a bisection index is a row index.
         self._right = ts[-1] < ts[0]
         if self._right:
@@ -499,6 +506,7 @@ class StepTable:
         self._width = len(rows[0])
         self._last = len(rows) - 1
         self._kernel = _KERNELS[n_coef]
+        self.h_next = h_next
 
     @property
     def t(self):

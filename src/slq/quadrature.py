@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +74,40 @@ UFLOW = sys.float_info.min
 OFLOW = sys.float_info.max
 
 
+def _real(v):
+    """A node value that is not a float, as a float.  A complex value is
+    refused: float() raises TypeError on a Python complex, and a numpy
+    complex, which float() would only warn about and cut to its real part,
+    raises numpy's ComplexWarning."""
+    if isinstance(v, np.complexfloating) or (
+            isinstance(v, np.ndarray) and v.dtype.kind == "c"):
+        raise ComplexWarning(
+            "Casting complex values to real discards the imaginary part")
+    return float(v)
+
+
+def _node(name, x):
+    """Source lines that set `name` to f(x) as a float (see `_real`)."""
+    return [f"{name} = f({x})",
+            f"if {name}.__class__ is not float:",
+            f"    {name} = _real({name})"]
+
+
 def _qk21_source():
     """Source of dqk21 unrolled: qk21(f, a, b) -> (result, abserr, resabs,
     resasc), the node pairs in QUADPACK's order (Gauss nodes first) and
-    every sum in its order.  Each value f returns passes through float(),
-    which refuses a Python complex and warns on a numpy one."""
+    every sum in its order.  A value f returns that is not a float passes
+    through `_real`, which refuses a complex one."""
     lines = ["centr = 0.5 * (a + b)",
              "hlgth = 0.5 * (b - a)",
-             "fc = float(f(centr))",
+             *_node("fc", "centr"),
              f"resk = {WGK[10]!r} * fc",
              "resabs = abs(resk)",
              "resg = 0.0"]
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
         lines += [f"absc = hlgth * {XGK[j]!r}",
-                  f"l{j} = float(f(centr - absc))",
-                  f"r{j} = float(f(centr + absc))",
+                  *_node(f"l{j}", "centr - absc"),
+                  *_node(f"r{j}", "centr + absc"),
                   f"fsum = l{j} + r{j}"]
         if j % 2:
             lines.append(f"resg = resg + {WG[j // 2]!r} * fsum")
@@ -113,7 +131,7 @@ def _qk21_source():
     return "\n".join(["def qk21(f, a, b):", *["    " + ln for ln in lines]])
 
 
-_qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {})
+_qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {"_real": _real})
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -404,14 +422,11 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
 
     The returned error estimate is what callers act on; a panel that
     reaches the subdivision limit or QUADPACK's roundoff exits warns
-    nothing.  f must be real: `quad` raises TypeError on a Python complex,
-    and numpy's ComplexWarning is raised as an error here rather than
-    letting float() drop the imaginary part of a numpy complex.
+    nothing.  f must be real: `quad` raises TypeError on a Python complex
+    and numpy's ComplexWarning on a numpy complex, rather than dropping
+    its imaginary part.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ComplexWarning)
-        val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
-    return val, err
+    return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
 
 
 def _aitken(seq):

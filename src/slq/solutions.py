@@ -11,7 +11,10 @@ W(u_hat, u) = 1 holds exactly.
 The march (`march_windows`) is odecore.rk_solve with RK45 and a cap: a
 leg stops where max(|u|, |u^[1]|) reaches the cap, and the next one
 starts from the state divided by that size, its logarithm added to the
-segment's log scale.  It also serves the endpoint probes in `classify`.
+segment's log scale.  Every leg after the first, in the same window or
+the next, starts with the step the controller proposed at the end of the
+leg before, so only the first runs scipy's initial-step rule.  The march
+also serves the endpoint probes in `classify`.
 The reduction tail T' = -1/(p w^2) (`_tail_ode`) runs on the same
 integrator as the pair (T, 0).
 """
@@ -47,7 +50,10 @@ def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
     """March from pts[0] through the window points pts[1:].
 
     The state is renormalized whenever it reaches `cap` (see the module
-    docstring), so a window can take several legs.  After each window it
+    docstring), so a window can take several legs.  Each leg after the
+    first takes as its first step the one the controller proposed at the
+    end of the leg before (`StepTable.h_next`): neither a window edge nor
+    a renormalization restarts the controller.  After each window it
     yields (trajectory, first, zeros, L): the ScaledSolution so far, the
     index in its `segments` of the window's first segment, the sign
     changes of u in the window, counted by rk_solve over the accepted
@@ -58,13 +64,14 @@ def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
     steps = spec.coeffs.steps(RK45)(_plain(lam))
     count = not isinstance(lam, complex)
     scaled = ScaledSolution(lam)
-    x, y, L = pts[0], init, 0.0
+    x, y, L, h = pts[0], init, 0.0, None
     for x1 in pts[1:]:
         first, zeros = len(scaled.segments), 0
         for _ in range(200):
             x, y, table, *n = rk_solve(RK45, steps, x, y, x1, tol,
                                        tol * 1e-3, dense=True, cap=cap,
-                                       zeros=count)
+                                       zeros=count, first_step=h)
+            h = table.h_next
             if not all(map(cmath.isfinite, y)):
                 raise NonFiniteState("state overflowed despite rescaling cap")
             scaled.add_segment(table, L)

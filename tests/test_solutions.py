@@ -94,6 +94,41 @@ def test_free_halfline_principal_is_bounded(free_halfline_bases):
     assert ratio2 < ratio1
 
 
+def test_march_carries_its_step_across_windows(free_halfline, monkeypatch):
+    # RK45 is exact on u = 1 and u_hat = c0 - x, so the controller grows
+    # its step tenfold while the windows double: a window that starts from
+    # the step proposed at the end of the one before takes one or two.
+    windows = []
+    march = solutions.march_windows
+
+    def counted(*args, **kw):
+        for item in march(*args, **kw):
+            windows.append(item)
+            yield item
+
+    monkeypatch.setattr(solutions, "march_windows", counted)
+    basis = construct_basis(free_halfline, "b")
+    assert isinstance(basis.u, solutions.ScalarMultiple)
+    steps = sum(len(table.t) - 1 for table, _ in
+                basis.u.fn.segments + basis.u_hat.segments)
+    assert len(windows) > 90
+    assert steps <= 3 * len(windows)
+
+
+def test_free_halfline_basis_is_exact(free_halfline_bases):
+    # u = 1 and u_hat = c0 - x solve -u'' = 0 with W(u_hat, u) = 1, and
+    # RK45 reproduces polynomials of degree one exactly.
+    basis = free_halfline_bases[1]
+    c0 = basis.anchor
+    for x in np.linspace(*basis.trust_interval, 201):
+        u, u1 = basis.u.pair(x)
+        h, h1 = basis.u_hat.pair(x)
+        assert u == pytest.approx(1.0, rel=1e-12)
+        assert abs(u1) <= 1e-12
+        assert h == pytest.approx(c0 - x, rel=1e-12)
+        assert h1 == pytest.approx(-1.0, rel=1e-12)
+
+
 def test_trust_interval_brackets_anchor(oscillator_bases):
     for basis in oscillator_bases:
         lo, hi = basis.trust_interval
