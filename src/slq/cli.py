@@ -13,6 +13,7 @@ under --strict, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -39,7 +40,6 @@ from .extensions import (
 )
 from .forms import (
     FormWindow,
-    _regime_of,
     green_identity_residual,
     q_base,
     q_decorated,
@@ -114,21 +114,38 @@ def _base_report(command, spec, args):
     }
 
 
+def _finite(text):
+    """A number on the command line: a finite float, else SpecFileError."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SpecFileError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise SpecFileError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_probe(text):
     try:
-        return complex(text.strip().replace("i", "j"))
+        z = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise SpecFileError(f"bad probe value {text!r}")
+    if not cmath.isfinite(z):
+        raise SpecFileError(f"probe {text!r} is not finite")
+    return z
 
 
 def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise SpecFileError("--window expects 'c,d'")
-    try:
-        return FormWindow(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise SpecFileError(f"bad window {text!r}")
+    return FormWindow(*map(_finite, parts))
+
+
+def _regime_name(ends):
+    """The report's name of the regime with limit-circle ends `ends`:
+    "lc_lc", "lc_lp", "lp_lc" or "lp_lp"."""
+    return "_".join("lc" if end in ends else "lp" for end in "ab")
 
 
 def _build_bases(spec):
@@ -146,19 +163,12 @@ def _resolve_function(token, spec, bases):
     if token == "sin":
         return ExprFunction(spec, "sin(x)")
     if token.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in token[5:].split(",")]
-        except ValueError:
-            raise SpecFileError(f"bad poly coefficients in {token!r}")
-        return polynomial(spec, coeffs)
+        return polynomial(spec, [_finite(c) for c in token[5:].split(",")])
     if token.startswith("bump:"):
         parts = token[5:].split(",")
         if len(parts) != 2:
             raise SpecFileError("bump takes center,width")
-        try:
-            return BumpFn(spec, center=float(parts[0]), width=float(parts[1]))
-        except ValueError:
-            raise SpecFileError(f"bad bump parameters in {token!r}")
+        return BumpFn(spec, center=_finite(parts[0]), width=_finite(parts[1]))
     if token in ("v1", "v2"):
         pp = patched_pair(spec, bases[0], bases[1])
         return pp.v1 if token == "v1" else pp.v2
@@ -268,14 +278,13 @@ def cmd_form(spec, ext_doc, args):
     classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     ext = _extension_of(ext_doc, classification)
     bases = _build_bases(spec)
-    regime = _regime_of(lc_ends(classification))
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
     fv = q_decorated(spec, bases, window, ext, f, g, tol=args.tol)
     report["form"] = {
         "extension": ext.variant,
-        "regime": regime,
+        "regime": _regime_name(ext.lc_ends),
         "value": fv.value,
         "error": fv.error,
         "window": [fv.window.c, fv.window.d],
@@ -289,14 +298,14 @@ def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
     classification = classify_both(spec, probe_z=_parse_probe(args.probe))
     bases = _build_bases(spec)
-    regime = _regime_of(lc_ends(classification))
+    regime = lc_ends(classification)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     window = _parse_window(args.window) if args.window else None
     resid = green_identity_residual(spec, bases, window, f, g, regime=regime)
     passed = bool(abs(resid) <= args.tol)
     report["green_check"] = {
-        "regime": regime,
+        "regime": _regime_name(regime),
         "residual": resid,
         "abs_residual": abs(resid),
         "tolerance": args.tol,
@@ -356,12 +365,11 @@ def cmd_triplet(spec, ext_doc, args):
         # independent check of the decoration is the hand-written oracle
         # in tests/test_acceptance.py.
         bases = _build_bases(spec)
-        regime = _regime_of(ext.lc_ends)
         samples = _cross_path_samples(spec)
         checks = []
         for f, g in samples:
             try:
-                base = q_base(spec, bases, None, regime, f, g)
+                base = q_base(spec, bases, None, ext.lc_ends, f, g)
                 q1 = q_decorated(spec, bases, None, ext, f, g,
                                  base=base).value
                 q2 = form_from_relation(spec, bases, None, ext, f, g,
@@ -407,7 +415,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Options that several subcommands read.
-TOL = {"type": float, "default": 1e-6}
+TOL = {"type": _finite, "default": 1e-6}
 PROBE = {"default": "1j"}
 WINDOW = {"default": None}
 REQUIRED = {"required": True}
@@ -439,8 +447,8 @@ def build_parser():
     add("green-check", cmd_green_check, tol=TOL, probe=PROBE, window=WINDOW,
         f=REQUIRED, g=REQUIRED)
     add("eig", cmd_eig, tol=TOL, probe=PROBE,
-        lmin={"type": float, "default": 0.0},
-        lmax={"type": float, "default": 10.0},
+        lmin={"type": _finite, "default": 0.0},
+        lmax={"type": _finite, "default": 10.0},
         grid={"type": int, "default": 64, "help": (
             "lambda grid cells per unit of the range; each bracket is a grid "
             "cell or a piece of one.  Separated, one-LC and LP-LP conditions "

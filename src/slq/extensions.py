@@ -1,17 +1,22 @@
-"""Self-adjoint extensions: catalog, boundary residuals, eigenvalue shooting.
+"""Self-adjoint extensions: one boundary-condition type, residuals, shooting.
 
-Extensions are parametrized by boundary conditions in generalized boundary
-value coordinates.  A separated extension imposes one angle t at each of
-its limit-circle ends, sin(t) g~' + cos(t) g~ = 0 there (`Separated` at
-both ends, `OneLC` at one, `LpLp` at none); a coupled one imposes
-(g~(b), g~'(b)) = exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R).
-`ExtensionSpec.angles` says which: {end: t} for a separated extension,
-None for a coupled one.  `triplets.pair_from_extension` writes each
-condition as one boundary relation B Gamma0 g = A Gamma1 g, which
-residuals read; `ExtensionSpec.relation` is that relation decomposed, from
-which `forms.q_decorated` takes the decoration of every extension's form.
-Shooting starts from each end's angle; it reads the pair only for a
-coupled condition.
+Every self-adjoint extension is one `ExtensionSpec`: the self-adjoint
+boundary relation B Gamma0 g = A Gamma1 g over its limit-circle ends, in
+generalized boundary value coordinates Gamma0 g = (g~(e))_e and
+Gamma1 g = (SIGMA[e] g~'(e))_e (Behrndt, Hassi & de Snoo, Boundary Value
+Problems, Weyl Functions, and Differential Operators, 2020, ch. 6).  Its
+pair (A, B) is validated once, when the condition is made, and its
+decomposition `relation` once, on first use; residuals, shooting and
+`forms.q_decorated` read them.
+
+The catalog's conditions are constructors of that type.  `Separated`
+imposes one angle t at each of two LC ends, sin(t) g~' + cos(t) g~ = 0
+there, `OneLC` one angle at one end, `LpLp` nothing (no LC end); `Coupled`
+imposes (g~(b), g~'(b)) = exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R).
+`ExtensionSpec.variant` names the kind back from the number of ends and
+whether the pair is diagonal.  Shooting starts a diagonal pair from each
+end's row and counts the eigenvalue index; any other pair goes through the
+GBV transfer.
 """
 
 from __future__ import annotations
@@ -30,102 +35,121 @@ from .errors import (
     SpecFileError,
     VariantMismatch,
 )
+from .forms import SIGMA
 from .odecore import brentq, end_state, end_state_zeros
+from .problem import finite_number
 from .solutions import construct_basis
-from .triplets import boundary_vectors, decompose, pair_from_extension
+from .triplets import SAPair, boundary_vectors, decompose, validate_pair
 
 
+@dataclass(frozen=True, eq=False)
 class ExtensionSpec:
-    """Base class for extension descriptions.
+    """The self-adjoint boundary condition B Gamma0 g = A Gamma1 g over the
+    limit-circle ends `lc_ends`, a subset of ("a", "b") in order.
 
-    `angles` is {end: angle} with one angle per limit-circle end for a
-    separated condition, and None for a coupled one.  `lc_ends` names the
-    limit-circle endpoints whose generalized boundary values the condition
-    constrains, in a separated condition the ends of its angles;
-    `triplets.pair_from_extension` writes the condition itself as a
-    boundary relation over them.
+    Made from `lc_ends` and the matrices (A, B), n x n with n the number of
+    ends; `pair` is then the validated SAPair, whose arrays are read-only.
+    Two conditions are equal when their ends and pairs are.
     """
 
-    variant = None
-    angles = None
+    lc_ends: tuple
+    pair: SAPair
+
+    def __post_init__(self):
+        pair = validate_pair(*self.pair)
+        if pair.n != len(self.lc_ends):
+            raise ValueError(f"a {pair.n}x{pair.n} pair over the ends "
+                             f"{self.lc_ends}")
+        for m in (pair.A, pair.B):
+            m.setflags(write=False)
+        object.__setattr__(self, "pair", pair)
+
+    def _key(self):
+        return (self.lc_ends,
+                *(tuple(m.ravel().tolist()) for m in (self.pair.A,
+                                                      self.pair.B)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtensionSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
-    def lc_ends(self):
-        return tuple(self.angles)
+    def variant(self):
+        """The kind of condition: "lp_lp", "one_lc" or "separated" for a
+        diagonal pair over 0, 1 or 2 LC ends, and "coupled" otherwise."""
+        if not _diagonal(self.pair):
+            return "coupled"
+        return ("lp_lp", "one_lc", "separated")[len(self.lc_ends)]
 
     @cached_property
     def relation(self):
         """The condition's boundary relation, decomposed into its operator
         part Theta and multivalued part; computed once per extension."""
-        return decompose(pair_from_extension(self))
+        return decompose(self.pair)
+
+
+def _diagonal(pair):
+    """True when each row of the pair constrains one end alone."""
+    return all(np.array_equal(m, np.diag(np.diag(m)))
+               for m in (pair.A, pair.B))
 
 
 def _check_angle(name, value):
-    v = float(value)
+    v = finite_number(name, value)
     if not (0.0 <= v < math.pi):
         raise SpecFileError(f"{name} must lie in [0, pi), got {v}")
     return v
 
 
-@dataclass(frozen=True)
-class Separated(ExtensionSpec):
-    alpha: float
-    beta: float
-    variant = "separated"
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
-        object.__setattr__(self, "beta", _check_angle("beta", self.beta))
-
-    @property
-    def angles(self):
-        return {"a": self.alpha, "b": self.beta}
+def _separated(angles):
+    """The diagonal condition of one angle t per LC end, {end: t}: the row
+    sin(t) g~' + cos(t) g~ = 0 is B = cos t, A = -SIGMA[end] sin t."""
+    return ExtensionSpec(tuple(angles), (
+        np.diag([-SIGMA[end] * math.sin(t) for end, t in angles.items()]),
+        np.diag([math.cos(t) for t in angles.values()])))
 
 
-@dataclass(frozen=True)
-class Coupled(ExtensionSpec):
-    phi: float
-    R: tuple
-    variant = "coupled"
-    lc_ends = ("a", "b")
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _check_angle("phi", self.phi))
-        R = np.asarray(self.R, dtype=float)
-        if R.shape != (2, 2):
-            raise SpecFileError("R must be a 2x2 real matrix")
-        det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
-        if abs(det - 1.0) > 1e-12 * max(1.0, float(np.max(np.abs(R))) ** 2):
-            raise SpecFileError(f"R must have determinant 1, got {det}")
-        object.__setattr__(self, "R", tuple(map(tuple, R.tolist())))
-
-    def matrix(self):
-        return np.asarray(self.R, dtype=float)
+def Separated(alpha, beta):
+    """Angle alpha at a and beta at b, both limit circle."""
+    return _separated({"a": _check_angle("alpha", alpha),
+                       "b": _check_angle("beta", beta)})
 
 
-@dataclass(frozen=True)
-class OneLC(ExtensionSpec):
-    alpha: float
-    lc_endpoint: str
-    variant = "one_lc"
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
-        if self.lc_endpoint not in ("a", "b"):
-            raise SpecFileError("lc_endpoint must be 'a' or 'b'")
-
-    @property
-    def angles(self):
-        return {self.lc_endpoint: self.alpha}
+def OneLC(alpha, lc_endpoint):
+    """Angle alpha at the one limit-circle end `lc_endpoint`."""
+    if lc_endpoint not in ("a", "b"):
+        raise SpecFileError("lc_endpoint must be 'a' or 'b'")
+    return _separated({lc_endpoint: _check_angle("alpha", alpha)})
 
 
-@dataclass(frozen=True)
-class LpLp(ExtensionSpec):
-    variant = "lp_lp"
+def LpLp():
+    """No limit-circle end: the empty condition."""
+    return _separated({})
 
-    @property
-    def angles(self):
-        return {}
+
+def Coupled(phi, R):
+    """(g~(b), g~'(b)) = exp(i phi) R (g~(a), g~'(a)), R in SL(2, R)."""
+    phi = _check_angle("phi", phi)
+    try:
+        rows = [[finite_number("R", x) for x in row] for row in R]
+    except TypeError:
+        rows = []
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise SpecFileError("R must be a 2x2 real matrix")
+    R = np.array(rows)
+    # det R is good to a few roundings of its two products.
+    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
+    scale = abs(R[0, 0] * R[1, 1]) + abs(R[0, 1] * R[1, 0])
+    if not abs(det - 1.0) <= 1e-12 * max(1.0, scale):
+        raise SpecFileError(f"R must have determinant 1, got {det}")
+    e = cmath.exp(1j * phi)
+    return ExtensionSpec(("a", "b"), (
+        -np.array([[e * R[0, 1], 0.0], [e * R[1, 1], 1.0]], dtype=complex),
+        np.array([[e * R[0, 0], -1.0], [e * R[1, 0], 0.0]], dtype=complex)))
 
 
 def extension_from_dict(doc):
@@ -157,47 +181,34 @@ def extension_from_dict(doc):
     raise SpecFileError(f"unknown extension kind {kind!r}")
 
 
-def _kinds(classification):
-    out = {}
-    for e in ("a", "b"):
-        c = classification[e]
-        out[e] = c.kind if hasattr(c, "kind") else c
-    return out
-
-
 def lc_ends(classification):
     """The limit-circle endpoints of a classification, in order: a subset
     of ("a", "b")."""
-    kinds = _kinds(classification)
-    return tuple(e for e in ("a", "b") if kinds[e] == LIMIT_CIRCLE)
+    return tuple(e for e in ("a", "b")
+                 if classification[e].kind == LIMIT_CIRCLE)
 
 
 def check_variant(ext, classification):
     """Raise VariantMismatch unless the extension's limit-circle ends are
     the classification's."""
-    kinds = _kinds(classification)
-    if ext.lc_ends != lc_ends(kinds):
+    ends = lc_ends(classification)
+    if ext.lc_ends != ends:
         raise VariantMismatch(
             f"{ext.variant} needs limit-circle ends {ext.lc_ends}, "
-            f"classification is {kinds}"
+            f"the classification's are {ends}"
         )
-    return kinds
 
 
 def friedrichs_spec(classification):
-    """The Friedrichs extension for the given classification pair."""
-    ends = lc_ends(classification)
-    if len(ends) == 2:
-        return Separated(0.0, 0.0)
-    if len(ends) == 1:
-        return OneLC(0.0, ends[0])
-    return LpLp()
+    """The Friedrichs extension: angle 0 at every limit-circle end of the
+    classification."""
+    return _separated({end: 0.0 for end in lc_ends(classification)})
 
 
 def boundary_residual(ext, gbv_a, gbv_b):
     """Residual B Gamma0 g - A Gamma1 g of the extension's boundary relation
     for the given GBV data."""
-    pair = pair_from_extension(ext)
+    pair = ext.pair
     g0, g1 = boundary_vectors({"a": gbv_a, "b": gbv_b}, ext.lc_ends)
     return pair.B @ g0 - pair.A @ g1
 
@@ -273,17 +284,20 @@ def _lp_init(spec, endpoint, lam):
     return x0, (1.0, -sign * kappa)
 
 
-def _side_start(spec, angles, bases, side, lam):
-    """Initial data of the solution that meets the condition at one side.
+def _side_start(spec, ext, basis, side, lam):
+    """Initial data of the solution that meets a diagonal condition at one
+    side.
 
-    u_hat has GBV data (1, 0) and u has (0, 1), so y = sin(t) u_hat -
-    cos(t) u meets sin(t) g~' + cos(t) g~ = 0 at a limit-circle end with
-    angle t.  At a limit-point end the solution is the decaying branch.
+    u_hat has GBV data (1, 0) and u has (0, 1), so y = -SIGMA A u_hat - B u
+    meets the end's row B g~ = A SIGMA g~' at a limit-circle end; for an
+    angle t that is y = sin(t) u_hat - cos(t) u.  At a limit-point end the
+    solution is the decaying branch.
     """
-    if side not in angles:
+    if side not in ext.lc_ends:
         return _lp_init(spec, side, lam)
-    t = angles[side]
-    return _lc_init(bases[side], -math.cos(t), math.sin(t))
+    k = ext.lc_ends.index(side)
+    a, b = (float(m[k, k].real) for m in (ext.pair.A, ext.pair.B))
+    return _lc_init(basis, -b, -SIGMA[side] * a)
 
 
 def _orientation(side, init):
@@ -296,11 +310,10 @@ def _orientation(side, init):
     return math.copysign(1.0, u1 if side == "a" else -u1)
 
 
-def _shoot_det(spec, angles, bases, lam, mid, tol):
+def _shoot_det(spec, ext, bases, lam, mid, tol):
     """(det, N): the normalized Wronskian at `mid` of the two one-sided
-    solutions of a separated condition with `angles` ({end: angle} at its
-    limit-circle ends, see ExtensionSpec.angles), and the eigenvalue index
-    N(lam), the number of eigenvalues below lam.
+    solutions of the extension's diagonal condition, and the eigenvalue
+    index N(lam), the number of eigenvalues below lam.
 
     With m the zeros the two solutions pass on the way to `mid` and o_a,
     o_b their orientations, N = m + [(-1)^m o_a o_b W > 0] (Pryce,
@@ -309,8 +322,8 @@ def _shoot_det(spec, angles, bases, lam, mid, tol):
     cell is a sign change of det.
     """
     states, m, o = [], 0, 1.0
-    for side in ("a", "b"):
-        x0, init = _side_start(spec, angles, bases, side, lam)
+    for side, basis in zip("ab", bases):
+        x0, init = _side_start(spec, ext, basis, side, lam)
         y, zeros = end_state_zeros(spec, lam, x0, init, mid, tol=tol)
         states.append(y)
         m += zeros
@@ -354,7 +367,7 @@ def _coupled_det(spec, pair, bases, lam, tol):
     theta = arg(det(B + iA) det(B - iA)) / 2; for the catalog's coupled pair
     it is e^{i phi} (2 cos phi - tr(R^-1 M)) with theta = phi mod pi.
     """
-    M = _coupled_transfer(spec, bases["a"], bases["b"], lam, tol)
+    M = _coupled_transfer(spec, *bases, lam, tol)
     A, B = pair.A, pair.B
     gamma0 = np.array([[1.0, 0.0], M[0]])
     gamma1 = np.array([[0.0, 1.0], -M[1]])
@@ -405,15 +418,15 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     """Eigenvalues of the extension in [lam_min, lam_max] by shooting.
 
     lam is an eigenvalue iff some solution meets the extension's
-    conditions at both ends.  For a separated extension, the one-sided
-    solutions meeting each end's angle (the decaying branch at a
-    limit-point end) are marched to the interior midpoint, and their
-    Wronskian is the determinant.  For a coupled one it is
-    det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam)) with (A, B) the extension's
-    boundary pair, through the GBV transfer matrix M(lam).
+    conditions at both ends.  For a diagonal pair (a separated, one-LC or
+    LP-LP condition), the one-sided solutions meeting each end's row (the
+    decaying branch at a limit-point end) are marched to the interior
+    midpoint, and their Wronskian is the determinant.  For a coupled one
+    it is det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam)) with (A, B) the
+    extension's boundary pair, through the GBV transfer matrix M(lam).
 
     Roots are bracketed on a uniform lam grid of about grid_per_unit cells
-    per unit.  For a separated extension each determinant also gives the
+    per unit.  For a diagonal pair each determinant also gives the
     eigenvalue index N(lam), the number of eigenvalues below lam, from the
     zeros of the one-sided solutions: the grid is bisected on N into the
     cells where it jumps, a cell holding several roots is bisected on N
@@ -429,26 +442,21 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     if classification is None:
         from .classify import classify_both
         classification = classify_both(spec)
-    ends = lc_ends(check_variant(ext, classification))
-    if isinstance(bases, (tuple, list)):
-        bases = {"a": bases[0], "b": bases[1]}
+    check_variant(ext, classification)
     if bases is None:
-        bases = {e: construct_basis(spec, e) if e in ends else None
-                 for e in ("a", "b")}
+        bases = tuple(construct_basis(spec, e) if e in ext.lc_ends else None
+                      for e in ("a", "b"))
 
     mid = spec.interval.interior_point()
-    angles = ext.angles
     # One determinant per distinct lam: Brent starts from the values at its
     # bracket ends, and the residual at a root is Brent's last value.
     memo = {}
-    if angles is None:
-        pair = pair_from_extension(ext)
-
+    if _diagonal(ext.pair):
         def point_value(lam):
-            return _coupled_det(spec, pair, bases, lam, tol=1e-10), None
+            return _shoot_det(spec, ext, bases, lam, mid, tol=1e-10)
     else:
         def point_value(lam):
-            return _shoot_det(spec, angles, bases, lam, mid, tol=1e-10)
+            return _coupled_det(spec, ext.pair, bases, lam, tol=1e-10), None
 
     def point(lam):
         key = float(lam)

@@ -25,6 +25,11 @@ scalars.  Whether an integrand is complex is decided by its quadrature
 nodes (`_complex`): it is integrated as a real function, and as a real
 and an imaginary part once any node returns a complex number.
 
+A regime is the tuple of its limit-circle ends, the ends that take the
+nonprincipal reference solution and carry boundary values: REGIME_LC_LC is
+("a", "b"), REGIME_LC_LP ("a",), REGIME_LP_LC ("b",), REGIME_LP_LP ().  An
+extension's `lc_ends` is its regime.
+
 The form of every self-adjoint extension is the base form plus one boundary
 term, (Theta Gamma0 f, Gamma0 g) on dom Theta = (mul Theta)^perp, read off
 the extension's decomposed boundary relation (`ExtensionSpec.relation`).
@@ -49,15 +54,10 @@ from .errors import (
 from .odecore import tau_at
 from .quadrature import ImproperResult, improper_integral, panel
 
-REGIME_LC_LC = "lc_lc"
-REGIME_LC_LP = "lc_lp"   # LC at a, LP at b
-REGIME_LP_LC = "lp_lc"   # LP at a, LC at b
-REGIME_LP_LP = "lp_lp"
-
-# The limit-circle endpoints of each regime: the one place that says which
-# ends take the nonprincipal reference solution and carry boundary values.
-LC_ENDS = {REGIME_LC_LC: ("a", "b"), REGIME_LC_LP: ("a",),
-           REGIME_LP_LC: ("b",), REGIME_LP_LP: ()}
+REGIME_LC_LC = ("a", "b")
+REGIME_LC_LP = ("a",)   # LC at a, LP at b
+REGIME_LP_LC = ("b",)   # LP at a, LC at b
+REGIME_LP_LP = ()
 
 # Gamma1 g = SIGMA[end] g~'(end): the boundary maps flip its sign at b.
 SIGMA = {"a": 1.0, "b": -1.0}
@@ -126,14 +126,12 @@ def _sides(spec, bases, window, regime):
     The cutoff is the edge of w's support toward the endpoint, or None
     where that support reaches the endpoint.
     """
-    try:
-        lc_ends = LC_ENDS[regime]
-    except KeyError:
-        raise ValueError(f"unknown regime {regime!r}") from None
+    if regime not in (REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LC, REGIME_LP_LP):
+        raise ValueError(f"unknown regime {regime!r}")
     sides = []
     for end, endpoint, basis, cut in zip(
             "ab", spec.interval.endpoints(), bases, (window.c, window.d)):
-        lc = end in lc_ends
+        lc = end in regime
         w = basis.u_hat if lc else basis.u
         edge = w.x_min if end == "a" else w.x_max
         cutoff = edge if SIGMA[end] * (edge - endpoint) > 0.0 else None
@@ -269,10 +267,10 @@ _PIECE_NAMES = {"a": ("left", "c"), "b": ("right", "d")}
 def q_base(spec, bases, window, regime, f, g):
     """Base form Q_{c,d}(f, g) for the given endpoint regime.
 
-    bases is the pair (basis_a, basis_b); regime selects the reference
-    solution on each side: u_hat at a limit-circle end, u at a limit-point
-    end (see LC_ENDS).  f and g must lie in L^2(r) toward each limit-point
-    end, else FormIntegralDiverges.
+    bases is the pair (basis_a, basis_b); regime, the tuple of LC ends,
+    selects the reference solution on each side: u_hat at a limit-circle
+    end, u at a limit-point end.  f and g must lie in L^2(r) toward each
+    limit-point end, else FormIntegralDiverges.
     """
     if window is None:
         window = default_window(spec, *bases)
@@ -333,28 +331,22 @@ def q_base(spec, bases, window, regime, f, g):
     return FormValue(value=value, pieces=pieces, error=err, window=window)
 
 
-def _regime_of(lc_ends):
-    """The form regime whose limit-circle ends are `lc_ends`."""
-    return next(r for r, ends in LC_ENDS.items() if ends == lc_ends)
-
-
 def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
                 base=None):
     """Form of the extension `ext` applied to (f, g): `_decorated` on its
     boundary relation `ext.relation`.
 
     `base`, if given, is the FormValue that
-    `q_base(spec, bases, window, regime, f, g)` returns for the extension's
-    regime; it is read, not written, so a caller may hand the same base to
-    other routes.
+    `q_base(spec, bases, window, ext.lc_ends, f, g)` returns; it is read,
+    not written, so a caller may hand the same base to other routes.
     """
-    return _decorated(spec, bases, window, _regime_of(ext.lc_ends),
-                      ext.relation, f, g, tol, base)
+    return _decorated(spec, bases, window, ext.lc_ends, ext.relation, f, g,
+                      tol, base)
 
 
 def _decorated(spec, bases, window, regime, rel, f, g, tol, base):
     """q_base(f, g) + (Theta Gamma0 f, Gamma0 g) for the decomposed boundary
-    relation `rel` over the LC ends of `regime`.
+    relation `rel` over the LC ends `regime`.
 
     The form lives on dom Theta = (mul Theta)^perp, so f and g are refused
     (DomainConstraintViolated) when Gamma0 of either has a component along
@@ -364,17 +356,16 @@ def _decorated(spec, bases, window, regime, rel, f, g, tol, base):
     """
     if base is None:
         base = q_base(spec, bases, window, regime, f, g)
-    ends = LC_ENDS[regime]
 
     def gamma0(fn):
         return np.array([gbv(spec, bases["ab".index(end)], fn).tilde
-                         for end in ends], dtype=complex)
+                         for end in regime], dtype=complex)
 
     f0, g0 = gamma0(f), gamma0(g)
     scale = 1.0 + max(np.abs(np.concatenate((f0, g0))), default=0.0)
     for label, vec in (("f", f0), ("g", g0)):
         if np.linalg.norm(rel.mul_basis.conj().T @ vec) > tol * scale:
-            touched = [end for end, row in zip(ends, rel.mul_basis)
+            touched = [end for end, row in zip(regime, rel.mul_basis)
                        if np.abs(row).max() > tol]
             raise DomainConstraintViolated(
                 f"the extension constrains "

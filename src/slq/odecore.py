@@ -427,10 +427,11 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # A NaN step (from a NaN state or derivative) fails this too.
+            if not h_abs >= min_step:
                 raise StepSizeUnderflow(
-                    f"integrator stalled at x={t}: required step size is "
-                    "less than spacing between numbers"
+                    f"integrator stalled at x={t}: required step size "
+                    f"{h_abs} is NaN or less than spacing between numbers"
                 )
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -262,8 +263,18 @@ def catalog(name: str) -> ProblemSpec:
     raise UnknownCatalogEntry(f"no catalog entry named {name!r}")
 
 
+def finite_number(name, value):
+    """A number from outside as a float: a bool, a string or a NaN or
+    infinite value is refused with SpecFileError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise SpecFileError(f"{name!r} must be a finite number, got "
+                            f"{value!r}")
+    return float(value)
+
+
 def _endpoint_value(v, which):
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     if isinstance(v, str):
         s = v.strip().lower()
@@ -321,10 +332,7 @@ def problem_from_dict(doc: dict):
         spec.interval = Interval(_endpoint_value(idoc["a"], "a"),
                                  _endpoint_value(idoc["b"], "b"))
     if "lambda0" in doc:
-        v = doc["lambda0"]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SpecFileError("'lambda0' must be a number")
-        spec.lambda0 = float(v)
+        spec.lambda0 = finite_number("lambda0", doc["lambda0"])
     return spec, doc.get("extension")
 
 

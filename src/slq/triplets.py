@@ -8,15 +8,17 @@ generalized boundary values,
 
     Gamma0 g = (g~(a), g~(b)),    Gamma1 g = (g~'(a), -g~'(b)),
 
-restricted to the limit-circle components.  The relation decomposes into a
-purely multivalued part (the kernel of A) and a self-adjoint operator part
-Theta on its orthogonal complement, which supplies the boundary decoration
-of the sesquilinear form as (Lambda f, Theta Lambda g).
+restricted to the limit-circle components.  Every extension is such a pair
+over its limit-circle ends (`extensions.ExtensionSpec`), which
+`validate_pair` checks once, when the extension is made;
+`pair_from_extension` returns it.  The relation decomposes into a purely
+multivalued part (the kernel of A) and a self-adjoint operator part Theta
+on its orthogonal complement, which supplies the boundary decoration of
+the sesquilinear form as (Lambda f, Theta Lambda g).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,13 +28,11 @@ from .bvalues import gbv
 from .errors import NotSelfAdjointPair, RankDeficient
 from .forms import (
     CONSTRAINT_TOL,
-    LC_ENDS,
     REGIME_LC_LC,
     SIGMA,
     _decorated,
     _pairing,
     _pointwise_tau,
-    _regime_of,
     _sides,
     default_window,
     q_base,
@@ -161,27 +161,9 @@ def relation_membership(pair, u, v):
 
 
 def pair_from_extension(ext):
-    """Boundary-relation pair (A, B) of a catalog extension.
-
-    Coordinates are Gamma0 g = (g~(a), g~(b)), Gamma1 g = (g~'(a), -g~'(b))
-    over the extension's limit-circle ends.  A separated extension gives
-    the diagonal pair A = diag(-SIGMA[end] sin t), B = diag(cos t) over its
-    angles, one row sin(t) g~' + cos(t) g~ = 0 per end; the
-    limit-point/limit-point case is n = 0.  A coupled one gives a 2x2 pair
-    whose rows mix the ends.
-    """
-    if ext.angles is None:
-        R = ext.matrix()
-        e = cmath.exp(1j * ext.phi)
-        A = -np.array([[e * R[0, 1], 0.0],
-                       [e * R[1, 1], 1.0]], dtype=complex)
-        B = np.array([[e * R[0, 0], -1.0],
-                      [e * R[1, 0], 0.0]], dtype=complex)
-        return validate_pair(A, B)
-    angles = ext.angles
-    A = np.diag([-SIGMA[end] * math.sin(t) for end, t in angles.items()])
-    B = np.diag([math.cos(t) for t in angles.values()])
-    return validate_pair(A, B)
+    """Boundary-relation pair (A, B) of an extension: its `pair`, validated
+    once when the extension was made (see `extensions.ExtensionSpec`)."""
+    return ext.pair
 
 
 def boundary_vectors(values, ends):
@@ -243,9 +225,8 @@ def form_from_relation(spec, bases, window, pair, f, g, base=None):
             f"a {pair.n}-dimensional relation does not name its "
             f"limit-circle endpoint; pass the OneLC extension instead"
         )
-    regime = _regime_of(("a", "b")[:pair.n])
-    return _decorated(spec, bases, window, regime, decompose(pair), f, g,
-                      CONSTRAINT_TOL, base).value
+    return _decorated(spec, bases, window, ("a", "b")[:pair.n],
+                      decompose(pair), f, g, CONSTRAINT_TOL, base).value
 
 
 def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):
@@ -255,13 +236,13 @@ def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):
     (ii) members with vanishing boundary values stay in the kernel of
     Lambda, and (iii) each epsilon in EPS_VALUES admits a finite fitted
     constant C with |Lambda f|^2 <= eps q_base(f, f) + C |f|^2 over the
-    samples.  Lambda takes the limit-circle components of the regime.
-    Returns a report dict; counterexamples are listed, not raised.
+    samples.  Lambda takes the limit-circle components of the regime, the
+    tuple of its limit-circle ends.  Returns a report dict; counterexamples
+    are listed, not raised.
     """
-    ends = LC_ENDS[regime]
     rows, counterexamples = [], []
     for i, f in enumerate(samples):
-        f0, _ = boundary_maps(spec, bases, f, ends=ends)
+        f0, _ = boundary_maps(spec, bases, f, ends=regime)
         qv = float(np.real(q_base(spec, bases, window, regime, f, f).value))
         # (f, f) in the weighted space, reusing the pairing quadrature.
         nrm = float(np.real(

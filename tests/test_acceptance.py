@@ -201,7 +201,8 @@ def _cut_pool(spec, bases, regime):
     ("legendre", REGIME_LC_LC),
     ("bessel_half", REGIME_LC_LC),
     ("free_halfline", REGIME_LC_LP),
-])
+], ids=["dirichlet-lc_lc", "legendre-lc_lc", "bessel_half-lc_lc",
+        "free_halfline-lc_lp"])
 def test_cut_point_independence(problem, regime, request):
     spec = request.getfixturevalue(problem)
     bases = request.getfixturevalue(f"{problem}_bases")
@@ -271,16 +272,16 @@ def test_triplet_algebra_random_draws():
         ):
             assert defect <= 1e-12
         rel = decompose(pair)
-        if kind == 0 and math.sin(ext.alpha) > 1e-3 \
-                and math.sin(ext.beta) > 1e-3:
+        if kind == 0 and math.sin(alpha) > 1e-3 \
+                and math.sin(beta) > 1e-3:
             theta = rel.dom_basis @ rel.theta_op @ rel.dom_basis.conj().T
-            want = np.diag([-1 / math.tan(ext.alpha),
-                            1 / math.tan(ext.beta)])
+            want = np.diag([-1 / math.tan(alpha),
+                            1 / math.tan(beta)])
             assert np.max(np.abs(theta - want)) \
                 <= 1e-12 * (1 + np.max(np.abs(want)))
-        if kind == 1 and ext.R[0][1] == 0.0:
-            R11, R21 = ext.R[0][0], ext.R[1][0]
-            R22 = ext.R[1][1]
+        if kind == 1 and R[0][1] == 0.0:
+            R11, R21 = R[0][0], R[1][0]
+            R22 = R[1][1]
             want = -R21 / (R11 + R22) if abs(R11 + R22) > 1e-12 else None
             if want is not None and rel.c_theta is not None:
                 assert rel.c_theta == pytest.approx(want, abs=1e-10)
@@ -291,9 +292,12 @@ def test_triplet_algebra_random_draws():
 # -------------------------------------------------------------------------
 
 
-def _oracle_decoration(spec, bases, ext, f, g):
-    """The extension's boundary term written out per variant, as the
-    reference for the decoration the form takes from its boundary relation.
+def _oracle_decoration(spec, bases, drawn, f, g):
+    """The boundary term of the condition drawn as `drawn` written out per
+    variant, as the reference for the decoration the form takes from its
+    boundary relation.  `drawn` is the drawn parameters, never read back
+    from the pair: {end: t} for a separated condition, (phi, R) for a
+    coupled one.
 
     Separated: angle 0 at an end demands g~ = 0 there, any other angle t
     adds -SIGMA[end] cot t conj(f~) g~.  Coupled with R12 != 0:
@@ -301,16 +305,15 @@ def _oracle_decoration(spec, bases, ext, f, g):
     + R22 conj(f~b) g~b) / R12.  Coupled with R12 = 0: the domain is
     g~(b) = e^{i phi} R11 g~(a), and the term is -R11 R21 conj(f~a) g~a.
     """
-    vf = {end: gbv(spec, bases["ab".index(end)], f).tilde
-          for end in ext.lc_ends}
-    vg = {end: gbv(spec, bases["ab".index(end)], g).tilde
-          for end in ext.lc_ends}
+    ends = tuple(drawn) if isinstance(drawn, dict) else ("a", "b")
+    vf = {end: gbv(spec, bases["ab".index(end)], f).tilde for end in ends}
+    vg = {end: gbv(spec, bases["ab".index(end)], g).tilde for end in ends}
     # The form's default domain tolerance, relative to 1 + max |g~|.
     tol = 1e-6 * (1.0 + max(map(abs, (*vf.values(), *vg.values())),
                             default=0.0))
-    if ext.angles is not None:
+    if isinstance(drawn, dict):
         deco = 0.0
-        for end, t in ext.angles.items():
+        for end, t in drawn.items():
             fe, ge = vf[end], vg[end]
             if t == 0.0:
                 if max(abs(fe), abs(ge)) > tol:
@@ -320,8 +323,9 @@ def _oracle_decoration(spec, bases, ext, f, g):
                     * np.conj(fe) * ge
         return deco
     fa, fb, ga, gb = vf["a"], vf["b"], vg["a"], vg["b"]
-    R = ext.matrix()
-    eip = cmath.exp(1j * ext.phi)
+    phi, R = drawn
+    R = np.asarray(R, dtype=float)
+    eip = cmath.exp(1j * phi)
     if R[0, 1] != 0.0:
         return -(R[0, 0] * np.conj(fa) * ga
                  - np.conj(eip) * np.conj(fa) * gb
@@ -333,11 +337,12 @@ def _oracle_decoration(spec, bases, ext, f, g):
     return -R[0, 0] * R[1, 0] * np.conj(fa) * ga
 
 
-def _check_against_oracle(spec, bases, regime, ext, f, g, pair=None):
+def _check_against_oracle(spec, bases, regime, ext, drawn, f, g,
+                          pair=None):
     """q_decorated, and form_from_relation on `pair` if given, against
-    q_base + the oracle, at 1e-6 (1 + |q|)."""
+    q_base + the oracle on the drawn parameters, at 1e-6 (1 + |q|)."""
     base = q_base(spec, bases, None, regime, f, g)
-    want = base.value + _oracle_decoration(spec, bases, ext, f, g)
+    want = base.value + _oracle_decoration(spec, bases, drawn, f, g)
     got = [q_decorated(spec, bases, None, ext, f, g, base=base).value]
     if pair is not None:
         got.append(form_from_relation(spec, bases, None, pair, f, g,
@@ -346,31 +351,36 @@ def _check_against_oracle(spec, bases, regime, ext, f, g, pair=None):
         assert abs(q - want) <= 1e-6 * (1 + abs(want)), (ext, q, want)
 
 
+# Each draw returns (extension, drawn parameters) for the oracle.
 def _random_separated(rng):
-    return Separated(*rng.uniform(0.05, math.pi - 0.05, 2))
+    angles = dict(zip("ab", rng.uniform(0.05, math.pi - 0.05, 2)))
+    return Separated(angles["a"], angles["b"]), angles
 
 
 def _random_coupled(rng):
     r11 = rng.uniform(0.3, 1.8)
     r12 = rng.uniform(0.2, 1.8)
     r21 = rng.uniform(-1.5, 1.5)
-    return Coupled(rng.uniform(0.05, math.pi - 0.05),
-                   ((r11, r12), (r21, (1.0 + r12 * r21) / r11)))
+    drawn = (rng.uniform(0.05, math.pi - 0.05),
+             ((r11, r12), (r21, (1.0 + r12 * r21) / r11)))
+    return Coupled(*drawn), drawn
 
 
 def _random_coupled_r12_zero(rng):
     r11, r21 = rng.uniform(0.3, 1.8, 2) * rng.choice([-1.0, 1.0], 2)
-    return Coupled(rng.uniform(0.05, math.pi - 0.05),
-                   ((r11, 0.0), (r21, 1.0 / r11)))
+    drawn = (rng.uniform(0.05, math.pi - 0.05),
+             ((r11, 0.0), (r21, 1.0 / r11)))
+    return Coupled(*drawn), drawn
 
 
-def _admissible_r12_zero(spec, ext, rng):
+def _admissible_r12_zero(spec, drawn, rng):
     """A complex combination with g~(a) = c and g~(b) = e^{i phi} R11 c on
     (0, pi), where g~ is the value at the regular end: c (1 - x/pi) +
     e^{i phi} R11 c x/pi plus a polynomial vanishing at both ends."""
     c = complex(*rng.uniform(-1, 1, 2))
     d = complex(*rng.uniform(-1, 1, 2))
-    cb = cmath.exp(1j * ext.phi) * ext.R[0][0] * c
+    phi, R = drawn
+    cb = cmath.exp(1j * phi) * R[0][0] * c
     return LinearCombination(
         [c, cb, d],
         [polynomial(spec, [1.0, -1.0 / math.pi]),
@@ -384,11 +394,11 @@ def test_cross_path_two_lc(regime, dirichlet, dirichlet_bases):
     rng = np.random.default_rng(3 if regime == "separated" else 4)
     pool = [polynomial(spec, rng.uniform(-1, 1, 3)) for _ in range(6)]
     for trial in range(50):
-        ext = _random_separated(rng) if regime == "separated" \
+        ext, drawn = _random_separated(rng) if regime == "separated" \
             else _random_coupled(rng)
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, f, g,
+        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, drawn, f, g,
                               pair=pair_from_extension(ext))
 
 
@@ -398,10 +408,10 @@ def test_cross_path_coupled_r12_zero(dirichlet, dirichlet_bases):
     spec, bases = dirichlet, dirichlet_bases
     rng = np.random.default_rng(8)
     for trial in range(20):
-        ext = _random_coupled_r12_zero(rng)
-        f = _admissible_r12_zero(spec, ext, rng)
-        g = _admissible_r12_zero(spec, ext, rng)
-        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, f, g,
+        ext, drawn = _random_coupled_r12_zero(rng)
+        f = _admissible_r12_zero(spec, drawn, rng)
+        g = _admissible_r12_zero(spec, drawn, rng)
+        _check_against_oracle(spec, bases, REGIME_LC_LC, ext, drawn, f, g,
                               pair=pair_from_extension(ext))
         # Moving g~(b) alone leaves the domain.
         off = LinearCombination([1.0, 1.0],
@@ -416,11 +426,12 @@ def test_cross_path_one_lc(free_halfline, free_halfline_bases):
     pool = [ExpDecay(spec, rng.uniform(-1, 1, 2), k=k)
             for k in (1.0, 1.5, 2.0, 2.5)]
     for trial in range(50):
-        ext = OneLC(alpha=rng.uniform(0.05, math.pi - 0.05),
-                    lc_endpoint="a")
+        alpha = rng.uniform(0.05, math.pi - 0.05)
+        ext = OneLC(alpha=alpha, lc_endpoint="a")
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        _check_against_oracle(spec, bases, REGIME_LC_LP, ext, f, g)
+        _check_against_oracle(spec, bases, REGIME_LC_LP, ext, {"a": alpha},
+                              f, g)
 
 
 def test_cross_path_lp_lp(oscillator, oscillator_bases):
@@ -430,7 +441,7 @@ def test_cross_path_lp_lp(oscillator, oscillator_bases):
     for trial in range(50):
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]
-        _check_against_oracle(spec, bases, REGIME_LP_LP, LpLp(), f, g,
+        _check_against_oracle(spec, bases, REGIME_LP_LP, LpLp(), {}, f, g,
                               pair=pair_from_extension(LpLp()))
 
 

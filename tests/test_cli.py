@@ -261,3 +261,47 @@ def test_extension_checked_against_classification(specfile, capsys,
     assert code == EXIT_NUMERICAL
     assert "VariantMismatch" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ["--probe", "nanj"]),
+    ("classify", ["--probe", "1e400j"]),
+    ("gbv", ["--g", "sin", "--tol", "nan"]),
+    ("eig", ["--lmin", "nan"]),
+    ("eig", ["--lmax", "inf"]),
+    ("form", ["--f", "sin", "--g", "sin", "--window", "nan,3"]),
+    ("form", ["--f", "bump:nan,1", "--g", "sin"]),
+    ("form", ["--f", "poly:1,inf", "--g", "sin"]),
+])
+def test_command_line_numbers_must_be_finite(specfile, capsys, command,
+                                             flags):
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    assert main([command, path, *flags]) == EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"lambda0": math.nan},
+    {"lambda0": math.inf},
+    {"extension": {"kind": "coupled", "phi": 0.0,
+                   "R": [[math.nan, 0], [0, 1]]}},
+    {"extension": {"kind": "separated", "alpha": "0.5", "beta": 0.2}},
+    {"extension": {"kind": "separated", "alpha": 0.5, "beta": True}},
+])
+def test_spec_numbers_must_be_finite_numbers(specfile, capsys, doc):
+    # NaN and Infinity are valid JSON to Python's parser.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                     **doc})
+    assert main(["triplet", path]) == EXIT_PARSE
+    assert "finite number" in capsys.readouterr().err
+
+
+def test_a_badly_scaled_coupled_r_is_refused_without_a_traceback(specfile,
+                                                                 capsys):
+    # det R = 1, but the pair's rows differ in scale by 1e200: the rank
+    # test refuses it.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                     "extension": {"kind": "coupled", "phi": 0.0,
+                                   "R": [[1e200, 0], [0, 1e-200]]}})
+    assert main(["triplet", path]) == EXIT_NUMERICAL
+    assert "RankDeficient" in capsys.readouterr().err

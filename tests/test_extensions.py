@@ -1,5 +1,6 @@
 """Extension catalog, boundary residuals, eigenvalue shooting."""
 
+import cmath
 import math
 
 import numpy as np
@@ -41,7 +42,10 @@ def test_coupled_determinant_enforced():
     with pytest.raises(SpecFileError):
         Coupled(0.0, ((1.0, 1.0), (1.0, 1.0)))
     ext = Coupled(0.5, ((2.0, 3.0), (1.0, 2.0)))
-    assert np.allclose(ext.matrix(), [[2, 3], [1, 2]])
+    # R's columns are e^{i phi} times the first columns of B and -A.
+    e = cmath.exp(0.5j)
+    assert np.allclose(ext.pair.B[:, 0] / e, [2, 1])
+    assert np.allclose(-ext.pair.A[:, 0] / e, [3, 2])
 
 
 def test_extension_from_dict_variants():
@@ -51,7 +55,7 @@ def test_extension_from_dict_variants():
     assert extension_from_dict(
         {"kind": "coupled", "R": [[1, 0], [0, 1]]}).variant == "coupled"
     assert extension_from_dict(
-        {"kind": "one_lc", "alpha": 0.3, "endpoint": "b"}).lc_endpoint == "b"
+        {"kind": "one_lc", "alpha": 0.3, "endpoint": "b"}).lc_ends == ("b",)
     assert extension_from_dict({"kind": "lp_lp"}).variant == "lp_lp"
     with pytest.raises(SpecFileError):
         extension_from_dict({"kind": "separated", "gamma": 1.0})
@@ -193,12 +197,11 @@ def test_coupled_det_is_the_trace_condition(legendre, legendre_bases, phi):
     R = ((2.0, 3.0), (1.0, 2.0))
     ext = Coupled(phi, R)
     pair = pair_from_extension(ext)
-    bases = {"a": legendre_bases[0], "b": legendre_bases[1]}
+    bases = legendre_bases
     Rinv = np.array([[2.0, -3.0], [-1.0, 2.0]])
     signs = set()
     for lam in (0.5, 3.0, 7.0):
-        M = extensions._coupled_transfer(legendre, bases["a"], bases["b"],
-                                         lam, tol=1e-10)
+        M = extensions._coupled_transfer(legendre, *bases, lam, tol=1e-10)
         want = float(np.trace(Rinv @ M)) - 2.0 * math.cos(phi)
         drift = abs(np.linalg.det(M) - 1.0)
         assert drift < 1e-6
@@ -216,9 +219,8 @@ def test_coupled_det_leaves_the_singular_ends(legendre, legendre_bases, lam):
     # Marching toward a singular LC end, the step size underflows next to
     # it at these lambda; the transfer only marches away from the ends.
     ext = Coupled(1.0, ((2.0, 3.0), (1.0, 2.0)))
-    bases = {"a": legendre_bases[0], "b": legendre_bases[1]}
-    got = extensions._coupled_det(legendre, pair_from_extension(ext), bases,
-                                  lam, tol=1e-10)
+    got = extensions._coupled_det(legendre, pair_from_extension(ext),
+                                  legendre_bases, lam, tol=1e-10)
     assert math.isfinite(got) and got != 0.0
 
 
@@ -243,10 +245,9 @@ def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
 # ---------------------------------------------------------------------------
 
 def _index(spec, ext, bases, lam):
-    """N(lam) as the shooting determinant of ext's angles gives it."""
-    assert ext.angles is not None
-    bases = dict(zip("ab", bases)) if bases else {"a": None, "b": None}
-    _, n = extensions._shoot_det(spec, ext.angles, bases, lam,
+    """N(lam) as the shooting determinant of ext's diagonal pair gives it."""
+    assert ext.variant != "coupled"
+    _, n = extensions._shoot_det(spec, ext, bases or (None, None), lam,
                                  spec.interval.interior_point(), 1e-10)
     return n
 
@@ -344,3 +345,118 @@ def test_index_bisection_evaluates_few_grid_points(dirichlet,
                              bases=dirichlet_bases)
     assert np.allclose([e.lam for e in eigs], [1.0, 4.0, 9.0], atol=1e-7)
     assert len(calls) < 60
+
+
+# ---------------------------------------------------------------------------
+# One condition type: every constructor makes an ExtensionSpec with its pair
+# ---------------------------------------------------------------------------
+
+_SIGMA = {"a": 1.0, "b": -1.0}
+
+
+def _angle_pair(angles):
+    """The separated pair, written out: A = diag(-sigma sin t),
+    B = diag(cos t) over {end: t}."""
+    return (np.diag([-_SIGMA[e] * math.sin(t) for e, t in angles.items()]),
+            np.diag([math.cos(t) for t in angles.values()]))
+
+
+def _coupled_pair(phi, R):
+    """The coupled pair, written out from phi and R."""
+    e = cmath.exp(1j * phi)
+    A = -np.array([[e * R[0][1], 0.0], [e * R[1][1], 1.0]], dtype=complex)
+    B = np.array([[e * R[0][0], -1.0], [e * R[1][0], 0.0]], dtype=complex)
+    return A, B
+
+
+_RNG_ANGLES = np.random.default_rng(17).uniform(0.0, math.pi, 3).tolist()
+
+
+@pytest.mark.parametrize("ext, want, ends, variant", [
+    (Separated(0.7, 1.9), _angle_pair({"a": 0.7, "b": 1.9}), ("a", "b"),
+     "separated"),
+    (Separated(0.0, 0.0), _angle_pair({"a": 0.0, "b": 0.0}), ("a", "b"),
+     "separated"),
+    (OneLC(0.8, "a"), _angle_pair({"a": 0.8}), ("a",), "one_lc"),
+    (OneLC(2.3, "b"), _angle_pair({"b": 2.3}), ("b",), "one_lc"),
+    (LpLp(), (np.zeros((0, 0)), np.zeros((0, 0))), (), "lp_lp"),
+    (Coupled(0.5, ((2.0, 3.0), (1.0, 2.0))),
+     _coupled_pair(0.5, ((2.0, 3.0), (1.0, 2.0))), ("a", "b"), "coupled"),
+    (Coupled(0.0, ((1.0, 0.0), (0.8, 1.0))),
+     _coupled_pair(0.0, ((1.0, 0.0), (0.8, 1.0))), ("a", "b"), "coupled"),
+])
+def test_constructor_pair_is_the_written_out_pair(ext, want, ends, variant):
+    A, B = (np.asarray(m, dtype=complex) for m in want)
+    assert ext.lc_ends == ends and ext.variant == variant
+    assert pair_from_extension(ext) is ext.pair
+    for got, ref in ((ext.pair.A, A), (ext.pair.B, B)):
+        assert got.shape == ref.shape
+        assert [z.hex() for x in got.ravel() for z in (x.real, x.imag)] \
+            == [z.hex() for x in ref.ravel() for z in (x.real, x.imag)]
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize("t", [0.0, math.pi / 2] + _RNG_ANGLES)
+def test_shooting_starts_from_minus_cos_and_sin(monkeypatch, end, t):
+    # The pair's row at an LC end starts shooting from the GBV data
+    # (sin t, -cos t): coefficients -cos t on u and sin t on u_hat, bit
+    # for bit.
+    monkeypatch.setattr(extensions, "_lc_init",
+                        lambda basis, coef_u, coef_uhat: (None,
+                                                          (coef_u, coef_uhat)))
+    for ext in (OneLC(t, end),
+                Separated(t, 1.0) if end == "a" else Separated(1.0, t)):
+        _, (coef_u, coef_uhat) = extensions._side_start(None, ext, None,
+                                                        end, 0.0)
+        assert (coef_u.hex(), coef_uhat.hex()) \
+            == ((-math.cos(t)).hex(), math.sin(t).hex())
+
+
+def test_conditions_compare_and_hash_by_value(legendre, free_halfline,
+                                              oscillator):
+    assert friedrichs_spec(classify_both(legendre)) == Separated(0.0, 0.0)
+    assert friedrichs_spec(classify_both(free_halfline)) == OneLC(0.0, "a")
+    assert friedrichs_spec(classify_both(oscillator)) == LpLp()
+    assert Separated(-0.0, 0.5) == Separated(0.0, 0.5)
+    same = {Separated(0.3, 0.4), Separated(0.3, 0.4), OneLC(0.3, "a"),
+            OneLC(0.3, "b"), LpLp(), LpLp(),
+            Coupled(0.2, ((1.0, 0.0), (0.0, 1.0))),
+            Coupled(0.2, ((1.0, 0.0), (0.0, 1.0)))}
+    assert len(same) == 5
+    assert Separated(0.3, 0.4) != Separated(0.3, 0.5)
+    assert OneLC(0.3, "a") != OneLC(0.3, "b")
+    assert Coupled(0.2, ((1.0, 0.0), (0.0, 1.0))) \
+        != Coupled(0.3, ((1.0, 0.0), (0.0, 1.0)))
+
+
+def test_the_pair_is_validated_once_and_read_only(monkeypatch, dirichlet,
+                                                  dirichlet_bases):
+    calls = _count_calls(monkeypatch, "validate_pair")
+    ext = Coupled(math.pi / 2, ((1.0, 0.0), (0.0, 1.0)))
+    assert len(calls) == 1
+    g = ExprFunction(dirichlet, "sin(x)")
+    va, vb = (gbv(dirichlet, basis, g) for basis in dirichlet_bases)
+    boundary_residual(ext, va, vb)
+    pair_from_extension(ext)
+    ext.relation
+    eigenvalues_shoot(dirichlet, ext, (0.0, 1.0), bases=dirichlet_bases)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        ext.pair.A[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "separated", "alpha": "0.5", "beta": 0.2},
+    {"kind": "separated", "alpha": 0.5, "beta": True},
+    {"kind": "separated", "alpha": math.nan, "beta": 0.2},
+    {"kind": "one_lc", "alpha": math.inf, "endpoint": "a"},
+    {"kind": "coupled", "phi": math.nan, "R": [[1, 0], [0, 1]]},
+    {"kind": "coupled", "phi": 0.0, "R": [[math.nan, 0], [0, 1]]},
+    {"kind": "coupled", "phi": 0.0, "R": [["1", 0], [0, 1]]},
+    {"kind": "coupled", "phi": 0.0, "R": [[1, 0], [0, True]]},
+    {"kind": "coupled", "phi": 0.0, "R": [[1, 0], [0]]},
+    {"kind": "coupled", "phi": 0.0, "R": 1.0},
+])
+def test_extension_numbers_must_be_finite_numbers(doc):
+    with pytest.raises(SpecFileError):
+        extension_from_dict(doc)

@@ -1,7 +1,8 @@
 """Which endpoints are limit circle.
 
-The regime names its limit-circle (LC) ends (forms.LC_ENDS); nothing reads
-or writes that fact through the bases.  Covers the right-end one-LC regime
+A regime is the tuple of its limit-circle (LC) ends (forms.REGIME_*), and
+an extension's `lc_ends` is its regime; nothing reads or writes that fact
+through the bases.  Covers the right-end one-LC regime
 on the mirrored half-line (-inf, 0), checks that no form, triplet or CLI
 call changes the shared bases, and that a separated extension decorates
 the form with one term per LC end.
@@ -21,7 +22,6 @@ from slq.classify import classify_both
 from slq.errors import DomainConstraintViolated, SlqError
 from slq.extensions import LpLp, OneLC, Separated, friedrichs_spec, lc_ends
 from slq.forms import (
-    LC_ENDS,
     REGIME_LC_LC,
     REGIME_LC_LP,
     REGIME_LP_LC,
@@ -82,8 +82,8 @@ def _snapshot(bases):
 
 
 def test_regime_table_names_the_lc_ends():
-    assert LC_ENDS == {REGIME_LC_LC: ("a", "b"), REGIME_LC_LP: ("a",),
-                       REGIME_LP_LC: ("b",), REGIME_LP_LP: ()}
+    assert (REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LC, REGIME_LP_LP) \
+        == (("a", "b"), ("a",), ("b",), ())
 
 
 def test_unknown_regime_is_refused(dirichlet, dirichlet_bases):
@@ -255,6 +255,12 @@ def test_cli_reports_lp_lc(tmp_path, capsys):
 # -------------------------------------------------------------------------
 
 
+# Each decoration case's angles, {end: t} over its LC ends, written out as
+# the reference for the hand-written terms.
+_ANGLES = {"legendre": {"a": 0.7, "b": 1.9}, "halfline": {"a": 0.8},
+           "mirrored": {"b": 0.8}, "oscillator": {}}
+
+
 def _decoration_case(request, name):
     """(spec, bases, ext, f, g) with f~ and g~ nonzero at ext's LC ends."""
     if name == "legendre":
@@ -281,8 +287,10 @@ def _decoration_case(request, name):
                          ["legendre", "halfline", "mirrored", "oscillator"])
 def test_decoration_is_one_term_per_angle(request, name):
     spec, bases, ext, f, g = _decoration_case(request, name)
+    angles = _ANGLES[name]
+    assert ext.lc_ends == tuple(angles)
     terms = []
-    for end, t in ext.angles.items():
+    for end, t in angles.items():
         basis = bases["ab".index(end)]
         ft, gt = gbv(spec, basis, f).tilde, gbv(spec, basis, g).tilde
         terms.append(
@@ -294,7 +302,7 @@ def test_decoration_is_one_term_per_angle(request, name):
     # own order of arithmetic: equal to a few rounding errors of the terms.
     eps = np.finfo(float).eps
     assert abs(deco - want) <= 4 * eps * sum(abs(t) for t in terms)
-    assert (want != 0.0) == bool(ext.angles)
+    assert (want != 0.0) == bool(angles)
 
 
 @pytest.mark.parametrize("name, ext, end", [

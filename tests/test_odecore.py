@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from slq import tableaux
 
-from slq.errors import SpecFileError
+from slq.errors import SpecFileError, StepSizeUnderflow
 from slq.functions import polynomial
 from slq.odecore import (
     BRENTQ_RTOL,
@@ -338,6 +338,24 @@ def test_kernel_zero_length_solve_is_one_constant_step(dirichlet):
     assert (x, y) == (0.5, (0.3, -0.2))
     assert table.t == [0.5, 0.5]
     assert table.at(0.7) == (0.3, -0.2)
+
+
+def test_nan_step_raises_at_once():
+    # A NaN derivative makes the initial-step rule return NaN, and
+    # max(NaN, min_step) keeps it: the step check must still fail.  The
+    # RHS gives up after 10,000 calls, so a solve that keeps stepping ends
+    # in RuntimeError instead of running on.
+    calls = []
+
+    def rhs(x, y):
+        calls.append(x)
+        if len(calls) > 10_000:
+            raise RuntimeError("the solve did not stop")
+        return math.nan, math.nan
+
+    with pytest.raises(StepSizeUnderflow, match="NaN"):
+        rk_solve(RK45, rhs, 0.0, (1.0, 0.0), 1.0, 1e-9, 1e-12)
+    assert len(calls) < 10
 
 
 def test_wronskian_constant_along_solutions(dirichlet):

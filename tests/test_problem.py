@@ -185,3 +185,18 @@ def test_problem_from_dict_extension_passthrough():
         "extension": {"kind": "separated", "alpha": 0.0, "beta": 0.0},
     })
     assert ext["kind"] == "separated"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
+                                   "0.5", None])
+def test_problem_from_dict_lambda0_must_be_a_finite_number(value):
+    # JSON's NaN and Infinity parse to floats; neither is a reference energy.
+    with pytest.raises(SpecFileError, match="lambda0"):
+        problem_from_dict({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                           "lambda0": value})
+
+
+def test_problem_from_dict_interval_endpoint_refuses_a_bool():
+    with pytest.raises(SpecFileError):
+        problem_from_dict({"interval": {"a": False, "b": 1},
+                           "coefficients": {"p": "1", "q": "0", "r": "1"}})
