@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import sys
@@ -421,7 +422,10 @@ WINDOW = {"default": None}
 REQUIRED = {"required": True}
 
 
+@functools.cache
 def build_parser():
+    """The `slq` argument parser, built once per process: it holds no state
+    between parse_args calls."""
     parser = _Parser(prog="slq", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"slq {__version__}")

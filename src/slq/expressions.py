@@ -248,9 +248,28 @@ def _label(kind, **exprs):
         [kind, *(f"{k}={_short(e.text)}" for k, e in exprs.items())]) + ">"
 
 
+# Code objects `_code` keeps before it starts over.
+CODE_CACHE_SIZE = 512
+_CODE_CACHE = {}
+
+
+def _code(source, label, mode):
+    """compile(source, label, mode), compiled once per process: specs that
+    share a text share its code objects.  Executing one code object in
+    each caller's own namespace still binds that caller's names.  The
+    cache is cleared when it holds CODE_CACHE_SIZE entries."""
+    key = (source, label, mode)
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        if len(_CODE_CACHE) >= CODE_CACHE_SIZE:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[key] = compile(source, label, mode)
+    return code
+
+
 def _compiled(source, name, label, ns):
     """The function `name` that `source` defines in the namespace ns."""
-    exec(compile(source, label, "exec"), ns)  # noqa: S102
+    exec(_code(source, label, "exec"), ns)  # noqa: S102
     return ns[name]
 
 
@@ -294,8 +313,7 @@ class Expr:
         self.scalar = _compiled(_SCALAR_SOURCE.format(f=src), "scalar",
                                 label, dict(_SCALAR_NS, _undefined=undefined))
         self._array = eval(  # noqa: S307
-            compile(f"lambda x: {src}", label, "eval"), dict(_ARRAY_NS)
-        )
+            _code(f"lambda x: {src}", label, "eval"), dict(_ARRAY_NS))
         self._deriv: Expr | None = None
 
     @classmethod

@@ -437,8 +437,9 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     of exactly zero at a bracket's left end is a root itself.
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
-    if not lam_min < lam_max:
-        raise ValueError("lambda range must be increasing")
+    if not (math.isfinite(lam_min) and math.isfinite(lam_max)
+            and lam_min < lam_max):
+        raise ValueError("lambda range must be finite and increasing")
     if classification is None:
         from .classify import classify_both
         classification = classify_both(spec)

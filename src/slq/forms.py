@@ -15,7 +15,9 @@ Each end is one `Side` record (`_sides`): its reference solution w, its
 cut point (c at a, d at b) and the cutoff where w's support ends toward
 the endpoint.  The form, the L^2 check, the Green pairing and the triplet
 pairing all read their per-end data from it, and every per-end sign from
-SIGMA.
+SIGMA.  A side toward a regular end is a proper integral, one adaptive
+panel; only a side toward a singular end takes improper_integral's
+windows.
 
 The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
 inside each side integrand, not an object: a quadrature node looks w up
@@ -114,9 +116,18 @@ class Side:
 
     def integral(self, fn):
         """(value, error, converged, diverged) of the integral of fn over
-        the side, oriented along x (from a to c, from d to b)."""
-        val, e, ok, div = _complex(improper_integral, fn, self.cut,
-                                   self.endpoint, cutoff=self.cutoff)
+        the side, oriented along x (from a to c, from d to b).
+
+        At a regular end the integral is proper: one adaptive panel from
+        the cut to the endpoint, converged and finite by construction.  At
+        a singular end it is `improper_integral`'s windowed sweep toward
+        the endpoint, stopped at the cutoff.
+        """
+        if self.basis.regular:
+            val, e, ok, div = _complex(panel, fn, self.cut, self.endpoint)
+        else:
+            val, e, ok, div = _complex(improper_integral, fn, self.cut,
+                                       self.endpoint, cutoff=self.cutoff)
         return -SIGMA[self.end] * val, e, ok, div
 
 

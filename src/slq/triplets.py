@@ -82,20 +82,26 @@ def validate_pair(A, B):
     """Check the self-adjointness conditions of an (A, B) pair.
 
     A B* must equal B A* and the stacked block (B A) must have full row
-    rank n, both up to PAIR_TOL relative.  Returns an SAPair on success.
+    rank n, both up to PAIR_TOL relative.  The hermiticity defect is that
+    of the pair with each row of (B A) divided by its largest entry: the
+    relation is the same, D (A B* - B A*) D is the defect, and no entry of
+    the scaled pair exceeds 1, so nothing overflows.  Returns an SAPair on
+    success.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ValueError("A and B must be square matrices of the same size")
-    scale = max(np.linalg.norm(A), np.linalg.norm(B), 1.0)
-    herm = float(np.linalg.norm(A @ B.conj().T - B @ A.conj().T))
-    if herm > PAIR_TOL * scale * scale:
-        raise NotSelfAdjointPair(
-            f"A B* - B A* has norm {herm:.3e} "
-            f"(tolerance {PAIR_TOL * scale * scale:.3e})"
-        )
     stacked = np.hstack([B, A])
+    rows = np.abs(stacked).max(axis=1, initial=0.0)
+    rows[rows == 0.0] = 1.0
+    A_s, B_s = A / rows[:, None], B / rows[:, None]
+    herm = float(np.linalg.norm(A_s @ B_s.conj().T - B_s @ A_s.conj().T))
+    if herm > PAIR_TOL:
+        raise NotSelfAdjointPair(
+            f"A B* - B A* has norm {herm:.3e} relative to the row scales "
+            f"(tolerance {PAIR_TOL:.3e})"
+        )
     sv = np.linalg.svd(stacked, compute_uv=False)
     # n = 0 (no limit-circle end) leaves no singular value: full rank.
     smallest = sv.min(initial=math.inf)

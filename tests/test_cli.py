@@ -296,6 +296,7 @@ def test_spec_numbers_must_be_finite_numbers(specfile, capsys, doc):
     assert "finite number" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_badly_scaled_coupled_r_is_refused_without_a_traceback(specfile,
                                                                  capsys):
     # det R = 1, but the pair's rows differ in scale by 1e200: the rank
@@ -305,3 +306,14 @@ def test_a_badly_scaled_coupled_r_is_refused_without_a_traceback(specfile,
                                    "R": [[1e200, 0], [0, 1e-200]]}})
     assert main(["triplet", path]) == EXIT_NUMERICAL
     assert "RankDeficient" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    form = parser.parse_args(["form", "spec.json", "--f", "bump:0,1",
+                              "--g", "bump:0,1", "--strict"])
+    classify = parser.parse_args(["classify", "spec.json"])
+    assert form.f == "bump:0,1" and form.strict
+    assert not hasattr(classify, "f") and not classify.strict
+    assert classify.fn is cli.cmd_classify

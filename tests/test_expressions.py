@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from slq import expressions
 from slq.errors import SpecFileError
 from slq.expressions import (
     BinOp,
@@ -19,7 +20,7 @@ from slq.expressions import (
     quasi_rhs,
 )
 from slq.odecore import DOP853, RK45, rk_solve
-from slq.problem import CoefficientSet
+from slq.problem import CoefficientSet, catalog
 
 
 def test_polynomial_evaluation():
@@ -330,3 +331,40 @@ def test_compiled_code_is_labelled_by_its_expressions():
         for x in (-0.5, 0.25, 0.75):
             assert rhs(x, (0.3, -1.1)) == [
                 -1.1 / coeffs.p(x), (coeffs.q(x) - 2.0 * coeffs.r(x)) * 0.3]
+
+
+def test_specs_with_one_text_share_code_objects():
+    one = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
+    two = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
+    for a, b in ((one.q.scalar, two.q.scalar), (one.q._array, two.q._array),
+                 (one.rhs(2.0), two.rhs(2.0)),
+                 (one.steps(RK45)(2.0).step, two.steps(RK45)(2.0).step)):
+        assert a is not b
+        assert a.__code__ is b.__code__
+
+
+def test_shared_code_names_its_own_expression():
+    # Two texts of one tree whose labels agree up to the cut: one source,
+    # one label, so one code object, run in each expression's namespace.
+    texts = ("1 + x + x**2 + x**3 + x**4 + sqrt(x)",
+             "1 + x + x**2 + x**3 + x**4 + sqrt( x )")
+    exprs = [Expr.parse(text) for text in texts]
+    p = Expr.parse("1")
+    pairs = [quasi_pair(e, p) for e in exprs]
+    assert exprs[0].scalar.__code__ is exprs[1].scalar.__code__
+    assert pairs[0].__code__ is pairs[1].__code__
+    for text, e, pair in zip(texts, exprs, pairs):
+        for evaluate in (e.scalar, pair):
+            with pytest.raises(SpecFileError,
+                               match=re.escape(repr(text))):
+                evaluate(-1.0)
+
+
+def test_code_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(expressions, "CODE_CACHE_SIZE", 16)
+    monkeypatch.setattr(expressions, "_CODE_CACHE", {})
+    for k in range(40):
+        coeffs = catalog(f"bessel({0.3 + k / 1000!r})").coeffs
+        coeffs.rhs(0.0)
+        coeffs.q.deriv()
+        assert len(expressions._CODE_CACHE) <= 16

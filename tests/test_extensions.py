@@ -460,3 +460,13 @@ def test_the_pair_is_validated_once_and_read_only(monkeypatch, dirichlet,
 def test_extension_numbers_must_be_finite_numbers(doc):
     with pytest.raises(SpecFileError):
         extension_from_dict(doc)
+
+
+@pytest.mark.parametrize("lam_range", [
+    (0.5, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan),
+    (1.0, 0.5), (1.0, 1.0)])
+def test_eigenvalues_shoot_refuses_a_range_that_is_not_finite(
+        dirichlet, dirichlet_bases, lam_range):
+    with pytest.raises(ValueError, match="finite and increasing"):
+        eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), lam_range,
+                          bases=dirichlet_bases)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.exceptions import ComplexWarning
 
-from slq import quadrature
+from slq import forms, quadrature
 from slq.bvalues import patched_pair
 from slq.errors import (
     DomainConstraintViolated,
@@ -20,6 +20,7 @@ from slq.forms import (
     REGIME_LC_LC,
     REGIME_LC_LP,
     REGIME_LP_LP,
+    SIGMA,
     FormWindow,
     _complex,
     _pointwise_tau,
@@ -28,6 +29,7 @@ from slq.forms import (
     q_decorated,
 )
 from slq.functions import (
+    BumpFn,
     ExprFunction,
     ExpDecay,
     GaussianPoly,
@@ -35,6 +37,7 @@ from slq.functions import (
     polynomial,
 )
 from slq.odecore import ScaledSolution, tau_apply
+from slq.problem import catalog, validate
 from slq.quadrature import improper_integral, panel
 from slq.solutions import construct_basis
 from slq.triplets import triplet_green_residual
@@ -399,3 +402,89 @@ def test_q_base_is_sesquilinear_in_complex_multiples(legendre,
     i_g = LinearCombination([1j], [g])
     assert abs(q(i_f, g) - (-1j) * base) <= 1e-12
     assert abs(q(f, i_g) - 1j * base) <= 1e-12
+
+
+def _windowed(side, fn):
+    """A side integral by improper_integral's windows toward every end, the
+    route a singular end takes."""
+    val, e, ok, div = _complex(improper_integral, fn, side.cut,
+                               side.endpoint, cutoff=side.cutoff)
+    return -SIGMA[side.end] * val, e, ok, div
+
+
+def test_a_regular_side_makes_no_improper_integral_call(
+        monkeypatch, free_halfline, free_halfline_bases, dirichlet,
+        dirichlet_bases):
+    endpoints = []
+
+    def counted(f, start, endpoint, **kw):
+        endpoints.append(endpoint)
+        return improper_integral(f, start, endpoint, **kw)
+
+    monkeypatch.setattr(forms, "improper_integral", counted)
+    f, g = BumpFn(free_halfline, 0.1, 0.75), BumpFn(free_halfline, -0.1, 0.72)
+    q_base(free_halfline, free_halfline_bases, None, REGIME_LC_LP, f, g)
+    green_identity_residual(free_halfline, free_halfline_bases, None, f, g,
+                            regime=REGIME_LC_LP)
+    # Only the limit-point side at infinity is improper.
+    assert endpoints and set(endpoints) == {math.inf}
+    endpoints.clear()
+    f = polynomial(dirichlet, [1.0, 0.3, -0.1])
+    g = ExprFunction(dirichlet, "sin(x) + 0.5")
+    q_base(dirichlet, dirichlet_bases, None, REGIME_LC_LC, f, g)
+    green_identity_residual(dirichlet, dirichlet_bases, None, f, g)
+    triplet_green_residual(dirichlet, dirichlet_bases, f, g)
+    assert endpoints == []
+
+
+@pytest.fixture(scope="module")
+def bessel_03():
+    spec = catalog("bessel(0.3)")
+    validate(spec)
+    return spec, (construct_basis(spec, "a"), construct_basis(spec, "b"))
+
+
+def _regular_end_cases(problem, request):
+    if problem == "free_halfline":
+        spec = request.getfixturevalue("free_halfline")
+        bases = request.getfixturevalue("free_halfline_bases")
+        return spec, bases, REGIME_LC_LP, [
+            (BumpFn(spec, 0.1, 0.75), BumpFn(spec, -0.1, 0.72)),
+            (GaussianPoly(spec, [1.0, 0.25]), GaussianPoly(spec, [0.5, -0.5])),
+            (ExpDecay(spec, [1.0], k=1.0), ExpDecay(spec, [0.0, 1.0], k=1.5))]
+    if problem == "bessel(0.3)":
+        # Regular at b = 1; the functions vanish fast enough at the
+        # singular end a = 0 to lie in the form domain.
+        spec, bases = request.getfixturevalue("bessel_03")
+        return spec, bases, REGIME_LC_LC, [
+            (BumpFn(spec, 0.9, 0.5), BumpFn(spec, 0.85, 0.45)),
+            (ExprFunction(spec, "x**3"), ExprFunction(spec, "x**2*(2-x)")),
+            (BumpFn(spec, 0.9, 0.5), ExprFunction(spec, "x**2"))]
+    spec = request.getfixturevalue("dirichlet")
+    bases = request.getfixturevalue("dirichlet_bases")
+    return spec, bases, REGIME_LC_LC, [
+        (polynomial(spec, [1.0, 0.3, -0.1]), polynomial(spec, [0.2, -0.7])),
+        (ExprFunction(spec, "sin(x) + 0.5"), ExprFunction(spec, "cos(x)"))]
+
+
+@pytest.mark.parametrize("problem",
+                         ["free_halfline", "bessel(0.3)", "dirichlet"])
+def test_regular_side_panel_agrees_with_the_windowed_route(problem, request,
+                                                           monkeypatch):
+    spec, bases, regime, pairs = _regular_end_cases(problem, request)
+    assert any(basis.regular for basis in bases)
+    for f, g in pairs:
+        one = q_base(spec, bases, None, regime, f, g)
+        with monkeypatch.context() as m:
+            m.setattr(forms.Side, "integral", _windowed)
+            windowed = q_base(spec, bases, None, regime, f, g)
+        assert abs(one.value - windowed.value) \
+            <= one.error + windowed.error, (f, g, one.value, windowed.value)
+
+
+def test_halfline_green_residual_of_two_bumps(free_halfline,
+                                              free_halfline_bases):
+    f, g = BumpFn(free_halfline, 0.1, 0.75), BumpFn(free_halfline, -0.1, 0.72)
+    res = green_identity_residual(free_halfline, free_halfline_bases, None,
+                                  f, g, regime=REGIME_LC_LP)
+    assert abs(res) <= 1e-12

@@ -44,6 +44,18 @@ def test_validate_pair_rejects_non_hermitian():
         validate_pair(A, B)
 
 
+@pytest.mark.filterwarnings("error")
+def test_validate_pair_rejects_a_non_hermitian_pair_near_overflow():
+    # Row norms of 1e200 square to inf: the defect is measured on rows
+    # scaled to their largest entry.
+    A = 1e200 * np.eye(2)
+    B = 1e200 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotSelfAdjointPair):
+        validate_pair(A, B)
+    pair = validate_pair(A, 1e200 * np.diag([0.5, -2.0]))
+    assert pair.diagnostics["hermiticity_defect"] == 0.0
+
+
 def test_separated_theta_matrix():
     alpha, beta = 0.7, 1.9
     rel = decompose(pair_from_extension(Separated(alpha, beta)))
