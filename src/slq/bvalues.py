@@ -81,7 +81,7 @@ def _sequence_limit(vals, us, tol):
     return value, err, False
 
 
-def gbv(spec, basis, g, endpoint=None, tol=1e-9):
+def gbv(spec, basis, g, tol=1e-9):
     """Generalized boundary values (g~, g~') of g at the basis endpoint.
 
     g~ comes from the Wronskian route -W(u, g) with a ratio-route
@@ -94,10 +94,6 @@ def gbv(spec, basis, g, endpoint=None, tol=1e-9):
     alive, so its id cannot be reused by another function while the basis
     lives.
     """
-    if endpoint is not None and endpoint != basis.endpoint:
-        raise ValueError(
-            f"basis is for endpoint {basis.endpoint!r}, not {endpoint!r}"
-        )
     key = (id(g), tol)
     hit = basis._gbv_memo.get(key)
     if hit is not None and hit[0] is g:

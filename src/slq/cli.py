@@ -58,22 +58,14 @@ EXIT_NUMERICAL = 4
 REPORT_SCHEMA = "slq-report/1"
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return repr(obj)
-
-
 def _sanitize(value):
-    """Make report entries JSON-safe (inf/nan become strings)."""
+    """Make report entries JSON-safe: an ndarray becomes its nested list, a
+    complex number with imaginary part 0 its real part and any other one
+    {"re", "im"}, and inf/nan become strings."""
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
@@ -90,8 +82,7 @@ def _sanitize(value):
 
 
 def _emit(report, args):
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True,
-                      default=_json_default)
+    text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -197,12 +188,11 @@ def _extension_of(ext_doc, classification):
 
 def cmd_classify(spec, ext_doc, args):
     report = _base_report("classify", spec, args)
-    probe = _parse_probe(args.probe)
     section = {}
     inconclusive = False
     for e in ("a", "b"):
         try:
-            c = classify_endpoint(spec, e, probe_z=probe)
+            c = classify_endpoint(spec, e, probe_z=args.probe)
             section[e] = {"kind": c.kind, "evidence": c.evidence}
         except Inconclusive as exc:
             inconclusive = True
@@ -237,7 +227,7 @@ def cmd_basis(spec, ext_doc, args):
 
 
 def _dump_basis_csv(basis, path):
-    lo, hi = basis.trust_interval or (basis.anchor, basis.nonvanish_bound)
+    lo, hi = basis.trust_interval
     xs = np.linspace(lo, hi, 101)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,13 +266,12 @@ def cmd_gbv(spec, ext_doc, args):
 
 def cmd_form(spec, ext_doc, args):
     report = _base_report("form", spec, args)
-    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
     bases = _build_bases(spec)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
-    window = _parse_window(args.window) if args.window else None
-    fv = q_decorated(spec, bases, window, ext, f, g, tol=args.tol)
+    fv = q_decorated(spec, bases, args.window, ext, f, g, tol=args.tol)
     report["form"] = {
         "extension": ext.variant,
         "regime": _regime_name(ext.lc_ends),
@@ -297,13 +286,13 @@ def cmd_form(spec, ext_doc, args):
 
 def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
-    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    classification = classify_both(spec, probe_z=args.probe)
     bases = _build_bases(spec)
     regime = lc_ends(classification)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
-    window = _parse_window(args.window) if args.window else None
-    resid = green_identity_residual(spec, bases, window, f, g, regime=regime)
+    resid = green_identity_residual(spec, bases, args.window, f, g,
+                                    regime=regime)
     passed = bool(abs(resid) <= args.tol)
     report["green_check"] = {
         "regime": _regime_name(regime),
@@ -318,7 +307,7 @@ def cmd_green_check(spec, ext_doc, args):
 
 def cmd_eig(spec, ext_doc, args):
     report = _base_report("eig", spec, args)
-    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
     try:
         eigs = eigenvalues_shoot(
@@ -342,7 +331,7 @@ def cmd_eig(spec, ext_doc, args):
 
 def cmd_triplet(spec, ext_doc, args):
     report = _base_report("triplet", spec, args)
-    classification = classify_both(spec, probe_z=_parse_probe(args.probe))
+    classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
     rel = ext.relation
     pair = rel.pair
@@ -358,8 +347,8 @@ def cmd_triplet(spec, ext_doc, args):
         section["c_theta"] = rel.c_theta
         section["diagnostics"] = pair.diagnostics
         # Cross-path samples: the decorated form and the relation route on
-        # one base form per sample.  Both decorate through the same core
-        # from ext.relation, so the deviation is 0 by construction; the
+        # one base form per sample.  The relation route returns the
+        # decorated form's value, so the deviation is 0 by construction; the
         # keys and the three samples stay because report readers
         # (perfbench's one_lc_cli check among them) read them.  Until an
         # eigenfunction check q_Theta(y_n, y_n) = lambda_n exists, the
@@ -417,8 +406,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Options that several subcommands read.
 TOL = {"type": _finite, "default": 1e-6}
-PROBE = {"default": "1j"}
-WINDOW = {"default": None}
+PROBE = {"type": _parse_probe, "default": "1j"}
+WINDOW = {"type": _parse_window, "default": None}
 REQUIRED = {"required": True}
 
 

@@ -14,12 +14,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ExpressionPole, SpecFileError
 
 _ALLOWED_FUNCS = ("exp", "log", "sin", "cos", "sqrt")
-_ALLOWED_NAMES = {"x", "pi", "e"}
 
 
 class Node:
@@ -229,8 +226,6 @@ def _convert(node: ast.AST) -> Node:
 
 _SCALAR_NS = {f: getattr(math, f) for f in _ALLOWED_FUNCS}
 _SCALAR_NS["_pow"] = math.pow
-_ARRAY_NS = {f: getattr(np, f) for f in _ALLOWED_FUNCS}
-_ARRAY_NS["_pow"] = operator.pow
 
 # Longest expression text kept in the label of a compiled code object.
 _LABEL_TEXT = 24
@@ -248,28 +243,25 @@ def _label(kind, **exprs):
         [kind, *(f"{k}={_short(e.text)}" for k, e in exprs.items())]) + ">"
 
 
-# Code objects `_code` keeps before it starts over.
+# Code objects `_compiled` keeps before it starts over.
 CODE_CACHE_SIZE = 512
 _CODE_CACHE = {}
 
 
-def _code(source, label, mode):
-    """compile(source, label, mode), compiled once per process: specs that
-    share a text share its code objects.  Executing one code object in
-    each caller's own namespace still binds that caller's names.  The
-    cache is cleared when it holds CODE_CACHE_SIZE entries."""
-    key = (source, label, mode)
+def _compiled(source, name, label, ns):
+    """The function `name` that `source` defines in the namespace ns.
+
+    Each (source, label) is compiled once per process: specs that share a
+    text share its code objects.  Executing one code object in each
+    caller's own namespace still binds that caller's names.  The cache is
+    cleared when it holds CODE_CACHE_SIZE entries."""
+    key = (source, label)
     code = _CODE_CACHE.get(key)
     if code is None:
         if len(_CODE_CACHE) >= CODE_CACHE_SIZE:
             _CODE_CACHE.clear()
-        code = _CODE_CACHE[key] = compile(source, label, mode)
-    return code
-
-
-def _compiled(source, name, label, ns):
-    """The function `name` that `source` defines in the namespace ns."""
-    exec(_code(source, label, "exec"), ns)  # noqa: S102
+        code = _CODE_CACHE[key] = compile(source, label, "exec")
+    exec(code, ns)  # noqa: S102
     return ns[name]
 
 
@@ -289,13 +281,12 @@ class Expr:
     that know their argument is a number; a domain error raises a
     SpecFileError naming the expression.  That includes a negative base
     under a power whose exponent is not an integer constant (`x**0.5` at
-    x = -1, `(-2)**x` at x = 0.5), as for `sqrt(x)` at x = -1.  Calling the
-    Expr takes a number or an ndarray; on an ndarray such points give
-    numpy's nan, as `sqrt` does there.  A pole at a number (`1/x` at 0.0)
-    raises the ExpressionPole, a SpecFileError that is also a
-    ZeroDivisionError.  Calling it with a numpy float evaluates the float
-    it holds, so a pole there raises too; `scalar` takes the number as
-    given.
+    x = -1, `(-2)**x` at x = 0.5), as for `sqrt(x)` at x = -1.  A pole
+    (`1/x` at 0.0) raises the ExpressionPole, a SpecFileError that is also
+    a ZeroDivisionError.  Calling the Expr evaluates `scalar` at float(x):
+    a numpy float is evaluated as the float it holds, so a pole there
+    raises too, and an array raises TypeError.  `scalar` takes the number
+    as given.
     """
 
     def __init__(self, root: Node, text: str | None = None):
@@ -312,8 +303,6 @@ class Expr:
 
         self.scalar = _compiled(_SCALAR_SOURCE.format(f=src), "scalar",
                                 label, dict(_SCALAR_NS, _undefined=undefined))
-        self._array = eval(  # noqa: S307
-            _code(f"lambda x: {src}", label, "eval"), dict(_ARRAY_NS))
         self._deriv: Expr | None = None
 
     @classmethod
@@ -325,21 +314,9 @@ class Expr:
             raise SpecFileError(f"cannot parse expression {text!r}: {exc}")
         return cls(_convert(tree), text=text)
 
-    @classmethod
-    def constant(cls, value: float) -> "Expr":
-        return cls(Const(float(value)), text=repr(float(value)))
-
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            out = self._array(x)
-            if np.isscalar(out) or getattr(out, "shape", None) == ():
-                out = np.full_like(x, float(out), dtype=float)
-            return out
-        if isinstance(x, np.floating):
-            # numpy division returns inf at a pole where float division
-            # raises.
-            x = float(x)
-        return self.scalar(x)
+        # numpy division returns inf at a pole where float division raises.
+        return self.scalar(float(x))
 
     def deriv(self) -> "Expr":
         if self._deriv is None:

@@ -344,27 +344,21 @@ def q_base(spec, bases, window, regime, f, g):
 
 def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
                 base=None):
-    """Form of the extension `ext` applied to (f, g): `_decorated` on its
-    boundary relation `ext.relation`.
-
-    `base`, if given, is the FormValue that
-    `q_base(spec, bases, window, ext.lc_ends, f, g)` returns; it is read,
-    not written, so a caller may hand the same base to other routes.
-    """
-    return _decorated(spec, bases, window, ext.lc_ends, ext.relation, f, g,
-                      tol, base)
-
-
-def _decorated(spec, bases, window, regime, rel, f, g, tol, base):
-    """q_base(f, g) + (Theta Gamma0 f, Gamma0 g) for the decomposed boundary
-    relation `rel` over the LC ends `regime`.
+    """Form of the extension `ext` applied to (f, g): q_base(f, g) +
+    (Theta Gamma0 f, Gamma0 g) from its decomposed boundary relation
+    `ext.relation` over its LC ends `ext.lc_ends`.
 
     The form lives on dom Theta = (mul Theta)^perp, so f and g are refused
     (DomainConstraintViolated) when Gamma0 of either has a component along
     mul Theta above tol (1 + max |g~|), over the g~ of both.  A separated
     angle 0 at an end puts that end in mul Theta (g~ = 0 there); any other
     angle t contributes -SIGMA[end] cot t to Theta.
+
+    `base`, if given, is the FormValue that
+    `q_base(spec, bases, window, ext.lc_ends, f, g)` returns; it is read,
+    not written, so a caller may hand the same base to other routes.
     """
+    regime, rel = ext.lc_ends, ext.relation
     if base is None:
         base = q_base(spec, bases, window, regime, f, g)
 

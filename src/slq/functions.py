@@ -23,9 +23,7 @@ class QuasiFn:
     """A function g known through its quasi-pair (g(x), g^[1](x)).
 
     Subclasses define pair(x); x_min/x_max bound the evaluable range.
-    `pair`, `__call__` and `qd` take a scalar x in every subclass.  Only
-    an ExprFunction evaluates arrays, through `__call__`, `d1`, `d2` and
-    `qd`, never through its compiled `pair`.
+    `pair`, `__call__` and `qd` take a scalar x in every subclass.
     """
 
     x_min = -math.inf
@@ -74,12 +72,10 @@ class MemoizedQuasiFn(QuasiFn):
 
 class AnalyticFn(QuasiFn):
     """A QuasiFn with exact derivatives: subclasses define __call__, d1 and
-    d2, and carry the problem spec for g^[1] = p g'.  They take a scalar x;
-    an ExprFunction also takes an ndarray."""
+    d2, and carry the problem spec for g^[1] = p g'.  They take a scalar
+    x."""
 
     def qd(self, x):
-        if isinstance(x, np.ndarray):
-            return self.spec.p(x) * self.d1(x)
         return self.spec.p.scalar(x) * self.d1(x)
 
     def pair(self, x):
@@ -94,7 +90,7 @@ class ExprFunction(AnalyticFn):
     it takes scalars only.  It is bound per instance, so it takes
     precedence over `AnalyticFn.pair` and over any `pair` a subclass
     defines.  `__call__`, `d1` and `d2` take a number, through the
-    expressions' compiled scalar evaluators, or an ndarray.
+    expressions' compiled scalar evaluators.
     """
 
     def __init__(self, spec, expr):
@@ -107,18 +103,12 @@ class ExprFunction(AnalyticFn):
         self.pair = quasi_pair(expr, spec.p)
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return self.expr(x)
         return self.expr.scalar(x)
 
     def d1(self, x):
-        if isinstance(x, np.ndarray):
-            return self._d1(x)
         return self._d1.scalar(x)
 
     def d2(self, x):
-        if isinstance(x, np.ndarray):
-            return self._d2(x)
         return self._d2.scalar(x)
 
     def __repr__(self):

@@ -217,10 +217,6 @@ class SolutionBasis:
     _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
-    def toward(self):
-        """Direction of travel from the interior toward the endpoint."""
-        return -1.0 if self.endpoint == "a" else 1.0
-
 
 def _find_last_zero(w, segments, x_from, x_to):
     """Zero of the real trajectory w closest to x_to on [x_from, x_to], or

@@ -14,7 +14,9 @@ over its limit-circle ends (`extensions.ExtensionSpec`), which
 `pair_from_extension` returns it.  The relation decomposes into a purely
 multivalued part (the kernel of A) and a self-adjoint operator part Theta
 on its orthogonal complement, which supplies the boundary decoration of
-the sesquilinear form as (Lambda f, Theta Lambda g).
+the sesquilinear form as (Lambda f, Theta Lambda g).  The form takes the
+extension, never a bare pair: only the extension names its limit-circle
+ends, and `form_from_relation` returns the value of `forms.q_decorated`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ import numpy as np
 from .bvalues import gbv
 from .errors import NotSelfAdjointPair, RankDeficient
 from .forms import (
-    CONSTRAINT_TOL,
     REGIME_LC_LC,
     SIGMA,
-    _decorated,
     _pairing,
     _pointwise_tau,
     _sides,
@@ -113,7 +113,8 @@ def validate_pair(A, B):
 
 
 def decompose(pair):
-    """Split the relation {(u, v) : B u = A v} into Theta plus kernel.
+    """Split the relation {(u, v) : B u = A v} of the SAPair `pair` into
+    Theta plus kernel.
 
     The multivalued part is ker A, detected by SVD with a relative
     threshold; on its orthogonal complement the relation acts as the
@@ -121,8 +122,6 @@ def decompose(pair):
     basis of (ker A)^perp.  When that domain is one-dimensional, c_theta is
     that 1x1 operator as a real number.
     """
-    if not isinstance(pair, SAPair):
-        pair = validate_pair(pair[0], pair[1])
     A, B = pair.A, pair.B
     n = pair.n
     scale = max(np.linalg.norm(A), 1.0)
@@ -210,29 +209,19 @@ def _weighted_pairing(spec, bases, f, g_tau):
     return _pairing(spec, sides, f, g_tau)
 
 
-def form_from_relation(spec, bases, window, pair, f, g, base=None):
-    """Sesquilinear form of an extension through its boundary relation.
+def form_from_relation(spec, bases, window, ext, f, g, base=None):
+    """Sesquilinear form of the extension `ext` through its boundary
+    relation: the value of `forms.q_decorated`.
 
     q(f, g) = q_base(f, g) + (Lambda f, theta_op Lambda g) where Lambda g
-    is the Gamma0 vector of g restricted to the limit-circle components.
-    Both arguments must have Lambda vectors inside the operator domain of
-    the relation (no component along the multivalued part).  `pair` may be
-    an ExtensionSpec, whose form is `forms.q_decorated`'s, or an SAPair of
-    dimension 0 or 2, decorated by the same core; the dimension names its
-    limit-circle ends, none or both.  A one-dimensional SAPair does not say
-    which endpoint is limit circle, so it is refused.  `base`, if given, is
-    the FormValue of `q_base(spec, bases, window, regime, f, g)`; only its
-    value is read.
+    is the Gamma0 vector of g restricted to the limit-circle ends
+    `ext.lc_ends`.  Both arguments must have Lambda vectors inside the
+    operator domain of the relation (no component along the multivalued
+    part).  `base`, if given, is the FormValue of
+    `q_base(spec, bases, window, ext.lc_ends, f, g)`; only its value is
+    read.
     """
-    if not isinstance(pair, SAPair):
-        return q_decorated(spec, bases, window, pair, f, g, base=base).value
-    if pair.n not in (0, 2):
-        raise ValueError(
-            f"a {pair.n}-dimensional relation does not name its "
-            f"limit-circle endpoint; pass the OneLC extension instead"
-        )
-    return _decorated(spec, bases, window, ("a", "b")[:pair.n],
-                      decompose(pair), f, g, CONSTRAINT_TOL, base).value
+    return q_decorated(spec, bases, window, ext, f, g, base=base).value
 
 
 def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):

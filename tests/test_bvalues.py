@@ -64,18 +64,11 @@ def test_gbv_polynomial_at_singular_endpoint(legendre, legendre_bases):
     assert v.tilde_prime == pytest.approx(1.0, abs=1e-6)
 
 
-def test_gbv_endpoint_mismatch_rejected(legendre, legendre_bases):
-    g = polynomial(legendre, [1.0])
-    with pytest.raises(ValueError):
-        gbv(legendre, legendre_bases[0], g, endpoint="b")
-
-
 def test_gbv_memo_returns_the_same_object(legendre, legendre_bases):
     basis = legendre_bases[1]
     g = polynomial(legendre, [0.0, 1.0])
     first = gbv(legendre, basis, g)
     assert gbv(legendre, basis, g) is first
-    assert gbv(legendre, basis, g, endpoint="b") is first
 
 
 def test_gbv_memo_is_keyed_by_tol(dirichlet, dirichlet_bases):
@@ -109,13 +102,6 @@ def test_gbv_memo_entry_for_another_object_is_a_miss(dirichlet,
     assert v is not stale
     assert v.tilde == pytest.approx(2.0, abs=1e-12)
     assert gbv(dirichlet, basis, g) is v
-
-
-def test_gbv_memo_hit_still_checks_the_endpoint(legendre, legendre_bases):
-    g = polynomial(legendre, [1.0])
-    gbv(legendre, legendre_bases[0], g)
-    with pytest.raises(ValueError):
-        gbv(legendre, legendre_bases[0], g, endpoint="b")
 
 
 def test_patched_pair_boundary_data(dirichlet, dirichlet_bases):

@@ -12,7 +12,7 @@ from slq.cli import (
     EXIT_PARSE,
     main,
 )
-from slq.extensions import OneLC
+from slq.extensions import Coupled, OneLC, Separated
 from slq.forms import q_decorated
 from slq.functions import ExpDecay
 
@@ -118,6 +118,40 @@ def test_triplet_command_with_extension(specfile, capsys):
     deviations = [c["deviation"] for c in section["cross_path"]
                   if "deviation" in c]
     assert deviations and max(deviations) < 1e-8
+
+
+@pytest.mark.parametrize("ext, doc", [
+    (Separated(0.9, 2.1), {"kind": "separated", "alpha": 0.9, "beta": 2.1}),
+    (Coupled(1.0, ((1.0, 0.0), (0.0, 1.0))),
+     {"kind": "coupled", "phi": 1.0, "R": [[1, 0], [0, 1]]}),
+], ids=["separated", "coupled"])
+def test_triplet_matrices_follow_the_complex_number_rule(specfile, capsys,
+                                                         ext, doc):
+    # A, B and theta_op are reported entry by entry as every complex
+    # number is: a plain number where the imaginary part is 0, else
+    # {"re", "im"}.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                     "extension": doc})
+    code, report = _run(capsys, ["triplet", path])
+    assert code == EXIT_OK
+    section = report["triplet"]
+    for key, matrix in (("A", ext.pair.A), ("B", ext.pair.B),
+                        ("theta_op", ext.relation.theta_op)):
+        want = [[z.real if z.imag == 0.0 else {"re": z.real, "im": z.imag}
+                 for z in row.tolist()] for row in matrix]
+        assert section[key] == want, key
+    plain = all(isinstance(x, float) for key in ("A", "B", "theta_op")
+                for row in section[key] for x in row)
+    assert plain == (doc["kind"] == "separated")
+
+
+def test_a_bad_window_is_refused_when_the_options_are_parsed(specfile,
+                                                             capsys):
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    for spec_path in (path, "/nonexistent/file.json"):
+        assert main(["form", spec_path, "--f", "sin", "--g", "sin",
+                     "--window", "0.1"]) == EXIT_PARSE
+        assert "--window expects 'c,d'" in capsys.readouterr().err
 
 
 def test_triplet_cross_path_on_half_line(specfile, capsys):

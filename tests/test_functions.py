@@ -8,6 +8,7 @@ import pytest
 
 from slq.bvalues import BlendedFn, patched_pair
 from slq.errors import EvaluationOutsideSupport, SpecFileError
+from slq.expressions import Expr
 from slq.functions import (
     AnalyticFn,
     BumpFn,
@@ -152,17 +153,12 @@ def test_compiled_pair_domain_error_names_the_expression(dirichlet):
             evaluate(-1.0)
 
 
-def test_expression_arrays_go_through_the_value_not_the_pair(dirichlet):
-    # pair is scalar-only; arrays are evaluated through __call__ and qd,
-    # which agree with the scalar pair point by point (numpy's and math's
-    # sin and exp may differ in the last bit).
-    f = ExprFunction(dirichlet, "sin(2*x)*exp(-0.3*x) + x")
-    xs = np.linspace(0.1, 3.0, 13)
-    pairs = np.array([f.pair(float(x)) for x in xs])
-    assert np.allclose(f(xs), pairs[:, 0], rtol=1e-14, atol=0.0)
-    assert np.allclose(f.qd(xs), pairs[:, 1], rtol=1e-14, atol=0.0)
-    with pytest.raises(TypeError):
-        f.pair(xs)
+def test_expressions_refuse_arrays():
+    # An Expr is evaluated at one number; an array is refused for every
+    # text, also where the compiled scalar evaluator would broadcast it.
+    for text in ("x*x", "sin(x)", "x**0.5"):
+        with pytest.raises(TypeError):
+            Expr.parse(text)(np.array([1.0, 2.0]))
 
 
 def _numpy_reference(coeffs, shift):

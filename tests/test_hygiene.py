@@ -1,15 +1,19 @@
-"""Source hygiene: every module-level import in slq is used, slq has one
-ODE integrator, and importing the CLI loads no scipy."""
+"""Source hygiene: every module-level import in slq is used, every name
+slq defines has a reader outside the tests, slq has one ODE integrator,
+and importing the CLI loads no scipy."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "slq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "slq"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source):
@@ -46,6 +50,78 @@ def test_scan_flags_unused_and_keeps_used_or_exported():
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source):
+    """(name, qualified name) of every module-level function, class and
+    assignment target, and every non-dunder method, in `source`.  A
+    function under a decorator call (a registry such as
+    `@_register(name)`) is read by its registry and is left out."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            if not any(isinstance(d, ast.Call) for d in node.decorator_list):
+                yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__")
+                        and item.name.endswith("__")):
+                    yield item.name, f"{node.name}.{item.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, n.id
+
+
+def loaded_names(source):
+    """Every name `source` reads: Name loads and Attribute loads."""
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def readers():
+    """Names read outside the tests: loads in src/slq and perfbench/*.py,
+    the strings perfbench/tracing.py rebinds by name, and the identifiers
+    inside README.md's backticks."""
+    names = set()
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        names.update(loaded_names(path.read_text()))
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    names.update(n.value for n in ast.walk(tracing)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        names.update(re.findall(r"[A-Za-z_]\w*", span))
+    return names
+
+
+def test_scan_finds_definitions_and_their_readers():
+    source = ("X, _y = 1, 2\n"
+              "z: int = 3\n"
+              "@_register('k')\ndef built(): pass\n"
+              "@functools.cache\ndef cached(): pass\n"
+              "class C:\n    def __init__(self): pass\n"
+              "    def m(self): return self.n\n")
+    assert list(definitions(source)) == [
+        ("X", "X"), ("_y", "_y"), ("z", "z"), ("cached", "cached"),
+        ("C", "C"), ("m", "C.m")]
+    assert set(loaded_names(source)) == {"_register", "functools", "cache",
+                                         "int", "self", "n"}
+
+
+def test_every_definition_has_a_reader():
+    read = readers()
+    unread = [f"{path.name}:{qualified}"
+              for path in sorted(SRC.glob("*.py"))
+              for name, qualified in definitions(path.read_text())
+              if name not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

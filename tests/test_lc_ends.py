@@ -34,11 +34,7 @@ from slq.forms import (
 from slq.functions import ExpDecay, GaussianPoly, polynomial
 from slq.problem import problem_from_dict, validate
 from slq.solutions import construct_basis
-from slq.triplets import (
-    boundary_pair_check,
-    form_from_relation,
-    pair_from_extension,
-)
+from slq.triplets import boundary_pair_check, form_from_relation
 
 # The free half-line (0, inf) reflected to (-inf, 0): LP at a, regular at b.
 MIRRORED_DOC = {"interval": {"a": "-inf", "b": 0.0},
@@ -97,23 +93,6 @@ def test_classification_lc_ends(legendre, mirrored):
     c = classify_both(mirrored)
     assert lc_ends(c) == ("b",)
     assert friedrichs_spec(c) == OneLC(0.0, "b")
-
-
-def test_bare_pair_regime_from_its_dimension(dirichlet, dirichlet_bases,
-                                             free_halfline,
-                                             free_halfline_bases):
-    ext = Separated(0.9, 2.1)
-    f = polynomial(dirichlet, [1.0, -0.3])
-    g = polynomial(dirichlet, [0.4, 0.4, -0.1])
-    assert form_from_relation(dirichlet, dirichlet_bases, None,
-                              pair_from_extension(ext), f, g) \
-        == form_from_relation(dirichlet, dirichlet_bases, None, ext, f, g)
-    # n = 1 does not say which end is LC.
-    pair = pair_from_extension(OneLC(0.8, "a"))
-    f, g = _decaying_pair(free_halfline)
-    with pytest.raises(ValueError, match="OneLC"):
-        form_from_relation(free_halfline, free_halfline_bases, None, pair,
-                           f, g)
 
 
 # -------------------------------------------------------------------------
