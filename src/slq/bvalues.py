@@ -193,7 +193,9 @@ class BlendedFn(QuasiFn):
 
     The blend acts on values and classical derivatives; the quasi-derivative
     of the blend is (1-phi) l^[1] + phi r^[1] + p phi' (r - l), which keeps
-    f^[1] continuous across the window edges.
+    f^[1] continuous across the window edges.  The window edges are its
+    `breaks`: the third derivative of `_smoothstep` jumps there, so the
+    blend is C^2 but not analytic at them.
     """
 
     def __init__(self, spec, left, right, window, lam0):
@@ -201,6 +203,7 @@ class BlendedFn(QuasiFn):
         self.left = left
         self.right = right
         self.window = (float(window[0]), float(window[1]))
+        self.breaks = self.window
         self.lam0 = lam0
         self._p = spec.p.scalar
         self._dp = spec.p.deriv().scalar

@@ -6,8 +6,9 @@ Green-identity checks, eigenvalues, boundary-triplet algebra) and emits a
 structured JSON report.  Reports are deterministic for a fixed spec, flag
 set and package version, apart from the timestamp field.
 
-Exit codes: 0 success, 2 parse/usage failure, 3 inconclusive classification
-under --strict, 4 numerical failure.
+Exit codes: 0 success, 2 parse/usage failure, 4 numerical failure; an
+inconclusive classification or an unresolved eigenvalue range exits 4, or 3
+under --strict.
 """
 
 from __future__ import annotations
@@ -306,26 +307,43 @@ def cmd_green_check(spec, ext_doc, args):
 
 
 def cmd_eig(spec, ext_doc, args):
+    """Eigenvalues of the extension in [lmin, lmax].
+
+    A diagonal pair's empty range rests on its eigenvalue index, N(lmin) =
+    N(lmax), and is reported as an empty list.  A coupled pair has no index
+    yet: its determinant can touch zero at a double eigenvalue without
+    changing sign, so a range where it finds no bracket is reported as
+    unresolved, with no list, and exits 4 (3 under --strict).
+    """
     report = _base_report("eig", spec, args)
     classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
+    section = {"extension": ext.variant, "range": [args.lmin, args.lmax]}
+    unresolved = None
     try:
         eigs = eigenvalues_shoot(
             spec, ext, (args.lmin, args.lmax), tol=args.tol,
             grid_per_unit=args.grid, classification=classification,
         )
-    except RangeContainsNoBracket:
-        eigs = []
-    report["eigenvalues"] = {
-        "extension": ext.variant,
-        "range": [args.lmin, args.lmax],
-        "values": [
+    except RangeContainsNoBracket as exc:
+        if ext.variant != "coupled":
+            eigs = []
+        else:
+            unresolved = (f"{exc}; a coupled condition has no eigenvalue "
+                          f"index, so a double eigenvalue is not excluded")
+    if unresolved is None:
+        section["values"] = [
             {"lambda": e.lam, "bracket": list(e.bracket),
              "condition_residual": e.condition_residual}
             for e in eigs
-        ],
-    }
+        ]
+    else:
+        section["unresolved"] = unresolved
+    report["eigenvalues"] = section
     _emit(report, args)
+    if unresolved is not None:
+        print(f"inconclusive: {unresolved}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE if args.strict else EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -256,7 +256,19 @@ def _lc_init(basis, coef_u, coef_uhat):
 
 
 def _wkb_far_point(spec, endpoint, lam):
-    """Point beyond the turning region with a decay action of WKB_ACTION."""
+    """Point beyond the turning region with a decay action of WKB_ACTION,
+    walking from the interior toward an infinite limit-point endpoint.
+
+    At a finite limit-point end (bessel(gamma >= 1) at 0, Coulomb with
+    l >= 1 at 0) the walk would leave the interval, and there is no other
+    start yet: ShootingOverflow is raised at once, naming the end.
+    """
+    end = spec.interval.a if endpoint == "a" else spec.interval.b
+    if math.isfinite(end):
+        raise ShootingOverflow(
+            f"endpoint {endpoint} is a finite limit-point end: shooting has "
+            f"no start there yet"
+        )
     sign = 1.0 if endpoint == "b" else -1.0
     interior = spec.interval.interior_point()
     x = interior + sign * 1.0

@@ -15,9 +15,17 @@ Each end is one `Side` record (`_sides`): its reference solution w, its
 cut point (c at a, d at b) and the cutoff where w's support ends toward
 the endpoint.  The form, the L^2 check, the Green pairing and the triplet
 pairing all read their per-end data from it, and every per-end sign from
-SIGMA.  A side toward a regular end is a proper integral, one adaptive
-panel; only a side toward a singular end takes improper_integral's
-windows.
+SIGMA.  A side toward a regular end is a proper integral; only a side
+toward a singular end takes improper_integral's windows.
+
+Every proper integral (the middle Dirichlet integral over (c, d), the
+middle of a pairing, a side toward a regular end) is split at the `breaks`
+of its functions that lie strictly inside its span, the points where a
+function stops being analytic (a blend window's edges, a bump's support
+edges), and each piece is one adaptive panel (`_piecewise`).  That is
+QUADPACK's own remedy for known interior break points (dqagp): a single
+panel across a kink bisects its way onto it, spends most of its nodes
+there, and can return a value off by more than its error estimate.
 
 The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
 inside each side integrand, not an object: a quadrature node looks w up
@@ -114,17 +122,19 @@ class Side:
     cut: float          # c at a, d at b
     cutoff: float | None  # farthest trustworthy point; None: the endpoint
 
-    def integral(self, fn):
+    def integral(self, fn, breaks):
         """(value, error, converged, diverged) of the integral of fn over
         the side, oriented along x (from a to c, from d to b).
 
         At a regular end the integral is proper: one adaptive panel from
-        the cut to the endpoint, converged and finite by construction.  At
-        a singular end it is `improper_integral`'s windowed sweep toward
-        the endpoint, stopped at the cutoff.
+        the cut to the endpoint per piece between the `breaks` of fn's
+        functions that lie inside the side (`_piecewise`), converged and
+        finite by construction.  At a singular end it is
+        `improper_integral`'s windowed sweep toward the endpoint, stopped
+        at the cutoff.
         """
         if self.basis.regular:
-            val, e, ok, div = _complex(panel, fn, self.cut, self.endpoint)
+            val, e, ok, div = _piecewise(fn, self.cut, self.endpoint, breaks)
         else:
             val, e, ok, div = _complex(improper_integral, fn, self.cut,
                                        self.endpoint, cutoff=self.cutoff)
@@ -173,6 +183,25 @@ def _complex(integrate, fn, *args, **kw):
     re, im = parts
     return (complex(re.value, im.value), re.error + im.error,
             re.converged and im.converged, re.diverged or im.diverged)
+
+
+def _piecewise(fn, lo, hi, breaks):
+    """(value, error, converged, diverged) of the proper integral of fn from
+    lo to hi, one `panel` per piece between the breaks strictly inside.
+
+    Each piece goes through `_complex`, so it is real or complex by its own
+    nodes; values and errors are summed.  With no break inside it is one
+    panel over (lo, hi), as it would be unsplit.
+    """
+    inner = sorted({x for x in breaks if min(lo, hi) < x < max(lo, hi)})
+    if hi < lo:
+        inner.reverse()
+    knots = [lo, *inner, hi]
+    val, err, ok, div = _complex(panel, fn, knots[0], knots[1])
+    for x0, x1 in zip(knots[1:], knots[2:]):
+        v, e, o, d = _complex(panel, fn, x0, x1)
+        val, err, ok, div = val + v, err + e, ok and o, div or d
+    return val, err, ok, div
 
 
 def _side_n_integral(spec, side, f, g):
@@ -248,7 +277,7 @@ def _side_n_integral(spec, side, f, g):
             nf, ng, px, wu = n_pair(x)
             return nf.conjugate() * ng - coeff / (px * wu * wu)
 
-    val, e, ok, div = side.integral(integrand)
+    val, e, ok, div = side.integral(integrand, f.breaks + g.breaks)
     if div or not ok:
         raise FormIntegralDiverges(
             f"N-integral toward endpoint {side.end} does not converge"
@@ -264,7 +293,8 @@ def _check_square_integrable(spec, sides, fns):
         if side.lc:
             continue
         for fn in fns:
-            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2)[2]:
+            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2,
+                                 fn.breaks)[2]:
                 raise FormIntegralDiverges(
                     f"function is not in L^2(r) toward the limit-point "
                     f"endpoint {side.end}"
@@ -307,7 +337,7 @@ def q_base(spec, bases, window, regime, f, g):
         name = _PIECE_NAMES[side.end][0]
         val = 0.0
         if lam0 != 0.0:
-            val, e, ok, div = side.integral(mass)
+            val, e, ok, div = side.integral(mass, f.breaks + g.breaks)
             if div or not ok:
                 raise FormIntegralDiverges(
                     f"{name} mass integral does not converge")
@@ -320,7 +350,7 @@ def q_base(spec, bases, window, regime, f, g):
         return (fu1.conjugate() * gu1 / p(x)
                 + q(x) * fu.conjugate() * gu)
 
-    val, e, _, _ = _complex(panel, middle, window.c, window.d)
+    val, e, _, _ = _piecewise(middle, window.c, window.d, f.breaks + g.breaks)
     pieces["middle_dirichlet_integral"] = val
     err += e
 
@@ -389,22 +419,28 @@ def _pointwise_tau(spec, g):
     return lambda x: tau_at(spec, g, x)
 
 
-def _pairing(spec, sides, f, g_tau_fn):
-    """(f, tau g) = int r conj(f) tau(g) over the whole interval."""
+def _pairing(spec, sides, f, g_tau_fn, g_breaks):
+    """(f, tau g) = int r conj(f) tau(g) over the whole interval.
+
+    g_breaks are the breaks of g, which tau g inherits; the middle (c, d)
+    and each side toward a regular end are integrated piecewise between
+    them and f's breaks (`_piecewise`).
+    """
     r = spec.r.scalar
+    breaks = f.breaks + g_breaks
 
     def integrand(x):
         return r(x) * f(x).conjugate() * g_tau_fn(x)
 
     def part(side):
-        val, _, _, div = side.integral(integrand)
+        val, _, _, div = side.integral(integrand, breaks)
         if div:
             raise FormIntegralDiverges(f"pairing diverges toward {side.end}")
         return val
 
     side_a, side_b = sides
     total = sum((part(side_a),
-                 _complex(panel, integrand, side_a.cut, side_b.cut)[0],
+                 _piecewise(integrand, side_a.cut, side_b.cut, breaks)[0],
                  part(side_b)), 0j)
     if abs(total.imag) == 0.0:
         return total.real
@@ -422,7 +458,7 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):
         window = default_window(spec, *bases)
     form = q_base(spec, bases, window, regime, f, g)
     sides = _sides(spec, bases, window, regime)
-    pairing = _pairing(spec, sides, f, _pointwise_tau(spec, g))
+    pairing = _pairing(spec, sides, f, _pointwise_tau(spec, g), g.breaks)
 
     boundary = 0.0
     for side in sides:

@@ -4,10 +4,11 @@ Forms, boundary values and Green identities all consume a function g through
 its pair (g, g^[1]), where g^[1] = p g' is the first quasi-derivative.
 `QuasiFn` is that protocol: a subclass defines `pair(x)`, and the value
 `g(x)` and the quasi-derivative `g.qd(x)` are read off it.  `x_min`/`x_max`
-bound where g can be evaluated.  Solution trajectories and their blends and
-combinations are QuasiFns; `AnalyticFn` adds exact first and second
-derivatives d1/d2, so the test functions here lose no accuracy to finite
-differencing.
+bound where g can be evaluated, and `breaks` lists the points where g is
+not analytic, so that a quadrature can integrate between them.  Solution
+trajectories and their blends and combinations are QuasiFns; `AnalyticFn`
+adds exact first and second derivatives d1/d2, so the test functions here
+lose no accuracy to finite differencing.
 """
 
 from __future__ import annotations
@@ -24,10 +25,16 @@ class QuasiFn:
 
     Subclasses define pair(x); x_min/x_max bound the evaluable range.
     `pair`, `__call__` and `qd` take a scalar x in every subclass.
+    `breaks` is the tuple of points where g, as a function of x, is not
+    analytic (the joint of a blend, the edge of a support); it is empty by
+    default.  It is a fact of the function, not a setting: the forms
+    integrate piecewise between the breaks instead of letting an adaptive
+    panel bisect its way onto each one.
     """
 
     x_min = -math.inf
     x_max = math.inf
+    breaks = ()
 
     def pair(self, x):
         raise NotImplementedError
@@ -136,13 +143,15 @@ class BumpFn(AnalyticFn):
     """Smooth compactly supported bump exp(-1/(1 - t^2)), t = (x-c)/w.
 
     Identically zero outside |x - center| < width, so all its generalized
-    boundary values vanish and tau acts classically.
+    boundary values vanish and tau acts classically.  It is smooth but not
+    analytic at the edges of its support, center +- width: its `breaks`.
     """
 
     def __init__(self, spec, center, width):
         self.spec = spec
         self.center = float(center)
         self.width = float(width)
+        self.breaks = (self.center - self.width, self.center + self.width)
 
     def _t(self, x):
         return (x - self.center) / self.width

@@ -192,8 +192,10 @@ def triplet_green_residual(spec, bases, f, g):
     with the weighted pairing on the left and the C^n inner product
     (antilinear in the first slot) on the right.
     """
-    fg = _weighted_pairing(spec, bases, f, _pointwise_tau(spec, g))
-    gf = _weighted_pairing(spec, bases, g, _pointwise_tau(spec, f))
+    fg = _weighted_pairing(spec, bases, f, _pointwise_tau(spec, g),
+                           g.breaks)
+    gf = _weighted_pairing(spec, bases, g, _pointwise_tau(spec, f),
+                           f.breaks)
     lhs = fg - np.conj(gf)
     f0, f1 = boundary_maps(spec, bases, f)
     g0, g1 = boundary_maps(spec, bases, g)
@@ -201,12 +203,14 @@ def triplet_green_residual(spec, bases, f, g):
     return lhs - rhs
 
 
-def _weighted_pairing(spec, bases, f, g_tau):
+def _weighted_pairing(spec, bases, f, g_tau, g_breaks):
     """int r conj(f) g_tau over the whole interval, cut off toward each end
     where u_hat stops being trustworthy (the two-LC sides); with
-    g_tau = tau g it is (f, T_max g)."""
+    g_tau = tau g it is (f, T_max g).  g_breaks are the points where g_tau
+    stops being analytic (g's breaks, which tau g inherits); the proper
+    pieces are split there and at f's (`forms._pairing`)."""
     sides = _sides(spec, bases, default_window(spec, *bases), REGIME_LC_LC)
-    return _pairing(spec, sides, f, g_tau)
+    return _pairing(spec, sides, f, g_tau, g_breaks)
 
 
 def form_from_relation(spec, bases, window, ext, f, g, base=None):
@@ -241,7 +245,7 @@ def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):
         qv = float(np.real(q_base(spec, bases, window, regime, f, f).value))
         # (f, f) in the weighted space, reusing the pairing quadrature.
         nrm = float(np.real(
-            _weighted_pairing(spec, bases, f, f)
+            _weighted_pairing(spec, bases, f, f, f.breaks)
         ))
         if not all(math.isfinite(x) for x in
                    (np.linalg.norm(f0), qv, nrm)):

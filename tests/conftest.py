@@ -4,8 +4,6 @@ Basis construction at singular endpoints costs a few seconds each, so specs
 and bases are built once per session and shared read-only across tests.
 """
 
-import math
-
 import pytest
 
 from slq.problem import catalog, problem_from_dict, validate

@@ -73,7 +73,7 @@ def test_green_identity_two_lc(problem, request):
     for f in pool:
         for g in pool:
             pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g))
+                                        _pointwise_tau(spec, g), g.breaks)
             res = green_identity_residual(spec, bases, None, f, g)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)
             n_pairs += 1
@@ -97,7 +97,7 @@ def test_green_identity_one_lc(free_halfline, free_halfline_bases):
     for f in pool:
         for g in pool:
             pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g))
+                                        _pointwise_tau(spec, g), g.breaks)
             res = green_identity_residual(spec, bases, None, f, g,
                                           regime=REGIME_LC_LP)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)
@@ -127,7 +127,7 @@ def test_lp_lp_identity_hermite(oscillator, oscillator_bases):
     for f in pool:
         for g in pool:
             pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g))
+                                        _pointwise_tau(spec, g), g.breaks)
             res = green_identity_residual(spec, bases, None, f, g,
                                           regime=REGIME_LP_LP)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)

@@ -1,11 +1,8 @@
 """Generalized boundary values and patched reference functions."""
 
-import math
-
-import numpy as np
 import pytest
 
-from slq.bvalues import BlendedFn, gbv, patched_pair
+from slq.bvalues import gbv, patched_pair
 from slq.errors import WindowsOverlap
 from slq.functions import LinearCombination, polynomial
 

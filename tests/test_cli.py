@@ -7,6 +7,7 @@ import pytest
 
 from slq import cli, forms, triplets
 from slq.cli import (
+    EXIT_INCONCLUSIVE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
@@ -103,6 +104,37 @@ def test_eig_empty_range_reports_empty_list(specfile, capsys):
                                  "--lmax", "3.5"])
     assert code == EXIT_OK
     assert report["eigenvalues"]["values"] == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_eig_coupled_range_without_a_bracket_is_unresolved(specfile, capsys,
+                                                           strict):
+    # Periodic conditions on (0, pi): 4 and 16 are double eigenvalues, where
+    # the coupled determinant touches zero without changing sign.  With no
+    # index to count them, finding no bracket is not "no eigenvalue".
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                     "extension": {"kind": "coupled", "phi": 0,
+                                   "R": [[1, 0], [0, 1]]}})
+    code, report = _run(capsys, ["eig", path, "--lmin", "0.5",
+                                 "--lmax", "17.5",
+                                 *(["--strict"] if strict else [])])
+    assert code == (EXIT_INCONCLUSIVE if strict else EXIT_NUMERICAL)
+    section = report["eigenvalues"]
+    assert section["extension"] == "coupled"
+    assert "values" not in section
+    assert "no eigenvalue index" in section["unresolved"]
+
+
+def test_eig_at_a_finite_limit_point_end_is_a_numerical_failure(
+        specfile, capsys):
+    # Coulomb with l = 1 is limit point at 0: shooting has no start there,
+    # which is a numerical refusal (exit 4), not a spec-file error at x = 0.
+    path = specfile({"interval": {"a": 0, "b": "inf"},
+                     "coefficients": {"p": "1", "q": "2/x**2 - 1/x",
+                                      "r": "1"}})
+    code = main(["eig", path, "--lmin", "-0.3", "--lmax", "-0.01"])
+    assert code == EXIT_NUMERICAL
+    assert "finite limit-point end" in capsys.readouterr().err
 
 
 def test_triplet_command_with_extension(specfile, capsys):

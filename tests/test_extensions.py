@@ -9,6 +9,7 @@ import pytest
 from slq.bvalues import gbv
 from slq.errors import (
     RangeContainsNoBracket,
+    ShootingOverflow,
     SpecFileError,
     VariantMismatch,
 )
@@ -23,8 +24,9 @@ from slq.extensions import (
     extension_from_dict,
     friedrichs_spec,
 )
-from slq import extensions
+from slq import expressions, extensions
 from slq.classify import classify_both
+from slq.problem import catalog
 from slq.functions import ExprFunction
 from slq.triplets import pair_from_extension
 
@@ -470,3 +472,24 @@ def test_eigenvalues_shoot_refuses_a_range_that_is_not_finite(
     with pytest.raises(ValueError, match="finite and increasing"):
         eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), lam_range,
                           bases=dirichlet_bases)
+
+
+def test_shooting_refuses_a_finite_limit_point_end(monkeypatch):
+    # bessel(1.5) is limit point at 0 and regular at 1.  The WKB walk starts
+    # one unit inside the interval and steps outward, so toward a finite end
+    # it left (0, 1) at once; now the end is refused before any coefficient
+    # is evaluated outside the interval.
+    spec = catalog("bessel(1.5)")
+    ext = friedrichs_spec(classify_both(spec))
+    seen = []
+    call = expressions.Expr.__call__
+
+    def recording(self, x):
+        seen.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(expressions.Expr, "__call__", recording)
+    with pytest.raises(ShootingOverflow,
+                       match="endpoint a is a finite limit-point end"):
+        eigenvalues_shoot(spec, ext, (1.0, 60.0))
+    assert all(0.0 < x < 1.0 for x in seen)

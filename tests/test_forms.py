@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.exceptions import ComplexWarning
+from scipy.integrate import quad as scipy_quad
 
 from slq import forms, quadrature
 from slq.bvalues import patched_pair
@@ -404,9 +405,9 @@ def test_q_base_is_sesquilinear_in_complex_multiples(legendre,
     assert abs(q(f, i_g) - 1j * base) <= 1e-12
 
 
-def _windowed(side, fn):
+def _windowed(side, fn, breaks):
     """A side integral by improper_integral's windows toward every end, the
-    route a singular end takes."""
+    route a singular end takes; its windows do not split at breaks."""
     val, e, ok, div = _complex(improper_integral, fn, side.cut,
                                side.endpoint, cutoff=side.cutoff)
     return -SIGMA[side.end] * val, e, ok, div
@@ -488,3 +489,83 @@ def test_halfline_green_residual_of_two_bumps(free_halfline,
     res = green_identity_residual(free_halfline, free_halfline_bases, None,
                                   f, g, regime=REGIME_LC_LP)
     assert abs(res) <= 1e-12
+
+
+def _middle_reference(spec, window, f, g, points):
+    """The middle Dirichlet integral of (f, g) by scipy's quad, told the
+    points where f and g are not analytic (QUADPACK's dqagp)."""
+    p, q = spec.p.scalar, spec.q.scalar
+
+    def middle(x):
+        fu, fu1 = f.pair(x)
+        gu, gu1 = g.pair(x)
+        return fu1 * gu1 / p(x) + q(x) * fu * gu
+
+    return scipy_quad(middle, window.c, window.d, points=points,
+                      epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _recording_panels(monkeypatch):
+    """Patch forms.panel to record each span (a, b) and count the
+    integrand calls made over it; returns the list of [a, b, calls]."""
+    spans = []
+
+    def recording(f, a, b, **kw):
+        row = [a, b, 0]
+        spans.append(row)
+
+        def counted(x):
+            row[2] += 1
+            return f(x)
+
+        return panel(counted, a, b, **kw)
+
+    monkeypatch.setattr(forms, "panel", recording)
+    return spans
+
+
+def test_middle_of_v1_v1_is_within_its_error(legendre, legendre_bases):
+    # v1 is C^2 across its blend window's edges.  A single panel over
+    # (c, d) bisects onto them and leaves the middle 1.2e-10 off, 40 times
+    # the form's error; panels between the edges meet the reference.
+    v1 = patched_pair(legendre, *legendre_bases).v1
+    fv = q_base(legendre, legendre_bases, None, REGIME_LC_LC, v1, v1)
+    ref = _middle_reference(legendre, fv.window, v1, v1, v1.window)
+    assert abs(fv.pieces["middle_dirichlet_integral"] - ref) <= fv.error
+
+
+def test_middle_of_v1_v1_is_one_panel_per_piece(legendre, legendre_bases,
+                                                monkeypatch):
+    # Three pieces between c, the window's edges and d; each converges in
+    # at most two 21-point rules (a single panel over (c, d) makes 1,071
+    # calls).
+    v1 = patched_pair(legendre, *legendre_bases).v1
+    spans = _recording_panels(monkeypatch)
+    fv = q_base(legendre, legendre_bases, None, REGIME_LC_LC, v1, v1)
+    # Legendre's ends are singular, so every forms.panel is the middle.
+    assert sum(calls for _, _, calls in spans) <= 3 * 21 * 2
+    assert v1.breaks == v1.window
+    assert [(a, b) for a, b, _ in spans] == [
+        (fv.window.c, v1.window[0]), v1.window, (v1.window[1], fv.window.d)]
+
+
+def test_pairings_split_at_the_breaks_of_both_functions(
+        legendre, legendre_bases, monkeypatch):
+    # The Green pairing (f, tau g) and the triplet's weighted pairings split
+    # their middle panels at the breaks of f and of g, which tau g
+    # inherits: v1's window edges and the bump's support edges.
+    v1 = patched_pair(legendre, *legendre_bases).v1
+    bump = BumpFn(legendre, 0.05, 0.4)
+    spans = _recording_panels(monkeypatch)
+    window = forms.default_window(legendre, *legendre_bases)
+    knots = sorted({window.c, window.d, *v1.window, 0.05 - 0.4, 0.05 + 0.4})
+    pieces = list(zip(knots, knots[1:]))
+    for f, g in ((v1, bump), (bump, v1)):
+        spans.clear()
+        res = green_identity_residual(legendre, legendre_bases, None, f, g)
+        assert abs(res) <= 1e-10
+        # One split for q_base's middle and one for the pairing's.
+        assert [(a, b) for a, b, _ in spans] == pieces * 2
+    spans.clear()
+    triplet_green_residual(legendre, legendre_bases, v1, bump)
+    assert [(a, b) for a, b, _ in spans] == pieces * 2

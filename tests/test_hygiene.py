@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import in slq is used, every name
-slq defines has a reader outside the tests, slq has one ODE integrator,
-and importing the CLI loads no scipy."""
+"""Source hygiene: every module-level import in slq and its tests is used,
+every name slq defines has a reader outside the tests, slq has one ODE
+integrator, and importing the CLI loads no scipy."""
 
 import ast
 import os
@@ -13,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "slq"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -46,7 +47,8 @@ def test_scan_flags_unused_and_keeps_used_or_exported():
     assert unused_imports(source) == ["math", "b", "d"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+@pytest.mark.parametrize("path",
+                         sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
