@@ -309,16 +309,22 @@ def cmd_green_check(spec, ext_doc, args):
 def cmd_eig(spec, ext_doc, args):
     """Eigenvalues of the extension in [lmin, lmax].
 
-    A diagonal pair's empty range rests on its eigenvalue index, N(lmin) =
-    N(lmax), and is reported as an empty list.  A coupled pair has no index
-    yet: its determinant can touch zero at a double eigenvalue without
-    changing sign, so a range where it finds no bracket is reported as
-    unresolved, with no list, and exits 4 (3 under --strict).
+    A diagonal pair's list rests on its eigenvalue index, N(lmin) and
+    N(lmax), and is reported with "complete": true; an empty range is an
+    empty list.  A coupled pair has no index yet: its determinant can touch
+    zero at a double eigenvalue without changing sign.  So its list is
+    reported with "complete": false and a note on stderr, and a range where
+    it finds no bracket is reported as unresolved, with no list, and exits
+    4 (3 under --strict).
     """
     report = _base_report("eig", spec, args)
     classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
-    section = {"extension": ext.variant, "range": [args.lmin, args.lmax]}
+    coupled = ext.variant == "coupled"
+    section = {"extension": ext.variant, "range": [args.lmin, args.lmax],
+               "complete": not coupled}
+    no_index = ("a coupled condition has no eigenvalue index, so a double "
+                "eigenvalue is not excluded")
     unresolved = None
     try:
         eigs = eigenvalues_shoot(
@@ -326,11 +332,10 @@ def cmd_eig(spec, ext_doc, args):
             grid_per_unit=args.grid, classification=classification,
         )
     except RangeContainsNoBracket as exc:
-        if ext.variant != "coupled":
+        if not coupled:
             eigs = []
         else:
-            unresolved = (f"{exc}; a coupled condition has no eigenvalue "
-                          f"index, so a double eigenvalue is not excluded")
+            unresolved = f"{exc}; {no_index}"
     if unresolved is None:
         section["values"] = [
             {"lambda": e.lam, "bracket": list(e.bracket),
@@ -344,6 +349,9 @@ def cmd_eig(spec, ext_doc, args):
     if unresolved is not None:
         print(f"inconclusive: {unresolved}", file=sys.stderr)
         return EXIT_INCONCLUSIVE if args.strict else EXIT_NUMERICAL
+    if coupled:
+        print(f"note: the list may be incomplete: {no_index}",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -38,10 +38,6 @@ class EvaluationOutsideSupport(SlqError):
     """A trajectory was evaluated outside its dense-output range."""
 
 
-class GridTooCoarse(SlqError):
-    """Finite-difference stencil failed its Richardson cross-check."""
-
-
 class Inconclusive(SlqError):
     """Endpoint classification could not be certified within budget."""
 

@@ -61,7 +61,6 @@ from .errors import (
     NoConvergence,
     WindowInvalid,
 )
-from .odecore import tau_at
 from .quadrature import ImproperResult, improper_integral, panel
 
 REGIME_LC_LC = ("a", "b")
@@ -414,11 +413,6 @@ def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
                    pieces={**base.pieces, "decoration_terms": deco})
 
 
-def _pointwise_tau(spec, g):
-    """x -> (tau g)(x), through tau_at."""
-    return lambda x: tau_at(spec, g, x)
-
-
 def _pairing(spec, sides, f, g_tau_fn, g_breaks):
     """(f, tau g) = int r conj(f) tau(g) over the whole interval.
 
@@ -458,7 +452,7 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):
         window = default_window(spec, *bases)
     form = q_base(spec, bases, window, regime, f, g)
     sides = _sides(spec, bases, window, regime)
-    pairing = _pairing(spec, sides, f, _pointwise_tau(spec, g), g.breaks)
+    pairing = _pairing(spec, sides, f, g.tau, g.breaks)
 
     boundary = 0.0
     for side in sides:

@@ -5,10 +5,11 @@ its pair (g, g^[1]), where g^[1] = p g' is the first quasi-derivative.
 `QuasiFn` is that protocol: a subclass defines `pair(x)`, and the value
 `g(x)` and the quasi-derivative `g.qd(x)` are read off it.  `x_min`/`x_max`
 bound where g can be evaluated, and `breaks` lists the points where g is
-not analytic, so that a quadrature can integrate between them.  Solution
-trajectories and their blends and combinations are QuasiFns; `AnalyticFn`
-adds exact first and second derivatives d1/d2, so the test functions here
-lose no accuracy to finite differencing.
+not analytic, so that a quadrature can integrate between them.  Each
+subclass also computes its own `tau(x)`, (tau g)(x), exactly: a solution
+of tau u = lambda u returns lambda u, a blend or combination combines its
+members' tau, and `AnalyticFn` differentiates with its exact first and
+second derivatives d1/d2.  Nothing is finite-differenced.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class QuasiFn:
     analytic (the joint of a blend, the edge of a support); it is empty by
     default.  It is a fact of the function, not a setting: the forms
     integrate piecewise between the breaks instead of letting an adaptive
-    panel bisect its way onto each one.
+    panel bisect its way onto each one.  `tau(x)` is (tau g)(x), which
+    every subclass computes exactly in its own way.
     """
 
     x_min = -math.inf
@@ -44,6 +46,10 @@ class QuasiFn:
 
     def qd(self, x):
         return self.pair(x)[1]
+
+    def tau(self, x):
+        raise NotImplementedError(
+            f"{type(self).__name__} does not define tau")
 
 
 # Entries a MemoizedQuasiFn keeps before it starts over.
@@ -87,6 +93,13 @@ class AnalyticFn(QuasiFn):
 
     def pair(self, x):
         return self(x), self.qd(x)
+
+    def tau(self, x):
+        """(-(p g')' + q g) / r with (p g')' = p' g' + p g'' exact."""
+        spec = self.spec
+        d_qd = spec.p.deriv().scalar(x) * self.d1(x) \
+            + spec.p.scalar(x) * self.d2(x)
+        return (-d_qd + spec.q.scalar(x) * self(x)) / spec.r.scalar(x)
 
 
 class ExprFunction(AnalyticFn):
@@ -266,13 +279,15 @@ class ExpDecay(AnalyticFn):
 
 
 class LinearCombination(QuasiFn):
-    """sum_i c_i f_i over quasi-functions f_i."""
+    """sum_i c_i f_i over quasi-functions f_i; its breaks are the union of
+    its members'."""
 
     def __init__(self, coeffs, fns):
         assert len(coeffs) == len(fns)
         self.coeffs = [complex(c) if isinstance(c, complex) else float(c)
                        for c in coeffs]
         self.fns = list(fns)
+        self.breaks = tuple(sorted({x for f in self.fns for x in f.breaks}))
 
     def pair(self, x):
         u = u1 = 0.0
@@ -281,3 +296,6 @@ class LinearCombination(QuasiFn):
             u += c * fu
             u1 += c * fu1
         return u, u1
+
+    def tau(self, x):
+        return sum(c * f.tau(x) for c, f in zip(self.coeffs, self.fns))

@@ -45,12 +45,11 @@ import numpy as np
 from . import tableaux
 from .errors import (
     EvaluationOutsideSupport,
-    GridTooCoarse,
     NonFiniteState,
     StepSizeUnderflow,
 )
 from .expressions import _fused
-from .functions import AnalyticFn, MemoizedQuasiFn
+from .functions import MemoizedQuasiFn
 
 
 def _rk45_2(rows, i, x):
@@ -611,6 +610,10 @@ class ScaledSolution(MemoizedQuasiFn):
         s = math.exp(L)
         return u * s, u1 * s
 
+    def tau(self, x):
+        """(tau u)(x) = lam u(x): the trajectory solves tau u = lam u."""
+        return self.lam * self(x)
+
     @property
     def segments(self):
         """(table, logscale) pairs in insertion order."""
@@ -661,9 +664,6 @@ def end_state_zeros(spec, lam, anchor, init, target, tol=1e-10):
     return y, zeros
 
 
-STENCIL_TOL = 1e-7  # tau_at's cross-check of the (g^[1])' stencil
-
-
 def wronskian(f, g, x):
     """Modified Wronskian W(f, g)(x) = f g^[1] - f^[1] g at x."""
     fu, fu1 = f.pair(x)
@@ -671,54 +671,7 @@ def wronskian(f, g, x):
     return fu * gu1 - fu1 * gu
 
 
-def tau_apply(spec, g, x_grid):
-    """Apply tau to g on a grid: `tau_at` at each grid point.
-
-    The result is real unless some value has a nonzero imaginary part.
-    """
-    return np.array([tau_at(spec, g, x)
+def tau_apply(g, x_grid):
+    """Apply tau to g on a grid: g.tau at each grid point."""
+    return np.array([g.tau(x)
                      for x in np.atleast_1d(np.asarray(x_grid, dtype=float))])
-
-
-def tau_at(spec, g, x):
-    """(tau g)(x) at one point.
-
-    A g with its own `tau` method (a blend of lambda0 solutions) supplies
-    tau exactly.  An AnalyticFn takes the exact path (p u')' = p' u' + p u''
-    with the exact coefficient derivative.  Otherwise (g^[1])' comes from
-    4th-order central differences on g.qd with a Richardson cross-check
-    (GridTooCoarse when the two step sizes differ by more than
-    100 STENCIL_TOL relative).
-    A complex value with zero imaginary part is returned as a real number.
-    """
-    if hasattr(g, "tau"):
-        return g.tau(x)
-    p = spec.p
-    gv = g(x)
-    if isinstance(g, AnalyticFn):
-        d_qd = p.deriv().scalar(x) * g.d1(x) + p.scalar(x) * g.d2(x)
-    else:
-        d_qd = _qd_derivative(g, x)
-    v = (-d_qd + spec.q.scalar(x) * gv) / spec.r.scalar(x)
-    if isinstance(v, complex) and v.imag == 0.0:
-        return v.real
-    return v
-
-
-def _qd_derivative(g, x):
-    qd = g.qd
-    h = max(1e-4 * max(abs(x), 1.0), 1e-3)
-
-    def stencil(h):
-        return (-qd(x + 2 * h) + 8 * qd(x + h)
-                - 8 * qd(x - h) + qd(x - 2 * h)) / (12 * h)
-
-    coarse = stencil(h)
-    fine = stencil(0.5 * h)
-    # 4th-order stencil: Richardson combination cancels the h^4 term.
-    best = (16.0 * fine - coarse) / 15.0
-    if abs(fine - coarse) > STENCIL_TOL * (1.0 + abs(best)) * 100.0:
-        raise GridTooCoarse(
-            f"(g^[1])' stencil mismatch at x={x}: {abs(fine - coarse)}"
-        )
-    return best

@@ -136,6 +136,9 @@ class ScalarMultiple(QuasiFn):
         u, u1 = self.fn.pair(x)
         return self.c * u, self.c * u1
 
+    def tau(self, x):
+        return self.c * self.fn.tau(x)
+
 
 class ReductionSolution(MemoizedQuasiFn):
     """Principal solution w(x) * T(x) built by reduction of order.
@@ -198,6 +201,10 @@ class ReductionSolution(MemoizedQuasiFn):
         # 1/w true = exp(-L)/wu; folded into the common factor s = e^L:
         # u1 = scale * (e^L wu1 T - e^{-L}/wu) = s*(wu1 T - 1/(wu e^{2L}))
         return u, u1
+
+    def tau(self, x):
+        """(tau u)(x) = lambda0 u(x): w T solves tau u = lambda0 u."""
+        return self.spec.lambda0 * self(x)
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .forms import (
     REGIME_LC_LC,
     SIGMA,
     _pairing,
-    _pointwise_tau,
     _sides,
     default_window,
     q_base,
@@ -192,10 +191,8 @@ def triplet_green_residual(spec, bases, f, g):
     with the weighted pairing on the left and the C^n inner product
     (antilinear in the first slot) on the right.
     """
-    fg = _weighted_pairing(spec, bases, f, _pointwise_tau(spec, g),
-                           g.breaks)
-    gf = _weighted_pairing(spec, bases, g, _pointwise_tau(spec, f),
-                           f.breaks)
+    fg = _weighted_pairing(spec, bases, f, g.tau, g.breaks)
+    gf = _weighted_pairing(spec, bases, g, f.tau, f.breaks)
     lhs = fg - np.conj(gf)
     f0, f1 = boundary_maps(spec, bases, f)
     g0, g1 = boundary_maps(spec, bases, g)

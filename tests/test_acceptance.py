@@ -23,7 +23,6 @@ from slq.forms import (
     REGIME_LP_LP,
     SIGMA,
     FormWindow,
-    _pointwise_tau,
     green_identity_residual,
     q_base,
     q_decorated,
@@ -72,8 +71,7 @@ def test_green_identity_two_lc(problem, request):
     n_pairs = 0
     for f in pool:
         for g in pool:
-            pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g), g.breaks)
+            pairing = _weighted_pairing(spec, bases, f, g.tau, g.breaks)
             res = green_identity_residual(spec, bases, None, f, g)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)
             n_pairs += 1
@@ -96,8 +94,7 @@ def test_green_identity_one_lc(free_halfline, free_halfline_bases):
     n_pairs = 0
     for f in pool:
         for g in pool:
-            pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g), g.breaks)
+            pairing = _weighted_pairing(spec, bases, f, g.tau, g.breaks)
             res = green_identity_residual(spec, bases, None, f, g,
                                           regime=REGIME_LC_LP)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)
@@ -126,8 +123,7 @@ def test_lp_lp_identity_hermite(oscillator, oscillator_bases):
     pool = [GaussianPoly.hermite(spec, n) for n in range(4)]
     for f in pool:
         for g in pool:
-            pairing = _weighted_pairing(spec, bases, f,
-                                        _pointwise_tau(spec, g), g.breaks)
+            pairing = _weighted_pairing(spec, bases, f, g.tau, g.breaks)
             res = green_identity_residual(spec, bases, None, f, g,
                                           regime=REGIME_LP_LP)
             assert abs(res) <= 1e-6 * (1 + abs(pairing)), (f, g, res)

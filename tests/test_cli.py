@@ -96,6 +96,7 @@ def test_eig_command(specfile, capsys):
     assert code == EXIT_OK
     lams = [v["lambda"] for v in report["eigenvalues"]["values"]]
     assert lams == pytest.approx([1.0, 4.0, 9.0], abs=1e-7)
+    assert report["eigenvalues"]["complete"] is True
 
 
 def test_eig_empty_range_reports_empty_list(specfile, capsys):
@@ -104,6 +105,7 @@ def test_eig_empty_range_reports_empty_list(specfile, capsys):
                                  "--lmax", "3.5"])
     assert code == EXIT_OK
     assert report["eigenvalues"]["values"] == []
+    assert report["eigenvalues"]["complete"] is True
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -123,6 +125,27 @@ def test_eig_coupled_range_without_a_bracket_is_unresolved(specfile, capsys,
     assert section["extension"] == "coupled"
     assert "values" not in section
     assert "no eigenvalue index" in section["unresolved"]
+    assert section["complete"] is False
+
+
+def test_eig_coupled_list_is_flagged_incomplete(specfile, capsys):
+    # Krein's condition Coupled(0, [[1, pi], [0, 1]]) on (0, pi): 0 is a
+    # double eigenvalue, where the coupled determinant touches zero without
+    # changing sign, so only the simple eigenvalue 4 is found.  With no
+    # index to count what is missing, the list says it may be incomplete;
+    # the exit code stays 0.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
+                     "extension": {"kind": "coupled", "phi": 0.0,
+                                   "R": [[1, math.pi], [0, 1]]}})
+    code = main(["eig", path, "--lmin", "-0.31", "--lmax", "5"])
+    out = capsys.readouterr()
+    assert code == EXIT_OK
+    section = json.loads(out.out)["eigenvalues"]
+    assert section["complete"] is False
+    lams = [v["lambda"] for v in section["values"]]
+    assert lams == pytest.approx([4.0], abs=1e-6)
+    assert "may be incomplete" in out.err
+    assert "no eigenvalue index" in out.err
 
 
 def test_eig_at_a_finite_limit_point_end_is_a_numerical_failure(

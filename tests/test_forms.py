@@ -24,7 +24,6 @@ from slq.forms import (
     SIGMA,
     FormWindow,
     _complex,
-    _pointwise_tau,
     green_identity_residual,
     q_base,
     q_decorated,
@@ -263,9 +262,9 @@ def test_green_keeps_an_imaginary_part_that_vanishes_at_a_node(
 
 @pytest.mark.parametrize("kind", ["v1", "polynomial", "combination"])
 def test_pointwise_tau_equals_tau_apply(legendre, legendre_bases, kind):
-    # One tau: the Green pairing's pointwise tau is tau_apply at a
-    # one-point grid, bit for bit.  v1 supplies its own exact tau, the
-    # polynomial takes the exact path and the combination the stencil.
+    # One tau: the Green pairing's pointwise tau, g.tau, is tau_apply at a
+    # one-point grid, bit for bit.  v1 is a blend, the polynomial an
+    # AnalyticFn and the combination sums its members' tau.
     g = {
         "v1": lambda: patched_pair(legendre, *legendre_bases).v1,
         "polynomial": lambda: polynomial(legendre, [0.3, -1.0, 0.0, 2.5]),
@@ -273,9 +272,8 @@ def test_pointwise_tau_equals_tau_apply(legendre, legendre_bases, kind):
             [1.0, -0.5], [polynomial(legendre, [0.0, 1.0, 1.0]),
                           ExprFunction(legendre, "sin(x)")]),
     }[kind]()
-    tau = _pointwise_tau(legendre, g)
     for x in (-0.95, -0.6, -0.1, 0.0, 0.35, 0.8, 0.97):
-        assert tau(x) == tau_apply(legendre, g, [x])[0]
+        assert g.tau(x) == tau_apply(g, [x])[0]
 
 
 def _fresh_bases(spec):
@@ -569,3 +567,17 @@ def test_pairings_split_at_the_breaks_of_both_functions(
     spans.clear()
     triplet_green_residual(legendre, legendre_bases, v1, bump)
     assert [(a, b) for a, b, _ in spans] == pieces * 2
+
+
+def test_a_combination_splits_at_its_members_breaks(legendre,
+                                                    legendre_bases):
+    # LinearCombination([1.0], [v1]) has v1's pair bit for bit and inherits
+    # its breaks, so every piece of q_base, the middle Dirichlet integral
+    # split at the blend window included, is v1's own.
+    v1 = patched_pair(legendre, *legendre_bases).v1
+    combo = LinearCombination([1.0], [v1])
+    assert combo.breaks == v1.window
+    want = q_base(legendre, legendre_bases, None, REGIME_LC_LC, v1, v1)
+    got = q_base(legendre, legendre_bases, None, REGIME_LC_LC, combo, combo)
+    assert got.pieces == want.pieces
+    assert got.value == want.value

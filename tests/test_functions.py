@@ -120,13 +120,13 @@ def test_scalar_multiple_follows_its_member_as_it_grows(legendre_bases):
 
 def test_tau_of_a_combination_without_derivatives(dirichlet,
                                                   dirichlet_bases):
-    # x and u_hat both solve tau v = 0 here; u_hat has no d1/d2, so the
-    # combination goes through the stencil on its quasi-derivative.
+    # x and u_hat both solve tau v = 0 here; u_hat has no d1/d2, and the
+    # combination sums its members' exact tau, so the value is 0 exactly.
     combo = LinearCombination(
         [1.0, 0.5], [polynomial(dirichlet, [0, 1]), dirichlet_bases[0].u_hat])
-    vals = tau_apply(dirichlet, combo, [1.0])
+    vals = tau_apply(combo, [1.0])
     assert vals.shape == (1,)
-    assert abs(vals[0]) <= 1e-5
+    assert vals[0] == 0.0
 
 
 @pytest.mark.parametrize("problem, texts", [

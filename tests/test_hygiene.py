@@ -1,8 +1,10 @@
 """Source hygiene: every module-level import in slq and its tests is used,
-every name slq defines has a reader outside the tests, slq has one ODE
-integrator, and importing the CLI loads no scipy."""
+every name slq defines has a reader outside the tests, every quasi-function
+class computes its own tau, slq has one ODE integrator, and importing the
+CLI loads no scipy."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -124,6 +126,24 @@ def test_every_definition_has_a_reader():
               for name, qualified in definitions(path.read_text())
               if name not in read]
     assert unread == []
+
+
+def test_every_quasi_function_class_computes_its_own_tau():
+    # tau is part of the QuasiFn protocol, with no fallback: every concrete
+    # function class in slq (one with no subclass of its own) resolves tau
+    # to a method below QuasiFn's, which only raises.
+    from slq.functions import QuasiFn
+    for path in SRC.glob("*.py"):
+        importlib.import_module(f"slq.{path.stem}")
+    classes, todo = [], [QuasiFn]
+    while todo:
+        subs = [c for c in todo.pop().__subclasses__()
+                if c.__module__.startswith("slq.")]
+        classes += subs
+        todo += subs
+    leaves = [c for c in classes if not c.__subclasses__()]
+    assert len(leaves) >= 9
+    assert [c.__qualname__ for c in leaves if c.tau is QuasiFn.tau] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

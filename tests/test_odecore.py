@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from slq import tableaux
 
 from slq.errors import SpecFileError, StepSizeUnderflow
-from slq.functions import polynomial
+from slq.functions import QuasiFn, polynomial
 from slq.odecore import (
     BRENTQ_RTOL,
     DOP853,
@@ -27,8 +27,15 @@ from slq.odecore import (
     tau_apply,
     wronskian,
 )
-from slq.problem import CoefficientSet, Interval, ProblemSpec, catalog
-from slq.solutions import march_windows, rescaled_march
+from slq.problem import (
+    CoefficientSet,
+    Interval,
+    ProblemSpec,
+    catalog,
+    problem_from_dict,
+    validate,
+)
+from slq.solutions import construct_basis, march_windows, rescaled_march
 
 
 def test_integrate_tau_matches_sine(dirichlet):
@@ -377,7 +384,7 @@ def test_wronskian_bilinear(dirichlet):
 def test_tau_apply_exact_on_polynomials(dirichlet):
     # tau f = -f'' for p = 1, q = 0, r = 1; exact derivatives available.
     f = polynomial(dirichlet, [0.0, 0.0, 1.0])   # x^2
-    vals = tau_apply(dirichlet, f, [0.5, 1.5])
+    vals = tau_apply(f, [0.5, 1.5])
     assert np.allclose(vals, [-2.0, -2.0], atol=1e-12)
 
 
@@ -385,28 +392,49 @@ def test_tau_apply_legendre_eigenfunction(legendre):
     # Legendre P2 = (3x^2 - 1)/2 satisfies tau P2 = 6 P2.
     p2 = polynomial(legendre, [-0.5, 0.0, 1.5])
     xs = [-0.7, -0.2, 0.1, 0.6]
-    vals = tau_apply(legendre, p2, xs)
+    vals = tau_apply(p2, xs)
     want = [6 * p2(x) for x in xs]
     assert np.allclose(vals, want, atol=1e-10)
 
 
-def test_tau_apply_finite_difference_path(legendre):
-    # An object without analytic second derivatives exercises the stencil.
-    class Plain:
-        def __init__(self, spec):
-            self.spec = spec
+def test_tau_of_a_quasi_function_without_its_own_is_refused():
+    # tau is part of the protocol: a subclass that defines only pair has no
+    # fallback (no finite differences), and the error names the class.
+    class PairOnly(QuasiFn):
+        def pair(self, x):
+            return math.sin(x), math.cos(x)
 
-        def __call__(self, x):
-            return math.sin(x)
+    with pytest.raises(NotImplementedError, match="PairOnly"):
+        tau_apply(PairOnly(), [0.25])
 
-        def qd(self, x):
-            return self.spec.p(x) * math.cos(x)
 
-    vals = tau_apply(legendre, Plain(legendre), [0.25])
-    # tau sin = -((1-x^2) cos)' = 2x cos + (1-x^2) sin at x.
-    x = 0.25
-    want = 2 * x * math.cos(x) + (1 - x * x) * math.sin(x)
-    assert vals[0] == pytest.approx(want, rel=1e-7)
+def _exact_tau_cases():
+    bessel = catalog("bessel(0.3)")
+    validate(bessel)
+    halfline, _ = problem_from_dict({"coefficients": {"catalog":
+                                                      "free_halfline"},
+                                     "lambda0": -1})
+    validate(halfline)
+    return [(bessel, construct_basis(bessel, "a")),
+            (halfline, construct_basis(halfline, "a")),
+            (halfline, construct_basis(halfline, "b"))]
+
+
+def test_tau_of_basis_solutions_is_lambda0_times_the_solution():
+    # u and u_hat solve tau y = lambda0 y, so tau_apply is lambda0 y bit
+    # for bit, whether y is a trajectory, a multiple of one or a reduction
+    # solution.  A stencil on y^[1] erred here by up to 1e-7 (bessel(0.3)
+    # near 0, where lambda0 = 0).
+    kinds = set()
+    for spec, basis in _exact_tau_cases():
+        for fn in (basis.u, basis.u_hat):
+            kinds.add(type(fn).__name__)
+            lo = max(fn.x_min, spec.interval.a)
+            hi = min(fn.x_max, lo + 20.0)
+            xs = list(np.linspace(lo, hi, 9)[1:-1])
+            want = [spec.lambda0 * fn(x) for x in xs]
+            assert tau_apply(fn, xs).tolist() == want, fn
+    assert kinds == {"ScaledSolution", "ScalarMultiple", "ReductionSolution"}
 
 
 # -- the tableau literals and Brent's method against scipy -----------------
