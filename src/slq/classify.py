@@ -19,7 +19,7 @@ from .errors import Inconclusive
 from .odecore import end_state_zeros
 from .problem import endpoint_regular
 from .quadrature import DIVERGE_THRESHOLD, geometric_points, panel
-from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
+from .solutions import march_windows, oscillation_refuted
 
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
@@ -41,18 +41,14 @@ def _end(spec, endpoint):
     return a if endpoint == "a" else b
 
 
-def _segment_l2(spec, table, L):
-    """True integral of r |u|^2 over one trajectory segment."""
+def _window_l2(spec, table):
+    """Integral of r |u|^2 over one march window's table; a sum that is
+    not finite is inf."""
     lo, hi = sorted((table.t[0], table.t[-1]))
-    if lo == hi:
-        return 0.0
     r = spec.r.scalar
     val, _ = panel(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
                    epsabs=1e-14, epsrel=1e-10)
-    log_c = 2.0 * L + (math.log(val) if val > 0 else -math.inf)
-    if log_c > 700.0:
-        return math.inf
-    return val * math.exp(2.0 * L)
+    return val if math.isfinite(val) else math.inf
 
 
 def _tail_integral_verdict(spec, endpoint, z, init, anchor):
@@ -62,16 +58,13 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor):
     y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
     contribs = []
     total = 0.0
-    for scaled, first, _, L in march_windows(spec, z, y, pts, 1e-9):
-        window_sum = sum(
-            _segment_l2(spec, table, Ls)
-            for table, Ls in scaled.segments[first:]
-        )
+    for _, table, _, stopped in march_windows(spec, z, y, pts, 1e-9):
+        window_sum = _window_l2(spec, table)
         contribs.append(window_sum)
         total += window_sum
         if not math.isfinite(total) or total > DIVERGE_THRESHOLD:
             return "diverges", total, contribs
-        if L > LOGSCALE_MAX:
+        if stopped:
             return "diverges", math.inf, contribs
         if len(contribs) >= 3 and all(
                 c <= CLASSIFY_TOL * (1.0 + total) for c in contribs[-2:]):

@@ -118,6 +118,26 @@ def _finite(text):
     return value
 
 
+def _positive(text):
+    """A number on the command line: a finite float above 0, else
+    SpecFileError."""
+    value = _finite(text)
+    if value <= 0:
+        raise SpecFileError(f"{text!r} is not a positive number")
+    return value
+
+
+def _count(text):
+    """An integer on the command line: one above 0, else SpecFileError."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise SpecFileError(f"bad integer {text!r}") from None
+    if value <= 0:
+        raise SpecFileError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _parse_probe(text):
     try:
         z = complex(text.strip().replace("i", "j"))
@@ -161,7 +181,8 @@ def _resolve_function(token, spec, bases):
         parts = token[5:].split(",")
         if len(parts) != 2:
             raise SpecFileError("bump takes center,width")
-        return BumpFn(spec, center=_finite(parts[0]), width=_finite(parts[1]))
+        return BumpFn(spec, center=_finite(parts[0]),
+                      width=_positive(parts[1]))
     if token in ("v1", "v2"):
         pp = patched_pair(spec, bases[0], bases[1])
         return pp.v1 if token == "v1" else pp.v2
@@ -317,6 +338,8 @@ def cmd_eig(spec, ext_doc, args):
     it finds no bracket is reported as unresolved, with no list, and exits
     4 (3 under --strict).
     """
+    if not args.lmin < args.lmax:
+        raise SpecFileError("--lmin must be below --lmax")
     report = _base_report("eig", spec, args)
     classification = classify_both(spec, probe_z=args.probe)
     ext = _extension_of(ext_doc, classification)
@@ -431,7 +454,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Options that several subcommands read.
-TOL = {"type": _finite, "default": 1e-6}
+TOL = {"type": _positive, "default": 1e-6}
 PROBE = {"type": _parse_probe, "default": "1j"}
 WINDOW = {"type": _parse_window, "default": None}
 REQUIRED = {"required": True}
@@ -468,7 +491,7 @@ def build_parser():
     add("eig", cmd_eig, tol=TOL, probe=PROBE,
         lmin={"type": _finite, "default": 0.0},
         lmax={"type": _finite, "default": 10.0},
-        grid={"type": int, "default": 64, "help": (
+        grid={"type": _count, "default": 64, "help": (
             "lambda grid cells per unit of the range; each bracket is a grid "
             "cell or a piece of one.  Separated, one-LC and LP-LP conditions "
             "evaluate only the grid points that a bisection on the "

@@ -22,14 +22,15 @@ forms: for a CoefficientSet, once per method, with the emitted p, q and r
 inlined in every stage (`CoefficientSet.steps`); for any other right-hand
 side, such as the reduction tail, with a call to rhs(x, (u, v)) in each
 stage.  The weighted sums keep the tableau's order, so the arithmetic is
-that of a loop over the tableau, bit for bit.  A cap crossing is located
-by `brentq`, a port of scipy's Brent loop that the tests pin against it.
+that of a loop over the tableau, bit for bit.  `brentq`, a port of
+scipy's Brent loop that the tests pin against it, is the root finder of
+shooting.
 
 `integrate_tau` and `end_state` use DOP853 (Dormand-Prince 8(5,3)), whose
 eighth order suits the tolerances of 1e-10 to 1e-11 that shooting asks
-for; the renormalizing march in `solutions` and its reduction-of-order
-tail, the pair (T, 0), use RK45.  Each integrator segment is a StepTable,
-one kernel per method, evaluated without calling scipy.
+for; the march in `solutions` and its reduction-of-order tail, the pair
+(T, 0), use RK45.  Each integrator segment is a StepTable, one kernel per
+method, evaluated without calling scipy.
 """
 
 from __future__ import annotations
@@ -76,15 +77,6 @@ def _dop853_2(rows, i, x):
 
 # Step kernels of the pair by coefficients per component.
 _KERNELS = {4: _rk45_2, 7: _dop853_2}
-
-
-def _constant_step(t, ys, n_coef):
-    """Row of a zero-length solve: zero coefficients keep the value."""
-    row = [t, 1.0]
-    for y in ys:
-        row.append(y)
-        row += (0.0,) * n_coef
-    return row
 
 
 # scipy's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -292,10 +284,13 @@ def brentq(f, a, b, xtol):
     1973, ch. 4).
 
     This is scipy.optimize.brentq's C loop step for step, so roots agree
-    bit for bit, and it raises scipy's errors: ValueError when f(a) and
-    f(b) have the same sign or f returns NaN, RuntimeError when
-    BRENTQ_MAXITER iterations do not converge to xtol + BRENTQ_RTOL |x|.
+    bit for bit, and it raises scipy's errors: ValueError when xtol <= 0,
+    when f(a) and f(b) have the same sign or when f returns NaN,
+    RuntimeError when BRENTQ_MAXITER iterations do not converge to
+    xtol + BRENTQ_RTOL |x|.
     """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = _root_value(f, xpre), _root_value(f, xcur)
@@ -360,17 +355,15 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     the initial-step rule and its RHS call, as scipy's first_step does; a
     first step past target is cut there, as every step is.  The sums run
     in a fixed order where numpy's BLAS may fuse or reorder, so states
-    agree with scipy's to rounding, not bit for bit.  With `cap`,
-    integration stops where max(|u|, |u^[1]|) first reaches cap, located
-    as scipy locates a terminal event: `brentq` (scipy's, ported) on the
-    step's interpolant, xtol = rtol = 4 eps.
+    agree with scipy's to rounding, not bit for bit.  A solve of zero
+    length raises ValueError.  With `cap`, integration stops at the first
+    accepted step whose state has max(|u|, |u^[1]|) >= cap.
 
-    Returns (x, (u, u^[1]), table): where integration stopped, the state
-    there, and the StepTable of the steps when `dense` (else None).  A
-    step cut by the cap keeps its whole row, and the table ends at the
-    event point.  The table's `h_next` is the step the controller proposed
-    after the last step, the `first_step` of a solve that goes on from
-    where this one stopped.  Each state adds to the one before it, so a
+    Returns (x, (u, u^[1]), table): where integration stopped, target or
+    the step point where the cap stopped it, the state there, and the
+    StepTable of the steps when `dense` (else None).  The table's `h_next`
+    is the step the controller proposed after the last step, the
+    `first_step` of a solve that goes on from where this one stopped.  Each state adds to the one before it, so a
     non-finite state stays non-finite: checking the returned state checks
     them all.  With `zeros`, for a real state, a fourth item counts the
     sign changes of u over the accepted steps: the zeros of u passed, a
@@ -380,18 +373,14 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
     rhs, step = steps.rhs, steps.step
     t, t_bound = float(anchor), float(target)
+    if t == t_bound:
+        raise ValueError("target must differ from anchor")
     u, v = (_plain(c) for c in init)
     rtol = max(rtol, 100 * EPS)
     # With `zeros`: the sign of the last nonzero u, 0.0 before one.
     count, sign = 0, 0.0
     if zeros and u:
         sign = math.copysign(1.0, u)
-    if t == t_bound:
-        # scipy's zero-length solve: one constant step.
-        table = StepTable([t, t], [_constant_step(t, (u, v), method.n_coef)],
-                          method.n_coef, first_step)
-        out = t, (u, v), table if dense else None
-        return out + (count,) if zeros else out
     direction = 1.0 if t_bound > t else -1.0
     fu, fv = rhs(t, (u, v))
     h_abs = first_step
@@ -412,14 +401,6 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
             h1 = (0.01 / max(d1, d2)) ** (1 / (method.order + 1))
         h_abs = min(100 * h0, h1, length)
 
-    if cap is not None:
-        log_cap = math.log(cap)
-
-        def level(u, v):
-            m = max(abs(u), abs(v))
-            return (math.log(m) if m > 0 else -math.inf) - log_cap
-
-        g = level(u, v)
     ts, rows = [t], []
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -447,19 +428,8 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** method.exponent)
             rejected = True
-        if dense or cap is not None:
-            row = steps.row(t, h, u, v, un, vn, ku, kv)
-        stop = direction * (t_new - t_bound) >= 0
-        if cap is not None:
-            g_old, g = g, level(un, vn)
-            if g_old <= 0 <= g or g <= 0 <= g_old:
-                at = _KERNELS[method.n_coef]
-                t_new = brentq(lambda x: level(*at(row, 0, x)), t, t_new,
-                               xtol=4 * EPS)
-                un, vn = at(row, 0, t_new)
-                stop = True
         if dense:
-            rows.append(row)
+            rows.append(steps.row(t, h, u, v, un, vn, ku, kv))
         if zeros and un * sign <= 0.0:
             # u changed sign, reached zero, or leaves a zero start.
             if un * sign < 0.0:
@@ -468,7 +438,8 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
                 sign = math.copysign(1.0, un)
         ts.append(t_new)
         t, u, v = t_new, un, vn
-        if stop:
+        if direction * (t - t_bound) >= 0 or (
+                cap is not None and max(abs(u), abs(v)) >= cap):
             break
         fu, fv = ku[method.n_stages], kv[method.n_stages]
     table = StepTable(ts, rows, method.n_coef, h_abs) if dense else None
@@ -527,25 +498,23 @@ class StepTable:
 
 
 class ScaledSolution(MemoizedQuasiFn):
-    """Dense-output trajectory of the quasi-derivative system with a
-    log-scale ledger.
+    """Dense-output trajectory of the quasi-derivative system.
 
-    A trajectory is one or more integrator segments, each carrying a log
-    scale L: the true solution on the segment is exp(L) times the stored
-    unit-size values.  Marching toward a singular endpoint renormalizes
-    whenever the working state leaves [1/cap, cap], so the stored numbers
-    stay well conditioned while the ledger tracks growth that can exceed
-    floating-point range.
+    A trajectory is one or more integrator segments, each a StepTable of
+    the solution's true values.  The march toward a singular endpoint
+    stops before they can leave floating-point range (see
+    `solutions.march_windows`).
 
-    Segments are StepTables and may meet only at their edges.  Their edges
+    Segments may meet only at their edges.  Their edges
     are kept sorted by left edge, so a lookup is a bisection; where x lies
     on a shared edge the segment inserted first is used.  A trajectory
     without segments covers nothing: every evaluation raises
     EvaluationOutsideSupport.
 
     `pair` computes each point once (see MemoizedQuasiFn): a miss goes
-    through `log_pair`, and `add_segment` clears the memo, since a new
-    segment can answer a point that no segment or a farther one answered.
+    through `log_pair`, the uncached lookup, and `add_segment` clears the
+    memo, since a new segment can answer a point that no segment or a
+    farther one answered.
     """
 
     x_min = math.inf
@@ -553,7 +522,7 @@ class ScaledSolution(MemoizedQuasiFn):
 
     def __init__(self, lam):
         self.lam = lam
-        self._segments = []  # (table, logscale), in insertion order
+        self._segments = []  # tables, in insertion order
         # Edges in (lo, hi) order with the insertion index of each segment.
         # Disjoint interiors make the right edges nondecreasing too.
         self._los = []
@@ -561,7 +530,7 @@ class ScaledSolution(MemoizedQuasiFn):
         self._order = []
         self._memo = {}  # x -> pair(x)
 
-    def add_segment(self, table, logscale):
+    def add_segment(self, table):
         """Append a segment, a StepTable; its interior must not overlap
         another segment's."""
         lo, hi = table._ts[0], table._ts[-1]
@@ -576,7 +545,7 @@ class ScaledSolution(MemoizedQuasiFn):
         los.insert(k, lo)
         his.insert(k, hi)
         self._order.insert(k, len(self._segments))
-        self._segments.append((table, logscale))
+        self._segments.append(table)
         self.x_min, self.x_max = los[0], his[-1]
         self._memo.clear()
 
@@ -592,23 +561,18 @@ class ScaledSolution(MemoizedQuasiFn):
             return self._segments[self._order[j]]
         if j < i:
             return self._segments[min(self._order[j:i])]
-        # x in a floating-point gap between segments (marched legs always
+        # x in a floating-point gap between segments (marched windows always
         # meet exactly): the nearest segment, the first inserted on a tie.
         _, k = min((min(abs(x - lo), abs(x - hi)), k)
                    for lo, hi, k in zip(self._los, self._his, self._order))
         return self._segments[k]
 
     def log_pair(self, x):
-        """(u_unit, u1_unit, L): true values are unit * exp(L)."""
-        table, L = self._locate(x)
-        u, u1 = table.at(x)
-        return u, u1, L
+        """(u(x), u^[1](x)), looked up without the memo."""
+        return self._locate(x).at(x)
 
     def _pair(self, x):
-        """(u(x), u^[1](x))."""
-        u, u1, L = self.log_pair(x)
-        s = math.exp(L)
-        return u * s, u1 * s
+        return self.log_pair(x)
 
     def tau(self, x):
         """(tau u)(x) = lam u(x): the trajectory solves tau u = lam u."""
@@ -616,7 +580,7 @@ class ScaledSolution(MemoizedQuasiFn):
 
     @property
     def segments(self):
-        """(table, logscale) pairs in insertion order."""
+        """The StepTables in insertion order."""
         return list(self._segments)
 
 
@@ -624,8 +588,6 @@ def _solve(spec, lam, anchor, init, target, tol, dense=False, zeros=False):
     """One DOP853 solve of the quasi-derivative system, checked: the state
     at target, the StepTable when dense (else None), and with `zeros` the
     count of sign changes of u (see rk_solve)."""
-    if target == anchor:
-        raise ValueError("target must differ from anchor")
     out = rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)), anchor,
                    init, target, tol, tol * 1e-3, dense, zeros=zeros)
     if not all(map(cmath.isfinite, out[1])):
@@ -637,12 +599,10 @@ def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
     """Solve tau u = lambda u from `anchor` to `target`.
 
     init is the pair (u, u^[1]) at the anchor.  Direction follows
-    sign(target - anchor).  Returns a one-segment ScaledSolution with log
-    scale 0.
+    sign(target - anchor).  Returns a one-segment ScaledSolution.
     """
     traj = ScaledSolution(lam)
-    traj.add_segment(_solve(spec, lam, anchor, init, target, tol, True)[1],
-                     0.0)
+    traj.add_segment(_solve(spec, lam, anchor, init, target, tol, True)[1])
     return traj
 
 

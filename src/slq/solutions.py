@@ -3,18 +3,16 @@
 At a nonoscillatory endpoint the solutions of tau u = lambda0 u split into
 the principal direction u (unique up to scalars, with divergent integral of
 1/(p u^2) toward the endpoint) and its dominant nonprincipal companions
-u_hat.  This module marches solutions toward endpoints with overflow-safe
-rescaling, decides principal vs nonprincipal by window convergence tests,
-builds the companion by reduction of order, and normalizes so that
-W(u_hat, u) = 1 holds exactly.
+u_hat.  This module marches solutions toward endpoints, decides principal
+vs nonprincipal by window convergence tests, builds the companion by
+reduction of order, and normalizes so that W(u_hat, u) = 1 holds exactly.
 
-The march (`march_windows`) is odecore.rk_solve with RK45 and a cap: a
-leg stops where max(|u|, |u^[1]|) reaches the cap, and the next one
-starts from the state divided by that size, its logarithm added to the
-segment's log scale.  Every leg after the first, in the same window or
-the next, starts with the step the controller proposed at the end of the
-leg before, so only the first runs scipy's initial-step rule.  The march
-also serves the endpoint probes in `classify`.
+The march (`march_windows`) is one odecore.rk_solve with RK45 per window,
+storing true values.  Every window after the first starts with the step
+the controller proposed at the end of the window before, so only the
+first runs scipy's initial-step rule.  The march stops at the first step
+where max(|u|, |u^[1]|) reaches e^LOGSCALE_MAX, far inside floating-point
+range.  It also serves the endpoint probes in `classify`.
 The reduction tail T' = -1/(p w^2) (`_tail_ode`) runs on the same
 integrator as the pair (T, 0).
 """
@@ -38,7 +36,6 @@ from .odecore import RK45, ScaledSolution, _plain, rk_solve
 from .problem import endpoint_regular
 from .quadrature import geometric_points, improper_integral
 
-SCALE_CAP = 1e8
 LOGSCALE_MAX = 300.0
 TAIL_RTOL = 1e-12
 TAIL_ATOL = 1e-40  # per unit of 1 + |reduction integral|
@@ -46,46 +43,35 @@ TRUST_CAP = 1e7
 TRUST_POINTS = 201
 
 
-def march_windows(spec, lam, init, pts, tol, cap=SCALE_CAP):
+def march_windows(spec, lam, init, pts, tol):
     """March from pts[0] through the window points pts[1:].
 
-    The state is renormalized whenever it reaches `cap` (see the module
-    docstring), so a window can take several legs.  Each leg after the
-    first takes as its first step the one the controller proposed at the
-    end of the leg before (`StepTable.h_next`): neither a window edge nor
-    a renormalization restarts the controller.  After each window it
-    yields (trajectory, first, zeros, L): the ScaledSolution so far, the
-    index in its `segments` of the window's first segment, the sign
-    changes of u in the window, counted by rk_solve over the accepted
-    steps of its legs (None for complex lam), and the log scale reached.
-    It stops after the window where L passes LOGSCALE_MAX (the trajectory
-    is then astronomically large and certainly nonprincipal).
+    Each window is one rk_solve, whose first step is the one the controller
+    proposed at the end of the window before (`StepTable.h_next`): a
+    window edge does not restart the controller.  After each window it
+    yields (trajectory, table, zeros, stopped): the ScaledSolution so far,
+    the window's StepTable, the sign changes of u in the window, counted
+    by rk_solve over its accepted steps (None for complex lam), and
+    whether the march stopped in it.  It stops at the first accepted step
+    where max(|u|, |u^[1]|) reaches e^LOGSCALE_MAX (the trajectory is then
+    astronomically large and certainly nonprincipal).
     """
     steps = spec.coeffs.steps(RK45)(_plain(lam))
     count = not isinstance(lam, complex)
+    cap = math.exp(LOGSCALE_MAX)
     scaled = ScaledSolution(lam)
-    x, y, L, h = pts[0], init, 0.0, None
+    x, y, h = pts[0], init, None
     for x1 in pts[1:]:
-        first, zeros = len(scaled.segments), 0
-        for _ in range(200):
-            x, y, table, *n = rk_solve(RK45, steps, x, y, x1, tol,
-                                       tol * 1e-3, dense=True, cap=cap,
-                                       zeros=count, first_step=h)
-            h = table.h_next
-            if not all(map(cmath.isfinite, y)):
-                raise NonFiniteState("state overflowed despite rescaling cap")
-            scaled.add_segment(table, L)
-            zeros += sum(n)  # n is [count] for real lam, else empty
-            if x == x1:
-                break
-            # Renormalize and continue from the event point.
-            m = max(abs(y[0]), abs(y[1]))
-            L += math.log(m)
-            y = (y[0] / m, y[1] / m)
-            if L > LOGSCALE_MAX:
-                break
-        yield scaled, first, zeros if count else None, L
-        if L > LOGSCALE_MAX:
+        x, y, table, *n = rk_solve(RK45, steps, x, y, x1, tol, tol * 1e-3,
+                                   dense=True, cap=cap, zeros=count,
+                                   first_step=h)
+        if not all(map(cmath.isfinite, y)):
+            raise NonFiniteState("state overflowed before the growth cap")
+        h = table.h_next
+        scaled.add_segment(table)
+        stopped = max(abs(y[0]), abs(y[1])) >= cap
+        yield scaled, table, n[0] if count else None, stopped
+        if stopped:
             return
 
 
@@ -95,12 +81,12 @@ def oscillation_refuted(zeros):
     return len(zeros) >= 4 and all(c > 0 for c in zeros[-4:])
 
 
-def rescaled_march(spec, lam, anchor, init, target, tol=1e-11, cap=SCALE_CAP):
+def rescaled_march(spec, lam, anchor, init, target, tol=1e-11):
     """March from anchor toward target (possibly a singular endpoint).
 
     The path is split into geometric windows approaching a singular
-    endpoint (one window otherwise) and marched by `march_windows`; the
-    returned ScaledSolution carries the cumulative log-scale ledger.
+    endpoint (one window otherwise) and marched by `march_windows`, which
+    returns the ScaledSolution.
     """
     a, b = spec.interval.endpoints()
     if target in (a, b) and not endpoint_regular(
@@ -111,7 +97,7 @@ def rescaled_march(spec, lam, anchor, init, target, tol=1e-11, cap=SCALE_CAP):
     if max(abs(init[0]), abs(init[1])) == 0.0:
         raise ValueError("zero initial state")
     scaled = ScaledSolution(lam)  # what a march without windows returns
-    for scaled, _, _, _ in march_windows(spec, lam, init, pts, tol, cap):
+    for scaled, _, _, _ in march_windows(spec, lam, init, pts, tol):
         pass
     return scaled
 
@@ -192,15 +178,10 @@ class ReductionSolution(MemoizedQuasiFn):
         return float(self._tail.at(x)[0])
 
     def _pair(self, x):
-        wu, wu1, L = self.w.log_pair(x)
+        wu, wu1 = self.w.log_pair(x)
         T = self.T(x)
-        s = math.exp(L) * self.scale
-        u = wu * T * s
-        u1 = (wu1 * T - 1.0 / (wu * math.exp(2.0 * L))) * s \
-            if wu != 0.0 else wu1 * T * s
-        # 1/w true = exp(-L)/wu; folded into the common factor s = e^L:
-        # u1 = scale * (e^L wu1 T - e^{-L}/wu) = s*(wu1 T - 1/(wu e^{2L}))
-        return u, u1
+        u1 = wu1 * T - 1.0 / wu if wu != 0.0 else wu1 * T
+        return wu * T * self.scale, u1 * self.scale
 
     def tau(self, x):
         """(tau u)(x) = lambda0 u(x): w T solves tau u = lambda0 u."""
@@ -227,11 +208,11 @@ class SolutionBasis:
 
 def _find_last_zero(w, segments, x_from, x_to):
     """Zero of the real trajectory w closest to x_to on [x_from, x_to], or
-    None.  `segments` are w's segments from the march windows that counted
+    None.  `segments` are w's tables of the march windows that counted
     zeros.  The first sign change of w at their step points, walking from
     x_to back toward x_from, brackets it; 80 bisection steps locate it."""
     d = x_to - x_from
-    xs = sorted({t for table, _ in segments for t in table.t
+    xs = sorted({t for table in segments for t in table.t
                  if (t - x_from) * d >= 0.0 and (t - x_to) * d < 0.0},
                 reverse=d > 0.0)
     if not xs:
@@ -289,8 +270,8 @@ def _principal_integrand(spec, w):
     p = spec.p.scalar
 
     def f(x):
-        wu, _, L = w.log_pair(x)
-        return math.exp(-2.0 * L) / (p(x) * wu * wu)
+        wu = w.log_pair(x)[0]
+        return 1.0 / (p(x) * wu * wu)
     return f
 
 
@@ -342,9 +323,9 @@ def construct_basis(spec, endpoint, tol=1e-11):
         return _regular_basis(spec, endpoint, end, back_to, tol)
 
     # Singular endpoint: march a real solution toward it.
-    counts, zeroed = [], []  # zeros per window; segments of windows with any
+    counts, zeroed = [], []  # zeros per window; tables of windows with any
     pts = geometric_points(anchor, end)
-    for w, first, zeros, _ in march_windows(spec, lam0, (1.0, 0.0), pts,
+    for w, table, zeros, _ in march_windows(spec, lam0, (1.0, 0.0), pts,
                                             tol):
         counts.append(zeros)
         if oscillation_refuted(counts):
@@ -352,7 +333,7 @@ def construct_basis(spec, endpoint, tol=1e-11):
                 f"lambda0={lam0} is oscillatory at endpoint {endpoint}"
             )
         if zeros:
-            zeroed += w.segments[first:]
+            zeroed.append(table)
     cutoff = w.x_max if endpoint == "b" else w.x_min
 
     last_zero = _find_last_zero(w, zeroed, anchor,
@@ -363,10 +344,10 @@ def construct_basis(spec, endpoint, tol=1e-11):
         c0 = last_zero + 0.05 * (cutoff - last_zero)
 
     # Extend w back into the interior for patching and forms.
-    w_back = rescaled_march(spec, lam0, anchor, w.log_pair(anchor)[:2],
-                            back_to, tol=tol)
-    for table, L in w_back.segments:
-        w.add_segment(table, L)
+    w_back = rescaled_march(spec, lam0, anchor, w.log_pair(anchor), back_to,
+                            tol=tol)
+    for table in w_back.segments:
+        w.add_segment(table)
 
     # Principal test: does the reduction integral diverge toward the end?
     res = improper_integral(_principal_integrand(spec, w), c0, end,
@@ -388,8 +369,8 @@ def construct_basis(spec, endpoint, tol=1e-11):
         u_hat = rescaled_march(spec, lam0, c0, (0.0, -1.0), end, tol=tol)
         uh_back = rescaled_march(spec, lam0, c0, (0.0, -1.0), back_to,
                                  tol=tol)
-        for table, L in uh_back.segments:
-            u_hat.add_segment(table, L)
+        for table in uh_back.segments:
+            u_hat.add_segment(table)
     else:
         # w is dominant; the principal companion is w(x) T(x) with T the
         # tail of the reduction integral.  u_hat = -w(c0) S w makes

@@ -369,6 +369,27 @@ def test_command_line_numbers_must_be_finite(specfile, capsys, command,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("eig", ["--tol", "-1"]),
+    ("eig", ["--tol", "0"]),
+    ("form", ["--f", "sin", "--g", "sin", "--tol", "-1"]),
+    ("gbv", ["--g", "sin", "--tol", "-1"]),
+    ("eig", ["--lmin", "5", "--lmax", "5"]),
+    ("eig", ["--lmin", "10", "--lmax", "1"]),
+    ("form", ["--f", "bump:1,0", "--g", "sin"]),
+    ("eig", ["--grid", "0"]),
+    ("eig", ["--grid", "-3"]),
+])
+def test_out_of_range_options_are_refused(specfile, capsys, command, flags):
+    # Each is refused with a message and exit 2, before any work: none
+    # runs on, none ends in a traceback.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    assert main([command, path, *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("doc", [
     {"lambda0": math.nan},
     {"lambda0": math.inf},

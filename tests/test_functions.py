@@ -40,7 +40,7 @@ def _coverage(fn):
     spans its segments, a reduction solution its tail solution, a multiple
     its member; everything else is unrestricted."""
     if isinstance(fn, ScaledSolution):
-        edges = [_edges(sol) for sol, _ in fn.segments]
+        edges = [_edges(sol) for sol in fn.segments]
         return min(lo for lo, _ in edges), max(hi for _, hi in edges)
     if isinstance(fn, ReductionSolution):
         return _edges(fn._tail)
@@ -113,8 +113,8 @@ def test_empty_trajectory_covers_nothing():
 def test_scalar_multiple_follows_its_member_as_it_grows(legendre_bases):
     traj = ScaledSolution(0.0)
     multiple = ScalarMultiple(traj, 2.0)
-    for sol, L in legendre_bases[0].u_hat.segments:
-        traj.add_segment(sol, L)
+    for sol in legendre_bases[0].u_hat.segments:
+        traj.add_segment(sol)
         assert (multiple.x_min, multiple.x_max) == (traj.x_min, traj.x_max)
 
 

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from slq import solutions
+from slq.classify import LIMIT_POINT, classify_endpoint
 from slq.errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
@@ -21,10 +21,11 @@ from slq.odecore import StepTable, integrate_tau, wronskian
 from slq.problem import catalog, problem_from_dict, validate
 from slq.quadrature import geometric_points
 from slq.solutions import (
+    LOGSCALE_MAX,
     ReductionSolution,
     ScaledSolution,
     construct_basis,
-    rescaled_march,
+    march_windows,
 )
 
 
@@ -110,10 +111,45 @@ def test_march_carries_its_step_across_windows(free_halfline, monkeypatch):
     monkeypatch.setattr(solutions, "march_windows", counted)
     basis = construct_basis(free_halfline, "b")
     assert isinstance(basis.u, solutions.ScalarMultiple)
-    steps = sum(len(table.t) - 1 for table, _ in
+    steps = sum(len(table.t) - 1 for table in
                 basis.u.fn.segments + basis.u_hat.segments)
     assert len(windows) > 90
     assert steps <= 3 * len(windows)
+
+
+def test_march_stops_at_the_growth_cap_with_true_values():
+    # -u'' + 132 u / x^2 = 0 on (0, 1) from u(x0) = 1, u'(x0) = 0 is
+    # u = (11 t^12 + 12 t^-11) / 23 with t = x / x0, which passes
+    # e^LOGSCALE_MAX near x = 1e-11.  With the weight x^21, r u^2 ~ 1/x is
+    # not integrable at 0, so the end is limit point; the Weyl probe's L^2
+    # tail grows only by a constant per window, and the verdict reads the
+    # stop.
+    spec, _ = problem_from_dict({"interval": {"a": 0, "b": 1},
+                                 "coefficients": {"p": "1", "q": "132/x**2",
+                                                  "r": "x**21"}})
+    validate(spec)
+    x0, cap = 0.5, math.exp(LOGSCALE_MAX)
+    windows = list(march_windows(spec, 0.0, (1.0, 0.0),
+                                 geometric_points(x0, 0.0), 1e-11))
+    stops = [stopped for *_, stopped in windows]
+    assert stops[-1] and not any(stops[:-1])
+    traj = windows[-1][0]
+    xs = [x for table in traj.segments for x in table.t]
+    assert traj.x_min == xs[-1] > 0.0
+    sizes = []
+    for x in xs:
+        u, u1 = traj.pair(x)
+        t = x / x0
+        assert u == pytest.approx((11 * t**12 + 12 / t**11) / 23, rel=1e-8)
+        assert u1 == pytest.approx(132 * (t**11 - 1 / t**12) / (23 * x0),
+                                   rel=1e-8, abs=1e-12)
+        sizes.append(max(abs(u), abs(u1)))
+    assert all(map(math.isfinite, sizes))
+    # The first step point at or past the cap ends the march.
+    assert sizes[-1] >= cap > max(sizes[:-1])
+    c = classify_endpoint(spec, "a")
+    assert c.kind == LIMIT_POINT
+    assert c.evidence[0]["total"] == math.inf
 
 
 def test_free_halfline_basis_is_exact(free_halfline_bases):
@@ -307,25 +343,25 @@ def test_inverse_square_below_critical_is_oscillatory():
 # -- segment lookup -----------------------------------------------------------
 
 
-def _segment(t0, t1):
-    """A one-step RK45 table from t0 to t1 of u = x, u^[1] = 1: the RK45
-    interpolant of u' = u^[1], u^[1]' = 0 from u(t0) = t0."""
+def _segment(t0, t1, k=0):
+    """A one-step RK45 table from t0 to t1 of u = x + k, u^[1] = 1: the
+    RK45 interpolant of u' = u^[1], u^[1]' = 0 from u(t0) = t0 + k."""
     h = t1 - t0
-    return StepTable([t0, t1], [[t0, h, t0, 1.0, 0.0, 0.0, 0.0,
+    return StepTable([t0, t1], [[t0, h, t0 + k, 1.0, 0.0, 0.0, 0.0,
                                  1.0, 0.0, 0.0, 0.0, 0.0]], 4)
 
 
 def _trajectory(*edges):
-    """Segments in the order given; segment k carries log scale k, so the
-    scale returned by log_pair names the segment that answered."""
+    """Segments in the order given; segment k is u = x + k, so the value
+    log_pair returns names the segment that answered."""
     traj = ScaledSolution(0.0)
     for k, (t0, t1) in enumerate(edges):
-        traj.add_segment(_segment(t0, t1), float(k))
+        traj.add_segment(_segment(t0, t1, k))
     return traj
 
 
 def _which(traj, x):
-    return int(traj.log_pair(x)[2])
+    return round(traj.log_pair(x)[0] - x)
 
 
 def test_lookup_shared_edge_takes_first_inserted():
@@ -342,10 +378,10 @@ def test_lookup_back_march_after_forward_march():
                        (0.5, 0.2), (0.2, 0.0))
     xs = [0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.95, 1.0]
     assert [_which(traj, x) for x in xs] == [4, 4, 3, 3, 0, 0, 0, 2, 2]
-    # u(x) = x up to the rounding of one RK45 step.
-    want = _segment(0.5, 0.2).at(0.3)[0]
-    assert want == pytest.approx(0.3, rel=1e-15)
-    assert traj.log_pair(0.3)[0] == want
+    # u(x) = x + 3 up to the rounding of one RK45 step.
+    want = _segment(0.5, 0.2, 3).at(0.3)
+    assert want[0] == pytest.approx(3.3, rel=1e-15)
+    assert traj.log_pair(0.3) == want
     assert (traj.x_min, traj.x_max) == (0.0, 1.0)
 
 
@@ -373,7 +409,7 @@ def test_lookup_outside_support_raises():
 def test_add_segment_rejects_interior_overlap(edges):
     traj = _trajectory((0.0, 1.0), (2.0, 3.0))
     with pytest.raises(ValueError):
-        traj.add_segment(_segment(*edges), 9.0)
+        traj.add_segment(_segment(*edges, 9))
     assert len(traj.segments) == 2
 
 
@@ -389,13 +425,13 @@ def _scan(traj, x):
     """Reference lookup: the first segment, in insertion order, whose range
     holds x, else the first one nearest to x."""
     best, best_gap = None, math.inf
-    for table, L in traj.segments:
+    for table in traj.segments:
         lo, hi = min(table.t[0], table.t[-1]), max(table.t[0], table.t[-1])
         if lo <= x <= hi:
-            return table, L
+            return table
         gap = min(abs(x - lo), abs(x - hi))
         if gap < best_gap:
-            best, best_gap = (table, L), gap
+            best, best_gap = table, gap
     return best
 
 
@@ -404,12 +440,10 @@ def test_lookup_matches_insertion_order_scan(legendre_bases):
              for fn in (basis.u, basis.u_hat) for t in _marched(fn)]
     assert trajs
     for traj in trajs:
-        edges = {table.t[k] for table, _ in traj.segments for k in (0, -1)}
+        edges = {table.t[k] for table in traj.segments for k in (0, -1)}
         xs = sorted(set(np.linspace(traj.x_min, traj.x_max, 300)) | edges)
         for x in xs:
-            table, L = _scan(traj, x)
-            u, u1 = table.at(x)
-            assert traj.log_pair(x) == (u, u1, L)
+            assert traj.log_pair(x) == _scan(traj, x).at(x)
 
 
 # -- the pair memo ---------------------------------------------------------
@@ -463,21 +497,30 @@ def test_pair_memo_hit_equals_miss(lam, monkeypatch):
 
 
 def test_add_segment_clears_the_pair_memo():
-    # Segment k carries log scale k, so a pair says which segment answered.
+    # Segment k is u = x + k, so a pair says which segment answered.
     ulp = np.spacing(1.0)
     traj = _trajectory((0.0, 1.0), (1.0 + 4 * ulp, 2.0))
     x_gap, x_out = 1.0 + ulp, 2.5
-    u, u1 = _segment(0.0, 1.0).at(x_gap)
-    assert traj.pair(x_gap) == (u, u1)          # the nearest segment, 0
+    assert traj.pair(x_gap) == _segment(0.0, 1.0).at(x_gap)  # nearest, 0
     with pytest.raises(EvaluationOutsideSupport):
         traj.pair(x_out)
-    traj.add_segment(_segment(1.0, 1.0 + 4 * ulp), 2.0)
-    traj.add_segment(_segment(2.0, 3.0), 3.0)
+    traj.add_segment(_segment(1.0, 1.0 + 4 * ulp, 2))
+    traj.add_segment(_segment(2.0, 3.0, 3))
     for x, k, (t0, t1) in ((x_gap, 2, (1.0, 1.0 + 4 * ulp)),
                            (x_out, 3, (2.0, 3.0))):
-        u, u1 = _segment(t0, t1).at(x)
-        s = math.exp(k)
-        assert traj.pair(x) == (u * s, u1 * s)
+        assert traj.pair(x) == _segment(t0, t1, k).at(x)
+
+
+def test_log_pair_is_pair_bit_for_bit(legendre_bases):
+    # log_pair is the lookup a pair miss makes; a hit returns the same.
+    trajs = [t for basis in legendre_bases
+             for fn in (basis.u, basis.u_hat) for t in _marched(fn)]
+    assert trajs
+    for traj in trajs:
+        for x in np.linspace(traj.x_min, traj.x_max, 7).tolist():
+            want = _bits(traj.log_pair(x))
+            assert _bits(traj.pair(x)) == want
+            assert _bits(traj.pair(x)) == want
 
 
 def test_pair_memo_is_bounded():
@@ -491,61 +534,3 @@ def test_pair_memo_is_bounded():
     assert max(sizes) == PAIR_MEMO_SIZE
     assert sizes[-1] == 1
     assert traj.pair(xs[0]) == first
-
-
-# -- the march against scipy's terminal event ------------------------------
-
-
-def _scipy_march(spec, lam, pts, init, tol, cap):
-    """The renormalizing march on solve_ivp: a terminal event where
-    log max(|u|, |u^[1]|) reaches log cap.  Returns the (end, log scale)
-    of every segment."""
-    rhs = spec.coeffs.rhs(lam)
-
-    def too_big(x, y):
-        return math.log(float(np.max(np.abs(y)))) - math.log(cap)
-
-    too_big.terminal = True
-    x, y, L = pts[0], np.array(init), 0.0
-    ends = []
-    for x1 in pts[1:]:
-        while True:
-            sol = solve_ivp(rhs, (x, x1), y, method="RK45", rtol=tol,
-                            atol=tol * 1e-3, events=too_big)
-            ends.append((sol.t[-1], L))
-            x, y = sol.t[-1], sol.y[:, -1]
-            if sol.status != 1 or x == x1:
-                break
-            m = float(np.max(np.abs(y)))
-            L += math.log(m)
-            y = y / m
-    return ends
-
-
-@pytest.mark.parametrize("target", [1.0, -1.0])
-def test_march_events_follow_scipy(legendre, target):
-    # lambda = -50 grows by about e^3.5 toward either end; cap 4 forces a
-    # renormalization every doubling or two.
-    lam, anchor, tol, cap = -50.0, 0.0, 1e-11, 4.0
-    pts = geometric_points(anchor, target, n_windows=48)
-    want = _scipy_march(legendre, lam, pts, (1.0, 0.0), tol, cap)
-    traj = rescaled_march(legendre, lam, anchor, (1.0, 0.0), target,
-                          tol=tol, cap=cap)
-    got = [(table.t[-1], L) for table, L in traj.segments]
-    assert len(got) == len(want)
-    assert sum(x not in pts for x, _ in want) >= 5
-    for (x, L), (x_want, L_want) in zip(got, want):
-        assert abs(x - x_want) <= 1e-12
-        assert L == pytest.approx(L_want, rel=1e-12, abs=1e-12)
-    # Stored unit states stay below the cap, up to where brentq stops: an
-    # event point is within 4 eps (1 + |x|) of the crossing, which moves
-    # log max(|u|, |u^[1]|) by that times its slope (near an endpoint the
-    # slope is large: about 2e4 at the last event here).
-    rhs = legendre.coeffs.rhs(lam)
-    for table, _ in traj.segments:
-        for x in table.t:
-            state = table.at(x)
-            k = 0 if abs(state[0]) >= abs(state[1]) else 1
-            slope = abs(rhs(x, state)[k] / state[k])
-            slack = slope * 4 * np.finfo(float).eps * (1 + abs(x))
-            assert math.log(abs(state[k]) / cap) <= 1e-12 + slack, x
