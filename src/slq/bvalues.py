@@ -261,22 +261,15 @@ class BlendedFn(QuasiFn):
 class PatchedPair:
     v1: object                  # u_hat near each endpoint
     v2: object                  # u near each endpoint
-    blend_window: tuple | None
+    blend_window: tuple
 
 
 def patched_pair(spec, basis_a, basis_b):
     """Reference functions v1 (nonprincipal pieces) and v2 (principal).
 
-    With both bases present the pieces are joined by a C^1 blend on the
-    central third between the nonvanishing bounds; with one basis the
-    single-sided functions are used as they are.
+    The pieces of the two bases are joined by a C^1 blend on the central
+    third between the nonvanishing bounds.
     """
-    if basis_a is None and basis_b is None:
-        raise ValueError("at least one basis is required")
-    if basis_a is None:
-        return PatchedPair(v1=basis_b.u_hat, v2=basis_b.u, blend_window=None)
-    if basis_b is None:
-        return PatchedPair(v1=basis_a.u_hat, v2=basis_a.u, blend_window=None)
     n_a, n_b = basis_a.nonvanish_bound, basis_b.nonvanish_bound
     if not n_a < n_b:
         raise WindowsOverlap(

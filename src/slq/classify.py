@@ -52,7 +52,13 @@ def _window_l2(spec, table):
 
 
 def _tail_integral_verdict(spec, endpoint, z, init, anchor):
-    """March one solution toward the endpoint, watching its L^2 tail."""
+    """March one solution toward the endpoint, watching its L^2 tail.
+
+    Both convergence tests are relative to the running total, so a
+    constant scale of the weight r does not change the verdict: the tail
+    converges once the last two window contributions are at most
+    CLASSIFY_TOL times the total, or once the last eight decay by a factor
+    0.9 each, up to CLASSIFY_TOL times the total."""
     pts = geometric_points(anchor, _end(spec, endpoint),
                            n_windows=CLASSIFY_WINDOWS)
     y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
@@ -67,10 +73,10 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor):
         if stopped:
             return "diverges", math.inf, contribs
         if len(contribs) >= 3 and all(
-                c <= CLASSIFY_TOL * (1.0 + total) for c in contribs[-2:]):
+                c <= CLASSIFY_TOL * total for c in contribs[-2:]):
             return "converges", total, contribs
     tail = contribs[-8:]
-    decaying = all(t2 <= 0.9 * t1 + CLASSIFY_TOL * (1.0 + total)
+    decaying = all(t2 <= 0.9 * t1 + CLASSIFY_TOL * total
                    for t1, t2 in zip(tail, tail[1:]))
     if decaying:
         return "converges", total, contribs

@@ -345,30 +345,6 @@ def _fused(source, name, env=None, kind=None, **exprs):
     return _compiled(src, name, _label(kind or name, **exprs), ns)
 
 
-_RHS_SOURCE = """\
-def factory(lam):
-    def rhs(x, y):
-        try:
-            return [y[1] / ({p}), (({q}) - lam * ({r})) * y[0]]
-        except (ValueError, ZeroDivisionError):
-            _undefined(x)
-            raise
-    return rhs
-"""
-
-
-def quasi_rhs(p: Expr, q: Expr, r: Expr):
-    """Factory lam -> f(x, y) for u' = u1 / p, u1' = (q - lam r) u.
-
-    The three coefficients are compiled into one function, with the same
-    arithmetic as ``[y[1] / p(x), (q(x) - lam * r(x)) * y[0]]``, so values
-    are bit-identical while a call costs one Python frame instead of four.
-    A domain error re-evaluates the coefficients one by one, so the
-    SpecFileError names the expression at fault.
-    """
-    return _fused(_RHS_SOURCE, "factory", kind="rhs", p=p, q=q, r=r)
-
-
 _PAIR_SOURCE = """\
 def pair(x):
     try:

@@ -11,21 +11,26 @@ integral between the cut points, and boundary corrections at the cuts:
                  + (w^[1]/w)(c) conj(f(c)) g(c)
                  - (w^[1]/w)(d) conj(f(d)) g(d).
 
-Each end is one `Side` record (`_sides`): its reference solution w, its
-cut point (c at a, d at b) and the cutoff where w's support ends toward
-the endpoint.  The form, the L^2 check, the Green pairing and the triplet
-pairing all read their per-end data from it, and every per-end sign from
-SIGMA.  A side toward a regular end is a proper integral; only a side
-toward a singular end takes improper_integral's windows.
+Only a singular end is cut.  At a regular end u_hat^[1] = 0 at the
+endpoint, so the side's N-integral, its lambda0 mass and the correction
+(u_hat^[1]/u_hat)(c) |f(c)|^2 add up to the classical integral of
+p^{-1} |f^[1]|^2 + q |f|^2 over the side: the middle integral runs to the
+endpoint itself and the end adds no piece.  Each singular end is one
+`Side` record (`_sides`): its reference solution w, its cut point (c at
+a, d at b) and the cutoff where w's support ends toward the endpoint.  The
+form, the L^2 check, the Green pairing and the triplet pairing all read
+their per-end data from it, and every per-end sign from SIGMA.  A side is
+improper_integral's windowed sweep toward its endpoint.
 
-Every proper integral (the middle Dirichlet integral over (c, d), the
-middle of a pairing, a side toward a regular end) is split at the `breaks`
-of its functions that lie strictly inside its span, the points where a
-function stops being analytic (a blend window's edges, a bump's support
-edges), and each piece is one adaptive panel (`_piecewise`).  That is
-QUADPACK's own remedy for known interior break points (dqagp): a single
-panel across a kink bisects its way onto it, spends most of its nodes
-there, and can return a value off by more than its error estimate.
+Every proper integral (the middle Dirichlet integral, the middle of a
+pairing, each from the cut at a singular end or from a regular endpoint,
+`_span`) is split at the `breaks` of its functions that lie strictly inside
+its span, the points where a function stops being analytic (a blend
+window's edges, a bump's support edges), and each piece is one adaptive
+panel (`_piecewise`).  That is QUADPACK's own remedy for known interior
+break points (dqagp): a single panel across a kink bisects its way onto
+it, spends most of its nodes there, and can return a value off by more
+than its error estimate.
 
 The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
 inside each side integrand, not an object: a quadrature node looks w up
@@ -58,7 +63,6 @@ from .errors import (
     BasisVanishes,
     DomainConstraintViolated,
     FormIntegralDiverges,
-    NoConvergence,
     WindowInvalid,
 )
 from .quadrature import ImproperResult, improper_integral, panel
@@ -111,7 +115,7 @@ class FormValue:
 
 @dataclass(frozen=True)
 class Side:
-    """One end's share of a form (see `_sides`)."""
+    """One singular end's share of a form (see `_sides`)."""
 
     end: str            # "a" or "b"
     endpoint: float
@@ -119,44 +123,41 @@ class Side:
     lc: bool            # limit-circle end of the regime
     w: object           # reference solution: u_hat at an LC end, u at LP
     cut: float          # c at a, d at b
-    cutoff: float | None  # farthest trustworthy point; None: the endpoint
+    cutoff: float       # farthest trustworthy point: the edge of w's support
 
-    def integral(self, fn, breaks):
+    def integral(self, fn):
         """(value, error, converged, diverged) of the integral of fn over
-        the side, oriented along x (from a to c, from d to b).
-
-        At a regular end the integral is proper: one adaptive panel from
-        the cut to the endpoint per piece between the `breaks` of fn's
-        functions that lie inside the side (`_piecewise`), converged and
-        finite by construction.  At a singular end it is
-        `improper_integral`'s windowed sweep toward the endpoint, stopped
-        at the cutoff.
-        """
-        if self.basis.regular:
-            val, e, ok, div = _piecewise(fn, self.cut, self.endpoint, breaks)
-        else:
-            val, e, ok, div = _complex(improper_integral, fn, self.cut,
-                                       self.endpoint, cutoff=self.cutoff)
+        the side, oriented along x (from a to c, from d to b):
+        `improper_integral`'s windowed sweep from the cut toward the
+        endpoint, stopped at the cutoff."""
+        val, e, ok, div = _complex(improper_integral, fn, self.cut,
+                                   self.endpoint, cutoff=self.cutoff)
         return -SIGMA[self.end] * val, e, ok, div
 
 
 def _sides(spec, bases, window, regime):
-    """(side_a, side_b) of `regime` on `window`.
-
-    The cutoff is the edge of w's support toward the endpoint, or None
-    where that support reaches the endpoint.
-    """
+    """(side_a, side_b) of `regime` on `window`: a Side at a singular end,
+    None at a regular one, which needs no cut."""
     if regime not in (REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LC, REGIME_LP_LP):
         raise ValueError(f"unknown regime {regime!r}")
     sides = []
     for end, endpoint, basis, cut in zip(
             "ab", spec.interval.endpoints(), bases, (window.c, window.d)):
+        if basis.regular:
+            sides.append(None)
+            continue
         lc = end in regime
         w = basis.u_hat if lc else basis.u
-        edge = w.x_min if end == "a" else w.x_max
-        cutoff = edge if SIGMA[end] * (edge - endpoint) > 0.0 else None
+        cutoff = w.x_min if end == "a" else w.x_max
         sides.append(Side(end, endpoint, basis, lc, w, cut, cutoff))
     return tuple(sides)
+
+
+def _span(spec, sides):
+    """(lo, hi) of a middle integral: from the cut at a singular end, from
+    the endpoint itself at a regular one."""
+    return tuple(endpoint if side is None else side.cut
+                 for endpoint, side in zip(spec.interval.endpoints(), sides))
 
 
 def _complex(integrate, fn, *args, **kw):
@@ -215,7 +216,7 @@ def _side_n_integral(spec, side, f, g):
     evaluation at the cut.  The remainder decays fast enough for the window
     extrapolation to reach ~1e-12.
     """
-    basis, cut, cutoff = side.basis, side.cut, side.cutoff
+    basis, cut = side.basis, side.cut
     p = spec.p.scalar
     w_pair = side.w.pair
     f_pair = f.pair
@@ -236,47 +237,35 @@ def _side_n_integral(spec, side, f, g):
 
     lead = 0.0
     lead_err = 0.0
-    coeff = None
     if side.lc:
-        if not basis.regular and cutoff is not None:
-            # The split integral(endpoint, cut) of c/(p u_hat^2) = c*J is an
-            # exact identity for ANY constant c, so pick the constant that
-            # best flattens the tail: the N-operator product evaluated at
-            # the farthest trustworthy point.  This avoids inheriting the
-            # extrapolation error of the generalized boundary values, which
-            # would leave a spurious log-divergent residue.
-            nf, ng, px, wu = n_pair(cutoff)
-            coeff = nf.conjugate() * ng * px * wu * wu
-        else:
-            try:
-                vf = gbv(spec, basis, f)
-                vg = gbv(spec, basis, g)
-            except NoConvergence:
-                vf = vg = None
-            if vf is not None:
-                coeff = vf.tilde_prime.conjugate() * vg.tilde_prime
-        if coeff is not None:
-            uu = basis.u(cut)
-            hu = basis.u_hat(cut)
-            # J = integral of 1/(p u_hat^2) from the endpoint to the cut.
-            # The split is an identity for any constant, so the only error
-            # in the lead term is the basis accuracy at the cut itself.
-            J = SIGMA[side.end] * uu / hu
-            lead = coeff * J
-            lead_err = 1e-12 * (1.0 + abs(lead))
+        # The split integral(endpoint, cut) of c/(p u_hat^2) = c*J is an
+        # exact identity for ANY constant c, so pick the constant that
+        # best flattens the tail: the N-operator product evaluated at the
+        # farthest trustworthy point.  This avoids inheriting the
+        # extrapolation error of the generalized boundary values, which
+        # would leave a spurious log-divergent residue.
+        nf, ng, px, wu = n_pair(side.cutoff)
+        coeff = nf.conjugate() * ng * px * wu * wu
+        uu = basis.u(cut)
+        hu = basis.u_hat(cut)
+        # J = integral of 1/(p u_hat^2) from the endpoint to the cut.
+        # The split is an identity for any constant, so the only error
+        # in the lead term is the basis accuracy at the cut itself.
+        J = SIGMA[side.end] * uu / hu
+        lead = coeff * J
+        lead_err = 1e-12 * (1.0 + abs(lead))
 
-    if coeff is None:
-        def integrand(x):
-            nf, ng, _, _ = n_pair(x)
-            return nf.conjugate() * ng
-    else:
         # w is u_hat here, so the subtracted c/(p u_hat^2) reuses the
         # node's lookup of w.
         def integrand(x):
             nf, ng, px, wu = n_pair(x)
             return nf.conjugate() * ng - coeff / (px * wu * wu)
+    else:
+        def integrand(x):
+            nf, ng, _, _ = n_pair(x)
+            return nf.conjugate() * ng
 
-    val, e, ok, div = side.integral(integrand, f.breaks + g.breaks)
+    val, e, ok, div = side.integral(integrand)
     if div or not ok:
         raise FormIntegralDiverges(
             f"N-integral toward endpoint {side.end} does not converge"
@@ -292,8 +281,7 @@ def _check_square_integrable(spec, sides, fns):
         if side.lc:
             continue
         for fn in fns:
-            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2,
-                                 fn.breaks)[2]:
+            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2)[2]:
                 raise FormIntegralDiverges(
                     f"function is not in L^2(r) toward the limit-point "
                     f"endpoint {side.end}"
@@ -308,14 +296,16 @@ def q_base(spec, bases, window, regime, f, g):
     """Base form Q_{c,d}(f, g) for the given endpoint regime.
 
     bases is the pair (basis_a, basis_b); regime, the tuple of LC ends,
-    selects the reference solution on each side: u_hat at a limit-circle
-    end, u at a limit-point end.  f and g must lie in L^2(r) toward each
-    limit-point end, else FormIntegralDiverges.
+    selects the reference solution on each singular side: u_hat at a
+    limit-circle end, u at a limit-point end.  A regular end adds no
+    piece: the middle Dirichlet integral reaches it.  f and g must lie in
+    L^2(r) toward each limit-point end, else FormIntegralDiverges.
     """
     if window is None:
         window = default_window(spec, *bases)
     window.validate(spec, *bases)
-    sides = _sides(spec, bases, window, regime)
+    all_sides = _sides(spec, bases, window, regime)
+    sides = [side for side in all_sides if side is not None]
     lam0 = spec.lambda0
     p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
     _check_square_integrable(spec, sides, (f,) if f is g else (f, g))
@@ -323,7 +313,7 @@ def q_base(spec, bases, window, regime, f, g):
     pieces = {}
     err = 0.0
 
-    # Side N-integrals (improper toward the endpoints).
+    # Side N-integrals (improper toward the singular endpoints).
     for side in sides:
         val, e = _side_n_integral(spec, side, f, g)
         pieces[f"{_PIECE_NAMES[side.end][0]}_N_integral"] = val
@@ -336,7 +326,7 @@ def q_base(spec, bases, window, regime, f, g):
         name = _PIECE_NAMES[side.end][0]
         val = 0.0
         if lam0 != 0.0:
-            val, e, ok, div = side.integral(mass, f.breaks + g.breaks)
+            val, e, ok, div = side.integral(mass)
             if div or not ok:
                 raise FormIntegralDiverges(
                     f"{name} mass integral does not converge")
@@ -349,7 +339,8 @@ def q_base(spec, bases, window, regime, f, g):
         return (fu1.conjugate() * gu1 / p(x)
                 + q(x) * fu.conjugate() * gu)
 
-    val, e, _, _ = _piecewise(middle, window.c, window.d, f.breaks + g.breaks)
+    val, e, _, _ = _piecewise(middle, *_span(spec, all_sides),
+                              f.breaks + g.breaks)
     pieces["middle_dirichlet_integral"] = val
     err += e
 
@@ -416,26 +407,30 @@ def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
 def _pairing(spec, sides, f, g_tau_fn, g_breaks):
     """(f, tau g) = int r conj(f) tau(g) over the whole interval.
 
-    g_breaks are the breaks of g, which tau g inherits; the middle (c, d)
-    and each side toward a regular end are integrated piecewise between
-    them and f's breaks (`_piecewise`).
+    g_breaks are the breaks of g, which tau g inherits; the middle
+    (`_span`) is integrated piecewise between them and f's breaks
+    (`_piecewise`).  The sum runs side a, middle, side b, over the sides
+    that `_sides` gives.
     """
     r = spec.r.scalar
-    breaks = f.breaks + g_breaks
 
     def integrand(x):
         return r(x) * f(x).conjugate() * g_tau_fn(x)
 
     def part(side):
-        val, _, _, div = side.integral(integrand, breaks)
+        """The side's integral as a tuple: empty at a regular end."""
+        if side is None:
+            return ()
+        val, _, _, div = side.integral(integrand)
         if div:
             raise FormIntegralDiverges(f"pairing diverges toward {side.end}")
-        return val
+        return (val,)
 
     side_a, side_b = sides
-    total = sum((part(side_a),
-                 _piecewise(integrand, side_a.cut, side_b.cut, breaks)[0],
-                 part(side_b)), 0j)
+    lo, hi = _span(spec, sides)
+    total = sum((*part(side_a),
+                 _piecewise(integrand, lo, hi, f.breaks + g_breaks)[0],
+                 *part(side_b)), 0j)
     if abs(total.imag) == 0.0:
         return total.real
     return total
@@ -455,10 +450,10 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):
     pairing = _pairing(spec, sides, f, g.tau, g.breaks)
 
     boundary = 0.0
-    for side in sides:
-        if side.lc:
-            vf = gbv(spec, side.basis, f)
-            vg = gbv(spec, side.basis, g)
-            boundary -= SIGMA[side.end] * np.conj(vf.tilde) * vg.tilde_prime
+    for end in regime:
+        basis = bases["ab".index(end)]
+        vf = gbv(spec, basis, f)
+        vg = gbv(spec, basis, g)
+        boundary -= SIGMA[end] * np.conj(vf.tilde) * vg.tilde_prime
 
     return pairing - form.value + boundary

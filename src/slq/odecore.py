@@ -134,7 +134,8 @@ def _names(k, n):
 # The two forms of a step: the factory's argument, and how a stage
 # evaluates the system at (x, (yu, yv)) into (ku{s}, kv{s}), by calling rhs
 # or with a CoefficientSet's p, q and r inlined, in the arithmetic of
-# expressions.quasi_rhs.
+# [u1 / p, (q - lam r) u].  The inline factory also defines rhs itself
+# from the same template.
 _CALL = ("rhs", "ku{s}, kv{s} = rhs(x, (yu, yv))")
 _INLINE = ("lam",
            "ku{s} = yv / ({{p}})\nkv{s} = (({{q}}) - lam * ({{r}})) * yu")
@@ -172,9 +173,16 @@ class _RungeKutta:
         self._call = None
 
     def _source(self, form):
-        """Source of `factory(arg)`, which returns the step and the row."""
+        """Source of `factory(arg)`, which returns rhs, the step and the
+        row.  The call form's rhs is its argument; the inline form defines
+        rhs(x, (u, u1)) -> [ku0, kv0] with its stage template, so the first
+        derivative and the stages share one arithmetic."""
         arg, evaluate = form
         cls, n = self._tableau, self.n_stages
+        rhs_def = [] if arg == "rhs" else _function("def rhs(x, y):", [
+            "yu, yv = y",
+            *_guarded(evaluate.format(s=0).splitlines()),
+            "return [ku0, kv0]"])
         stages = [line for s in range(1, n)
                   for line in _stage(s, cls.C[s], cls.A[s], evaluate)]
         stages += ["x = t + h",
@@ -192,8 +200,9 @@ class _RungeKutta:
             f"{_names('ku', n + 1)} = ku",
             f"{_names('kv', n + 1)} = kv",
             *self._row(evaluate)])
-        return "\n".join(_function(f"def factory({arg}):",
-                                   [*step, *row, "return step, row"])) + "\n"
+        return "\n".join(_function(
+            f"def factory({arg}):",
+            [*rhs_def, *step, *row, "return rhs, step, row"])) + "\n"
 
     def _compile(self, source, **coeffs):
         return _fused(source, "factory", dict(_norm=_norm, _SQRT2=_SQRT2),
@@ -203,7 +212,7 @@ class _RungeKutta:
         """Steps of a plain rhs: each stage calls rhs(x, (u, v))."""
         if self._call is None:
             self._call = self._compile(self._source(_CALL))
-        return Steps(rhs, *self._call(rhs))
+        return Steps(*self._call(rhs))
 
     def inline(self, coeffs):
         """lam -> Steps of a CoefficientSet's quasi-derivative system, with
@@ -211,8 +220,7 @@ class _RungeKutta:
         raises the SpecFileError naming the coefficient at fault."""
         factory = self._compile(self._source(_INLINE),
                                 p=coeffs.p, q=coeffs.q, r=coeffs.r)
-        rhs = coeffs.rhs
-        return lambda lam: Steps(rhs(lam), *factory(lam))
+        return lambda lam: Steps(*factory(lam))
 
 
 class _RK45(_RungeKutta):

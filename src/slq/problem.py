@@ -26,11 +26,9 @@ from .errors import (
     SpecFileError,
     UnknownCatalogEntry,
 )
-from .expressions import Expr, quasi_rhs
+from .expressions import Expr
 from .quadrature import improper_integral
 
-REGULAR = "regular"
-SINGULAR = "singular"
 VALIDATION_SAMPLES = 64
 
 
@@ -71,11 +69,6 @@ class CoefficientSet:
         return cls(Expr.parse(str(p)), Expr.parse(str(q)), Expr.parse(str(r)))
 
     @cached_property
-    def rhs(self):
-        """lam -> f(x, y), the quasi-derivative system, compiled once."""
-        return quasi_rhs(self.p, self.q, self.r)
-
-    @cached_property
     def _steps(self):
         return {}
 
@@ -108,11 +101,6 @@ class ProblemSpec:
         return self.coeffs.r
 
 
-@dataclass
-class ValidationReport:
-    regular_flag: str
-
-
 def _sample_grid(interval, n_samples):
     """Interior samples, log-dense toward each endpoint.
 
@@ -139,14 +127,13 @@ def _sample_grid(interval, n_samples):
     return sorted(pts)
 
 
-def validate(spec: ProblemSpec) -> ValidationReport:
+def validate(spec: ProblemSpec) -> None:
     """Check Hypothesis-style positivity/finiteness on a sample grid.
 
     p and r must be positive, and all three coefficients finite, at every
     one of the VALIDATION_SAMPLES interior samples; the first violation
-    raises.  The report's regular/singular flag says whether the problem is
-    regular, i.e. both endpoints are (see endpoint_regular).  The spec is
-    read, not written.
+    raises.  The spec is read, not written.  Whether an endpoint is
+    regular is `endpoint_regular`'s to say.
     """
     grid = _sample_grid(spec.interval, VALIDATION_SAMPLES)
     for x in grid:
@@ -165,12 +152,6 @@ def validate(spec: ProblemSpec) -> ValidationReport:
                 raise NonPositiveCoefficient(
                     f"coefficient {label} must be positive, got {v} at x={x}"
                 )
-    # An infinite endpoint is singular; testing that first spares the other
-    # endpoint's improper integrals.
-    regular = (all(map(math.isfinite, spec.interval.endpoints()))
-               and endpoint_regular(spec, "a")
-               and endpoint_regular(spec, "b"))
-    return ValidationReport(REGULAR if regular else SINGULAR)
 
 
 # endpoint_regular's verdicts by value: (a, b, p, q, r texts, endpoint).

@@ -201,11 +201,12 @@ def triplet_green_residual(spec, bases, f, g):
 
 
 def _weighted_pairing(spec, bases, f, g_tau, g_breaks):
-    """int r conj(f) g_tau over the whole interval, cut off toward each end
-    where u_hat stops being trustworthy (the two-LC sides); with
-    g_tau = tau g it is (f, T_max g).  g_breaks are the points where g_tau
-    stops being analytic (g's breaks, which tau g inherits); the proper
-    pieces are split there and at f's (`forms._pairing`)."""
+    """int r conj(f) g_tau over the whole interval, cut off toward each
+    singular end where u_hat stops being trustworthy (the two-LC sides)
+    and run to each regular end; with g_tau = tau g it is (f, T_max g).
+    g_breaks are the points where g_tau stops being analytic (g's breaks,
+    which tau g inherits); the middle is split there and at f's
+    (`forms._pairing`)."""
     sides = _sides(spec, bases, default_window(spec, *bases), REGIME_LC_LC)
     return _pairing(spec, sides, f, g_tau, g_breaks)
 

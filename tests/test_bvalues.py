@@ -117,12 +117,6 @@ def test_patched_pair_requires_disjoint_windows(dirichlet, dirichlet_bases):
         patched_pair(dirichlet, dirichlet_bases[1], dirichlet_bases[0])
 
 
-def test_patched_pair_one_sided(free_halfline, free_halfline_bases):
-    pp = patched_pair(free_halfline, free_halfline_bases[0], None)
-    assert pp.blend_window is None
-    assert pp.v1 is free_halfline_bases[0].u_hat
-
-
 def test_blend_continuity(dirichlet, dirichlet_bases):
     pp = patched_pair(dirichlet, dirichlet_bases[0], dirichlet_bases[1])
     a0, b0 = pp.blend_window

@@ -14,7 +14,7 @@ from slq.classify import (
     count_zeros,
 )
 from slq import classify, solutions
-from slq.problem import catalog, validate
+from slq.problem import catalog, problem_from_dict, validate
 from slq.solutions import construct_basis
 
 
@@ -53,6 +53,19 @@ def test_anchor_independence():
     validate(spec)
     for anchor in (0.3, 0.5, 0.7):
         assert classify_endpoint(spec, "a", anchor=anchor).kind == LIMIT_POINT
+
+
+@pytest.mark.parametrize("weight", ["1", "1e-30", "1e-100", "1e-250"])
+def test_a_weight_scale_keeps_the_weyl_verdict(weight):
+    # e^{10x} is not square integrable on (0, inf) for any constant r > 0,
+    # so b is limit point whatever the weight's scale.  A convergence test
+    # floored at an absolute 1e-10 read the small weights' tails as
+    # converged.
+    spec, _ = problem_from_dict({
+        "interval": {"a": 0, "b": "inf"},
+        "coefficients": {"p": "1", "q": "100", "r": weight}})
+    validate(spec)
+    assert classify_endpoint(spec, "b").kind == LIMIT_POINT
 
 
 def test_count_zeros_sine(dirichlet):

@@ -17,7 +17,6 @@ from slq.expressions import (
     Fun,
     Var,
     quasi_pair,
-    quasi_rhs,
 )
 from slq.odecore import DOP853, RK45, rk_solve
 from slq.problem import CoefficientSet, catalog
@@ -85,13 +84,13 @@ def test_pole_names_the_expression(text, pole):
 def test_compiled_pole_names_the_expression():
     coeffs = [Expr.parse(t) for t in ("1", "1/x", "1")]
     with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
-        quasi_rhs(*coeffs)(2.0)(0.0, (1.0, 0.5))
+        CoefficientSet(*coeffs).steps(RK45)(2.0).rhs(0.0, (1.0, 0.5))
     with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
         quasi_pair(Expr.parse("1/x"), Expr.parse("1"))(0.0)
     # A zero of p in y[1] / p is no expression's pole: the original error.
     coeffs = [Expr.parse(t) for t in ("x", "0", "1")]
     with pytest.raises(ZeroDivisionError) as info:
-        quasi_rhs(*coeffs)(2.0)(0.0, (1.0, 0.5))
+        CoefficientSet(*coeffs).steps(RK45)(2.0).rhs(0.0, (1.0, 0.5))
     assert not isinstance(info.value, SpecFileError)
 
 
@@ -176,11 +175,10 @@ def test_constant_power_with_negative_base_is_folded_as_written():
 
 
 def test_compiled_rhs_power_error_names_the_coefficient():
-    factory = quasi_rhs(Expr.parse("1"), Expr.parse("x**0.5"),
-                        Expr.parse("1"))
+    rhs = CoefficientSet.from_strings("1", "x**0.5", "1").steps(RK45)(2.0).rhs
     with pytest.raises(SpecFileError, match=re.escape("'x**0.5'")):
-        factory(2.0)(-1.0, (1.0, 0.0))
-    assert factory(2.0)(4.0, (1.0, 0.0)) == [0.0, 0.0]
+        rhs(-1.0, (1.0, 0.0))
+    assert rhs(4.0, (1.0, 0.0)) == [0.0, 0.0]
 
 
 def test_emitter_fix_reaches_the_compiled_steps():
@@ -253,14 +251,14 @@ def test_fused_rhs_follows_the_trees():
     trees = _trees(12, 300)
     checked = 0
     for p, q, r in zip(trees[0::3], trees[1::3], trees[2::3]):
-        factory = quasi_rhs(Expr(p), Expr(q), Expr(r))
+        factory = CoefficientSet(Expr(p), Expr(q), Expr(r)).steps(RK45)
         for x in _POINTS:
             if not all(_inside(root, x) for root in (p, q, r)) \
                     or _walk(p, x, _MATH) == 0.0:
                 continue
             pv, qv, rv = (_walk(root, x, _MATH) for root in (p, q, r))
             for lam, y in ((2.5, (0.7, -1.3)), (2.5 + 1j, (0.7 - 0.2j, 1j))):
-                assert factory(lam)(x, y) == [y[1] / pv,
+                assert factory(lam).rhs(x, y) == [y[1] / pv,
                                               (qv - lam * rv) * y[0]]
             checked += 1
     assert checked > 50
@@ -301,10 +299,11 @@ def test_compiled_code_is_labelled_by_its_expressions():
         for method in (RK45, DOP853):
             steps = coeffs.steps(method)(2.0)
             labels[name, method] = _filename(steps.step)
+            # The first derivative comes from the step's own source.
             assert _filename(steps.row) == labels[name, method]
-        labels[name, "rhs"] = _filename(coeffs.rhs(2.0))
+            assert _filename(steps.rhs) == labels[name, method]
     assert len(set(labels.values())) == len(labels)
-    assert labels["legendre", "rhs"] == "<rhs p=(1-x)*(1+x) q=0 r=1>"
+    assert labels["legendre", RK45] == "<RK45 p=(1-x)*(1+x) q=0 r=1>"
     assert labels["oscillator", DOP853] == "<DOP853 p=1 q=x**2 r=1>"
     assert _filename(oscillator.q.scalar) == "<expr x**2>"
     assert _filename(quasi_pair(Expr.parse("sin(x)"), legendre.p)) == \
@@ -313,7 +312,7 @@ def test_compiled_code_is_labelled_by_its_expressions():
     assert _filename(long.scalar) == "<expr 1 + x + x**2 + x**3 +...>"
     # Labels name code objects only: values are those of the coefficients.
     for coeffs in (legendre, oscillator):
-        rhs = coeffs.rhs(2.0)
+        rhs = coeffs.steps(RK45)(2.0).rhs
         for x in (-0.5, 0.25, 0.75):
             assert rhs(x, (0.3, -1.1)) == [
                 -1.1 / coeffs.p(x), (coeffs.q(x) - 2.0 * coeffs.r(x)) * 0.3]
@@ -322,7 +321,8 @@ def test_compiled_code_is_labelled_by_its_expressions():
 def test_specs_with_one_text_share_code_objects():
     one = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
     two = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
-    for a, b in ((one.q.scalar, two.q.scalar), (one.rhs(2.0), two.rhs(2.0)),
+    for a, b in ((one.q.scalar, two.q.scalar),
+                 (one.steps(RK45)(2.0).rhs, two.steps(RK45)(2.0).rhs),
                  (one.steps(RK45)(2.0).step, two.steps(RK45)(2.0).step)):
         assert a is not b
         assert a.__code__ is b.__code__
@@ -350,6 +350,6 @@ def test_code_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(expressions, "_CODE_CACHE", {})
     for k in range(40):
         coeffs = catalog(f"bessel({0.3 + k / 1000!r})").coeffs
-        coeffs.rhs(0.0)
+        coeffs.steps(RK45)(0.0)
         coeffs.q.deriv()
         assert len(expressions._CODE_CACHE) <= 16

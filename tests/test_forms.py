@@ -403,14 +403,6 @@ def test_q_base_is_sesquilinear_in_complex_multiples(legendre,
     assert abs(q(f, i_g) - 1j * base) <= 1e-12
 
 
-def _windowed(side, fn, breaks):
-    """A side integral by improper_integral's windows toward every end, the
-    route a singular end takes; its windows do not split at breaks."""
-    val, e, ok, div = _complex(improper_integral, fn, side.cut,
-                               side.endpoint, cutoff=side.cutoff)
-    return -SIGMA[side.end] * val, e, ok, div
-
-
 def test_a_regular_side_makes_no_improper_integral_call(
         monkeypatch, free_halfline, free_halfline_bases, dirichlet,
         dirichlet_bases):
@@ -466,19 +458,79 @@ def _regular_end_cases(problem, request):
         (ExprFunction(spec, "sin(x) + 0.5"), ExprFunction(spec, "cos(x)"))]
 
 
+def _cut_and_regularized(spec, bases, regime, f, g):
+    """(value, error) of the base form with every regular end cut at the
+    default window and regularized as a singular limit-circle end is: over
+    the side, the N-integral of w = u_hat and the lambda0 mass, plus the
+    boundary correction SIGMA[end] (u_hat^[1]/u_hat)(cut) f(cut) g(cut),
+    each side integral proper and split at the breaks (`_piecewise`).  The
+    middle Dirichlet integral runs between the cuts; the pieces of the
+    singular ends are q_base's own.  f and g are real."""
+    window = forms.default_window(spec, *bases)
+    p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
+    breaks = f.breaks + g.breaks
+
+    def middle(x):
+        fu, fu1 = f.pair(x)
+        gu, gu1 = g.pair(x)
+        return fu1 * gu1 / p(x) + q(x) * fu * gu
+
+    value, err, _, _ = forms._piecewise(middle, window.c, window.d, breaks)
+    pieces = q_base(spec, bases, window, regime, f, g).pieces
+    value += sum(v for name, v in pieces.items()
+                 if name != "middle_dirichlet_integral")
+    for end, endpoint, basis, cut in zip("ab", spec.interval.endpoints(),
+                                         bases, (window.c, window.d)):
+        if not basis.regular:
+            continue
+        w = basis.u_hat
+
+        def side(x, w=w):
+            wu, wu1 = w.pair(x)
+            fu, fu1 = f.pair(x)
+            gu, gu1 = g.pair(x)
+            root_p = math.sqrt(p(x))
+            nf = (fu1 * wu - fu * wu1) / (root_p * wu)
+            ng = (gu1 * wu - gu * wu1) / (root_p * wu)
+            return nf * ng + spec.lambda0 * r(x) * fu * gu
+
+        val, e, _, _ = forms._piecewise(side, cut, endpoint, breaks)
+        wu, wu1 = w.pair(cut)
+        value += -SIGMA[end] * val + SIGMA[end] * (wu1 / wu) * f(cut) * g(cut)
+        err += e
+    return value, err
+
+
 @pytest.mark.parametrize("problem",
                          ["free_halfline", "bessel(0.3)", "dirichlet"])
-def test_regular_side_panel_agrees_with_the_windowed_route(problem, request,
-                                                           monkeypatch):
+def test_regular_side_panel_agrees_with_the_windowed_route(problem, request):
+    # At a regular end u_hat^[1] = 0, so the side's N-integral, its mass and
+    # the cut correction add up to the classical integral over the side:
+    # the form without a cut there equals the cut-and-regularize route.
     spec, bases, regime, pairs = _regular_end_cases(problem, request)
-    assert any(basis.regular for basis in bases)
+    regular = [end for end, basis in zip("ab", bases) if basis.regular]
+    assert regular
     for f, g in pairs:
         one = q_base(spec, bases, None, regime, f, g)
-        with monkeypatch.context() as m:
-            m.setattr(forms.Side, "integral", _windowed)
-            windowed = q_base(spec, bases, None, regime, f, g)
-        assert abs(one.value - windowed.value) \
-            <= one.error + windowed.error, (f, g, one.value, windowed.value)
+        for end in regular:
+            side, cut = forms._PIECE_NAMES[end]
+            assert not any(name.startswith(side) or name.endswith(f"_{cut}")
+                           for name in one.pieces), one.pieces
+        value, err = _cut_and_regularized(spec, bases, regime, f, g)
+        assert abs(one.value - value) <= one.error + err, \
+            (f, g, one.value, value)
+
+
+def test_a_regular_end_adds_no_piece_and_no_allowance(dirichlet,
+                                                     dirichlet_bases):
+    # Both ends of (0, pi) are regular: the form is the classical
+    # integral of cos^2, one middle piece, with no lead-term allowance.
+    f = ExprFunction(dirichlet, "sin(x)")
+    fv = q_base(dirichlet, dirichlet_bases, None, REGIME_LC_LC, f, f)
+    assert set(fv.pieces) == {"decoration_terms",
+                              "middle_dirichlet_integral"}
+    assert abs(fv.value - math.pi / 2) <= 1e-13
+    assert fv.error <= 1e-13
 
 
 def test_halfline_green_residual_of_two_bumps(free_halfline,

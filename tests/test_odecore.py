@@ -66,7 +66,7 @@ def test_fused_rhs_equals_coefficient_evaluation(problem, xs, request):
     p, q, r = spec.p, spec.q, spec.r
     for lam, y in ((2.5, np.array([0.7, -1.3])),
                    (2.5 + 1.0j, np.array([0.7 - 0.2j, -1.3 + 0.4j]))):
-        rhs = spec.coeffs.rhs(lam)
+        rhs = spec.coeffs.steps(RK45)(lam).rhs
         for x in xs:
             assert rhs(x, y) == [y[1] / p(x), (q(x) - lam * r(x)) * y[0]]
 
@@ -77,7 +77,7 @@ def test_fused_rhs_equals_coefficient_evaluation(problem, xs, request):
     (("1", "0", "sqrt(x)"), "sqrt(x)"),
 ])
 def test_fused_rhs_domain_error_names_the_coefficient(coeffs, bad):
-    rhs = CoefficientSet.from_strings(*coeffs).rhs(1.0)
+    rhs = CoefficientSet.from_strings(*coeffs).steps(RK45)(1.0).rhs
     with pytest.raises(SpecFileError, match=re.escape(repr(bad))):
         rhs(-1.0, np.array([1.0, 1.0]))
 
@@ -123,7 +123,7 @@ def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
     if backward:
         span = span[::-1]
     stepper, tol = _KERNEL_METHODS[method]
-    rhs = spec.coeffs.rhs(lam)
+    rhs = spec.coeffs.steps(RK45)(lam).rhs
     init = (1.0, -0.5)
     sol = solve_ivp(rhs, span, np.array(init, dtype=type(lam)),
                     method=method, rtol=tol, atol=tol * 1e-3,
@@ -237,7 +237,7 @@ def test_generated_step_equals_tableau_loop(method, form, problem,
     spec = request.getfixturevalue(problem)
     stepper, loop = _LOOPS[method]
     lam = 2.5 + 1.0j if complex_lam else 2.5
-    rhs = spec.coeffs.rhs(lam)
+    rhs = spec.coeffs.steps(RK45)(lam).rhs
     steps = (spec.coeffs.steps(stepper)(lam) if form == "inline"
              else stepper.steps(rhs))
     rtol, atol = 1e-10, 1e-13
@@ -338,7 +338,7 @@ def test_zero_count_adds_up_over_renormalized_legs():
 
 def test_kernel_refuses_a_zero_length_solve(dirichlet):
     # Every solve goes through rk_solve, shooting's DOP853 end_state too.
-    rhs = dirichlet.coeffs.rhs(1.0)
+    rhs = dirichlet.coeffs.steps(RK45)(1.0).rhs
     with pytest.raises(ValueError, match="differ"):
         rk_solve(RK45, rhs, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12, dense=True)
     with pytest.raises(ValueError, match="differ"):
