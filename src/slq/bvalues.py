@@ -1,20 +1,29 @@
 """Generalized boundary values and patched reference functions.
 
 For a function g in the maximal domain the generalized boundary values at a
-nonoscillatory endpoint are Wronskian limits against the principal /
+nonoscillatory endpoint e are Wronskian limits against the principal /
 nonprincipal basis,
 
     g~  = -lim W(u, g)(x),      g~' = lim W(u_hat, g)(x),
 
-which reduce to g(c), g^[1](c) at a regular endpoint with the classical
-basis.  The limits are evaluated on a geometric approach sequence and
-extrapolated; g~ is cross-checked through the ratio route g/u_hat.
+which reduce to g(e), g^[1](e) at a regular endpoint with the classical
+basis and are evaluated there.  Elsewhere the Lagrange identity
+d/dx W(w, g) = -r w (tau g - lambda0 g), for a solution w of
+tau w = lambda0 w, turns each limit into the Wronskian at
+c = nonvanish_bound, where the basis data are exact by construction, plus
+an integral toward e:
+
+    g~  = -W(u, g)(c) + int_c^e r u (tau g - lambda0 g),
+    g~' = W(u_hat, g)(c) - int_c^e r u_hat (tau g - lambda0 g).
+
+At a limit-circle end u, u_hat and tau g lie in L^2(r), so each integrand is
+integrable; each integral is one `improper_integral` sweep toward e, stopped
+at the edge of u's (u_hat's) support.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     EvaluationOutsideSupport,
@@ -22,12 +31,13 @@ from .errors import (
     WindowsOverlap,
 )
 from .functions import QuasiFn
-from .odecore import wronskian
-from .quadrature import accelerated_limit, geometric_points
+from .odecore import EPS, wronskian
+from .quadrature import _complex, accelerated_limit, improper_integral
 
-ROUTE_WRONSKIAN = "wronskian_limit"
-
-N_LEVELS = 26  # levels of the geometric approach sequence
+# Nothing here calls accelerated_limit any more: perfbench/tracing.py rebinds
+# it in this module by name, so it stays bound until the tracer reads
+# counters from the library (ROADMAP item 10).
+__all__ = ["accelerated_limit"]
 
 
 @dataclass
@@ -35,146 +45,79 @@ class GeneralizedBoundaryValues:
     endpoint: str
     tilde: complex
     tilde_prime: complex
-    route: str
-    extrapolation_table: list = field(default_factory=list)
+    route: str                  # "classical" or "lagrange"
     tilde_error: float = 0.0
     tilde_prime_error: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
-def _approach_points(basis):
-    """Geometric sequence from the nonvanishing bound toward the endpoint,
-    up to the edge of the trust interval toward an infinite endpoint."""
-    end = basis.endpoint_value
-    cutoff = None
-    if not math.isfinite(end) and basis.trust_interval:
-        cutoff = basis.trust_interval[1 if basis.endpoint == "b" else 0]
-    return geometric_points(basis.nonvanish_bound, end,
-                            n_windows=N_LEVELS - 1, cutoff=cutoff)
-
-
-def _sequence_limit(vals, us, tol):
-    """Limit of the approach-sequence values with an error estimate.
-
-    Returns (value, err, certified).  Stabilized sequences short-circuit;
-    otherwise the window-acceleration models are tried, and an uncertified
-    result (accelerated_limit's Aitken fallback with a delta-based error)
-    stands only while the deltas head to zero.
-    """
-    vals = [complex(v) if isinstance(v, complex) else float(v) for v in vals]
-    if any(isinstance(v, complex) for v in vals):
-        re = _sequence_limit([v.real for v in vals], us, tol)
-        im = _sequence_limit([v.imag for v in vals], us, tol)
-        return (complex(re[0], im[0]), re[1] + im[1], re[2] and im[2])
-    scale = 1.0 + max(abs(v) for v in vals)
-    deltas = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    if deltas[-1] <= 1e-13 * scale and deltas[-2] <= 1e-13 * scale:
-        return vals[-1], deltas[-1] + 1e-15 * scale, True
-    value, err, certified = accelerated_limit(vals, us)
-    if certified:
-        return value, err, True
-    # Deltas must at least be heading to zero for a limit to exist.
-    tail = deltas[-4:]
-    if not all(d2 <= d1 + 1e-13 * scale for d1, d2 in zip(tail, tail[1:])) \
-            and tail[-1] > tol * scale:
-        return vals[-1], math.inf, False
-    return value, err, False
-
-
-def gbv(spec, basis, g, tol=1e-9):
+def gbv(spec, basis, g):
     """Generalized boundary values (g~, g~') of g at the basis endpoint.
 
-    g~ comes from the Wronskian route -W(u, g) with a ratio-route
-    cross-check g/u_hat; g~' from W(u_hat, g).  At a regular endpoint with
-    the classical basis the limits are evaluated at the endpoint itself,
-    reproducing the classical boundary data.
+    At a regular endpoint with the classical basis they are the Wronskians
+    at the endpoint itself (route "classical"), the classical boundary data;
+    elsewhere, and where g cannot be evaluated at the endpoint, the Lagrange
+    identity's integrals from the nonvanishing bound (route "lagrange", see
+    the module docstring).
 
-    The values depend only on (basis, g, tol), so they are memoized on the
+    The values depend only on (basis, g), so they are memoized on the
     basis; a repeat request returns the same object.  The memo keeps g
     alive, so its id cannot be reused by another function while the basis
     lives.
     """
-    key = (id(g), tol)
-    hit = basis._gbv_memo.get(key)
+    hit = basis._gbv_memo.get(id(g))
     if hit is not None and hit[0] is g:
         return hit[1]
-    values = _boundary_values(basis, g, tol)
-    basis._gbv_memo[key] = (g, values)
+    values = _boundary_values(spec, basis, g)
+    basis._gbv_memo[id(g)] = (g, values)
     return values
 
 
-def _boundary_values(basis, g, tol):
-    """Uncached gbv: Wronskian limits with the ratio-route cross-check."""
-    endpoint = basis.endpoint
-    end = basis.endpoint_value
+def _boundary_values(spec, basis, g):
+    """Uncached gbv."""
     if basis.regular:
+        end = basis.endpoint_value
         try:
-            tilde = -wronskian(basis.u, g, end)
-            tilde_prime = wronskian(basis.u_hat, g, end)
             return GeneralizedBoundaryValues(
-                endpoint=endpoint, tilde=tilde, tilde_prime=tilde_prime,
-                route=ROUTE_WRONSKIAN,
-                extrapolation_table=[(end, tilde)],
-                diagnostics={"regular_direct": True},
-            )
+                endpoint=basis.endpoint,
+                tilde=-wronskian(basis.u, g, end),
+                tilde_prime=wronskian(basis.u_hat, g, end),
+                route="classical")
         except EvaluationOutsideSupport:
-            pass  # g not evaluable at the endpoint: fall through to limits
-
-    pts = _approach_points(basis)
-    xs, w_tilde, w_prime, ratios = [], [], [], []
-    for x in pts:
-        try:
-            gu, gu1 = g.pair(x)
-            uu, uu1 = basis.u.pair(x)
-            hu, hu1 = basis.u_hat.pair(x)
-        except (EvaluationOutsideSupport, ZeroDivisionError, OverflowError):
-            continue
-        xs.append(x)
-        w_tilde.append(-(uu * gu1 - uu1 * gu))
-        w_prime.append(hu * gu1 - hu1 * gu)
-        ratios.append(gu / hu if hu != 0.0 else None)
-    if len(xs) < 4:
-        raise NoConvergence(
-            f"only {len(xs)} usable approach points toward endpoint {endpoint}"
-        )
-    us = [-math.log(abs(end - x)) for x in xs] if math.isfinite(end) \
-        else [math.log(abs(x) + 1.0) for x in xs]
-    tilde, t_err, _ = _sequence_limit(w_tilde, us, tol)
-    tilde_prime, p_err, _ = _sequence_limit(w_prime, us, tol)
-
-    if not math.isfinite(t_err) or not math.isfinite(p_err):
-        raise NoConvergence(
-            f"extrapolation deltas not decreasing at endpoint {endpoint}"
-        )
-
-    # Ratio route for g~: g(x)/u_hat(x) -> g~ since u_hat dominates u.  It
-    # converges only like 1/log toward a singular endpoint, so it checks the
-    # Wronskian value and never replaces it.
-    diagnostics = {"wronskian_error": t_err, "prime_error": p_err}
-    keep = [(u, r) for u, r in zip(us, ratios) if r is not None]
-    if len(keep) >= 4:
-        r_us = [u for u, _ in keep]
-        r_vals = [r for _, r in keep]
-        r_val, r_err, _ = _sequence_limit(r_vals, r_us, tol)
-        diagnostics["ratio_value"] = r_val
-        diagnostics["ratio_error"] = r_err
-        if math.isfinite(r_err):
-            agreement = abs(r_val - tilde)
-            diagnostics["route_agreement"] = agreement
-            budget = 10.0 * (t_err + r_err) + tol * (1.0 + abs(tilde))
-            if agreement > budget:
-                raise NoConvergence(
-                    f"ratio and Wronskian routes disagree at endpoint "
-                    f"{endpoint}: |{r_val} - {tilde}| > {budget}"
-                )
-
+            pass  # g not evaluable at the endpoint: integrate toward it
+    w_u, u_err = _wronskian_limit(spec, basis, basis.u, g)
+    w_hat, hat_err = _wronskian_limit(spec, basis, basis.u_hat, g)
     return GeneralizedBoundaryValues(
-        endpoint=endpoint, tilde=tilde, tilde_prime=tilde_prime,
-        route=ROUTE_WRONSKIAN,
-        extrapolation_table=list(zip(xs, w_tilde)),
-        tilde_error=t_err, tilde_prime_error=p_err,
-        diagnostics=diagnostics,
-    )
+        endpoint=basis.endpoint, tilde=-w_u, tilde_prime=w_hat,
+        route="lagrange", tilde_error=u_err, tilde_prime_error=hat_err)
+
+
+def _wronskian_limit(spec, basis, w, g):
+    """(lim W(w, g), error) toward the basis endpoint e for a solution w of
+    tau w = lambda0 w: W(w, g)(c) - int_c^e r w (tau g - lambda0 g), with
+    c = nonvanish_bound.
+
+    The integral runs to the edge of w's support toward e, through
+    `_complex`, so a complex g splits into real and imaginary parts.  Only
+    a diverged integral raises NoConvergence; an uncertified one is used
+    as it stands.  The error is the integral's estimate plus the rounding
+    of the Wronskian at c.
+    """
+    c, end = basis.nonvanish_bound, basis.endpoint_value
+    r, lam0 = spec.r.scalar, spec.lambda0
+    wu, wu1 = w.pair(c)
+    gu, gu1 = g.pair(c)
+
+    def integrand(x):
+        return r(x) * w(x) * (g.tau(x) - lam0 * g(x))
+
+    cutoff = w.x_min if basis.endpoint == "a" else w.x_max
+    val, err, _, diverged = _complex(improper_integral, integrand, c, end,
+                                     cutoff=cutoff)
+    if diverged:
+        raise NoConvergence(
+            f"Lagrange integral diverges toward endpoint {basis.endpoint}")
+    rounding = EPS * (abs(wu * gu1) + abs(wu1 * gu))
+    return wu * gu1 - wu1 * gu - val, err + rounding
 
 
 def _smoothstep(t):

@@ -272,14 +272,13 @@ def cmd_gbv(spec, ext_doc, args):
     section = {}
     for endpoint in endpoints:
         basis = bases[0] if endpoint == "a" else bases[1]
-        v = gbv(spec, basis, g, tol=args.tol)
+        v = gbv(spec, basis, g)
         section[endpoint] = {
             "tilde": v.tilde,
             "tilde_prime": v.tilde_prime,
             "tilde_error": v.tilde_error,
             "tilde_prime_error": v.tilde_prime_error,
             "route": v.route,
-            "table": [[x, w] for x, w in v.extrapolation_table],
         }
     report["gbv"] = section
     _emit(report, args)
@@ -482,7 +481,7 @@ def build_parser():
 
     add("classify", cmd_classify, probe=PROBE)
     add("basis", cmd_basis, csv={"default": None})
-    add("gbv", cmd_gbv, tol=TOL, g=REQUIRED,
+    add("gbv", cmd_gbv, g=REQUIRED,
         endpoint={"choices": ["a", "b"], "default": None})
     add("form", cmd_form, tol=TOL, probe=PROBE, window=WINDOW,
         f=REQUIRED, g=REQUIRED)

@@ -51,7 +51,7 @@ class IntegralClassificationInconclusive(SlqError):
 
 
 class NoConvergence(SlqError):
-    """Extrapolation deltas failed to decrease; limit not certified."""
+    """A boundary-value integral diverged toward its endpoint."""
 
 
 class WindowsOverlap(SlqError):

@@ -56,16 +56,16 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.exceptions import ComplexWarning
 
 from .bvalues import gbv
 from .errors import (
     BasisVanishes,
     DomainConstraintViolated,
     FormIntegralDiverges,
+    VariantMismatch,
     WindowInvalid,
 )
-from .quadrature import ImproperResult, improper_integral, panel
+from .quadrature import _complex, improper_integral, panel
 
 REGIME_LC_LC = ("a", "b")
 REGIME_LC_LP = ("a",)   # LC at a, LP at b
@@ -137,13 +137,18 @@ class Side:
 
 def _sides(spec, bases, window, regime):
     """(side_a, side_b) of `regime` on `window`: a Side at a singular end,
-    None at a regular one, which needs no cut."""
+    None at a regular one, which needs no cut.  A regular end is limit
+    circle, so a regime that leaves one out is refused (VariantMismatch)."""
     if regime not in (REGIME_LC_LC, REGIME_LC_LP, REGIME_LP_LC, REGIME_LP_LP):
         raise ValueError(f"unknown regime {regime!r}")
     sides = []
     for end, endpoint, basis, cut in zip(
             "ab", spec.interval.endpoints(), bases, (window.c, window.d)):
         if basis.regular:
+            if end not in regime:
+                raise VariantMismatch(
+                    f"endpoint {end} is regular, hence limit circle, but "
+                    f"the regime {regime!r} takes it as limit point")
             sides.append(None)
             continue
         lc = end in regime
@@ -158,31 +163,6 @@ def _span(spec, sides):
     the endpoint itself at a regular one."""
     return tuple(endpoint if side is None else side.cut
                  for endpoint, side in zip(spec.interval.endpoints(), sides))
-
-
-def _complex(integrate, fn, *args, **kw):
-    """(value, error, converged, diverged) of integrate(fn, *args, **kw),
-    where integrate is `panel` or `improper_integral` and fn may be complex.
-
-    fn is integrated as a real function.  `quadrature.quad` refuses a node
-    that returns a complex number (TypeError on a Python complex, numpy's
-    ComplexWarning on a numpy one), and then the real and imaginary parts
-    are integrated on the same terms.
-    """
-    try:
-        parts = [integrate(fn, *args, **kw)]
-    except (TypeError, ComplexWarning):
-        parts = [integrate(lambda x: fn(x).real, *args, **kw),
-                 integrate(lambda x: fn(x).imag, *args, **kw)]
-    # panel returns (value, error): certified and finite by construction.
-    parts = [res if isinstance(res, ImproperResult)
-             else ImproperResult(*res, True, False) for res in parts]
-    if len(parts) == 1:
-        [res] = parts
-        return res.value, res.error, res.converged, res.diverged
-    re, im = parts
-    return (complex(re.value, im.value), re.error + im.error,
-            re.converged and im.converged, re.diverged or im.diverged)
 
 
 def _piecewise(fn, lo, hi, breaks):

@@ -20,6 +20,10 @@ error in dqpsrt's ordering, and Wynn's epsilon algorithm dqelg.  Its
 operations are QUADPACK's in QUADPACK's order, so value, error estimate
 and evaluation count are those of scipy.integrate.quad on a finite
 interval, bit for bit; the tests pin them against it.
+
+`_complex` integrates a function that may be complex: as a real function,
+and as a real and an imaginary part once a node returns a complex number.
+The forms and the generalized boundary values share it.
 """
 
 from __future__ import annotations
@@ -666,6 +670,31 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     value, ext_err, certified = accelerated_limit(sums, us)
     return ImproperResult(value, quad_err + ext_err, certified, False,
                           contribs, sums)
+
+
+def _complex(integrate, fn, *args, **kw):
+    """(value, error, converged, diverged) of integrate(fn, *args, **kw),
+    where integrate is `panel` or `improper_integral` and fn may be complex.
+
+    fn is integrated as a real function.  `quad` refuses a node
+    that returns a complex number (TypeError on a Python complex, numpy's
+    ComplexWarning on a numpy one), and then the real and imaginary parts
+    are integrated on the same terms.
+    """
+    try:
+        parts = [integrate(fn, *args, **kw)]
+    except (TypeError, ComplexWarning):
+        parts = [integrate(lambda x: fn(x).real, *args, **kw),
+                 integrate(lambda x: fn(x).imag, *args, **kw)]
+    # panel returns (value, error): certified and finite by construction.
+    parts = [res if isinstance(res, ImproperResult)
+             else ImproperResult(*res, True, False) for res in parts]
+    if len(parts) == 1:
+        [res] = parts
+        return res.value, res.error, res.converged, res.diverged
+    re, im = parts
+    return (complex(re.value, im.value), re.error + im.error,
+            re.converged and im.converged, re.diverged or im.diverged)
 
 
 def interval_integral(f, a, b, *, singular_a=False, singular_b=False,

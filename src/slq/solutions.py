@@ -201,7 +201,7 @@ class SolutionBasis:
     principal_integral: object = None
     trust_interval: tuple = None  # where W(u_hat, u) is well conditioned
     diagnostics: dict = field(default_factory=dict)
-    # bvalues.gbv's memo: (id(g), tol) -> (g, values).
+    # bvalues.gbv's memo: id(g) -> (g, values).
     _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 

@@ -323,6 +323,8 @@ def test_out_flag_writes_file(specfile, capsys, tmp_path):
     ("green-check", ["--f", "sin", "--g", "sin", "--csv", "dump"]),
     ("eig", ["--lmin", "0.5", "--lmax", "1.5", "--csv", "dump"]),
     ("triplet", ["--tol", "1e-3"]),
+    ("gbv", ["--g", "sin", "--tol", "nan"]),
+    ("gbv", ["--g", "sin", "--tol", "-1"]),
 ])
 def test_command_refuses_an_option_it_does_not_read(specfile, capsys,
                                                     command, flags):
@@ -355,7 +357,7 @@ def test_extension_checked_against_classification(specfile, capsys,
 @pytest.mark.parametrize("command, flags", [
     ("classify", ["--probe", "nanj"]),
     ("classify", ["--probe", "1e400j"]),
-    ("gbv", ["--g", "sin", "--tol", "nan"]),
+    ("green-check", ["--f", "sin", "--g", "sin", "--tol", "nan"]),
     ("eig", ["--lmin", "nan"]),
     ("eig", ["--lmax", "inf"]),
     ("form", ["--f", "sin", "--g", "sin", "--window", "nan,3"]),
@@ -373,7 +375,7 @@ def test_command_line_numbers_must_be_finite(specfile, capsys, command,
     ("eig", ["--tol", "-1"]),
     ("eig", ["--tol", "0"]),
     ("form", ["--f", "sin", "--g", "sin", "--tol", "-1"]),
-    ("gbv", ["--g", "sin", "--tol", "-1"]),
+    ("green-check", ["--f", "sin", "--g", "sin", "--tol", "-1"]),
     ("eig", ["--lmin", "5", "--lmax", "5"]),
     ("eig", ["--lmin", "10", "--lmax", "1"]),
     ("form", ["--f", "bump:1,0", "--g", "sin"]),

@@ -13,6 +13,7 @@ from slq.bvalues import patched_pair
 from slq.errors import (
     DomainConstraintViolated,
     EvaluationOutsideSupport,
+    VariantMismatch,
     WindowInvalid,
 )
 from slq.expressions import Expr
@@ -23,7 +24,6 @@ from slq.forms import (
     REGIME_LP_LP,
     SIGMA,
     FormWindow,
-    _complex,
     green_identity_residual,
     q_base,
     q_decorated,
@@ -38,7 +38,7 @@ from slq.functions import (
 )
 from slq.odecore import ScaledSolution, tau_apply
 from slq.problem import catalog, validate
-from slq.quadrature import improper_integral, panel
+from slq.quadrature import _complex, improper_integral, panel
 from slq.solutions import construct_basis
 from slq.triplets import triplet_green_residual
 
@@ -180,6 +180,20 @@ def test_lp_lp_oscillator_identity(oscillator, oscillator_bases):
     res = green_identity_residual(oscillator, oscillator_bases, None,
                                   h0, h1, regime=REGIME_LP_LP)
     assert abs(res) < 1e-9
+
+
+@pytest.mark.parametrize("regime", [REGIME_LP_LP, REGIME_LC_LP])
+def test_a_regime_that_calls_a_regular_end_limit_point_is_refused(
+        dirichlet, dirichlet_bases, regime):
+    # Both ends of (0, pi) are regular, hence limit circle: a regime that
+    # takes either as limit point does not fit the bases.  It once gave
+    # q_base(f, f) = 0.1257 and a Green residual of -0.1257 under LP-LP.
+    f = polynomial(dirichlet, [1.0, 0.2])
+    with pytest.raises(VariantMismatch):
+        q_base(dirichlet, dirichlet_bases, None, regime, f, f)
+    with pytest.raises(VariantMismatch):
+        green_identity_residual(dirichlet, dirichlet_bases, None, f, f,
+                                regime=regime)
 
 
 def test_complex_improper_probes_inside_the_range():
