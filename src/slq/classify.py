@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Inconclusive
 from .odecore import end_state_zeros
-from .problem import endpoint_regular
+from .problem import end_scale, endpoint_regular
 from .quadrature import DIVERGE_THRESHOLD, geometric_points, panel
 from .solutions import march_windows, oscillation_refuted
 
@@ -35,12 +35,6 @@ class EndpointClassification:
     evidence: list = field(default_factory=list)
 
 
-def _end(spec, endpoint):
-    """Value of the endpoint named "a" or "b"."""
-    a, b = spec.interval.endpoints()
-    return a if endpoint == "a" else b
-
-
 def _window_l2(spec, table):
     """Integral of r |u|^2 over one march window's table; a sum that is
     not finite is inf."""
@@ -51,21 +45,22 @@ def _window_l2(spec, table):
     return val if math.isfinite(val) else math.inf
 
 
-def _tail_integral_verdict(spec, endpoint, z, init, anchor):
-    """March one solution toward the endpoint, watching its L^2 tail.
+def _tail_integral_verdict(spec, endpoint, z, init, anchor, mass):
+    """March one solution toward the endpoint, watching its L^2 tail in
+    units of `mass`.
 
     Both convergence tests are relative to the running total, so a
     constant scale of the weight r does not change the verdict: the tail
     converges once the last two window contributions are at most
     CLASSIFY_TOL times the total, or once the last eight decay by a factor
     0.9 each, up to CLASSIFY_TOL times the total."""
-    pts = geometric_points(anchor, _end(spec, endpoint),
+    pts = geometric_points(anchor, spec.interval.end(endpoint),
                            n_windows=CLASSIFY_WINDOWS)
     y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
     contribs = []
     total = 0.0
     for _, table, _, stopped in march_windows(spec, z, y, pts, 1e-9):
-        window_sum = _window_l2(spec, table)
+        window_sum = _window_l2(spec, table) / mass
         contribs.append(window_sum)
         total += window_sum
         if not math.isfinite(total) or total > DIVERGE_THRESHOLD:
@@ -85,27 +80,29 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor):
     return "inconclusive", total, contribs
 
 
-def classify_endpoint(spec, endpoint, probe_z=1j, anchor=None):
+def classify_endpoint(spec, endpoint):
     """Weyl alternative at one endpoint.
 
     limit_circle iff both probe solutions have convergent tail integrals of
-    r |u|^2; limit_point as soon as one diverges.  Inconclusive marching is
-    reported by exception, never silently resolved.
+    r |u|^2; limit_point as soon as one diverges.  In the end's `end_scale`
+    (c, l, p(c), r(c)) they start at c from (1, 0) and (0, p(c)/l) at
+    z = lambda0 + i p(c)/(r(c) l^2), their tails in units of r(c) l.
+    Inconclusive marching is reported by exception, never silently resolved.
     """
     if endpoint_regular(spec, endpoint):
         return EndpointClassification(
             endpoint, LIMIT_CIRCLE,
             [{"init": None, "verdict": "regular endpoint", "total": None}],
         )
-    if anchor is None:
-        anchor = spec.interval.interior_point()
+    anchor, ell, pc, rc = end_scale(spec, endpoint)
+    z = spec.lambda0 + 1j * pc / (rc * ell * ell)
     evidence = []
     verdicts = []
-    for init in ((1.0, 0.0), (0.0, 1.0)):
+    for init in ((1.0, 0.0), (0.0, pc / ell)):
         verdict, total, contribs = _tail_integral_verdict(
-            spec, endpoint, probe_z, init, anchor)
+            spec, endpoint, z, init, anchor, rc * ell)
         evidence.append({
-            "init": init, "verdict": verdict, "total": total,
+            "init": init, "z": z, "verdict": verdict, "total": total,
             "n_windows": len(contribs), "last_contributions": contribs[-4:],
         })
         verdicts.append(verdict)
@@ -118,9 +115,8 @@ def classify_endpoint(spec, endpoint, probe_z=1j, anchor=None):
     )
 
 
-def classify_both(spec, probe_z=1j):
-    return {e: classify_endpoint(spec, e, probe_z=probe_z)
-            for e in ("a", "b")}
+def classify_both(spec):
+    return {e: classify_endpoint(spec, e) for e in ("a", "b")}
 
 
 def count_zeros(spec, lam, window, init=(0.0, 1.0)):
@@ -148,7 +144,7 @@ def certify_endpoint(spec, lam, endpoint):
     if endpoint_regular(spec, endpoint):
         return "certified"
     pts = geometric_points(spec.interval.interior_point(),
-                           _end(spec, endpoint))
+                           spec.interval.end(endpoint))
     window_changes = []
     for _, _, zeros, _ in march_windows(spec, lam, (1.0, 0.0), pts, 1e-9):
         window_changes.append(zeros)

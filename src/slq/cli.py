@@ -14,7 +14,6 @@ under --strict.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import functools
 import json
@@ -138,16 +137,6 @@ def _count(text):
     return value
 
 
-def _parse_probe(text):
-    try:
-        z = complex(text.strip().replace("i", "j"))
-    except ValueError:
-        raise SpecFileError(f"bad probe value {text!r}")
-    if not cmath.isfinite(z):
-        raise SpecFileError(f"probe {text!r} is not finite")
-    return z
-
-
 def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -214,7 +203,7 @@ def cmd_classify(spec, ext_doc, args):
     inconclusive = False
     for e in ("a", "b"):
         try:
-            c = classify_endpoint(spec, e, probe_z=args.probe)
+            c = classify_endpoint(spec, e)
             section[e] = {"kind": c.kind, "evidence": c.evidence}
         except Inconclusive as exc:
             inconclusive = True
@@ -287,7 +276,7 @@ def cmd_gbv(spec, ext_doc, args):
 
 def cmd_form(spec, ext_doc, args):
     report = _base_report("form", spec, args)
-    classification = classify_both(spec, probe_z=args.probe)
+    classification = classify_both(spec)
     ext = _extension_of(ext_doc, classification)
     bases = _build_bases(spec)
     f = _resolve_function(args.f, spec, bases)
@@ -307,7 +296,7 @@ def cmd_form(spec, ext_doc, args):
 
 def cmd_green_check(spec, ext_doc, args):
     report = _base_report("green-check", spec, args)
-    classification = classify_both(spec, probe_z=args.probe)
+    classification = classify_both(spec)
     bases = _build_bases(spec)
     regime = lc_ends(classification)
     f = _resolve_function(args.f, spec, bases)
@@ -340,7 +329,7 @@ def cmd_eig(spec, ext_doc, args):
     if not args.lmin < args.lmax:
         raise SpecFileError("--lmin must be below --lmax")
     report = _base_report("eig", spec, args)
-    classification = classify_both(spec, probe_z=args.probe)
+    classification = classify_both(spec)
     ext = _extension_of(ext_doc, classification)
     coupled = ext.variant == "coupled"
     section = {"extension": ext.variant, "range": [args.lmin, args.lmax],
@@ -379,7 +368,7 @@ def cmd_eig(spec, ext_doc, args):
 
 def cmd_triplet(spec, ext_doc, args):
     report = _base_report("triplet", spec, args)
-    classification = classify_both(spec, probe_z=args.probe)
+    classification = classify_both(spec)
     ext = _extension_of(ext_doc, classification)
     rel = ext.relation
     pair = rel.pair
@@ -454,7 +443,6 @@ class _Parser(argparse.ArgumentParser):
 
 # Options that several subcommands read.
 TOL = {"type": _positive, "default": 1e-6}
-PROBE = {"type": _parse_probe, "default": "1j"}
 WINDOW = {"type": _parse_window, "default": None}
 REQUIRED = {"required": True}
 
@@ -479,15 +467,15 @@ def build_parser():
             p.add_argument(f"--{flag}", **kw)
         return p
 
-    add("classify", cmd_classify, probe=PROBE)
+    add("classify", cmd_classify)
     add("basis", cmd_basis, csv={"default": None})
     add("gbv", cmd_gbv, g=REQUIRED,
         endpoint={"choices": ["a", "b"], "default": None})
-    add("form", cmd_form, tol=TOL, probe=PROBE, window=WINDOW,
+    add("form", cmd_form, tol=TOL, window=WINDOW,
         f=REQUIRED, g=REQUIRED)
-    add("green-check", cmd_green_check, tol=TOL, probe=PROBE, window=WINDOW,
+    add("green-check", cmd_green_check, tol=TOL, window=WINDOW,
         f=REQUIRED, g=REQUIRED)
-    add("eig", cmd_eig, tol=TOL, probe=PROBE,
+    add("eig", cmd_eig, tol=TOL,
         lmin={"type": _finite, "default": 0.0},
         lmax={"type": _finite, "default": 10.0},
         grid={"type": _count, "default": 64, "help": (
@@ -498,7 +486,7 @@ def build_parser():
             "eigenvalues.  Coupled conditions evaluate every grid point and "
             "find a root where the determinant changes sign across a cell, "
             "so two eigenvalues in one cell escape them (default: 64)")})
-    add("triplet", cmd_triplet, probe=PROBE)
+    add("triplet", cmd_triplet)
     return parser
 
 

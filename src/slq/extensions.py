@@ -263,7 +263,7 @@ def _wkb_far_point(spec, endpoint, lam):
     l >= 1 at 0) the walk would leave the interval, and there is no other
     start yet: ShootingOverflow is raised at once, naming the end.
     """
-    end = spec.interval.a if endpoint == "a" else spec.interval.b
+    end = spec.interval.end(endpoint)
     if math.isfinite(end):
         raise ShootingOverflow(
             f"endpoint {endpoint} is a finite limit-point end: shooting has "

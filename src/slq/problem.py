@@ -46,6 +46,10 @@ class Interval:
     def endpoints(self):
         return (self.a, self.b)
 
+    def end(self, which):
+        """The endpoint named "a" or "b"."""
+        return self.a if which == "a" else self.b
+
     def interior_point(self):
         """A convenient reference point in the open interval."""
         a, b = self.a, self.b
@@ -160,8 +164,18 @@ def validate(spec: ProblemSpec) -> None:
 _REGULAR_MEMO = {}
 
 
+def end_scale(spec, which):
+    """(c, l, p(c), r(c)): the interior point, its distance l to the end (1
+    at an infinite end), and p and r there; the units of every verdict."""
+    c = spec.interval.interior_point()
+    end = spec.interval.end(which)
+    ell = abs(end - c) if math.isfinite(end) else 1.0
+    return c, ell, spec.p.scalar(c), spec.r.scalar(c)
+
+
 def endpoint_regular(spec, which):
-    """True when the endpoint is finite with integrable |1/p|, |q|, |r|."""
+    """True when the endpoint is finite with integrable |1/p|, |q|, |r|,
+    in `end_scale` units: |1/p| p(c)/l, |q| l/p(c) and |r|/(r(c) l)."""
     iv = spec.interval
     key = (iv.a, iv.b, spec.p.text, spec.q.text, spec.r.text, which)
     verdict = _REGULAR_MEMO.get(key)
@@ -171,13 +185,15 @@ def endpoint_regular(spec, which):
 
 
 def _endpoint_regular(spec, which):
-    end = spec.interval.a if which == "a" else spec.interval.b
+    end = spec.interval.end(which)
     if not math.isfinite(end):
         return False
-    c = spec.interval.interior_point()
+    c, ell, pc, rc = end_scale(spec, which)
     p = spec.p.scalar
-    for fn in (lambda x: 1.0 / p(x), spec.q.scalar, spec.r.scalar):
-        res = improper_integral(lambda x: abs(fn(x)), c, end)
+    for fn, unit in ((lambda x: 1.0 / p(x), pc / ell),
+                     (spec.q.scalar, ell / pc),
+                     (spec.r.scalar, 1.0 / (rc * ell))):
+        res = improper_integral(lambda x: abs(fn(x)) * unit, c, end)
         if not res.converged:
             return False
     return True

@@ -39,13 +39,22 @@ def test_classify_legendre(specfile, capsys):
     assert code == EXIT_OK
     kinds = {e: s["kind"] for e, s in report["classification"].items()}
     assert kinds == {"a": "limit_circle", "b": "limit_circle"}
+    # Each march records the z it ran at: i, in Legendre's own units.
+    for section in report["classification"].values():
+        assert [ev["z"] for ev in section["evidence"]] \
+            == [{"re": 0.0, "im": 1.0}] * 2
 
 
-def test_classify_probe_flag(specfile, capsys):
-    path = specfile({"coefficients": {"catalog": "bessel(2)"}})
-    code, report = _run(capsys, ["classify", path, "--probe", "2i"])
-    assert code == EXIT_OK
-    assert report["classification"]["a"]["kind"] == "limit_point"
+def test_no_command_takes_a_probe(specfile, capsys):
+    # The Weyl verdict does not depend on the nonreal z it is probed at, so
+    # z comes from the problem's own scale, not from the command line.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    for argv in (["classify"], ["form", "--f", "sin", "--g", "sin"],
+                 ["green-check", "--f", "sin", "--g", "sin"], ["eig"],
+                 ["triplet"]):
+        assert main([argv[0], path, *argv[1:], "--probe", "2i"]) \
+            == EXIT_PARSE
+        assert "--probe" in capsys.readouterr().err
 
 
 def test_parse_failure_exit_code(specfile, capsys):
@@ -317,7 +326,7 @@ def test_out_flag_writes_file(specfile, capsys, tmp_path):
 
 @pytest.mark.parametrize("command, flags", [
     ("classify", ["--tol", "1e-3"]),
-    ("basis", ["--probe", "2i"]),
+    ("basis", ["--tol", "1e-3"]),
     ("gbv", ["--g", "sin", "--window", "0.5,2.5"]),
     ("form", ["--f", "sin", "--g", "sin", "--csv", "dump"]),
     ("green-check", ["--f", "sin", "--g", "sin", "--csv", "dump"]),
@@ -355,8 +364,8 @@ def test_extension_checked_against_classification(specfile, capsys,
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("classify", ["--probe", "nanj"]),
-    ("classify", ["--probe", "1e400j"]),
+    ("gbv", ["--g", "poly:nan,1"]),
+    ("green-check", ["--f", "sin", "--g", "sin", "--window", "1,inf"]),
     ("green-check", ["--f", "sin", "--g", "sin", "--tol", "nan"]),
     ("eig", ["--lmin", "nan"]),
     ("eig", ["--lmax", "inf"]),
