@@ -27,7 +27,7 @@ from .errors import (
     UnknownCatalogEntry,
 )
 from .expressions import Expr
-from .quadrature import improper_integral
+from .quadrature import improper_integral, panel
 
 VALIDATION_SAMPLES = 64
 
@@ -166,7 +166,7 @@ _REGULAR_MEMO = {}
 
 def end_scale(spec, which):
     """(c, l, p(c), r(c)): the interior point, its distance l to the end (1
-    at an infinite end), and p and r there; the units of every verdict."""
+    at an infinite end), and p and r there; the units of the Weyl march."""
     c = spec.interval.interior_point()
     end = spec.interval.end(which)
     ell = abs(end - c) if math.isfinite(end) else 1.0
@@ -175,7 +175,7 @@ def end_scale(spec, which):
 
 def endpoint_regular(spec, which):
     """True when the endpoint is finite with integrable |1/p|, |q|, |r|,
-    in `end_scale` units: |1/p| p(c)/l, |q| l/p(c) and |r|/(r(c) l)."""
+    each read in units of its integral over the half of (c, end) next to c."""
     iv = spec.interval
     key = (iv.a, iv.b, spec.p.text, spec.q.text, spec.r.text, which)
     verdict = _REGULAR_MEMO.get(key)
@@ -188,12 +188,12 @@ def _endpoint_regular(spec, which):
     end = spec.interval.end(which)
     if not math.isfinite(end):
         return False
-    c, ell, pc, rc = end_scale(spec, which)
+    c = spec.interval.interior_point()
     p = spec.p.scalar
-    for fn, unit in ((lambda x: 1.0 / p(x), pc / ell),
-                     (spec.q.scalar, ell / pc),
-                     (spec.r.scalar, 1.0 / (rc * ell))):
-        res = improper_integral(lambda x: abs(fn(x)) * unit, c, end)
+    for fn in (lambda x: 1.0 / p(x), spec.q.scalar, spec.r.scalar):
+        # Only growth toward the end can diverge, not the size of q l^2 / p.
+        unit = panel(lambda x: abs(fn(x)), c, c + 0.5 * (end - c))[0] or 1.0
+        res = improper_integral(lambda x: abs(fn(x)) / unit, c, end)
         if not res.converged:
             return False
     return True

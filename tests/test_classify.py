@@ -111,13 +111,22 @@ def test_a_large_potential_keeps_legendre_limit_circle():
     assert classify_endpoint(spec, "b").kind == LIMIT_CIRCLE
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "called limit_point: q l^2 / p(c) = 2.5e25 passes the divergence "
-    "threshold of the regularity test, and e^x overflows the march"))
-def test_a_long_interval_with_a_potential_is_regular():
-    spec = _problem({"interval": {"a": 0, "b": 1e13},
-                     "coefficients": {"p": "1", "q": "1", "r": "1"}})
-    assert endpoint_regular(spec, "b")
+@pytest.mark.parametrize("b, q", [(4e6, "1"), (1e13, "1"), (1e6, "100")])
+def test_a_long_interval_with_a_potential_is_regular(b, q):
+    # A bounded q is integrable at a finite end however large q l^2 / p(c)
+    # is: the regularity test reads each coefficient in its own units.
+    spec = _problem({"interval": {"a": 0, "b": b},
+                     "coefficients": {"p": "1", "q": q, "r": "1"}})
+    assert _verdicts(spec) == {e: (True, LIMIT_CIRCLE) for e in "ab"}
+
+
+@pytest.mark.parametrize("q, regular", [("1e-30/x", False),
+                                        ("1e30/sqrt(x)", True)])
+def test_a_factor_on_q_keeps_the_regularity_verdict(q, regular):
+    # 1/x is not integrable at 0 and 1/sqrt(x) is, whatever the factor.
+    spec = _problem({"interval": {"a": 0, "b": 1},
+                     "coefficients": {"p": "1", "q": q, "r": "1"}})
+    assert endpoint_regular(spec, "a") == regular
 
 
 @pytest.mark.parametrize("weight", ["1", "1e-30", "1e-100", "1e-250", "1e30"])
