@@ -88,13 +88,10 @@ EPS = sys.float_info.epsilon
 _SQRT2 = 2 ** 0.5
 
 
-def _norm(a, b):
-    """numpy's 2-norm of the pair; for complex entries it sums the squared
-    real parts, then the squared imaginary parts."""
-    if isinstance(a, complex) or isinstance(b, complex):
-        return math.sqrt((a.real * a.real + b.real * b.real)
-                         + (a.imag * a.imag + b.imag * b.imag))
-    return math.sqrt(a * a + b * b)
+def _stalled(t, h_abs):
+    return StepSizeUnderflow(
+        f"integrator stalled at x={t}: required step size {h_abs} is NaN "
+        f"or less than spacing between numbers")
 
 
 def _sum(weights, k):
@@ -123,15 +120,29 @@ def _guarded(lines):
             "    raise"]
 
 
-def _function(head, body):
+def _block(head, body):
     return [head, *["    " + line for line in body]]
 
 
-def _names(k, n):
-    return ", ".join(f"{k}{j}" for j in range(n))
+def _norm(name, a, b):
+    """Source lines of `name` = numpy's 2-norm of the pair (a, b).  For
+    complex entries (`cplx`) it sums the squared real parts, then the
+    squared imaginary parts, which on real entries gives the bits of the
+    real sum of squares."""
+    return [f"na = {a}", f"nb = {b}",
+            "if cplx:",
+            f"    {name} = sqrt((na.real * na.real + nb.real * nb.real)",
+            f"        + (na.imag * na.imag + nb.imag * nb.imag))",
+            "else:",
+            f"    {name} = sqrt(na * na + nb * nb)"]
 
 
-# The two forms of a step: the factory's argument, and how a stage
+def _larger(a, b):
+    """Source of max(a, b) for numbers a and b: b only when b > a."""
+    return f"({b} if {b} > {a} else {a})"
+
+
+# The two forms of a solve: the factory's argument, and how a stage
 # evaluates the system at (x, (yu, yv)) into (ku{s}, kv{s}), by calling rhs
 # or with a CoefficientSet's p, q and r inlined, in the arithmetic of
 # [u1 / p, (q - lam r) u].  The inline factory also defines rhs itself
@@ -142,27 +153,29 @@ _INLINE = ("lam",
 
 
 class Steps(NamedTuple):
-    """A right-hand side rhs(x, (u, u1)) with a method's compiled step and
-    table row for it (see `_RungeKutta`)."""
+    """A right-hand side rhs(x, (u, u1)) with a method's compiled solve for
+    it (see `_RungeKutta`)."""
     rhs: object
-    step: object
-    row: object
+    solve: object
 
 
 class _RungeKutta:
     """An explicit Runge-Kutta pair for the state (u, u^[1]), with the
     tableau of the `tableaux` class of the same name.
 
-    Its step and table row are straight-line Python source generated from
-    the tableau and compiled on first use, in one of two forms: `steps(rhs)`
+    Its whole solve is straight-line Python source generated from the
+    tableau and compiled on first use, in one of two forms: `steps(rhs)`
     calls rhs at each stage, `inline(coeffs)` writes a CoefficientSet's p,
-    q and r into each stage.  The step,
+    q and r into each stage.  The solve,
 
-        step(t, h, u, v, ku0, kv0, rtol, atol) -> (un, vn, err, ku, kv),
+        solve(t, t_bound, u, v, rtol, atol, dense, cap, zeros, h_abs)
+            -> (t, u, v, h_next, count, ts, rows),
 
-    is scipy's rk_step and error norm: the new state, the error norm, and
-    the stages, the derivative at the new state last.  The row,
-    row(t, h, u, v, un, vn, ku, kv), is the step's StepTable row.
+    is `rk_solve` from its checked arguments on: the initial-step rule
+    when h_abs is None, the controller, the stages, the error norm, the
+    table rows when dense, the cap and the zero count, all in locals.
+    Whether the numbers are complex is read once, from the start state
+    and its derivative.
     """
 
     def __init__(self, cls):
@@ -173,39 +186,135 @@ class _RungeKutta:
         self._call = None
 
     def _source(self, form):
-        """Source of `factory(arg)`, which returns rhs, the step and the
-        row.  The call form's rhs is its argument; the inline form defines
+        """Source of `factory(arg)`, which returns rhs and the solve.  The
+        call form's rhs is its argument; the inline form defines
         rhs(x, (u, u1)) -> [ku0, kv0] with its stage template, so the first
         derivative and the stages share one arithmetic."""
         arg, evaluate = form
-        cls, n = self._tableau, self.n_stages
-        rhs_def = [] if arg == "rhs" else _function("def rhs(x, y):", [
+        rhs_def = [] if arg == "rhs" else _block("def rhs(x, y):", [
             "yu, yv = y",
             *_guarded(evaluate.format(s=0).splitlines()),
             "return [ku0, kv0]"])
+        solve = _block("def solve(t, t_bound, u, v, rtol, atol, dense, cap, "
+                       "zeros, h_abs):", self._solve(evaluate))
+        return "\n".join(_block(
+            f"def factory({arg}):",
+            [*rhs_def, *solve, "return rhs, solve"])) + "\n"
+
+    def _solve(self, evaluate):
+        """The body of the solve: scipy's solver loop with its stages,
+        error norm and table row in line."""
+        cls, n = self._tableau, self.n_stages
+        start = [
+            "x, yu, yv = t, u, v",
+            *_guarded(evaluate.format(s=0).splitlines()),
+            "cplx = (isinstance(u, complex) or isinstance(v, complex)",
+            "        or isinstance(ku0, complex) or isinstance(kv0, complex))",
+            # With `zeros`: the sign of the last nonzero u, 0.0 before one.
+            "count = 0",
+            "sign = 0.0",
+            "if zeros and u:",
+            "    sign = copysign(1.0, u)",
+            "direction = 1.0 if t_bound > t else -1.0",
+            *_block("if h_abs is None:", self._initial_step(evaluate)),
+            "toward = direction * inf",
+            "ts = [t]",
+            "rows = []"]
         stages = [line for s in range(1, n)
                   for line in _stage(s, cls.C[s], cls.A[s], evaluate)]
         stages += ["x = t + h",
                    f"yu = un = u + h * ({_sum(cls.B, 'ku')})",
                    f"yv = vn = v + h * ({_sum(cls.B, 'kv')})",
                    *evaluate.format(s=n).splitlines()]
-        step = _function("def step(t, h, u, v, ku0, kv0, rtol, atol):", [
+        factor = f"{SAFETY!r} * err ** {self.exponent!r}"
+        attempt = [
+            # A NaN step (from a NaN state or derivative) fails this too.
+            "if not h_abs >= min_step:",
+            "    raise _stalled(t, h_abs)",
+            "t_new = t + h_abs * direction",
+            "if direction * (t_new - t_bound) > 0:",
+            "    t_new = t_bound",
+            "h = t_new - t",
+            "h_abs = abs(h)",
             *_guarded(stages),
-            "su = atol + max(abs(u), abs(un)) * rtol",
-            "sv = atol + max(abs(v), abs(vn)) * rtol",
+            "a = abs(u)",
+            "b = abs(un)",
+            f"su = atol + {_larger('a', 'b')} * rtol",
+            "a = abs(v)",
+            "b = abs(vn)",
+            f"sv = atol + {_larger('a', 'b')} * rtol",
             *self._error(),
-            f"return un, vn, err, ({_names('ku', n + 1)}), "
-            f"({_names('kv', n + 1)})"])
-        row = _function("def row(t, h, u, v, un, vn, ku, kv):", [
-            f"{_names('ku', n + 1)} = ku",
-            f"{_names('kv', n + 1)} = kv",
-            *self._row(evaluate)])
-        return "\n".join(_function(
-            f"def factory({arg}):",
-            [*rhs_def, *step, *row, "return rhs, step, row"])) + "\n"
+            *_block("if err < 1:", [
+                "if err == 0:",
+                f"    factor = {MAX_FACTOR!r}",
+                "else:",
+                f"    factor = {factor}",
+                f"    if not factor < {MAX_FACTOR!r}:",
+                f"        factor = {MAX_FACTOR!r}",
+                "if rejected and not factor < 1.0:",
+                "    factor = 1.0",
+                "h_abs *= factor",
+                "break"]),
+            f"factor = {factor}",
+            f"h_abs *= {_larger(repr(MIN_FACTOR), 'factor')}",
+            "rejected = True"]
+        accepted = [
+            "min_step = 10 * abs(nextafter(t, toward) - t)",
+            "if min_step > h_abs:",
+            "    h_abs = min_step",
+            "rejected = False",
+            *_block("while True:", attempt),
+            *_block("if dense:", ["ts.append(t_new)",
+                                    *self._row(evaluate)]),
+            *_block("if zeros and un * sign <= 0.0:", [
+                # u changed sign, reached zero, or leaves a zero start.
+                "if un * sign < 0.0:",
+                "    count += 1",
+                "if un:",
+                "    sign = copysign(1.0, un)"]),
+            "t = t_new",
+            "u = un",
+            "v = vn",
+            "if direction * (t - t_bound) >= 0:",
+            "    break",
+            "if cap is not None:",
+            "    a = abs(u)",
+            "    b = abs(v)",
+            f"    if {_larger('a', 'b')} >= cap:",
+            "        break",
+            f"ku0 = ku{n}",
+            f"kv0 = kv{n}"]
+        return [*start, *_block("while True:", accepted),
+                "return t, u, v, h_abs, count, ts, rows"]
+
+    def _initial_step(self, evaluate):
+        """scipy's select_initial_step, its probe a stage at t + h0."""
+        return [
+            "length = abs(t_bound - t)",
+            "su = atol + abs(u) * rtol",
+            "sv = atol + abs(v) * rtol",
+            *_norm("d0", "u / su", "v / sv"),
+            f"d0 = d0 / {_SQRT2!r}",
+            *_norm("d1", "ku0 / su", "kv0 / sv"),
+            f"d1 = d1 / {_SQRT2!r}",
+            "h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1",
+            "h0 = min(h0, length)",
+            "x = t + h0 * direction",
+            "yu = u + h0 * direction * ku0",
+            "yv = v + h0 * direction * kv0",
+            *_guarded(evaluate.format(s=1).splitlines()),
+            *_norm("d2", "(ku1 - ku0) / su", "(kv1 - kv0) / sv"),
+            f"d2 = d2 / {_SQRT2!r} / h0",
+            "if d1 <= 1e-15 and d2 <= 1e-15:",
+            "    h1 = max(1e-6, h0 * 1e-3)",
+            "else:",
+            f"    h1 = (0.01 / max(d1, d2)) ** {1 / (self.order + 1)!r}",
+            "h_abs = min(100 * h0, h1, length)"]
 
     def _compile(self, source, **coeffs):
-        return _fused(source, "factory", dict(_norm=_norm, _SQRT2=_SQRT2),
+        return _fused(source, "factory",
+                      dict(_stalled=_stalled, copysign=math.copysign,
+                           nextafter=math.nextafter, inf=math.inf),
                       kind=self._tableau.__name__, **coeffs)
 
     def steps(self, rhs):
@@ -228,14 +337,16 @@ class _RK45(_RungeKutta):
 
     def _error(self):
         e = self._tableau.E
-        return [f"err = _norm(({_sum(e, 'ku')}) * h / su, "
-                f"({_sum(e, 'kv')}) * h / sv) / _SQRT2"]
+        return [*_norm("err", f"({_sum(e, 'ku')}) * h / su",
+                       f"({_sum(e, 'kv')}) * h / sv"),
+                f"err = err / {_SQRT2!r}"]
 
     def _row(self, evaluate):
         """The row, with Q = K^T P."""
         p = list(zip(*self._tableau.P))
-        return [f"return [t, h, u, {', '.join(_sum(c, 'ku') for c in p)}, "
-                f"v, {', '.join(_sum(c, 'kv') for c in p)}]"]
+        return [f"rows.append([t, h, u, "
+                f"{', '.join(_sum(c, 'ku') for c in p)}, "
+                f"v, {', '.join(_sum(c, 'kv') for c in p)}])"]
 
 
 class _DOP853(_RungeKutta):
@@ -243,15 +354,15 @@ class _DOP853(_RungeKutta):
 
     def _error(self):
         cls = self._tableau
-        return [f"n5 = _norm(({_sum(cls.E5, 'ku')}) / su, "
-                f"({_sum(cls.E5, 'kv')}) / sv)",
-                f"n3 = _norm(({_sum(cls.E3, 'ku')}) / su, "
-                f"({_sum(cls.E3, 'kv')}) / sv)",
+        return [*_norm("n5", f"({_sum(cls.E5, 'ku')}) / su",
+                       f"({_sum(cls.E5, 'kv')}) / sv"),
+                *_norm("n3", f"({_sum(cls.E3, 'ku')}) / su",
+                       f"({_sum(cls.E3, 'kv')}) / sv"),
                 "e5, e3 = n5 * n5, n3 * n3",
                 "if e5 == 0 and e3 == 0:",
                 "    err = 0.0",
                 "else:",
-                "    err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2)"]
+                "    err = h_abs * e5 / sqrt((e5 + 0.01 * e3) * 2)"]
 
     def _row(self, evaluate):
         """The row: F from the three extra stages of the interpolant."""
@@ -267,7 +378,7 @@ class _DOP853(_RungeKutta):
         return [*_guarded(extra),
                 "du = un - u",
                 "dv = vn - v",
-                f"return [{', '.join(out)}]"]
+                f"rows.append([{', '.join(out)}])"]
 
 
 RK45 = _RK45(tableaux.RK45)
@@ -379,78 +490,14 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     only, so every step, state and row is the same without it.
     """
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
-    rhs, step = steps.rhs, steps.step
     t, t_bound = float(anchor), float(target)
     if t == t_bound:
         raise ValueError("target must differ from anchor")
     u, v = (_plain(c) for c in init)
-    rtol = max(rtol, 100 * EPS)
-    # With `zeros`: the sign of the last nonzero u, 0.0 before one.
-    count, sign = 0, 0.0
-    if zeros and u:
-        sign = math.copysign(1.0, u)
-    direction = 1.0 if t_bound > t else -1.0
-    fu, fv = rhs(t, (u, v))
-    h_abs = first_step
-    if h_abs is None:
-        # Initial step (select_initial_step).
-        length = abs(t_bound - t)
-        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-        d0 = _norm(u / su, v / sv) / _SQRT2
-        d1 = _norm(fu / su, fv / sv) / _SQRT2
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, length)
-        gu, gv = rhs(t + h0 * direction, (u + h0 * direction * fu,
-                                          v + h0 * direction * fv))
-        d2 = _norm((gu - fu) / su, (gv - fv) / sv) / _SQRT2 / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (method.order + 1))
-        h_abs = min(100 * h0, h1, length)
-
-    ts, rows = [t], []
-    while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            # A NaN step (from a NaN state or derivative) fails this too.
-            if not h_abs >= min_step:
-                raise StepSizeUnderflow(
-                    f"integrator stalled at x={t}: required step size "
-                    f"{h_abs} is NaN or less than spacing between numbers"
-                )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            un, vn, err, ku, kv = step(t, h, u, v, fu, fv, rtol, atol)
-            if err < 1:
-                factor = MAX_FACTOR if err == 0 else min(
-                    MAX_FACTOR, SAFETY * err ** method.exponent)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * err ** method.exponent)
-            rejected = True
-        if dense:
-            rows.append(steps.row(t, h, u, v, un, vn, ku, kv))
-        if zeros and un * sign <= 0.0:
-            # u changed sign, reached zero, or leaves a zero start.
-            if un * sign < 0.0:
-                count += 1
-            if un:
-                sign = math.copysign(1.0, un)
-        ts.append(t_new)
-        t, u, v = t_new, un, vn
-        if direction * (t - t_bound) >= 0 or (
-                cap is not None and max(abs(u), abs(v)) >= cap):
-            break
-        fu, fv = ku[method.n_stages], kv[method.n_stages]
-    table = StepTable(ts, rows, method.n_coef, h_abs) if dense else None
+    t, u, v, h_next, count, ts, rows = steps.solve(
+        t, t_bound, u, v, max(rtol, 100 * EPS), atol, dense, cap, zeros,
+        first_step)
+    table = StepTable(ts, rows, method.n_coef, h_next) if dense else None
     out = t, (u, v), table
     return out + (count,) if zeros else out
 

@@ -102,7 +102,7 @@ def test_compiled_step_pole_names_the_coefficient(method):
     steps = coeffs.steps(method)(1.0)
     with pytest.raises(SpecFileError, match=re.escape("'0*(1/x)'")) as info:
         rk_solve(method, steps, 1.0, (1.0, 0.0), 0.0, 1e-8, 1e-11)
-    assert "step" in [entry.name for entry in info.traceback]
+    assert "solve" in [entry.name for entry in info.traceback]
 
 
 @pytest.mark.parametrize("text", [
@@ -183,13 +183,13 @@ def test_compiled_rhs_power_error_names_the_coefficient():
 
 def test_emitter_fix_reaches_the_compiled_steps():
     # (-2)**(0*x + 2) is 4 exactly, so both systems take the same steps.
-    lam, t, h, u, v = 1.5, 0.2, 0.1, 1.0, -0.5
-    got, want = (CoefficientSet.from_strings("1", q, "1").steps(RK45)(lam)
-                 for q in ("(-2)**(0*x + 2)", "4"))
-    fu, fv = want.rhs(t, (u, v))
-    assert got.rhs(t, (u, v)) == [fu, fv]
-    assert got.step(t, h, u, v, fu, fv, 1e-10, 1e-13) \
-        == want.step(t, h, u, v, fu, fv, 1e-10, 1e-13)
+    lam, t, u, v = 1.5, 0.2, 1.0, -0.5
+    for method in (RK45, DOP853):
+        got, want = (CoefficientSet.from_strings("1", q, "1").steps(method)(
+            lam) for q in ("(-2)**(0*x + 2)", "4"))
+        assert got.rhs(t, (u, v)) == want.rhs(t, (u, v))
+        assert got.solve(t, 3.0, u, v, 1e-10, 1e-13, True, None, True, None) \
+            == want.solve(t, 3.0, u, v, 1e-10, 1e-13, True, None, True, None)
 
 
 # Differential check of the emitted source against a tree-walking
@@ -276,15 +276,15 @@ def test_scalar_evaluator_names_the_expression(text, x):
 
 
 def test_compiled_step_error_goes_through_the_scalar_evaluators():
-    # The steps' `_undefined` re-evaluates each coefficient with its scalar
+    # The solve's `_undefined` re-evaluates each coefficient with its scalar
     # evaluator, which raises itself: a SpecFileError naming q, with no
-    # recursion back into the step.
+    # recursion back into the solve.
     coeffs = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
-    step = coeffs.steps(RK45)(1.0).step
+    solve = coeffs.steps(RK45)(1.0).solve
     with pytest.raises(SpecFileError, match=re.escape("'log(x)'")) as info:
-        step(-0.5, 0.1, 1.0, 0.0, 0.0, 0.0, 1e-8, 1e-10)
+        solve(-0.5, -0.4, 1.0, 0.0, 1e-8, 1e-10, False, None, False, 0.1)
     assert info.type is SpecFileError
-    assert [entry.name for entry in info.traceback].count("step") == 1
+    assert [entry.name for entry in info.traceback].count("solve") == 1
 
 
 def _filename(fn):
@@ -298,9 +298,8 @@ def test_compiled_code_is_labelled_by_its_expressions():
     for name, coeffs in (("legendre", legendre), ("oscillator", oscillator)):
         for method in (RK45, DOP853):
             steps = coeffs.steps(method)(2.0)
-            labels[name, method] = _filename(steps.step)
-            # The first derivative comes from the step's own source.
-            assert _filename(steps.row) == labels[name, method]
+            labels[name, method] = _filename(steps.solve)
+            # The first derivative comes from the solve's own source.
             assert _filename(steps.rhs) == labels[name, method]
     assert len(set(labels.values())) == len(labels)
     assert labels["legendre", RK45] == "<RK45 p=(1-x)*(1+x) q=0 r=1>"
@@ -323,7 +322,7 @@ def test_specs_with_one_text_share_code_objects():
     two = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
     for a, b in ((one.q.scalar, two.q.scalar),
                  (one.steps(RK45)(2.0).rhs, two.steps(RK45)(2.0).rhs),
-                 (one.steps(RK45)(2.0).step, two.steps(RK45)(2.0).step)):
+                 (one.steps(RK45)(2.0).solve, two.steps(RK45)(2.0).solve)):
         assert a is not b
         assert a.__code__ is b.__code__
 

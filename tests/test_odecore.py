@@ -17,8 +17,10 @@ from slq.odecore import (
     BRENTQ_RTOL,
     DOP853,
     EPS,
+    MAX_FACTOR,
+    MIN_FACTOR,
     RK45,
-    _norm,
+    SAFETY,
     brentq,
     end_state,
     end_state_zeros,
@@ -147,8 +149,9 @@ def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
         assert _close(table.at(t), sol.sol(t)), t
 
 
-# The Runge-Kutta step, error norm and table row as loops over scipy's
-# tableau: the reference the generated steps must match bit for bit.
+# The Runge-Kutta step, error norm, table row and controller as loops over
+# scipy's tableau: the reference the generated solves must match bit for
+# bit.
 def _terms(weights):
     return [(j, float(w)) for j, w in enumerate(weights) if w]
 
@@ -165,12 +168,22 @@ def _stages(a_rows, c_values, first):
             for s, (a, c) in enumerate(zip(a_rows, c_values), start=first)]
 
 
+def _norm(a, b):
+    """numpy's 2-norm of the pair; for complex entries it sums the squared
+    real parts, then the squared imaginary parts."""
+    if isinstance(a, complex) or isinstance(b, complex):
+        return math.sqrt((a.real * a.real + b.real * b.real)
+                         + (a.imag * a.imag + b.imag * b.imag))
+    return math.sqrt(a * a + b * b)
+
+
 class _TableauLoop:
     def __init__(self, cls):
         self.cls = cls
         self.n_stages = cls.n_stages
         self.stages = _stages(cls.A[1:], cls.C[1:], 1)
         self.b = _terms(cls.B)
+        self.exponent = -1 / (cls.error_estimator_order + 1)
 
     def step(self, rhs, t, h, u, v, fu, fv):
         ku, kv = [fu], [fv]
@@ -222,6 +235,72 @@ class _TableauLoop:
                     *[h * _dot(_terms(d), k) for d in self.cls.D])
         return out
 
+    def initial_step(self, rhs, t, t_bound, u, v, fu, fv, rtol, atol):
+        """scipy's select_initial_step."""
+        direction = 1.0 if t_bound > t else -1.0
+        length = abs(t_bound - t)
+        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+        d0 = _norm(u / su, v / sv) / 2 ** 0.5
+        d1 = _norm(fu / su, fv / sv) / 2 ** 0.5
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, length)
+        gu, gv = rhs(t + h0 * direction, (u + h0 * direction * fu,
+                                          v + h0 * direction * fv))
+        d2 = _norm((gu - fu) / su, (gv - fv) / sv) / 2 ** 0.5 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (
+                1 / (self.cls.error_estimator_order + 1))
+        return min(100 * h0, h1, length)
+
+    def solve(self, rhs, t, t_bound, u, v, rtol, atol, cap, zeros, h_abs):
+        """scipy's solver loop: the accepted states and table rows, the
+        proposed next step and the sign changes of u."""
+        direction = 1.0 if t_bound > t else -1.0
+        fu, fv = rhs(t, (u, v))
+        if h_abs is None:
+            h_abs = self.initial_step(rhs, t, t_bound, u, v, fu, fv, rtol,
+                                      atol)
+        states, rows, count = [(t, u, v)], [], 0
+        sign = math.copysign(1.0, u) if zeros and u else 0.0
+        while True:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                assert h_abs >= min_step
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                un, vn, ku, kv = self.step(rhs, t, h, u, v, fu, fv)
+                err = self.error_norm(
+                    ku, kv, h, atol + max(abs(u), abs(un)) * rtol,
+                    atol + max(abs(v), abs(vn)) * rtol)
+                if err < 1:
+                    factor = MAX_FACTOR if err == 0 else min(
+                        MAX_FACTOR, SAFETY * err ** self.exponent)
+                    if rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * err ** self.exponent)
+                rejected = True
+            rows.append(self.row(rhs, t, h, u, v, un, vn, ku, kv))
+            if zeros and un * sign <= 0.0:
+                if un * sign < 0.0:
+                    count += 1
+                if un:
+                    sign = math.copysign(1.0, un)
+            t, u, v = t_new, un, vn
+            states.append((t, u, v))
+            if direction * (t - t_bound) >= 0 or (
+                    cap is not None and max(abs(u), abs(v)) >= cap):
+                return states, rows, h_abs, count
+            fu, fv = ku[-1], kv[-1]
+
 
 _LOOPS = {"RK45": (RK45, _TableauLoop(scipy.integrate.RK45)),
           "DOP853": (DOP853, _TableauLoop(scipy.integrate.DOP853))}
@@ -234,28 +313,43 @@ _LOOPS = {"RK45": (RK45, _TableauLoop(scipy.integrate.RK45)),
 @pytest.mark.parametrize("backward", [False, True])
 def test_generated_step_equals_tableau_loop(method, form, problem,
                                             complex_lam, backward, request):
+    # Whole solves: the initial-step rule, then a second leg from the first
+    # one's end with its proposed step, then the first again under a cap.
+    # Every accepted state, table row, proposed step and zero count is the
+    # reference controller's, bit for bit.
     spec = request.getfixturevalue(problem)
     stepper, loop = _LOOPS[method]
+    span, _ = _KERNEL_CASES[problem]
+    if backward:
+        span = span[::-1]
     lam = 2.5 + 1.0j if complex_lam else 2.5
     rhs = spec.coeffs.steps(RK45)(lam).rhs
     steps = (spec.coeffs.steps(stepper)(lam) if form == "inline"
              else stepper.steps(rhs))
     rtol, atol = 1e-10, 1e-13
-    for t, h, (u, v) in ((0.3, 0.05, (1.0, -0.5)), (-0.6, 0.21, (0.0, 1.0)),
-                         (0.1, 0.7, (-2.3, 0.4)), (0.5, 1e-6, (1e-3, 7.0))):
-        if backward:
-            h = -h
-        if complex_lam:
-            u, v = complex(u, 0.3), complex(v, -0.8)
-        fu, fv = rhs(t, (u, v))
-        un, vn, ku, kv = loop.step(rhs, t, h, u, v, fu, fv)
-        got = steps.step(t, h, u, v, fu, fv, rtol, atol)
-        assert got == (un, vn, got[2], tuple(ku), tuple(kv))
-        assert got[2] == loop.error_norm(
-            ku, kv, h, atol + max(abs(u), abs(un)) * rtol,
-            atol + max(abs(v), abs(vn)) * rtol)
-        assert steps.row(t, h, u, v, un, vn, got[3], got[4]) \
-            == loop.row(rhs, t, h, u, v, un, vn, ku, kv)
+    start = (1.0 + 0.3j, -0.5 - 0.8j) if complex_lam else (1.0, -0.5)
+    zeros = not complex_lam
+
+    def solve(t, t_bound, y, h_abs, cap):
+        states, rows, h_next, count = loop.solve(
+            rhs, t, t_bound, *y, rtol, atol, cap, zeros, h_abs)
+        got = steps.solve(t, t_bound, *y, rtol, atol, True, cap, zeros,
+                          h_abs)
+        assert got == (*states[-1], h_next, count, [s[0] for s in states],
+                       rows)
+        # Each row holds the accepted state its step starts from.
+        width = len(rows[0]) // 2
+        assert [(row[2], row[width + 1]) for row in rows] \
+            == [s[1:] for s in states[:-1]]
+        return got, [max(abs(u), abs(v)) for _, u, v in states[1:]]
+
+    mid = 0.5 * (span[0] + span[1])
+    first, sizes = solve(span[0], mid, start, None, None)
+    solve(mid, span[1], first[1:3], first[3], None)
+    # A cap below the largest state of the first leg stops the solve
+    # before its end.
+    capped, _ = solve(span[0], span[1], start, None, 0.9 * max(sizes))
+    assert capped[0] != span[1]
 
 
 def test_coefficient_steps_compile_once_per_method(legendre):
@@ -277,7 +371,7 @@ def test_compiled_step_domain_error_names_the_coefficient(coeffs, bad, solve):
                        CoefficientSet.from_strings(*coeffs))
     with pytest.raises(SpecFileError, match=re.escape(repr(bad))) as info:
         solve(spec, 1.0, 2.0, (1.0, 0.0), -1.0)
-    assert "step" in [entry.name for entry in info.traceback]
+    assert "solve" in [entry.name for entry in info.traceback]
 
 
 def _sine_zeros(lam, anchor, init, target):
