@@ -16,15 +16,18 @@ complex lambda).  Its tableaux (`tableaux`) and its step-size controller
 are those of scipy.integrate's RK45 and DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4-II.6), so it takes scipy's steps without scipy's
 per-step array overhead; scipy itself is not imported.  Each method's
-step, with its error norm and its table row, is straight-line Python that
-one generator writes from the tableau, compiled on first use in one of two
-forms: for a CoefficientSet, once per method, with the emitted p, q and r
-inlined in every stage (`CoefficientSet.steps`); for any other right-hand
-side, such as the reduction tail, with a call to rhs(x, (u, v)) in each
-stage.  The weighted sums keep the tableau's order, so the arithmetic is
-that of a loop over the tableau, bit for bit.  `brentq`, a port of
-scipy's Brent loop that the tests pin against it, is the root finder of
-shooting.
+whole solve, from the initial-step rule through the controller, the
+stages, the error norm and the table rows to the cap and the zero count,
+is one straight-line Python function in locals that one generator writes
+from the tableau.  It is compiled on first use in one of two forms: for a
+CoefficientSet, once per method, with the emitted p, q and r inlined in
+every stage (`CoefficientSet.steps`); for any other right-hand side, such
+as the reduction tail, with a call to rhs(x, (u, v)) in each stage.
+`rk_solve` checks its arguments and runs it: no Python loop per step
+runs outside the generated code.  The weighted sums keep the tableau's
+order, so the arithmetic is that of a loop over the tableau, bit for bit.
+`brentq`, a port of scipy's Brent loop that the tests pin against it, is
+the root finder of shooting.
 
 `integrate_tau` and `end_state` use DOP853 (Dormand-Prince 8(5,3)), whose
 eighth order suits the tolerances of 1e-10 to 1e-11 that shooting asks
@@ -464,30 +467,35 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
     method is RK45 or DOP853.  rhs(x, (u, u1)) returns the derivative pair,
-    and every stage of the method's generated step calls it; or rhs is the
+    and every stage of the method's generated solve calls it; or rhs is the
     method's Steps for a CoefficientSet at one lambda,
     `coeffs.steps(method)(lam)`, whose stages have p, q and r inlined.
-    The arithmetic is that of scipy.integrate's solver of that name with
-    the same rtol and atol, in Python numbers: the initial-step rule,
-    min_step, the SAFETY, MIN and MAX factors, the error norms, and a
-    factor capped at 1 after a rejection.  A given `first_step` replaces
-    the initial-step rule and its RHS call, as scipy's first_step does; a
-    first step past target is cut there, as every step is.  The sums run
-    in a fixed order where numpy's BLAS may fuse or reorder, so states
-    agree with scipy's to rounding, not bit for bit.  A solve of zero
-    length raises ValueError.  With `cap`, integration stops at the first
-    accepted step whose state has max(|u|, |u^[1]|) >= cap.
+    rk_solve checks the arguments and runs the Steps' solve (see
+    `_RungeKutta`), which holds the whole integration.  The arithmetic is
+    that of scipy.integrate's solver of that name with the same rtol and
+    atol, in Python numbers: the initial-step rule, min_step, the SAFETY,
+    MIN and MAX factors, the error norms, and a factor capped at 1 after a
+    rejection.  A given `first_step` replaces the initial-step rule and its
+    RHS call, as scipy's first_step does; a first step past target is cut
+    there, as every step is.  The sums run in a fixed order where numpy's
+    BLAS may fuse or reorder, so states agree with scipy's to rounding, not
+    bit for bit.  A solve of zero length raises ValueError.  With `cap`,
+    integration stops at the first accepted step whose state has
+    max(|u|, |u^[1]|) >= cap.  The start state and its derivative decide
+    whether the solve runs in real or complex numbers: an rhs whose values
+    turn complex later fails with TypeError.
 
     Returns (x, (u, u^[1]), table): where integration stopped, target or
     the step point where the cap stopped it, the state there, and the
     StepTable of the steps when `dense` (else None).  The table's `h_next`
     is the step the controller proposed after the last step, the
-    `first_step` of a solve that goes on from where this one stopped.  Each state adds to the one before it, so a
-    non-finite state stays non-finite: checking the returned state checks
-    them all.  With `zeros`, for a real state, a fourth item counts the
-    sign changes of u over the accepted steps: the zeros of u passed, a
-    zero at the anchor not among them.  Counting reads the accepted states
-    only, so every step, state and row is the same without it.
+    `first_step` of a solve that goes on from where this one stopped.
+    Each state adds to the one before it, so a non-finite state stays
+    non-finite: checking the returned state checks them all.  With
+    `zeros`, for a real state, a fourth item counts the sign changes of u
+    over the accepted steps: the zeros of u passed, a zero at the anchor
+    not among them.  Counting reads the accepted states only, so every
+    step, state and row is the same without it.
     """
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
     t, t_bound = float(anchor), float(target)

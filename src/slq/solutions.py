@@ -14,7 +14,9 @@ first runs scipy's initial-step rule.  The march stops at the first step
 where max(|u|, |u^[1]|) reaches e^LOGSCALE_MAX, far inside floating-point
 range.  It also serves the endpoint probes in `classify`.
 The reduction tail T' = -1/(p w^2) (`_tail_ode`) runs on the same
-integrator as the pair (T, 0).
+integrator as the pair (T, 0).  A basis's trust interval, where
+W(u_hat, u) is well conditioned, is computed on first read: only the
+basis report and shooting from an LC end at infinity need it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,11 +202,18 @@ class SolutionBasis:
     endpoint_value: float = 0.0
     regular: bool = False
     principal_integral: object = None
-    trust_interval: tuple = None  # where W(u_hat, u) is well conditioned
+    coverage: tuple = None        # where u and u_hat are both defined
     diagnostics: dict = field(default_factory=dict)
     # bvalues.gbv's memo: id(g) -> (g, values).
     _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+
+    @cached_property
+    def trust_interval(self):
+        """Where W(u_hat, u) is well conditioned (`_trust_interval` over
+        the coverage, around the anchor); computed on first read."""
+        return _trust_interval(self.u, self.u_hat, self.anchor,
+                               *self.coverage)
 
 
 def _find_last_zero(w, segments, x_from, x_to):
@@ -395,15 +405,12 @@ def construct_basis(spec, endpoint, tol=1e-11):
                               t_floor=atol / TAIL_RTOL)
         u_hat = ScalarMultiple(w, -w_c0 * S)
 
-    cov_lo = max(w.x_min, u.x_min)
-    cov_hi = min(w.x_max, u.x_max)
-    trust = _trust_interval(u, u_hat, c0, cov_lo, cov_hi)
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,
         nonvanish_bound=c0, anchor=c0, endpoint_value=end, regular=False,
-        principal_integral=res, trust_interval=trust,
-        diagnostics={"marched_kind": kind, "last_zero": last_zero,
-                     "coverage": (cov_lo, cov_hi)},
+        principal_integral=res,
+        coverage=(max(w.x_min, u.x_min), min(w.x_max, u.x_max)),
+        diagnostics={"marched_kind": kind, "last_zero": last_zero},
     )
 
 
@@ -429,11 +436,9 @@ def _regular_basis(spec, endpoint, end, back_to, tol):
         c0 = z + 0.05 * (end - z)
     else:
         c0 = bound_guess
-    trust = _trust_interval(u, u_hat, c0, u.x_min, u.x_max)
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=spec.lambda0,
         nonvanish_bound=c0, anchor=c0, endpoint_value=end, regular=True,
-        principal_integral=None, trust_interval=trust,
-        diagnostics={"marched_kind": "classical", "last_zero": zs or None,
-                     "coverage": (min(u.x_min, end), max(u.x_max, end))},
+        principal_integral=None, coverage=(u.x_min, u.x_max),
+        diagnostics={"marched_kind": "classical", "last_zero": zs or None},
     )
