@@ -172,6 +172,27 @@ def test_trust_interval_brackets_anchor(oscillator_bases):
         assert lo <= basis.anchor <= hi
 
 
+@pytest.mark.parametrize("problem", ["legendre", "free_halfline"])
+def test_trust_interval_is_computed_on_first_read(problem, request,
+                                                  monkeypatch):
+    # A singular end and a regular one: construction leaves the search to
+    # the first read, which runs it once over the basis's coverage.
+    search, calls = solutions._trust_interval, []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(solutions, "_trust_interval", counted)
+    basis = construct_basis(request.getfixturevalue(problem), "a")
+    assert calls == []
+    trust = basis.trust_interval
+    assert basis.trust_interval is trust
+    assert calls == [(basis.u, basis.u_hat, basis.anchor, *basis.coverage)]
+    assert trust == search(basis.u, basis.u_hat, basis.anchor,
+                           *basis.coverage)
+
+
 def test_oscillatory_lambda0_is_refused():
     # -u'' = 4u oscillates toward b = inf: the zero count in each window
     # refutes nonoscillation and no basis is built there.
