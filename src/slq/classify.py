@@ -3,9 +3,10 @@
 An endpoint is limit circle when every solution of tau u = z u is square
 integrable (weight r) near it, limit point otherwise.  The dichotomy is
 probed at a nonreal energy by marching two independent solutions toward the
-endpoint and watching the tail integrals window by window.  Nonoscillation
-is probed at a real energy on the same march (`solutions.march_windows`),
-from the zeros of one solution window by window.
+endpoint and watching the tail integrals window by window, each summed in
+its own solve (`odecore.l2_solve`).  Nonoscillation is probed at a real
+energy on the basis march (`solutions.march_windows`), from the zeros of
+one solution window by window.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import Inconclusive
-from .odecore import end_state_zeros
+from .odecore import end_state_zeros, l2_solve
 from .problem import end_scale, endpoint_regular
-from .quadrature import DIVERGE_THRESHOLD, geometric_points, panel
-from .solutions import march_windows, oscillation_refuted
+from .quadrature import DIVERGE_THRESHOLD, geometric_points
+from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
 
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
@@ -35,37 +34,33 @@ class EndpointClassification:
     evidence: list = field(default_factory=list)
 
 
-def _window_l2(spec, table):
-    """Integral of r |u|^2 over one march window's table; a sum that is
-    not finite is inf."""
-    lo, hi = sorted((table.t[0], table.t[-1]))
-    r = spec.r.scalar
-    val, _ = panel(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
-                   epsabs=1e-14, epsrel=1e-10)
-    return val if math.isfinite(val) else math.inf
-
-
 def _tail_integral_verdict(spec, endpoint, z, init, anchor, mass):
     """March one solution toward the endpoint, watching its L^2 tail in
     units of `mass`.
 
-    Both convergence tests are relative to the running total, so a
-    constant scale of the weight r does not change the verdict: the tail
-    converges once the last two window contributions are at most
-    CLASSIFY_TOL times the total, or once the last eight decay by a factor
-    0.9 each, up to CLASSIFY_TOL times the total."""
+    Each window is one `odecore.l2_solve`, which sums its integral of
+    r |u|^2 and starts with the step proposed at the end of the window
+    before.  A probe stopped once its total reaches DIVERGE_THRESHOLD, or
+    at the growth cap of `solutions.march_windows`, diverges.  Both
+    convergence tests are relative to the running total, so a constant
+    scale of the weight r does not change the verdict: the tail converges
+    once the last two window contributions are at most CLASSIFY_TOL times
+    the total, or once the last eight decay by a factor 0.9 each, up to
+    CLASSIFY_TOL times the total."""
     pts = geometric_points(anchor, spec.interval.end(endpoint),
                            n_windows=CLASSIFY_WINDOWS)
-    y = np.asarray(init, dtype=complex if isinstance(z, complex) else float)
+    cap = math.exp(LOGSCALE_MAX)
+    x, y, h = pts[0], init, None
     contribs = []
     total = 0.0
-    for _, table, _, stopped in march_windows(spec, z, y, pts, 1e-9):
-        window_sum = _window_l2(spec, table) / mass
-        contribs.append(window_sum)
-        total += window_sum
-        if not math.isfinite(total) or total > DIVERGE_THRESHOLD:
+    for x1 in pts[1:]:
+        bound = (DIVERGE_THRESHOLD - total) * mass
+        x, y, h, window = l2_solve(spec, z, x, y, x1, 1e-9, cap, bound, h)
+        contribs.append(window / mass)
+        total += window / mass
+        if not window < bound:
             return "diverges", total, contribs
-        if stopped:
+        if max(abs(y[0]), abs(y[1])) >= cap:
             return "diverges", math.inf, contribs
         if len(contribs) >= 3 and all(
                 c <= CLASSIFY_TOL * total for c in contribs[-2:]):

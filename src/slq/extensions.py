@@ -272,11 +272,12 @@ def _wkb_far_point(spec, endpoint, lam):
     sign = 1.0 if endpoint == "b" else -1.0
     interior = spec.interval.interior_point()
     x = interior + sign * 1.0
+    p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
     # Step outward until the accumulated decay integral is large enough.
     action = 0.0
     step = 0.25
     for _ in range(100000):
-        k2p = (spec.q(x) - lam * spec.r(x)) / spec.p(x)
+        k2p = (q(x) - lam * r(x)) / p(x)
         if k2p > 0.0:
             action += math.sqrt(k2p) * step
             if action >= WKB_ACTION:
@@ -290,7 +291,8 @@ def _wkb_far_point(spec, endpoint, lam):
 def _lp_init(spec, endpoint, lam):
     """Decaying-branch initial data at a WKB far point near an LP endpoint."""
     x0 = _wkb_far_point(spec, endpoint, lam)
-    kappa = math.sqrt(spec.p(x0) * (spec.q(x0) - lam * spec.r(x0)))
+    p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
+    kappa = math.sqrt(p(x0) * (q(x0) - lam * r(x0)))
     sign = 1.0 if endpoint == "b" else -1.0
     # Decaying toward the endpoint: u' = -sign * kappa / p * u.
     return x0, (1.0, -sign * kappa)

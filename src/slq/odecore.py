@@ -19,10 +19,15 @@ per-step array overhead; scipy itself is not imported.  Each method's
 whole solve, from the initial-step rule through the controller, the
 stages, the error norm and the table rows to the cap and the zero count,
 is one straight-line Python function in locals that one generator writes
-from the tableau.  It is compiled on first use in one of two forms: for a
-CoefficientSet, once per method, with the emitted p, q and r inlined in
+from the tableau.  It is compiled on first use in one of three forms: for
+a CoefficientSet, once per method, with the emitted p, q and r inlined in
 every stage (`CoefficientSet.steps`); for any other right-hand side, such
-as the reduction tail, with a call to rhs(x, (u, v)) in each stage.
+as the reduction tail, with a call to rhs(x, (u, v)) in each stage; and,
+for the Weyl probe of `classify`, the inline RK45 solve that also sums the
+integral of r |u|^2 with the method's weights and stops where the sum
+reaches a bound (`l2_solve`).  That sum is an appended component
+I' = r |u|^2 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) kept out of
+the error norm, so its steps and states are those of the plain solve.
 `rk_solve` checks its arguments and runs it: no Python loop per step
 runs outside the generated code.  The weighted sums keep the tableau's
 order, so the arithmetic is that of a loop over the tableau, bit for bit.
@@ -145,14 +150,22 @@ def _larger(a, b):
     return f"({b} if {b} > {a} else {a})"
 
 
-# The two forms of a solve: the factory's argument, and how a stage
-# evaluates the system at (x, (yu, yv)) into (ku{s}, kv{s}), by calling rhs
-# or with a CoefficientSet's p, q and r inlined, in the arithmetic of
-# [u1 / p, (q - lam r) u].  The inline factory also defines rhs itself
-# from the same template.
-_CALL = ("rhs", "ku{s}, kv{s} = rhs(x, (yu, yv))")
+# The forms of a solve: the factory's argument, how a stage evaluates the
+# system at (x, (yu, yv)) into (ku{s}, kv{s}), by calling rhs or with a
+# CoefficientSet's p, q and r inlined, in the arithmetic of
+# [u1 / p, (q - lam r) u], and whether the solve sums r |u|^2.  The L^2
+# form's stages also weigh w{s} = r(x) |yu|^2, re^2 + im^2 of a complex yu
+# (a float's imaginary part is 0.0, so a real yu gives yu * yu).  The
+# inline factories also define rhs itself from the same template.
+_CALL = ("rhs", "ku{s}, kv{s} = rhs(x, (yu, yv))", False)
 _INLINE = ("lam",
-           "ku{s} = yv / ({{p}})\nkv{s} = (({{q}}) - lam * ({{r}})) * yu")
+           "ku{s} = yv / ({{p}})\nkv{s} = (({{q}}) - lam * ({{r}})) * yu",
+           False)
+_L2 = ("lam",
+       "rs = ({{r}})\nku{s} = yv / ({{p}})\n"
+       "kv{s} = (({{q}}) - lam * rs) * yu\n"
+       "w{s} = rs * (yu.real * yu.real + yu.imag * yu.imag)",
+       True)
 
 
 class Steps(NamedTuple):
@@ -167,9 +180,10 @@ class _RungeKutta:
     tableau of the `tableaux` class of the same name.
 
     Its whole solve is straight-line Python source generated from the
-    tableau and compiled on first use, in one of two forms: `steps(rhs)`
+    tableau and compiled on first use, in one of three forms: `steps(rhs)`
     calls rhs at each stage, `inline(coeffs)` writes a CoefficientSet's p,
-    q and r into each stage.  The solve,
+    q and r into each stage, and `inline(coeffs, l2=True)` does that and
+    sums the integral of r |u|^2.  The solve,
 
         solve(t, t_bound, u, v, rtol, atol, dense, cap, zeros, h_abs)
             -> (t, u, v, h_next, count, ts, rows),
@@ -178,7 +192,8 @@ class _RungeKutta:
     when h_abs is None, the controller, the stages, the error norm, the
     table rows when dense, the cap and the zero count, all in locals.
     Whether the numbers are complex is read once, from the start state
-    and its derivative.
+    and its derivative.  The L^2 form's solve takes a `bound` after h_abs
+    and returns the sum last (see `l2_solve`).
     """
 
     def __init__(self, cls):
@@ -193,20 +208,25 @@ class _RungeKutta:
         call form's rhs is its argument; the inline form defines
         rhs(x, (u, u1)) -> [ku0, kv0] with its stage template, so the first
         derivative and the stages share one arithmetic."""
-        arg, evaluate = form
+        arg, evaluate, l2 = form
         rhs_def = [] if arg == "rhs" else _block("def rhs(x, y):", [
             "yu, yv = y",
             *_guarded(evaluate.format(s=0).splitlines()),
             "return [ku0, kv0]"])
         solve = _block("def solve(t, t_bound, u, v, rtol, atol, dense, cap, "
-                       "zeros, h_abs):", self._solve(evaluate))
+                       f"zeros, h_abs{', bound' if l2 else ''}):",
+                       self._solve(evaluate, l2))
         return "\n".join(_block(
             f"def factory({arg}):",
             [*rhs_def, *solve, "return rhs, solve"])) + "\n"
 
-    def _solve(self, evaluate):
+    def _solve(self, evaluate, l2):
         """The body of the solve: scipy's solver loop with its stages,
-        error norm and table row in line."""
+        error norm and table row in line.  With `l2`, each accepted step
+        adds |h| times the B-weighted sum of its stages' w to `total`, and
+        the solve stops at the first accepted step where `total` reaches
+        `bound`, as at the cap.  Nothing else reads `total`, so steps and
+        states are those of the plain form."""
         cls, n = self._tableau, self.n_stages
         start = [
             "x, yu, yv = t, u, v",
@@ -222,7 +242,8 @@ class _RungeKutta:
             *_block("if h_abs is None:", self._initial_step(evaluate)),
             "toward = direction * inf",
             "ts = [t]",
-            "rows = []"]
+            "rows = []",
+            *(["total = 0.0"] if l2 else [])]
         stages = [line for s in range(1, n)
                   for line in _stage(s, cls.C[s], cls.A[s], evaluate)]
         stages += ["x = t + h",
@@ -267,6 +288,7 @@ class _RungeKutta:
             "    h_abs = min_step",
             "rejected = False",
             *_block("while True:", attempt),
+            *([f"total += abs(h) * ({_sum(cls.B, 'w')})"] if l2 else []),
             *_block("if dense:", ["ts.append(t_new)",
                                     *self._row(evaluate)]),
             *_block("if zeros and un * sign <= 0.0:", [
@@ -285,10 +307,13 @@ class _RungeKutta:
             "    b = abs(v)",
             f"    if {_larger('a', 'b')} >= cap:",
             "        break",
+            *(["if total >= bound:", "    break"] if l2 else []),
             f"ku0 = ku{n}",
-            f"kv0 = kv{n}"]
+            f"kv0 = kv{n}",
+            *([f"w0 = w{n}"] if l2 else [])]
         return [*start, *_block("while True:", accepted),
-                "return t, u, v, h_abs, count, ts, rows"]
+                "return t, u, v, h_abs, count, ts, rows"
+                + (", total" if l2 else "")]
 
     def _initial_step(self, evaluate):
         """scipy's select_initial_step, its probe a stage at t + h0."""
@@ -314,11 +339,11 @@ class _RungeKutta:
             f"    h1 = (0.01 / max(d1, d2)) ** {1 / (self.order + 1)!r}",
             "h_abs = min(100 * h0, h1, length)"]
 
-    def _compile(self, source, **coeffs):
+    def _compile(self, source, kind="", **coeffs):
         return _fused(source, "factory",
                       dict(_stalled=_stalled, copysign=math.copysign,
                            nextafter=math.nextafter, inf=math.inf),
-                      kind=self._tableau.__name__, **coeffs)
+                      kind=self._tableau.__name__ + kind, **coeffs)
 
     def steps(self, rhs):
         """Steps of a plain rhs: each stage calls rhs(x, (u, v))."""
@@ -326,11 +351,13 @@ class _RungeKutta:
             self._call = self._compile(self._source(_CALL))
         return Steps(*self._call(rhs))
 
-    def inline(self, coeffs):
+    def inline(self, coeffs, l2=False):
         """lam -> Steps of a CoefficientSet's quasi-derivative system, with
-        p, q and r inlined in every stage.  A domain error in a stage
-        raises the SpecFileError naming the coefficient at fault."""
-        factory = self._compile(self._source(_INLINE),
+        p, q and r inlined in every stage, and with `l2` the solve that
+        also sums r |u|^2.  A domain error in a stage raises the
+        SpecFileError naming the coefficient at fault."""
+        factory = self._compile(self._source(_L2 if l2 else _INLINE),
+                                " l2" if l2 else "",
                                 p=coeffs.p, q=coeffs.q, r=coeffs.r)
         return lambda lam: Steps(*factory(lam))
 
@@ -508,6 +535,34 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     table = StepTable(ts, rows, method.n_coef, h_next) if dense else None
     out = t, (u, v), table
     return out + (count,) if zeros else out
+
+
+def l2_solve(spec, lam, anchor, init, target, tol, cap, bound,
+             first_step=None):
+    """One RK45 solve of the quasi-derivative system that also sums the
+    integral of r |u|^2 over its accepted steps.
+
+    The steps, states and h_next are those of rk_solve with RK45 on
+    `spec.coeffs.steps(RK45)(lam)`, rtol tol, atol tol * 1e-3, `cap` and
+    `first_step`: each stage s also weighs w_s = r(x_s) |u_s|^2, and each
+    accepted step adds |h| sum_s b_s w_s, the method's own quadrature of
+    the appended component I' = r |u|^2, which the error norm leaves out.
+    The solve also stops at the first accepted step where the sum reaches
+    `bound`.  A non-finite state raises NonFiniteState.  Returns
+    (x, (u, u^[1]), h_next, sum): where it stopped, the state there, the
+    step the controller proposed next, and the sum.
+    """
+    t, t_bound = float(anchor), float(target)
+    if t == t_bound:
+        raise ValueError("target must differ from anchor")
+    u, v = (_plain(c) for c in init)
+    steps = spec.coeffs.steps(RK45, l2=True)(_plain(lam))
+    t, u, v, h_next, _, _, _, total = steps.solve(
+        t, t_bound, u, v, max(tol, 100 * EPS), tol * 1e-3, False, cap, False,
+        first_step, bound)
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise NonFiniteState("state overflowed before the growth cap")
+    return t, (u, v), h_next, total
 
 
 class StepTable:

@@ -76,12 +76,14 @@ class CoefficientSet:
     def _steps(self):
         return {}
 
-    def steps(self, method):
+    def steps(self, method, l2=False):
         """lam -> the Runge-Kutta `method`'s odecore.Steps for the system,
-        with p, q and r inlined in every stage; compiled once per method."""
-        factory = self._steps.get(method)
+        with p, q and r inlined in every stage, and with `l2` the solve
+        that also sums r |u|^2 (`odecore.l2_solve`); compiled once per
+        method and form."""
+        factory = self._steps.get((method, l2))
         if factory is None:
-            factory = self._steps[method] = method.inline(self)
+            factory = self._steps[method, l2] = method.inline(self, l2)
         return factory
 
 

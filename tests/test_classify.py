@@ -5,6 +5,7 @@ import math
 import pytest
 
 from slq.classify import (
+    CLASSIFY_WINDOWS,
     LIMIT_CIRCLE,
     LIMIT_POINT,
     certify_endpoint,
@@ -15,8 +16,16 @@ from slq.classify import (
 )
 from slq import classify, solutions
 from slq.errors import StepSizeUnderflow
-from slq.problem import catalog, endpoint_regular, problem_from_dict, validate
-from slq.solutions import construct_basis
+from slq.odecore import l2_solve
+from slq.problem import (
+    catalog,
+    end_scale,
+    endpoint_regular,
+    problem_from_dict,
+    validate,
+)
+from slq.quadrature import DIVERGE_THRESHOLD, geometric_points, panel
+from slq.solutions import construct_basis, march_windows
 
 
 def test_legendre_both_limit_circle(legendre):
@@ -140,6 +149,92 @@ def test_a_weight_scale_keeps_the_weyl_verdict(weight):
         "coefficients": {"p": "1", "q": "100", "r": weight}})
     validate(spec)
     assert classify_endpoint(spec, "b").kind == LIMIT_POINT
+
+
+# n_windows of each marched evidence entry, from (1, 0) then from
+# (0, p(c)/l): a diverging probe ends the classification after its first.
+PROBE_CASES = [
+    ("legendre", "a", [38, 38]),
+    ("legendre", "b", [38, 38]),
+    ("bessel(0.3)", "a", [26, 28]),
+    ("free_halfline", "b", [5]),
+    ("oscillator", "a", [3]),
+    ("oscillator", "b", [3]),
+]
+
+
+def _spec(problem, request):
+    if problem in ("legendre", "free_halfline", "oscillator"):
+        return request.getfixturevalue(problem)
+    spec = catalog(problem)
+    validate(spec)
+    return spec
+
+
+@pytest.mark.parametrize("problem, end, n_windows", PROBE_CASES)
+def test_probe_window_counts(problem, end, n_windows, request):
+    evidence = classify_endpoint(_spec(problem, request), end).evidence
+    assert [entry["n_windows"] for entry in evidence] == n_windows
+
+
+def _panel_window_sums(spec, z, init, pts, mass, n):
+    """The first n window integrals of r |u|^2 in units of mass by
+    quadrature after the march: march_windows at z, then one panel over
+    each window's table.  The panel has no absolute floor: a floor of
+    1e-14 allows 3e-8 of Legendre's last windows (5.7e-10)."""
+    r = spec.r.scalar
+    sums = []
+    for _, table, _, _ in march_windows(spec, z, init, pts, 1e-9):
+        lo, hi = sorted((table.t[0], table.t[-1]))
+        sums.append(panel(lambda x: r(x) * abs(table.at(x)[0]) ** 2, lo, hi,
+                          epsabs=0.0, epsrel=1e-12)[0] / mass)
+        if len(sums) == n:
+            return sums
+    return sums
+
+
+@pytest.mark.parametrize("problem, end, _", PROBE_CASES)
+def test_probe_window_sums_match_quadrature_of_the_march(problem, end, _,
+                                                          request):
+    # Each window's sum in the solve, against a panel over the same
+    # window's table, from both starts; a diverging probe's last window
+    # stops at the threshold and is left out.  Toward a the steps are
+    # negative: the sum weighs them by |h|, so every window is positive.
+    spec = _spec(problem, request)
+    anchor, ell, pc, rc = end_scale(spec, end)
+    z = spec.lambda0 + 1j * pc / (rc * ell * ell)
+    pts = geometric_points(anchor, spec.interval.end(end),
+                           n_windows=CLASSIFY_WINDOWS)
+    for init in ((1.0, 0.0), (0.0, pc / ell)):
+        verdict, _, sums = classify._tail_integral_verdict(
+            spec, end, z, init, anchor, rc * ell)
+        assert all(s > 0 for s in sums)
+        n = len(sums) - (verdict == "diverges")
+        want = _panel_window_sums(spec, z, init, pts, rc * ell, n)
+        assert len(want) == n >= 2
+        assert all(abs(s - w) <= 1e-8 * w for s, w in zip(sums, want))
+
+
+def test_a_diverging_probe_stops_at_the_threshold(free_halfline,
+                                                  monkeypatch):
+    # |u| grows like e^x toward inf, so the total passes DIVERGE_THRESHOLD
+    # (1e12, in units of r(c) l = 1) near x = 22, in the window (16, 32):
+    # the solve stops there, not at 32.
+    stops = []
+
+    def recorded(*args):
+        out = l2_solve(*args)
+        stops.append(out[0])
+        return out
+
+    monkeypatch.setattr(classify, "l2_solve", recorded)
+    c = classify_endpoint(free_halfline, "b")
+    entry, = c.evidence
+    assert c.kind == LIMIT_POINT
+    assert (entry["verdict"], entry["n_windows"]) == ("diverges", 5)
+    assert DIVERGE_THRESHOLD < entry["total"] < 2 * DIVERGE_THRESHOLD
+    assert stops[:-1] == [2.0, 4.0, 8.0, 16.0]
+    assert 16.0 < stops[-1] < 32.0
 
 
 def test_count_zeros_sine(dirichlet):

@@ -2,15 +2,17 @@
 
 Each value is pinned to the last bit: a shooting end state and its zero
 count, table lookups and proposed steps of a real march toward Legendre's
-singular end -1, and one complex-z window of the Weyl probe march.  Any
+singular end -1, one complex-z window of that march, and the WKB far
+points where shooting starts toward an infinite limit-point end.  Any
 change of the arithmetic of a solve, its controller, its table rows or its
 zero count shows here.
 """
 
 import numpy as np
+import pytest
 
 from slq.classify import CLASSIFY_WINDOWS
-from slq.extensions import LpLp, Separated, _side_start
+from slq.extensions import LpLp, Separated, _lp_init, _side_start
 from slq.odecore import end_state_zeros
 from slq.problem import catalog, end_scale, validate
 from slq.quadrature import geometric_points
@@ -96,8 +98,8 @@ def test_march_toward_legendre_singular_end(legendre):
 
 
 def test_complex_weyl_probe_window(legendre):
-    # The first window of classify_endpoint's march toward a at its
-    # nonreal z, from (1, 0).
+    # The first window of march_windows toward a at a complex z, the
+    # nonreal z of classify_endpoint's probe there, from (1, 0).
     anchor, ell, pc, rc = end_scale(legendre, "a")
     z = legendre.lambda0 + 1j * pc / (rc * ell * ell)
     pts = geometric_points(anchor, legendre.interval.a,
@@ -109,3 +111,30 @@ def test_complex_weyl_probe_window(legendre):
     assert (z, len(t), zeros, stopped, _hex(table.h_next)) == (
         1j, 16, None, False, "0x1.313461ff209fdp-5")
     assert _lookups(table, [t[1], 0.5 * (t[2] + t[3]), t[-1]]) == _COMPLEX
+
+
+@pytest.mark.parametrize("problem, end, lam, want", [
+    ("oscillator", "a", 0.5,
+     ("-0x1.d000000000000p+2", ["0x1.0000000000000p+0",
+                                "0x1.cdc9af3b3deccp+2"])),
+    ("oscillator", "a", 5.3,
+     ("-0x1.0000000000000p+3", ["0x1.0000000000000p+0",
+                                "0x1.ea57882b32860p+2"])),
+    ("oscillator", "b", 0.5,
+     ("0x1.d000000000000p+2", ["0x1.0000000000000p+0",
+                               "-0x1.cdc9af3b3deccp+2"])),
+    ("oscillator", "b", 5.3,
+     ("0x1.0000000000000p+3", ["0x1.0000000000000p+0",
+                               "-0x1.ea57882b32860p+2"])),
+    ("free_halfline", "b", -1.0,
+     ("0x1.ac00000000000p+4", ["0x1.0000000000000p+0",
+                               "-0x1.0000000000000p+0"])),
+    ("free_halfline", "b", -0.25,
+     ("0x1.9e00000000000p+5", ["0x1.0000000000000p+0",
+                               "-0x1.0000000000000p-1"])),
+])
+def test_wkb_far_point_and_decaying_start(problem, end, lam, want, request):
+    # The far point of the WKB walk and the decaying start there, kappa
+    # from p, q and r at that point.
+    x0, init = _lp_init(request.getfixturevalue(problem), end, lam)
+    assert (_hex(x0), [_hex(c) for c in init]) == want

@@ -25,6 +25,7 @@ from slq.odecore import (
     end_state,
     end_state_zeros,
     integrate_tau,
+    l2_solve,
     rk_solve,
     tau_apply,
     wronskian,
@@ -356,6 +357,53 @@ def test_coefficient_steps_compile_once_per_method(legendre):
     coeffs = legendre.coeffs
     assert coeffs.steps(RK45) is coeffs.steps(RK45)
     assert coeffs.steps(DOP853) is not coeffs.steps(RK45)
+    assert coeffs.steps(RK45, l2=True) is coeffs.steps(RK45, l2=True)
+    assert coeffs.steps(RK45, l2=True) is not coeffs.steps(RK45)
+
+
+def _hexes(v):
+    if isinstance(v, (list, tuple)):
+        return [_hexes(c) for c in v]
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    return v.hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("lam", [2.5, 2.5 + 1.0j])
+@pytest.mark.parametrize("t_bound", [-0.999999, 0.999999])
+def test_l2_sum_leaves_the_solve_as_it_is(legendre, lam, t_bound):
+    # The L^2 form sums r |u|^2 beside the solve, out of its error norm:
+    # every accepted state, table row, proposed step and zero count is the
+    # plain inline solve's, as float hex.  A bound stops it at one of the
+    # plain solve's step points, once the sum has reached the bound.
+    plain = legendre.coeffs.steps(RK45)(lam).solve
+    summed = legendre.coeffs.steps(RK45, l2=True)(lam).solve
+    zeros = not isinstance(lam, complex)
+    args = (0.0, t_bound, 1.0, -0.5, 1e-9, 1e-12, True, None, zeros, None)
+    want = plain(*args)
+    *got, total = summed(*args, math.inf)
+    assert _hexes(got) == _hexes(want)
+    assert total > 0
+    *stopped, part = summed(*args, 0.5 * total)
+    ts, rows = want[5:]
+    k = ts.index(stopped[0])
+    assert 0 < k < len(ts) - 1 and part >= 0.5 * total
+    # Row k starts from the state at ts[k]: u and u^[1] are its entries 2
+    # and 7.
+    assert _hexes(stopped[1:3]) == _hexes([rows[k][2], rows[k][7]])
+    assert _hexes(stopped[5:]) == _hexes([ts[:k + 1], rows[:k]])
+
+
+def test_l2_solve_integrates_r_u_squared(dirichlet):
+    # u = sin x on (0, pi) at lambda = 1: the integral of sin^2 over
+    # (0, pi/2) is pi/4.  Backward, from pi/2 to 0, the sum is the same.
+    x, y, _, total = l2_solve(dirichlet, 1.0, 0.0, (0.0, 1.0), math.pi / 2,
+                              1e-9, None, math.inf)
+    assert x == math.pi / 2 and abs(y[0] - 1.0) <= 1e-8
+    assert abs(total - math.pi / 4) <= 1e-9
+    _, _, _, back = l2_solve(dirichlet, 1.0, math.pi / 2, (1.0, 0.0), 0.0,
+                             1e-9, None, math.inf)
+    assert abs(back - math.pi / 4) <= 1e-9
 
 
 @pytest.mark.parametrize("coeffs, bad", [
