@@ -34,11 +34,13 @@ order, so the arithmetic is that of a loop over the tableau, bit for bit.
 `brentq`, a port of scipy's Brent loop that the tests pin against it, is
 the root finder of shooting.
 
-`integrate_tau` and `end_state` use DOP853 (Dormand-Prince 8(5,3)), whose
-eighth order suits the tolerances of 1e-10 to 1e-11 that shooting asks
-for; the march in `solutions` and its reduction-of-order tail, the pair
-(T, 0), use RK45.  Each integrator segment is a StepTable, one kernel per
-method, evaluated without calling scipy.
+Shooting (`end_state`, `end_state_zeros`) uses DOP853 (Dormand-Prince
+8(5,3)), whose eighth order suits the tolerances of 1e-10 to 1e-11 it asks
+for; it reads only end states and zero counts, so a DOP853 solve writes no
+table.  The march in `solutions`, its reduction-of-order tail, the pair
+(T, 0), and `integrate_tau` use RK45, whose plain and call forms write a
+StepTable of every step: RK45's quartic interpolant, evaluated without
+calling scipy, is the one dense output of the package.
 """
 
 from __future__ import annotations
@@ -71,22 +73,6 @@ def _rk45_2(rows, i, x):
             h * ((b0 * s + b2 * s3) + (b1 * s2 + b3 * s4)) + z)
 
 
-def _dop853_2(rows, i, x):
-    t_old, h, y, a0, a1, a2, a3, a4, a5, a6, \
-        z, b0, b1, b2, b3, b4, b5, b6 = rows[i:i + 18]
-    s = (x - t_old) / h
-    c = 1 - s
-    return (
-        ((((((a6 * s + a5) * c + a4) * s + a3) * c + a2) * s + a1) * c + a0)
-        * s + y,
-        ((((((b6 * s + b5) * c + b4) * s + b3) * c + b2) * s + b1) * c + b0)
-        * s + z)
-
-
-# Step kernels of the pair by coefficients per component.
-_KERNELS = {4: _rk45_2, 7: _dop853_2}
-
-
 # scipy's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I,
 # II.4): the factors of scipy.integrate's RungeKutta solvers.
 SAFETY = 0.9
@@ -96,7 +82,15 @@ EPS = sys.float_info.epsilon
 _SQRT2 = 2 ** 0.5
 
 
-def _stalled(t, h_abs):
+def _stalled(t, h_abs, u, v, err, un, vn):
+    """The error of a solve that can take no step from x = t: an overflow
+    (NonFiniteState) when the state (u, v) there, or the last attempt's
+    error norm `err` or state (un, vn), is not finite, else a step-size
+    stall (StepSizeUnderflow)."""
+    if not all(map(cmath.isfinite, (u, v, err, un, vn))):
+        return NonFiniteState(
+            f"state overflowed past x={t}, where |u| = {abs(u)}: the last "
+            f"step attempted gave error norm {err} and u = {un}")
     return StepSizeUnderflow(
         f"integrator stalled at x={t}: required step size {h_abs} is NaN "
         f"or less than spacing between numbers")
@@ -185,12 +179,14 @@ class _RungeKutta:
     q and r into each stage, and `inline(coeffs, l2=True)` does that and
     sums the integral of r |u|^2.  The solve,
 
-        solve(t, t_bound, u, v, rtol, atol, dense, cap, zeros, h_abs)
+        solve(t, t_bound, u, v, rtol, atol, cap, zeros, h_abs)
             -> (t, u, v, h_next, count, ts, rows),
 
     is `rk_solve` from its checked arguments on: the initial-step rule
     when h_abs is None, the controller, the stages, the error norm, the
-    table rows when dense, the cap and the zero count, all in locals.
+    table rows, the cap and the zero count, all in locals.  Only RK45's
+    plain and call forms write a table (step points `ts` and `rows`); the
+    L^2 form and every DOP853 form return (t, u, v, h_next, count).
     Whether the numbers are complex is read once, from the start state
     and its derivative.  The L^2 form's solve takes a `bound` after h_abs
     and returns the sum last (see `l2_solve`).
@@ -213,8 +209,8 @@ class _RungeKutta:
             "yu, yv = y",
             *_guarded(evaluate.format(s=0).splitlines()),
             "return [ku0, kv0]"])
-        solve = _block("def solve(t, t_bound, u, v, rtol, atol, dense, cap, "
-                       f"zeros, h_abs{', bound' if l2 else ''}):",
+        solve = _block("def solve(t, t_bound, u, v, rtol, atol, cap, zeros, "
+                       f"h_abs{', bound' if l2 else ''}):",
                        self._solve(evaluate, l2))
         return "\n".join(_block(
             f"def factory({arg}):",
@@ -222,12 +218,15 @@ class _RungeKutta:
 
     def _solve(self, evaluate, l2):
         """The body of the solve: scipy's solver loop with its stages,
-        error norm and table row in line.  With `l2`, each accepted step
-        adds |h| times the B-weighted sum of its stages' w to `total`, and
-        the solve stops at the first accepted step where `total` reaches
-        `bound`, as at the cap.  Nothing else reads `total`, so steps and
-        states are those of the plain form."""
+        error norm and, unless `l2`, the method's table row in line.  The
+        stall's report reads the last attempt, so `err`, `un` and `vn` start
+        finite.  With `l2`, each accepted step adds |h| times the B-weighted
+        sum of its stages' w to `total`, and the solve stops at the first
+        accepted step where `total` reaches `bound`, as at the cap.  Nothing
+        else reads `total`, so steps and states are those of the plain
+        form."""
         cls, n = self._tableau, self.n_stages
+        row = [] if l2 else self._row()
         start = [
             "x, yu, yv = t, u, v",
             *_guarded(evaluate.format(s=0).splitlines()),
@@ -241,8 +240,8 @@ class _RungeKutta:
             "direction = 1.0 if t_bound > t else -1.0",
             *_block("if h_abs is None:", self._initial_step(evaluate)),
             "toward = direction * inf",
-            "ts = [t]",
-            "rows = []",
+            "err = un = vn = 0.0",
+            *(["ts = [t]", "rows = []"] if row else []),
             *(["total = 0.0"] if l2 else [])]
         stages = [line for s in range(1, n)
                   for line in _stage(s, cls.C[s], cls.A[s], evaluate)]
@@ -254,7 +253,7 @@ class _RungeKutta:
         attempt = [
             # A NaN step (from a NaN state or derivative) fails this too.
             "if not h_abs >= min_step:",
-            "    raise _stalled(t, h_abs)",
+            "    raise _stalled(t, h_abs, u, v, err, un, vn)",
             "t_new = t + h_abs * direction",
             "if direction * (t_new - t_bound) > 0:",
             "    t_new = t_bound",
@@ -289,8 +288,7 @@ class _RungeKutta:
             "rejected = False",
             *_block("while True:", attempt),
             *([f"total += abs(h) * ({_sum(cls.B, 'w')})"] if l2 else []),
-            *_block("if dense:", ["ts.append(t_new)",
-                                    *self._row(evaluate)]),
+            *row,
             *_block("if zeros and un * sign <= 0.0:", [
                 # u changed sign, reached zero, or leaves a zero start.
                 "if un * sign < 0.0:",
@@ -312,8 +310,8 @@ class _RungeKutta:
             f"kv0 = kv{n}",
             *([f"w0 = w{n}"] if l2 else [])]
         return [*start, *_block("while True:", accepted),
-                "return t, u, v, h_abs, count, ts, rows"
-                + (", total" if l2 else "")]
+                "return t, u, v, h_abs, count"
+                + (", ts, rows" if row else "") + (", total" if l2 else "")]
 
     def _initial_step(self, evaluate):
         """scipy's select_initial_step, its probe a stage at t + h0."""
@@ -363,25 +361,22 @@ class _RungeKutta:
 
 
 class _RK45(_RungeKutta):
-    n_coef = 4
-
     def _error(self):
         e = self._tableau.E
         return [*_norm("err", f"({_sum(e, 'ku')}) * h / su",
                        f"({_sum(e, 'kv')}) * h / sv"),
                 f"err = err / {_SQRT2!r}"]
 
-    def _row(self, evaluate):
-        """The row, with Q = K^T P."""
+    def _row(self):
+        """The step point and the row, with Q = K^T P."""
         p = list(zip(*self._tableau.P))
-        return [f"rows.append([t, h, u, "
+        return ["ts.append(t_new)",
+                f"rows.append([t, h, u, "
                 f"{', '.join(_sum(c, 'ku') for c in p)}, "
                 f"v, {', '.join(_sum(c, 'kv') for c in p)}])"]
 
 
 class _DOP853(_RungeKutta):
-    n_coef = 7
-
     def _error(self):
         cls = self._tableau
         return [*_norm("n5", f"({_sum(cls.E5, 'ku')}) / su",
@@ -394,21 +389,9 @@ class _DOP853(_RungeKutta):
                 "else:",
                 "    err = h_abs * e5 / sqrt((e5 + 0.01 * e3) * 2)"]
 
-    def _row(self, evaluate):
-        """The row: F from the three extra stages of the interpolant."""
-        cls, n = self._tableau, self.n_stages
-        extra = [line for s, (c, a) in enumerate(
-                     zip(cls.C_EXTRA, cls.A_EXTRA), start=n + 1)
-                 for line in _stage(s, c, a, evaluate)]
-        out = ["t", "h"]
-        for y, k in (("u", "ku"), ("v", "kv")):
-            out += [y, f"d{y}", f"h * {k}0 - d{y}",
-                    f"2 * d{y} - h * ({k}{n} + {k}0)",
-                    *[f"h * ({_sum(d, k)})" for d in cls.D]]
-        return [*_guarded(extra),
-                "du = un - u",
-                "dv = vn - v",
-                f"rows.append([{', '.join(out)}])"]
+    def _row(self):
+        """No table: shooting reads end states and zero counts only."""
+        return []
 
 
 RK45 = _RK45(tableaux.RK45)
@@ -489,8 +472,16 @@ def _plain(c):
     return complex(c) if isinstance(c, complex) else float(c)
 
 
-def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
-             cap=None, zeros=False, first_step=None):
+def _finite(t, u, v):
+    """Refuse the state (u, v) at x = t, where a solve ended, unless it is
+    finite."""
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise NonFiniteState(
+            f"state overflowed: not finite at x={t}, where the solve ended")
+
+
+def rk_solve(method, rhs, anchor, init, target, rtol, atol, cap=None,
+             zeros=False, first_step=None):
     """Integrate the pair (u, u^[1]) = init from anchor toward target.
 
     method is RK45 or DOP853.  rhs(x, (u, u1)) returns the derivative pair,
@@ -510,30 +501,31 @@ def rk_solve(method, rhs, anchor, init, target, rtol, atol, dense=False,
     integration stops at the first accepted step whose state has
     max(|u|, |u^[1]|) >= cap.  The start state and its derivative decide
     whether the solve runs in real or complex numbers: an rhs whose values
-    turn complex later fails with TypeError.
+    turn complex later fails with TypeError.  A state that overflows
+    raises NonFiniteState: each state adds to the one before it, so a
+    non-finite state stays non-finite, and checking the end state checks
+    them all; a solve that can take no step past a non-finite attempt
+    raises it too, and one that stalls otherwise raises StepSizeUnderflow.
 
     Returns (x, (u, u^[1]), table): where integration stopped, target or
-    the step point where the cap stopped it, the state there, and the
-    StepTable of the steps when `dense` (else None).  The table's `h_next`
-    is the step the controller proposed after the last step, the
-    `first_step` of a solve that goes on from where this one stopped.
-    Each state adds to the one before it, so a non-finite state stays
-    non-finite: checking the returned state checks them all.  With
-    `zeros`, for a real state, a fourth item counts the sign changes of u
-    over the accepted steps: the zeros of u passed, a zero at the anchor
-    not among them.  Counting reads the accepted states only, so every
-    step, state and row is the same without it.
+    the step point where the cap stopped it, the state there, and for RK45
+    the StepTable of the steps (None for DOP853, which writes no table).
+    The table's `h_next` is the step the controller proposed after the
+    last step, the `first_step` of a solve that goes on from where this
+    one stopped.  With `zeros`, for a real state, a fourth item counts the
+    sign changes of u over the accepted steps: the zeros of u passed, a
+    zero at the anchor not among them.  Counting reads the accepted states
+    only, so every step, state and row is the same without it.
     """
     steps = rhs if isinstance(rhs, Steps) else method.steps(rhs)
     t, t_bound = float(anchor), float(target)
     if t == t_bound:
         raise ValueError("target must differ from anchor")
     u, v = (_plain(c) for c in init)
-    t, u, v, h_next, count, ts, rows = steps.solve(
-        t, t_bound, u, v, max(rtol, 100 * EPS), atol, dense, cap, zeros,
-        first_step)
-    table = StepTable(ts, rows, method.n_coef, h_next) if dense else None
-    out = t, (u, v), table
+    t, u, v, h_next, count, *table = steps.solve(
+        t, t_bound, u, v, max(rtol, 100 * EPS), atol, cap, zeros, first_step)
+    _finite(t, u, v)
+    out = t, (u, v), StepTable(*table, h_next) if table else None
     return out + (count,) if zeros else out
 
 
@@ -548,43 +540,41 @@ def l2_solve(spec, lam, anchor, init, target, tol, cap, bound,
     accepted step adds |h| sum_s b_s w_s, the method's own quadrature of
     the appended component I' = r |u|^2, which the error norm leaves out.
     The solve also stops at the first accepted step where the sum reaches
-    `bound`.  A non-finite state raises NonFiniteState.  Returns
-    (x, (u, u^[1]), h_next, sum): where it stopped, the state there, the
-    step the controller proposed next, and the sum.
+    `bound`.  A non-finite state raises NonFiniteState, as in rk_solve.
+    Returns (x, (u, u^[1]), h_next, sum): where it stopped, the state
+    there, the step the controller proposed next, and the sum.
     """
     t, t_bound = float(anchor), float(target)
     if t == t_bound:
         raise ValueError("target must differ from anchor")
     u, v = (_plain(c) for c in init)
     steps = spec.coeffs.steps(RK45, l2=True)(_plain(lam))
-    t, u, v, h_next, _, _, _, total = steps.solve(
-        t, t_bound, u, v, max(tol, 100 * EPS), tol * 1e-3, False, cap, False,
+    t, u, v, h_next, _, total = steps.solve(
+        t, t_bound, u, v, max(tol, 100 * EPS), tol * 1e-3, cap, False,
         first_step, bound)
-    if not (cmath.isfinite(u) and cmath.isfinite(v)):
-        raise NonFiniteState("state overflowed before the growth cap")
+    _finite(t, u, v)
     return t, (u, v), h_next, total
 
 
 class StepTable:
     """One integrator segment of a pair, as a flat table of its steps.
 
-    StepTable(ts, rows, n_coef) takes the step points in integration order
-    and one row per step: t_old and h, then for each of the two components
-    its value at t_old and the interpolant's n_coef coefficients (RK45, 4:
-    the row of Q = K^T P; DOP853, 7: the column of F).  `rk_solve` writes
-    the rows.  A lookup bisects the step points and evaluates the step in
+    StepTable(ts, rows) takes the step points in integration order and
+    one row per RK45 step, 12 numbers: t_old and h, then for each of the
+    two components its value at t_old and the 4 coefficients of its
+    quartic interpolant, the row of Q = K^T P.  `rk_solve` writes the
+    rows.  A lookup bisects the step points and evaluates the step in
     Python floats, or complex numbers for complex lambda, with the
-    operations of scipy's RkDenseOutput and Dop853DenseOutput (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6).  At a step point it takes the
-    step scipy's OdeSolution takes, the earlier one in integration order;
-    beyond the ends it extends the end step.  `h_next`, None unless
-    given, is the step the controller proposed after the last one.
+    operations of scipy's RkDenseOutput (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6).  At a step point it takes the step scipy's OdeSolution
+    takes, the earlier one in integration order; beyond the ends it
+    extends the end step.  `h_next`, None unless given, is the step the
+    controller proposed after the last one.
     """
 
-    __slots__ = ("_ts", "_right", "_rows", "_width", "_last", "_kernel",
-                 "h_next")
+    __slots__ = ("_ts", "_right", "_rows", "_last", "h_next")
 
-    def __init__(self, ts, rows, n_coef, h_next=None):
+    def __init__(self, ts, rows, h_next=None):
         # Rows run in ascending x, so a bisection index is a row index.
         self._right = ts[-1] < ts[0]
         if self._right:
@@ -592,9 +582,7 @@ class StepTable:
             rows = rows[::-1]
         self._ts = ts
         self._rows = [v for row in rows for v in row]
-        self._width = len(rows[0])
         self._last = len(rows) - 1
-        self._kernel = _KERNELS[n_coef]
         self.h_next = h_next
 
     @property
@@ -612,7 +600,7 @@ class StepTable:
             j = 0
         elif j > self._last:
             j = self._last
-        return self._kernel(self._rows, j * self._width, x)
+        return _rk45_2(self._rows, 12 * j, x)
 
 
 class ScaledSolution(MemoizedQuasiFn):
@@ -702,35 +690,33 @@ class ScaledSolution(MemoizedQuasiFn):
         return list(self._segments)
 
 
-def _solve(spec, lam, anchor, init, target, tol, dense=False, zeros=False):
-    """One DOP853 solve of the quasi-derivative system, checked: the state
-    at target, the StepTable when dense (else None), and with `zeros` the
-    count of sign changes of u (see rk_solve)."""
-    out = rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)), anchor,
-                   init, target, tol, tol * 1e-3, dense, zeros=zeros)
-    if not all(map(cmath.isfinite, out[1])):
-        raise NonFiniteState("trajectory overflowed; rescale and retry")
-    return out[1:]
+def _solve(spec, lam, anchor, init, target, tol, zeros=False):
+    """rk_solve with DOP853 on the quasi-derivative system, rtol tol and
+    atol tol * 1e-3."""
+    return rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)), anchor,
+                    init, target, tol, tol * 1e-3, zeros=zeros)
 
 
 def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
     """Solve tau u = lambda u from `anchor` to `target`.
 
     init is the pair (u, u^[1]) at the anchor.  Direction follows
-    sign(target - anchor).  Returns a one-segment ScaledSolution.
+    sign(target - anchor).  Returns a ScaledSolution of one RK45 window,
+    the StepTable a window of `solutions.march_windows` stores, with rtol
+    tol and atol tol * 1e-3 and no growth cap.
     """
     traj = ScaledSolution(lam)
-    traj.add_segment(_solve(spec, lam, anchor, init, target, tol, True)[1])
+    traj.add_segment(rk_solve(RK45, spec.coeffs.steps(RK45)(_plain(lam)),
+                              anchor, init, target, tol, tol * 1e-3)[2])
     return traj
 
 
 def end_state(spec, lam, anchor, init, target, tol=1e-10):
-    """(u, u^[1]) at `target` of the solution integrate_tau would return.
-
-    The same steps, without the table that only a trajectory needs (DOP853
-    spends three extra RHS calls per step on its interpolant).
-    """
-    return _solve(spec, lam, anchor, init, target, tol)[0]
+    """(u, u^[1]) at `target` of the solution of tau u = lambda u with
+    (u, u^[1]) = init at `anchor`: one DOP853 solve with rtol tol and atol
+    tol * 1e-3, which writes no table.  The shooting determinant uses it.
+    An overflow raises NonFiniteState."""
+    return _solve(spec, lam, anchor, init, target, tol)[1]
 
 
 def end_state_zeros(spec, lam, anchor, init, target, tol=1e-10):
@@ -738,7 +724,7 @@ def end_state_zeros(spec, lam, anchor, init, target, tol=1e-10):
     changes of u over the accepted steps of the same solve, the zeros of u
     in (anchor, target] it passed.  The shooting determinant reads its
     eigenvalue index from them."""
-    y, _, zeros = _solve(spec, lam, anchor, init, target, tol, zeros=True)
+    _, y, _, zeros = _solve(spec, lam, anchor, init, target, tol, zeros=True)
     return y, zeros
 
 

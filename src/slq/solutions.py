@@ -21,7 +21,6 @@ basis report and shooting from an LC end at infinity need it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,6 @@ import numpy as np
 from .errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
-    NonFiniteState,
     OscillatoryAtLambda0,
 )
 from .functions import MemoizedQuasiFn, QuasiFn
@@ -66,10 +64,7 @@ def march_windows(spec, lam, init, pts, tol):
     x, y, h = pts[0], init, None
     for x1 in pts[1:]:
         x, y, table, *n = rk_solve(RK45, steps, x, y, x1, tol, tol * 1e-3,
-                                   dense=True, cap=cap, zeros=count,
-                                   first_step=h)
-        if not all(map(cmath.isfinite, y)):
-            raise NonFiniteState("state overflowed before the growth cap")
+                                   cap=cap, zeros=count, first_step=h)
         h = table.h_next
         scaled.add_segment(table)
         stopped = max(abs(y[0]), abs(y[1])) >= cap
@@ -300,7 +295,7 @@ def _tail_ode(spec, w, x_far, tail0, x_to, atol):
     f = _principal_integrand(spec, w)
     lo, hi = w.x_min, w.x_max
     return rk_solve(RK45, lambda x, y: (-f(min(max(x, lo), hi)), 0.0),
-                    x_far, (tail0, 0.0), x_to, TAIL_RTOL, atol, dense=True)[2]
+                    x_far, (tail0, 0.0), x_to, TAIL_RTOL, atol)[2]
 
 
 def construct_basis(spec, endpoint, tol=1e-11):

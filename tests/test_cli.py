@@ -169,6 +169,17 @@ def test_eig_at_a_finite_limit_point_end_is_a_numerical_failure(
     assert "finite limit-point end" in capsys.readouterr().err
 
 
+def test_eig_reports_an_overflow_as_non_finite(specfile, capsys):
+    # q = 1e6 on (0, 2): u grows like e^(1000 x) and overflows near x = 0.7.
+    # The refusal names the overflow, not a step-size stall.
+    path = specfile({"interval": {"a": 0, "b": 2},
+                     "coefficients": {"p": "1", "q": "1e6", "r": "1"}})
+    code = main(["eig", path, "--lmin", "0", "--lmax", "1"])
+    assert code == EXIT_NUMERICAL
+    assert "error: NonFiniteState: state overflowed" \
+        in capsys.readouterr().err
+
+
 def test_triplet_command_with_extension(specfile, capsys):
     path = specfile({
         "coefficients": {"catalog": "regular_dirichlet_pi"},

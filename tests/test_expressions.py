@@ -188,8 +188,8 @@ def test_emitter_fix_reaches_the_compiled_steps():
         got, want = (CoefficientSet.from_strings("1", q, "1").steps(method)(
             lam) for q in ("(-2)**(0*x + 2)", "4"))
         assert got.rhs(t, (u, v)) == want.rhs(t, (u, v))
-        assert got.solve(t, 3.0, u, v, 1e-10, 1e-13, True, None, True, None) \
-            == want.solve(t, 3.0, u, v, 1e-10, 1e-13, True, None, True, None)
+        assert got.solve(t, 3.0, u, v, 1e-10, 1e-13, None, True, None) \
+            == want.solve(t, 3.0, u, v, 1e-10, 1e-13, None, True, None)
 
 
 # Differential check of the emitted source against a tree-walking
@@ -282,7 +282,7 @@ def test_compiled_step_error_goes_through_the_scalar_evaluators():
     coeffs = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
     solve = coeffs.steps(RK45)(1.0).solve
     with pytest.raises(SpecFileError, match=re.escape("'log(x)'")) as info:
-        solve(-0.5, -0.4, 1.0, 0.0, 1e-8, 1e-10, False, None, False, 0.1)
+        solve(-0.5, -0.4, 1.0, 0.0, 1e-8, 1e-10, None, False, 0.1)
     assert info.type is SpecFileError
     assert [entry.name for entry in info.traceback].count("solve") == 1
 

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import in slq and its tests is used,
-every name slq defines has a reader outside the tests, every quasi-function
-class computes its own tau, slq has one ODE integrator, and importing the
-CLI loads no scipy."""
+every name slq defines and every tableau attribute has a reader outside the
+tests, every quasi-function class computes its own tau, slq has one ODE
+integrator, and importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -126,6 +126,20 @@ def test_every_definition_has_a_reader():
               for name, qualified in definitions(path.read_text())
               if name not in read]
     assert unread == []
+
+
+def test_every_tableau_attribute_has_a_reader():
+    # A tableau array that no solve reads is dead data, as a module-level
+    # name without a reader is: each class attribute of the two tableaux
+    # is loaded somewhere in slq outside tableaux.py.
+    from slq import tableaux
+    read = {name for path in SRC.glob("*.py") if path.name != "tableaux.py"
+            for name in loaded_names(path.read_text())}
+    attrs = [f"{cls.__name__}.{name}"
+             for cls in (tableaux.RK45, tableaux.DOP853)
+             for name in vars(cls) if not name.startswith("__")]
+    assert {"RK45.P", "DOP853.E5"} <= set(attrs)
+    assert [a for a in attrs if a.split(".")[1] not in read] == []
 
 
 def test_every_quasi_function_class_computes_its_own_tau():

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from slq import tableaux
 
-from slq.errors import SpecFileError, StepSizeUnderflow
+from slq.errors import NonFiniteState, SpecFileError, StepSizeUnderflow
 from slq.functions import QuasiFn, polynomial
 from slq.odecore import (
     BRENTQ_RTOL,
@@ -94,9 +94,18 @@ def test_fused_rhs_domain_error_names_the_coefficient(coeffs, bad):
 ])
 def test_end_state_equals_trajectory_at_target(problem, lam, anchor, init,
                                                target, request):
+    # end_state is the last accepted state of the reference controller's
+    # DOP853 trajectory (`_TableauLoop`), bit for bit, at the target and at
+    # two points before it.
     spec = request.getfixturevalue(problem)
-    want = integrate_tau(spec, lam, anchor, init, target).pair(target)
-    assert end_state(spec, lam, anchor, init, target) == want
+    rhs = spec.coeffs.steps(RK45)(lam).rhs
+    loop = _LOOPS["DOP853"][1]
+    for x in (anchor + 0.3 * (target - anchor),
+              anchor + 0.7 * (target - anchor), target):
+        states, _, _, _ = loop.solve(rhs, anchor, x, *init, 1e-10, 1e-13,
+                                     None, False, None)
+        assert states[-1][0] == x
+        assert end_state(spec, lam, anchor, init, x) == states[-1][1:]
 
 
 # (span, real lambda) per problem, inside the interval; the tolerances are
@@ -128,15 +137,22 @@ def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
     stepper, tol = _KERNEL_METHODS[method]
     rhs = spec.coeffs.steps(RK45)(lam).rhs
     init = (1.0, -0.5)
-    sol = solve_ivp(rhs, span, np.array(init, dtype=type(lam)),
-                    method=method, rtol=tol, atol=tol * 1e-3,
-                    dense_output=True)
-    x, y, table = rk_solve(stepper, rhs, span[0], init, span[1], tol,
-                           tol * 1e-3, dense=True)
-    assert x == span[1]
+    # The end state at several targets is scipy's to rounding.
+    for target in (span[0] + 0.3 * (span[1] - span[0]),
+                   span[0] + 0.7 * (span[1] - span[0]), span[1]):
+        sol = solve_ivp(rhs, (span[0], target),
+                        np.array(init, dtype=type(lam)), method=method,
+                        rtol=tol, atol=tol * 1e-3, dense_output=True)
+        x, y, table = rk_solve(stepper, rhs, span[0], init, target, tol,
+                               tol * 1e-3)
+        assert x == target
+        assert _close(y, sol.y[:, -1])
+    if stepper is DOP853:
+        # Shooting reads end states only: DOP853 writes no table.
+        assert table is None
+        return
     # scipy's controller, so scipy's number of steps.
     assert len(table.t) == len(sol.t)
-    assert _close(y, sol.y[:, -1])
     ts = sol.t.tolist()
     for k, t in enumerate(ts):
         assert _close(table.at(t), sol.y[:, k]), t
@@ -181,7 +197,6 @@ def _norm(a, b):
 class _TableauLoop:
     def __init__(self, cls):
         self.cls = cls
-        self.n_stages = cls.n_stages
         self.stages = _stages(cls.A[1:], cls.C[1:], 1)
         self.b = _terms(cls.B)
         self.exponent = -1 / (cls.error_estimator_order + 1)
@@ -216,25 +231,11 @@ class _TableauLoop:
             return 0.0
         return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
 
-    def row(self, rhs, t, h, u, v, un, vn, ku, kv):
-        if self.cls is scipy.integrate.RK45:
-            p = [_terms(col) for col in self.cls.P.T]
-            return [t, h, u, *[_dot(c, ku) for c in p],
-                    v, *[_dot(c, kv) for c in p]]
-        ku, kv = list(ku), list(kv)
-        for c, a in _stages(self.cls.A_EXTRA, self.cls.C_EXTRA,
-                            self.n_stages + 1):
-            fu, fv = rhs(t + c * h,
-                         (u + _dot(a, ku) * h, v + _dot(a, kv) * h))
-            ku.append(fu)
-            kv.append(fv)
-        out = [t, h]
-        for y, yn, k in ((u, un, ku), (v, vn, kv)):
-            dy = yn - y
-            out += (y, dy, h * k[0] - dy,
-                    2 * dy - h * (k[self.n_stages] + k[0]),
-                    *[h * _dot(_terms(d), k) for d in self.cls.D])
-        return out
+    def row(self, t, h, u, v, ku, kv):
+        """RK45's table row, with Q = K^T P."""
+        p = [_terms(col) for col in self.cls.P.T]
+        return [t, h, u, *[_dot(c, ku) for c in p],
+                v, *[_dot(c, kv) for c in p]]
 
     def initial_step(self, rhs, t, t_bound, u, v, fu, fv, rtol, atol):
         """scipy's select_initial_step."""
@@ -256,8 +257,8 @@ class _TableauLoop:
         return min(100 * h0, h1, length)
 
     def solve(self, rhs, t, t_bound, u, v, rtol, atol, cap, zeros, h_abs):
-        """scipy's solver loop: the accepted states and table rows, the
-        proposed next step and the sign changes of u."""
+        """scipy's solver loop: the accepted states, the table rows (RK45
+        only), the proposed next step and the sign changes of u."""
         direction = 1.0 if t_bound > t else -1.0
         fu, fv = rhs(t, (u, v))
         if h_abs is None:
@@ -289,7 +290,8 @@ class _TableauLoop:
                     break
                 h_abs *= max(MIN_FACTOR, SAFETY * err ** self.exponent)
                 rejected = True
-            rows.append(self.row(rhs, t, h, u, v, un, vn, ku, kv))
+            if self.cls is scipy.integrate.RK45:
+                rows.append(self.row(t, h, u, v, ku, kv))
             if zeros and un * sign <= 0.0:
                 if un * sign < 0.0:
                     count += 1
@@ -316,8 +318,8 @@ def test_generated_step_equals_tableau_loop(method, form, problem,
                                             complex_lam, backward, request):
     # Whole solves: the initial-step rule, then a second leg from the first
     # one's end with its proposed step, then the first again under a cap.
-    # Every accepted state, table row, proposed step and zero count is the
-    # reference controller's, bit for bit.
+    # Every end state, proposed step and zero count, and RK45's step points
+    # and table rows, are the reference controller's, bit for bit.
     spec = request.getfixturevalue(problem)
     stepper, loop = _LOOPS[method]
     span, _ = _KERNEL_CASES[problem]
@@ -334,14 +336,14 @@ def test_generated_step_equals_tableau_loop(method, form, problem,
     def solve(t, t_bound, y, h_abs, cap):
         states, rows, h_next, count = loop.solve(
             rhs, t, t_bound, *y, rtol, atol, cap, zeros, h_abs)
-        got = steps.solve(t, t_bound, *y, rtol, atol, True, cap, zeros,
-                          h_abs)
-        assert got == (*states[-1], h_next, count, [s[0] for s in states],
-                       rows)
-        # Each row holds the accepted state its step starts from.
-        width = len(rows[0]) // 2
-        assert [(row[2], row[width + 1]) for row in rows] \
-            == [s[1:] for s in states[:-1]]
+        got = steps.solve(t, t_bound, *y, rtol, atol, cap, zeros, h_abs)
+        want = (*states[-1], h_next, count)
+        if stepper is RK45:
+            want += ([s[0] for s in states], rows)
+            # Each row holds the accepted state its step starts from.
+            assert [(row[2], row[7]) for row in rows] \
+                == [s[1:] for s in states[:-1]]
+        assert got == want
         return got, [max(abs(u), abs(v)) for _, u, v in states[1:]]
 
     mid = 0.5 * (span[0] + span[1])
@@ -373,16 +375,17 @@ def _hexes(v):
 @pytest.mark.parametrize("t_bound", [-0.999999, 0.999999])
 def test_l2_sum_leaves_the_solve_as_it_is(legendre, lam, t_bound):
     # The L^2 form sums r |u|^2 beside the solve, out of its error norm:
-    # every accepted state, table row, proposed step and zero count is the
-    # plain inline solve's, as float hex.  A bound stops it at one of the
-    # plain solve's step points, once the sum has reached the bound.
+    # the end state, proposed step and zero count are the plain inline
+    # solve's, as float hex, though it writes no table.  A bound stops it
+    # at one of the plain solve's step points, once the sum has reached the
+    # bound.
     plain = legendre.coeffs.steps(RK45)(lam).solve
     summed = legendre.coeffs.steps(RK45, l2=True)(lam).solve
     zeros = not isinstance(lam, complex)
-    args = (0.0, t_bound, 1.0, -0.5, 1e-9, 1e-12, True, None, zeros, None)
+    args = (0.0, t_bound, 1.0, -0.5, 1e-9, 1e-12, None, zeros, None)
     want = plain(*args)
     *got, total = summed(*args, math.inf)
-    assert _hexes(got) == _hexes(want)
+    assert _hexes(got) == _hexes(want[:5])
     assert total > 0
     *stopped, part = summed(*args, 0.5 * total)
     ts, rows = want[5:]
@@ -391,7 +394,6 @@ def test_l2_sum_leaves_the_solve_as_it_is(legendre, lam, t_bound):
     # Row k starts from the state at ts[k]: u and u^[1] are its entries 2
     # and 7.
     assert _hexes(stopped[1:3]) == _hexes([rows[k][2], rows[k][7]])
-    assert _hexes(stopped[5:]) == _hexes([ts[:k + 1], rows[:k]])
 
 
 def test_l2_solve_integrates_r_u_squared(dirichlet):
@@ -442,17 +444,20 @@ def _sine_zeros(lam, anchor, init, target):
 ])
 def test_zero_count_reads_the_solve(dirichlet, method, anchor, init, target):
     # The count is the closed form's, a zero at the anchor not among them,
-    # and every step, state and row is that of the solve without it.
+    # and the end state, and RK45's steps and rows, are those of the solve
+    # without it.
     lam = 4.0
     steps = dirichlet.coeffs.steps(method)(lam)
     x, y, table = rk_solve(method, steps, anchor, init, target, 1e-10,
-                           1e-13, dense=True)
+                           1e-13)
     x2, y2, table2, zeros = rk_solve(method, steps, anchor, init, target,
-                                     1e-10, 1e-13, dense=True, zeros=True)
+                                     1e-10, 1e-13, zeros=True)
     assert (x2, y2) == (x, y)
-    assert (table2._ts, table2._rows) == (table._ts, table._rows)
     assert zeros == _sine_zeros(lam, anchor, init, target) > 10
-    if method is DOP853:
+    if method is RK45:
+        assert (table2._ts, table2._rows) == (table._ts, table._rows)
+    else:
+        assert table is table2 is None
         assert end_state_zeros(dirichlet, lam, anchor, init, target) \
             == (end_state(dirichlet, lam, anchor, init, target), zeros)
 
@@ -482,7 +487,7 @@ def test_kernel_refuses_a_zero_length_solve(dirichlet):
     # Every solve goes through rk_solve, shooting's DOP853 end_state too.
     rhs = dirichlet.coeffs.steps(RK45)(1.0).rhs
     with pytest.raises(ValueError, match="differ"):
-        rk_solve(RK45, rhs, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12, dense=True)
+        rk_solve(RK45, rhs, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12)
     with pytest.raises(ValueError, match="differ"):
         end_state(dirichlet, 1.0, 0.5, (0.3, -0.2), np.float64(0.5))
 
@@ -503,6 +508,25 @@ def test_nan_step_raises_at_once():
     with pytest.raises(StepSizeUnderflow, match="NaN"):
         rk_solve(RK45, rhs, 0.0, (1.0, 0.0), 1.0, 1e-9, 1e-12)
     assert len(calls) < 10
+
+
+def test_an_overflow_is_reported_as_non_finite():
+    # q = 1e6 at lambda = 0: u grows like e^(1000 x) and overflows near
+    # x = 0.6929, where the last attempted step's error norm and state are
+    # NaN.  That is an overflow, not a step-size stall.
+    spec = ProblemSpec(Interval(0.0, 2.0),
+                       CoefficientSet.from_strings("1", "1e6", "1"))
+    with pytest.raises(NonFiniteState, match=r"x=0\.6928.*\|u\| = 4\.1"):
+        end_state(spec, 0.0, 0.0, (1.0, 0.0), 2.0)
+
+
+def test_a_non_finite_end_state_is_refused():
+    # u' = 1e308: once u overflows to inf, the scale atol + |u| rtol is inf,
+    # the error norm 0 and every step accepted.  The solve reaches its
+    # target with u = inf, which rk_solve refuses.
+    with pytest.raises(NonFiniteState, match="x=4.0"):
+        rk_solve(RK45, lambda x, y: (1e308, 0.0), 0.0, (0.0, 0.0), 4.0,
+                 1e-9, 1e-12)
 
 
 def test_wronskian_constant_along_solutions(dirichlet):
@@ -583,7 +607,7 @@ def test_tau_of_basis_solutions_is_lambda0_times_the_solution():
     *[("RK45", a) for a in ("n_stages", "error_estimator_order", "C", "A",
                             "B", "E", "P")],
     *[("DOP853", a) for a in ("n_stages", "error_estimator_order", "C", "A",
-                              "B", "E3", "E5", "D", "C_EXTRA", "A_EXTRA")]])
+                              "B", "E3", "E5")]])
 def test_tableau_literals_equal_scipy(name, attr):
     want = getattr(getattr(scipy.integrate, name), attr)
     got = getattr(getattr(tableaux, name), attr)

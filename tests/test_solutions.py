@@ -369,7 +369,7 @@ def _segment(t0, t1, k=0):
     RK45 interpolant of u' = u^[1], u^[1]' = 0 from u(t0) = t0 + k."""
     h = t1 - t0
     return StepTable([t0, t1], [[t0, h, t0 + k, 1.0, 0.0, 0.0, 0.0,
-                                 1.0, 0.0, 0.0, 0.0, 0.0]], 4)
+                                 1.0, 0.0, 0.0, 0.0, 0.0]])
 
 
 def _trajectory(*edges):
