@@ -7,8 +7,7 @@ structured JSON report.  Reports are deterministic for a fixed spec, flag
 set and package version, apart from the timestamp field.
 
 Exit codes: 0 success, 2 parse/usage failure, 4 numerical failure; an
-inconclusive classification or an unresolved eigenvalue range exits 4, or 3
-under --strict.
+inconclusive classification exits 4, or 3 under --strict.
 """
 
 from __future__ import annotations
@@ -318,51 +317,30 @@ def cmd_green_check(spec, ext_doc, args):
 def cmd_eig(spec, ext_doc, args):
     """Eigenvalues of the extension in [lmin, lmax].
 
-    A diagonal pair's list rests on its eigenvalue index, N(lmin) and
-    N(lmax), and is reported with "complete": true; an empty range is an
-    empty list.  A coupled pair has no index yet: its determinant can touch
-    zero at a double eigenvalue without changing sign.  So its list is
-    reported with "complete": false and a note on stderr, and a range where
-    it finds no bracket is reported as unresolved, with no list, and exits
-    4 (3 under --strict).
+    The list rests on the eigenvalue index of every extension, N(lmin) and
+    N(lmax): an eigenvalue is listed as often as its multiplicity, the
+    report says "complete": true, and an empty range is an empty list.
     """
     if not args.lmin < args.lmax:
         raise SpecFileError("--lmin must be below --lmax")
     report = _base_report("eig", spec, args)
     classification = classify_both(spec)
     ext = _extension_of(ext_doc, classification)
-    coupled = ext.variant == "coupled"
-    section = {"extension": ext.variant, "range": [args.lmin, args.lmax],
-               "complete": not coupled}
-    no_index = ("a coupled condition has no eigenvalue index, so a double "
-                "eigenvalue is not excluded")
-    unresolved = None
     try:
         eigs = eigenvalues_shoot(
             spec, ext, (args.lmin, args.lmax), tol=args.tol,
             grid_per_unit=args.grid, classification=classification,
         )
-    except RangeContainsNoBracket as exc:
-        if not coupled:
-            eigs = []
-        else:
-            unresolved = f"{exc}; {no_index}"
-    if unresolved is None:
-        section["values"] = [
-            {"lambda": e.lam, "bracket": list(e.bracket),
-             "condition_residual": e.condition_residual}
-            for e in eigs
-        ]
-    else:
-        section["unresolved"] = unresolved
-    report["eigenvalues"] = section
+    except RangeContainsNoBracket:
+        eigs = []
+    report["eigenvalues"] = {
+        "extension": ext.variant, "range": [args.lmin, args.lmax],
+        "complete": True,
+        "values": [{"lambda": e.lam, "bracket": list(e.bracket),
+                    "condition_residual": e.condition_residual}
+                   for e in eigs],
+    }
     _emit(report, args)
-    if unresolved is not None:
-        print(f"inconclusive: {unresolved}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE if args.strict else EXIT_NUMERICAL
-    if coupled:
-        print(f"note: the list may be incomplete: {no_index}",
-              file=sys.stderr)
     return EXIT_OK
 
 
@@ -480,12 +458,9 @@ def build_parser():
         lmax={"type": _finite, "default": 10.0},
         grid={"type": _count, "default": 64, "help": (
             "lambda grid cells per unit of the range; each bracket is a grid "
-            "cell or a piece of one.  Separated, one-LC and LP-LP conditions "
-            "evaluate only the grid points that a bisection on the "
-            "eigenvalue index needs, and split a cell holding several "
-            "eigenvalues.  Coupled conditions evaluate every grid point and "
-            "find a root where the determinant changes sign across a cell, "
-            "so two eigenvalues in one cell escape them (default: 64)")})
+            "cell or a piece of one.  Only the grid points that a bisection "
+            "on the eigenvalue index needs are evaluated, and a cell holding "
+            "several eigenvalues is split (default: 64)")})
     add("triplet", cmd_triplet)
     return parser
 

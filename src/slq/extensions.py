@@ -15,8 +15,8 @@ there, `OneLC` one angle at one end, `LpLp` nothing (no LC end); `Coupled`
 imposes (g~(b), g~'(b)) = exp(i phi) R (g~(a), g~'(a)) with R in SL(2, R).
 `ExtensionSpec.variant` names the kind back from the number of ends and
 whether the pair is diagonal.  Shooting starts a diagonal pair from each
-end's row and counts the eigenvalue index; any other pair goes through the
-GBV transfer.
+end's row; any other pair goes through the GBV transfer and the Weyl
+matrix.  Either way it counts the eigenvalue index and bisects on it.
 """
 
 from __future__ import annotations
@@ -327,13 +327,9 @@ def _orientation(side, init):
 def _shoot_det(spec, ext, bases, lam, mid, tol):
     """(det, N): the normalized Wronskian at `mid` of the two one-sided
     solutions of the extension's diagonal condition, and the eigenvalue
-    index N(lam), the number of eigenvalues below lam.
-
-    With m the zeros the two solutions pass on the way to `mid` and o_a,
-    o_b their orientations, N = m + [(-1)^m o_a o_b W > 0] (Pryce,
-    Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).  So N
-    is odd exactly where o_a o_b det > 0, and a jump of N by one across a
-    cell is a sign change of det.
+    index N(lam), the number of eigenvalues below lam (`_index`).  N is odd
+    exactly where o_a o_b det > 0, so a jump of N by one across a cell is a
+    sign change of det.
     """
     states, m, o = [], 0, 1.0
     for side, basis in zip("ab", bases):
@@ -349,106 +345,135 @@ def _shoot_det(spec, ext, bases, lam, mid, tol):
     if norm == 0.0 or not math.isfinite(norm):
         raise ShootingOverflow(f"shooting state degenerate at lambda={lam}")
     w = float(np.real(wr))
-    return w / norm, m + ((-1) ** m * o * w > 0.0)
+    return w / norm, _index(m, o, w)
+
+
+def _index(m, o, w):
+    """N = m + [(-1)^m o w > 0] for one-sided solutions with m zeros before
+    the interior point, Wronskian w there and orientations of product o
+    (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5)."""
+    return m + ((-1) ** m * o * w > 0.0)
 
 
 def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
-    """2x2 matrix M(lam) sending GBV data at a to GBV data at b.
+    """(M, N_F): the 2x2 matrix M(lam) sending GBV data at a to GBV data at
+    b, and the Friedrichs extension's eigenvalue index N_F(lam).
 
     From each LC end the solutions with GBV data (1, 0) (started as u_hat)
     and (0, 1) (started as u) are marched to the interior point, where
     their states are the columns of Phi_a and Phi_b.  A solution with data
     v_a at a and v_b at b has the state Phi_a v_a = Phi_b v_b there, so
     M = Phi_b^-1 Phi_a.  No march approaches a singular end, next to which
-    the step size can underflow.
+    the step size can underflow.  The two u are the Friedrichs one-sided
+    solutions, so their zeros and Wronskian give N_F with no other solve.
     """
     mid = spec.interval.interior_point()
-    phi_a, phi_b = (
-        np.array([end_state(spec, lam, *_lc_init(basis, coef_u, coef_uhat),
-                            mid, tol=tol)
-                  for coef_u, coef_uhat in ((0.0, 1.0), (1.0, 0.0))],
-                 dtype=float).T
-        for basis in (basis_a, basis_b))
-    return np.linalg.solve(phi_b, phi_a)
+    phis, m, o = [], 0, 1.0
+    for side, basis in zip("ab", (basis_a, basis_b)):
+        x0, u_hat = _lc_init(basis, 0.0, 1.0)
+        _, u = _lc_init(basis, 1.0, 0.0)
+        y, zeros = end_state_zeros(spec, lam, x0, u, mid, tol=tol)
+        phis.append(np.array([end_state(spec, lam, x0, u_hat, mid, tol=tol),
+                              y], dtype=float).T)
+        m += zeros
+        o *= _orientation(side, u)
+    phi_a, phi_b = phis
+    w = phi_a[0, 1] * phi_b[1, 1] - phi_a[1, 1] * phi_b[0, 1]
+    return np.linalg.solve(phi_b, phi_a), _index(m, o, float(w))
 
 
-def _coupled_det(spec, pair, bases, lam, tol):
-    """det(B Gamma0 Phi - A Gamma1 Phi) through the GBV transfer, made real.
+def _coupled_det(spec, ext, bases, lam, tol):
+    """(det, N) of any pair through the GBV transfer M = M(lam).
 
-    Phi's columns are the solutions with GBV data (1, 0) and (0, 1) at a, so
+    det is det(B Gamma0 Phi - A Gamma1 Phi), made real.  Phi's columns are
+    the solutions with GBV data (1, 0) and (0, 1) at a, so
     Gamma0 Phi = [[1, 0], M[0]] and Gamma1 Phi = [[0, 1], -M[1]].  On the
     real axis the determinant has the constant phase
     theta = arg(det(B + iA) det(B - iA)) / 2; for the catalog's coupled pair
-    it is e^{i phi} (2 cos phi - tr(R^-1 M)) with theta = phi mod pi.
+    it is e^{i phi} (2 cos phi - tr(R^-1 M)) with theta = phi mod pi.  It is
+    entire in lam, where det(B - A W) has poles.
+
+    N = N_F + n_-(Theta - P* W P), the number of eigenvalues below lam:
+    W = [[-M00, 1], [1, -M11]] / M01 is the Weyl matrix (Gamma1 psi =
+    W Gamma0 psi for tau psi = lam psi), and Theta the relation's operator
+    part on the range of P, its domain (Derkach & Malamud, J. Funct. Anal.
+    95 (1991); Behrndt, Hassi & de Snoo, 2020, ch. 6).
     """
-    M = _coupled_transfer(spec, *bases, lam, tol)
-    A, B = pair.A, pair.B
+    M, n_f = _coupled_transfer(spec, *bases, lam, tol)
+    A, B = ext.pair.A, ext.pair.B
     gamma0 = np.array([[1.0, 0.0], M[0]])
     gamma1 = np.array([[0.0, 1.0], -M[1]])
     theta = 0.5 * cmath.phase(np.linalg.det(B + 1j * A)
                               * np.linalg.det(B - 1j * A))
     det = np.linalg.det(B @ gamma0 - A @ gamma1)
-    return float((cmath.exp(-1j * theta) * det).real)
+    rel = ext.relation
+    P = rel.dom_basis
+    weyl = np.array([[-M[0, 0], 1.0], [1.0, -M[1, 1]]]) / M[0, 1]
+    below = np.linalg.eigvalsh(rel.theta_op - P.conj().T @ weyl @ P) < 0.0
+    return float((cmath.exp(-1j * theta) * det).real), n_f + int(below.sum())
 
 
-def _brackets(grid, point):
-    """The pieces of the grid, ascending, that may hold a root.
+def _brackets(grid, point, tol):
+    """The pieces (lo, hi, k) of the grid, ascending, that hold k >= 1
+    eigenvalues, k the jump of the eigenvalue index across the piece.
 
-    point(lam) is (det, N) with N the eigenvalue index, or None where
-    there is none.  With an index, a piece across which N does not jump is
-    dropped; the rest are bisected, on grid indices down to single cells,
-    then inside a cell where N jumps by two or more until each piece holds
-    one root.  Without one, nothing is dropped: every cell is a piece, and
-    every grid point is evaluated.
+    point(lam) is (det, N).  A piece across which N does not jump is
+    dropped; the rest are bisected on grid indices down to single cells.
+    A cell or piece stops there when k = 1 and det changes sign or is zero
+    at an edge; otherwise it is bisected on N until it is narrower than
+    tol.  Near a pole of the Weyl matrix N is noisy: where a half would
+    jump by a negative count, the piece stops as one cluster of k.
     """
     def jump(lo, hi):
-        n_lo = point(lo)[1]
-        return None if n_lo is None else point(hi)[1] - n_lo
+        return point(hi)[1] - point(lo)[1]
 
-    def split(lo, hi, i, j, step):
+    def split(lo, hi, i, j, k):
         # i, j: the grid indices of lo and hi, None inside a cell.
         if i is not None and j - i > 1:
-            k = (i + j) // 2
-            halves = ((lo, grid[k], i, k), (grid[k], hi, k, j))
+            c = (i + j) // 2
+            halves = ((lo, grid[c], i, c), (grid[c], hi, c, j))
         else:
             mid = 0.5 * (lo + hi)
-            if step is None or step < 2 or not lo < mid < hi:
-                yield lo, hi
+            if (k == 1 and point(lo)[0] * point(hi)[0] <= 0.0
+                    or hi - lo < tol or not lo < mid < hi):
+                yield lo, hi, k
                 return
             halves = ((lo, mid, None, None), (mid, hi, None, None))
-        for a, b, i, j in halves:
-            step = jump(a, b)
-            if step != 0:
+        steps = [jump(a, b) for a, b, _, _ in halves]
+        if min(steps) < 0:
+            yield lo, hi, k
+            return
+        for (a, b, i, j), step in zip(halves, steps):
+            if step:
                 yield from split(a, b, i, j, step)
 
     n = len(grid) - 1
     step = jump(grid[0], grid[n])
-    if step != 0:
+    if step > 0:
         yield from split(grid[0], grid[n], 0, n, step)
 
 
 def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                       classification=None, bases=None):
-    """Eigenvalues of the extension in [lam_min, lam_max] by shooting.
+    """Eigenvalues of the extension in [lam_min, lam_max] by shooting, each
+    listed as often as its multiplicity.
 
     lam is an eigenvalue iff some solution meets the extension's
     conditions at both ends.  For a diagonal pair (a separated, one-LC or
     LP-LP condition), the one-sided solutions meeting each end's row (the
     decaying branch at a limit-point end) are marched to the interior
-    midpoint, and their Wronskian is the determinant.  For a coupled one
+    midpoint, and their Wronskian is the determinant.  For any other pair
     it is det(B Gamma0 Phi(lam) - A Gamma1 Phi(lam)) with (A, B) the
     extension's boundary pair, through the GBV transfer matrix M(lam).
+    Either way it also gives the eigenvalue index N(lam), the number of
+    eigenvalues below lam.
 
-    Roots are bracketed on a uniform lam grid of about grid_per_unit cells
-    per unit.  For a diagonal pair each determinant also gives the
-    eigenvalue index N(lam), the number of eigenvalues below lam, from the
-    zeros of the one-sided solutions: the grid is bisected on N into the
-    cells where it jumps, a cell holding several roots is bisected on N
-    inside it, and only those points are evaluated.  A coupled condition
-    has no index yet: every grid point is evaluated and a cell brackets a
-    root where the determinant changes sign, so two roots in one cell
-    escape it.  Each bracket is refined by Brent's method; a determinant
-    of exactly zero at a bracket's left end is a root itself.
+    A uniform lam grid of about grid_per_unit cells per unit is bisected on
+    N into the pieces where it jumps (`_brackets`).  A piece with one root
+    across which the determinant changes sign is refined by Brent's method;
+    a determinant of exactly zero at an edge makes that edge the root, and
+    any other piece gives its midpoint.  A piece across which N jumps by k
+    gives k entries, so the list has N(lam_max) - N(lam_min) of them.
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
     if not (math.isfinite(lam_min) and math.isfinite(lam_max)
@@ -463,20 +488,17 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                       for e in ("a", "b"))
 
     mid = spec.interval.interior_point()
+    diagonal = _diagonal(ext.pair)
     # One determinant per distinct lam: Brent starts from the values at its
     # bracket ends, and the residual at a root is Brent's last value.
     memo = {}
-    if _diagonal(ext.pair):
-        def point_value(lam):
-            return _shoot_det(spec, ext, bases, lam, mid, tol=1e-10)
-    else:
-        def point_value(lam):
-            return _coupled_det(spec, ext.pair, bases, lam, tol=1e-10), None
 
     def point(lam):
         key = float(lam)
         if key not in memo:
-            memo[key] = point_value(key)
+            memo[key] = (_shoot_det(spec, ext, bases, key, mid, tol=1e-10)
+                         if diagonal else
+                         _coupled_det(spec, ext, bases, key, tol=1e-10))
         return memo[key]
 
     def det_fn(lam):
@@ -485,19 +507,20 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     n = max(8, int(math.ceil((lam_max - lam_min) * grid_per_unit)))
     grid = np.linspace(lam_min, lam_max, n + 1)
     results = []
-    for lo, hi in _brackets(grid, point):
+    for lo, hi, k in _brackets(grid, point, tol):
         v1, v2 = det_fn(lo), det_fn(hi)
         if v1 == 0.0:
             root = float(lo)
-        elif v1 * v2 < 0.0:
+        elif v2 == 0.0:
+            root = float(hi)
+        elif k == 1 and v1 * v2 < 0.0:
             root = brentq(det_fn, lo, hi, xtol=tol)
         else:
-            continue
-        results.append(Eigenvalue(
-            lam=float(root),
-            bracket=(float(lo), float(hi)),
-            condition_residual=abs(det_fn(root)),
-        ))
+            root = 0.5 * (lo + hi)
+        results += [Eigenvalue(lam=float(root),
+                               bracket=(float(lo), float(hi)),
+                               condition_residual=abs(det_fn(root)))
+                    for _ in range(k)]
     if not results:
         raise RangeContainsNoBracket(
             f"no eigenvalue bracket for the shooting determinant in "

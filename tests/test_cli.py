@@ -7,7 +7,6 @@ import pytest
 
 from slq import cli, forms, triplets
 from slq.cli import (
-    EXIT_INCONCLUSIVE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
@@ -118,43 +117,43 @@ def test_eig_empty_range_reports_empty_list(specfile, capsys):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-def test_eig_coupled_range_without_a_bracket_is_unresolved(specfile, capsys,
-                                                           strict):
+def test_eig_periodic_lists_each_double_twice(specfile, capsys, strict):
     # Periodic conditions on (0, pi): 4 and 16 are double eigenvalues, where
-    # the coupled determinant touches zero without changing sign.  With no
-    # index to count them, finding no bracket is not "no eigenvalue".
+    # the coupled determinant touches zero without changing sign.  The
+    # index jumps by two at each, so both are listed twice, with or
+    # without --strict.
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
                      "extension": {"kind": "coupled", "phi": 0,
                                    "R": [[1, 0], [0, 1]]}})
-    code, report = _run(capsys, ["eig", path, "--lmin", "0.5",
-                                 "--lmax", "17.5",
-                                 *(["--strict"] if strict else [])])
-    assert code == (EXIT_INCONCLUSIVE if strict else EXIT_NUMERICAL)
-    section = report["eigenvalues"]
+    code = main(["eig", path, "--lmin", "0.5", "--lmax", "17.5",
+                 *(["--strict"] if strict else [])])
+    out = capsys.readouterr()
+    assert code == EXIT_OK
+    assert out.err == ""
+    section = json.loads(out.out)["eigenvalues"]
     assert section["extension"] == "coupled"
-    assert "values" not in section
-    assert "no eigenvalue index" in section["unresolved"]
-    assert section["complete"] is False
+    assert "unresolved" not in section
+    assert section["complete"] is True
+    lams = [v["lambda"] for v in section["values"]]
+    assert lams == pytest.approx([4.0, 4.0, 16.0, 16.0], abs=1e-6)
 
 
-def test_eig_coupled_list_is_flagged_incomplete(specfile, capsys):
+def test_eig_krein_lists_the_double_zero_twice(specfile, capsys):
     # Krein's condition Coupled(0, [[1, pi], [0, 1]]) on (0, pi): 0 is a
     # double eigenvalue, where the coupled determinant touches zero without
-    # changing sign, so only the simple eigenvalue 4 is found.  With no
-    # index to count what is missing, the list says it may be incomplete;
-    # the exit code stays 0.
+    # changing sign, and 4 a simple one.  The index counts all three, so
+    # the list is complete.
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"},
                      "extension": {"kind": "coupled", "phi": 0.0,
                                    "R": [[1, math.pi], [0, 1]]}})
     code = main(["eig", path, "--lmin", "-0.31", "--lmax", "5"])
     out = capsys.readouterr()
     assert code == EXIT_OK
+    assert out.err == ""
     section = json.loads(out.out)["eigenvalues"]
-    assert section["complete"] is False
+    assert section["complete"] is True
     lams = [v["lambda"] for v in section["values"]]
-    assert lams == pytest.approx([4.0], abs=1e-6)
-    assert "may be incomplete" in out.err
-    assert "no eigenvalue index" in out.err
+    assert lams == pytest.approx([0.0, 0.0, 4.0], abs=1e-6)
 
 
 def test_eig_at_a_finite_limit_point_end_is_a_numerical_failure(

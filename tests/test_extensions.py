@@ -139,27 +139,111 @@ def test_eigenvalues_coupled_quasi_periodic(dirichlet, dirichlet_bases):
 _PERIODIC_RANGE = (0.5, 17.5)
 
 
-@pytest.mark.xfail(strict=True, raises=RangeContainsNoBracket, reason=(
-    "periodic conditions: 4 and 16 are double eigenvalues, so "
-    "tr(R^-1 M) - 2 cos(phi) touches zero without a sign change and the "
-    "sign scan finds no bracket"))
 def test_eigenvalues_periodic_double(dirichlet, dirichlet_bases):
-    ext = Coupled(0.0, ((1.0, 0.0), (0.0, 1.0)))
-    eigs = eigenvalues_shoot(dirichlet, ext, _PERIODIC_RANGE,
+    # Periodic on (0, pi): lambda = 4 n^2, double for n >= 1.  The
+    # determinant touches zero there without a sign change; the index jumps
+    # by two, so each is listed twice.
+    eigs = eigenvalues_shoot(dirichlet, _PERIODIC, _PERIODIC_RANGE,
                              bases=dirichlet_bases)
-    # Periodic on (0, pi): lambda = 4 n^2, double for n >= 1.
-    for want in (4.0, 16.0):
-        assert any(abs(e.lam - want) <= 1e-6 for e in eigs)
+    assert len(eigs) == 4
+    assert np.allclose([e.lam for e in eigs], [4.0, 4.0, 16.0, 16.0],
+                       rtol=0, atol=1e-6)
 
 
-def test_eigenvalues_coupled_phi_one(dirichlet, dirichlet_bases):
-    # R = I and phi = 1 on (0, pi): lambda = (2n +- 1/pi)^2, simple.
+def test_eigenvalues_coupled_phi_one(dirichlet, dirichlet_bases,
+                                     monkeypatch):
+    # R = I and phi = 1 on (0, pi): lambda = (2n +- 1/pi)^2, simple.  A
+    # sign scan of every grid point took 1,098 determinants; bisection on
+    # the index takes a tenth of that at most.
+    calls = _count_calls(monkeypatch, "_coupled_det")
     ext = Coupled(1.0, ((1.0, 0.0), (0.0, 1.0)))
     eigs = eigenvalues_shoot(dirichlet, ext, _PERIODIC_RANGE,
                              bases=dirichlet_bases)
     want = [(2 * n + s / math.pi) ** 2 for n, s in ((1, -1), (1, 1), (2, -1))]
     assert np.allclose([e.lam for e in eigs], want, rtol=0, atol=1e-6)
     assert want == pytest.approx([2.828, 5.375, 13.555], abs=1e-3)
+    assert len(calls) <= 110
+
+
+# Krein's condition on (0, pi), R = M(0).
+_KREIN = Coupled(0.0, ((1.0, math.pi), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("ext, counts", [
+    # Periodic: 0, then 4 n^2 twice.
+    (_PERIODIC, {-0.5: 0, 0.5: 1, 3.0: 1, 3.999: 1, 4.001: 3, 5.0: 3,
+                 10.0: 3, 15.99: 3, 16.01: 5, 17.0: 5}),
+    # Krein: 0 twice, 4, then about 8.183 where tan(x/2) = x/2, x = pi
+    # sqrt(lambda).
+    (_KREIN, {-0.31: 0, -0.05: 0, 0.05: 2, 2.0: 2, 3.99: 2, 4.01: 3,
+              5.0: 3, 8.5: 4}),
+], ids=["periodic", "krein"])
+def test_index_coupled(dirichlet, dirichlet_bases, ext, counts):
+    # N = N_F + n_-(Theta - W) counts the doubles twice.
+    for lam, want in counts.items():
+        assert _index(dirichlet, ext, dirichlet_bases, lam) == want, lam
+
+
+def test_eigenvalues_legendre_krein_double(legendre, legendre_bases):
+    # R = M(-1) / sqrt(det M) on Legendre's singular LC ends: all of
+    # ker(T_max + 1) meets the condition, so -1 is double.  The grid has
+    # -1 as a point, where the determinant is exactly zero.
+    M, _ = extensions._coupled_transfer(legendre, *legendre_bases, -1.0,
+                                        1e-10)
+    ext = Coupled(0.0, (M / math.sqrt(np.linalg.det(M))).tolist())
+    assert extensions._coupled_det(legendre, ext, legendre_bases, -1.0,
+                                   1e-10)[0] == 0.0
+    eigs = eigenvalues_shoot(legendre, ext, (-1.5, 9.0), grid_per_unit=8,
+                             bases=legendre_bases)
+    lams = [e.lam for e in eigs]
+    # Then N reaches 3 past 3.2794 and 4 past 8.0518.
+    assert len(lams) == 4
+    assert lams[:2] == pytest.approx([-1.0, -1.0], abs=1e-6)
+    assert lams[2:] == pytest.approx([3.2794, 8.0518], abs=1e-3)
+
+
+def _dirichlet_transfer(lam):
+    """The transfer of (y, y') from 0 to pi for -y'' = lam y, on an array of
+    lam: axes (2, 2, len(lam))."""
+    k = np.sqrt(lam + 0j)
+    c, s = np.cos(k * math.pi).real, math.pi * np.sinc(k).real
+    return np.array([[c, s], [-lam * s, c]])
+
+
+def test_eigenvalues_coupled_closed_form(dirichlet, dirichlet_bases):
+    # Coupled(phi, R) on (0, pi): lambda is an eigenvalue iff
+    # tr(R^-1 T(lambda)) = 2 cos(phi), simple for 0 < phi < pi.
+    from scipy.optimize import brentq
+    lo, hi = -1.7, 30.3
+    rng = np.random.default_rng(2026)
+
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)],
+                         [math.sin(t), math.cos(t)]])
+
+    for _ in range(30):
+        phi = rng.uniform(0.0, math.pi)
+        t1, t2 = rng.uniform(0.0, math.pi, 2)
+        s = math.exp(rng.uniform(-1.0, 1.0))
+        R = rotation(t1) @ np.diag([s, 1.0 / s]) @ rotation(t2)
+        Rinv = np.linalg.inv(R)
+
+        def f(lam):
+            return (np.einsum("ij,ji...->...", Rinv, _dirichlet_transfer(lam))
+                    - 2.0 * math.cos(phi))
+
+        xs = np.linspace(lo, hi, 32001)
+        fx = f(xs)
+        want = [brentq(f, a, b, xtol=1e-14)
+                for a, b, fa, fb in zip(xs, xs[1:], fx, fx[1:])
+                if fa * fb < 0.0]
+        ext = Coupled(phi, R.tolist())
+        eigs = eigenvalues_shoot(dirichlet, ext, (lo, hi),
+                                 bases=dirichlet_bases)
+        assert len(eigs) == len(want) \
+            == _index(dirichlet, ext, dirichlet_bases, hi) \
+            - _index(dirichlet, ext, dirichlet_bases, lo)
+        assert np.allclose([e.lam for e in eigs], want, rtol=0, atol=1e-6)
 
 
 def _count_calls(monkeypatch, name):
@@ -198,16 +282,17 @@ def test_coupled_det_is_the_trace_condition(legendre, legendre_bases, phi):
     # transfer keeps the Wronskian) holds to the shooting tolerance.
     R = ((2.0, 3.0), (1.0, 2.0))
     ext = Coupled(phi, R)
-    pair = pair_from_extension(ext)
     bases = legendre_bases
     Rinv = np.array([[2.0, -3.0], [-1.0, 2.0]])
     signs = set()
     for lam in (0.5, 3.0, 7.0):
-        M = extensions._coupled_transfer(legendre, *bases, lam, tol=1e-10)
+        M, _ = extensions._coupled_transfer(legendre, *bases, lam,
+                                            tol=1e-10)
         want = float(np.trace(Rinv @ M)) - 2.0 * math.cos(phi)
         drift = abs(np.linalg.det(M) - 1.0)
         assert drift < 1e-6
-        got = extensions._coupled_det(legendre, pair, bases, lam, tol=1e-10)
+        got = extensions._coupled_det(legendre, ext, bases, lam,
+                                      tol=1e-10)[0]
         assert abs(abs(got) - abs(want)) \
             <= drift * abs(math.cos(phi)) + 1e-12 * (1.0 + abs(want))
         assert abs(want) > 1e-3
@@ -221,8 +306,8 @@ def test_coupled_det_leaves_the_singular_ends(legendre, legendre_bases, lam):
     # Marching toward a singular LC end, the step size underflows next to
     # it at these lambda; the transfer only marches away from the ends.
     ext = Coupled(1.0, ((2.0, 3.0), (1.0, 2.0)))
-    got = extensions._coupled_det(legendre, pair_from_extension(ext),
-                                  legendre_bases, lam, tol=1e-10)
+    got = extensions._coupled_det(legendre, ext, legendre_bases, lam,
+                                  tol=1e-10)[0]
     assert math.isfinite(got) and got != 0.0
 
 
@@ -247,8 +332,9 @@ def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
 # ---------------------------------------------------------------------------
 
 def _index(spec, ext, bases, lam):
-    """N(lam) as the shooting determinant of ext's diagonal pair gives it."""
-    assert ext.variant != "coupled"
+    """N(lam) as the shooting determinant of ext's pair gives it."""
+    if ext.variant == "coupled":
+        return extensions._coupled_det(spec, ext, bases, lam, 1e-10)[1]
     _, n = extensions._shoot_det(spec, ext, bases or (None, None), lam,
                                  spec.interval.interior_point(), 1e-10)
     return n
