@@ -204,7 +204,6 @@ class BlendedFn(QuasiFn):
 class PatchedPair:
     v1: object                  # u_hat near each endpoint
     v2: object                  # u near each endpoint
-    blend_window: tuple
 
 
 def patched_pair(spec, basis_a, basis_b):
@@ -223,4 +222,4 @@ def patched_pair(spec, basis_a, basis_b):
     v1 = BlendedFn(spec, basis_a.u_hat, basis_b.u_hat, window,
                    lam0=spec.lambda0)
     v2 = BlendedFn(spec, basis_a.u, basis_b.u, window, lam0=spec.lambda0)
-    return PatchedPair(v1=v1, v2=v2, blend_window=window)
+    return PatchedPair(v1=v1, v2=v2)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import Inconclusive
-from .odecore import end_state_zeros, l2_solve
+from .odecore import end_state, l2_solve
 from .problem import end_scale, endpoint_regular
 from .quadrature import DIVERGE_THRESHOLD, geometric_points
 from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
@@ -119,9 +119,9 @@ def count_zeros(spec, lam, window, init=(0.0, 1.0)):
 
     The solution has data `init` at the left edge of the window.  Its
     zeros in (window[0], window[1]] are counted by odecore.rk_solve over
-    the accepted steps of one DOP853 solve (`end_state_zeros`).
+    the accepted steps of one DOP853 solve (`end_state`).
     """
-    return end_state_zeros(spec, lam, window[0], init, window[1], 1e-11)[1]
+    return end_state(spec, lam, window[0], init, window[1], 1e-11)[1]
 
 
 def certify_endpoint(spec, lam, endpoint):

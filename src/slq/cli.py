@@ -25,12 +25,7 @@ import numpy as np
 from . import __version__
 from .bvalues import gbv, patched_pair
 from .classify import classify_both, classify_endpoint
-from .errors import (
-    Inconclusive,
-    RangeContainsNoBracket,
-    SlqError,
-    SpecFileError,
-)
+from .errors import Inconclusive, SlqError, SpecFileError
 from .extensions import (
     check_variant,
     eigenvalues_shoot,
@@ -222,7 +217,6 @@ def cmd_basis(spec, ext_doc, args):
         entry = {
             "endpoint_value": basis.endpoint_value,
             "regular": basis.regular,
-            "anchor": basis.anchor,
             "nonvanish_bound": basis.nonvanish_bound,
             "trust_interval": basis.trust_interval,
         }
@@ -280,7 +274,7 @@ def cmd_form(spec, ext_doc, args):
     bases = _build_bases(spec)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
-    fv = q_decorated(spec, bases, args.window, ext, f, g, tol=args.tol)
+    fv = q_decorated(spec, bases, args.window, ext, f, g)
     report["form"] = {
         "extension": ext.variant,
         "regime": _regime_name(ext.lc_ends),
@@ -326,13 +320,10 @@ def cmd_eig(spec, ext_doc, args):
     report = _base_report("eig", spec, args)
     classification = classify_both(spec)
     ext = _extension_of(ext_doc, classification)
-    try:
-        eigs = eigenvalues_shoot(
-            spec, ext, (args.lmin, args.lmax), tol=args.tol,
-            grid_per_unit=args.grid, classification=classification,
-        )
-    except RangeContainsNoBracket:
-        eigs = []
+    eigs = eigenvalues_shoot(
+        spec, ext, (args.lmin, args.lmax), tol=args.tol,
+        grid_per_unit=args.grid, classification=classification,
+    )
     report["eigenvalues"] = {
         "extension": ext.variant, "range": [args.lmin, args.lmax],
         "complete": True,
@@ -449,8 +440,7 @@ def build_parser():
     add("basis", cmd_basis, csv={"default": None})
     add("gbv", cmd_gbv, g=REQUIRED,
         endpoint={"choices": ["a", "b"], "default": None})
-    add("form", cmd_form, tol=TOL, window=WINDOW,
-        f=REQUIRED, g=REQUIRED)
+    add("form", cmd_form, window=WINDOW, f=REQUIRED, g=REQUIRED)
     add("green-check", cmd_green_check, tol=TOL, window=WINDOW,
         f=REQUIRED, g=REQUIRED)
     add("eig", cmd_eig, tol=TOL,

@@ -29,14 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .classify import LIMIT_CIRCLE
-from .errors import (
-    RangeContainsNoBracket,
-    ShootingOverflow,
-    SpecFileError,
-    VariantMismatch,
-)
+from .errors import ShootingOverflow, SpecFileError, VariantMismatch
 from .forms import SIGMA
-from .odecore import brentq, end_state, end_state_zeros
+from .odecore import brentq, end_state
 from .problem import finite_number
 from .solutions import construct_basis
 from .triplets import SAPair, boundary_vectors, decompose, validate_pair
@@ -334,7 +329,7 @@ def _shoot_det(spec, ext, bases, lam, mid, tol):
     states, m, o = [], 0, 1.0
     for side, basis in zip("ab", bases):
         x0, init = _side_start(spec, ext, basis, side, lam)
-        y, zeros = end_state_zeros(spec, lam, x0, init, mid, tol=tol)
+        y, zeros = end_state(spec, lam, x0, init, mid, tol=tol)
         states.append(y)
         m += zeros
         o *= _orientation(side, init)
@@ -372,9 +367,9 @@ def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
     for side, basis in zip("ab", (basis_a, basis_b)):
         x0, u_hat = _lc_init(basis, 0.0, 1.0)
         _, u = _lc_init(basis, 1.0, 0.0)
-        y, zeros = end_state_zeros(spec, lam, x0, u, mid, tol=tol)
-        phis.append(np.array([end_state(spec, lam, x0, u_hat, mid, tol=tol),
-                              y], dtype=float).T)
+        y, zeros = end_state(spec, lam, x0, u, mid, tol=tol)
+        y_hat, _ = end_state(spec, lam, x0, u_hat, mid, tol=tol)
+        phis.append(np.array([y_hat, y], dtype=float).T)
         m += zeros
         o *= _orientation(side, u)
     phi_a, phi_b = phis
@@ -473,7 +468,9 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     across which the determinant changes sign is refined by Brent's method;
     a determinant of exactly zero at an edge makes that edge the root, and
     any other piece gives its midpoint.  A piece across which N jumps by k
-    gives k entries, so the list has N(lam_max) - N(lam_min) of them.
+    gives k entries, so the list has N(lam_max) - N(lam_min) of them, none
+    for a range with no eigenvalue.  The solves run at the ODE tolerance
+    min(1e-10, tol / 100).
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
     if not (math.isfinite(lam_min) and math.isfinite(lam_max)
@@ -489,6 +486,7 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
 
     mid = spec.interval.interior_point()
     diagonal = _diagonal(ext.pair)
+    ode_tol = min(1e-10, tol / 100)
     # One determinant per distinct lam: Brent starts from the values at its
     # bracket ends, and the residual at a root is Brent's last value.
     memo = {}
@@ -496,9 +494,9 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     def point(lam):
         key = float(lam)
         if key not in memo:
-            memo[key] = (_shoot_det(spec, ext, bases, key, mid, tol=1e-10)
+            memo[key] = (_shoot_det(spec, ext, bases, key, mid, tol=ode_tol)
                          if diagonal else
-                         _coupled_det(spec, ext, bases, key, tol=1e-10))
+                         _coupled_det(spec, ext, bases, key, tol=ode_tol))
         return memo[key]
 
     def det_fn(lam):
@@ -521,9 +519,4 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
                                bracket=(float(lo), float(hi)),
                                condition_residual=abs(det_fn(root)))
                     for _ in range(k)]
-    if not results:
-        raise RangeContainsNoBracket(
-            f"no eigenvalue bracket for the shooting determinant in "
-            f"[{lam_min}, {lam_max}]"
-        )
     return results

@@ -342,17 +342,16 @@ def q_base(spec, bases, window, regime, f, g):
     return FormValue(value=value, pieces=pieces, error=err, window=window)
 
 
-def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
-                base=None):
+def q_decorated(spec, bases, window, ext, f, g, base=None):
     """Form of the extension `ext` applied to (f, g): q_base(f, g) +
     (Theta Gamma0 f, Gamma0 g) from its decomposed boundary relation
     `ext.relation` over its LC ends `ext.lc_ends`.
 
     The form lives on dom Theta = (mul Theta)^perp, so f and g are refused
     (DomainConstraintViolated) when Gamma0 of either has a component along
-    mul Theta above tol (1 + max |g~|), over the g~ of both.  A separated
-    angle 0 at an end puts that end in mul Theta (g~ = 0 there); any other
-    angle t contributes -SIGMA[end] cot t to Theta.
+    mul Theta above CONSTRAINT_TOL (1 + max |g~|), over the g~ of both.  A
+    separated angle 0 at an end puts that end in mul Theta (g~ = 0 there);
+    any other angle t contributes -SIGMA[end] cot t to Theta.
 
     `base`, if given, is the FormValue that
     `q_base(spec, bases, window, ext.lc_ends, f, g)` returns; it is read,
@@ -369,9 +368,10 @@ def q_decorated(spec, bases, window, ext, f, g, tol=CONSTRAINT_TOL,
     f0, g0 = gamma0(f), gamma0(g)
     scale = 1.0 + max(np.abs(np.concatenate((f0, g0))), default=0.0)
     for label, vec in (("f", f0), ("g", g0)):
-        if np.linalg.norm(rel.mul_basis.conj().T @ vec) > tol * scale:
+        if np.linalg.norm(rel.mul_basis.conj().T @ vec) \
+                > CONSTRAINT_TOL * scale:
             touched = [end for end, row in zip(regime, rel.mul_basis)
-                       if np.abs(row).max() > tol]
+                       if np.abs(row).max() > CONSTRAINT_TOL]
             raise DomainConstraintViolated(
                 f"the extension constrains "
                 f"{', '.join(f'g~({end})' for end in touched)}: Gamma0 "

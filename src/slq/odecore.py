@@ -34,7 +34,7 @@ order, so the arithmetic is that of a loop over the tableau, bit for bit.
 `brentq`, a port of scipy's Brent loop that the tests pin against it, is
 the root finder of shooting.
 
-Shooting (`end_state`, `end_state_zeros`) uses DOP853 (Dormand-Prince
+Shooting (`end_state`) uses DOP853 (Dormand-Prince
 8(5,3)), whose eighth order suits the tolerances of 1e-10 to 1e-11 it asks
 for; it reads only end states and zero counts, so a DOP853 solve writes no
 table.  The march in `solutions`, its reduction-of-order tail, the pair
@@ -149,8 +149,7 @@ def _larger(a, b):
 # CoefficientSet's p, q and r inlined, in the arithmetic of
 # [u1 / p, (q - lam r) u], and whether the solve sums r |u|^2.  The L^2
 # form's stages also weigh w{s} = r(x) |yu|^2, re^2 + im^2 of a complex yu
-# (a float's imaginary part is 0.0, so a real yu gives yu * yu).  The
-# inline factories also define rhs itself from the same template.
+# (a float's imaginary part is 0.0, so a real yu gives yu * yu).
 _CALL = ("rhs", "ku{s}, kv{s} = rhs(x, (yu, yv))", False)
 _INLINE = ("lam",
            "ku{s} = yv / ({{p}})\nkv{s} = (({{q}}) - lam * ({{r}})) * yu",
@@ -163,9 +162,8 @@ _L2 = ("lam",
 
 
 class Steps(NamedTuple):
-    """A right-hand side rhs(x, (u, u1)) with a method's compiled solve for
-    it (see `_RungeKutta`)."""
-    rhs: object
+    """A method's compiled solve for one right-hand side (see
+    `_RungeKutta`)."""
     solve: object
 
 
@@ -200,21 +198,13 @@ class _RungeKutta:
         self._call = None
 
     def _source(self, form):
-        """Source of `factory(arg)`, which returns rhs and the solve.  The
-        call form's rhs is its argument; the inline form defines
-        rhs(x, (u, u1)) -> [ku0, kv0] with its stage template, so the first
-        derivative and the stages share one arithmetic."""
+        """Source of `factory(arg)`, which returns the solve."""
         arg, evaluate, l2 = form
-        rhs_def = [] if arg == "rhs" else _block("def rhs(x, y):", [
-            "yu, yv = y",
-            *_guarded(evaluate.format(s=0).splitlines()),
-            "return [ku0, kv0]"])
         solve = _block("def solve(t, t_bound, u, v, rtol, atol, cap, zeros, "
                        f"h_abs{', bound' if l2 else ''}):",
                        self._solve(evaluate, l2))
-        return "\n".join(_block(
-            f"def factory({arg}):",
-            [*rhs_def, *solve, "return rhs, solve"])) + "\n"
+        return "\n".join(_block(f"def factory({arg}):",
+                                [*solve, "return solve"])) + "\n"
 
     def _solve(self, evaluate, l2):
         """The body of the solve: scipy's solver loop with its stages,
@@ -347,7 +337,7 @@ class _RungeKutta:
         """Steps of a plain rhs: each stage calls rhs(x, (u, v))."""
         if self._call is None:
             self._call = self._compile(self._source(_CALL))
-        return Steps(*self._call(rhs))
+        return Steps(self._call(rhs))
 
     def inline(self, coeffs, l2=False):
         """lam -> Steps of a CoefficientSet's quasi-derivative system, with
@@ -357,7 +347,7 @@ class _RungeKutta:
         factory = self._compile(self._source(_L2 if l2 else _INLINE),
                                 " l2" if l2 else "",
                                 p=coeffs.p, q=coeffs.q, r=coeffs.r)
-        return lambda lam: Steps(*factory(lam))
+        return lambda lam: Steps(factory(lam))
 
 
 class _RK45(_RungeKutta):
@@ -540,13 +530,17 @@ def l2_solve(spec, lam, anchor, init, target, tol, cap, bound,
     accepted step adds |h| sum_s b_s w_s, the method's own quadrature of
     the appended component I' = r |u|^2, which the error norm leaves out.
     The solve also stops at the first accepted step where the sum reaches
-    `bound`.  A non-finite state raises NonFiniteState, as in rk_solve.
-    Returns (x, (u, u^[1]), h_next, sum): where it stopped, the state
-    there, the step the controller proposed next, and the sum.
+    `bound`, which must be finite: a sum that overflows to inf would meet
+    an infinite bound and stop the solve.  A non-finite state raises
+    NonFiniteState, as in rk_solve.  Returns (x, (u, u^[1]), h_next, sum):
+    where it stopped, the state there, the step the controller proposed
+    next, and the sum.
     """
     t, t_bound = float(anchor), float(target)
     if t == t_bound:
         raise ValueError("target must differ from anchor")
+    if not math.isfinite(bound):
+        raise ValueError(f"bound must be finite, got {bound}")
     u, v = (_plain(c) for c in init)
     steps = spec.coeffs.steps(RK45, l2=True)(_plain(lam))
     t, u, v, h_next, _, total = steps.solve(
@@ -611,16 +605,17 @@ class ScaledSolution(MemoizedQuasiFn):
     stops before they can leave floating-point range (see
     `solutions.march_windows`).
 
-    Segments may meet only at their edges.  Their edges
-    are kept sorted by left edge, so a lookup is a bisection; where x lies
-    on a shared edge the segment inserted first is used.  A trajectory
+    A trajectory grows only at its ends: each segment after the first
+    starts or ends where the trajectory ends and lies outside it, as a
+    march window or a back-march from the anchor does.  The segments are
+    kept sorted by left edge, so a lookup is a bisection; where x lies on
+    a shared edge the segment inserted first is used.  A trajectory
     without segments covers nothing: every evaluation raises
     EvaluationOutsideSupport.
 
     `pair` computes each point once (see MemoizedQuasiFn): a miss goes
-    through `log_pair`, the uncached lookup, and `add_segment` clears the
-    memo, since a new segment can answer a point that no segment or a
-    farther one answered.
+    through `log_pair`, the uncached lookup.  A segment added at an end
+    answers no point that was answered before, so the memo stays valid.
     """
 
     x_min = math.inf
@@ -629,49 +624,42 @@ class ScaledSolution(MemoizedQuasiFn):
     def __init__(self, lam):
         self.lam = lam
         self._segments = []  # tables, in insertion order
-        # Edges in (lo, hi) order with the insertion index of each segment.
-        # Disjoint interiors make the right edges nondecreasing too.
+        # Left edges in ascending order, with the insertion index of each
+        # segment.
         self._los = []
-        self._his = []
         self._order = []
         self._memo = {}  # x -> pair(x)
 
     def add_segment(self, table):
-        """Append a segment, a StepTable; its interior must not overlap
-        another segment's."""
+        """Add a segment, a StepTable, at an end of the trajectory; any
+        other segment raises ValueError."""
         lo, hi = table._ts[0], table._ts[-1]
-        los, his = self._los, self._his
-        # Entries from bisect_right(his, lo) on end past lo; entries before
-        # bisect_left(los, hi) start before hi.  Any entry in both overlaps.
-        if bisect_right(his, lo) < bisect_left(los, hi):
+        if not self._segments or lo == self.x_max:
+            k = len(self._los)
+            self.x_max = hi
+        elif hi == self.x_min:
+            k = 0
+        else:
             raise ValueError(
-                f"segment [{lo}, {hi}] overlaps the interior of another"
-            )
-        k = bisect_right(his, hi, bisect_left(los, lo), bisect_right(los, lo))
-        los.insert(k, lo)
-        his.insert(k, hi)
+                f"segment [{lo}, {hi}] does not extend the trajectory "
+                f"[{self.x_min}, {self.x_max}] at an end")
+        if k == 0:
+            self.x_min = lo
+        self._los.insert(k, lo)
         self._order.insert(k, len(self._segments))
         self._segments.append(table)
-        self.x_min, self.x_max = los[0], his[-1]
-        self._memo.clear()
 
     def _locate(self, x):
         if not (self.x_min <= x <= self.x_max):
             raise EvaluationOutsideSupport(
                 f"x={x} outside [{self.x_min}, {self.x_max}]"
             )
-        # Entries j..i-1 are the segments whose closed range holds x.
-        i = bisect_right(self._los, x)
-        j = bisect_left(self._his, x, 0, i)
-        if i - j == 1:
-            return self._segments[self._order[j]]
-        if j < i:
-            return self._segments[min(self._order[j:i])]
-        # x in a floating-point gap between segments (marched windows always
-        # meet exactly): the nearest segment, the first inserted on a tie.
-        _, k = min((min(abs(x - lo), abs(x - hi)), k)
-                   for lo, hi, k in zip(self._los, self._his, self._order))
-        return self._segments[k]
+        # Segment i is the last to start at or before x; on a shared edge
+        # x also ends segment i - 1.
+        i = bisect_right(self._los, x) - 1
+        if i and x == self._los[i] and self._order[i - 1] < self._order[i]:
+            i -= 1
+        return self._segments[self._order[i]]
 
     def log_pair(self, x):
         """(u(x), u^[1](x)), looked up without the memo."""
@@ -690,13 +678,6 @@ class ScaledSolution(MemoizedQuasiFn):
         return list(self._segments)
 
 
-def _solve(spec, lam, anchor, init, target, tol, zeros=False):
-    """rk_solve with DOP853 on the quasi-derivative system, rtol tol and
-    atol tol * 1e-3."""
-    return rk_solve(DOP853, spec.coeffs.steps(DOP853)(_plain(lam)), anchor,
-                    init, target, tol, tol * 1e-3, zeros=zeros)
-
-
 def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
     """Solve tau u = lambda u from `anchor` to `target`.
 
@@ -712,20 +693,18 @@ def integrate_tau(spec, lam, anchor, init, target, tol=1e-10):
 
 
 def end_state(spec, lam, anchor, init, target, tol=1e-10):
-    """(u, u^[1]) at `target` of the solution of tau u = lambda u with
-    (u, u^[1]) = init at `anchor`: one DOP853 solve with rtol tol and atol
-    tol * 1e-3, which writes no table.  The shooting determinant uses it.
-    An overflow raises NonFiniteState."""
-    return _solve(spec, lam, anchor, init, target, tol)[1]
-
-
-def end_state_zeros(spec, lam, anchor, init, target, tol=1e-10):
-    """(end_state, zeros) for real lam and init: zeros counts the sign
-    changes of u over the accepted steps of the same solve, the zeros of u
-    in (anchor, target] it passed.  The shooting determinant reads its
-    eigenvalue index from them."""
-    _, y, _, zeros = _solve(spec, lam, anchor, init, target, tol, zeros=True)
-    return y, zeros
+    """((u, u^[1]) at `target`, zeros) of the solution of tau u = lambda u
+    with (u, u^[1]) = init at `anchor`: one DOP853 solve with rtol tol and
+    atol tol * 1e-3, which writes no table.  zeros counts the sign changes
+    of u over the accepted steps, the zeros of u in (anchor, target] it
+    passed; it is None when lam or init is complex.  Shooting and
+    `classify.count_zeros` use it.  An overflow raises NonFiniteState."""
+    lam, init = _plain(lam), tuple(map(_plain, init))
+    count = not any(isinstance(c, complex) for c in (lam, *init))
+    _, y, _, *zeros = rk_solve(DOP853, spec.coeffs.steps(DOP853)(lam),
+                               anchor, init, target, tol, tol * 1e-3,
+                               zeros=count)
+    return y, (zeros[0] if count else None)
 
 
 def wronskian(f, g, x):

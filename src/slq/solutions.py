@@ -31,6 +31,7 @@ from .errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
     OscillatoryAtLambda0,
+    SpecFileError,
 )
 from .functions import MemoizedQuasiFn, QuasiFn
 from .odecore import RK45, ScaledSolution, _plain, rk_solve
@@ -79,15 +80,29 @@ def oscillation_refuted(zeros):
     return len(zeros) >= 4 and all(c > 0 for c in zeros[-4:])
 
 
+def _classical_start(spec, endpoint):
+    """Whether a march can start at the endpoint itself: it is regular, p > 0
+    and q, r are finite there.  Not so for p = sqrt(x) or q = x**-0.5 at 0,
+    where no stage can be evaluated: there the march approaches the end."""
+    if not endpoint_regular(spec, endpoint):
+        return False
+    end = spec.interval.end(endpoint)
+    try:
+        p, q, r = (e.scalar(end) for e in (spec.p, spec.q, spec.r))
+    except SpecFileError:
+        return False
+    return p > 0.0 and math.isfinite(q) and math.isfinite(r)
+
+
 def rescaled_march(spec, lam, anchor, init, target, tol=1e-11):
     """March from anchor toward target (possibly a singular endpoint).
 
-    The path is split into geometric windows approaching a singular
-    endpoint (one window otherwise) and marched by `march_windows`, which
-    returns the ScaledSolution.
+    The path is split into geometric windows approaching an endpoint where
+    a march cannot start (`_classical_start`; one window otherwise) and
+    marched by `march_windows`, which returns the ScaledSolution.
     """
     a, b = spec.interval.endpoints()
-    if target in (a, b) and not endpoint_regular(
+    if target in (a, b) and not _classical_start(
             spec, "a" if target == a else "b"):
         pts = geometric_points(anchor, target)
     else:
@@ -143,11 +158,9 @@ class ReductionSolution(MemoizedQuasiFn):
     accuracy, so it is outside the support rather than read as a value.
     """
 
-    def __init__(self, spec, w, c0, total, tail, scale, t_floor):
+    def __init__(self, spec, w, c0, tail, scale, t_floor):
         self.spec = spec
         self.w = w
-        self.c0 = c0
-        self.total = total
         self._tail = tail  # StepTable of (T, 0), from the far edge back
         self.scale = scale
         self.t_floor = t_floor
@@ -192,8 +205,7 @@ class SolutionBasis:
     u: object                     # principal
     u_hat: object                 # nonprincipal, W(u_hat, u) = 1
     lambda0: float
-    nonvanish_bound: float
-    anchor: float                 # reduction-of-order base point c0
+    nonvanish_bound: float        # c0, past the last zero found
     endpoint_value: float = 0.0
     regular: bool = False
     principal_integral: object = None
@@ -206,8 +218,8 @@ class SolutionBasis:
     @cached_property
     def trust_interval(self):
         """Where W(u_hat, u) is well conditioned (`_trust_interval` over
-        the coverage, around the anchor); computed on first read."""
-        return _trust_interval(self.u, self.u_hat, self.anchor,
+        the coverage, around nonvanish_bound); computed on first read."""
+        return _trust_interval(self.u, self.u_hat, self.nonvanish_bound,
                                *self.coverage)
 
 
@@ -301,13 +313,14 @@ def _tail_ode(spec, w, x_far, tail0, x_to, atol):
 def construct_basis(spec, endpoint, tol=1e-11):
     """Principal/nonprincipal pair at lambda0 near one endpoint.
 
-    Regular endpoints get the classical basis anchored at the endpoint
-    itself (u vanishing there, u_hat = 1 there), which makes generalized
-    boundary values coincide with classical ones.  Singular endpoints use a
-    marched solution w, whose window zero counts refute nonoscillation
-    (`oscillation_refuted`) and lead the search for its last zero, a window
-    convergence test on 1/(p w^2), and reduction of order for the missing
-    family member; normalization W(u_hat, u) = 1 holds exactly.
+    Regular endpoints where a march can start (`_classical_start`) get the
+    classical basis anchored at the endpoint itself (u vanishing there,
+    u_hat = 1 there), which makes generalized boundary values coincide
+    with classical ones.  Other endpoints use a marched solution w, whose
+    window zero counts refute nonoscillation (`oscillation_refuted`) and
+    lead the search for its last zero, a window convergence test on
+    1/(p w^2), and reduction of order for the missing family member;
+    normalization W(u_hat, u) = 1 holds exactly.
     """
     a, b = spec.interval.endpoints()
     end = a if endpoint == "a" else b
@@ -324,10 +337,10 @@ def construct_basis(spec, endpoint, tol=1e-11):
     else:
         back_to = interior - 6.0 * (1.0 if endpoint == "b" else -1.0)
 
-    if endpoint_regular(spec, endpoint):
+    if _classical_start(spec, endpoint):
         return _regular_basis(spec, endpoint, end, back_to, tol)
 
-    # Singular endpoint: march a real solution toward it.
+    # Any other endpoint: march a real solution toward it.
     counts, zeroed = [], []  # zeros per window; tables of windows with any
     pts = geometric_points(anchor, end)
     for w, table, zeros, _ in march_windows(spec, lam0, (1.0, 0.0), pts,
@@ -396,13 +409,13 @@ def construct_basis(spec, endpoint, tol=1e-11):
         tail = _tail_ode(spec, w, x_far, tail0, back_to, atol)
         S = float(tail.at(c0)[0])
         w_c0 = w.pair(c0)[0]
-        u = ReductionSolution(spec, w, c0, S, tail, scale=1.0 / (w_c0 * S),
+        u = ReductionSolution(spec, w, c0, tail, scale=1.0 / (w_c0 * S),
                               t_floor=atol / TAIL_RTOL)
         u_hat = ScalarMultiple(w, -w_c0 * S)
 
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,
-        nonvanish_bound=c0, anchor=c0, endpoint_value=end, regular=False,
+        nonvanish_bound=c0, endpoint_value=end, regular=False,
         principal_integral=res,
         coverage=(max(w.x_min, u.x_min), min(w.x_max, u.x_max)),
         diagnostics={"marched_kind": kind, "last_zero": last_zero},
@@ -433,7 +446,7 @@ def _regular_basis(spec, endpoint, end, back_to, tol):
         c0 = bound_guess
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=spec.lambda0,
-        nonvanish_bound=c0, anchor=c0, endpoint_value=end, regular=True,
+        nonvanish_bound=c0, endpoint_value=end, regular=True,
         principal_integral=None, coverage=(u.x_min, u.x_max),
         diagnostics={"marched_kind": "classical", "last_zero": zs or None},
     )

@@ -101,7 +101,7 @@ def test_patched_pair_requires_disjoint_windows(dirichlet, dirichlet_bases):
 
 def test_blend_continuity(dirichlet, dirichlet_bases):
     pp = patched_pair(dirichlet, dirichlet_bases[0], dirichlet_bases[1])
-    a0, b0 = pp.blend_window
+    a0, b0 = pp.v2.window
     for x0 in (a0, b0):
         left = pp.v2.pair(x0 - 1e-9)
         right = pp.v2.pair(x0 + 1e-9)
@@ -111,7 +111,7 @@ def test_blend_continuity(dirichlet, dirichlet_bases):
 
 def test_blend_tau_matches_finite_differences(dirichlet, dirichlet_bases):
     pp = patched_pair(dirichlet, dirichlet_bases[0], dirichlet_bases[1])
-    a0, b0 = pp.blend_window
+    a0, b0 = pp.v2.window
     x = 0.5 * (a0 + b0) + 0.1 * (b0 - a0)
     h = 1e-5
     # tau v = -v'' for this problem; central difference on values.

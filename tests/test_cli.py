@@ -116,6 +116,30 @@ def test_eig_empty_range_reports_empty_list(specfile, capsys):
     assert report["eigenvalues"]["complete"] is True
 
 
+@pytest.mark.parametrize("coefficients, want", [
+    ({"p": "sqrt(x)", "q": "0", "r": "1"}, [4.739066398, 20.47164584]),
+    ({"p": "1", "q": "x**(-0.5)", "r": "1"}, [11.37728481]),
+])
+def test_regular_end_with_vanishing_p_or_unbounded_q(specfile, capsys,
+                                                     coefficients, want):
+    # 0 is regular, but p(0) = 0 or q(0) = inf: every command builds the
+    # basis there by the march and exits 0.  The Dirichlet eigenvalues are
+    # those of an independent scipy shooting in t = sqrt(x).
+    path = specfile({"interval": {"a": 0, "b": 1},
+                     "coefficients": coefficients})
+    fg = ["--f", "bump:0.5,0.3", "--g", "bump:0.4,0.3"]
+    for argv in (["classify"], ["basis"], ["gbv", "--g", "bump:0.5,0.3"],
+                 ["form", *fg], ["green-check", *fg], ["triplet"]):
+        code, report = _run(capsys, [argv[0], path, *argv[1:]])
+        assert code == EXIT_OK, argv
+    code, report = _run(capsys, ["eig", path, "--lmin", "0.5",
+                                 "--lmax", "40"])
+    assert code == EXIT_OK
+    got = [v["lambda"] for v in report["eigenvalues"]["values"]]
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-6 for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_eig_periodic_lists_each_double_twice(specfile, capsys, strict):
     # Periodic conditions on (0, pi): 4 and 16 are double eigenvalues, where
@@ -393,7 +417,7 @@ def test_command_line_numbers_must_be_finite(specfile, capsys, command,
 @pytest.mark.parametrize("command, flags", [
     ("eig", ["--tol", "-1"]),
     ("eig", ["--tol", "0"]),
-    ("form", ["--f", "sin", "--g", "sin", "--tol", "-1"]),
+    ("form", ["--f", "sin", "--g", "bump:0.5,-1"]),
     ("green-check", ["--f", "sin", "--g", "sin", "--tol", "-1"]),
     ("eig", ["--lmin", "5", "--lmax", "5"]),
     ("eig", ["--lmin", "10", "--lmax", "1"]),
@@ -409,6 +433,20 @@ def test_out_of_range_options_are_refused(specfile, capsys, command, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_form_takes_no_tol(specfile, capsys):
+    # The form's domain test reads forms.CONSTRAINT_TOL: --tol is no option
+    # of `slq form`, so it is refused like any unknown option.
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    assert main(["form", path, "--f", "sin", "--g", "sin",
+                 "--tol", "1e-6"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+    code, report = _run(capsys, ["form", path, "--f", "sin", "--g", "sin"])
+    assert code == EXIT_OK
+    assert report["tolerance"] is None
 
 
 @pytest.mark.parametrize("doc", [

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from slq import expressions
+from slq import expressions, tableaux
 from slq.errors import SpecFileError
 from slq.expressions import (
     BinOp,
@@ -81,16 +81,22 @@ def test_pole_names_the_expression(text, pole):
         assert isinstance(info.value, ZeroDivisionError)
 
 
+def _first_stage_at(coeffs, x):
+    """Run a solve whose first stage evaluates the system at x."""
+    CoefficientSet(*coeffs).steps(RK45)(2.0).solve(
+        x, x + 1.0, 1.0, 0.5, 1e-8, 1e-11, None, False, 0.1)
+
+
 def test_compiled_pole_names_the_expression():
     coeffs = [Expr.parse(t) for t in ("1", "1/x", "1")]
     with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
-        CoefficientSet(*coeffs).steps(RK45)(2.0).rhs(0.0, (1.0, 0.5))
+        _first_stage_at(coeffs, 0.0)
     with pytest.raises(SpecFileError, match=re.escape("'1/x'")):
         quasi_pair(Expr.parse("1/x"), Expr.parse("1"))(0.0)
     # A zero of p in y[1] / p is no expression's pole: the original error.
     coeffs = [Expr.parse(t) for t in ("x", "0", "1")]
     with pytest.raises(ZeroDivisionError) as info:
-        CoefficientSet(*coeffs).steps(RK45)(2.0).rhs(0.0, (1.0, 0.5))
+        _first_stage_at(coeffs, 0.0)
     assert not isinstance(info.value, SpecFileError)
 
 
@@ -174,11 +180,21 @@ def test_constant_power_with_negative_base_is_folded_as_written():
         Expr.parse("(-8)**(1/3) + x")
 
 
+def _formula(coeffs, lam):
+    """rhs(x, (u, u1)) = [u1 / p, (q - lam r) u] with the coefficients' own
+    evaluators: the reference for the stages with p, q and r inlined."""
+    p, q, r = coeffs.p, coeffs.q, coeffs.r
+    return lambda x, y: [y[1] / p(x), (q(x) - lam * r(x)) * y[0]]
+
+
 def test_compiled_rhs_power_error_names_the_coefficient():
-    rhs = CoefficientSet.from_strings("1", "x**0.5", "1").steps(RK45)(2.0).rhs
+    coeffs = CoefficientSet.from_strings("1", "x**0.5", "1")
     with pytest.raises(SpecFileError, match=re.escape("'x**0.5'")):
-        rhs(-1.0, (1.0, 0.0))
-    assert rhs(4.0, (1.0, 0.0)) == [0.0, 0.0]
+        _first_stage_at([coeffs.p, coeffs.q, coeffs.r], -1.0)
+    # Where q is defined the solve is the formula's, bit for bit.
+    args = (4.0, 5.0, 1.0, 0.0, 1e-10, 1e-13, None, True, None)
+    assert coeffs.steps(RK45)(2.0).solve(*args) \
+        == RK45.steps(_formula(coeffs, 2.0)).solve(*args)
 
 
 def test_emitter_fix_reaches_the_compiled_steps():
@@ -187,7 +203,6 @@ def test_emitter_fix_reaches_the_compiled_steps():
     for method in (RK45, DOP853):
         got, want = (CoefficientSet.from_strings("1", q, "1").steps(method)(
             lam) for q in ("(-2)**(0*x + 2)", "4"))
-        assert got.rhs(t, (u, v)) == want.rhs(t, (u, v))
         assert got.solve(t, 3.0, u, v, 1e-10, 1e-13, None, True, None) \
             == want.solve(t, 3.0, u, v, 1e-10, 1e-13, None, True, None)
 
@@ -247,19 +262,32 @@ def test_emitted_source_follows_the_tree():
     assert checked > 1000
 
 
+_H = 1e-3  # the step of the compiled solves checked against the trees
+
+
 def test_fused_rhs_follows_the_trees():
+    # One step of H from each point x where the trees are defined, with the
+    # stages inlined and with a call to the formula over the walked trees:
+    # every stage value enters the table row, so the rows agree bit for bit.
     trees = _trees(12, 300)
     checked = 0
     for p, q, r in zip(trees[0::3], trees[1::3], trees[2::3]):
         factory = CoefficientSet(Expr(p), Expr(q), Expr(r)).steps(RK45)
         for x in _POINTS:
-            if not all(_inside(root, x) for root in (p, q, r)) \
-                    or _walk(p, x, _MATH) == 0.0:
+            h = (x + _H) - x  # the step the solve takes
+            stage_points = [x + float(c) * h for c in tableaux.RK45.C] \
+                + [x + h]
+            if not all(_inside(root, t) for root in (p, q, r)
+                       for t in stage_points) \
+                    or any(_walk(p, t, _MATH) == 0.0 for t in stage_points):
                 continue
-            pv, qv, rv = (_walk(root, x, _MATH) for root in (p, q, r))
             for lam, y in ((2.5, (0.7, -1.3)), (2.5 + 1j, (0.7 - 0.2j, 1j))):
-                assert factory(lam).rhs(x, y) == [y[1] / pv,
-                                              (qv - lam * rv) * y[0]]
+                def formula(t, y):
+                    pv, qv, rv = (_walk(root, t, _MATH) for root in (p, q, r))
+                    return [y[1] / pv, (qv - lam * rv) * y[0]]
+                args = (x, x + _H, *y, 1.0, 1.0, None, False, _H)
+                assert repr(factory(lam).solve(*args)) \
+                    == repr(RK45.steps(formula).solve(*args))
             checked += 1
     assert checked > 50
 
@@ -299,8 +327,6 @@ def test_compiled_code_is_labelled_by_its_expressions():
         for method in (RK45, DOP853):
             steps = coeffs.steps(method)(2.0)
             labels[name, method] = _filename(steps.solve)
-            # The first derivative comes from the solve's own source.
-            assert _filename(steps.rhs) == labels[name, method]
     assert len(set(labels.values())) == len(labels)
     assert labels["legendre", RK45] == "<RK45 p=(1-x)*(1+x) q=0 r=1>"
     assert labels["oscillator", DOP853] == "<DOP853 p=1 q=x**2 r=1>"
@@ -310,19 +336,18 @@ def test_compiled_code_is_labelled_by_its_expressions():
     long = Expr.parse("1 + x + x**2 + x**3 + x**4 + x**5")
     assert _filename(long.scalar) == "<expr 1 + x + x**2 + x**3 +...>"
     # Labels name code objects only: values are those of the coefficients.
+    args = (-0.5, 0.75, 0.3, -1.1, 1e-10, 1e-13, None, True, None)
     for coeffs in (legendre, oscillator):
-        rhs = coeffs.steps(RK45)(2.0).rhs
-        for x in (-0.5, 0.25, 0.75):
-            assert rhs(x, (0.3, -1.1)) == [
-                -1.1 / coeffs.p(x), (coeffs.q(x) - 2.0 * coeffs.r(x)) * 0.3]
+        assert coeffs.steps(RK45)(2.0).solve(*args) \
+            == RK45.steps(_formula(coeffs, 2.0)).solve(*args)
 
 
 def test_specs_with_one_text_share_code_objects():
     one = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
     two = CoefficientSet.from_strings("1 + x**2", "log(x)", "1")
     for a, b in ((one.q.scalar, two.q.scalar),
-                 (one.steps(RK45)(2.0).rhs, two.steps(RK45)(2.0).rhs),
-                 (one.steps(RK45)(2.0).solve, two.steps(RK45)(2.0).solve)):
+                 (one.steps(RK45)(2.0).solve, two.steps(RK45)(2.0).solve),
+                 (one.steps(DOP853)(2.0).solve, two.steps(DOP853)(2.0).solve)):
         assert a is not b
         assert a.__code__ is b.__code__
 

@@ -8,7 +8,6 @@ import pytest
 
 from slq.bvalues import gbv
 from slq.errors import (
-    RangeContainsNoBracket,
     ShootingOverflow,
     SpecFileError,
     VariantMismatch,
@@ -321,10 +320,30 @@ def test_eigenvalues_coupled_legendre(legendre, legendre_bases):
         assert any(abs(e.lam - want) <= 1e-7 for e in eigs)
 
 
-def test_eigenvalues_empty_range_raises(dirichlet, dirichlet_bases):
-    with pytest.raises(RangeContainsNoBracket):
-        eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (1.5, 3.5),
-                          bases=dirichlet_bases)
+def test_tol_sets_the_shooting_ode_tolerance():
+    # The solves run at min(1e-10, tol / 100): at tol 1e-12 the Friedrichs
+    # eigenvalues of bessel(0.3) meet j_{0.3,n}^2 to 1e-13 (1.2e-11 and
+    # 3.1e-10 with the ODE at 1e-10 whatever tol).
+    import mpmath
+    from slq.problem import catalog, validate
+    from slq.solutions import construct_basis
+    spec = catalog("bessel(0.3)")
+    validate(spec)
+    bases = construct_basis(spec, "a"), construct_basis(spec, "b")
+    eigs = eigenvalues_shoot(spec, Separated(0.0, 0.0), (5.0, 80.0),
+                             tol=1e-12, bases=bases)
+    want = [float(mpmath.besseljzero(mpmath.mpf("0.3"), n) ** 2)
+            for n in (1, 2)]
+    assert len(eigs) == 2
+    assert all(abs(e.lam - w) <= 1e-13 for e, w in zip(eigs, want))
+
+
+def test_eigenvalues_empty_range_is_an_empty_list(dirichlet,
+                                                  dirichlet_bases):
+    # No eigenvalue of -u'' with Dirichlet ends on (0, pi) lies in
+    # (1.5, 3.5), and the eigenvalue index says so: the list is empty.
+    assert eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), (1.5, 3.5),
+                             bases=dirichlet_bases) == []
 
 
 # ---------------------------------------------------------------------------

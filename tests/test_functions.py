@@ -70,25 +70,24 @@ def _instances(legendre, legendre_bases, bessel_a_basis):
     return fns
 
 
-def _points(fn, blend_window):
+def _points(fn):
     lo, hi = _coverage(fn)
     lo, hi = max(lo, -0.9), min(hi, 0.9)
     xs = list(np.linspace(lo, hi, 7)[1:-1])
     if isinstance(fn, BlendedFn):
-        a0, b0 = blend_window
+        a0, b0 = fn.window
         xs += [a0 - 0.05, 0.5 * (a0 + b0), b0 + 0.05]
     return xs
 
 
 def test_every_function_class_is_one_quasi_function(
         legendre, legendre_bases, bessel_a_basis):
-    window = patched_pair(legendre, *legendre_bases).blend_window
     fns = _instances(legendre, legendre_bases, bessel_a_basis)
     assert len(fns) == 9
     for cls, fn in fns.items():
         assert isinstance(fn, QuasiFn), cls
         assert (fn.x_min, fn.x_max) == _coverage(fn), cls
-        for x in _points(fn, window):
+        for x in _points(fn):
             u, u1 = fn.pair(x)
             assert fn(x) == u, (cls, x)
             assert fn.qd(x) == u1, (cls, x)

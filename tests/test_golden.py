@@ -13,7 +13,7 @@ import pytest
 
 from slq.classify import CLASSIFY_WINDOWS
 from slq.extensions import LpLp, Separated, _lp_init, _side_start
-from slq.odecore import end_state_zeros
+from slq.odecore import end_state
 from slq.problem import catalog, end_scale, validate
 from slq.quadrature import geometric_points
 from slq.solutions import construct_basis, march_windows, rescaled_march
@@ -62,7 +62,7 @@ def _lookups(table, xs):
 def test_shooting_end_states_and_zero_counts(oscillator):
     # The decaying start of the LpLp condition at a, marched to 0.
     x0, init = _side_start(oscillator, LpLp(), None, "a", 5.3)
-    y, zeros = end_state_zeros(oscillator, 5.3, x0, init, 0.0)
+    y, zeros = end_state(oscillator, 5.3, x0, init, 0.0)
     assert (x0, [_hex(c) for c in y], zeros) == (
         -8.0, ["-0x1.9d53b9a6a38f5p+38", "0x1.ccaf300336c52p+37"], 1)
 
@@ -74,7 +74,7 @@ def test_shooting_from_a_singular_lc_start():
     validate(bessel)
     basis = construct_basis(bessel, "a")
     x0, init = _side_start(bessel, Separated(0.0, 0.0), basis, "a", 40.0)
-    y, zeros = end_state_zeros(bessel, 40.0, x0, init, 0.5)
+    y, zeros = end_state(bessel, 40.0, x0, init, 0.5)
     assert [_hex(c) for c in init] == ["-0x1.0465eb676dda5p-25",
                                        "-0x1.e50780491a6a9p+7"]
     assert ([_hex(c) for c in y], zeros) == (

@@ -23,7 +23,6 @@ from slq.odecore import (
     SAFETY,
     brentq,
     end_state,
-    end_state_zeros,
     integrate_tau,
     l2_solve,
     rk_solve,
@@ -39,6 +38,14 @@ from slq.problem import (
     validate,
 )
 from slq.solutions import construct_basis, march_windows, rescaled_march
+
+
+def _formula(coeffs, lam):
+    """The quasi-derivative system rhs(x, (u, u1)) = [u1 / p, (q - lam r) u]
+    with the coefficients' own evaluators: the reference for the stages
+    that have p, q and r inlined."""
+    p, q, r = coeffs.p, coeffs.q, coeffs.r
+    return lambda x, y: [y[1] / p(x), (q(x) - lam * r(x)) * y[0]]
 
 
 def test_integrate_tau_matches_sine(dirichlet):
@@ -64,14 +71,18 @@ def test_integrate_tau_complex_energy(dirichlet):
     ("oscillator", (-3.0, 0.5, 2.5)),
 ])
 def test_fused_rhs_equals_coefficient_evaluation(problem, xs, request):
+    # Every stage of the inline solve computes the formula: the whole solve
+    # through the points xs, its steps, states and table rows, is that of
+    # the call form on the formula, bit for bit.
     spec = (catalog(problem) if problem == "bessel(0.3)"
             else request.getfixturevalue(problem))
-    p, q, r = spec.p, spec.q, spec.r
-    for lam, y in ((2.5, np.array([0.7, -1.3])),
-                   (2.5 + 1.0j, np.array([0.7 - 0.2j, -1.3 + 0.4j]))):
-        rhs = spec.coeffs.steps(RK45)(lam).rhs
-        for x in xs:
-            assert rhs(x, y) == [y[1] / p(x), (q(x) - lam * r(x)) * y[0]]
+    for lam, y in ((2.5, (0.7, -1.3)),
+                   (2.5 + 1.0j, (0.7 - 0.2j, -1.3 + 0.4j))):
+        inline = spec.coeffs.steps(RK45)(lam).solve
+        call = RK45.steps(_formula(spec.coeffs, lam)).solve
+        for t, t_bound in zip(xs, xs[1:]):
+            args = (t, t_bound, *y, 1e-10, 1e-13, None, False, None)
+            assert inline(*args) == call(*args)
 
 
 @pytest.mark.parametrize("coeffs, bad", [
@@ -80,9 +91,10 @@ def test_fused_rhs_equals_coefficient_evaluation(problem, xs, request):
     (("1", "0", "sqrt(x)"), "sqrt(x)"),
 ])
 def test_fused_rhs_domain_error_names_the_coefficient(coeffs, bad):
-    rhs = CoefficientSet.from_strings(*coeffs).steps(RK45)(1.0).rhs
+    # The solve's first stage, at its start -1, is outside the domain.
+    solve = CoefficientSet.from_strings(*coeffs).steps(RK45)(1.0).solve
     with pytest.raises(SpecFileError, match=re.escape(repr(bad))):
-        rhs(-1.0, np.array([1.0, 1.0]))
+        solve(-1.0, -0.5, 1.0, 1.0, 1e-8, 1e-11, None, False, 0.1)
 
 
 @pytest.mark.parametrize("problem, lam, anchor, init, target", [
@@ -94,18 +106,21 @@ def test_fused_rhs_domain_error_names_the_coefficient(coeffs, bad):
 ])
 def test_end_state_equals_trajectory_at_target(problem, lam, anchor, init,
                                                target, request):
-    # end_state is the last accepted state of the reference controller's
-    # DOP853 trajectory (`_TableauLoop`), bit for bit, at the target and at
-    # two points before it.
+    # end_state is the last accepted state and the zero count of the
+    # reference controller's DOP853 trajectory (`_TableauLoop`), bit for
+    # bit, at the target and at two points before it; a complex lam counts
+    # no zeros.
     spec = request.getfixturevalue(problem)
-    rhs = spec.coeffs.steps(RK45)(lam).rhs
+    rhs = _formula(spec.coeffs, lam)
     loop = _LOOPS["DOP853"][1]
+    real = not isinstance(lam, complex)
     for x in (anchor + 0.3 * (target - anchor),
               anchor + 0.7 * (target - anchor), target):
-        states, _, _, _ = loop.solve(rhs, anchor, x, *init, 1e-10, 1e-13,
-                                     None, False, None)
+        states, _, _, count = loop.solve(rhs, anchor, x, *init, 1e-10, 1e-13,
+                                         None, real, None)
         assert states[-1][0] == x
-        assert end_state(spec, lam, anchor, init, x) == states[-1][1:]
+        assert end_state(spec, lam, anchor, init, x) \
+            == (states[-1][1:], count if real else None)
 
 
 # (span, real lambda) per problem, inside the interval; the tolerances are
@@ -135,7 +150,7 @@ def test_kernel_follows_solve_ivp(method, problem, complex_lam, backward,
     if backward:
         span = span[::-1]
     stepper, tol = _KERNEL_METHODS[method]
-    rhs = spec.coeffs.steps(RK45)(lam).rhs
+    rhs = _formula(spec.coeffs, lam)
     init = (1.0, -0.5)
     # The end state at several targets is scipy's to rounding.
     for target in (span[0] + 0.3 * (span[1] - span[0]),
@@ -326,7 +341,7 @@ def test_generated_step_equals_tableau_loop(method, form, problem,
     if backward:
         span = span[::-1]
     lam = 2.5 + 1.0j if complex_lam else 2.5
-    rhs = spec.coeffs.steps(RK45)(lam).rhs
+    rhs = _formula(spec.coeffs, lam)
     steps = (spec.coeffs.steps(stepper)(lam) if form == "inline"
              else stepper.steps(rhs))
     rtol, atol = 1e-10, 1e-13
@@ -399,13 +414,26 @@ def test_l2_sum_leaves_the_solve_as_it_is(legendre, lam, t_bound):
 def test_l2_solve_integrates_r_u_squared(dirichlet):
     # u = sin x on (0, pi) at lambda = 1: the integral of sin^2 over
     # (0, pi/2) is pi/4.  Backward, from pi/2 to 0, the sum is the same.
+    # The bound 1 lies above the sum, so neither solve stops at it.
     x, y, _, total = l2_solve(dirichlet, 1.0, 0.0, (0.0, 1.0), math.pi / 2,
-                              1e-9, None, math.inf)
+                              1e-9, None, 1.0)
     assert x == math.pi / 2 and abs(y[0] - 1.0) <= 1e-8
     assert abs(total - math.pi / 4) <= 1e-9
     _, _, _, back = l2_solve(dirichlet, 1.0, math.pi / 2, (1.0, 0.0), 0.0,
-                             1e-9, None, math.inf)
+                             1e-9, None, 1.0)
     assert abs(back - math.pi / 4) <= 1e-9
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_l2_solve_refuses_a_non_finite_bound(bound):
+    # q = 1e6: u grows like e^(1000 x) and r u^2 overflows near x = 0.355,
+    # before u does.  The sum is then inf, which an infinite bound would
+    # meet, stopping the solve there with a finite state; a NaN bound is
+    # never met.  Neither is a bound, so both are refused before any step.
+    spec = ProblemSpec(Interval(0.0, 2.0),
+                       CoefficientSet.from_strings("1", "1e6", "1"))
+    with pytest.raises(ValueError, match="bound must be finite"):
+        l2_solve(spec, 0.0, 0.0, (1.0, 0.0), 2.0, 1e-9, None, bound)
 
 
 @pytest.mark.parametrize("coeffs, bad", [
@@ -458,8 +486,7 @@ def test_zero_count_reads_the_solve(dirichlet, method, anchor, init, target):
         assert (table2._ts, table2._rows) == (table._ts, table._rows)
     else:
         assert table is table2 is None
-        assert end_state_zeros(dirichlet, lam, anchor, init, target) \
-            == (end_state(dirichlet, lam, anchor, init, target), zeros)
+        assert end_state(dirichlet, lam, anchor, init, target) == (y, zeros)
 
 
 def test_zero_count_adds_up_over_renormalized_legs():
@@ -485,9 +512,9 @@ def test_zero_count_adds_up_over_renormalized_legs():
 
 def test_kernel_refuses_a_zero_length_solve(dirichlet):
     # Every solve goes through rk_solve, shooting's DOP853 end_state too.
-    rhs = dirichlet.coeffs.steps(RK45)(1.0).rhs
+    steps = dirichlet.coeffs.steps(RK45)(1.0)
     with pytest.raises(ValueError, match="differ"):
-        rk_solve(RK45, rhs, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12)
+        rk_solve(RK45, steps, 0.5, (0.3, -0.2), 0.5, 1e-9, 1e-12)
     with pytest.raises(ValueError, match="differ"):
         end_state(dirichlet, 1.0, 0.5, (0.3, -0.2), np.float64(0.5))
 

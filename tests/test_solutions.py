@@ -7,18 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from slq import solutions
+from slq import quadrature, solutions
 from slq.classify import LIMIT_POINT, classify_endpoint
 from slq.errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
     OscillatoryAtLambda0,
 )
-from slq.extensions import OneLC
+from slq.extensions import OneLC, Separated, eigenvalues_shoot
 from slq.forms import q_decorated
 from slq.functions import PAIR_MEMO_SIZE, BumpFn
 from slq.odecore import StepTable, integrate_tau, wronskian
-from slq.problem import catalog, problem_from_dict, validate
+from slq.problem import catalog, endpoint_regular, problem_from_dict, validate
 from slq.quadrature import geometric_points
 from slq.solutions import (
     LOGSCALE_MAX,
@@ -156,7 +156,7 @@ def test_free_halfline_basis_is_exact(free_halfline_bases):
     # u = 1 and u_hat = c0 - x solve -u'' = 0 with W(u_hat, u) = 1, and
     # RK45 reproduces polynomials of degree one exactly.
     basis = free_halfline_bases[1]
-    c0 = basis.anchor
+    c0 = basis.nonvanish_bound
     for x in np.linspace(*basis.trust_interval, 201):
         u, u1 = basis.u.pair(x)
         h, h1 = basis.u_hat.pair(x)
@@ -169,7 +169,7 @@ def test_free_halfline_basis_is_exact(free_halfline_bases):
 def test_trust_interval_brackets_anchor(oscillator_bases):
     for basis in oscillator_bases:
         lo, hi = basis.trust_interval
-        assert lo <= basis.anchor <= hi
+        assert lo <= basis.nonvanish_bound <= hi
 
 
 @pytest.mark.parametrize("problem", ["legendre", "free_halfline"])
@@ -188,9 +188,9 @@ def test_trust_interval_is_computed_on_first_read(problem, request,
     assert calls == []
     trust = basis.trust_interval
     assert basis.trust_interval is trust
-    assert calls == [(basis.u, basis.u_hat, basis.anchor, *basis.coverage)]
-    assert trust == search(basis.u, basis.u_hat, basis.anchor,
-                           *basis.coverage)
+    args = (basis.u, basis.u_hat, basis.nonvanish_bound, *basis.coverage)
+    assert calls == [args]
+    assert trust == search(*args)
 
 
 def test_oscillatory_lambda0_is_refused():
@@ -253,10 +253,89 @@ def test_reduction_tail_gives_the_principal_power():
     # from the reduction tail: u x^-0.8 and u^[1] x^0.2 / 0.8 are constant.
     basis = construct_basis(catalog("bessel(0.3)"), "a")
     assert isinstance(basis.u, ReductionSolution)
-    xs = np.geomspace(1e-9, 0.9 * basis.anchor, 200)
+    xs = np.geomspace(1e-9, 0.9 * basis.nonvanish_bound, 200)
     for scaled in ([basis.u.pair(x)[0] * x ** -0.8 for x in xs],
                    [basis.u.pair(x)[1] * x ** 0.2 / 0.8 for x in xs]):
         assert max(abs(v / scaled[-1] - 1.0) for v in scaled) < 1e-9
+
+
+def test_harmonic_tail_certifies_the_bessel0_principal_test(monkeypatch):
+    # bessel(0) at lambda0 = 0 has the solutions x^1/2 (principal at 0) and
+    # x^1/2 log x.  The march gives the nonprincipal one, so 1/(p w^2) tails
+    # off like 1/(x log^2 x): only the harmonic model in the log-distance
+    # certifies the principal test, and without it the test is unresolved.
+    spec = catalog("bessel(0)")
+    validate(spec)
+    bases = construct_basis(spec, "a"), construct_basis(spec, "b")
+    basis = bases[0]
+    assert isinstance(basis.u, ReductionSolution)
+    assert basis.principal_integral.converged
+    xs = np.geomspace(1e-8, 0.3, 50)
+    assert max(abs(wronskian(basis.u_hat, basis.u, x) - 1.0)
+               for x in xs) <= 1e-13
+    scaled = [basis.u.pair(x)[0] / math.sqrt(x) for x in xs]
+    assert max(abs(v / scaled[-1] - 1.0) for v in scaled) <= 1e-8
+    # Friedrichs at 0 (and Dirichlet at the regular end 1): j_{0,n}^2.
+    import mpmath
+    eigs = eigenvalues_shoot(spec, Separated(0.0, 0.0), (1.0, 80.0),
+                             bases=bases)
+    want = [float(mpmath.besseljzero(0, n) ** 2) for n in (1, 2, 3)]
+    assert len(eigs) == 3
+    assert all(abs(e.lam - w) <= 1e-9 for e, w in zip(eigs, want))
+    monkeypatch.setattr(quadrature, "_harmonic_fit", lambda *args: None)
+    with pytest.raises(IntegralClassificationInconclusive):
+        construct_basis(spec, "a")
+
+
+def _t_system(p, lam):
+    """The system of (u, u^[1]) in t = sqrt(x) for p = sqrt(x), q = 0 or
+    p = 1, q = x^-1/2 (r = 1): both are regular at t = 0."""
+    if p == "sqrt(x)":
+        return lambda t, y: [2.0 * y[1], -2.0 * lam * t * y[0]]
+    return lambda t, y: [2.0 * t * y[1], (2.0 - 2.0 * lam * t) * y[0]]
+
+
+def _t_dirichlet_eigenvalues(p, lams):
+    """Dirichlet eigenvalues on (0, 1) in the grid `lams`, by an
+    independent scipy shooting in t = sqrt(x) from u = 0 at 0."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    def end(lam):
+        return solve_ivp(_t_system(p, lam), (0.0, 1.0), [0.0, 1.0],
+                         method="DOP853", rtol=1e-13, atol=1e-15).y[0, -1]
+    values = [end(lam) for lam in lams]
+    return [brentq(end, lo, hi, xtol=1e-14)
+            for lo, hi, f_lo, f_hi in zip(lams, lams[1:], values, values[1:])
+            if f_lo * f_hi < 0.0]
+
+
+@pytest.mark.parametrize("p, q, n_eigs", [("sqrt(x)", "0", 2),
+                                          ("1", "x**(-0.5)", 1)])
+def test_regular_end_where_a_march_cannot_start(p, q, n_eigs):
+    # 1/p, q and r are integrable at 0, so 0 is regular, but p(0) = 0 or
+    # q(0) = inf: no stage can be evaluated there.  The basis at 0 is built
+    # by the march toward it, as at a singular end; the end stays regular.
+    spec, _ = problem_from_dict({"interval": {"a": 0, "b": 1},
+                                 "coefficients": {"p": p, "q": q, "r": "1"}})
+    validate(spec)
+    assert endpoint_regular(spec, "a")
+    assert classify_endpoint(spec, "a").evidence[0]["verdict"] \
+        == "regular endpoint"
+    bases = construct_basis(spec, "a"), construct_basis(spec, "b")
+    basis = bases[0]
+    assert not basis.regular and bases[1].regular
+    xs = np.geomspace(1e-8, 0.3, 30)
+    assert max(abs(wronskian(basis.u_hat, basis.u, x) - 1.0)
+               for x in xs) <= 1e-12
+    # u is the principal solution: it vanishes at 0 relative to u_hat.
+    ratio = [abs(basis.u(x) / basis.u_hat(x)) for x in (1e-8, 0.1)]
+    assert ratio[0] < 1e-3 * ratio[1]
+    eigs = eigenvalues_shoot(spec, Separated(0.0, 0.0), (0.5, 40.0),
+                             bases=bases)
+    want = _t_dirichlet_eigenvalues(p, np.linspace(0.5, 40.0, 80))
+    assert len(eigs) == len(want) == n_eigs
+    assert all(abs(e.lam - w) <= 1e-8 for e, w in zip(eigs, want))
 
 
 @pytest.mark.parametrize("end", ["a", "b"])
@@ -406,16 +485,17 @@ def test_lookup_back_march_after_forward_march():
     assert (traj.x_min, traj.x_max) == (0.0, 1.0)
 
 
-def test_lookup_gap_takes_nearest_segment():
-    ulp = np.spacing(1.0)
-    traj = _trajectory((0.0, 1.0), (1.0 + 3 * ulp, 2.0))
-    assert _which(traj, 1.0 + ulp) == 0
-    assert _which(traj, 1.0 + 2 * ulp) == 1
-    # Equidistant from both: the first inserted wins.
-    assert _which(_trajectory((0.0, 1.0), (1.0 + 2 * ulp, 2.0)),
-                  1.0 + ulp) == 0
-    assert _which(_trajectory((1.0 + 2 * ulp, 2.0), (0.0, 1.0)),
-                  1.0 + ulp) == 0
+def test_add_segment_refuses_a_gap():
+    # A trajectory grows only at its ends: a segment that leaves a gap, even
+    # of one ulp, is refused, so no point of the support lies between
+    # segments.
+    traj = _trajectory((0.0, 1.0))
+    for edges in ((1.0 + np.spacing(1.0), 2.0), (-1.0, -np.spacing(0.0)),
+                  (2.0, 3.0)):
+        with pytest.raises(ValueError, match="at an end"):
+            traj.add_segment(_segment(*edges, 9))
+    assert len(traj.segments) == 1
+    assert (traj.x_min, traj.x_max) == (0.0, 1.0)
 
 
 def test_lookup_outside_support_raises():
@@ -428,7 +508,7 @@ def test_lookup_outside_support_raises():
 @pytest.mark.parametrize("edges", [(0.5, 1.5), (1.5, 0.5), (0.2, 0.8),
                                    (-1.0, 3.0), (0.0, 1.0), (0.5, 0.5)])
 def test_add_segment_rejects_interior_overlap(edges):
-    traj = _trajectory((0.0, 1.0), (2.0, 3.0))
+    traj = _trajectory((0.0, 1.0), (1.0, 2.0))
     with pytest.raises(ValueError):
         traj.add_segment(_segment(*edges, 9))
     assert len(traj.segments) == 2
@@ -444,16 +524,10 @@ def _marched(fn):
 
 def _scan(traj, x):
     """Reference lookup: the first segment, in insertion order, whose range
-    holds x, else the first one nearest to x."""
-    best, best_gap = None, math.inf
-    for table in traj.segments:
-        lo, hi = min(table.t[0], table.t[-1]), max(table.t[0], table.t[-1])
-        if lo <= x <= hi:
-            return table
-        gap = min(abs(x - lo), abs(x - hi))
-        if gap < best_gap:
-            best, best_gap = table, gap
-    return best
+    holds x."""
+    return next(table for table in traj.segments
+                if min(table.t[0], table.t[-1]) <= x
+                <= max(table.t[0], table.t[-1]))
 
 
 def test_lookup_matches_insertion_order_scan(legendre_bases):
@@ -517,19 +591,25 @@ def test_pair_memo_hit_equals_miss(lam, monkeypatch):
         assert len(calls) == 2 * len(xs)
 
 
-def test_add_segment_clears_the_pair_memo():
-    # Segment k is u = x + k, so a pair says which segment answered.
-    ulp = np.spacing(1.0)
-    traj = _trajectory((0.0, 1.0), (1.0 + 4 * ulp, 2.0))
-    x_gap, x_out = 1.0 + ulp, 2.5
-    assert traj.pair(x_gap) == _segment(0.0, 1.0).at(x_gap)  # nearest, 0
+def test_add_segment_keeps_the_pair_memo():
+    # Segment k is u = x + k, so a pair says which segment answered.  A
+    # segment added at an end answers no point answered before: the shared
+    # edge stays with the first segment, and a point outside was never
+    # stored.  So the memo holds, and every pair is the uncached lookup's.
+    traj = _trajectory((0.0, 1.0))
+    xs = [0.0, 0.5, 1.0]
+    assert [_which(traj, x) for x in xs] == [0, 0, 0]
+    for x in xs:
+        traj.pair(x)
     with pytest.raises(EvaluationOutsideSupport):
-        traj.pair(x_out)
-    traj.add_segment(_segment(1.0, 1.0 + 4 * ulp, 2))
-    traj.add_segment(_segment(2.0, 3.0, 3))
-    for x, k, (t0, t1) in ((x_gap, 2, (1.0, 1.0 + 4 * ulp)),
-                           (x_out, 3, (2.0, 3.0))):
-        assert traj.pair(x) == _segment(t0, t1, k).at(x)
+        traj.pair(1.5)
+    memo = dict(traj._memo)
+    traj.add_segment(_segment(1.0, 2.0, 1))
+    traj.add_segment(_segment(-1.0, 0.0, 2))
+    assert traj._memo == memo
+    for x, k in ((-0.5, 2), (0.0, 0), (0.5, 0), (1.0, 0), (1.5, 1)):
+        assert traj.pair(x) == traj.log_pair(x)
+        assert _which(traj, x) == k
 
 
 def test_log_pair_is_pair_bit_for_bit(legendre_bases):
