@@ -13,13 +13,20 @@ Refining a window past that resolution chases the rounding of its own
 nodes, so each window's relative tolerance is floored at
 NODE_RESOLUTION_FACTOR times it (see `improper_integral`).
 
-Every panel goes through `quad`, a port of QUADPACK's dqagse (Piessens, de
+Every panel goes through `quad`, built from QUADPACK (Piessens, de
 Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983): the
-21-point Gauss-Kronrod rule dqk21, bisection of the subinterval of largest
-error in dqpsrt's ordering, and Wynn's epsilon algorithm dqelg.  Its
-operations are QUADPACK's in QUADPACK's order, so value, error estimate
-and evaluation count are those of scipy.integrate.quad on a finite
-interval, bit for bit; the tests pin them against it.
+21-point Gauss-Kronrod rule dqk21, dqagse's first-pass exit, then dqage's
+bisection of the subinterval of largest error until the summed error
+meets the tolerance.  There is no epsilon algorithm: it extrapolates
+toward a singularity inside a panel, and no panel holds one, since every
+singular end gets its own window sweep and every middle integral is split
+at its breaks.  Where scipy.integrate.quad (dqagse) does not extrapolate,
+on a smooth integrand or in one pass, value, error estimate and evaluation
+count are its own, bit for bit; the tests pin them against it.
+
+A window whose panel misses its tolerance (a pole inside it, say) ends
+its sweep undecided, neither converged nor diverged: its value is not
+read as divergence (see `improper_integral`).
 
 `_complex` integrates a function that may be complex: as a real function,
 and as a real and an imaginary part once a node returns a complex number.
@@ -75,7 +82,6 @@ WG = (0.066671344308688137593568809893332,
       0.295524224714752870173892994651338)
 
 UFLOW = sys.float_info.min
-OFLOW = sys.float_info.max
 
 
 def _real(v):
@@ -138,121 +144,9 @@ def _qk21_source():
 _qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {"_real": _real})
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """dqpsrt: keep iord[1:] descending in elist after the bisection that
-    made intervals maxerr and last; return the next (maxerr, errmax,
-    nrmax).  Lists are 1-based, as in QUADPACK."""
-    if last <= 2:
-        iord[1], iord[2] = 1, 2
-        maxerr = iord[nrmax]
-        return maxerr, elist[maxerr], nrmax
-    errmax = elist[maxerr]
-    # A subdivision that increased the error moves maxerr up first.
-    for _ in range(nrmax - 1):
-        isucc = iord[nrmax - 1]
-        if errmax <= elist[isucc]:
-            break
-        iord[nrmax] = isucc
-        nrmax -= 1
-    jupbn = limit + 3 - last if last > limit // 2 + 2 else last
-    errmin = elist[last]
-    jbnd = jupbn - 1
-    for i in range(nrmax + 1, jbnd + 1):
-        isucc = iord[i]
-        if errmax >= elist[isucc]:
-            # Insert errmax top-down at i - 1, then errmin bottom-up.
-            iord[i - 1] = maxerr
-            k = jbnd
-            for _ in range(i, jbnd + 1):
-                isucc = iord[k]
-                if errmin < elist[isucc]:
-                    iord[k + 1] = last
-                    break
-                iord[k + 1] = isucc
-                k -= 1
-            else:
-                iord[i] = last
-            break
-        iord[i - 1] = isucc
-    else:
-        iord[jbnd] = maxerr
-        iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _qelg(n, epstab, res3la, nres):
-    """dqelg: Wynn's epsilon algorithm on epstab[1:n + 1] (1-based), in
-    place.  Returns (n, result, abserr, nres), n the new table length."""
-    nres += 1
-    abserr = OFLOW
-    result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
-    limexp = 50
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = OFLOW
-    num = k1 = n
-    for i in range(1, newelm + 1):
-        k2, k3 = k1 - 1, k1 - 2
-        res = epstab[k1 + 2]
-        e0, e1, e2 = epstab[k3], epstab[k2], res
-        e1abs = abs(e1)
-        delta2 = e2 - e1
-        err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * EPS
-        delta3 = e1 - e0
-        err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * EPS
-        if not (err2 > tol2 or err3 > tol3):
-            # e0, e1 and e2 agree to machine accuracy: converged.
-            result = res
-            abserr = err2 + err3
-            return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * EPS
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        if not abs(ss * e1) > 1e-4:
-            # Irregular behaviour: omit part of the table.
-            n = i + i - 1
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 -= 2
-        error = err2 + abs(res - e2) + err3
-        if error > abserr:
-            continue
-        abserr = error
-        result = res
-    # Shift the table.
-    if n == limexp:
-        n = 2 * (limexp // 2) - 1
-    ib = 2 if num % 2 == 0 else 1
-    for _ in range(newelm + 1):
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        epstab[1:n + 1] = epstab[num - n + 1:num + 1]
-    if nres < 4:
-        res3la[nres] = result
-        abserr = OFLOW
-    else:
-        abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                  + abs(result - res3la[1]))
-        res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
-    return n, result, max(abserr, 5.0 * EPS * abs(result)), nres
-
-
-def _qagse(f, a, b, epsabs, epsrel, limit):
-    """dqagse on [a, b], a < b: (result, abserr, last), last the number of
-    subintervals used."""
+def _qage(f, a, b, epsabs, epsrel, limit):
+    """dqagse's first pass, then dqage's bisection, on [a, b], a < b:
+    (result, abserr, last), last the number of subintervals used."""
     # dqagse's names for dqk21's resabs and resasc: defabs, resabs (and
     # defab1, defab2 for the resasc of the halves).
     result, abserr, defabs, resabs = _qk21(f, a, b)
@@ -261,148 +155,54 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             or limit == 1 or (abserr <= errbnd and abserr != resabs) \
             or abserr == 0.0:
         return result, abserr, 1
-    # The first pass failed (the rare case): lists 1-based, as in QUADPACK.
-    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    rlist, elist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
-    rlist2, res3la = [0.0] * 53, [0.0] * 4
-    rlist2[1] = result
-    errmax, maxerr, area, errsum, abserr = abserr, 1, result, abserr, OFLOW
-    nrmax, nres, numrl2, ktmin = 1, 0, 2, 0
-    extrap = noext = False
-    iroff1 = iroff2 = iroff3 = ier = ierro = 0
-    small = erlarg = ertest = correc = 0.0
+    # The first pass failed (the rare case): bisect.
+    ivals = [(a, b, result, abserr)]  # (a, b, value, error) per subinterval
+    maxerr, area, errsum = 0, result, abserr
+    iroff1 = iroff3 = 0
     for last in range(2, limit + 1):
-        # Bisect the subinterval with the nrmax-th largest error estimate.
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        # Bisect the subinterval with the largest error estimate.
+        a1, b2, rmax, errmax = ivals[maxerr]
+        b1 = 0.5 * (a1 + b2)
         a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
         area1, error1, _, defab1 = _qk21(f, a1, b1)
         area2, error2, _, defab2 = _qk21(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
+        area = area + area12 - rmax
         if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+            if not (abs(rmax - area12) > 1e-5 * abs(area12)
                     or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
         errbnd = max(epsabs, epsrel * abs(area))
-        # Roundoff, the subdivision limit, or a bad point of the integrand.
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPS) * (
-                abs(a2) + 1000.0 * UFLOW):
-            ier = 4
+        # The half with the larger error keeps slot maxerr, the other
+        # takes the new slot.
+        halves = [(a1, b1, area1, error1), (a2, b2, area2, error2)]
         if error2 > error1:
-            alist[maxerr] = a2
-            alist[last], blist[last] = a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
-        else:
-            alist[last] = a2
-            blist[maxerr], blist[last] = b1, b2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
-                                       nrmax)
-        if errsum <= errbnd:
-            return _sum(rlist, last), errsum, last
-        if ier != 0:
+            halves.reverse()
+        ivals[maxerr] = halves[0]
+        ivals.append(halves[1])
+        # Converged, roundoff, the subdivision limit, or a bad point of
+        # the integrand.
+        if errsum <= errbnd or iroff1 >= 10 or iroff3 >= 20 \
+                or last == limit or max(abs(a1), abs(b2)) <= (
+                    1.0 + 100.0 * EPS) * (abs(a2) + 1000.0 * UFLOW):
             break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Extrapolate only once the smallest interval is to be bisected.
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # Bisect the larger intervals first while they hold errors.
-            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
-            large = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    large = True
-                    break
-                nrmax += 1
-            if large:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-    # Choose between the extrapolated result and the sum of the intervals.
-    if abserr == OFLOW:
-        return _sum(rlist, last), errsum, last
-    if ier + ierro != 0:
-        if ierro == 3:
-            abserr = abserr + correc
-        if result != 0.0 and area != 0.0:
-            if abserr / abs(result) > errsum / abs(area):
-                return _sum(rlist, last), errsum, last
-        elif abserr > errsum:
-            return _sum(rlist, last), errsum, last
-    return result, abserr, last
-
-
-def _sum(rlist, last):
-    """rlist[1] + ... + rlist[last], in order from 0.0."""
+        maxerr = max(range(last), key=lambda k: ivals[k][3])
+    # The subintervals' values summed in slot order from 0.0.
     total = 0.0
-    for k in range(1, last + 1):
-        total += rlist[k]
-    return total
+    for _, _, value, _ in ivals:
+        total += value
+    return total, errsum, last
 
 
 def quad(f, a, b, epsabs, epsrel, limit, full_output=0):
     """(value, error) of the integral of f over the finite interval from a
-    to b, by dqagse with at most `limit` subintervals; with `full_output`,
-    (value, error, {"neval": evaluations of f}).
+    to b, by dqk21 and dqage's bisection with at most `limit` subintervals
+    (no extrapolation); with `full_output`, (value, error, {"neval":
+    evaluations of f}).
 
     As scipy.integrate.quad does, it integrates over [min(a, b), max(a, b)]
     and negates the value when b < a, and returns zeros when a == b.
@@ -413,7 +213,7 @@ def quad(f, a, b, epsabs, epsrel, limit, full_output=0):
     if a == b:
         val, err, neval = 0.0, 0.0, 0
     else:
-        val, err, last = _qagse(f, min(a, b), max(a, b), epsabs, epsrel,
+        val, err, last = _qage(f, min(a, b), max(a, b), epsabs, epsrel,
                                 limit)
         neval = 42 * last - 21
         if b < a:
@@ -425,10 +225,11 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
     """Integral of f over the finite panel [a, b] (orientation-signed).
 
     The returned error estimate is what callers act on; a panel that
-    reaches the subdivision limit or QUADPACK's roundoff exits warns
-    nothing.  f must be real: `quad` raises TypeError on a Python complex
-    and numpy's ComplexWarning on a numpy complex, rather than dropping
-    its imaginary part.
+    reaches the subdivision limit, QUADPACK's roundoff exits or a bad
+    point warns nothing, and `improper_integral` reads a window whose
+    error is above its tolerance as undecided.  f must be real: `quad`
+    raises TypeError on a Python complex and numpy's ComplexWarning on a
+    numpy complex, rather than dropping its imaginary part.
     """
     return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
 
@@ -616,6 +417,10 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     noise.  The floor is zero at an infinite
     endpoint and negligible at endpoint 0.  A window that met 1e-12 on its
     first Gauss-Kronrod pass is unaffected.
+
+    A window whose error is above its tolerance, max(1e-14, epsrel·|value|),
+    ends the sweep undecided (converged and diverged both False): an
+    unresolved value, however large, is no evidence of divergence.
     """
     pts = geometric_points(start, endpoint, cutoff=cutoff)
     contribs = []
@@ -627,12 +432,16 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     resolution = (NODE_RESOLUTION_FACTOR * math.ulp(endpoint)
                   if math.isfinite(endpoint) else 0.0)
     for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = panel(f, lo, hi, epsabs=1e-14,
-                         epsrel=max(1e-12, resolution / abs(endpoint - hi)))
+        epsrel = max(1e-12, resolution / abs(endpoint - hi))
+        val, err = panel(f, lo, hi, epsabs=1e-14, epsrel=epsrel)
         total += val
         quad_err += err
         contribs.append(val)
         sums.append(total)
+        if err > max(1e-14, epsrel * abs(val)):
+            # An unresolved window decides nothing, divergence included.
+            return ImproperResult(total, quad_err, False, False, contribs,
+                                  sums)
         if abs(total) > DIVERGE_THRESHOLD:
             diverged = True
             break

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from slq.problem import catalog
 from slq.quadrature import (
@@ -42,6 +43,16 @@ def test_improper_log_singularity():
 def test_improper_divergent_detected():
     res = improper_integral(lambda x: 1 / x, 1.0, 0.0)
     assert res.diverged
+
+
+def test_improper_unresolved_window_is_undecided():
+    # The third window, [0.125, 0.25], holds the double pole at 0.2: its
+    # panel misses its tolerance, and the sweep stops there undecided
+    # rather than reading the window's huge value as divergence.
+    res = improper_integral(lambda x: 1 / (x - 0.2) ** 2, 1.0, 0.0)
+    assert not res.converged and not res.diverged
+    assert len(res.contributions) == 3
+    assert res.error > abs(res.contributions[-1])
 
 
 # One 21-point Gauss-Kronrod pass per window: toward a finite nonzero
@@ -155,12 +166,12 @@ def test_accelerated_limit_harmonic_decay():
     assert value == pytest.approx(1.0, abs=1e-8)
 
 
-# -- quad: the QUADPACK port against scipy.integrate.quad ------------------
+# -- quad: dqk21 and bisection against scipy.integrate.quad ----------------
 
 def _pin_integrand(kind, c, p):
-    """Integrands that exercise every exit of dqagse: one Gauss-Kronrod
-    pass, bisection, Wynn's epsilon algorithm (cusp, 1/sqrt and log
-    singularities) and the roundoff and subdivision-limit exits."""
+    """Integrands that exercise every exit of the subdivision: one
+    Gauss-Kronrod pass, bisection, singularities inside the panel (cusp,
+    1/sqrt and log) and the roundoff and subdivision-limit exits."""
     return {
         "smooth": lambda x: math.sin(p * x) * math.exp(-c * x),
         "cusp": lambda x: abs(x - c) ** p,
@@ -172,17 +183,56 @@ def _pin_integrand(kind, c, p):
     }[kind]
 
 
-def test_quad_reproduces_scipy_quad():
+def _pin_exact(kind, a, b, c, p):
+    """The closed form of _pin_integrand(kind, c, p) from a to b, c between
+    them; None for "noisy", whose 1e10 frequency no panel resolves."""
+    lo, hi = min(a, b), max(a, b)
+    sign = 1.0 if b > a else -1.0
+
+    def sides(g):
+        # g(u): the integral over a distance u from c on one side.
+        return sign * (g(c - lo) + g(hi - c))
+
+    if kind == "smooth":
+        def prim(x):
+            return math.exp(-c * x) * (-c * math.sin(p * x)
+                                       - p * math.cos(p * x)) / (c * c + p * p)
+        return sign * (prim(hi) - prim(lo))
+    if kind == "cusp":
+        return sides(lambda u: u ** (p + 1) / (p + 1))
+    if kind == "inverse_sqrt":
+        return sides(lambda u: 2.0 * math.sqrt(u))
+    if kind == "log":
+        return sides(lambda u: u * math.log(u) - u if u > 0 else 0.0)
+    if kind == "peak":
+        return sides(lambda u: 1e3 * math.atan(u / 1e-3))
+    if kind == "oscillating":
+        # The integral of sin(1/t) is t sin(1/t) - Ci(1/t).
+        def prim(t):
+            return t * math.sin(1.0 / t) - scipy.special.sici(1.0 / t)[1]
+        return sides(lambda u: prim(u + 0.02) - prim(0.02))
+    return None
+
+
+def test_quad_matches_scipy_quad_and_closed_forms():
+    # scipy's quad is dqagse: it adds Wynn's epsilon extrapolation toward
+    # singularities inside the panel, which slq's panels never hold.  So
+    # quad must match it bit for bit wherever dqagse does not extrapolate
+    # (every smooth integrand and every one-pass panel), and elsewhere
+    # miss the closed form beyond its own error bar on no more cases of a
+    # kind than scipy does.
     rng = np.random.default_rng(2024)
     kinds = ["smooth", "cusp", "inverse_sqrt", "log", "peak", "oscillating",
              "noisy"]
-    subdivided = at_limit = extrapolated = roundoff = 0
+    misses = {kind: [0, 0] for kind in kinds[:-1]}  # [quad, scipy]
+    one_pass = smooth_subdivided = subdivided = 0
     for i in range(2000):
         kind = kinds[i % len(kinds)]
         a = rng.uniform(-2.0, 2.0)
         b = a + rng.choice([1.0, -1.0]) * rng.uniform(1e-6, 4.0)
         c = rng.uniform(min(a, b), max(a, b))
-        f = _pin_integrand(kind, c, rng.uniform(0.1, 3.0))
+        p = rng.uniform(0.1, 3.0)
+        f = _pin_integrand(kind, c, p)
         epsabs = float(rng.choice([1e-14, 1e-13, 1e-10]))
         epsrel = float(rng.choice([1e-12, 1e-10, 1e-6]))
         limit = int(rng.choice([100, 30, 10, 3]))
@@ -195,18 +245,51 @@ def test_quad_reproduces_scipy_quad():
         got = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
                    full_output=1)
         case = (kind, a, b, c, epsabs, epsrel, limit)
-        assert float(got[0]).hex() == float(want[0]).hex(), case
-        assert got[1].hex() == want[1].hex(), case
-        assert got[2]["neval"] == want[2]["neval"], case
-        subdivided += want[2]["neval"] > 21
-        at_limit += want[2]["last"] == limit
-        # A value other than the sum over the subintervals is extrapolated.
-        parts = want[2]["rlist"][:want[2]["last"]]
-        extrapolated += not math.isclose(abs(want[0]), abs(parts.sum()),
-                                         rel_tol=1e-14)
-        roundoff += len(want) > 3 and "roundoff" in want[3]
-    assert subdivided >= 1000 and at_limit >= 100
-    assert extrapolated >= 100 and roundoff >= 10
+        subdivided += got[2]["neval"] > 21
+        if kind == "smooth" or want[2]["neval"] == 21:
+            assert float(got[0]).hex() == float(want[0]).hex(), case
+            assert got[1].hex() == want[1].hex(), case
+            assert got[2]["neval"] == want[2]["neval"], case
+            one_pass += want[2]["neval"] == 21
+            smooth_subdivided += kind == "smooth" and want[2]["neval"] > 21
+        exact = _pin_exact(kind, a, b, c, p)
+        if exact is None:
+            continue
+        for k, (val, err) in enumerate((got[:2], want[:2])):
+            misses[kind][k] += abs(val - exact) > err + 4e-15 * (1 + abs(exact))
+    for kind, (ours, theirs) in misses.items():
+        assert ours <= theirs, (kind, ours, theirs)
+    assert one_pass >= 300 and smooth_subdivided >= 10 and subdivided >= 1000
+
+
+def test_quad_roundoff_and_bad_point_exits_stop_the_bisection():
+    # Noise at 1e-8 that no panel resolves: the roundoff exit stops after
+    # 20 subintervals, where the bisection would go on to a bad point.
+    noisy = quad(lambda x: math.exp(x) + 1e-8 * math.sin(1e10 * x),
+                 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200,
+                 full_output=1)
+    assert noisy[2]["neval"] == 42 * 20 - 21
+    # A 1/sqrt singularity at 0.3: the bisection stops where the interval
+    # around it cannot be halved in floating point, and the error bar
+    # still holds; without the bad-point exit it runs to the limit and
+    # reports an error of 3e118.
+    c = 0.3
+    val, err, info = quad(lambda x: 1.0 / math.sqrt(abs(x - c) + 1e-300),
+                          0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200,
+                          full_output=1)
+    assert info["neval"] < 42 * 200 - 21
+    assert abs(val - 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))) <= err < 1e-6
+
+
+def test_quad_sums_the_subintervals_in_slot_order():
+    # QUADPACK keeps the half with the larger error in the bisected
+    # interval's slot and sums the slots in order; that order fixes the
+    # last bit of the value.
+    val, err, info = quad(lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2), 0.0, 1.0,
+                          epsabs=1e-14, epsrel=1e-10, limit=100,
+                          full_output=1)
+    assert (val.hex(), err.hex(), info["neval"]) == (
+        "0x1.881a959a7e9acp+11", "0x1.d8778a4cb6c00p-26", 567)
 
 
 def test_quad_empty_interval_is_zero_evaluations():
