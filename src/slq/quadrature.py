@@ -24,7 +24,7 @@ at its breaks.  Where scipy.integrate.quad (dqagse) does not extrapolate,
 on a smooth integrand or in one pass, value, error estimate and evaluation
 count are its own, bit for bit; the tests pin them against it.
 
-A window whose panel misses its tolerance (a pole inside it, say) ends
+A window whose panel misses its tolerance (a pole inside it, say) leaves
 its sweep undecided, neither converged nor diverged: its value is not
 read as divergence (see `improper_integral`).
 
@@ -50,6 +50,7 @@ MAX_WINDOWS = 48
 WINDOW_RATIO = 0.5
 NODE_RESOLUTION_FACTOR = 10.0
 TRUNCATION_TOL = 1e-14  # relative size of two last windows that ends a sweep
+WINDOW_EPSABS = 1e-14  # absolute tolerance of each window's panel
 
 # dqk21's abscissae XGK besides the midpoint (the odd ones are the 10-point
 # Gauss nodes), its weights WGK (the midpoint's last) and the Gauss weights
@@ -146,7 +147,12 @@ _qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {"_real": _real})
 
 def _qage(f, a, b, epsabs, epsrel, limit):
     """dqagse's first pass, then dqage's bisection, on [a, b], a < b:
-    (result, abserr, last), last the number of subintervals used."""
+    (result, abserr, last), last the number of subintervals used.
+
+    Convergence is read from QUADPACK's running error sum, confirmed by a
+    fresh sum of the subintervals' errors: the running sum subtracts each
+    bisected error, and next to a pole that error can be 1e16 times the
+    rest and cancel them all to 0.0."""
     # dqagse's names for dqk21's resabs and resasc: defabs, resabs (and
     # defab1, defab2 for the resasc of the halves).
     result, abserr, defabs, resabs = _qk21(f, a, b)
@@ -184,10 +190,18 @@ def _qage(f, a, b, epsabs, epsrel, limit):
             halves.reverse()
         ivals[maxerr] = halves[0]
         ivals.append(halves[1])
-        # Converged, roundoff, the subdivision limit, or a bad point of
-        # the integrand.
-        if errsum <= errbnd or iroff1 >= 10 or iroff3 >= 20 \
-                or last == limit or max(abs(a1), abs(b2)) <= (
+        if errsum <= errbnd:
+            # Converged, unless the running sum cancelled a huge bisected
+            # error (a node next to a pole): the slots' own errors decide.
+            fresh = 0.0
+            for _, _, _, error in ivals:
+                fresh += error
+            if fresh <= errbnd:
+                break
+            errsum = fresh
+        # Roundoff, the subdivision limit, or a bad point of the integrand.
+        if iroff1 >= 10 or iroff3 >= 20 or last == limit \
+                or max(abs(a1), abs(b2)) <= (
                     1.0 + 100.0 * EPS) * (abs(a2) + 1000.0 * UFLOW):
             break
         maxerr = max(range(last), key=lambda k: ivals[k][3])
@@ -409,7 +423,7 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     the unresolved tail is added by `accelerated_limit`.
 
     The windows are `geometric_points(start, endpoint, cutoff=cutoff)`, each
-    a panel at absolute tolerance 1e-14 and relative tolerance
+    a panel at absolute tolerance WINDOW_EPSABS and relative tolerance
     max(1e-12, K ulp(endpoint) / d), with K = NODE_RESOLUTION_FACTOR and d
     the distance from the endpoint to the window's nearer edge: no node
     there resolves its distance to the endpoint better than
@@ -418,9 +432,11 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     endpoint and negligible at endpoint 0.  A window that met 1e-12 on its
     first Gauss-Kronrod pass is unaffected.
 
-    A window whose error is above its tolerance, max(1e-14, epsrel·|value|),
-    ends the sweep undecided (converged and diverged both False): an
-    unresolved value, however large, is no evidence of divergence.
+    A window whose error is above its tolerance, max(WINDOW_EPSABS,
+    epsrel·|value|), leaves the sweep undecided (converged and diverged
+    both False): an unresolved value, however large, is no evidence of
+    divergence.  The sweep still runs to its end, so the value and error
+    cover every window, the unresolved one included.
     """
     pts = geometric_points(start, endpoint, cutoff=cutoff)
     contribs = []
@@ -429,20 +445,19 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     quad_err = 0.0
     diverged = False
     truncated_early = False
+    unresolved = False
     resolution = (NODE_RESOLUTION_FACTOR * math.ulp(endpoint)
                   if math.isfinite(endpoint) else 0.0)
     for lo, hi in zip(pts[:-1], pts[1:]):
         epsrel = max(1e-12, resolution / abs(endpoint - hi))
-        val, err = panel(f, lo, hi, epsabs=1e-14, epsrel=epsrel)
+        val, err = panel(f, lo, hi, epsabs=WINDOW_EPSABS, epsrel=epsrel)
         total += val
         quad_err += err
         contribs.append(val)
         sums.append(total)
-        if err > max(1e-14, epsrel * abs(val)):
-            # An unresolved window decides nothing, divergence included.
-            return ImproperResult(total, quad_err, False, False, contribs,
-                                  sums)
-        if abs(total) > DIVERGE_THRESHOLD:
+        unresolved = unresolved or err > max(WINDOW_EPSABS,
+                                             epsrel * abs(val))
+        if abs(total) > DIVERGE_THRESHOLD and not unresolved:
             diverged = True
             break
         if len(contribs) >= 3 \
@@ -450,11 +465,17 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
                 and abs(contribs[-2]) < TRUNCATION_TOL * (1.0 + abs(total)):
             truncated_early = True
             break
+
+    def verdict(value, error, converged, diverged):
+        # An unresolved window decides nothing, divergence included.
+        return ImproperResult(value, error, converged and not unresolved,
+                              diverged and not unresolved, contribs, sums)
+
     if diverged:
-        return ImproperResult(total, quad_err, False, True, contribs, sums)
+        return verdict(total, quad_err, False, True)
     if truncated_early or len(sums) < 4:
-        return ImproperResult(total, quad_err + TRUNCATION_TOL * abs(total),
-                              True, False, contribs, sums)
+        return verdict(total, quad_err + TRUNCATION_TOL * abs(total), True,
+                       False)
     # Rapid decay with a small last contribution: the tail is negligible
     # even if the window budget ran out (common when the budget is cut off
     # by trajectory coverage).
@@ -463,22 +484,20 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
         ratio = c_last / c_prev if c_prev > 0 else 0.0
         if c_last < 1e-12 * (1.0 + abs(total)) and ratio < 0.5:
             tail = c_last * ratio / (1.0 - ratio)
-            return ImproperResult(total + math.copysign(tail, contribs[-1]),
-                                  quad_err + c_last, True, False,
-                                  contribs, sums)
+            return verdict(total + math.copysign(tail, contribs[-1]),
+                           quad_err + c_last, True, False)
     # Contributions still significant at the last window: check decay and
     # extrapolate the remaining tail.  Constant-size contributions mean a
     # logarithmically divergent integral, so insist on strict decay.
     ref = abs(contribs[max(0, len(contribs) - 9)])
     if abs(contribs[-1]) >= 0.97 * ref:
-        return ImproperResult(total, quad_err, False, True, contribs, sums)
+        return verdict(total, quad_err, False, True)
     if math.isfinite(endpoint):
         us = [-math.log(abs(endpoint - x)) for x in pts[1:len(sums) + 1]]
     else:
         us = None
     value, ext_err, certified = accelerated_limit(sums, us)
-    return ImproperResult(value, quad_err + ext_err, certified, False,
-                          contribs, sums)
+    return verdict(value, quad_err + ext_err, certified, False)
 
 
 def _complex(integrate, fn, *args, **kw):

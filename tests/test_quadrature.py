@@ -10,6 +10,7 @@ import scipy.special
 from slq.problem import catalog
 from slq.quadrature import (
     MAX_WINDOWS,
+    _complex,
     accelerated_limit,
     geometric_points,
     improper_integral,
@@ -47,12 +48,33 @@ def test_improper_divergent_detected():
 
 def test_improper_unresolved_window_is_undecided():
     # The third window, [0.125, 0.25], holds the double pole at 0.2: its
-    # panel misses its tolerance, and the sweep stops there undecided
-    # rather than reading the window's huge value as divergence.
+    # panel misses its tolerance, and the sweep is undecided rather than
+    # reading the window's huge value as divergence.
     res = improper_integral(lambda x: 1 / (x - 0.2) ** 2, 1.0, 0.0)
     assert not res.converged and not res.diverged
-    assert len(res.contributions) == 3
-    assert res.error > abs(res.contributions[-1])
+    assert abs(res.contributions[2]) > 1e12
+    assert res.error > abs(res.contributions[2])
+
+
+def test_improper_unresolved_window_keeps_the_later_windows():
+    # The third window holds |x - 0.2|^(-1/2), which its panel does not
+    # resolve to 1e-14.  The sweep is undecided but runs on: its value
+    # counts every window, the ones past the unresolved one included, and
+    # its error covers the unresolved window's.
+    exact = 2.0 + 2.0 * (math.sqrt(0.2) + math.sqrt(0.8))
+
+    def f(x):
+        return 1 / math.sqrt(x) + 1 / math.sqrt(abs(x - 0.2) + 1e-300)
+
+    res = improper_integral(f, 1.0, 0.0)
+    assert not res.converged and not res.diverged
+    assert len(res.contributions) > 3
+    assert abs(res.value + exact) <= res.error < 1e-6
+    # Through _complex, as the forms and the Lagrange values call it.
+    val, err, ok, div = _complex(improper_integral, lambda x: 1j * f(x),
+                                 1.0, 0.0)
+    assert not ok and not div
+    assert abs(val.imag + exact) <= err and val.real == 0.0
 
 
 # One 21-point Gauss-Kronrod pass per window: toward a finite nonzero
@@ -290,6 +312,19 @@ def test_quad_sums_the_subintervals_in_slot_order():
                           full_output=1)
     assert (val.hex(), err.hex(), info["neval"]) == (
         "0x1.881a959a7e9acp+11", "0x1.d8778a4cb6c00p-26", 567)
+
+
+def test_quad_error_covers_a_node_next_to_a_pole():
+    # A node lands within 1e-300 of the pole at c: its subinterval's error
+    # is about 1e16 times the others', and the running error sum cancels
+    # them all to 0.0 once it is bisected.  A fresh sum of the
+    # subintervals' errors keeps the bisection going and the error bar
+    # true.
+    a, b, c = -1.5497232313550802, -3.434901588062557, -2.138868142655335
+    val, err = quad(lambda x: 1.0 / math.sqrt(abs(x - c) + 1e-300), a, b,
+                    epsabs=1e-10, epsrel=1e-12, limit=100)
+    exact = -2.0 * (math.sqrt(a - c) + math.sqrt(c - b))
+    assert 0.0 < abs(val - exact) <= err
 
 
 def test_quad_empty_interval_is_zero_evaluations():
