@@ -138,7 +138,8 @@ class BlendedFn(QuasiFn):
     of the blend is (1-phi) l^[1] + phi r^[1] + p phi' (r - l), which keeps
     f^[1] continuous across the window edges.  The window edges are its
     `breaks`: the third derivative of `_smoothstep` jumps there, so the
-    blend is C^2 but not analytic at them.
+    blend is C^2 but not analytic at them.  It covers from the left piece's
+    x_min to the right piece's x_max, which grow as the pieces grow.
     """
 
     def __init__(self, spec, left, right, window, lam0):
@@ -150,6 +151,14 @@ class BlendedFn(QuasiFn):
         self.lam0 = lam0
         self._p = spec.p.scalar
         self._dp = spec.p.deriv().scalar
+
+    @property
+    def x_min(self):
+        return self.left.x_min
+
+    @property
+    def x_max(self):
+        return self.right.x_max
 
     def _phi(self, x):
         a0, b0 = self.window

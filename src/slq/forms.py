@@ -20,7 +20,8 @@ endpoint itself and the end adds no piece.  Each singular end is one
 a, d at b) and the cutoff where w's support ends toward the endpoint.  The
 form, the L^2 check, the Green pairing and the triplet pairing all read
 their per-end data from it, and every per-end sign from SIGMA.  A side is
-improper_integral's windowed sweep toward its endpoint.
+improper_integral's windowed sweep toward its endpoint; the L^2 check
+stops it at the edge of the checked function's own support instead.
 
 Every proper integral (the middle Dirichlet integral, the middle of a
 pairing, each from the cut at a singular end or from a regular endpoint,
@@ -166,8 +167,8 @@ def _span(spec, sides):
 
 
 def _piecewise(fn, lo, hi, breaks):
-    """(value, error, converged, diverged) of the proper integral of fn from
-    lo to hi, one `panel` per piece between the breaks strictly inside.
+    """(value, error) of the proper integral of fn from lo to hi, one
+    `panel` per piece between the breaks strictly inside.
 
     Each piece goes through `_complex`, so it is real or complex by its own
     nodes; values and errors are summed.  With no break inside it is one
@@ -177,11 +178,11 @@ def _piecewise(fn, lo, hi, breaks):
     if hi < lo:
         inner.reverse()
     knots = [lo, *inner, hi]
-    val, err, ok, div = _complex(panel, fn, knots[0], knots[1])
+    val, err, _, _ = _complex(panel, fn, knots[0], knots[1])
     for x0, x1 in zip(knots[1:], knots[2:]):
-        v, e, o, d = _complex(panel, fn, x0, x1)
-        val, err, ok, div = val + v, err + e, ok and o, div or d
-    return val, err, ok, div
+        v, e, _, _ = _complex(panel, fn, x0, x1)
+        val, err = val + v, err + e
+    return val, err
 
 
 def _side_n_integral(spec, side, f, g):
@@ -255,13 +256,22 @@ def _side_n_integral(spec, side, f, g):
 
 def _check_square_integrable(spec, sides, fns):
     """Raise FormIntegralDiverges unless each function is in L^2(r) toward
-    every limit-point end."""
+    every limit-point end.
+
+    r |f|^2 is integrated from the cut toward the endpoint and stopped at
+    the edge of f's own support there (`x_min` at a, `x_max` at b), not at
+    the reference solution's: a closed-form f runs to the endpoint itself.
+    """
     r = spec.r.scalar
     for side in sides:
         if side.lc:
             continue
         for fn in fns:
-            if not side.integral(lambda x: r(x) * abs(fn(x)) ** 2)[2]:
+            edge = fn.x_min if side.end == "a" else fn.x_max
+            res = improper_integral(
+                lambda x: r(x) * abs(fn(x)) ** 2, side.cut, side.endpoint,
+                cutoff=edge if math.isfinite(edge) else None)
+            if not res.converged:
                 raise FormIntegralDiverges(
                     f"function is not in L^2(r) toward the limit-point "
                     f"endpoint {side.end}"
@@ -319,8 +329,8 @@ def q_base(spec, bases, window, regime, f, g):
         return (fu1.conjugate() * gu1 / p(x)
                 + q(x) * fu.conjugate() * gu)
 
-    val, e, _, _ = _piecewise(middle, *_span(spec, all_sides),
-                              f.breaks + g.breaks)
+    val, e = _piecewise(middle, *_span(spec, all_sides),
+                        f.breaks + g.breaks)
     pieces["middle_dirichlet_integral"] = val
     err += e
 
@@ -342,7 +352,7 @@ def q_base(spec, bases, window, regime, f, g):
     return FormValue(value=value, pieces=pieces, error=err, window=window)
 
 
-def q_decorated(spec, bases, window, ext, f, g, base=None):
+def q_decorated(spec, bases, window, ext, f, g):
     """Form of the extension `ext` applied to (f, g): q_base(f, g) +
     (Theta Gamma0 f, Gamma0 g) from its decomposed boundary relation
     `ext.relation` over its LC ends `ext.lc_ends`.
@@ -352,14 +362,9 @@ def q_decorated(spec, bases, window, ext, f, g, base=None):
     mul Theta above CONSTRAINT_TOL (1 + max |g~|), over the g~ of both.  A
     separated angle 0 at an end puts that end in mul Theta (g~ = 0 there);
     any other angle t contributes -SIGMA[end] cot t to Theta.
-
-    `base`, if given, is the FormValue that
-    `q_base(spec, bases, window, ext.lc_ends, f, g)` returns; it is read,
-    not written, so a caller may hand the same base to other routes.
     """
     regime, rel = ext.lc_ends, ext.relation
-    if base is None:
-        base = q_base(spec, bases, window, regime, f, g)
+    base = q_base(spec, bases, window, regime, f, g)
 
     def gamma0(fn):
         return np.array([gbv(spec, bases["ab".index(end)], fn).tilde

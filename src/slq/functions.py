@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .expressions import Expr, quasi_pair
 
 
@@ -195,92 +193,10 @@ class BumpFn(AnalyticFn):
         return f"BumpFn(center={self.center}, width={self.width})"
 
 
-def _descending(poly):
-    """Coefficients of a numpy Polynomial, highest degree first, as Python
-    floats."""
-    return tuple(float(c) for c in reversed(poly.coef))
-
-
-def _horner(coeffs, x):
-    """The polynomial with `coeffs` (highest degree first) at a number x.
-
-    Horner in numpy's order; starting from 0.0 repeats numpy's `c[-1] + x*0`,
-    so the value is that of numpy.polynomial.Polynomial at x, in plain
-    floats for a float x.
-    """
-    acc = 0.0
-    for c in coeffs:
-        acc = c + acc * x
-    return acc
-
-
-class GaussianPoly(AnalyticFn):
-    """P(x) * exp(-x^2/2) with polynomial P; closed under differentiation.
-
-    Hermite functions H_n(x) exp(-x^2/2) are the n-th instances; used as
-    test functions for the oscillator-type whole-line problem.  `poly`
-    holds the coefficients of P, lowest degree first.  P and the
-    polynomials of the two derivatives are stored as Python floats and
-    evaluated by `_horner`.
-    """
-
-    def __init__(self, spec, poly):
-        self.spec = spec
-        p0 = np.polynomial.Polynomial(poly)
-        # (P e^{-x^2/2})' = (P' - x P) e^{-x^2/2}
-        x = np.polynomial.Polynomial([0.0, 1.0])
-        p1 = p0.deriv() - x * p0
-        p2 = p1.deriv() - x * p1
-        self._c0, self._c1, self._c2 = map(_descending, (p0, p1, p2))
-
-    @classmethod
-    def hermite(cls, spec, n):
-        coeffs = [0.0] * n + [1.0]
-        h = np.polynomial.hermite.herm2poly(coeffs)
-        return cls(spec, h)
-
-    def __call__(self, x):
-        return _horner(self._c0, x) * math.exp(-0.5 * x * x)
-
-    def d1(self, x):
-        return _horner(self._c1, x) * math.exp(-0.5 * x * x)
-
-    def d2(self, x):
-        return _horner(self._c2, x) * math.exp(-0.5 * x * x)
-
-    def __repr__(self):
-        return f"GaussianPoly({list(self._c0[::-1])})"
-
-
-class ExpDecay(AnalyticFn):
-    """P(x) * exp(-k x): decaying test functions for half-line problems.
-
-    Stored and evaluated like GaussianPoly."""
-
-    def __init__(self, spec, poly, k=1.0):
-        self.spec = spec
-        p0 = np.polynomial.Polynomial(poly)
-        self.k = float(k)
-        p1 = p0.deriv() - self.k * p0
-        p2 = p1.deriv() - self.k * p1
-        self._c0, self._c1, self._c2 = map(_descending, (p0, p1, p2))
-
-    def __call__(self, x):
-        return _horner(self._c0, x) * math.exp(-self.k * x)
-
-    def d1(self, x):
-        return _horner(self._c1, x) * math.exp(-self.k * x)
-
-    def d2(self, x):
-        return _horner(self._c2, x) * math.exp(-self.k * x)
-
-    def __repr__(self):
-        return f"ExpDecay({list(self._c0[::-1])}, k={self.k!r})"
-
-
 class LinearCombination(QuasiFn):
     """sum_i c_i f_i over quasi-functions f_i; its breaks are the union of
-    its members'."""
+    its members', and it covers where all its members do, which grows as
+    they grow."""
 
     def __init__(self, coeffs, fns):
         assert len(coeffs) == len(fns)
@@ -288,6 +204,14 @@ class LinearCombination(QuasiFn):
                        for c in coeffs]
         self.fns = list(fns)
         self.breaks = tuple(sorted({x for f in self.fns for x in f.breaks}))
+
+    @property
+    def x_min(self):
+        return max(f.x_min for f in self.fns)
+
+    @property
+    def x_max(self):
+        return min(f.x_max for f in self.fns)
 
     def pair(self, x):
         u = u1 = 0.0

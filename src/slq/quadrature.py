@@ -413,6 +413,7 @@ class ImproperResult:
     diverged: bool
     contributions: list = field(default_factory=list)
     partial_sums: list = field(default_factory=list)
+    reach: float = None  # far edge of the last window summed
 
 
 def improper_integral(f, start, endpoint, *, cutoff=None):
@@ -446,11 +447,13 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     diverged = False
     truncated_early = False
     unresolved = False
+    reach = pts[0]
     resolution = (NODE_RESOLUTION_FACTOR * math.ulp(endpoint)
                   if math.isfinite(endpoint) else 0.0)
     for lo, hi in zip(pts[:-1], pts[1:]):
         epsrel = max(1e-12, resolution / abs(endpoint - hi))
         val, err = panel(f, lo, hi, epsabs=WINDOW_EPSABS, epsrel=epsrel)
+        reach = hi
         total += val
         quad_err += err
         contribs.append(val)
@@ -469,7 +472,8 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     def verdict(value, error, converged, diverged):
         # An unresolved window decides nothing, divergence included.
         return ImproperResult(value, error, converged and not unresolved,
-                              diverged and not unresolved, contribs, sums)
+                              diverged and not unresolved, contribs, sums,
+                              reach)
 
     if diverged:
         return verdict(total, quad_err, False, True)

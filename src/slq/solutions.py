@@ -393,12 +393,11 @@ def construct_basis(spec, endpoint, tol=1e-11):
         # w is dominant; the principal companion is w(x) T(x) with T the
         # tail of the reduction integral.  u_hat = -w(c0) S w makes
         # W(u_hat, u) = 1 exact for u = w T / (w(c0) S).  T comes from a
-        # backward ODE started at the far edge of the window sweep; at an
-        # infinite endpoint the leftover beyond that edge is below the
-        # decayed window contributions and is safely dropped (an
-        # underestimate only shrinks the product, never inflates it).
-        pts = geometric_points(c0, end, cutoff=cutoff)
-        x_far = pts[len(res.partial_sums)]
+        # backward ODE started at the far edge of the window sweep
+        # (`res.reach`); at an infinite endpoint the leftover beyond that
+        # edge is below the decayed window contributions and is safely
+        # dropped (an underestimate only shrinks the product, never
+        # inflates it).
         if math.isfinite(end):
             tail0 = res.value - res.partial_sums[-1]
             if tail0 * math.copysign(1.0, res.value) < 0.0:
@@ -406,7 +405,7 @@ def construct_basis(spec, endpoint, tol=1e-11):
         else:
             tail0 = 0.0
         atol = TAIL_ATOL * (1.0 + abs(res.value))
-        tail = _tail_ode(spec, w, x_far, tail0, back_to, atol)
+        tail = _tail_ode(spec, w, res.reach, tail0, back_to, atol)
         S = float(tail.at(c0)[0])
         w_c0 = w.pair(c0)[0]
         u = ReductionSolution(spec, w, c0, tail, scale=1.0 / (w_c0 * S),

@@ -211,7 +211,7 @@ def _weighted_pairing(spec, bases, f, g_tau, g_breaks):
     return _pairing(spec, sides, f, g_tau, g_breaks)
 
 
-def form_from_relation(spec, bases, window, ext, f, g, base=None):
+def form_from_relation(spec, bases, window, ext, f, g):
     """Sesquilinear form of the extension `ext` through its boundary
     relation: the value of `forms.q_decorated`.
 
@@ -219,11 +219,9 @@ def form_from_relation(spec, bases, window, ext, f, g, base=None):
     is the Gamma0 vector of g restricted to the limit-circle ends
     `ext.lc_ends`.  Both arguments must have Lambda vectors inside the
     operator domain of the relation (no component along the multivalued
-    part).  `base`, if given, is the FormValue of
-    `q_base(spec, bases, window, ext.lc_ends, f, g)`; only its value is
-    read.
+    part).
     """
-    return q_decorated(spec, bases, window, ext, f, g, base=base).value
+    return q_decorated(spec, bases, window, ext, f, g).value
 
 
 def boundary_pair_check(spec, bases, window, samples=(), regime=REGIME_LC_LC):

@@ -29,8 +29,7 @@ from slq.forms import (
 )
 from slq.functions import (
     BumpFn,
-    ExpDecay,
-    GaussianPoly,
+    ExprFunction,
     LinearCombination,
     polynomial,
 )
@@ -86,10 +85,10 @@ def test_green_identity_two_lc(problem, request):
 def test_green_identity_one_lc(free_halfline, free_halfline_bases):
     spec, bases = free_halfline, free_halfline_bases
     pool = [
-        ExpDecay(spec, [1.0], k=1.0),
-        ExpDecay(spec, [0.0, 1.0], k=1.5),
-        ExpDecay(spec, [2.0, -1.0], k=1.0),
-        ExpDecay(spec, [1.0, 0.0, 1.0], k=2.0),
+        ExprFunction(spec, "exp(-x)"),
+        ExprFunction(spec, "x*exp(-1.5*x)"),
+        ExprFunction(spec, "(2 - x)*exp(-x)"),
+        ExprFunction(spec, "(1 + x**2)*exp(-2*x)"),
     ]
     n_pairs = 0
     for f in pool:
@@ -106,8 +105,8 @@ def test_limit_point_wronskian_vanishes(free_halfline):
     # The Wronskian of two maximal-domain members tends to zero at the
     # limit-point endpoint.
     spec = free_halfline
-    f = ExpDecay(spec, [1.0, 2.0], k=1.0)
-    g = ExpDecay(spec, [0.5, -1.0], k=1.5)
+    f = ExprFunction(spec, "(1 + 2*x)*exp(-x)")
+    g = ExprFunction(spec, "(0.5 - x)*exp(-1.5*x)")
     tail = [abs(wronskian(f, g, x)) for x in (5.0, 10.0, 15.0, 20.0)]
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     assert tail[-1] < 1e-6
@@ -118,9 +117,16 @@ def test_limit_point_wronskian_vanishes(free_halfline):
 # -------------------------------------------------------------------------
 
 
+def _hermite_function(spec, n):
+    """H_n(x) exp(-x^2/2), which solves tau h = (2n + 1) h for q = x^2."""
+    h = np.polynomial.hermite.herm2poly([0.0] * n + [1.0])
+    return ExprFunction(
+        spec, f"({polynomial(spec, h).expr.text})*exp(-x**2/2)")
+
+
 def test_lp_lp_identity_hermite(oscillator, oscillator_bases):
     spec, bases = oscillator, oscillator_bases
-    pool = [GaussianPoly.hermite(spec, n) for n in range(4)]
+    pool = [_hermite_function(spec, n) for n in range(4)]
     for f in pool:
         for g in pool:
             pairing = _weighted_pairing(spec, bases, f, g.tau, g.breaks)
@@ -182,10 +188,10 @@ def _windows(spec, bases, n=5):
 def _cut_pool(spec, bases, regime):
     if regime == REGIME_LC_LP:
         return [
-            ExpDecay(spec, [1.0], k=1.0),
-            ExpDecay(spec, [0.0, 1.0], k=1.5),
-            ExpDecay(spec, [2.0, -1.0], k=1.0),
-            ExpDecay(spec, [1.0, 0.0, 1.0], k=2.0),
+            ExprFunction(spec, "exp(-x)"),
+            ExprFunction(spec, "x*exp(-1.5*x)"),
+            ExprFunction(spec, "(2 - x)*exp(-x)"),
+            ExprFunction(spec, "(1 + x**2)*exp(-2*x)"),
             BumpFn(spec, center=2.0, width=1.0),
         ]
     return _two_lc_pool(spec, bases)
@@ -335,9 +341,9 @@ def _oracle_decoration(spec, bases, drawn, f, g):
 def _check_against_oracle(spec, bases, regime, ext, drawn, f, g):
     """q_decorated against q_base + the oracle on the drawn parameters, at
     1e-6 (1 + |q|)."""
-    base = q_base(spec, bases, None, regime, f, g)
-    want = base.value + _oracle_decoration(spec, bases, drawn, f, g)
-    q = q_decorated(spec, bases, None, ext, f, g, base=base).value
+    want = q_base(spec, bases, None, regime, f, g).value \
+        + _oracle_decoration(spec, bases, drawn, f, g)
+    q = q_decorated(spec, bases, None, ext, f, g).value
     assert abs(q - want) <= 1e-6 * (1 + abs(want)), (ext, q, want)
 
 
@@ -411,8 +417,10 @@ def test_cross_path_coupled_r12_zero(dirichlet, dirichlet_bases):
 def test_cross_path_one_lc(free_halfline, free_halfline_bases):
     spec, bases = free_halfline, free_halfline_bases
     rng = np.random.default_rng(5)
-    pool = [ExpDecay(spec, rng.uniform(-1, 1, 2), k=k)
-            for k in (1.0, 1.5, 2.0, 2.5)]
+    pool = []
+    for k in (1.0, 1.5, 2.0, 2.5):
+        c0, c1 = map(float, rng.uniform(-1, 1, 2))
+        pool.append(ExprFunction(spec, f"({c0!r} + ({c1!r})*x)*exp(-{k}*x)"))
     for trial in range(50):
         alpha = rng.uniform(0.05, math.pi - 0.05)
         ext = OneLC(alpha=alpha, lc_endpoint="a")
@@ -425,7 +433,7 @@ def test_cross_path_one_lc(free_halfline, free_halfline_bases):
 def test_cross_path_lp_lp(oscillator, oscillator_bases):
     spec, bases = oscillator, oscillator_bases
     rng = np.random.default_rng(6)
-    pool = [GaussianPoly.hermite(spec, n) for n in range(3)]
+    pool = [_hermite_function(spec, n) for n in range(3)]
     for trial in range(50):
         f = pool[rng.integers(len(pool))]
         g = pool[rng.integers(len(pool))]

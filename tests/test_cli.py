@@ -14,7 +14,7 @@ from slq.cli import (
 )
 from slq.extensions import Coupled, OneLC, Separated
 from slq.forms import q_decorated
-from slq.functions import ExpDecay
+from slq.functions import ExprFunction
 
 
 @pytest.fixture
@@ -301,7 +301,7 @@ def test_form_one_lc_keeps_the_lp_end_lp(free_halfline, free_halfline_bases):
     # decoration -cot(alpha) |f(0)|^2.
     ext = OneLC(0.8, "a")
     for k in (1.0, 1.5):
-        f = ExpDecay(free_halfline, [1.0], k)
+        f = ExprFunction(free_halfline, f"exp(-{k}*x)")
         form = q_decorated(free_halfline, free_halfline_bases, None, ext, f,
                            f)
         assert form.pieces["boundary_correction_d"] == 0

@@ -13,6 +13,7 @@ from slq.bvalues import patched_pair
 from slq.errors import (
     DomainConstraintViolated,
     EvaluationOutsideSupport,
+    FormIntegralDiverges,
     VariantMismatch,
     WindowInvalid,
 )
@@ -21,6 +22,7 @@ from slq.extensions import Coupled, OneLC, Separated
 from slq.forms import (
     REGIME_LC_LC,
     REGIME_LC_LP,
+    REGIME_LP_LC,
     REGIME_LP_LP,
     SIGMA,
     FormWindow,
@@ -31,8 +33,6 @@ from slq.forms import (
 from slq.functions import (
     BumpFn,
     ExprFunction,
-    ExpDecay,
-    GaussianPoly,
     LinearCombination,
     polynomial,
 )
@@ -147,8 +147,8 @@ def test_green_identity_legendre(legendre, legendre_bases):
 
 
 def test_one_lc_form_and_green(free_halfline, free_halfline_bases):
-    f = ExpDecay(free_halfline, [1.0], k=1.0)
-    g = ExpDecay(free_halfline, [0.0, 1.0], k=1.5)
+    f = ExprFunction(free_halfline, "exp(-x)")
+    g = ExprFunction(free_halfline, "x*exp(-1.5*x)")
     # Q(f, g) = int_0^inf f' g' = -0.16 for these decaying pairs.
     fv = q_base(free_halfline, free_halfline_bases, None, REGIME_LC_LP, f, g)
     assert fv.value == pytest.approx(-0.16, abs=1e-9)
@@ -159,8 +159,8 @@ def test_one_lc_form_and_green(free_halfline, free_halfline_bases):
 
 def test_one_lc_decoration(free_halfline, free_halfline_bases):
     alpha = 0.3
-    f = ExpDecay(free_halfline, [1.0], k=1.0)
-    g = ExpDecay(free_halfline, [2.0, 1.0], k=1.5)
+    f = ExprFunction(free_halfline, "exp(-x)")
+    g = ExprFunction(free_halfline, "(2 + x)*exp(-1.5*x)")
     base = q_base(free_halfline, free_halfline_bases, None,
                   REGIME_LC_LP, f, g).value
     fv = q_decorated(free_halfline, free_halfline_bases, None,
@@ -171,8 +171,8 @@ def test_one_lc_decoration(free_halfline, free_halfline_bases):
 
 def test_lp_lp_oscillator_identity(oscillator, oscillator_bases):
     # tau h_n = (2n + 1) h_n for Hermite functions; Q is the Rayleigh form.
-    h0 = GaussianPoly.hermite(oscillator, 0)
-    h1 = GaussianPoly.hermite(oscillator, 1)
+    h0 = ExprFunction(oscillator, "exp(-x**2/2)")
+    h1 = ExprFunction(oscillator, "2*x*exp(-x**2/2)")
     fv = q_base(oscillator, oscillator_bases, None, REGIME_LP_LP, h0, h0)
     assert fv.value == pytest.approx(math.sqrt(math.pi), abs=1e-9)
     cross = q_base(oscillator, oscillator_bases, None, REGIME_LP_LP, h0, h1)
@@ -180,6 +180,31 @@ def test_lp_lp_oscillator_identity(oscillator, oscillator_bases):
     res = green_identity_residual(oscillator, oscillator_bases, None,
                                   h0, h1, regime=REGIME_LP_LP)
     assert abs(res) < 1e-9
+
+
+def test_l2_check_runs_to_the_edge_of_the_functions_own_support():
+    # bessel(1.5) is limit point at 0, where u's support ends at 1.9e-6.
+    # r |f|^2 is integrated toward 0 up to the edge of f's support: the
+    # bounded 1 + x/4 was once refused as outside L^2(r) because the sweep
+    # stopped at u's edge.  u and v2 are principal at 0, u_hat and v1 are
+    # not; x^-0.4 is square integrable there and 1/x is not.
+    spec = catalog("bessel(1.5)")
+    validate(spec)
+    bases = (construct_basis(spec, "a"), construct_basis(spec, "b"))
+    sides = [side for side in forms._sides(
+        spec, bases, forms.default_window(spec, *bases), REGIME_LP_LC)
+        if side is not None]
+    assert [side.end for side in sides] == ["a"]
+    assert sides[0].cutoff > 1e-6
+    pp = patched_pair(spec, *bases)
+    accepted = [ExprFunction(spec, "1 + 0.25*x"),
+                ExprFunction(spec, "x**(-0.4)"), bases[0].u, pp.v2]
+    refused = [ExprFunction(spec, "1/x"), bases[0].u_hat, pp.v1]
+    for fn in accepted:
+        forms._check_square_integrable(spec, sides, (fn,))
+    for fn in refused:
+        with pytest.raises(FormIntegralDiverges, match="endpoint a"):
+            forms._check_square_integrable(spec, sides, (fn,))
 
 
 @pytest.mark.parametrize("regime", [REGIME_LP_LP, REGIME_LC_LP])
@@ -455,8 +480,10 @@ def _regular_end_cases(problem, request):
         bases = request.getfixturevalue("free_halfline_bases")
         return spec, bases, REGIME_LC_LP, [
             (BumpFn(spec, 0.1, 0.75), BumpFn(spec, -0.1, 0.72)),
-            (GaussianPoly(spec, [1.0, 0.25]), GaussianPoly(spec, [0.5, -0.5])),
-            (ExpDecay(spec, [1.0], k=1.0), ExpDecay(spec, [0.0, 1.0], k=1.5))]
+            (ExprFunction(spec, "(1 + 0.25*x)*exp(-x**2/2)"),
+             ExprFunction(spec, "(0.5 - 0.5*x)*exp(-x**2/2)")),
+            (ExprFunction(spec, "exp(-x)"),
+             ExprFunction(spec, "x*exp(-1.5*x)"))]
     if problem == "bessel(0.3)":
         # Regular at b = 1; the functions vanish fast enough at the
         # singular end a = 0 to lie in the form domain.
@@ -489,7 +516,7 @@ def _cut_and_regularized(spec, bases, regime, f, g):
         gu, gu1 = g.pair(x)
         return fu1 * gu1 / p(x) + q(x) * fu * gu
 
-    value, err, _, _ = forms._piecewise(middle, window.c, window.d, breaks)
+    value, err = forms._piecewise(middle, window.c, window.d, breaks)
     pieces = q_base(spec, bases, window, regime, f, g).pieces
     value += sum(v for name, v in pieces.items()
                  if name != "middle_dirichlet_integral")
@@ -508,7 +535,7 @@ def _cut_and_regularized(spec, bases, regime, f, g):
             ng = (gu1 * wu - gu * wu1) / (root_p * wu)
             return nf * ng + spec.lambda0 * r(x) * fu * gu
 
-        val, e, _, _ = forms._piecewise(side, cut, endpoint, breaks)
+        val, e = forms._piecewise(side, cut, endpoint, breaks)
         wu, wu1 = w.pair(cut)
         value += -SIGMA[end] * val + SIGMA[end] * (wu1 / wu) * f(cut) * g(cut)
         err += e

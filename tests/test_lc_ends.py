@@ -31,7 +31,7 @@ from slq.forms import (
     q_base,
     q_decorated,
 )
-from slq.functions import ExpDecay, GaussianPoly, polynomial
+from slq.functions import ExprFunction, polynomial
 from slq.problem import problem_from_dict, validate
 from slq.solutions import construct_basis
 from slq.triplets import boundary_pair_check, form_from_relation
@@ -47,8 +47,14 @@ def _bases(spec):
 
 
 def _decaying_pair(spec):
-    return (ExpDecay(spec, [1.0, 0.5], k=1.0),
-            ExpDecay(spec, [0.3, -1.0], k=1.5))
+    return (ExprFunction(spec, "(1 + 0.5*x)*exp(-x)"),
+            ExprFunction(spec, "(0.3 - x)*exp(-1.5*x)"))
+
+
+def _gaussian(spec, coeffs):
+    """P(x) exp(-x^2/2) for P with `coeffs`, lowest degree first."""
+    return ExprFunction(
+        spec, f"({polynomial(spec, coeffs).expr.text})*exp(-x**2/2)")
 
 
 def _mirror(coeffs):
@@ -127,8 +133,8 @@ def test_one_lc_at_b_attempt_leaves_one_lc_at_a_alone(free_halfline):
 def test_no_library_call_writes_into_the_bases(
         free_halfline, free_halfline_bases, mirrored, mirrored_bases):
     f, g = _decaying_pair(free_halfline)
-    hf = GaussianPoly(mirrored, [1.0, -0.25])
-    hg = GaussianPoly(mirrored, [0.5, 0.5])
+    hf = _gaussian(mirrored, [1.0, -0.25])
+    hg = _gaussian(mirrored, [0.5, 0.5])
     calls = [
         (free_halfline_bases,
          lambda b: q_base(free_halfline, b, None, REGIME_LC_LP, f, g)),
@@ -199,18 +205,18 @@ def test_one_lc_at_b_mirrors_one_lc_at_a(alpha, free_halfline,
                    ([0.5, -0.5], [0.3, 0.0, -0.2])):
         want = q_decorated(free_halfline, free_halfline_bases, None,
                            OneLC(math.pi - alpha, "a"),
-                           GaussianPoly(free_halfline, cf),
-                           GaussianPoly(free_halfline, cg)).value
+                           _gaussian(free_halfline, cf),
+                           _gaussian(free_halfline, cg)).value
         got = q_decorated(mirrored, mirrored_bases, None, OneLC(alpha, "b"),
-                          GaussianPoly(mirrored, _mirror(cf)),
-                          GaussianPoly(mirrored, _mirror(cg))).value
+                          _gaussian(mirrored, _mirror(cf)),
+                          _gaussian(mirrored, _mirror(cg))).value
         assert abs(got - want) <= 1e-12, (cf, cg, got, want)
 
 
 def test_green_identity_lp_lc(mirrored):
     bases = _bases(mirrored)
-    f = GaussianPoly(mirrored, [1.0, -0.25])
-    g = GaussianPoly(mirrored, [0.5, 0.5])
+    f = _gaussian(mirrored, [1.0, -0.25])
+    g = _gaussian(mirrored, [0.5, 0.5])
     res = green_identity_residual(mirrored, bases, None, f, g,
                                   regime=REGIME_LP_LC)
     assert abs(res) <= 1e-10
@@ -255,11 +261,12 @@ def _decoration_case(request, name):
     if name == "mirrored":
         spec = request.getfixturevalue("mirrored")
         return (spec, request.getfixturevalue("mirrored_bases"),
-                OneLC(0.8, "b"), GaussianPoly(spec, [1.0, -0.25]),
-                GaussianPoly(spec, [0.5, 0.5]))
+                OneLC(0.8, "b"), _gaussian(spec, [1.0, -0.25]),
+                _gaussian(spec, [0.5, 0.5]))
     spec = request.getfixturevalue("oscillator")
+    h0, h1 = (np.polynomial.hermite.herm2poly(c) for c in ([1.0], [0.0, 1.0]))
     return (spec, request.getfixturevalue("oscillator_bases"), LpLp(),
-            GaussianPoly.hermite(spec, 0), GaussianPoly.hermite(spec, 1))
+            _gaussian(spec, h0), _gaussian(spec, h1))
 
 
 @pytest.mark.parametrize("name",

@@ -46,6 +46,20 @@ def test_improper_divergent_detected():
     assert res.diverged
 
 
+@pytest.mark.parametrize("f, start, endpoint, cutoff", [
+    (lambda x: 1 / math.sqrt(x), 1.0, 0.0, None),      # converges
+    (lambda x: 1 / x, 1.0, 0.0, None),                 # diverges
+    (lambda x: math.exp(-x), 0.0, math.inf, None),     # truncated early
+    (lambda x: 1 / math.sqrt(x), 1.0, 0.0, 1e-3),      # stopped at cutoff
+    (lambda x: 1.0, 1.0, 0.0, -math.inf),              # no window at all
+])
+def test_improper_reach_is_the_far_edge_of_the_last_window(f, start,
+                                                           endpoint, cutoff):
+    res = improper_integral(f, start, endpoint, cutoff=cutoff)
+    pts = geometric_points(start, endpoint, cutoff=cutoff)
+    assert res.reach == pts[len(res.partial_sums)]
+
+
 def test_improper_unresolved_window_is_undecided():
     # The third window, [0.125, 0.25], holds the double pole at 0.2: its
     # panel misses its tolerance, and the sweep is undecided rather than

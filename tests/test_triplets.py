@@ -23,8 +23,8 @@ from slq.triplets import (
     validate_pair,
 )
 from slq.bvalues import patched_pair
-from slq.forms import REGIME_LC_LC, REGIME_LC_LP, q_base, q_decorated
-from slq.functions import BumpFn, ExprFunction, GaussianPoly, polynomial
+from slq.forms import q_decorated
+from slq.functions import BumpFn, ExprFunction, polynomial
 
 
 def _theta_full(rel):
@@ -191,33 +191,6 @@ def test_cross_path_equality_separated(dirichlet, dirichlet_bases):
     q1 = q_decorated(dirichlet, dirichlet_bases, None, ext, f, g).value
     q2 = form_from_relation(dirichlet, dirichlet_bases, None, ext, f, g)
     assert q1 == pytest.approx(q2, abs=1e-12)
-
-
-def test_routes_on_a_shared_base_equal_their_own(dirichlet, dirichlet_bases,
-                                                 free_halfline,
-                                                 free_halfline_bases):
-    # A base handed in gives what each route computes alone, and neither
-    # route writes into it.
-    cases = [
-        (dirichlet, dirichlet_bases, REGIME_LC_LC, Separated(0.9, 2.1),
-         polynomial(dirichlet, [1.0, -0.3]),
-         polynomial(dirichlet, [0.4, 0.4, -0.1])),
-        (free_halfline, free_halfline_bases, REGIME_LC_LP, OneLC(0.8, "a"),
-         GaussianPoly(free_halfline, [1.0, 0.25]),
-         BumpFn(free_halfline, center=0.1, width=0.75)),
-    ]
-    for spec, bases, regime, ext, f, g in cases:
-        for u, v in ((f, g), (f, f), (g, f)):
-            base = q_base(spec, bases, None, regime, u, v)
-            value, pieces = base.value, dict(base.pieces)
-            alone = q_decorated(spec, bases, None, ext, u, v)
-            shared = q_decorated(spec, bases, None, ext, u, v, base=base)
-            assert shared.value == alone.value
-            assert shared.pieces == alone.pieces
-            assert form_from_relation(spec, bases, None, ext, u, v,
-                                      base=base) \
-                == form_from_relation(spec, bases, None, ext, u, v)
-            assert base.value == value and base.pieces == pieces
 
 
 def test_form_from_relation_domain_constraint(dirichlet, dirichlet_bases):
