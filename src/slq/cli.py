@@ -400,7 +400,9 @@ class _Parser(argparse.ArgumentParser):
 
 # Options that several subcommands read.
 TOL = {"type": _positive, "default": 1e-6}
-WINDOW = {"type": _parse_window, "default": None}
+WINDOW = {"type": _parse_window, "default": None, "help": (
+    "the cut points c,d, written --window=c,d: argparse takes a separate "
+    "value that starts with '-', as in --window -0.95,0.95, for an option")}
 REQUIRED = {"required": True}
 
 

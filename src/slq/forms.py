@@ -19,23 +19,34 @@ endpoint itself and the end adds no piece.  Each singular end is one
 `Side` record (`_sides`): its reference solution w, its cut point (c at
 a, d at b) and the cutoff where w's support ends toward the endpoint.  The
 form, the L^2 check, the Green pairing and the triplet pairing all read
-their per-end data from it, and every per-end sign from SIGMA.  A side is
-improper_integral's windowed sweep toward its endpoint; the L^2 check
+their per-end data from it, and every per-end sign from SIGMA.
+
+A limit-circle side's N-integral is a proper integral in s = u/u_hat
+(Niessen and Zettl's regularisation).  Since N_w f = W(u_hat, f) /
+(p^{1/2} u_hat) and ds = dx / (p u_hat^2) by W(u_hat, u) = 1, it is
+int |W(u_hat, f)|^2 ds over the finite s-interval from 0 (the endpoint)
+to s(cut), with an integrand that tends to |f~'|^2: one adaptive panel in
+s up to the edge of the basis coverage and a closed-form piece beyond it
+(`_side_n_integral`).  x(s) comes from the side's `SMap`, built on first
+use and kept on the basis.  Every other side integral (a limit-point
+side's N-integral, the lambda0 mass, the pairings) is improper_integral's
+windowed sweep in x toward the endpoint (`Side.integral`); the L^2 check
 stops it at the edge of the checked function's own support instead.
 
-Every proper integral (the middle Dirichlet integral, the middle of a
-pairing, each from the cut at a singular end or from a regular endpoint,
-`_span`) is split at the `breaks` of its functions that lie strictly inside
-its span, the points where a function stops being analytic (a blend
-window's edges, a bump's support edges), and each piece is one adaptive
-panel (`_piecewise`).  That is QUADPACK's own remedy for known interior
+Every proper integral in x (the middle Dirichlet integral, the middle of
+a pairing, each from the cut at a singular end or from a regular
+endpoint, `_span`) is split at the `breaks` of its functions that lie
+strictly inside its span, the points where a function stops being
+analytic (a blend window's edges, a bump's support edges), and each piece
+is one adaptive panel (`_piecewise`).  That is QUADPACK's own remedy for known interior
 break points (dqagp): a single panel across a kink bisects its way onto
 it, spends most of its nodes there, and can return a value off by more
 than its error estimate.
 
 The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
-inside each side integrand, not an object: a quadrature node looks w up
-once and evaluates p once for both N_w f and N_w g.  Every per-node
+inside each side integrand, not an object: a node of a limit-point side
+looks w up once and evaluates p once for both N_w f and N_w g, and a node
+of a limit-circle side reads u_hat from its root-finding.  Every per-node
 callback works in plain Python numbers (`.conjugate()`), not numpy
 scalars.  Whether an integrand is complex is decided by its quadrature
 nodes (`_complex`): it is integrated as a real function, and as a real
@@ -54,6 +65,7 @@ the extension's decomposed boundary relation (`ExtensionSpec.relation`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,10 +75,11 @@ from .errors import (
     BasisVanishes,
     DomainConstraintViolated,
     FormIntegralDiverges,
+    NoConvergence,
     VariantMismatch,
     WindowInvalid,
 )
-from .quadrature import _complex, improper_integral, panel
+from .quadrature import _complex, geometric_points, improper_integral, panel
 
 REGIME_LC_LC = ("a", "b")
 REGIME_LC_LP = ("a",)   # LC at a, LP at b
@@ -79,6 +92,9 @@ SIGMA = {"a": 1.0, "b": -1.0}
 # Relative size of a Gamma0 component along mul Theta that puts a function
 # outside the domain of an extension's form.
 CONSTRAINT_TOL = 1e-6
+
+# Cap on SMap.node's Newton steps; from a knot bracket it takes 3 to 6.
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -185,73 +201,169 @@ def _piecewise(fn, lo, hi, breaks):
     return val, err
 
 
-def _side_n_integral(spec, side, f, g):
-    """One side's N-integral as the true integral from the endpoint to cut.
+class SMap:
+    """x(s) on one limit-circle side, s = u/u_hat.
 
-    The integrand is conj(N_w f) N_w g with the N-operator of the reference
-    solution w, N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w); each node looks
-    up w and evaluates p once.  At a limit-circle side (w = u_hat) the
-    slowly decaying part of the integrand, conj(f~') g~' / (p u_hat^2), is
-    split off and summed in closed form: (u/u_hat)' = -1/(p u_hat^2) by
-    the Wronskian normalization, so its integral telescopes to a boundary
-    evaluation at the cut.  The remainder decays fast enough for the window
-    extrapolation to reach ~1e-12.
+    s increases with x (s' = W(u_hat, u) / (p u_hat^2) = 1/(p u_hat^2)) and
+    tends to 0 at the endpoint, where u is principal.  The map holds s at
+    knots from the cut to the edge of the basis coverage toward the
+    endpoint (the geometric window points, then the edge itself), in
+    ascending x.  `node(s)` brackets s between two knots and runs Newton's
+    method with the exact s', bisecting whenever a step leaves the bracket;
+    it keeps each answer, (x, u_hat(x), u_hat^[1](x)), so that a node's
+    integrand reads u_hat from the root-finder's own last lookup.  Every
+    trial point is looked up through `fresh_pair`, so root-finding writes
+    nothing into the trajectories' pair memos; the knots go through the
+    memoized pairs, since the form reads the cut and the edge again.  One
+    map serves every form on its (basis, cut) (`_s_map`).
     """
-    basis, cut = side.basis, side.cut
-    p = spec.p.scalar
-    w_pair = side.w.pair
+
+    def __init__(self, spec, side):
+        basis = side.basis
+        self.p = spec.p.scalar
+        self.u = basis.u.fresh_pair
+        self.u_hat = basis.u_hat.fresh_pair
+        edge = basis.coverage[0] if side.end == "a" else basis.coverage[1]
+        xs = geometric_points(side.cut, side.endpoint, cutoff=edge)
+        if xs[-1] != edge:
+            xs.append(edge)
+        if side.end == "a":
+            xs.reverse()
+        self.xs = xs
+        self.ss = []
+        self._nodes = {}  # s -> (x, u_hat(x), u_hat^[1](x))
+        for x in xs:
+            s, _, hu, hu1 = self._s(x, basis.u.pair, basis.u_hat.pair)
+            self.ss.append(s)
+            self._nodes[s] = (x, hu, hu1)
+        self.edge = edge
+        self.s_edge = self.ss[0] if side.end == "a" else self.ss[-1]
+        self.s_cut = self.ss[-1] if side.end == "a" else self.ss[0]
+
+    def _s(self, x, u_pair=None, u_hat_pair=None):
+        """(s, s', u_hat, u_hat^[1]) at x, through the given pair lookups
+        of u and u_hat, fresh ones by default."""
+        hu, hu1 = (u_hat_pair or self.u_hat)(x)
+        if hu == 0.0:
+            raise BasisVanishes(f"reference solution vanishes at x={x}")
+        return ((u_pair or self.u)(x)[0] / hu, 1.0 / (self.p(x) * hu * hu),
+                hu, hu1)
+
+    def node(self, s):
+        """(x(s), u_hat, u_hat^[1]) at s."""
+        try:
+            return self._nodes[s]
+        except KeyError:
+            pass
+        ss, xs = self.ss, self.xs
+        k = min(max(bisect_left(ss, s), 1), len(ss) - 1)
+        lo, hi = xs[k - 1], xs[k]
+        x = lo + (s - ss[k - 1]) * (hi - lo) / (ss[k] - ss[k - 1])
+        for _ in range(NEWTON_STEPS):
+            sx, ds, hu, hu1 = self._s(x)
+            if sx < s:
+                lo = x
+            elif sx > s:
+                hi = x
+            else:
+                break
+            step = (s - sx) / ds
+            # Converged to the resolution of x, or of s.
+            if abs(step) <= 4.0 * math.ulp(x) \
+                    or abs(s - sx) <= 4.0 * math.ulp(s):
+                break
+            x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        node = self._nodes[s] = (x, hu, hu1)
+        return node
+
+
+def _s_map(spec, side):
+    """The SMap of a limit-circle side, built on first use and kept on its
+    basis by cut."""
+    maps = side.basis._s_maps
+    smap = maps.get(side.cut)
+    if smap is None:
+        smap = maps[side.cut] = SMap(spec, side)
+    return smap
+
+
+def _side_n_integral(spec, side, f, g):
+    """(value, error) of one side's N-integral, int conj(N_w f) N_w g from
+    the endpoint to the cut, with N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w).
+
+    At a limit-circle side (w = u_hat) it is the proper integral
+    int conj(W(u_hat, f)) W(u_hat, g) ds over s = u/u_hat, since
+    |N_w f|^2 dx = |W(u_hat, f)|^2 ds: one adaptive `panel` in s from the
+    s-map's edge to the cut, where x(s) comes from the side's SMap, plus
+    the piece between s = 0 and the edge, where the integrand is near its
+    limit conj(f~') g~' (the memoized `gbv`): s_edge conj(f~') g~', with
+    the integrand's change over the piece and the g~' errors as its
+    error.  A g~' that does not exist (W(u_hat, f) unbounded at the end,
+    `gbv`'s NoConvergence) refuses the form.
+
+    At a limit-point side (w = u) it is `improper_integral`'s windowed
+    sweep in x toward the endpoint; each node looks up w and evaluates p
+    once.
+    """
     f_pair = f.pair
     g_pair = g.pair
+    if side.lc:
+        smap = _s_map(spec, side)
 
-    def n_pair(x):
-        """(N_w f, N_w g, p, w) at x."""
+        def wronskians(s):
+            """(W(u_hat, f), W(u_hat, g)) at s."""
+            x, hu, hu1 = smap.node(s)
+            fu, fu1 = f_pair(x)
+            wf = hu * fu1 - hu1 * fu
+            if g is f:
+                return wf, wf
+            gu, gu1 = g_pair(x)
+            return wf, hu * gu1 - hu1 * gu
+
+        def integrand(s):
+            wf, wg = wronskians(s)
+            return wf.conjugate() * wg
+
+        try:
+            vf = gbv(spec, side.basis, f)
+            vg = vf if g is f else gbv(spec, side.basis, g)
+        except NoConvergence as exc:
+            raise FormIntegralDiverges(
+                f"N-integral toward endpoint {side.end}: {exc}") from None
+        limit = vf.tilde_prime.conjugate() * vg.tilde_prime
+        wf, wg = wronskians(smap.s_edge)
+        val, err, _, _ = _complex(panel, integrand,
+                                  *sorted((smap.s_edge, smap.s_cut)))
+        tail = SIGMA[side.end] * smap.s_edge * limit
+        err += abs(smap.s_edge) * (
+            abs(wf.conjugate() * wg - limit)
+            + abs(vf.tilde_prime) * vg.tilde_prime_error
+            + abs(vg.tilde_prime) * vf.tilde_prime_error)
+        return val + tail, err
+
+    p = spec.p.scalar
+    w_pair = side.w.pair
+
+    def integrand(x):
+        """conj(N_w f) N_w g at x."""
         wu, wu1 = w_pair(x)
         if wu == 0.0:
             raise BasisVanishes(f"reference solution vanishes at x={x}")
-        px = p(x)
+        root_p = math.sqrt(p(x))
         fu, fu1 = f_pair(x)
-        nf = (fu1 * wu - fu * wu1) / (math.sqrt(px) * wu)
+        nf = (fu1 * wu - fu * wu1) / (root_p * wu)
         if g is f:
-            return nf, nf, px, wu
+            return nf.conjugate() * nf
         gu, gu1 = g_pair(x)
-        return nf, (gu1 * wu - gu * wu1) / (math.sqrt(px) * wu), px, wu
-
-    lead = 0.0
-    lead_err = 0.0
-    if side.lc:
-        # The split integral(endpoint, cut) of c/(p u_hat^2) = c*J is an
-        # exact identity for ANY constant c, so pick the constant that
-        # best flattens the tail: the N-operator product evaluated at the
-        # farthest trustworthy point.  This avoids inheriting the
-        # extrapolation error of the generalized boundary values, which
-        # would leave a spurious log-divergent residue.
-        nf, ng, px, wu = n_pair(side.cutoff)
-        coeff = nf.conjugate() * ng * px * wu * wu
-        uu = basis.u(cut)
-        hu = basis.u_hat(cut)
-        # J = integral of 1/(p u_hat^2) from the endpoint to the cut.
-        # The split is an identity for any constant, so the only error
-        # in the lead term is the basis accuracy at the cut itself.
-        J = SIGMA[side.end] * uu / hu
-        lead = coeff * J
-        lead_err = 1e-12 * (1.0 + abs(lead))
-
-        # w is u_hat here, so the subtracted c/(p u_hat^2) reuses the
-        # node's lookup of w.
-        def integrand(x):
-            nf, ng, px, wu = n_pair(x)
-            return nf.conjugate() * ng - coeff / (px * wu * wu)
-    else:
-        def integrand(x):
-            nf, ng, _, _ = n_pair(x)
-            return nf.conjugate() * ng
+        ng = (gu1 * wu - gu * wu1) / (root_p * wu)
+        return nf.conjugate() * ng
 
     val, e, ok, div = side.integral(integrand)
     if div or not ok:
         raise FormIntegralDiverges(
             f"N-integral toward endpoint {side.end} does not converge"
         )
-    return lead + val, e + lead_err
+    return val, e
 
 
 def _check_square_integrable(spec, sides, fns):

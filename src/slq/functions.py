@@ -45,6 +45,12 @@ class QuasiFn:
     def qd(self, x):
         return self.pair(x)[1]
 
+    def fresh_pair(self, x):
+        """pair(x) without filling a memo, for points asked for once (a
+        root-finder's trial points): `pair` itself, unless the class
+        memoizes (MemoizedQuasiFn) or scales one that does."""
+        return self.pair(x)
+
     def tau(self, x):
         raise NotImplementedError(
             f"{type(self).__name__} does not define tau")
@@ -63,7 +69,8 @@ class MemoizedQuasiFn(QuasiFn):
     return what a miss returns, bit for bit and in type, whether the first
     caller passed a float or a numpy float.  The dict is cleared when it
     holds PAIR_MEMO_SIZE entries; a subclass whose values can change must
-    clear it when they do.
+    clear it when they do.  `fresh_pair(x)` computes the pair without
+    reading or writing the memo.
     """
 
     def pair(self, x):
@@ -76,6 +83,9 @@ class MemoizedQuasiFn(QuasiFn):
             memo.clear()
         out = memo[x] = self._pair(float(x))
         return out
+
+    def fresh_pair(self, x):
+        return self._pair(float(x))
 
     def _pair(self, x):
         raise NotImplementedError

@@ -135,6 +135,10 @@ class ScalarMultiple(QuasiFn):
         u, u1 = self.fn.pair(x)
         return self.c * u, self.c * u1
 
+    def fresh_pair(self, x):
+        u, u1 = self.fn.fresh_pair(x)
+        return self.c * u, self.c * u1
+
     def tau(self, x):
         return self.c * self.fn.tau(x)
 
@@ -214,6 +218,9 @@ class SolutionBasis:
     # bvalues.gbv's memo: id(g) -> (g, values).
     _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # forms' s-maps of the limit-circle sides: cut -> SMap.
+    _s_maps: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @cached_property
     def trust_interval(self):

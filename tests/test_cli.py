@@ -252,6 +252,33 @@ def test_a_bad_window_is_refused_when_the_options_are_parsed(specfile,
         assert "--window expects 'c,d'" in capsys.readouterr().err
 
 
+def test_a_window_with_a_negative_cut_parses_after_an_equals_sign(capsys):
+    # argparse reads "--window -0.95,0.95" as a flag without its value;
+    # "--window=-0.95,0.95" gives it the cut c = -0.95, and the option's
+    # help says so.
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["form", "spec.json", "--f", "x", "--g", "x", "--window=-0.95,0.95"])
+    assert (args.window.c, args.window.d) == (-0.95, 0.95)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["form", "--help"])
+    assert "--window=c,d" in capsys.readouterr().out
+
+
+def test_form_on_legendre_at_a_negative_cut(specfile, capsys):
+    # The Friedrichs form of x^4 on Legendre with the cuts at -0.95 and
+    # 0.95: int (1 - x^2) (4x^3)^2 dx = 64/63.
+    path = specfile({"coefficients": {"catalog": "legendre"},
+                     "extension": {"kind": "separated", "alpha": 0.0,
+                                   "beta": 0.0}})
+    code, report = _run(capsys, ["form", path, "--f", "poly:0,0,0,0,1",
+                                 "--g", "poly:0,0,0,0,1",
+                                 "--window=-0.95,0.95"])
+    assert code == EXIT_OK
+    assert report["form"]["window"] == [-0.95, 0.95]
+    assert abs(report["form"]["value"] - 64 / 63) <= 1e-9
+
+
 def test_triplet_cross_path_on_half_line(specfile, capsys):
     # Every sample must be square integrable on (0, inf).
     path = specfile({

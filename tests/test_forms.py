@@ -36,7 +36,7 @@ from slq.functions import (
     LinearCombination,
     polynomial,
 )
-from slq.odecore import ScaledSolution, tau_apply
+from slq.odecore import ScaledSolution, integrate_tau, tau_apply
 from slq.problem import catalog, validate
 from slq.quadrature import _complex, improper_integral, panel
 from slq.solutions import construct_basis
@@ -346,16 +346,33 @@ def _count_quad_evals(monkeypatch, counts):
 
 
 def test_q_base_looks_up_the_reference_once_per_node(legendre, monkeypatch):
-    # Each node of a side integral looks the reference solution up once,
-    # so trajectory lookups cannot outnumber QUADPACK's integrand calls.
+    # A node of an x-panel looks each trajectory up at most once, so the
+    # lookups made outside the s-maps' root-finding cannot outnumber
+    # QUADPACK's integrand calls.  A node of an LC side's s-panel reads
+    # u_hat from its root-finding, which takes each new node once, in a
+    # few Newton steps of one lookup of u and one of u_hat each.
     bases = _fresh_bases(legendre)
     counts = {"lookups": 0, "evals": 0}
     _count_quad_evals(monkeypatch, counts)
     _count_lookups(monkeypatch, counts)
+    finding = {"lookups": 0, "nodes": 0}
+    real_node = forms.SMap.node
+
+    def counting_node(self, s):
+        if s in self._nodes:
+            return real_node(self, s)
+        before = counts["lookups"]
+        out = real_node(self, s)
+        finding["lookups"] += counts["lookups"] - before
+        finding["nodes"] += 1
+        return out
+
+    monkeypatch.setattr(forms.SMap, "node", counting_node)
     f = polynomial(legendre, [0.0, 1.0])
     g = polynomial(legendre, [0.0, 0.0, 1.0])
     q_base(legendre, bases, None, REGIME_LC_LC, f, g)
-    assert 0 < counts["lookups"] <= counts["evals"]
+    assert 0 < counts["lookups"] - finding["lookups"] <= counts["evals"]
+    assert 0 < finding["lookups"] <= 2 * 6 * finding["nodes"]
 
 
 def test_gram_computes_each_trajectory_point_once(legendre, monkeypatch):
@@ -397,6 +414,91 @@ def test_q_decorated_on_warm_bases_equals_fresh_bases(legendre,
         assert w.value == c.value
         assert w.pieces == c.pieces
         assert w.error == c.error
+
+
+def test_a_second_gram_on_warm_bases_builds_no_s_map(legendre, monkeypatch):
+    # Each LC side's s-map is built on first use, once per (basis, cut):
+    # two on fresh Legendre bases at the default window, none for a second
+    # Gram on the same bases.
+    bases = _fresh_bases(legendre)
+    assert all(basis._s_maps == {} for basis in bases)
+    built = []
+    real_init = forms.SMap.__init__
+
+    def counting_init(self, spec, side):
+        built.append(side.end)
+        real_init(self, spec, side)
+
+    monkeypatch.setattr(forms.SMap, "__init__", counting_init)
+    monomials = [polynomial(legendre, [0.0] * k + [1.0]) for k in range(4)]
+
+    def gram():
+        return [[q_decorated(legendre, bases, None, Separated(0.0, 0.0),
+                             f, g).value for g in monomials]
+                for f in monomials]
+
+    first = gram()
+    assert sorted(built) == ["a", "b"]
+    built.clear()
+    assert gram() == first
+    assert built == []
+
+
+def test_root_finding_adds_no_point_to_the_pair_memos(legendre):
+    # SMap.node finds x(s) through fresh lookups: the trajectories' pair
+    # memos hold no trial point, and each node is a root of s(x) = s to
+    # the resolution of x or of s.
+    bases = _fresh_bases(legendre)
+    side = forms._sides(legendre, bases,
+                        forms.default_window(legendre, *bases),
+                        REGIME_LC_LC)[0]
+    smap = forms._s_map(legendre, side)
+    basis = side.basis
+    assert isinstance(basis.u_hat, ScaledSolution)
+    memos = (basis.u.fn._memo, basis.u_hat._memo)
+    sizes = [len(memo) for memo in memos]
+    targets = np.linspace(smap.s_edge, smap.s_cut, 41)[1:-1]
+    for s in targets:
+        x, hu, hu1 = smap.node(s)
+        assert smap.edge < x < side.cut
+        assert (hu, hu1) == basis.u_hat.fresh_pair(x)
+        sx, ds, _, _ = smap._s(x)
+        assert abs(sx - s) <= 4 * math.ulp(s) + 4 * ds * math.ulp(x)
+    assert [len(memo) for memo in memos] == sizes
+
+
+@pytest.mark.parametrize("c", [0.55, 0.75, 0.9, 0.95])
+def test_legendre_form_is_cut_point_independent(legendre, legendre_bases, c):
+    # int (1 - x^2) f'^2 over (-1, 1): 4/3 for f = x, 64/63 for f = x^4,
+    # whatever the window (-c, c); the form's error covers its error.
+    for k, want in ((1, 4 / 3), (4, 64 / 63)):
+        f = polynomial(legendre, [0.0] * k + [1.0])
+        fv = q_base(legendre, legendre_bases, FormWindow(-c, c),
+                    REGIME_LC_LC, f, f)
+        assert abs(fv.value - want) <= 1e-9, (k, fv.value)
+        assert abs(fv.value - want) <= fv.error, (k, fv.value, fv.error)
+
+
+@pytest.mark.parametrize("gamma, want", [(0.0, 5 / 16), (0.3, 5 / 13),
+                                         (0.7, 55 / 78)])
+def test_bessel_form_of_a_power_matches_its_closed_form(gamma, want):
+    # f = x^0.8 (1 - x) has f~ = 0 at 0, so q_base(f, f) is
+    # int f'^2 + (gamma^2 - 1/4) f^2 / x^2.  At gamma = 0.7, W(u_hat, f)
+    # grows like x^-0.4 and f~' does not exist: the form must then be
+    # refused, or come back within its error.
+    spec = catalog(f"bessel({gamma})")
+    validate(spec)
+    bases = (construct_basis(spec, "a"), construct_basis(spec, "b"))
+    f = ExprFunction(spec, "x**0.8*(1 - x)")
+    if gamma == 0.7:
+        try:
+            fv = q_base(spec, bases, None, REGIME_LC_LC, f, f)
+        except FormIntegralDiverges:
+            return
+        assert abs(fv.value - want) <= fv.error
+    else:
+        fv = q_base(spec, bases, None, REGIME_LC_LC, f, f)
+        assert abs(fv.value - want) <= 1e-9
 
 
 def test_q_base_coefficient_calls_do_not_grow_with_nodes(legendre,
@@ -506,7 +608,12 @@ def _cut_and_regularized(spec, bases, regime, f, g):
     boundary correction SIGMA[end] (u_hat^[1]/u_hat)(cut) f(cut) g(cut),
     each side integral proper and split at the breaks (`_piecewise`).  The
     middle Dirichlet integral runs between the cuts; the pieces of the
-    singular ends are q_base's own.  f and g are real."""
+    singular ends are q_base's own.  f and g are real.
+
+    u_hat is the classical basis's, (1, 0) at the endpoint, marched at
+    rtol 1e-13: the basis's own march at 1e-11 leaves 1.4e-12 in
+    u_hat^[1] at d on bessel(0.3), and the route adds no allowance for
+    it."""
     window = forms.default_window(spec, *bases)
     p, q, r = spec.p.scalar, spec.q.scalar, spec.r.scalar
     breaks = f.breaks + g.breaks
@@ -524,7 +631,8 @@ def _cut_and_regularized(spec, bases, regime, f, g):
                                          bases, (window.c, window.d)):
         if not basis.regular:
             continue
-        w = basis.u_hat
+        w = integrate_tau(spec, spec.lambda0, endpoint, (1.0, 0.0), cut,
+                          tol=1e-13)
 
         def side(x, w=w):
             wu, wu1 = w.pair(x)
@@ -615,6 +723,12 @@ def _recording_panels(monkeypatch):
     return spans
 
 
+def _middle_spans(spans, *ends):
+    """The recorded spans whose two ends are both among `ends` (cuts and
+    breaks, in x): the middle's panels, not an LC side's panel in s."""
+    return [row for row in spans if {row[0], row[1]} <= set(ends)]
+
+
 def test_middle_of_v1_v1_is_within_its_error(legendre, legendre_bases):
     # v1 is C^2 across its blend window's edges.  A single panel over
     # (c, d) bisects onto them and leaves the middle 1.2e-10 off, 40 times
@@ -633,7 +747,9 @@ def test_middle_of_v1_v1_is_one_panel_per_piece(legendre, legendre_bases,
     v1 = patched_pair(legendre, *legendre_bases).v1
     spans = _recording_panels(monkeypatch)
     fv = q_base(legendre, legendre_bases, None, REGIME_LC_LC, v1, v1)
-    # Legendre's ends are singular, so every forms.panel is the middle.
+    # The middle's panels are the spans between the cuts and the window's
+    # edges; the LC sides' panels run in s.
+    spans = _middle_spans(spans, fv.window.c, fv.window.d, *v1.window)
     assert sum(calls for _, _, calls in spans) <= 3 * 21 * 2
     assert v1.breaks == v1.window
     assert [(a, b) for a, b, _ in spans] == [
@@ -656,10 +772,12 @@ def test_pairings_split_at_the_breaks_of_both_functions(
         res = green_identity_residual(legendre, legendre_bases, None, f, g)
         assert abs(res) <= 1e-10
         # One split for q_base's middle and one for the pairing's.
-        assert [(a, b) for a, b, _ in spans] == pieces * 2
+        assert [(a, b) for a, b, _ in _middle_spans(spans, *knots)] \
+            == pieces * 2
     spans.clear()
     triplet_green_residual(legendre, legendre_bases, v1, bump)
-    assert [(a, b) for a, b, _ in spans] == pieces * 2
+    assert [(a, b) for a, b, _ in _middle_spans(spans, *knots)] \
+        == pieces * 2
 
 
 def test_a_combination_splits_at_its_members_breaks(legendre,
