@@ -43,11 +43,13 @@ break points (dqagp): a single panel across a kink bisects its way onto
 it, spends most of its nodes there, and can return a value off by more
 than its error estimate.
 
-The N-operator N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w) is a formula
-inside each side integrand, not an object: a node of a limit-point side
-looks w up once and evaluates p once for both N_w f and N_w g, and a node
-of a limit-circle side reads u_hat from its root-finding.  Every per-node
-callback works in plain Python numbers (`.conjugate()`), not numpy
+The N-operator N_w f = W(w, f) / (p^{1/2} w), with the Wronskian
+W(w, f) = w f^[1] - w^[1] f, is a formula inside the side integrand, not
+an object: each node computes (W(w, f), W(w, g)) once, from w looked up
+once at a limit-point side's x and from the root-finding at a
+limit-circle side's s.  A limit-circle side integrates conj(W(w, f))
+W(w, g) in s, a limit-point side the same product over p w^2 in x.  Every
+per-node callback works in plain Python numbers (`.conjugate()`), not numpy
 scalars.  Whether an integrand is complex is decided by its quadrature
 nodes (`_complex`): it is integrated as a real function, and as a real
 and an imaginary part once any node returns a complex number.
@@ -211,18 +213,16 @@ class SMap:
     ascending x.  `node(s)` brackets s between two knots and runs Newton's
     method with the exact s', bisecting whenever a step leaves the bracket;
     it keeps each answer, (x, u_hat(x), u_hat^[1](x)), so that a node's
-    integrand reads u_hat from the root-finder's own last lookup.  Every
-    trial point is looked up through `fresh_pair`, so root-finding writes
-    nothing into the trajectories' pair memos; the knots go through the
-    memoized pairs, since the form reads the cut and the edge again.  One
-    map serves every form on its (basis, cut) (`_s_map`).
+    integrand reads u_hat from the root-finder's own last lookup.  Knots
+    and trial points alike read u and u_hat through their memoized `pair`.
+    One map serves every form on its (basis, cut) (`_s_map`).
     """
 
     def __init__(self, spec, side):
         basis = side.basis
         self.p = spec.p.scalar
-        self.u = basis.u.fresh_pair
-        self.u_hat = basis.u_hat.fresh_pair
+        self.u = basis.u.pair
+        self.u_hat = basis.u_hat.pair
         edge = basis.coverage[0] if side.end == "a" else basis.coverage[1]
         xs = geometric_points(side.cut, side.endpoint, cutoff=edge)
         if xs[-1] != edge:
@@ -233,21 +233,19 @@ class SMap:
         self.ss = []
         self._nodes = {}  # s -> (x, u_hat(x), u_hat^[1](x))
         for x in xs:
-            s, _, hu, hu1 = self._s(x, basis.u.pair, basis.u_hat.pair)
+            s, _, hu, hu1 = self._s(x)
             self.ss.append(s)
             self._nodes[s] = (x, hu, hu1)
         self.edge = edge
         self.s_edge = self.ss[0] if side.end == "a" else self.ss[-1]
         self.s_cut = self.ss[-1] if side.end == "a" else self.ss[0]
 
-    def _s(self, x, u_pair=None, u_hat_pair=None):
-        """(s, s', u_hat, u_hat^[1]) at x, through the given pair lookups
-        of u and u_hat, fresh ones by default."""
-        hu, hu1 = (u_hat_pair or self.u_hat)(x)
+    def _s(self, x):
+        """(s, s', u_hat, u_hat^[1]) at x."""
+        hu, hu1 = self.u_hat(x)
         if hu == 0.0:
             raise BasisVanishes(f"reference solution vanishes at x={x}")
-        return ((u_pair or self.u)(x)[0] / hu, 1.0 / (self.p(x) * hu * hu),
-                hu, hu1)
+        return self.u(x)[0] / hu, 1.0 / (self.p(x) * hu * hu), hu, hu1
 
     def node(self, s):
         """(x(s), u_hat, u_hat^[1]) at s."""
@@ -289,39 +287,41 @@ def _s_map(spec, side):
 
 def _side_n_integral(spec, side, f, g):
     """(value, error) of one side's N-integral, int conj(N_w f) N_w g from
-    the endpoint to the cut, with N_w f = (f^[1] w - f w^[1]) / (p^{1/2} w).
+    the endpoint to the cut, with N_w f = W(w, f) / (p^{1/2} w) and
+    W(w, f) = w f^[1] - w^[1] f.  Each node computes the pair
+    (W(w, f), W(w, g)), which both side kinds integrate.
 
     At a limit-circle side (w = u_hat) it is the proper integral
     int conj(W(u_hat, f)) W(u_hat, g) ds over s = u/u_hat, since
     |N_w f|^2 dx = |W(u_hat, f)|^2 ds: one adaptive `panel` in s from the
-    s-map's edge to the cut, where x(s) comes from the side's SMap, plus
-    the piece between s = 0 and the edge, where the integrand is near its
-    limit conj(f~') g~' (the memoized `gbv`): s_edge conj(f~') g~', with
-    the integrand's change over the piece and the g~' errors as its
-    error.  A g~' that does not exist (W(u_hat, f) unbounded at the end,
-    `gbv`'s NoConvergence) refuses the form.
+    s-map's edge to the cut, where x(s) and u_hat come from the side's
+    SMap, plus the piece between s = 0 and the edge, where the integrand
+    is near its limit conj(f~') g~' (the memoized `gbv`): s_edge
+    conj(f~') g~', with the integrand's change over the piece and the g~'
+    errors as its error.  A g~' that does not exist (W(u_hat, f)
+    unbounded at the end, `gbv`'s NoConvergence) refuses the form.
 
     At a limit-point side (w = u) it is `improper_integral`'s windowed
-    sweep in x toward the endpoint; each node looks up w and evaluates p
-    once.
+    sweep in x toward the endpoint of conj(W(u, f)) W(u, g) / (p u^2);
+    each node looks up w and evaluates p once.
     """
     f_pair = f.pair
     g_pair = g.pair
+
+    def wronskians(x, wu, wu1):
+        """(W(w, f), W(w, g)) at x, where (w, w^[1]) = (wu, wu1)."""
+        fu, fu1 = f_pair(x)
+        wf = wu * fu1 - wu1 * fu
+        if g is f:
+            return wf, wf
+        gu, gu1 = g_pair(x)
+        return wf, wu * gu1 - wu1 * gu
+
     if side.lc:
         smap = _s_map(spec, side)
 
-        def wronskians(s):
-            """(W(u_hat, f), W(u_hat, g)) at s."""
-            x, hu, hu1 = smap.node(s)
-            fu, fu1 = f_pair(x)
-            wf = hu * fu1 - hu1 * fu
-            if g is f:
-                return wf, wf
-            gu, gu1 = g_pair(x)
-            return wf, hu * gu1 - hu1 * gu
-
         def integrand(s):
-            wf, wg = wronskians(s)
+            wf, wg = wronskians(*smap.node(s))
             return wf.conjugate() * wg
 
         try:
@@ -331,12 +331,11 @@ def _side_n_integral(spec, side, f, g):
             raise FormIntegralDiverges(
                 f"N-integral toward endpoint {side.end}: {exc}") from None
         limit = vf.tilde_prime.conjugate() * vg.tilde_prime
-        wf, wg = wronskians(smap.s_edge)
         val, err, _, _ = _complex(panel, integrand,
                                   *sorted((smap.s_edge, smap.s_cut)))
         tail = SIGMA[side.end] * smap.s_edge * limit
         err += abs(smap.s_edge) * (
-            abs(wf.conjugate() * wg - limit)
+            abs(integrand(smap.s_edge) - limit)
             + abs(vf.tilde_prime) * vg.tilde_prime_error
             + abs(vg.tilde_prime) * vf.tilde_prime_error)
         return val + tail, err
@@ -345,18 +344,11 @@ def _side_n_integral(spec, side, f, g):
     w_pair = side.w.pair
 
     def integrand(x):
-        """conj(N_w f) N_w g at x."""
         wu, wu1 = w_pair(x)
         if wu == 0.0:
             raise BasisVanishes(f"reference solution vanishes at x={x}")
-        root_p = math.sqrt(p(x))
-        fu, fu1 = f_pair(x)
-        nf = (fu1 * wu - fu * wu1) / (root_p * wu)
-        if g is f:
-            return nf.conjugate() * nf
-        gu, gu1 = g_pair(x)
-        ng = (gu1 * wu - gu * wu1) / (root_p * wu)
-        return nf.conjugate() * ng
+        wf, wg = wronskians(x, wu, wu1)
+        return wf.conjugate() * wg / (p(x) * wu * wu)
 
     val, e, ok, div = side.integral(integrand)
     if div or not ok:
@@ -388,6 +380,13 @@ def _check_square_integrable(spec, sides, fns):
                     f"function is not in L^2(r) toward the limit-point "
                     f"endpoint {side.end}"
                 )
+
+
+def _real_if_real(value):
+    """value as a real float when its imaginary part is exactly 0."""
+    if np.imag(value) == 0.0:
+        return float(np.real(value))
+    return value
 
 
 # Names of each end's pieces in FormValue.pieces: (side, cut point).
@@ -458,10 +457,8 @@ def q_base(spec, bases, window, regime, f, g):
             * g(side.cut))
 
     pieces["decoration_terms"] = 0.0
-    value = sum(pieces.values())
-    if abs(np.imag(value)) == 0.0:
-        value = float(np.real(value))
-    return FormValue(value=value, pieces=pieces, error=err, window=window)
+    return FormValue(value=_real_if_real(sum(pieces.values())),
+                     pieces=pieces, error=err, window=window)
 
 
 def q_decorated(spec, bases, window, ext, f, g):
@@ -494,10 +491,7 @@ def q_decorated(spec, bases, window, ext, f, g):
                 f"{', '.join(f'g~({end})' for end in touched)}: Gamma0 "
                 f"{label} = {vec} has a component along mul Theta")
     deco = np.vdot(rel.project(f0), rel.theta_op @ rel.project(g0))
-    value = base.value + deco
-    if abs(np.imag(value)) == 0.0:
-        value = float(np.real(value))
-    return replace(base, value=value,
+    return replace(base, value=_real_if_real(base.value + deco),
                    pieces={**base.pieces, "decoration_terms": deco})
 
 
@@ -525,12 +519,9 @@ def _pairing(spec, sides, f, g_tau_fn, g_breaks):
 
     side_a, side_b = sides
     lo, hi = _span(spec, sides)
-    total = sum((*part(side_a),
-                 _piecewise(integrand, lo, hi, f.breaks + g_breaks)[0],
-                 *part(side_b)), 0j)
-    if abs(total.imag) == 0.0:
-        return total.real
-    return total
+    return _real_if_real(sum(
+        (*part(side_a), _piecewise(integrand, lo, hi, f.breaks + g_breaks)[0],
+         *part(side_b)), 0j))
 
 
 def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):

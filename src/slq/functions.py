@@ -45,12 +45,6 @@ class QuasiFn:
     def qd(self, x):
         return self.pair(x)[1]
 
-    def fresh_pair(self, x):
-        """pair(x) without filling a memo, for points asked for once (a
-        root-finder's trial points): `pair` itself, unless the class
-        memoizes (MemoizedQuasiFn) or scales one that does."""
-        return self.pair(x)
-
     def tau(self, x):
         raise NotImplementedError(
             f"{type(self).__name__} does not define tau")
@@ -69,8 +63,8 @@ class MemoizedQuasiFn(QuasiFn):
     return what a miss returns, bit for bit and in type, whether the first
     caller passed a float or a numpy float.  The dict is cleared when it
     holds PAIR_MEMO_SIZE entries; a subclass whose values can change must
-    clear it when they do.  `fresh_pair(x)` computes the pair without
-    reading or writing the memo.
+    clear it when they do.  There is no lookup around the memo: a
+    root-finder's trial points go through it too.
     """
 
     def pair(self, x):
@@ -83,9 +77,6 @@ class MemoizedQuasiFn(QuasiFn):
             memo.clear()
         out = memo[x] = self._pair(float(x))
         return out
-
-    def fresh_pair(self, x):
-        return self._pair(float(x))
 
     def _pair(self, x):
         raise NotImplementedError

@@ -135,10 +135,6 @@ class ScalarMultiple(QuasiFn):
         u, u1 = self.fn.pair(x)
         return self.c * u, self.c * u1
 
-    def fresh_pair(self, x):
-        u, u1 = self.fn.fresh_pair(x)
-        return self.c * u, self.c * u1
-
     def tau(self, x):
         return self.c * self.fn.tau(x)
 
@@ -154,7 +150,9 @@ class ReductionSolution(MemoizedQuasiFn):
     and any absolute error would be amplified by the w factor).  The
     quasi-derivative is exact: (wT)^[1] = w^[1] T - 1/w.  Neither it nor
     w changes after __init__ (`construct_basis` adds w's segments first),
-    so `pair` computes each point once (see MemoizedQuasiFn).
+    so `pair` computes each point once (see MemoizedQuasiFn).  It reads w
+    through w's own memoized `pair`, which u_hat = c w shares, so u and
+    u_hat at one point look w up once.
 
     The support ends, toward the endpoint, where |T| falls below `t_floor`,
     the tail solve's absolute tolerance over its relative one: beyond that
@@ -193,7 +191,7 @@ class ReductionSolution(MemoizedQuasiFn):
         return float(self._tail.at(x)[0])
 
     def _pair(self, x):
-        wu, wu1 = self.w.log_pair(x)
+        wu, wu1 = self.w.pair(x)
         T = self.T(x)
         u1 = wu1 * T - 1.0 / wu if wu != 0.0 else wu1 * T
         return wu * T * self.scale, u1 * self.scale
@@ -213,7 +211,6 @@ class SolutionBasis:
     endpoint_value: float = 0.0
     regular: bool = False
     principal_integral: object = None
-    coverage: tuple = None        # where u and u_hat are both defined
     diagnostics: dict = field(default_factory=dict)
     # bvalues.gbv's memo: id(g) -> (g, values).
     _gbv_memo: dict = field(default_factory=dict, init=False, repr=False,
@@ -221,6 +218,13 @@ class SolutionBasis:
     # forms' s-maps of the limit-circle sides: cut -> SMap.
     _s_maps: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+
+    @property
+    def coverage(self):
+        """(lo, hi) where u and u_hat are both defined: between their
+        support edges."""
+        u, u_hat = self.u, self.u_hat
+        return max(u.x_min, u_hat.x_min), min(u.x_max, u_hat.x_max)
 
     @cached_property
     def trust_interval(self):
@@ -423,7 +427,6 @@ def construct_basis(spec, endpoint, tol=1e-11):
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,
         nonvanish_bound=c0, endpoint_value=end, regular=False,
         principal_integral=res,
-        coverage=(max(w.x_min, u.x_min), min(w.x_max, u.x_max)),
         diagnostics={"marched_kind": kind, "last_zero": last_zero},
     )
 
@@ -453,6 +456,6 @@ def _regular_basis(spec, endpoint, end, back_to, tol):
     return SolutionBasis(
         endpoint=endpoint, u=u, u_hat=u_hat, lambda0=spec.lambda0,
         nonvanish_bound=c0, endpoint_value=end, regular=True,
-        principal_integral=None, coverage=(u.x_min, u.x_max),
+        principal_integral=None,
         diagnostics={"marched_kind": "classical", "last_zero": zs or None},
     )

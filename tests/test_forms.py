@@ -39,7 +39,7 @@ from slq.functions import (
 from slq.odecore import ScaledSolution, integrate_tau, tau_apply
 from slq.problem import catalog, validate
 from slq.quadrature import _complex, improper_integral, panel
-from slq.solutions import construct_basis
+from slq.solutions import ReductionSolution, construct_basis
 from slq.triplets import triplet_green_residual
 
 
@@ -444,27 +444,31 @@ def test_a_second_gram_on_warm_bases_builds_no_s_map(legendre, monkeypatch):
     assert built == []
 
 
-def test_root_finding_adds_no_point_to_the_pair_memos(legendre):
-    # SMap.node finds x(s) through fresh lookups: the trajectories' pair
-    # memos hold no trial point, and each node is a root of s(x) = s to
-    # the resolution of x or of s.
-    bases = _fresh_bases(legendre)
-    side = forms._sides(legendre, bases,
-                        forms.default_window(legendre, *bases),
-                        REGIME_LC_LC)[0]
-    smap = forms._s_map(legendre, side)
-    basis = side.basis
-    assert isinstance(basis.u_hat, ScaledSolution)
-    memos = (basis.u.fn._memo, basis.u_hat._memo)
-    sizes = [len(memo) for memo in memos]
-    targets = np.linspace(smap.s_edge, smap.s_cut, 41)[1:-1]
-    for s in targets:
-        x, hu, hu1 = smap.node(s)
-        assert smap.edge < x < side.cut
-        assert (hu, hu1) == basis.u_hat.fresh_pair(x)
+def test_a_reduction_basis_form_computes_each_trajectory_point_once(
+        monkeypatch):
+    # At bessel(0.3)'s 0, u is w T by reduction of order and u_hat = c w,
+    # and both read w through its memoized pair: the s-map's root-finding
+    # and the form's nodes compute each point of w once.  Each node is a
+    # root of s(x) = s to the resolution of x or of s.
+    spec = catalog("bessel(0.3)")
+    validate(spec)
+    bases = _fresh_bases(spec)
+    basis = bases[0]
+    assert isinstance(basis.u, ReductionSolution)
+    counts = {"lookups": 0}
+    points = set()
+    _count_lookups(monkeypatch, counts, points)
+    f = ExprFunction(spec, "x**0.8*(1 - x)")
+    fv = q_base(spec, bases, None, REGIME_LC_LC, f, f)
+    assert counts["lookups"] == len(points) > 0
+    assert abs(fv.value - 5 / 13) <= fv.error
+    [smap] = basis._s_maps.values()
+    assert len(smap._nodes) > len(smap.xs)
+    for s, (x, hu, hu1) in smap._nodes.items():
+        assert smap.edge <= x <= smap.xs[-1]
+        assert (hu, hu1) == basis.u_hat.pair(x)
         sx, ds, _, _ = smap._s(x)
         assert abs(sx - s) <= 4 * math.ulp(s) + 4 * ds * math.ulp(x)
-    assert [len(memo) for memo in memos] == sizes
 
 
 @pytest.mark.parametrize("c", [0.55, 0.75, 0.9, 0.95])
