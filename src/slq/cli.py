@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Each subcommand loads a problem-spec JSON file, runs one slice of the
-pipeline (classification, basis construction, boundary values, forms,
-Green-identity checks, eigenvalues, boundary-triplet algebra) and emits a
-structured JSON report.  Reports are deterministic for a fixed spec, flag
-set and package version, apart from the timestamp field.
+Each subcommand runs one slice of the pipeline (classification, basis
+construction, boundary values, forms, Green-identity checks, eigenvalues,
+boundary-triplet algebra) and returns its report section.  `main` loads and
+validates the spec file, runs the command, writes the section under the
+report's envelope as JSON and maps every error to an exit code.  Reports
+are deterministic for a fixed spec, flag set and package version, apart
+from the timestamp field.
 
-Exit codes: 0 success, 2 parse/usage failure, 4 numerical failure; an
-inconclusive classification exits 4, or 3 under --strict.
+Exit codes: 0 success, 2 parse/usage failure (a spec file or output path
+that cannot be read or written included), 4 numerical failure; an
+inconclusive classification exits 4, or 3 under --strict.  A command that
+fails writes no report.
 """
 
 from __future__ import annotations
@@ -70,20 +74,28 @@ def _sanitize(value):
     return value
 
 
+def _open_for_writing(path, **kw):
+    """`path` opened for writing, else SpecFileError."""
+    try:
+        return open(path, "w", **kw)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path!r}: {exc}") from None
+
+
 def _emit(report, args):
     text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if args.out:
+        with _open_for_writing(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _base_report(command, spec, args):
+def _base_report(spec, args):
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "problem": {
             "name": spec.name,
@@ -171,41 +183,37 @@ def _resolve_function(token, spec, bases):
     raise SpecFileError(f"unknown function specifier {token!r}")
 
 
-def _extension_of(ext_doc, classification):
-    """The spec file's extension, checked against the classification, else
-    the Friedrichs extension."""
+def _extension_of(spec, ext_doc):
+    """The classification of both ends and the spec file's extension,
+    checked against it, else the Friedrichs extension."""
+    classification = classify_both(spec)
     if ext_doc is None:
-        return friedrichs_spec(classification)
+        return classification, friedrichs_spec(classification)
     ext = extension_from_dict(ext_doc)
     check_variant(ext, classification)
-    return ext
+    return classification, ext
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (report key, section, exit code)
 # ---------------------------------------------------------------------------
 
 
 def cmd_classify(spec, ext_doc, args):
-    report = _base_report("classify", spec, args)
     section = {}
-    inconclusive = False
     for e in ("a", "b"):
         try:
             c = classify_endpoint(spec, e)
             section[e] = {"kind": c.kind, "evidence": c.evidence}
         except Inconclusive as exc:
-            inconclusive = True
             section[e] = {"kind": "inconclusive", "detail": str(exc)}
-    report["classification"] = section
-    _emit(report, args)
-    if inconclusive:
-        return EXIT_INCONCLUSIVE if args.strict else EXIT_NUMERICAL
-    return EXIT_OK
+    code = EXIT_OK
+    if any(s["kind"] == "inconclusive" for s in section.values()):
+        code = EXIT_INCONCLUSIVE if args.strict else EXIT_NUMERICAL
+    return "classification", section, code
 
 
 def cmd_basis(spec, ext_doc, args):
-    report = _base_report("basis", spec, args)
     section = {}
     for endpoint in ("a", "b"):
         basis = construct_basis(spec, endpoint)
@@ -220,29 +228,23 @@ def cmd_basis(spec, ext_doc, args):
             _dump_basis_csv(basis, path)
             entry["csv"] = path
         section[endpoint] = entry
-    report["basis"] = section
-    _emit(report, args)
-    return EXIT_OK
+    return "basis", section, EXIT_OK
 
 
 def _dump_basis_csv(basis, path):
     lo, hi = basis.trust_interval
     xs = np.linspace(lo, hi, 101)
-    with open(path, "w", newline="") as fh:
+    with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u", "u_qd", "uhat", "uhat_qd"])
         for x in xs:
             uu, uu1 = basis.u.pair(x)
             hu, hu1 = basis.u_hat.pair(x)
-            writer.writerow([repr(float(x)),
-                             repr(float(np.real(uu))),
-                             repr(float(np.real(uu1))),
-                             repr(float(np.real(hu))),
-                             repr(float(np.real(hu1)))])
+            writer.writerow([repr(float(np.real(v)))
+                             for v in (x, uu, uu1, hu, hu1)])
 
 
 def cmd_gbv(spec, ext_doc, args):
-    report = _base_report("gbv", spec, args)
     bases = _build_bases(spec)
     g = _resolve_function(args.g, spec, bases)
     endpoints = [args.endpoint] if args.endpoint else ["a", "b"]
@@ -257,33 +259,26 @@ def cmd_gbv(spec, ext_doc, args):
             "tilde_prime_error": v.tilde_prime_error,
             "route": v.route,
         }
-    report["gbv"] = section
-    _emit(report, args)
-    return EXIT_OK
+    return "gbv", section, EXIT_OK
 
 
 def cmd_form(spec, ext_doc, args):
-    report = _base_report("form", spec, args)
-    classification = classify_both(spec)
-    ext = _extension_of(ext_doc, classification)
+    _, ext = _extension_of(spec, ext_doc)
     bases = _build_bases(spec)
     f = _resolve_function(args.f, spec, bases)
     g = _resolve_function(args.g, spec, bases)
     fv = q_decorated(spec, bases, args.window, ext, f, g)
-    report["form"] = {
+    return "form", {
         "extension": ext.variant,
         "regime": _regime_name(ext.lc_ends),
         "value": fv.value,
         "error": fv.error,
         "window": [fv.window.c, fv.window.d],
         "pieces": dict(fv.pieces),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_green_check(spec, ext_doc, args):
-    report = _base_report("green-check", spec, args)
     classification = classify_both(spec)
     bases = _build_bases(spec)
     regime = lc_ends(classification)
@@ -292,15 +287,13 @@ def cmd_green_check(spec, ext_doc, args):
     resid = green_identity_residual(spec, bases, args.window, f, g,
                                     regime=regime)
     passed = bool(abs(resid) <= args.tol)
-    report["green_check"] = {
+    return "green_check", {
         "regime": _regime_name(regime),
         "residual": resid,
         "abs_residual": abs(resid),
         "tolerance": args.tol,
         "passed": passed,
-    }
-    _emit(report, args)
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    }, EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def cmd_eig(spec, ext_doc, args):
@@ -312,28 +305,24 @@ def cmd_eig(spec, ext_doc, args):
     """
     if not args.lmin < args.lmax:
         raise SpecFileError("--lmin must be below --lmax")
-    report = _base_report("eig", spec, args)
-    classification = classify_both(spec)
-    ext = _extension_of(ext_doc, classification)
+    if not math.isfinite(args.lmax - args.lmin):
+        raise SpecFileError("the range --lmax - --lmin is not finite")
+    classification, ext = _extension_of(spec, ext_doc)
     eigs = eigenvalues_shoot(
         spec, ext, (args.lmin, args.lmax), tol=args.tol,
         grid_per_unit=args.grid, classification=classification,
     )
-    report["eigenvalues"] = {
+    return "eigenvalues", {
         "extension": ext.variant, "range": [args.lmin, args.lmax],
         "complete": True,
         "values": [{"lambda": e.lam, "bracket": list(e.bracket),
                     "condition_residual": e.condition_residual}
                    for e in eigs],
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_triplet(spec, ext_doc, args):
-    report = _base_report("triplet", spec, args)
-    classification = classify_both(spec)
-    ext = _extension_of(ext_doc, classification)
+    _, ext = _extension_of(spec, ext_doc)
     rel = ext.relation
     pair = rel.pair
     section = {
@@ -365,9 +354,7 @@ def cmd_triplet(spec, ext_doc, args):
             except SlqError as exc:
                 checks.append({"error": f"{type(exc).__name__}: {exc}"})
         section["cross_path"] = checks
-    report["triplet"] = section
-    _emit(report, args)
-    return EXIT_OK
+    return "triplet", section, EXIT_OK
 
 
 def _cross_path_samples(spec):
@@ -446,23 +433,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one `slq` command and return its exit code (module docstring)."""
     try:
-        args = parser.parse_args(argv)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+        args = build_parser().parse_args(argv)
         spec, ext_doc = load_problem(args.specfile)
         validate(spec)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SlqError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    try:
-        return args.fn(spec, ext_doc, args)
+        key, section, code = args.fn(spec, ext_doc, args)
+        _emit({**_base_report(spec, args), key: section}, args)
+        return code
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

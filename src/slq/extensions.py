@@ -32,7 +32,7 @@ from .classify import LIMIT_CIRCLE
 from .errors import ShootingOverflow, SpecFileError, VariantMismatch
 from .forms import SIGMA
 from .odecore import brentq, end_state
-from .problem import finite_number
+from .problem import _check_keys, finite_number
 from .solutions import construct_basis
 from .triplets import SAPair, boundary_vectors, decompose, validate_pair
 
@@ -153,25 +153,18 @@ def extension_from_dict(doc):
         raise SpecFileError("extension block must be an object")
     kind = doc.get("kind")
     if kind == "separated":
-        extra = set(doc) - {"kind", "alpha", "beta"}
-        if extra:
-            raise SpecFileError(f"unknown field(s) in extension: {extra}")
+        _check_keys(doc, ("kind", "alpha", "beta"), "extension")
         return Separated(doc.get("alpha", 0.0), doc.get("beta", 0.0))
     if kind == "coupled":
-        extra = set(doc) - {"kind", "phi", "R"}
-        if extra:
-            raise SpecFileError(f"unknown field(s) in extension: {extra}")
+        _check_keys(doc, ("kind", "phi", "R"), "extension")
         if "R" not in doc:
             raise SpecFileError("coupled extension needs 'R'")
         return Coupled(doc.get("phi", 0.0), doc["R"])
     if kind == "one_lc":
-        extra = set(doc) - {"kind", "alpha", "endpoint"}
-        if extra:
-            raise SpecFileError(f"unknown field(s) in extension: {extra}")
+        _check_keys(doc, ("kind", "alpha", "endpoint"), "extension")
         return OneLC(doc.get("alpha", 0.0), doc.get("endpoint", "a"))
     if kind == "lp_lp":
-        if set(doc) - {"kind"}:
-            raise SpecFileError("lp_lp extension takes no parameters")
+        _check_keys(doc, ("kind",), "extension")
         return LpLp()
     raise SpecFileError(f"unknown extension kind {kind!r}")
 
@@ -473,9 +466,9 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     min(1e-10, tol / 100).
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
-    if not (math.isfinite(lam_min) and math.isfinite(lam_max)
-            and lam_min < lam_max):
-        raise ValueError("lambda range must be finite and increasing")
+    if not 0.0 < lam_max - lam_min < math.inf:
+        raise ValueError("lambda range must be finite and increasing, "
+                         "with a finite width")
     if classification is None:
         from .classify import classify_both
         classification = classify_both(spec)

@@ -336,12 +336,14 @@ def problem_from_dict(doc: dict):
 
 
 def load_problem(path: str):
-    """Read a problem-spec JSON file; see problem_from_dict."""
+    """Read a problem-spec JSON file; see problem_from_dict.  A file that
+    cannot be read, is not UTF-8 or is not JSON to the decoder (nesting past
+    its recursion limit included) is refused with SpecFileError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"{path!r} is not valid JSON: {exc}")
     return problem_from_dict(doc)

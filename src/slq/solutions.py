@@ -229,7 +229,11 @@ class SolutionBasis:
     @cached_property
     def trust_interval(self):
         """Where W(u_hat, u) is well conditioned (`_trust_interval` over
-        the coverage, around nonvanish_bound); computed on first read."""
+        the coverage, around nonvanish_bound); computed on first read.
+        It bounds only the Wronskian products (TRUST_CAP), not the error of
+        the values: on Legendre at its outer edge, 3.6e-12 from the end,
+        u_hat errs by 2.2e-8 relative, though the basis is built at tol
+        1e-11."""
         return _trust_interval(self.u, self.u_hat, self.nonvanish_bound,
                                *self.coverage)
 

@@ -451,6 +451,7 @@ def test_command_line_numbers_must_be_finite(specfile, capsys, command,
     ("form", ["--f", "bump:1,0", "--g", "sin"]),
     ("eig", ["--grid", "0"]),
     ("eig", ["--grid", "-3"]),
+    ("eig", ["--lmin=-1e308", "--lmax=1e308"]),
 ])
 def test_out_of_range_options_are_refused(specfile, capsys, command, flags):
     # Each is refused with a message and exit 2, before any work: none
@@ -513,3 +514,69 @@ def test_the_parser_is_built_once_and_keeps_no_state():
     assert form.f == "bump:0,1" and form.strict
     assert not hasattr(classify, "f") and not classify.strict
     assert classify.fn is cli.cmd_classify
+
+
+ENVELOPE = {"schema", "version", "command", "timestamp", "problem",
+            "tolerance"}
+
+
+def test_every_report_is_the_envelope_and_one_section(specfile, capsys):
+    # main writes every report: the envelope keys plus the command's one
+    # section.  A command that fails, with exit 4 or 2, writes none.
+    path = specfile({"coefficients": {"catalog": "free_halfline"},
+                     "extension": {"kind": "one_lc", "alpha": 0.8,
+                                   "endpoint": "a"}})
+    fg = ["--f", "bump:0.1,0.75", "--g", "bump:-0.1,0.72"]
+    sections = {}
+    for argv in (["classify"], ["basis"], ["gbv", "--g", "bump:0.1,0.75"],
+                 ["form", *fg], ["green-check", *fg], ["triplet"],
+                 ["eig", "--lmin", "-1.5", "--lmax", "-0.1"]):
+        code, report = _run(capsys, [argv[0], path, *argv[1:]])
+        assert code == EXIT_OK, argv
+        assert report["command"] == argv[0]
+        (section,) = set(report) - ENVELOPE
+        assert set(report) == ENVELOPE | {section}
+        sections[argv[0]] = section
+    assert sections == {
+        "classify": "classification", "basis": "basis", "gbv": "gbv",
+        "form": "form", "green-check": "green_check", "triplet": "triplet",
+        "eig": "eigenvalues"}
+    for argv, want in ((["form", "--f", "poly:1", "--g", "poly:1"],
+                        EXIT_NUMERICAL),
+                       (["gbv", "--g", "unknown_token"], EXIT_PARSE)):
+        assert main([argv[0], path, *argv[1:]]) == want
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'\xff\xfe{"coefficients": {"catalog": "legendre"}}', "utf-8"),
+    (b"[" * 200_000, "recursion"),
+], ids=["not_utf8", "nested_too_deep"])
+def test_a_spec_file_json_cannot_read_is_refused(tmp_path, capsys, raw,
+                                                 message):
+    # Neither ends in a traceback: both are spec-file errors (exit 2).
+    path = tmp_path / "problem.json"
+    path.write_bytes(raw)
+    assert main(["classify", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "is not valid JSON" in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--out", "{missing}/report.json"],
+    ["--csv", "{missing}/dump"],
+], ids=["out", "csv"])
+def test_an_output_path_that_cannot_be_written_is_refused(
+        specfile, capsys, tmp_path, flags):
+    path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
+    flags = [f.format(missing=tmp_path / "missing") for f in flags]
+    assert main(["basis", path, *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert str(tmp_path / "missing") in captured.err

@@ -64,6 +64,20 @@ def test_extension_from_dict_variants():
         extension_from_dict({"kind": "unknown"})
 
 
+@pytest.mark.parametrize("kind", ["separated", "coupled", "one_lc",
+                                  "lp_lp"])
+def test_every_extension_kind_refuses_an_unknown_field(kind):
+    # The check and message are the ones every other block of a spec file
+    # gets (problem._check_keys).
+    doc = {"kind": kind, "R": [[1, 0], [0, 1]], "gamma": 1.0, "zeta": 2.0}
+    if kind != "coupled":
+        del doc["R"]
+    with pytest.raises(SpecFileError,
+                       match=r"^unknown field\(s\) in extension: gamma, "
+                             r"zeta$"):
+        extension_from_dict(doc)
+
+
 def test_check_variant_mismatch(legendre, free_halfline):
     c_leg = classify_both(legendre)
     c_half = classify_both(free_halfline)
@@ -571,7 +585,7 @@ def test_extension_numbers_must_be_finite_numbers(doc):
 
 @pytest.mark.parametrize("lam_range", [
     (0.5, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan),
-    (1.0, 0.5), (1.0, 1.0)])
+    (1.0, 0.5), (1.0, 1.0), (-1e308, 1e308)])
 def test_eigenvalues_shoot_refuses_a_range_that_is_not_finite(
         dirichlet, dirichlet_bases, lam_range):
     with pytest.raises(ValueError, match="finite and increasing"):
