@@ -24,8 +24,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .bvalues import gbv, patched_pair
 from .classify import classify_both, classify_endpoint
@@ -35,11 +33,12 @@ from .extensions import (
     eigenvalues_shoot,
     extension_from_dict,
     friedrichs_spec,
+    grid_cells,
     lc_ends,
 )
 from .forms import FormWindow, green_identity_residual, q_decorated
 from .functions import BumpFn, ExprFunction, polynomial
-from .problem import load_problem, validate
+from .problem import load_problem, uniform_grid, validate
 from .solutions import construct_basis
 from .triplets import form_from_relation
 
@@ -52,19 +51,14 @@ REPORT_SCHEMA = "slq-report/1"
 
 
 def _sanitize(value):
-    """Make report entries JSON-safe: an ndarray becomes its nested list, a
-    complex number with imaginary part 0 its real part and any other one
+    """Make report entries JSON-safe: a tuple becomes a list, a complex
+    number with imaginary part 0 its real part and any other one
     {"re", "im"}, and inf/nan become strings."""
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, complex) or isinstance(value, np.complexfloating):
-        value = complex(value)
+    if isinstance(value, complex):
         if value.imag == 0.0:
             value = value.real
         else:
@@ -233,14 +227,14 @@ def cmd_basis(spec, ext_doc, args):
 
 def _dump_basis_csv(basis, path):
     lo, hi = basis.trust_interval
-    xs = np.linspace(lo, hi, 101)
+    xs = uniform_grid(lo, hi, 101)
     with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u", "u_qd", "uhat", "uhat_qd"])
         for x in xs:
             uu, uu1 = basis.u.pair(x)
             hu, hu1 = basis.u_hat.pair(x)
-            writer.writerow([repr(float(np.real(v)))
+            writer.writerow([repr(float(v.real))
                              for v in (x, uu, uu1, hu, hu1)])
 
 
@@ -307,6 +301,10 @@ def cmd_eig(spec, ext_doc, args):
         raise SpecFileError("--lmin must be below --lmax")
     if not math.isfinite(args.lmax - args.lmin):
         raise SpecFileError("the range --lmax - --lmin is not finite")
+    try:
+        grid_cells(args.lmin, args.lmax, args.grid)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
     classification, ext = _extension_of(spec, ext_doc)
     eigs = eigenvalues_shoot(
         spec, ext, (args.lmin, args.lmax), tol=args.tol,

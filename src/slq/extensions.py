@@ -26,15 +26,20 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .classify import LIMIT_CIRCLE
 from .errors import ShootingOverflow, SpecFileError, VariantMismatch
 from .forms import SIGMA
 from .odecore import brentq, end_state
-from .problem import _check_keys, finite_number
+from .problem import _check_keys, finite_number, grid_point
 from .solutions import construct_basis
-from .triplets import SAPair, boundary_vectors, decompose, validate_pair
+from .triplets import (
+    SAPair,
+    _adjoint_apply,
+    _apply,
+    boundary_vectors,
+    decompose,
+    validate_pair,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +48,8 @@ class ExtensionSpec:
     limit-circle ends `lc_ends`, a subset of ("a", "b") in order.
 
     Made from `lc_ends` and the matrices (A, B), n x n with n the number of
-    ends; `pair` is then the validated SAPair, whose arrays are read-only.
-    Two conditions are equal when their ends and pairs are.
+    ends; `pair` is then the validated SAPair, whose A and B are tuples of
+    rows.  Two conditions are equal when their ends and pairs are.
     """
 
     lc_ends: tuple
@@ -55,14 +60,10 @@ class ExtensionSpec:
         if pair.n != len(self.lc_ends):
             raise ValueError(f"a {pair.n}x{pair.n} pair over the ends "
                              f"{self.lc_ends}")
-        for m in (pair.A, pair.B):
-            m.setflags(write=False)
         object.__setattr__(self, "pair", pair)
 
     def _key(self):
-        return (self.lc_ends,
-                *(tuple(m.ravel().tolist()) for m in (self.pair.A,
-                                                      self.pair.B)))
+        return self.lc_ends, self.pair.A, self.pair.B
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionSpec):
@@ -89,8 +90,8 @@ class ExtensionSpec:
 
 def _diagonal(pair):
     """True when each row of the pair constrains one end alone."""
-    return all(np.array_equal(m, np.diag(np.diag(m)))
-               for m in (pair.A, pair.B))
+    return all(z == 0 for m in (pair.A, pair.B)
+               for i, row in enumerate(m) for j, z in enumerate(row) if i != j)
 
 
 def _check_angle(name, value):
@@ -100,12 +101,18 @@ def _check_angle(name, value):
     return v
 
 
+def _diag(values):
+    """The diagonal matrix of `values`, as a tuple of rows."""
+    return tuple(tuple(v if i == j else 0.0 for j in range(len(values)))
+                 for i, v in enumerate(values))
+
+
 def _separated(angles):
     """The diagonal condition of one angle t per LC end, {end: t}: the row
     sin(t) g~' + cos(t) g~ = 0 is B = cos t, A = -SIGMA[end] sin t."""
     return ExtensionSpec(tuple(angles), (
-        np.diag([-SIGMA[end] * math.sin(t) for end, t in angles.items()]),
-        np.diag([math.cos(t) for t in angles.values()])))
+        _diag([-SIGMA[end] * math.sin(t) for end, t in angles.items()]),
+        _diag([math.cos(t) for t in angles.values()])))
 
 
 def Separated(alpha, beta):
@@ -135,16 +142,17 @@ def Coupled(phi, R):
         rows = []
     if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise SpecFileError("R must be a 2x2 real matrix")
-    R = np.array(rows)
+    (r00, r01), (r10, r11) = rows
     # det R is good to a few roundings of its two products.
-    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
-    scale = abs(R[0, 0] * R[1, 1]) + abs(R[0, 1] * R[1, 0])
+    det = r00 * r11 - r01 * r10
+    scale = abs(r00 * r11) + abs(r01 * r10)
     if not abs(det - 1.0) <= 1e-12 * max(1.0, scale):
         raise SpecFileError(f"R must have determinant 1, got {det}")
     e = cmath.exp(1j * phi)
     return ExtensionSpec(("a", "b"), (
-        -np.array([[e * R[0, 1], 0.0], [e * R[1, 1], 1.0]], dtype=complex),
-        np.array([[e * R[0, 0], -1.0], [e * R[1, 0], 0.0]], dtype=complex)))
+        tuple(tuple(-complex(z) for z in row)
+              for row in ((e * r01, 0.0), (e * r11, 1.0))),
+        ((e * r00, -1.0), (e * r10, 0.0))))
 
 
 def extension_from_dict(doc):
@@ -195,10 +203,11 @@ def friedrichs_spec(classification):
 
 def boundary_residual(ext, gbv_a, gbv_b):
     """Residual B Gamma0 g - A Gamma1 g of the extension's boundary relation
-    for the given GBV data."""
+    for the given GBV data, a tuple with one entry per LC end."""
     pair = ext.pair
     g0, g1 = boundary_vectors({"a": gbv_a, "b": gbv_b}, ext.lc_ends)
-    return pair.B @ g0 - pair.A @ g1
+    return tuple(x - y for x, y in zip(_apply(pair.B, g0),
+                                       _apply(pair.A, g1)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ def _side_start(spec, ext, basis, side, lam):
     if side not in ext.lc_ends:
         return _lp_init(spec, side, lam)
     k = ext.lc_ends.index(side)
-    a, b = (float(m[k, k].real) for m in (ext.pair.A, ext.pair.B))
+    a, b = (float(m[k][k].real) for m in (ext.pair.A, ext.pair.B))
     return _lc_init(basis, -b, -SIGMA[side] * a)
 
 
@@ -332,7 +341,7 @@ def _shoot_det(spec, ext, bases, lam, mid, tol):
                      * (abs(ru) ** 2 + abs(ru1) ** 2))
     if norm == 0.0 or not math.isfinite(norm):
         raise ShootingOverflow(f"shooting state degenerate at lambda={lam}")
-    w = float(np.real(wr))
+    w = float(wr.real)
     return w / norm, _index(m, o, w)
 
 
@@ -354,6 +363,7 @@ def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
     M = Phi_b^-1 Phi_a.  No march approaches a singular end, next to which
     the step size can underflow.  The two u are the Friedrichs one-sided
     solutions, so their zeros and Wronskian give N_F with no other solve.
+    M is a tuple of rows, solved by the 2x2 inverse (Cramer's rule).
     """
     mid = spec.interval.interior_point()
     phis, m, o = [], 0, 1.0
@@ -362,12 +372,36 @@ def _coupled_transfer(spec, basis_a, basis_b, lam, tol):
         _, u = _lc_init(basis, 1.0, 0.0)
         y, zeros = end_state(spec, lam, x0, u, mid, tol=tol)
         y_hat, _ = end_state(spec, lam, x0, u_hat, mid, tol=tol)
-        phis.append(np.array([y_hat, y], dtype=float).T)
+        phis.append(((float(y_hat[0]), float(y[0])),
+                     (float(y_hat[1]), float(y[1]))))
         m += zeros
         o *= _orientation(side, u)
-    phi_a, phi_b = phis
-    w = phi_a[0, 1] * phi_b[1, 1] - phi_a[1, 1] * phi_b[0, 1]
-    return np.linalg.solve(phi_b, phi_a), _index(m, o, float(w))
+    ((a00, a01), (a10, a11)), ((b00, b01), (b10, b11)) = phis
+    w = a01 * b11 - a11 * b01
+    det = b00 * b11 - b01 * b10
+    M = (((b11 * a00 - b01 * a10) / det, (b11 * a01 - b01 * a11) / det),
+         ((b00 * a10 - b10 * a00) / det, (b00 * a11 - b10 * a01) / det))
+    return M, _index(m, o, w)
+
+
+def _det2(M):
+    """det of a 2x2 matrix given as rows."""
+    (a, b), (c, d) = M
+    return a * d - b * c
+
+
+def _negative_count(H):
+    """n_-(H), the number of negative eigenvalues of a Hermitian matrix
+    of size <= 2, from its trace and determinant: det < 0 has one, det > 0
+    none or two by the sign of the trace, det = 0 one where the trace is
+    negative."""
+    if len(H) < 2:
+        return sum(row[0].real < 0.0 for row in H)
+    trace = H[0][0].real + H[1][1].real
+    det = (H[0][0] * H[1][1] - H[0][1] * H[1][0]).real
+    if det < 0.0:
+        return 1
+    return (2 if det > 0.0 else 1) if trace < 0.0 else 0
 
 
 def _coupled_det(spec, ext, bases, lam, tol):
@@ -388,25 +422,35 @@ def _coupled_det(spec, ext, bases, lam, tol):
     95 (1991); Behrndt, Hassi & de Snoo, 2020, ch. 6).
     """
     M, n_f = _coupled_transfer(spec, *bases, lam, tol)
+    (m00, m01), (m10, m11) = M
     A, B = ext.pair.A, ext.pair.B
-    gamma0 = np.array([[1.0, 0.0], M[0]])
-    gamma1 = np.array([[0.0, 1.0], -M[1]])
-    theta = 0.5 * cmath.phase(np.linalg.det(B + 1j * A)
-                              * np.linalg.det(B - 1j * A))
-    det = np.linalg.det(B @ gamma0 - A @ gamma1)
+    theta = 0.5 * cmath.phase(
+        _det2([[b + 1j * a for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+        * _det2([[b - 1j * a for a, b in zip(ra, rb)]
+                 for ra, rb in zip(A, B)]))
+    # B Gamma0 Phi - A Gamma1 Phi, column by column.
+    det = _det2([[b0 + m00 * b1 + m10 * a1, m01 * b1 - a0 + m11 * a1]
+                 for (a0, a1), (b0, b1) in zip(A, B)])
     rel = ext.relation
     P = rel.dom_basis
-    weyl = np.array([[-M[0, 0], 1.0], [1.0, -M[1, 1]]]) / M[0, 1]
-    below = np.linalg.eigvalsh(rel.theta_op - P.conj().T @ weyl @ P) < 0.0
-    return float((cmath.exp(-1j * theta) * det).real), n_f + int(below.sum())
+    weyl = ((-m00 / m01, 1.0 / m01), (1.0 / m01, -m11 / m01))
+    # Theta - P* W P; pwp[l] is column l of P* W P.
+    pwp = [_adjoint_apply(P, _apply(weyl, col)) for col in zip(*P)]
+    h = [[t - pwp[l][k] for l, t in enumerate(row)]
+         for k, row in enumerate(rel.theta_op)]
+    return (float((cmath.exp(-1j * theta) * det).real),
+            n_f + _negative_count(h))
 
 
-def _brackets(grid, point, tol):
-    """The pieces (lo, hi, k) of the grid, ascending, that hold k >= 1
-    eigenvalues, k the jump of the eigenvalue index across the piece.
+def _brackets(lam_min, lam_max, n, point, tol):
+    """The pieces (lo, hi, k) of the n-cell uniform grid on
+    [lam_min, lam_max], ascending, that hold k >= 1 eigenvalues, k the jump
+    of the eigenvalue index across the piece.
 
     point(lam) is (det, N).  A piece across which N does not jump is
     dropped; the rest are bisected on grid indices down to single cells.
+    Each grid point is computed from its index (`problem.grid_point`) when
+    a bisection reaches it, so no grid is held.
     A cell or piece stops there when k = 1 and det changes sign or is zero
     at an edge; otherwise it is bisected on N until it is narrower than
     tol.  Near a pole of the Weyl matrix N is noisy: where a half would
@@ -419,7 +463,8 @@ def _brackets(grid, point, tol):
         # i, j: the grid indices of lo and hi, None inside a cell.
         if i is not None and j - i > 1:
             c = (i + j) // 2
-            halves = ((lo, grid[c], i, c), (grid[c], hi, c, j))
+            mid = grid_point(lam_min, lam_max, n, c)
+            halves = ((lo, mid, i, c), (mid, hi, c, j))
         else:
             mid = 0.5 * (lo + hi)
             if (k == 1 and point(lo)[0] * point(hi)[0] <= 0.0
@@ -435,10 +480,30 @@ def _brackets(grid, point, tol):
             if step:
                 yield from split(a, b, i, j, step)
 
-    n = len(grid) - 1
-    step = jump(grid[0], grid[n])
+    step = jump(lam_min, lam_max)
     if step > 0:
-        yield from split(grid[0], grid[n], 0, n, step)
+        yield from split(lam_min, lam_max, 0, n, step)
+
+
+MAX_CELLS = 2 ** 53  # grid indices exact in a float; <= 53 bisection levels
+
+
+def grid_cells(lam_min, lam_max, grid_per_unit):
+    """The number of cells of eigenvalues_shoot's uniform lambda grid:
+    about grid_per_unit per unit of the range, and at least 8.  ValueError
+    unless the range is finite and increasing, with a finite width, and the
+    count at most MAX_CELLS."""
+    if not 0.0 < lam_max - lam_min < math.inf:
+        raise ValueError("lambda range must be finite and increasing, "
+                         "with a finite width")
+    try:
+        cells = (lam_max - lam_min) * grid_per_unit
+    except OverflowError:
+        cells = math.inf
+    if not cells <= MAX_CELLS:
+        raise ValueError(f"the lambda grid would have {cells:.3g} cells, "
+                         f"above 2**53: narrow the range or the grid")
+    return max(8, math.ceil(cells))
 
 
 def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
@@ -456,8 +521,9 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     Either way it also gives the eigenvalue index N(lam), the number of
     eigenvalues below lam.
 
-    A uniform lam grid of about grid_per_unit cells per unit is bisected on
-    N into the pieces where it jumps (`_brackets`).  A piece with one root
+    A uniform lam grid of about grid_per_unit cells per unit (`grid_cells`,
+    at most MAX_CELLS) is bisected on N into the pieces where it jumps
+    (`_brackets`).  A piece with one root
     across which the determinant changes sign is refined by Brent's method;
     a determinant of exactly zero at an edge makes that edge the root, and
     any other piece gives its midpoint.  A piece across which N jumps by k
@@ -466,9 +532,7 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     min(1e-10, tol / 100).
     """
     lam_min, lam_max = float(lam_range[0]), float(lam_range[1])
-    if not 0.0 < lam_max - lam_min < math.inf:
-        raise ValueError("lambda range must be finite and increasing, "
-                         "with a finite width")
+    n = grid_cells(lam_min, lam_max, grid_per_unit)
     if classification is None:
         from .classify import classify_both
         classification = classify_both(spec)
@@ -495,10 +559,8 @@ def eigenvalues_shoot(spec, ext, lam_range, tol=1e-8, grid_per_unit=64,
     def det_fn(lam):
         return point(lam)[0]
 
-    n = max(8, int(math.ceil((lam_max - lam_min) * grid_per_unit)))
-    grid = np.linspace(lam_min, lam_max, n + 1)
     results = []
-    for lo, hi, k in _brackets(grid, point, tol):
+    for lo, hi, k in _brackets(lam_min, lam_max, n, point, tol):
         v1, v2 = det_fn(lo), det_fn(hi)
         if v1 == 0.0:
             root = float(lo)

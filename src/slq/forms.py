@@ -70,8 +70,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .bvalues import gbv
 from .errors import (
     BasisVanishes,
@@ -384,8 +382,8 @@ def _check_square_integrable(spec, sides, fns):
 
 def _real_if_real(value):
     """value as a real float when its imaginary part is exactly 0."""
-    if np.imag(value) == 0.0:
-        return float(np.real(value))
+    if value.imag == 0.0:
+        return float(value.real)
     return value
 
 
@@ -476,21 +474,21 @@ def q_decorated(spec, bases, window, ext, f, g):
     base = q_base(spec, bases, window, regime, f, g)
 
     def gamma0(fn):
-        return np.array([gbv(spec, bases["ab".index(end)], fn).tilde
-                         for end in regime], dtype=complex)
+        return [complex(gbv(spec, bases["ab".index(end)], fn).tilde)
+                for end in regime]
 
     f0, g0 = gamma0(f), gamma0(g)
-    scale = 1.0 + max(np.abs(np.concatenate((f0, g0))), default=0.0)
+    scale = 1.0 + max(map(abs, f0 + g0), default=0.0)
     for label, vec in (("f", f0), ("g", g0)):
-        if np.linalg.norm(rel.mul_basis.conj().T @ vec) \
+        if math.hypot(*map(abs, rel.mul_component(vec))) \
                 > CONSTRAINT_TOL * scale:
             touched = [end for end, row in zip(regime, rel.mul_basis)
-                       if np.abs(row).max() > CONSTRAINT_TOL]
+                       if max(map(abs, row)) > CONSTRAINT_TOL]
             raise DomainConstraintViolated(
                 f"the extension constrains "
                 f"{', '.join(f'g~({end})' for end in touched)}: Gamma0 "
                 f"{label} = {vec} has a component along mul Theta")
-    deco = np.vdot(rel.project(f0), rel.theta_op @ rel.project(g0))
+    deco = rel.theta_form(f0, g0)
     return replace(base, value=_real_if_real(base.value + deco),
                    pieces={**base.pieces, "decoration_terms": deco})
 
@@ -542,6 +540,6 @@ def green_identity_residual(spec, bases, window, f, g, regime=REGIME_LC_LC):
         basis = bases["ab".index(end)]
         vf = gbv(spec, basis, f)
         vg = gbv(spec, basis, g)
-        boundary -= SIGMA[end] * np.conj(vf.tilde) * vg.tilde_prime
+        boundary -= SIGMA[end] * vf.tilde.conjugate() * vg.tilde_prime
 
     return pairing - form.value + boundary

@@ -51,8 +51,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-import numpy as np
-
 from . import tableaux
 from .errors import (
     EvaluationOutsideSupport,
@@ -715,6 +713,10 @@ def wronskian(f, g, x):
 
 
 def tau_apply(g, x_grid):
-    """Apply tau to g on a grid: g.tau at each grid point."""
-    return np.array([g.tau(x)
-                     for x in np.atleast_1d(np.asarray(x_grid, dtype=float))])
+    """Apply tau to g on a grid: the list of g.tau at each grid point, a
+    single point being a grid of one."""
+    try:
+        xs = [float(x) for x in x_grid]
+    except TypeError:
+        xs = [float(x_grid)]
+    return [g.tau(x) for x in xs]

@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     NonFiniteValue,
     NonPositiveCoefficient,
@@ -107,6 +105,26 @@ class ProblemSpec:
         return self.coeffs.r
 
 
+def grid_point(start, stop, n, i):
+    """Point i of the n-cell uniform grid from start to stop, as
+    numpy.linspace(start, stop, n + 1) computes it: start + i * step with
+    step = (stop - start) / n, and the last point stop itself."""
+    if i == n:
+        return stop
+    step = (stop - start) / n
+    if step == 0.0:
+        # A width too small for its cells: linspace scales i / n instead.
+        return start + i / n * (stop - start)
+    return start + i * step
+
+
+def uniform_grid(start, stop, num):
+    """num >= 2 evenly spaced floats from start to stop, both included:
+    numpy.linspace(start, stop, num) as a list."""
+    start, stop = float(start), float(stop)
+    return [grid_point(start, stop, num - 1, i) for i in range(num)]
+
+
 def _sample_grid(interval, n_samples):
     """Interior samples, log-dense toward each endpoint.
 
@@ -120,16 +138,16 @@ def _sample_grid(interval, n_samples):
     pts = []
     if math.isfinite(a):
         d = c - a
-        pts.extend(a + d * 0.5 ** np.linspace(1, 40, n_side))
+        pts.extend(a + d * 0.5 ** t for t in uniform_grid(1, 40, n_side))
     else:
-        pts.extend(c - 2.0 ** np.linspace(0, 30, n_side))
+        pts.extend(c - 2.0 ** t for t in uniform_grid(0, 30, n_side))
     if math.isfinite(b):
         d = b - c
-        pts.extend(b - d * 0.5 ** np.linspace(1, 40, n_side))
+        pts.extend(b - d * 0.5 ** t for t in uniform_grid(1, 40, n_side))
     else:
-        pts.extend(c + 2.0 ** np.linspace(0, 30, n_side))
+        pts.extend(c + 2.0 ** t for t in uniform_grid(0, 30, n_side))
     lo, hi = min(pts), max(pts)
-    pts.extend(np.linspace(lo, hi, n_mid))
+    pts.extend(uniform_grid(lo, hi, n_mid))
     return sorted(pts)
 
 

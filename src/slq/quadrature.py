@@ -39,9 +39,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-from numpy.exceptions import ComplexWarning
-
 from .expressions import _compiled
 from .odecore import EPS
 
@@ -87,13 +84,13 @@ UFLOW = sys.float_info.min
 
 def _real(v):
     """A node value that is not a float, as a float.  A complex value is
-    refused: float() raises TypeError on a Python complex, and a numpy
-    complex, which float() would only warn about and cut to its real part,
-    raises numpy's ComplexWarning."""
-    if isinstance(v, np.complexfloating) or (
-            isinstance(v, np.ndarray) and v.dtype.kind == "c"):
-        raise ComplexWarning(
-            "Casting complex values to real discards the imaginary part")
+    refused by its type with TypeError: a Python complex (numpy's
+    complex128 among its subclasses) or anything with a complex dtype
+    (numpy's other complex scalars and complex arrays), which float()
+    would cut to its real part."""
+    if isinstance(v, complex) or getattr(
+            getattr(v, "dtype", None), "kind", None) == "c":
+        raise TypeError(f"a complex node value, {v!r}, is not real")
     return float(v)
 
 
@@ -242,8 +239,8 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
     reaches the subdivision limit, QUADPACK's roundoff exits or a bad
     point warns nothing, and `improper_integral` reads a window whose
     error is above its tolerance as undecided.  f must be real: `quad`
-    raises TypeError on a Python complex and numpy's ComplexWarning on a
-    numpy complex, rather than dropping its imaginary part.
+    raises TypeError on a complex node value (`_real`), rather than
+    dropping its imaginary part.
     """
     return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
 
@@ -254,12 +251,11 @@ def _aitken(seq):
     Written as s2 - (s2 - s1)^2 / (s2 - 2 s1 + s0): the textbook quotient
     (s2 s0 - s1^2) / (s2 - 2 s1 + s0) cancels near a nonzero limit.
     """
-    s = np.asarray(seq, dtype=float)
-    step = s[2:] - s[1:-1]
-    den = s[2:] - 2.0 * s[1:-1] + s[:-2]
+    s = [float(v) for v in seq]
     out = []
-    for last, h, d in zip(s[2:], step, den):
-        out.append(last - h * h / d if abs(d) > 1e-300 else last)
+    for s0, s1, s2 in zip(s, s[1:], s[2:]):
+        h, d = s2 - s1, s2 - 2.0 * s1 + s0
+        out.append(s2 - h * h / d if abs(d) > 1e-300 else s2)
     return out
 
 
@@ -508,14 +504,13 @@ def _complex(integrate, fn, *args, **kw):
     """(value, error, converged, diverged) of integrate(fn, *args, **kw),
     where integrate is `panel` or `improper_integral` and fn may be complex.
 
-    fn is integrated as a real function.  `quad` refuses a node
-    that returns a complex number (TypeError on a Python complex, numpy's
-    ComplexWarning on a numpy one), and then the real and imaginary parts
-    are integrated on the same terms.
+    fn is integrated as a real function.  `quad` refuses a node that
+    returns a complex number with TypeError (`_real`), and then the real
+    and imaginary parts are integrated on the same terms.
     """
     try:
         parts = [integrate(fn, *args, **kw)]
-    except (TypeError, ComplexWarning):
+    except TypeError:
         parts = [integrate(lambda x: fn(x).real, *args, **kw),
                  integrate(lambda x: fn(x).imag, *args, **kw)]
     # panel returns (value, error): certified and finite by construction.

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     EvaluationOutsideSupport,
     IntegralClassificationInconclusive,
@@ -35,7 +33,7 @@ from .errors import (
 )
 from .functions import MemoizedQuasiFn, QuasiFn
 from .odecore import RK45, ScaledSolution, _plain, rk_solve
-from .problem import endpoint_regular
+from .problem import endpoint_regular, uniform_grid
 from .quadrature import geometric_points, improper_integral
 
 LOGSCALE_MAX = 300.0
@@ -275,7 +273,7 @@ def _trust_interval(u, u_hat, c0, lo, hi):
     W(u_hat, u) = 1 is verifiable to ~TRUST_CAP * eps).  Both family members
     grow toward the interior, so far from the endpoint the products
     overwhelm the floating-point cancellation."""
-    xs = np.linspace(lo, hi, TRUST_POINTS)
+    xs = uniform_grid(lo, hi, TRUST_POINTS)
 
     def ok(x):
         try:
@@ -286,7 +284,7 @@ def _trust_interval(u, u_hat, c0, lo, hi):
         vals = (abs(hu * uu1), abs(hu1 * uu))
         return all(math.isfinite(v) and v <= TRUST_CAP for v in vals)
 
-    i0 = int(np.argmin(np.abs(xs - c0)))
+    i0 = min(range(TRUST_POINTS), key=lambda i: abs(xs[i] - c0))
     if not ok(xs[i0]):
         return (float(xs[i0]), float(xs[i0]))
     i_lo = i0

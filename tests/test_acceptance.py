@@ -263,7 +263,7 @@ def test_triplet_algebra_random_draws():
                 R = ((r11, r12), (r21, (1.0 + r12 * r21) / r11))
             ext = Coupled(phi, R)
         pair = pair_from_extension(ext)     # runs validate_pair
-        A = pair.A
+        A = np.asarray(pair.A)
         Ap = np.linalg.pinv(A)
         for defect in (
             np.linalg.norm(A @ Ap @ A - A),
@@ -275,7 +275,8 @@ def test_triplet_algebra_random_draws():
         rel = decompose(pair)
         if kind == 0 and math.sin(alpha) > 1e-3 \
                 and math.sin(beta) > 1e-3:
-            theta = rel.dom_basis @ rel.theta_op @ rel.dom_basis.conj().T
+            P = np.asarray(rel.dom_basis)
+            theta = P @ np.asarray(rel.theta_op) @ P.conj().T
             want = np.diag([-1 / math.tan(alpha),
                             1 / math.tan(beta)])
             assert np.max(np.abs(theta - want)) \

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_triplet_matrices_follow_the_complex_number_rule(specfile, capsys,
     for key, matrix in (("A", ext.pair.A), ("B", ext.pair.B),
                         ("theta_op", ext.relation.theta_op)):
         want = [[z.real if z.imag == 0.0 else {"re": z.real, "im": z.imag}
-                 for z in row.tolist()] for row in matrix]
+                 for z in row] for row in matrix]
         assert section[key] == want, key
     plain = all(isinstance(x, float) for key in ("A", "B", "theta_op")
                 for row in section[key] for x in row)
@@ -452,15 +453,18 @@ def test_command_line_numbers_must_be_finite(specfile, capsys, command,
     ("eig", ["--grid", "0"]),
     ("eig", ["--grid", "-3"]),
     ("eig", ["--lmin=-1e308", "--lmax=1e308"]),
+    # A finite width, but 64 cells per unit of it are 1.3e302 cells.
+    ("eig", ["--lmin=-1e300", "--lmax=1e300"]),
 ])
 def test_out_of_range_options_are_refused(specfile, capsys, command, flags):
-    # Each is refused with a message and exit 2, before any work: none
-    # runs on, none ends in a traceback.
+    # Each is refused with a one-line message and exit 2, before any work:
+    # none runs on, none ends in a traceback.
     path = specfile({"coefficients": {"catalog": "regular_dirichlet_pi"}})
     assert main([command, path, *flags]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_form_takes_no_tol(specfile, capsys):
@@ -548,6 +552,42 @@ def test_every_report_is_the_envelope_and_one_section(specfile, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+
+def test_commands_run_with_numpy_blocked(specfile, capsys, monkeypatch):
+    # numpy is no dependency of slq: with its import refused, the seven
+    # commands run on the one-LC half-line, and eig and triplet on
+    # Legendre with the coupled condition R = I, phi = 0.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
+    halfline = specfile({"coefficients": {"catalog": "free_halfline"},
+                         "extension": {"kind": "one_lc", "alpha": 0.8,
+                                       "endpoint": "a"}})
+    legendre = specfile({"coefficients": {"catalog": "legendre"},
+                         "extension": {"kind": "coupled", "phi": 0.0,
+                                       "R": [[1, 0], [0, 1]]}},
+                        name="legendre.json")
+    fg = ["--f", "bump:0.1,0.75", "--g", "bump:-0.1,0.72"]
+    reports = []
+    for argv in (["classify", halfline], ["basis", halfline],
+                 ["gbv", halfline, "--g", "bump:0.1,0.75"],
+                 ["form", halfline, *fg], ["green-check", halfline, *fg],
+                 ["triplet", halfline],
+                 ["eig", halfline, "--lmin", "-1.5", "--lmax", "-0.1"],
+                 ["eig", legendre, "--lmin", "0.5", "--lmax", "7",
+                  "--grid", "4"],
+                 ["triplet", legendre]):
+        code, report = _run(capsys, argv)
+        assert code == EXIT_OK, argv
+        assert report["command"] == argv[0]
+        reports.append(report)
+    # The one-LC eigenvalue -cot(0.8)^2, and P_2's eigenvalue 6, which
+    # meets the coupled condition.
+    for report, want in ((reports[6], -1.0 / math.tan(0.8) ** 2),
+                         (reports[7], 6.0)):
+        assert [v["lambda"] for v in report["eigenvalues"]["values"]] \
+            == pytest.approx([want], abs=1e-7)
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -22,10 +22,11 @@ from slq.extensions import (
     eigenvalues_shoot,
     extension_from_dict,
     friedrichs_spec,
+    grid_cells,
 )
 from slq import expressions, extensions
 from slq.classify import classify_both
-from slq.problem import catalog
+from slq.problem import catalog, grid_point
 from slq.functions import ExprFunction
 from slq.triplets import pair_from_extension
 
@@ -45,8 +46,8 @@ def test_coupled_determinant_enforced():
     ext = Coupled(0.5, ((2.0, 3.0), (1.0, 2.0)))
     # R's columns are e^{i phi} times the first columns of B and -A.
     e = cmath.exp(0.5j)
-    assert np.allclose(ext.pair.B[:, 0] / e, [2, 1])
-    assert np.allclose(-ext.pair.A[:, 0] / e, [3, 2])
+    assert np.allclose(np.asarray(ext.pair.B)[:, 0] / e, [2, 1])
+    assert np.allclose(-np.asarray(ext.pair.A)[:, 0] / e, [3, 2])
 
 
 def test_extension_from_dict_variants():
@@ -128,7 +129,7 @@ def test_boundary_residual_of_the_pair(dirichlet, dirichlet_bases, ext, expr,
     g = ExprFunction(dirichlet, expr)
     va = gbv(dirichlet, dirichlet_bases[0], g)
     vb = gbv(dirichlet, dirichlet_bases[1], g)
-    res = boundary_residual(ext, va, vb)
+    res = np.asarray(boundary_residual(ext, va, vb))
     assert res.shape == (len(ext.lc_ends),)
     assert np.max(np.abs(res)) == pytest.approx(want, abs=1e-12)
 
@@ -203,6 +204,7 @@ def test_eigenvalues_legendre_krein_double(legendre, legendre_bases):
     # -1 as a point, where the determinant is exactly zero.
     M, _ = extensions._coupled_transfer(legendre, *legendre_bases, -1.0,
                                         1e-10)
+    M = np.asarray(M)
     ext = Coupled(0.0, (M / math.sqrt(np.linalg.det(M))).tolist())
     assert extensions._coupled_det(legendre, ext, legendre_bases, -1.0,
                                    1e-10)[0] == 0.0
@@ -511,7 +513,10 @@ def test_constructor_pair_is_the_written_out_pair(ext, want, ends, variant):
     assert ext.lc_ends == ends and ext.variant == variant
     assert pair_from_extension(ext) is ext.pair
     for got, ref in ((ext.pair.A, A), (ext.pair.B, B)):
-        assert got.shape == ref.shape
+        # A tuple of n rows of n entries each, n = 0 included.
+        assert len(got) == len(ref) and all(len(row) == len(ref)
+                                            for row in got)
+        got = np.asarray(got, dtype=complex).reshape(ref.shape)
         assert [z.hex() for x in got.ravel() for z in (x.real, x.imag)] \
             == [z.hex() for x in ref.ravel() for z in (x.real, x.imag)]
 
@@ -562,8 +567,8 @@ def test_the_pair_is_validated_once_and_read_only(monkeypatch, dirichlet,
     ext.relation
     eigenvalues_shoot(dirichlet, ext, (0.0, 1.0), bases=dirichlet_bases)
     assert len(calls) == 1
-    with pytest.raises(ValueError):
-        ext.pair.A[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        ext.pair.A[0][0] = 0.0
 
 
 @pytest.mark.parametrize("doc", [
@@ -591,6 +596,58 @@ def test_eigenvalues_shoot_refuses_a_range_that_is_not_finite(
     with pytest.raises(ValueError, match="finite and increasing"):
         eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), lam_range,
                           bases=dirichlet_bases)
+
+
+@pytest.mark.parametrize("lam_range, grid_per_unit", [
+    ((-1e300, 1e300), 64), ((0.0, 1e300), 1), ((0.0, 1.0), 2 ** 53 + 2),
+    ((0.0, 1e300), 10 ** 400)])
+def test_eigenvalues_shoot_refuses_a_grid_above_2_53_cells(
+        dirichlet, dirichlet_bases, lam_range, grid_per_unit):
+    # Grid indices are exact up to 2**53, and no bisection goes deeper
+    # than 53 levels; (-1e300, 1e300) at 64 per unit would recurse about
+    # 1,000 levels.
+    with pytest.raises(ValueError, match=r"above 2\*\*53"):
+        eigenvalues_shoot(dirichlet, Separated(0.0, 0.0), lam_range,
+                          grid_per_unit=grid_per_unit, bases=dirichlet_bases)
+
+
+def test_grid_points_are_linspace_from_their_index():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        lo, hi = sorted(rng.uniform(-1e3, 1e3, 2).tolist())
+        n = int(rng.integers(1, 500))
+        assert [grid_point(lo, hi, n, i) for i in range(n + 1)] \
+            == np.linspace(lo, hi, n + 1).tolist()
+    assert [grid_point(0.0, 5e-324, 8, i) for i in range(9)] \
+        == np.linspace(0.0, 5e-324, 9).tolist()
+    assert grid_cells(0.0, 1e8, 64) == 6_400_000_000
+    assert grid_cells(0.0, 0.01, 64) == 8
+
+
+def test_brackets_visit_log_n_grid_points_and_hold_no_grid():
+    # lambda in (0, 1e8) at 64 cells per unit is 6.4e9 cells: a grid would
+    # take 51 GB.  With one jump of the index, the bisection reads two
+    # points per half and level, 33 levels, then the cell's edges once
+    # more for the sign of the determinant, and holds no grid.
+    import tracemalloc
+    n = grid_cells(0.0, 1e8, 64)
+    root = math.pi * 1e7
+    visited = []
+
+    def point(lam):
+        visited.append(lam)
+        return lam - root, int(lam > root)
+
+    tracemalloc.start()
+    try:
+        found = list(extensions._brackets(0.0, 1e8, n, point, 1e-8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(lo, hi, k)] = found
+    assert k == 1 and lo < root < hi and hi - lo <= 1.0 / 64.0
+    assert len(visited) <= 4 * math.ceil(math.log2(n)) + 4
+    assert peak < 1e6
 
 
 def test_shooting_refuses_a_finite_limit_point_end(monkeypatch):

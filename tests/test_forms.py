@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.exceptions import ComplexWarning
 from scipy.integrate import quad as scipy_quad
 
 from slq import forms, quadrature
@@ -244,8 +243,8 @@ def test_complex_improper_probes_inside_the_range():
 
 
 def test_complex_keeps_a_numpy_imaginary_part():
-    # A numpy complex converts to float with only a ComplexWarning, so quad
-    # would integrate its real part alone.
+    # float() cuts a numpy complex to its real part with only a warning, so
+    # quad would integrate its real part alone.
     def fn(x):
         return np.complex128(complex(x, x * x))
 
@@ -262,8 +261,42 @@ def test_complex_keeps_a_numpy_imaginary_part():
 
 
 def test_panel_refuses_a_numpy_complex_integrand():
-    with pytest.raises(ComplexWarning):
+    with pytest.raises(TypeError):
         panel(lambda x: np.complex128(complex(x, 1.0)), 0.0, 1.0)
+
+
+# Every kind of complex node value: Python's, numpy's three complex
+# scalars, and a 0-d complex array.
+_COMPLEX_NODES = {
+    "complex": complex,
+    "complex64": np.complex64,
+    "complex128": np.complex128,
+    "clongdouble": np.clongdouble,
+    "0d_array": lambda z: np.array(z),
+}
+
+
+@pytest.mark.parametrize("make", _COMPLEX_NODES.values(),
+                         ids=_COMPLEX_NODES.keys())
+def test_panel_refuses_every_complex_node_type(make):
+    with pytest.raises(TypeError):
+        panel(lambda x: make(complex(x, 1.0)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("make", _COMPLEX_NODES.values(),
+                         ids=_COMPLEX_NODES.keys())
+def test_complex_integrates_every_complex_node_type(make):
+    # The real and imaginary parts of each node type integrate to the
+    # values of the same integrand as Python complex numbers.  complex64
+    # rounds its nodes to single precision, so its values are that close.
+    def fn(x):
+        return complex(math.cos(x), x * x)
+
+    want = _complex(panel, fn, 0.0, 1.0)
+    got = _complex(panel, lambda x: make(fn(x)), 0.0, 1.0)
+    rel = 1e-6 if make is np.complex64 else 1e-15
+    assert got[0] == pytest.approx(want[0], rel=rel)
+    assert got[2:] == want[2:] == (True, False)
 
 
 def test_panel_leaves_the_warning_filters_as_it_found_them():
@@ -278,7 +311,7 @@ def test_panel_leaves_the_warning_filters_as_it_found_them():
         return x * x
 
     panel(fn, 0.0, 1.0)
-    with pytest.raises(ComplexWarning):
+    with pytest.raises(TypeError):
         panel(lambda x: np.complex128(complex(x, 1.0)), 0.0, 1.0)
     assert seen and all(seen)
     assert warnings.filters is filters and warnings.filters == contents

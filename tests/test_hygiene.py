@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in slq and its tests is used,
 every name slq defines and every tableau attribute has a reader outside the
 tests, every quasi-function class computes its own tau, slq has one ODE
-integrator, and importing the CLI loads no scipy."""
+integrator, and neither slq's sources nor importing the CLI load scipy or
+numpy."""
 
 import ast
 import importlib
@@ -172,27 +173,50 @@ def test_one_ode_integrator(path):
     assert "solve_ivp" not in path.read_text()
 
 
+def imported_packages(source):
+    """The top-level package of every module an import statement in
+    `source` names, anywhere in it (function bodies included)."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    return [m.split(".")[0] for m in modules]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_scipy_import(path):
     # slq's own QUADPACK, Brent and tableaux stand in for scipy's; scipy is
     # a test dependency only.
-    modules = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            modules += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules.append(node.module)
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "scipy" not in imported_packages(path.read_text())
 
 
-def test_cli_import_loads_no_scipy():
-    # A fresh interpreter: this test session has imported scipy itself.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    # The boundary algebra is closed form on n <= 2 and the grids are
+    # lists; numpy is a test dependency only.
+    assert "numpy" not in imported_packages(path.read_text())
+
+
+def cli_import_loads(package):
+    """The modules of `package` that `import slq.cli` loads in a fresh
+    interpreter (this test session has imported scipy and numpy itself)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, slq.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"if m.split('.')[0] == {package!r}))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert cli_import_loads("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    assert cli_import_loads("numpy") == "[]"

@@ -624,7 +624,7 @@ def test_tau_of_basis_solutions_is_lambda0_times_the_solution():
             hi = min(fn.x_max, lo + 20.0)
             xs = list(np.linspace(lo, hi, 9)[1:-1])
             want = [spec.lambda0 * fn(x) for x in xs]
-            assert tau_apply(fn, xs).tolist() == want, fn
+            assert tau_apply(fn, xs) == want, fn
     assert kinds == {"ScaledSolution", "ScalarMultiple", "ReductionSolution"}
 
 

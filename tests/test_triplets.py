@@ -29,7 +29,8 @@ from slq.functions import BumpFn, ExprFunction, polynomial
 
 def _theta_full(rel):
     """Operator part in the standard coordinates of C^n."""
-    return rel.dom_basis @ rel.theta_op @ rel.dom_basis.conj().T
+    P = np.asarray(rel.dom_basis)
+    return P @ np.asarray(rel.theta_op) @ P.conj().T
 
 
 def test_validate_pair_rejects_zero():
@@ -72,7 +73,7 @@ def test_neumann_theta_zero():
 def test_dirichlet_purely_multivalued():
     rel = decompose(pair_from_extension(Separated(0.0, 0.0)))
     assert rel.multivalued_dim == 2
-    assert rel.theta_op.shape == (0, 0)
+    assert np.asarray(rel.theta_op).size == 0
 
 
 def test_relation_is_decomposed_once_per_extension(monkeypatch):
@@ -102,7 +103,7 @@ def test_one_dimensional_relation():
     # (cos g, sin g) convention: Theta = -cot(gamma) at endpoint a.
     gamma = 1.1
     rel = decompose(pair_from_extension(OneLC(alpha=gamma, lc_endpoint="a")))
-    assert rel.theta_op[0, 0] == pytest.approx(-1 / math.tan(gamma),
+    assert rel.theta_op[0][0] == pytest.approx(-1 / math.tan(gamma),
                                                abs=1e-12)
     rel0 = decompose(pair_from_extension(OneLC(alpha=0.0, lc_endpoint="a")))
     assert rel0.multivalued_dim == 1
@@ -115,13 +116,13 @@ def test_one_lc_pair_is_the_separated_pair_at_its_end(t, end):
     angles = {"a": 1.1, "b": 1.1, end: t}
     sep = pair_from_extension(Separated(angles["a"], angles["b"]))
     one = pair_from_extension(OneLC(t, end))
-    assert np.array_equal(one.A, sep.A[k:k + 1, k:k + 1])
-    assert np.array_equal(one.B, sep.B[k:k + 1, k:k + 1])
+    assert np.array_equal(one.A, np.asarray(sep.A)[k:k + 1, k:k + 1])
+    assert np.array_equal(one.B, np.asarray(sep.B)[k:k + 1, k:k + 1])
 
 
 def test_lp_lp_pair_is_empty():
     pair = pair_from_extension(LpLp())
-    assert pair.n == 0 and pair.B.shape == (0, 0)
+    assert pair.n == 0 and pair.A == pair.B == ()
 
 
 def test_relation_membership_examples():
@@ -149,7 +150,7 @@ def test_moore_penrose_identities_random_draws():
             pair = pair_from_extension(
                 Coupled(rng.uniform(0, math.pi),
                         ((r11, r12), (r21, r22))))
-        A = pair.A
+        A = np.asarray(pair.A)
         Ap = np.linalg.pinv(A)
         assert np.linalg.norm(A @ Ap @ A - A) < 1e-12
         assert np.linalg.norm(Ap @ A @ Ap - Ap) < 1e-12
