@@ -32,7 +32,7 @@ from .errors import (
 )
 from .functions import QuasiFn
 from .odecore import EPS, wronskian
-from .quadrature import _complex, accelerated_limit, improper_integral
+from .quadrature import accelerated_limit, improper_integral
 
 # Nothing here calls accelerated_limit any more: perfbench/tracing.py rebinds
 # it in this module by name, so it stays bound until the tracer reads
@@ -96,10 +96,10 @@ def _wronskian_limit(spec, basis, w, g):
     tau w = lambda0 w: W(w, g)(c) - int_c^e r w (tau g - lambda0 g), with
     c = nonvanish_bound.
 
-    The integral runs to the edge of w's support toward e, through
-    `_complex`, so a complex g splits into real and imaginary parts.  Only
-    a diverged integral raises NoConvergence; an uncertified one is used
-    as it stands.  The error is the integral's estimate plus the rounding
+    The integral runs to the edge of w's support toward e, one
+    `improper_integral` sweep for a real or a complex g alike.  Only a
+    diverged integral raises NoConvergence; an uncertified one is used as
+    it stands.  The error is the integral's estimate plus the rounding
     of the Wronskian at c.
     """
     c, end = basis.nonvanish_bound, basis.endpoint_value
@@ -111,13 +111,12 @@ def _wronskian_limit(spec, basis, w, g):
         return r(x) * w(x) * (g.tau(x) - lam0 * g(x))
 
     cutoff = w.x_min if basis.endpoint == "a" else w.x_max
-    val, err, _, diverged = _complex(improper_integral, integrand, c, end,
-                                     cutoff=cutoff)
-    if diverged:
+    res = improper_integral(integrand, c, end, cutoff=cutoff)
+    if res.diverged:
         raise NoConvergence(
             f"Lagrange integral diverges toward endpoint {basis.endpoint}")
     rounding = EPS * (abs(wu * gu1) + abs(wu1 * gu))
-    return wu * gu1 - wu1 * gu - val, err + rounding
+    return wu * gu1 - wu1 * gu - res.value, res.error + rounding
 
 
 def _smoothstep(t):

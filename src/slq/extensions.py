@@ -42,7 +42,7 @@ from .triplets import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExtensionSpec:
     """The self-adjoint boundary condition B Gamma0 g = A Gamma1 g over the
     limit-circle ends `lc_ends`, a subset of ("a", "b") in order.
@@ -62,17 +62,6 @@ class ExtensionSpec:
                              f"{self.lc_ends}")
         object.__setattr__(self, "pair", pair)
 
-    def _key(self):
-        return self.lc_ends, self.pair.A, self.pair.B
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtensionSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def variant(self):
         """The kind of condition: "lp_lp", "one_lc" or "separated" for a
@@ -86,6 +75,17 @@ class ExtensionSpec:
         """The condition's boundary relation, decomposed into its operator
         part Theta and multivalued part; computed once per extension."""
         return decompose(self.pair)
+
+    @cached_property
+    def det_phase(self):
+        """theta = arg(det(B + iA) det(B - iA)) / 2, the constant phase on
+        the real axis of a 2 x 2 pair's determinant (`_coupled_det`)."""
+        A, B = self.pair.A, self.pair.B
+        return 0.5 * cmath.phase(
+            _det2([[b + 1j * a for a, b in zip(ra, rb)]
+                   for ra, rb in zip(A, B)])
+            * _det2([[b - 1j * a for a, b in zip(ra, rb)]
+                     for ra, rb in zip(A, B)]))
 
 
 def _diagonal(pair):
@@ -410,10 +410,11 @@ def _coupled_det(spec, ext, bases, lam, tol):
     det is det(B Gamma0 Phi - A Gamma1 Phi), made real.  Phi's columns are
     the solutions with GBV data (1, 0) and (0, 1) at a, so
     Gamma0 Phi = [[1, 0], M[0]] and Gamma1 Phi = [[0, 1], -M[1]].  On the
-    real axis the determinant has the constant phase
-    theta = arg(det(B + iA) det(B - iA)) / 2; for the catalog's coupled pair
-    it is e^{i phi} (2 cos phi - tr(R^-1 M)) with theta = phi mod pi.  It is
-    entire in lam, where det(B - A W) has poles.
+    real axis the determinant has the constant phase theta =
+    arg(det(B + iA) det(B - iA)) / 2, the extension's `det_phase`; for the
+    catalog's coupled pair it is e^{i phi} (2 cos phi - tr(R^-1 M)) with
+    theta = phi mod pi.  It is entire in lam, where det(B - A W) has
+    poles.
 
     N = N_F + n_-(Theta - P* W P), the number of eigenvalues below lam:
     W = [[-M00, 1], [1, -M11]] / M01 is the Weyl matrix (Gamma1 psi =
@@ -424,10 +425,6 @@ def _coupled_det(spec, ext, bases, lam, tol):
     M, n_f = _coupled_transfer(spec, *bases, lam, tol)
     (m00, m01), (m10, m11) = M
     A, B = ext.pair.A, ext.pair.B
-    theta = 0.5 * cmath.phase(
-        _det2([[b + 1j * a for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-        * _det2([[b - 1j * a for a, b in zip(ra, rb)]
-                 for ra, rb in zip(A, B)]))
     # B Gamma0 Phi - A Gamma1 Phi, column by column.
     det = _det2([[b0 + m00 * b1 + m10 * a1, m01 * b1 - a0 + m11 * a1]
                  for (a0, a1), (b0, b1) in zip(A, B)])
@@ -438,7 +435,7 @@ def _coupled_det(spec, ext, bases, lam, tol):
     pwp = [_adjoint_apply(P, _apply(weyl, col)) for col in zip(*P)]
     h = [[t - pwp[l][k] for l, t in enumerate(row)]
          for k, row in enumerate(rel.theta_op)]
-    return (float((cmath.exp(-1j * theta) * det).real),
+    return (float((cmath.exp(-1j * ext.det_phase) * det).real),
             n_f + _negative_count(h))
 
 

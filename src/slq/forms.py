@@ -50,9 +50,8 @@ once at a limit-point side's x and from the root-finding at a
 limit-circle side's s.  A limit-circle side integrates conj(W(w, f))
 W(w, g) in s, a limit-point side the same product over p w^2 in x.  Every
 per-node callback works in plain Python numbers (`.conjugate()`), not numpy
-scalars.  Whether an integrand is complex is decided by its quadrature
-nodes (`_complex`): it is integrated as a real function, and as a real
-and an imaginary part once any node returns a complex number.
+scalars.  An integrand is real or complex by its own nodes, and either
+kind takes one `panel` or `improper_integral` pass.
 
 A regime is the tuple of its limit-circle ends, the ends that take the
 nonprincipal reference solution and carry boundary values: REGIME_LC_LC is
@@ -79,7 +78,7 @@ from .errors import (
     VariantMismatch,
     WindowInvalid,
 )
-from .quadrature import _complex, geometric_points, improper_integral, panel
+from .quadrature import geometric_points, improper_integral, panel
 
 REGIME_LC_LC = ("a", "b")
 REGIME_LC_LP = ("a",)   # LC at a, LP at b
@@ -147,9 +146,10 @@ class Side:
         the side, oriented along x (from a to c, from d to b):
         `improper_integral`'s windowed sweep from the cut toward the
         endpoint, stopped at the cutoff."""
-        val, e, ok, div = _complex(improper_integral, fn, self.cut,
-                                   self.endpoint, cutoff=self.cutoff)
-        return -SIGMA[self.end] * val, e, ok, div
+        res = improper_integral(fn, self.cut, self.endpoint,
+                                cutoff=self.cutoff)
+        return (-SIGMA[self.end] * res.value, res.error, res.converged,
+                res.diverged)
 
 
 def _sides(spec, bases, window, regime):
@@ -186,17 +186,17 @@ def _piecewise(fn, lo, hi, breaks):
     """(value, error) of the proper integral of fn from lo to hi, one
     `panel` per piece between the breaks strictly inside.
 
-    Each piece goes through `_complex`, so it is real or complex by its own
-    nodes; values and errors are summed.  With no break inside it is one
-    panel over (lo, hi), as it would be unsplit.
+    Each piece is real or complex by its own nodes; values and errors are
+    summed.  With no break inside it is one panel over (lo, hi), as it
+    would be unsplit.
     """
     inner = sorted({x for x in breaks if min(lo, hi) < x < max(lo, hi)})
     if hi < lo:
         inner.reverse()
     knots = [lo, *inner, hi]
-    val, err, _, _ = _complex(panel, fn, knots[0], knots[1])
+    val, err = panel(fn, knots[0], knots[1])
     for x0, x1 in zip(knots[1:], knots[2:]):
-        v, e, _, _ = _complex(panel, fn, x0, x1)
+        v, e = panel(fn, x0, x1)
         val, err = val + v, err + e
     return val, err
 
@@ -329,8 +329,7 @@ def _side_n_integral(spec, side, f, g):
             raise FormIntegralDiverges(
                 f"N-integral toward endpoint {side.end}: {exc}") from None
         limit = vf.tilde_prime.conjugate() * vg.tilde_prime
-        val, err, _, _ = _complex(panel, integrand,
-                                  *sorted((smap.s_edge, smap.s_cut)))
+        val, err = panel(integrand, *sorted((smap.s_edge, smap.s_cut)))
         tail = SIGMA[side.end] * smap.s_edge * limit
         err += abs(smap.s_edge) * (
             abs(integrand(smap.s_edge) - limit)

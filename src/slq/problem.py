@@ -40,6 +40,12 @@ class Interval:
             raise SpecFileError("interval endpoints must not be NaN")
         if not self.a < self.b:
             raise SpecFileError(f"interval requires a < b, got ({self.a}, {self.b})")
+        # Shooting and the basis march start at the interior point; one
+        # that rounds onto an end leaves them nothing to solve over.
+        mid = self.interior_point()
+        if not self.a < mid < self.b:
+            raise SpecFileError(f"interval ({self.a}, {self.b}) has no "
+                                f"interior point to start from (got {mid})")
 
     def endpoints(self):
         return (self.a, self.b)

@@ -28,9 +28,9 @@ A window whose panel misses its tolerance (a pole inside it, say) leaves
 its sweep undecided, neither converged nor diverged: its value is not
 read as divergence (see `improper_integral`).
 
-`_complex` integrates a function that may be complex: as a real function,
-and as a real and an imaginary part once a node returns a complex number.
-The forms and the generalized boundary values share it.
+An integrand may be real or complex: dqk21 and the bisection run on
+Python complex numbers as on floats, every tolerance and error estimate
+reading a modulus, so a complex integrand takes one pass.
 """
 
 from __future__ import annotations
@@ -82,30 +82,31 @@ WG = (0.066671344308688137593568809893332,
 UFLOW = sys.float_info.min
 
 
-def _real(v):
-    """A node value that is not a float, as a float.  A complex value is
-    refused by its type with TypeError: a Python complex (numpy's
-    complex128 among its subclasses) or anything with a complex dtype
-    (numpy's other complex scalars and complex arrays), which float()
-    would cut to its real part."""
+def _number(v):
+    """A node value that is not a float, as a float, or as a Python complex
+    where it is complex: a complex (numpy's complex128 among its
+    subclasses) or anything with a complex dtype (numpy's other complex
+    scalars and 0-d complex arrays), which float() would cut to its real
+    part."""
     if isinstance(v, complex) or getattr(
             getattr(v, "dtype", None), "kind", None) == "c":
-        raise TypeError(f"a complex node value, {v!r}, is not real")
+        return complex(v)
     return float(v)
 
 
 def _node(name, x):
-    """Source lines that set `name` to f(x) as a float (see `_real`)."""
+    """Lines that set `name` to f(x), a float or complex (`_number`)."""
     return [f"{name} = f({x})",
             f"if {name}.__class__ is not float:",
-            f"    {name} = _real({name})"]
+            f"    {name} = _number({name})"]
 
 
 def _qk21_source():
     """Source of dqk21 unrolled: qk21(f, a, b) -> (result, abserr, resabs,
     resasc), the node pairs in QUADPACK's order (Gauss nodes first) and
     every sum in its order.  A value f returns that is not a float passes
-    through `_real`, which refuses a complex one."""
+    through `_number`; a complex one makes the sums complex, and every
+    error term reads its modulus."""
     lines = ["centr = 0.5 * (a + b)",
              "hlgth = 0.5 * (b - a)",
              *_node("fc", "centr"),
@@ -139,7 +140,7 @@ def _qk21_source():
     return "\n".join(["def qk21(f, a, b):", *["    " + ln for ln in lines]])
 
 
-_qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {"_real": _real})
+_qk21 = _compiled(_qk21_source(), "qk21", "<qk21>", {"_number": _number})
 
 
 def _qage(f, a, b, epsabs, epsrel, limit):
@@ -213,7 +214,7 @@ def quad(f, a, b, epsabs, epsrel, limit, full_output=0):
     """(value, error) of the integral of f over the finite interval from a
     to b, by dqk21 and dqage's bisection with at most `limit` subintervals
     (no extrapolation); with `full_output`, (value, error, {"neval":
-    evaluations of f}).
+    evaluations of f}).  The value is complex where a node of f is.
 
     As scipy.integrate.quad does, it integrates over [min(a, b), max(a, b)]
     and negates the value when b < a, and returns zeros when a == b.
@@ -238,9 +239,8 @@ def panel(f, a, b, epsabs=1e-13, epsrel=1e-12):
     The returned error estimate is what callers act on; a panel that
     reaches the subdivision limit, QUADPACK's roundoff exits or a bad
     point warns nothing, and `improper_integral` reads a window whose
-    error is above its tolerance as undecided.  f must be real: `quad`
-    raises TypeError on a complex node value (`_real`), rather than
-    dropping its imaginary part.
+    error is above its tolerance as undecided.  f may be complex: the
+    value is then complex, from one pass whose error bounds its modulus.
     """
     return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
 
@@ -403,7 +403,7 @@ def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, cutoff=None):
 
 @dataclass
 class ImproperResult:
-    value: float
+    value: float        # complex where f is
     error: float
     converged: bool
     diverged: bool
@@ -434,6 +434,11 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
     both False): an unresolved value, however large, is no evidence of
     divergence.  The sweep still runs to its end, so the value and error
     cover every window, the unresolved one included.
+
+    A complex f takes one sweep, judged on moduli.  At extrapolation each
+    part, real and imaginary, ends on its own last two contributions or
+    goes through `accelerated_limit` alone; the sum is certified only if
+    both parts are.
     """
     pts = geometric_points(start, endpoint, cutoff=cutoff)
     contribs = []
@@ -484,7 +489,8 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
         ratio = c_last / c_prev if c_prev > 0 else 0.0
         if c_last < 1e-12 * (1.0 + abs(total)) and ratio < 0.5:
             tail = c_last * ratio / (1.0 - ratio)
-            return verdict(total + math.copysign(tail, contribs[-1]),
+            c = contribs[-1]  # its phase: copysign on reals, bit for bit
+            return verdict(total + (tail * (c / c_last) if c_last else c),
                            quad_err + c_last, True, False)
     # Contributions still significant at the last window: check decay and
     # extrapolate the remaining tail.  Constant-size contributions mean a
@@ -496,32 +502,21 @@ def improper_integral(f, start, endpoint, *, cutoff=None):
         us = [-math.log(abs(endpoint - x)) for x in pts[1:len(sums) + 1]]
     else:
         us = None
-    value, ext_err, certified = accelerated_limit(sums, us)
-    return verdict(value, quad_err + ext_err, certified, False)
+    if not isinstance(total, complex):
+        value, ext_err, certified = accelerated_limit(sums, us)
+        return verdict(value, quad_err + ext_err, certified, False)
 
+    def part_limit(part):
+        end = part(sums[-1])
+        if all(abs(part(c)) < TRUNCATION_TOL * (1.0 + abs(end))
+               for c in contribs[-2:]):
+            return end, TRUNCATION_TOL * abs(end), True
+        return accelerated_limit([part(s) for s in sums], us)
 
-def _complex(integrate, fn, *args, **kw):
-    """(value, error, converged, diverged) of integrate(fn, *args, **kw),
-    where integrate is `panel` or `improper_integral` and fn may be complex.
-
-    fn is integrated as a real function.  `quad` refuses a node that
-    returns a complex number with TypeError (`_real`), and then the real
-    and imaginary parts are integrated on the same terms.
-    """
-    try:
-        parts = [integrate(fn, *args, **kw)]
-    except TypeError:
-        parts = [integrate(lambda x: fn(x).real, *args, **kw),
-                 integrate(lambda x: fn(x).imag, *args, **kw)]
-    # panel returns (value, error): certified and finite by construction.
-    parts = [res if isinstance(res, ImproperResult)
-             else ImproperResult(*res, True, False) for res in parts]
-    if len(parts) == 1:
-        [res] = parts
-        return res.value, res.error, res.converged, res.diverged
-    re, im = parts
-    return (complex(re.value, im.value), re.error + im.error,
-            re.converged and im.converged, re.diverged or im.diverged)
+    (re, re_err, re_ok), (im, im_err, im_ok) = (
+        part_limit(lambda z: z.real), part_limit(lambda z: z.imag))
+    return verdict(complex(re, im), quad_err + re_err + im_err,
+                   re_ok and im_ok, False)
 
 
 def interval_integral(f, a, b, *, singular_a=False, singular_b=False,

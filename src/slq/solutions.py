@@ -204,7 +204,6 @@ class SolutionBasis:
     endpoint: str                 # "a" or "b"
     u: object                     # principal
     u_hat: object                 # nonprincipal, W(u_hat, u) = 1
-    lambda0: float
     nonvanish_bound: float        # c0, past the last zero found
     endpoint_value: float = 0.0
     regular: bool = False
@@ -426,7 +425,7 @@ def construct_basis(spec, endpoint, tol=1e-11):
         u_hat = ScalarMultiple(w, -w_c0 * S)
 
     return SolutionBasis(
-        endpoint=endpoint, u=u, u_hat=u_hat, lambda0=lam0,
+        endpoint=endpoint, u=u, u_hat=u_hat,
         nonvanish_bound=c0, endpoint_value=end, regular=False,
         principal_integral=res,
         diagnostics={"marched_kind": kind, "last_zero": last_zero},
@@ -456,7 +455,7 @@ def _regular_basis(spec, endpoint, end, back_to, tol):
     else:
         c0 = bound_guess
     return SolutionBasis(
-        endpoint=endpoint, u=u, u_hat=u_hat, lambda0=spec.lambda0,
+        endpoint=endpoint, u=u, u_hat=u_hat,
         nonvanish_bound=c0, endpoint_value=end, regular=True,
         principal_integral=None,
         diagnostics={"marched_kind": "classical", "last_zero": zs or None},

@@ -51,14 +51,15 @@ EPS_VALUES = (1.0, 0.1)  # boundary_pair_check's epsilons
 MAX_N = 2  # the largest pair: one row per limit-circle end
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAPair:
     """Parameter pair (A, B) of a self-adjoint boundary relation, each an
-    n x n tuple of rows of complex numbers."""
+    n x n tuple of rows of complex numbers; two pairs are equal when their
+    A and B are."""
 
     A: tuple
     B: tuple
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def n(self):

@@ -607,6 +607,26 @@ def test_a_spec_file_json_cannot_read_is_refused(tmp_path, capsys, raw,
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command, a, b", [
+    ("eig", 1.0, 1.0000000000000002),
+    ("eig", 0.0, 5e-324),
+    ("basis", 1e17, "inf"),
+    ("basis", "-inf", -1e17),
+])
+def test_an_interval_with_no_interior_point_is_refused(specfile, capsys,
+                                                       command, a, b):
+    # Its reference point rounds onto an end: a spec-file error (exit 2)
+    # with one line, not a traceback from a zero-length solve.
+    path = specfile({"interval": {"a": a, "b": b},
+                     "coefficients": {"p": "1", "q": "0", "r": "1"}})
+    assert main([command, path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "no interior point to start from" in captured.err
+
+
 @pytest.mark.parametrize("flags", [
     ["--out", "{missing}/report.json"],
     ["--csv", "{missing}/dump"],

@@ -1,6 +1,7 @@
 """Extension catalog, boundary residuals, eigenvalue shooting."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -354,6 +355,38 @@ def test_tol_sets_the_shooting_ode_tolerance():
     assert all(abs(e.lam - w) <= 1e-13 for e, w in zip(eigs, want))
 
 
+def test_friedrichs_eigenvalues_with_a_limit_circle_end_at_infinity(
+        monkeypatch):
+    # p = x^2, q = 0, r = x^-2 on (1, inf) is -u'' = lam u on (0, 1) in
+    # t = 1/x: limit circle at both ends, and its Friedrichs extension
+    # (Dirichlet at 1) has eigenvalues (n pi)^2.  Shooting starts at the
+    # infinite LC end from the far edge of the basis trust interval.
+    from slq.problem import problem_from_dict, validate
+    spec, _ = problem_from_dict({
+        "interval": {"a": 1.0, "b": "inf"},
+        "coefficients": {"p": "x**2", "q": "0", "r": "x**-2"}})
+    validate(spec)
+    classification = classify_both(spec)
+    ext = friedrichs_spec(classification)
+    assert ext.lc_ends == ("a", "b")
+    starts = []
+    lc_point = extensions._lc_point
+
+    def recording(basis):
+        starts.append((basis.endpoint, lc_point(basis),
+                       basis.trust_interval[1]))
+        return starts[-1][1]
+
+    monkeypatch.setattr(extensions, "_lc_point", recording)
+    eigs = eigenvalues_shoot(spec, ext, (5.0, 100.0), tol=1e-10,
+                             classification=classification)
+    want = [(n * math.pi) ** 2 for n in (1, 2, 3)]
+    assert len(eigs) == 3
+    assert all(abs(e.lam - w) <= 1e-9 for e, w in zip(eigs, want))
+    far = [(x, edge) for end, x, edge in starts if end == "b"]
+    assert far and all(x == edge and math.isfinite(x) for x, edge in far)
+
+
 def test_eigenvalues_empty_range_is_an_empty_list(dirichlet,
                                                   dirichlet_bases):
     # No eigenvalue of -u'' with Dirichlet ends on (0, pi) lies in
@@ -569,6 +602,28 @@ def test_the_pair_is_validated_once_and_read_only(monkeypatch, dirichlet,
     assert len(calls) == 1
     with pytest.raises(TypeError):
         ext.pair.A[0][0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ext.pair.A = ext.pair.B
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, 2.0])
+def test_the_coupled_phase_is_kept_on_the_extension(dirichlet,
+                                                    dirichlet_bases, phi):
+    # theta = arg(det(B + iA) det(B - iA)) / 2 does not depend on lam: it
+    # is computed on the first determinant and kept, and for the catalog's
+    # coupled pair it is phi mod pi.
+    ext = Coupled(phi, ((1.0, 0.0), (0.0, 1.0)))
+    assert "det_phase" not in vars(ext)
+    eigenvalues_shoot(dirichlet, ext, (0.0, 1.0), bases=dirichlet_bases)
+    theta = vars(ext)["det_phase"]
+    assert abs(math.remainder(theta - phi, math.pi)) <= 1e-15
+
+
+def test_a_pair_compares_without_its_diagnostics():
+    ext = Coupled(1.0, ((1.0, 0.0), (0.0, 1.0)))
+    twin = dataclasses.replace(ext.pair, diagnostics={})
+    assert twin == ext.pair and hash(twin) == hash(ext.pair)
+    assert ext.pair.diagnostics
 
 
 @pytest.mark.parametrize("doc", [

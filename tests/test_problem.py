@@ -53,6 +53,22 @@ def test_interval_requires_order():
         Interval(1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [
+    (1.0, 1.0000000000000002),
+    (0.0, 5e-324),
+    (1e17, math.inf),
+    (-math.inf, -1e17),
+    (1e308, 1.7e308),
+])
+def test_interval_refuses_one_with_no_interior_point_apart_from_its_ends(
+        a, b):
+    # a < b, but the reference point that shooting and the basis march
+    # start from rounds onto an end (or, last, overflows past one).
+    with pytest.raises(SpecFileError,
+                       match="no interior point to start from"):
+        Interval(a, b)
+
+
 def test_endpoint_regular_tells_the_ends_apart():
     spec = catalog("bessel(2)")
     assert validate(spec) is None

@@ -10,7 +10,6 @@ import scipy.special
 from slq.problem import catalog
 from slq.quadrature import (
     MAX_WINDOWS,
-    _complex,
     accelerated_limit,
     geometric_points,
     improper_integral,
@@ -84,11 +83,12 @@ def test_improper_unresolved_window_keeps_the_later_windows():
     assert not res.converged and not res.diverged
     assert len(res.contributions) > 3
     assert abs(res.value + exact) <= res.error < 1e-6
-    # Through _complex, as the forms and the Lagrange values call it.
-    val, err, ok, div = _complex(improper_integral, lambda x: 1j * f(x),
-                                 1.0, 0.0)
-    assert not ok and not div
-    assert abs(val.imag + exact) <= err and val.real == 0.0
+    # The same sweep on a complex integrand, as the forms and the Lagrange
+    # values pass it.
+    res = improper_integral(lambda x: 1j * f(x), 1.0, 0.0)
+    assert not res.converged and not res.diverged
+    assert abs(res.value.imag + exact) <= res.error
+    assert res.value.real == 0.0
 
 
 # One 21-point Gauss-Kronrod pass per window: toward a finite nonzero
@@ -152,6 +152,47 @@ def test_improper_infinite_power_tail():
     res = improper_integral(lambda x: 1 / (1 + x) ** 2, 0.0, math.inf)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-8)
+
+
+def _counted_limits(monkeypatch):
+    """Record (us, certified) of every accelerated_limit the sweep calls."""
+    seen = []
+
+    def limit(sums, us=None):
+        out = accelerated_limit(sums, us)
+        seen.append((us, out[2]))
+        return out
+    monkeypatch.setattr("slq.quadrature.accelerated_limit", limit)
+    return seen
+
+
+def test_improper_extrapolates_toward_infinity(monkeypatch):
+    # int_1^inf x^-1.5 dx = 2 decays too slowly to end the sweep: all
+    # MAX_WINDOWS windows run, and accelerated_limit, on the window index
+    # (us=None), certifies the tail.
+    seen = _counted_limits(monkeypatch)
+    res = improper_integral(lambda x: x ** -1.5, 1.0, math.inf)
+    assert len(res.contributions) == MAX_WINDOWS
+    assert seen == [(None, True)]
+    assert res.converged and not res.diverged
+    assert abs(res.value - 2.0) <= res.error < 1e-13
+
+
+@pytest.mark.parametrize("f, want", [
+    (lambda x: complex(x ** -1.5, x ** -2.5), complex(2.0, 2.0 / 3.0)),
+    (lambda x: complex(x ** -2.5, x ** -1.5), complex(2.0 / 3.0, 2.0)),
+], ids=["slow_real", "slow_imag"])
+def test_improper_complex_parts_keep_their_own_certificates(monkeypatch,
+                                                            f, want):
+    # The fast part has ended on its own last two contributions, where
+    # accelerated_limit would read its flat sums as uncertified; the slow
+    # part alone is extrapolated, and certifies the sum.
+    seen = _counted_limits(monkeypatch)
+    res = improper_integral(f, 1.0, math.inf)
+    assert seen == [(None, True)]
+    assert res.converged and not res.diverged
+    assert abs(res.value - want) <= 1e-14
+    assert abs(res.value - want) <= res.error
 
 
 def test_interval_integral_matches_panel():
