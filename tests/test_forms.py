@@ -258,6 +258,20 @@ def test_complex_keeps_a_numpy_imaginary_part():
     assert res.value == pytest.approx(complex(1.0, 2.0), rel=1e-10)
 
 
+def test_panel_takes_a_numpy_complex_integrand():
+    # A numpy complex128 node is a complex already: panel gives the value
+    # and error of the same integrand in Python complex numbers, bit for
+    # bit, and warns nothing on the way.
+    def fn(x):
+        return complex(x, 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = panel(lambda x: np.complex128(fn(x)), 0.0, 1.0)
+    assert type(got[0]) is complex and got[0].imag == 1.0
+    assert got == panel(fn, 0.0, 1.0)
+
+
 # Every kind of complex node value: Python's, numpy's three complex
 # scalars, and a 0-d complex array.
 _COMPLEX_NODES = {
@@ -283,6 +297,22 @@ def test_complex_integrates_every_complex_node_type(make):
     assert type(got[0]) is complex
     rel = 1e-6 if make is np.complex64 else 1e-15
     assert got[0] == pytest.approx(want[0], rel=rel)
+
+
+@pytest.mark.parametrize("make", _COMPLEX_NODES.values(),
+                         ids=_COMPLEX_NODES.keys())
+def test_panel_takes_every_complex_node_type(make):
+    # Each node is taken as complex(node), with no warning (no float()
+    # cutting off the imaginary part): value and error are bit for bit
+    # those of an integrand that converts its nodes itself.
+    def fn(x):
+        return make(complex(x, 1.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = panel(fn, 0.0, 1.0)
+    assert type(got[0]) is complex and got[0].imag != 0.0
+    assert got == panel(lambda x: complex(fn(x)), 0.0, 1.0)
 
 
 def test_panel_leaves_the_warning_filters_as_it_found_them():
