@@ -23,7 +23,6 @@ from .solutions import LOGSCALE_MAX, march_windows, oscillation_refuted
 LIMIT_CIRCLE = "limit_circle"
 LIMIT_POINT = "limit_point"
 
-CLASSIFY_WINDOWS = 40
 CLASSIFY_TOL = 1e-10  # relative size of the window L^2 tails deemed converged
 
 
@@ -35,7 +34,8 @@ class EndpointClassification:
 
 
 def _tail_integral_verdict(spec, endpoint, z, init, anchor, mass):
-    """March one solution toward the endpoint, watching its L^2 tail in
+    """March one solution toward the endpoint through the windows of
+    `geometric_points` (at most MAX_WINDOWS), watching its L^2 tail in
     units of `mass`.
 
     Each window is one `odecore.l2_solve`, which sums its integral of
@@ -47,8 +47,7 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor, mass):
     once the last two window contributions are at most CLASSIFY_TOL times
     the total, or once the last eight decay by a factor 0.9 each, up to
     CLASSIFY_TOL times the total."""
-    pts = geometric_points(anchor, spec.interval.end(endpoint),
-                           n_windows=CLASSIFY_WINDOWS)
+    pts = geometric_points(anchor, spec.interval.end(endpoint))
     cap = math.exp(LOGSCALE_MAX)
     x, y, h = pts[0], init, None
     contribs = []

@@ -13,12 +13,12 @@ class NonFiniteValue(SlqError):
     """A coefficient evaluated to NaN or infinity at an interior sample."""
 
 
-class UnknownCatalogEntry(SlqError):
-    """Requested model problem is not in the catalog."""
-
-
 class SpecFileError(SlqError):
     """Problem-spec file failed to parse or contained unknown fields."""
+
+
+class UnknownCatalogEntry(SpecFileError):
+    """Requested model problem is not in the catalog: a spec-file error."""
 
 
 class ExpressionPole(SpecFileError, ZeroDivisionError):

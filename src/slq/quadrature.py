@@ -364,8 +364,9 @@ def accelerated_limit(sums, us=None):
     return value, max(err, 1e-16 * (1.0 + abs(value))), True
 
 
-def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, cutoff=None):
-    """Window boundary points from `start` toward `endpoint`.
+def geometric_points(start, endpoint, cutoff=None):
+    """Window boundary points from `start` toward `endpoint`, at most
+    MAX_WINDOWS windows.
 
     For a finite endpoint the distances shrink by WINDOW_RATIO each window;
     for an infinite endpoint the distances from `start` double each window.
@@ -379,7 +380,7 @@ def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, cutoff=None):
         # endpoint: narrower panels sample too few distinct floats and the
         # quadrature noise would pollute the tail extrapolation.
         min_delta = 1e4 * math.ulp(abs(endpoint))
-        for k in range(1, n_windows + 1):
+        for k in range(1, MAX_WINDOWS + 1):
             x = endpoint - d * WINDOW_RATIO**k
             if x == endpoint or x == pts[-1]:
                 break
@@ -392,7 +393,7 @@ def geometric_points(start, endpoint, n_windows=MAX_WINDOWS, cutoff=None):
         sign = 1.0 if endpoint > 0 else -1.0
         step = max(abs(start), 1.0)
         x = float(start)
-        for k in range(n_windows):
+        for _ in range(MAX_WINDOWS):
             x = x + sign * step
             step *= 2.0
             if cutoff is not None and abs(x) > abs(cutoff):

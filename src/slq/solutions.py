@@ -32,7 +32,7 @@ from .errors import (
     SpecFileError,
 )
 from .functions import MemoizedQuasiFn, QuasiFn
-from .odecore import RK45, ScaledSolution, _plain, rk_solve
+from .odecore import RK45, ScaledSolution, _plain, brentq, rk_solve
 from .problem import endpoint_regular, uniform_grid
 from .quadrature import geometric_points, improper_integral
 
@@ -167,19 +167,18 @@ class ReductionSolution(MemoizedQuasiFn):
         self.x_min = min(tail.t[0], tail.t[-1])
         self.x_max = max(tail.t[0], tail.t[-1])
         self._memo = {}  # x -> pair(x)
-        # Far edge: 80 bisection steps from c0 keep where |T| >= t_floor.
-        x_in, x_out = c0, tail.t[0]
+        # Far edge: where |T| falls to t_floor between c0 and the tail's
+        # start, to the resolution of 80 halvings of that span; an xtol
+        # set by the span also keeps Brent within BRENTQ_MAXITER for an
+        # edge near 0, where its relative tolerance vanishes.
+        x_out = tail.t[0]
         if abs(self.T(x_out)) < t_floor:
-            for _ in range(80):
-                mid = 0.5 * (x_in + x_out)
-                if abs(self.T(mid)) >= t_floor:
-                    x_in = mid
-                else:
-                    x_out = mid
-            if tail.t[0] > c0:
-                self.x_max = x_in
+            edge = brentq(lambda x: abs(self.T(x)) - t_floor, c0, x_out,
+                          xtol=abs(x_out - c0) * 2.0 ** -80)
+            if x_out > c0:
+                self.x_max = edge
             else:
-                self.x_min = x_in
+                self.x_min = edge
 
     def T(self, x):
         if not (self.x_min <= x <= self.x_max):
@@ -239,7 +238,8 @@ def _find_last_zero(w, segments, x_from, x_to):
     """Zero of the real trajectory w closest to x_to on [x_from, x_to], or
     None.  `segments` are w's tables of the march windows that counted
     zeros.  The first sign change of w at their step points, walking from
-    x_to back toward x_from, brackets it; 80 bisection steps locate it."""
+    x_to back toward x_from, brackets it, and `odecore.brentq` locates it
+    to the resolution of 80 halvings of the bracket."""
     d = x_to - x_from
     xs = sorted({t for table in segments for t in table.t
                  if (t - x_from) * d >= 0.0 and (t - x_to) * d < 0.0},
@@ -252,16 +252,8 @@ def _find_last_zero(w, segments, x_from, x_to):
         if v_lo == 0.0:
             return lo
         if v_lo * v_hi < 0.0:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                vm = w.log_pair(mid)[0]
-                if vm == 0.0:
-                    break
-                if v_lo * vm < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
+            return brentq(lambda x: w.log_pair(x)[0], lo, hi,
+                          xtol=abs(hi - lo) * 2.0 ** -80)
         hi, v_hi = lo, v_lo
     return None
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from slq.classify import (
-    CLASSIFY_WINDOWS,
     LIMIT_CIRCLE,
     LIMIT_POINT,
     certify_endpoint,
@@ -15,7 +14,7 @@ from slq.classify import (
     count_zeros,
 )
 from slq import classify, solutions
-from slq.errors import StepSizeUnderflow
+from slq.errors import Inconclusive, StepSizeUnderflow
 from slq.odecore import l2_solve
 from slq.problem import (
     catalog,
@@ -203,8 +202,7 @@ def test_probe_window_sums_match_quadrature_of_the_march(problem, end, _,
     spec = _spec(problem, request)
     anchor, ell, pc, rc = end_scale(spec, end)
     z = spec.lambda0 + 1j * pc / (rc * ell * ell)
-    pts = geometric_points(anchor, spec.interval.end(end),
-                           n_windows=CLASSIFY_WINDOWS)
+    pts = geometric_points(anchor, spec.interval.end(end))
     for init in ((1.0, 0.0), (0.0, pc / ell)):
         verdict, _, sums = classify._tail_integral_verdict(
             spec, end, z, init, anchor, rc * ell)
@@ -235,6 +233,32 @@ def test_a_diverging_probe_stops_at_the_threshold(free_halfline,
     assert DIVERGE_THRESHOLD < entry["total"] < 2 * DIVERGE_THRESHOLD
     assert stops[:-1] == [2.0, 4.0, 8.0, 16.0]
     assert 16.0 < stops[-1] < 32.0
+
+
+def test_a_tail_that_shrinks_slower_than_the_rule_is_inconclusive():
+    # p = 1, q = 0, r = x^-3.1 on (1, inf) is limit circle at inf: its
+    # solutions at lambda0 = 0 are 1 and x, and int x^2 r < inf.  The
+    # windows double their distance, so the probe's contributions shrink
+    # only by 2^-0.1 (about 0.933) per window: slower than the 0.9 that
+    # reads as converged, faster than the 0.97 that reads as diverging.
+    spec, _ = problem_from_dict({
+        "interval": {"a": 1, "b": "inf"},
+        "coefficients": {"p": "1", "q": "0", "r": "x**(-3.1)"}})
+    validate(spec)
+    anchor, ell, pc, rc = end_scale(spec, "b")
+    z = spec.lambda0 + 1j * pc / (rc * ell * ell)
+    for init in ((1.0, 0.0), (0.0, pc / ell)):
+        verdict, total, contribs = classify._tail_integral_verdict(
+            spec, "b", z, init, anchor, rc * ell)
+        assert verdict == "inconclusive"
+        assert math.isfinite(total)
+        assert all(c2 / c1 == pytest.approx(2.0 ** -0.1, rel=1e-4)
+                   for c1, c2 in zip(contribs[-8:], contribs[-7:]))
+    with pytest.raises(Inconclusive,
+                       match=r"endpoint b not certified: "
+                             r"\['inconclusive', 'inconclusive'\]"):
+        classify_endpoint(spec, "b")
+    assert classify_endpoint(spec, "a").kind == LIMIT_CIRCLE
 
 
 def test_count_zeros_sine(dirichlet):

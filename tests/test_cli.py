@@ -8,6 +8,7 @@ import pytest
 
 from slq import cli, forms, triplets
 from slq.cli import (
+    EXIT_INCONCLUSIVE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
@@ -605,6 +606,85 @@ def test_a_spec_file_json_cannot_read_is_refused(tmp_path, capsys, raw,
     assert len(captured.err.splitlines()) == 1
     assert "is not valid JSON" in captured.err
     assert message in captured.err
+
+
+EXPLICIT = {"p": "1", "q": "0", "r": "1"}
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ([], EXIT_PARSE, "problem spec must be a JSON object"),
+    ({}, EXIT_PARSE, "problem spec is missing 'coefficients'"),
+    ({"coefficients": "legendre"}, EXIT_PARSE,
+     "'coefficients' must be an object"),
+    ({"coefficients": EXPLICIT}, EXIT_PARSE,
+     "explicit coefficients require an 'interval'"),
+    ({"interval": [0, 1], "coefficients": EXPLICIT}, EXIT_PARSE,
+     "'interval' must be an object"),
+    ({"interval": {"a": 0}, "coefficients": EXPLICIT}, EXIT_PARSE,
+     "'interval' needs both 'a' and 'b'"),
+    ({"interval": {"a": math.nan, "b": 1}, "coefficients": EXPLICIT},
+     EXIT_PARSE, "interval endpoints must not be NaN"),
+    ({"interval": {"a": 0, "b": "infinit"}, "coefficients": EXPLICIT},
+     EXIT_PARSE, "bad interval endpoint 'infinit'"),
+    ({"coefficients": {"catalog": "nope"}}, EXIT_PARSE,
+     "no catalog entry named 'nope'"),
+    ({"coefficients": {"catalog": "bessel(x)"}}, EXIT_PARSE,
+     "bad bessel parameter in 'bessel(x)'"),
+    ({"interval": {"a": 0, "b": 1},
+      "coefficients": {"p": "1", "q": "1e308*(x+2)**2", "r": "1"}},
+     EXIT_NUMERICAL, "NonFiniteValue: coefficient q is not finite"),
+], ids=["not_an_object", "no_coefficients", "coefficients_not_an_object",
+        "no_interval", "interval_not_an_object", "interval_without_b",
+        "nan_endpoint", "misspelt_infinity", "unknown_catalog_entry",
+        "bad_bessel_parameter", "non_finite_coefficient"])
+def test_every_refused_spec_exits_with_one_error_line(specfile, capsys, doc,
+                                                      code, message):
+    # A spec the parser refuses, an unknown catalog entry among them, is a
+    # spec-file error (exit 2); a coefficient that overflows at a sample
+    # point is a numerical failure (exit 4).
+    assert main(["classify", specfile(doc)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+SLOW_TAIL = {"interval": {"a": 1, "b": "inf"},
+             "coefficients": {"p": "1", "q": "0", "r": "x**(-3.1)"}}
+
+
+@pytest.mark.parametrize("strict, code", [(False, EXIT_NUMERICAL),
+                                          (True, EXIT_INCONCLUSIVE)])
+def test_classify_reports_an_inconclusive_end(specfile, capsys, strict,
+                                              code):
+    # r = x^-3.1 on (1, inf): the probe's tail at inf shrinks too slowly to
+    # certify (tests/test_classify.py), and the report says so.
+    path = specfile(SLOW_TAIL)
+    got, report = _run(capsys, ["classify", path]
+                       + (["--strict"] if strict else []))
+    assert got == code
+    section = report["classification"]
+    assert section["a"]["kind"] == "limit_circle"
+    assert section["b"]["kind"] == "inconclusive"
+    assert "endpoint b not certified" in section["b"]["detail"]
+
+
+@pytest.mark.parametrize("strict, code", [(False, EXIT_NUMERICAL),
+                                          (True, EXIT_INCONCLUSIVE)])
+@pytest.mark.parametrize("argv", [["form", "--f", "sin", "--g", "sin"],
+                                  ["eig"], ["triplet"]],
+                         ids=["form", "eig", "triplet"])
+def test_commands_that_need_the_classification_stop_when_it_is_inconclusive(
+        specfile, capsys, argv, strict, code):
+    path = specfile(SLOW_TAIL)
+    assert main([argv[0], path, *argv[1:]]
+                + (["--strict"] if strict else [])) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        "inconclusive: classification at endpoint b not certified")
 
 
 @pytest.mark.parametrize("command, a, b", [

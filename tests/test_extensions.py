@@ -476,6 +476,20 @@ def test_index_halfline(free_halfline, free_halfline_bases, alpha):
                   [lam], _probes([lam], lam - 1.0) + [0.5 * lam])
 
 
+@pytest.mark.xfail(strict=True, raises=ShootingOverflow, reason=(
+    "the range reaches the essential spectrum [0, inf), where "
+    "_wkb_far_point finds no decay toward b and refuses the whole range"))
+def test_halfline_eigenvalue_below_the_continuum(free_halfline,
+                                                 free_halfline_bases):
+    # -cot(0.8)^2 = -0.94325780... is the one eigenvalue.  Over (-1, -0.1),
+    # below the continuum, shooting finds it; over (-1, 0.5) it should too.
+    want = pytest.approx([-1.0 / math.tan(0.8) ** 2], abs=1e-7)
+    for lam_max in (-0.1, 0.5):
+        eigs = eigenvalues_shoot(free_halfline, OneLC(0.8, "a"),
+                                 (-1.0, lam_max), bases=free_halfline_bases)
+        assert [e.lam for e in eigs] == want
+
+
 def test_eigenvalues_two_roots_in_one_cell(dirichlet, dirichlet_bases):
     # 8 cells of width 4.94: 1 and 4 share the first, which the
     # determinant crosses twice; the index sees both.

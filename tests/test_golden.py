@@ -11,7 +11,6 @@ zero count shows here.
 import numpy as np
 import pytest
 
-from slq.classify import CLASSIFY_WINDOWS
 from slq.extensions import LpLp, Separated, _lp_init, _side_start
 from slq.odecore import end_state
 from slq.problem import catalog, end_scale, validate
@@ -102,8 +101,7 @@ def test_complex_weyl_probe_window(legendre):
     # nonreal z of classify_endpoint's probe there, from (1, 0).
     anchor, ell, pc, rc = end_scale(legendre, "a")
     z = legendre.lambda0 + 1j * pc / (rc * ell * ell)
-    pts = geometric_points(anchor, legendre.interval.a,
-                           n_windows=CLASSIFY_WINDOWS)
+    pts = geometric_points(anchor, legendre.interval.a)
     init = np.asarray((1.0, 0.0), dtype=complex)
     _, table, zeros, stopped = next(march_windows(legendre, z, init, pts,
                                                   1e-9))

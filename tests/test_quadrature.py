@@ -221,9 +221,10 @@ def test_geometric_points_monotone_toward_finite_endpoint():
 
 
 def test_geometric_points_infinite_endpoint_doubles():
-    pts = geometric_points(1.0, math.inf, n_windows=8)
-    assert all(b > a for a, b in zip(pts, pts[1:]))
-    assert pts[-1] > 50.0
+    pts = geometric_points(1.0, math.inf)
+    assert pts[:6] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    assert len(pts) == MAX_WINDOWS + 1
+    assert all(b - a == a for a, b in zip(pts, pts[1:]))
 
 
 def test_accelerated_limit_geometric_decay():

@@ -247,6 +247,28 @@ def test_last_zeros_are_the_closed_form_zeros(name, lam, end, multiples):
         assert abs(abs(z - basis.endpoint_value) - m * math.pi / k) <= 1e-12
 
 
+def test_the_reduction_support_edge_is_found_by_brent(monkeypatch):
+    # -u'' = -u on (0, inf): the march toward inf gives e^x, so u = w T is
+    # the reduction of order, e^-x, whose support ends where |T| falls to
+    # its floor.  Brent's method finds that edge where 80 halvings of
+    # (c0, far edge) found it, in 18 calls of T rather than 81.
+    calls = []
+    T = ReductionSolution.T
+
+    def counted(self, x):
+        calls.append(x)
+        return T(self, x)
+
+    monkeypatch.setattr(ReductionSolution, "T", counted)
+    spec, _ = problem_from_dict({"coefficients": {"catalog": "free_halfline"},
+                                 "lambda0": -1.0})
+    u = construct_basis(spec, "b").u
+    assert isinstance(u, ReductionSolution)
+    want = float.fromhex("0x1.11e3b843e857bp+5")
+    assert abs(u.x_max - want) <= 4 * math.ulp(want)
+    assert len(calls) <= 30
+
+
 def test_reduction_tail_gives_the_principal_power():
     # bessel(0.3) at lambda0 = 0 has the solutions x^0.8 (principal at 0)
     # and x^0.2.  The march gives the nonprincipal one, so u is w T with T
