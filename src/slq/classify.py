@@ -2,9 +2,9 @@
 
 An endpoint is limit circle when every solution of tau u = z u is square
 integrable (weight r) near it, limit point otherwise.  The dichotomy is
-probed at a nonreal energy by marching two independent solutions toward the
-endpoint and watching the tail integrals window by window, each summed in
-its own solve (`odecore.l2_solve`).  Nonoscillation is probed at a real
+probed at a nonreal energy by marching one solution with real data toward
+the endpoint and watching its tail integral window by window, each summed
+in its own solve (`odecore.l2_solve`).  Nonoscillation is probed at a real
 energy on the basis march (`solutions.march_windows`), from the zeros of
 one solution window by window.
 """
@@ -77,11 +77,12 @@ def _tail_integral_verdict(spec, endpoint, z, init, anchor, mass):
 def classify_endpoint(spec, endpoint):
     """Weyl alternative at one endpoint.
 
-    limit_circle iff both probe solutions have convergent tail integrals of
-    r |u|^2; limit_point as soon as one diverges.  In the end's `end_scale`
-    (c, l, p(c), r(c)) they start at c from (1, 0) and (0, p(c)/l) at
-    z = lambda0 + i p(c)/(r(c) l^2), their tails in units of r(c) l.
-    Inconclusive marching is reported by exception, never silently resolved.
+    One probe decides: at nonreal z, Im m(z) != 0, so near a limit-point
+    end no solution with real data at c is square integrable, and near a
+    limit-circle end every one is.  In the end's `end_scale` (c, l, p(c),
+    r(c)) it starts at c from (1, 0) at z = lambda0 + i p(c)/(r(c) l^2),
+    its tail of r |u|^2 in units of r(c) l: limit_circle if it converges,
+    limit_point if it diverges, and `Inconclusive` raised otherwise.
     """
     if endpoint_regular(spec, endpoint):
         return EndpointClassification(
@@ -90,23 +91,17 @@ def classify_endpoint(spec, endpoint):
         )
     anchor, ell, pc, rc = end_scale(spec, endpoint)
     z = spec.lambda0 + 1j * pc / (rc * ell * ell)
-    evidence = []
-    verdicts = []
-    for init in ((1.0, 0.0), (0.0, pc / ell)):
-        verdict, total, contribs = _tail_integral_verdict(
-            spec, endpoint, z, init, anchor, rc * ell)
-        evidence.append({
-            "init": init, "z": z, "verdict": verdict, "total": total,
-            "n_windows": len(contribs), "last_contributions": contribs[-4:],
-        })
-        verdicts.append(verdict)
-        if verdict == "diverges":
-            return EndpointClassification(endpoint, LIMIT_POINT, evidence)
-    if all(v == "converges" for v in verdicts):
-        return EndpointClassification(endpoint, LIMIT_CIRCLE, evidence)
-    raise Inconclusive(
-        f"classification at endpoint {endpoint} not certified: {verdicts}"
-    )
+    init = (1.0, 0.0)
+    verdict, total, contribs = _tail_integral_verdict(
+        spec, endpoint, z, init, anchor, rc * ell)
+    kind = {"converges": LIMIT_CIRCLE, "diverges": LIMIT_POINT}.get(verdict)
+    if kind is None:
+        raise Inconclusive(
+            f"classification at endpoint {endpoint} not certified: {verdict}")
+    return EndpointClassification(endpoint, kind, [{
+        "init": init, "z": z, "verdict": verdict, "total": total,
+        "n_windows": len(contribs), "last_contributions": contribs[-4:],
+    }])
 
 
 def classify_both(spec):

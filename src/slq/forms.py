@@ -116,8 +116,8 @@ def default_window(spec, basis_a, basis_b):
     a, b = spec.interval.endpoints()
     a0 = basis_a.nonvanish_bound
     b0 = basis_b.nonvanish_bound
-    c = 0.5 * (a + a0) if math.isfinite(a) else a0 - max(1.0, abs(a0))
-    d = 0.5 * (b0 + b) if math.isfinite(b) else b0 + max(1.0, abs(b0))
+    c = 0.5 * a + 0.5 * a0 if math.isfinite(a) else a0 - max(1.0, abs(a0))
+    d = 0.5 * b0 + 0.5 * b if math.isfinite(b) else b0 + max(1.0, abs(b0))
     return FormWindow(c, d)
 
 
@@ -273,7 +273,7 @@ class SMap:
             if abs(step) <= 4.0 * math.ulp(x) \
                     or abs(s - sx) <= 4.0 * math.ulp(s):
                 break
-            x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+            x = x + step if lo < x + step < hi else 0.5 * lo + 0.5 * hi
         node = self._nodes[s] = (x, hu, hu1)
         return node
 

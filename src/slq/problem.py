@@ -58,7 +58,7 @@ class Interval:
         """A convenient reference point in the open interval."""
         a, b = self.a, self.b
         if math.isfinite(a) and math.isfinite(b):
-            return 0.5 * (a + b)
+            return 0.5 * a + 0.5 * b
         if math.isfinite(a):
             return a + 1.0
         if math.isfinite(b):

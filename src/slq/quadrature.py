@@ -107,7 +107,7 @@ def _qk21_source():
     every sum in its order.  A value f returns that is not a float passes
     through `_number`; a complex one makes the sums complex, and every
     error term reads its modulus."""
-    lines = ["centr = 0.5 * (a + b)",
+    lines = ["centr = 0.5 * a + 0.5 * b",
              "hlgth = 0.5 * (b - a)",
              *_node("fc", "centr"),
              f"resk = {WGK[10]!r} * fc",
@@ -166,7 +166,7 @@ def _qage(f, a, b, epsabs, epsrel, limit):
     for last in range(2, limit + 1):
         # Bisect the subinterval with the largest error estimate.
         a1, b2, rmax, errmax = ivals[maxerr]
-        b1 = 0.5 * (a1 + b2)
+        b1 = 0.5 * a1 + 0.5 * b2
         a2 = b1
         area1, error1, _, defab1 = _qk21(f, a1, b1)
         area2, error2, _, defab2 = _qk21(f, a2, b2)
@@ -532,7 +532,7 @@ def interval_integral(f, a, b, *, singular_a=False, singular_b=False,
         return v, e
     if split is None:
         if math.isfinite(a) and math.isfinite(b):
-            split = (0.5 * (a + b),)
+            split = (0.5 * a + 0.5 * b,)
         elif math.isfinite(a):
             split = (a + 1.0,)
         elif math.isfinite(b):

@@ -40,10 +40,11 @@ def test_classify_legendre(specfile, capsys):
     assert code == EXIT_OK
     kinds = {e: s["kind"] for e, s in report["classification"].items()}
     assert kinds == {"a": "limit_circle", "b": "limit_circle"}
-    # Each march records the z it ran at: i, in Legendre's own units.
+    # The one march at each end records the z it ran at: i, in Legendre's
+    # own units.
     for section in report["classification"].values():
         assert [ev["z"] for ev in section["evidence"]] \
-            == [{"re": 0.0, "im": 1.0}] * 2
+            == [{"re": 0.0, "im": 1.0}]
 
 
 def test_no_command_takes_a_probe(specfile, capsys):
@@ -203,6 +204,24 @@ def test_eig_reports_an_overflow_as_non_finite(specfile, capsys):
     assert code == EXIT_NUMERICAL
     assert "error: NonFiniteState: state overflowed" \
         in capsys.readouterr().err
+
+
+def test_commands_run_on_an_interval_near_the_float_limit(specfile,
+                                                          capsys):
+    # On (1e308, 1.7e308), a + b overflows, so each midpoint is taken as
+    # the sum of the halves.  Both ends are regular; g = 1 + 1e-308 x has
+    # g~ = g there.
+    path = specfile({"interval": {"a": 1e308, "b": 1.7e308},
+                     "coefficients": {"p": "1", "q": "0", "r": "1"}})
+    code, report = _run(capsys, ["classify", path])
+    assert code == EXIT_OK
+    assert {e: s["kind"] for e, s in report["classification"].items()} \
+        == {"a": "limit_circle", "b": "limit_circle"}
+    assert _run(capsys, ["basis", path])[0] == EXIT_OK
+    code, report = _run(capsys, ["gbv", path, "--g", "poly:1,1e-308"])
+    assert code == EXIT_OK
+    assert report["gbv"]["a"]["tilde"] == pytest.approx(2.0, rel=1e-12)
+    assert report["gbv"]["b"]["tilde"] == pytest.approx(2.7, rel=1e-12)
 
 
 def test_triplet_command_with_extension(specfile, capsys):

@@ -24,6 +24,13 @@ def test_panel_polynomial():
     assert val == pytest.approx(8.0, abs=1e-12)
 
 
+def test_panel_near_the_float_limit():
+    # The nodes are halves of a and b summed: 0.5 * (a + b) overflows here.
+    val, err = panel(lambda x: x / 1.7e308, 1e308, 1.7e308)
+    assert val == 5.558823529411765e307
+    assert math.isfinite(err)
+
+
 def test_improper_inverse_sqrt_converges():
     # int_0^1 x^{-1/2} dx = 2 with an endpoint singularity at 0.
     res = improper_integral(lambda x: 1 / math.sqrt(x), 1.0, 0.0)
